@@ -1,9 +1,7 @@
-// Microbench for parallel index construction and the flat CSR search
-// view: build time vs. thread count (1/2/4/8) with recall parity checked
-// against the serial build, then search QPS over the compacted CSR rows
-// vs. the nested construction-form adjacency. The two headline numbers
-// are the 8-thread build speedup (target: >= 3x on a machine with >= 8
-// cores) and the flat/nested QPS ratio (flat should never be slower).
+// Microbench for parallel index construction: build time vs. thread
+// count (1/2/4/8) with recall parity checked against the serial build.
+// The headline number is the 8-thread build speedup (target: >= 3x on a
+// machine with >= 8 cores).
 
 #include <algorithm>
 #include <cstdio>
@@ -34,24 +32,6 @@ double MeasureRecall(const LanIndex& index, const std::vector<Graph>& queries,
     total += RecallAtK(result.results, truths[i], k);
   }
   return total / static_cast<double>(queries.size());
-}
-
-/// Runs `seconds` worth of searches on one thread, returns the count.
-size_t MeasureQps(const LanIndex& index, const std::vector<Graph>& queries,
-                  double seconds) {
-  SearchOptions options;
-  options.k = 10;
-  options.beam = 16;
-  options.routing = RoutingMethod::kBaselineRoute;
-  options.init = InitMethod::kHnswIs;
-  size_t count = 0;
-  Timer wall;
-  while (wall.ElapsedSeconds() < seconds) {
-    const Graph& query = queries[count++ % queries.size()];
-    SearchResult result = index.Search(query, options);
-    LAN_CHECK(result.status.ok()) << result.status.ToString();
-  }
-  return count;
 }
 
 int Main() {
@@ -111,29 +91,6 @@ int Main() {
                 "count; rerun on an >= 8-core host for the 3x target.\n",
                 std::thread::hardware_concurrency());
   }
-
-  // Flat vs. nested is measured on serial builds of the same seed: the
-  // topologies are identical, so any QPS delta is purely the layout.
-  std::printf("\n=== Search QPS: flat CSR view vs. nested adjacency ===\n");
-  const double kMeasureSeconds = 3.0;
-  double flat_qps = 0.0;
-  double nested_qps = 0.0;
-  for (const bool flat : {true, false}) {
-    LanConfig config = base_config;
-    config.hnsw.flat_search_view = flat;
-    LanIndex index(config);
-    LAN_CHECK_OK(index.Build(&db));
-    const size_t count = MeasureQps(index, queries, kMeasureSeconds);
-    const double qps = static_cast<double>(count) / kMeasureSeconds;
-    const double recall = MeasureRecall(index, queries, truths, k);
-    std::printf("%-28s %10.1f qps (%zu searches, recall@%d %.3f)\n",
-                flat ? "flat CSR + prefetch:" : "nested vectors:", qps, count,
-                k, recall);
-    (flat ? flat_qps : nested_qps) = qps;
-  }
-  std::printf("%-28s flat/nested %.2fx (identical topology; results are "
-              "bitwise-equal — see parallel_build_test)\n",
-              "impact:", flat_qps / nested_qps);
   return 0;
 }
 

@@ -118,7 +118,7 @@ Status GraphDatabase::CompactStorage() {
   return AttachStore(std::move(packed), std::move(live));
 }
 
-Result<GraphId> GraphDatabase::Add(Graph graph) {
+Status GraphDatabase::CheckLabels(const Graph& graph) const {
   for (NodeId v = 0; v < graph.NumNodes(); ++v) {
     const Label l = graph.label(v);
     if (l < 0 || l >= num_labels_) {
@@ -127,6 +127,11 @@ Result<GraphId> GraphDatabase::Add(Graph graph) {
                     num_labels_));
     }
   }
+  return Status::OK();
+}
+
+Result<GraphId> GraphDatabase::Add(Graph graph) {
+  LAN_RETURN_NOT_OK(CheckLabels(graph));
   graphs_.push_back(std::move(graph));
   live_.push_back(1);
   RepublishSlots();

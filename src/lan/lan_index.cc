@@ -2,18 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <fstream>
-#include <iterator>
-#include <string_view>
 
 #include "common/logging.h"
-#include "nn/serialization.h"
 #include "common/timer.h"
 #include "lan/learned_ranker.h"
 #include "pg/beam_search.h"
 #include "pg/init_selector.h"
-#include "store/snapshot.h"
 
 namespace lan {
 
@@ -106,7 +100,8 @@ Status LanIndex::Build(const GraphDatabase* db) {
                                     pool_.get());
   LAN_LOG(Info) << "  PG built in " << timer.ElapsedSeconds() << "s, avg deg "
                 << hnsw.BaseLayer().AverageDegree();
-  return FinishBuild(std::move(hnsw), {}, /*epoch=*/0);
+  FinishBuild(std::move(hnsw));
+  return Status::OK();
 }
 
 Status LanIndex::Build(GraphDatabase* db) {
@@ -115,108 +110,7 @@ Status LanIndex::Build(GraphDatabase* db) {
   return Status::OK();
 }
 
-namespace {
-
-/// Magic of the mutable-index wrapper around the HNSW stream. Legacy
-/// index files start directly with the HNSW magic instead.
-constexpr char kIndexMagic[8] = {'L', 'A', 'N', 'I', 'D', 'X', '0', '1'};
-
-}  // namespace
-
-Status LanIndex::BuildFromSavedIndex(const GraphDatabase* db,
-                                     std::istream& in) {
-  LAN_RETURN_NOT_OK(config_.Validate());
-  if (db == nullptr || db->empty()) {
-    return Status::InvalidArgument("BuildFromSavedIndex: empty database");
-  }
-  db_ = db;
-  mutable_db_ = nullptr;
-
-  // Peek the leading magic: a LANSNAP1 sectioned snapshot, the LANIDX01
-  // mutable-index wrapper, or (legacy) a bare HNSW stream.
-  uint64_t epoch = 0;
-  std::vector<uint8_t> live;
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (in.gcount() != static_cast<std::streamsize>(sizeof(magic))) {
-    return Status::IoError("index read truncated");
-  }
-  if (Snapshot::LooksLikeSnapshot(std::string_view(magic, sizeof(magic)))) {
-    std::string bytes(magic, sizeof(magic));
-    bytes.append(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-    HnswIndex hnsw;
-    LAN_RETURN_NOT_OK(
-        BuildFromSnapshotBuffer(db, bytes, &live, &epoch, &hnsw));
-    return FinishBuild(std::move(hnsw), std::move(live), epoch);
-  }
-  if (std::memcmp(magic, kIndexMagic, sizeof(magic)) == 0) {
-    in.read(reinterpret_cast<char*>(&epoch), sizeof(epoch));
-    int32_t num_graphs = 0;
-    in.read(reinterpret_cast<char*>(&num_graphs), sizeof(num_graphs));
-    if (!in.good() || num_graphs < 0) {
-      return Status::IoError("bad index header");
-    }
-    live.resize(static_cast<size_t>(num_graphs));
-    in.read(reinterpret_cast<char*>(live.data()),
-            static_cast<std::streamsize>(live.size()));
-    if (in.gcount() != static_cast<std::streamsize>(live.size())) {
-      return Status::IoError("index read truncated");
-    }
-  } else {
-    in.seekg(-static_cast<std::streamoff>(sizeof(magic)), std::ios::cur);
-    if (!in.good()) return Status::IoError("cannot rewind index stream");
-  }
-
-  LAN_ASSIGN_OR_RETURN(HnswIndex hnsw, HnswIndex::Load(in));
-  if (hnsw.BaseLayer().NumNodes() != db_->size()) {
-    return Status::InvalidArgument(
-        "saved index size does not match the database");
-  }
-  if (!live.empty() &&
-      live.size() != static_cast<size_t>(db_->size())) {
-    return Status::InvalidArgument(
-        "saved tombstone bitmap does not match the database");
-  }
-  return FinishBuild(std::move(hnsw), std::move(live), epoch);
-}
-
-Status LanIndex::BuildFromSavedIndex(GraphDatabase* db, std::istream& in) {
-  LAN_RETURN_NOT_OK(
-      BuildFromSavedIndex(static_cast<const GraphDatabase*>(db), in));
-  mutable_db_ = db;
-  return Status::OK();
-}
-
-// SaveIndex lives in lan_snapshot.cc: it now writes a {kMeta, kHnsw}
-// sectioned snapshot, which the LooksLikeSnapshot branch above reads
-// back. kIndexMagic streams stay loadable (the branch below).
-
-Status LanIndex::SaveIndexToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) return ErrnoIoError("cannot open for writing", path);
-  LAN_RETURN_NOT_OK(SaveIndex(out));
-  out.flush();
-  if (!out.good()) return ErrnoIoError("write failed", path);
-  return Status::OK();
-}
-
-Status LanIndex::BuildFromSavedIndexFile(const GraphDatabase* db,
-                                         const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return ErrnoIoError("cannot open", path);
-  return BuildFromSavedIndex(db, in);
-}
-
-Status LanIndex::BuildFromSavedIndexFile(GraphDatabase* db,
-                                         const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return ErrnoIoError("cannot open", path);
-  return BuildFromSavedIndex(db, in);
-}
-
-Status LanIndex::FinishBuild(HnswIndex hnsw, std::vector<uint8_t> live,
-                             uint64_t epoch) {
+void LanIndex::FinishBuild(HnswIndex hnsw) {
   // Precompute the compressed GNN-graph of every database graph (offline,
   // Sec. VI-C: a one-off cost amortized over all queries).
   const int layers = static_cast<int>(config_.scorer.gnn_dims.size());
@@ -244,26 +138,29 @@ Status LanIndex::FinishBuild(HnswIndex hnsw, std::vector<uint8_t> live,
       KMeans(*embeddings, num_clusters, config_.kmeans_iterations, &rng,
              config_.quantized_embeddings));
 
-  if (live.empty()) live.assign(static_cast<size_t>(db_->size()), 1);
   auto snap = std::make_shared<IndexSnapshot>();
-  snap->epoch = epoch;
   snap->num_graphs = db_->size();
   snap->live_count = snap->num_graphs;
-  for (uint8_t l : live) {
-    if (l == 0) --snap->live_count;
-  }
   snap->hnsw = std::make_shared<const HnswIndex>(std::move(hnsw));
-  snap->live = std::make_shared<const std::vector<uint8_t>>(std::move(live));
+  snap->live = std::make_shared<const std::vector<uint8_t>>(
+      static_cast<size_t>(db_->size()), uint8_t{1});
   snap->cgs = std::move(cgs);
   snap->embeddings = std::move(embeddings);
   snap->clusters = std::move(clusters);
   Publish(std::move(snap));
+  FinishSetup(db_->size(), /*inserted_since_build=*/0);
+}
 
+void LanIndex::FinishSetup(GraphId built_size,
+                           uint64_t inserted_since_build) {
   // Online PG inserts continue a level-draw stream that is deterministic
-  // given the built size, so a saved+reloaded index inserts identically.
+  // given the built size; an opened snapshot skips the draws its inserts
+  // already took, so it inserts exactly like the index that saved it.
   insert_rng_ = Rng(config_.hnsw.seed ^
                     (0x9e3779b97f4a7c15ULL +
-                     static_cast<uint64_t>(db_->size())));
+                     static_cast<uint64_t>(built_size)));
+  HnswIndex::SkipInsertLevels(&insert_rng_, config_.hnsw,
+                              inserted_since_build);
 
   // Provider stack: the query path computes through distance_provider(),
   // which is the caching decorator iff the cross-query cache is on. The
@@ -277,7 +174,6 @@ Status LanIndex::FinishBuild(HnswIndex hnsw, std::vector<uint8_t> live,
     caching_provider_ = MakeCachingProvider(&base_provider_, result_cache_);
   }
   built_ = true;
-  return Status::OK();
 }
 
 void LanIndex::Publish(std::shared_ptr<const IndexSnapshot> snap) {
@@ -528,166 +424,6 @@ Status LanIndex::Train(const std::vector<Graph>& train_queries) {
   return Status::OK();
 }
 
-namespace {
-
-constexpr char kModelMagic[8] = {'L', 'A', 'N', 'M', 'D', 'L', '0', '2'};
-
-Status WritePod(std::ostream& out, const void* data, size_t bytes) {
-  out.write(static_cast<const char*>(data),
-            static_cast<std::streamsize>(bytes));
-  if (!out.good()) return Status::IoError("model write failed");
-  return Status::OK();
-}
-
-Status ReadPod(std::istream& in, void* data, size_t bytes) {
-  in.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-  if (in.gcount() != static_cast<std::streamsize>(bytes)) {
-    return Status::IoError("model read truncated");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status LanIndex::SaveModels(std::ostream& out) const {
-  if (!trained_) return Status::FailedPrecondition("SaveModels before Train");
-  // The snapshot's clusters include every online-inserted graph, so a
-  // reload over the grown database round-trips.
-  const auto snap = Snapshot();
-  const KMeansResult& clusters = *snap->clusters;
-  LAN_RETURN_NOT_OK(WritePod(out, kModelMagic, sizeof(kModelMagic)));
-  LAN_RETURN_NOT_OK(WritePod(out, &gamma_star_, sizeof(gamma_star_)));
-  LAN_RETURN_NOT_OK(WriteParamStore(rank_model_->scorer().params(), out));
-  LAN_RETURN_NOT_OK(WriteParamStore(nh_model_->scorer().params(), out));
-  const float nh_threshold = nh_model_->calibrated_threshold();
-  LAN_RETURN_NOT_OK(WritePod(out, &nh_threshold, sizeof(nh_threshold)));
-  LAN_RETURN_NOT_OK(WriteParamStore(
-      static_cast<const ClusterModel&>(*cluster_model_).params(), out));
-  // Clusters: centroid matrix + per-graph assignment.
-  const int32_t num_clusters = static_cast<int32_t>(clusters.centroids.rows());
-  const int32_t dim = num_clusters > 0 ? clusters.centroids.dim() : 0;
-  LAN_RETURN_NOT_OK(WritePod(out, &num_clusters, sizeof(num_clusters)));
-  LAN_RETURN_NOT_OK(WritePod(out, &dim, sizeof(dim)));
-  LAN_RETURN_NOT_OK(WritePod(out, clusters.centroids.data(),
-                             clusters.centroids.size() * sizeof(float)));
-  const int64_t assigned = static_cast<int64_t>(clusters.assignment.size());
-  LAN_RETURN_NOT_OK(WritePod(out, &assigned, sizeof(assigned)));
-  LAN_RETURN_NOT_OK(WritePod(out, clusters.assignment.data(),
-                             clusters.assignment.size() * sizeof(int32_t)));
-  return Status::OK();
-}
-
-Status LanIndex::SaveModelsToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) return ErrnoIoError("cannot open for writing", path);
-  LAN_RETURN_NOT_OK(SaveModels(out));
-  out.flush();
-  if (!out.good()) return ErrnoIoError("write failed", path);
-  return Status::OK();
-}
-
-Status LanIndex::LoadModels(std::istream& in) {
-  if (!built_) return Status::FailedPrecondition("LoadModels before Build");
-  char magic[8];
-  LAN_RETURN_NOT_OK(ReadPod(in, magic, sizeof(magic)));
-  if (std::memcmp(magic, kModelMagic, sizeof(magic)) != 0) {
-    return Status::IoError("bad model magic");
-  }
-  LAN_RETURN_NOT_OK(ReadPod(in, &gamma_star_, sizeof(gamma_star_)));
-
-  // Reconstruct architectures from the config, then load parameters.
-  RankModelOptions rank_opts = config_.rank;
-  rank_opts.batch_percent = config_.batch_percent;
-  rank_opts.scorer = config_.scorer;
-  rank_model_ = std::make_unique<NeighborRankModel>(db_->num_labels(),
-                                                    rank_opts);
-  LAN_RETURN_NOT_OK(
-      ReadParamStoreInto(rank_model_->mutable_scorer()->params(), in));
-
-  NeighborhoodModelOptions nh_opts = config_.nh;
-  nh_opts.scorer = config_.scorer;
-  nh_model_ = std::make_unique<NeighborhoodModel>(db_->num_labels(), nh_opts);
-  LAN_RETURN_NOT_OK(
-      ReadParamStoreInto(nh_model_->mutable_scorer()->params(), in));
-  float nh_threshold = 0.5f;
-  LAN_RETURN_NOT_OK(ReadPod(in, &nh_threshold, sizeof(nh_threshold)));
-  nh_model_->set_calibrated_threshold(nh_threshold);
-
-  cluster_model_ = std::make_unique<ClusterModel>(
-      static_cast<int32_t>(2 * config_.embedding.dim), config_.cluster);
-  LAN_RETURN_NOT_OK(ReadParamStoreInto(cluster_model_->params(), in));
-
-  int32_t num_clusters = 0, dim = 0;
-  LAN_RETURN_NOT_OK(ReadPod(in, &num_clusters, sizeof(num_clusters)));
-  LAN_RETURN_NOT_OK(ReadPod(in, &dim, sizeof(dim)));
-  if (num_clusters < 0 || dim < 0) return Status::IoError("bad cluster header");
-  KMeansResult clusters;
-  clusters.centroids = EmbeddingMatrix(num_clusters, dim);
-  if (num_clusters > 0) {
-    LAN_RETURN_NOT_OK(ReadPod(in, clusters.centroids.MutableRow(0),
-                              clusters.centroids.size() * sizeof(float)));
-  }
-  int64_t assigned = 0;
-  LAN_RETURN_NOT_OK(ReadPod(in, &assigned, sizeof(assigned)));
-  const auto snap = Snapshot();
-  if (assigned > static_cast<int64_t>(snap->num_graphs)) {
-    return Status::InvalidArgument(
-        "cluster assignment covers more graphs than the database holds");
-  }
-  clusters.assignment.assign(static_cast<size_t>(assigned), 0);
-  LAN_RETURN_NOT_OK(ReadPod(in, clusters.assignment.data(),
-                            clusters.assignment.size() * sizeof(int32_t)));
-  for (const int32_t c : clusters.assignment) {
-    if (c < 0 || c >= num_clusters) return Status::IoError("bad assignment");
-  }
-  // The checkpoint stores f32 centroids only; re-derive the int8 plane so
-  // the quantized fallback/assignment paths keep working after a load.
-  if (config_.quantized_embeddings && num_clusters > 0) {
-    clusters.centroids.Quantize();
-  }
-  // A checkpoint taken before online inserts covers a prefix of the
-  // current database; extend it exactly the way Insert() would have —
-  // nearest frozen centroid per uncovered graph.
-  if (assigned < static_cast<int64_t>(snap->num_graphs) && num_clusters == 0) {
-    return Status::IoError("no centroids to assign inserted graphs to");
-  }
-  const bool quantized_assign = clusters.centroids.has_quantized() &&
-                                snap->embeddings->has_quantized();
-  for (GraphId id = static_cast<GraphId>(assigned); id < snap->num_graphs;
-       ++id) {
-    clusters.assignment.push_back(
-        quantized_assign
-            ? NearestCentroidQuantized(clusters.centroids,
-                                       snap->embeddings->QuantizedRow(id),
-                                       snap->embeddings->scale(id))
-            : NearestCentroid(clusters.centroids,
-                              snap->embeddings->Row(id)));
-  }
-  clusters.RebuildMembers(num_clusters);
-
-  // The trained clustering replaces the rebuild-time KMeans: publish a
-  // snapshot carrying it (same epoch — the PG and tombstones are
-  // untouched).
-  {
-    std::lock_guard<std::mutex> lock(writer_mu_);
-    auto next = std::make_shared<IndexSnapshot>(*snap);
-    next->clusters = std::make_shared<const KMeansResult>(std::move(clusters));
-    Publish(std::move(next));
-  }
-
-  rank_model_->PrecomputeContexts(*snap->cgs);
-  // Freshly loaded models invalidate every memoized model score.
-  if (result_cache_ != nullptr) result_cache_->Clear();
-  trained_ = true;
-  return Status::OK();
-}
-
-Status LanIndex::LoadModelsFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return ErrnoIoError("cannot open", path);
-  return LoadModels(in);
-}
-
 BatchSearchResult LanIndex::SearchBatch(const std::vector<Graph>& queries,
                                         const SearchOptions& options,
                                         int num_threads) const {
@@ -782,7 +518,8 @@ Status LanIndex::Ready(const SearchOptions& options) const {
     return Status::FailedPrecondition(
         std::string(RoutingMethodName(options.routing)) + "/" +
         InitMethodName(options.init) +
-        " needs the learned models: call Train() or LoadModels() first");
+        " needs the learned models: call Train() or open a trained "
+        "snapshot first");
   }
   return Status::OK();
 }
@@ -801,6 +538,9 @@ void LanIndex::SearchInto(const Graph& query, const SearchOptions& options,
   out.stats = SearchStats{};
   out.epoch = 0;
   out.status = Ready(options);
+  // An out-of-alphabet label would index past the one-hot/embedding
+  // tables on the learned paths; reject it on every path alike.
+  if (out.status.ok()) out.status = db_->CheckLabels(query);
   if (!out.status.ok()) return;
 
   // Per-query working state: dense visited/cache arrays, candidate pool

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -156,9 +155,9 @@ struct SearchResult {
   /// index answered it; 0 until the first Insert/Remove).
   uint64_t epoch = 0;
   /// Why the query failed (empty results) instead of silently degrading:
-  /// searching before Build(), or a learned routing/init mode before
-  /// Train()/LoadModels(). Always check when the index lifecycle is not
-  /// statically known (serving, tools).
+  /// searching before Build(), a learned routing/init mode on an untrained
+  /// index, or a query label outside the database alphabet. Always check
+  /// when the index lifecycle is not statically known (serving, tools).
   Status status;
 };
 
@@ -241,15 +240,6 @@ class LanIndex {
   /// tombstone `db`. The caller must not mutate `db` directly afterwards.
   Status Build(GraphDatabase* db);
 
-  /// Like Build(), but restores a previously saved PG (see SaveIndex)
-  /// instead of reconstructing it — skipping the GED-heavy offline phase.
-  /// The stream must come from an index built over the same database
-  /// (including any online-inserted graphs; persist the database alongside
-  /// the index). Restores the epoch and tombstones too.
-  Status BuildFromSavedIndex(const GraphDatabase* db, std::istream& in);
-  /// Mutable overload (see Build(GraphDatabase*)).
-  Status BuildFromSavedIndex(GraphDatabase* db, std::istream& in);
-
   /// Online insert: appends `graph` to the database, derives its CG /
   /// embedding / nearest-centroid cluster assignment, extends the PG with
   /// the same insertion step batch construction uses, and publishes the
@@ -264,21 +254,11 @@ class LanIndex {
   /// searches already pinned to an older epoch. Requires a mutable Build.
   Status Remove(GraphId id);
 
-  /// Persists the PG structure (HNSW layers) plus the mutable-index state
-  /// (epoch, tombstones); pair with SaveModels for a complete restartable
-  /// checkpoint.
-  Status SaveIndex(std::ostream& out) const;
-  Status SaveIndexToFile(const std::string& path) const;
-  Status BuildFromSavedIndexFile(const GraphDatabase* db,
-                                 const std::string& path);
-  /// Mutable overload (see Build(GraphDatabase*)).
-  Status BuildFromSavedIndexFile(GraphDatabase* db, const std::string& path);
-
   /// Persists the COMPLETE index — database, PG, CGs, embeddings,
-  /// clusters, tombstones, and (if trained) the model parameters — as one
-  /// sectioned snapshot file (store/snapshot.h, docs/snapshot_format.md).
-  /// Unlike SaveIndex + SaveModels, the result is self-contained:
-  /// OpenSnapshot needs no database.
+  /// clusters, tombstones, epoch, and (if trained) the model parameters —
+  /// as one sectioned snapshot file (store/snapshot.h,
+  /// docs/snapshot_format.md), the index's only persistence format. The
+  /// result is self-contained: OpenSnapshot needs no database.
   Status SaveSnapshot(const std::string& path) const;
 
   /// Restores a SaveSnapshot file by mmapping it and attaching every
@@ -298,7 +278,9 @@ class LanIndex {
 
   /// Checks that this index can execute a search with `options`: Build()
   /// has run, the knobs are in range, and — for routing/init modes that
-  /// need the learned models — Train() or LoadModels() has run.
+  /// need the learned models — Train() has run or a trained snapshot was
+  /// opened. SearchInto additionally rejects a query whose labels fall
+  /// outside the database alphabet (GraphDatabase::CheckLabels).
   Status Ready(const SearchOptions& options) const;
 
   /// The search entry point. Every routing/init ablation, tracing, and
@@ -372,34 +354,17 @@ class LanIndex {
   /// CG of an ad-hoc query graph under this index's GNN depth.
   CompressedGnnGraph QueryCg(const Graph& query) const;
 
-  /// Persists the trained state (gamma*, M_rk / M_nh / M_c parameters,
-  /// clusters) so a future process can skip Train(). The database and
-  /// config are NOT saved; LoadModels requires an index Built over the
-  /// same database (or a prefix of it: graphs inserted online after the
-  /// checkpoint are assigned to their nearest frozen centroid, matching
-  /// what Insert() would have done) with the same config.
-  Status SaveModels(std::ostream& out) const;
-  Status SaveModelsToFile(const std::string& path) const;
-  /// Restores trained state into a Built index (see SaveModels).
-  Status LoadModels(std::istream& in);
-  Status LoadModelsFromFile(const std::string& path);
-
  private:
-  /// Shared tail of Build / BuildFromSavedIndex: derives CGs, embeddings,
-  /// and clusters over the database, then publishes the first snapshot at
-  /// `epoch` with tombstones `live` (empty = everything live).
-  Status FinishBuild(HnswIndex hnsw, std::vector<uint8_t> live,
-                     uint64_t epoch);
+  /// Tail of Build: derives CGs, embeddings, and clusters over the
+  /// database, then publishes the first snapshot (epoch 0, all live).
+  void FinishBuild(HnswIndex hnsw);
+  /// Shared tail of FinishBuild and OpenSnapshot: the online-insert level
+  /// stream (a function of the size at Build and of the inserts since),
+  /// the distance-provider stack and the result cache; marks the index
+  /// built.
+  void FinishSetup(GraphId built_size, uint64_t inserted_since_build);
   /// Installs `snap` as the current snapshot (release publish).
   void Publish(std::shared_ptr<const IndexSnapshot> snap);
-  /// Legacy-stream shim: decodes a full LANSNAP1 image that arrived via
-  /// BuildFromSavedIndex(db, in) — only the PG/meta sections are used (the
-  /// caller supplied the database), and the PG is materialized to owned
-  /// form because the buffer dies with this call (lan_snapshot.cc).
-  Status BuildFromSnapshotBuffer(const GraphDatabase* db,
-                                 std::string_view bytes,
-                                 std::vector<uint8_t>* live_out,
-                                 uint64_t* epoch_out, HnswIndex* hnsw_out);
 
   LanConfig config_;
   const GraphDatabase* db_ = nullptr;

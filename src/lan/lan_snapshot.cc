@@ -1,15 +1,13 @@
-// Snapshot codec for LanIndex: SaveSnapshot/OpenSnapshot (the complete
-// self-contained single-file checkpoint) plus the SaveIndex /
-// BuildFromSavedIndex shim that round-trips the legacy PG-only stream
-// through the same sectioned format. Per-section payload layouts are
-// documented in docs/snapshot_format.md; the container (header, TOC,
-// checksums, alignment) lives in store/snapshot.{h,cc}.
+// Snapshot codec for LanIndex: SaveSnapshot/OpenSnapshot, the complete
+// self-contained single-file checkpoint and the index's only persistence
+// format. Per-section payload layouts are documented in
+// docs/snapshot_format.md; the container (header, TOC, checksums,
+// alignment) lives in store/snapshot.{h,cc}.
 
-#include <cstring>
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -467,48 +465,6 @@ Result<std::string> DecodeBlob(SectionReader* r) {
 
 }  // namespace
 
-// ---- Legacy stream format (SaveIndex / BuildFromSavedIndex) ----
-//
-// SaveIndex now emits a LANSNAP1 image holding just {kMeta, kHnsw}; the
-// old LANIDX01 and bare-HNSW streams remain readable (lan_index.cc), so
-// this is a forward migration, not a break.
-
-Status LanIndex::SaveIndex(std::ostream& out) const {
-  if (!built_) return Status::FailedPrecondition("SaveIndex before Build");
-  const auto snap = Snapshot();
-  SnapshotWriter writer;
-  EncodeMeta(writer.AddSection(SectionKind::kMeta), db_->name(),
-             db_->num_labels(), *snap);
-  EncodeHnsw(writer.AddSection(SectionKind::kHnsw), *snap->hnsw);
-  return writer.WriteTo(out);
-}
-
-Status LanIndex::BuildFromSnapshotBuffer(const GraphDatabase* db,
-                                         std::string_view bytes,
-                                         std::vector<uint8_t>* live_out,
-                                         uint64_t* epoch_out,
-                                         HnswIndex* hnsw_out) {
-  LAN_ASSIGN_OR_RETURN(SnapshotImage image, SnapshotImage::FromBuffer(bytes));
-  if (!image.Has(SectionKind::kMeta) || !image.Has(SectionKind::kHnsw)) {
-    return Status::IoError("snapshot stream is missing the PG sections");
-  }
-  LAN_ASSIGN_OR_RETURN(MetaSection meta,
-                       DecodeMeta(image.Section(SectionKind::kMeta)));
-  if (meta.num_graphs != static_cast<int64_t>(db->size())) {
-    return Status::InvalidArgument(
-        "saved index size does not match the database");
-  }
-  LAN_ASSIGN_OR_RETURN(HnswSnapshotView view,
-                       DecodeHnsw(image.Section(SectionKind::kHnsw)));
-  LAN_ASSIGN_OR_RETURN(HnswIndex hnsw, HnswIndex::FromSnapshotView(view));
-  // The decode buffer dies with this call: copy the adjacency out.
-  hnsw.Materialize();
-  live_out->assign(meta.live.begin(), meta.live.end());
-  *epoch_out = meta.epoch;
-  *hnsw_out = std::move(hnsw);
-  return Status::OK();
-}
-
 // ---- Full snapshot (SaveSnapshot / OpenSnapshot) ----
 
 Status LanIndex::SaveSnapshot(const std::string& path) const {
@@ -669,8 +625,8 @@ Status LanIndex::OpenSnapshot(const std::string& path) {
   }
 
   // Trained state, if the snapshot carries it: architectures come from
-  // the config (as in LoadModels), parameters from the section, and the
-  // rank context matrix attaches as a view.
+  // the config, parameters from the section, and the rank context matrix
+  // attaches as a view.
   if (image.Has(SectionKind::kModels)) {
     SectionReader r(image.Section(SectionKind::kModels));
     LAN_RETURN_NOT_OK(r.Pod(&gamma_star_));
@@ -705,7 +661,10 @@ Status LanIndex::OpenSnapshot(const std::string& path) {
                                          cluster_in));
 
     LAN_ASSIGN_OR_RETURN(EmbeddingMatrix contexts, DecodeMatrix(&r));
-    if (!contexts.empty() && contexts.rows() != n) {
+    // Train precomputes one context row per graph it saw; graphs inserted
+    // afterwards get theirs computed on the fly (rank_model.cc), so the
+    // matrix covers a prefix of the database, never more.
+    if (contexts.rows() > n) {
       return Status::IoError("models section: context row count mismatch");
     }
     rank_model_->AttachContexts(std::move(contexts));
@@ -729,22 +688,20 @@ Status LanIndex::OpenSnapshot(const std::string& path) {
       std::make_shared<const KMeansResult>(std::move(clusters));
   next->backing = backing;
   snapshot_backing_ = backing;
+  // Same tail as FinishBuild. Every epoch since Build is one Insert or
+  // one Remove, and each Remove left exactly one tombstone, so the
+  // inserts since Build are epoch - tombstones: the level stream resumes
+  // where the saving index left off.
+  const uint64_t tombstones =
+      static_cast<uint64_t>(next->num_graphs - next->live_count);
   Publish(std::move(next));
-
-  // Same tail as FinishBuild: the level-draw stream, the provider stack,
-  // and the cache are functions of (config, database size) only, so an
-  // opened index inserts and caches exactly like the one that saved it.
-  insert_rng_ = Rng(config_.hnsw.seed ^
-                    (0x9e3779b97f4a7c15ULL +
-                     static_cast<uint64_t>(db_->size())));
-  base_provider_ = GedDistanceProvider(db_, &query_ged_, &build_ged_);
-  if (config_.cache.enabled) {
-    const uint64_t salt = config_.query_ged.Fingerprint() ^
-                          MixCacheHash(config_.build_ged.Fingerprint());
-    result_cache_ = std::make_shared<ResultCache>(config_.cache, salt);
-    caching_provider_ = MakeCachingProvider(&base_provider_, result_cache_);
-  }
-  built_ = true;
+  const uint64_t inserted =
+      meta.epoch >= tombstones
+          ? std::min<uint64_t>(meta.epoch - tombstones,
+                               static_cast<uint64_t>(n - 1))
+          : 0;
+  FinishSetup(static_cast<GraphId>(n - static_cast<int64_t>(inserted)),
+              inserted);
   LAN_LOG(Info) << "LanIndex::OpenSnapshot: " << n << " graphs ("
                 << meta.name << "), epoch " << meta.epoch
                 << (trained_ ? ", trained" : ", untrained");

@@ -66,7 +66,7 @@ class NeighborhoodModel {
   /// Threshold chosen on validation data during Train (maximizes F1);
   /// 0.5 when no validation set was provided.
   float calibrated_threshold() const { return calibrated_threshold_; }
-  /// For checkpoint restore (LanIndex::LoadModels).
+  /// For snapshot restore (LanIndex::OpenSnapshot).
   void set_calibrated_threshold(float t) { calibrated_threshold_ = t; }
 
   /// Precision of thresholded predictions against labels (Fig. 8 metric).

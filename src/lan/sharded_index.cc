@@ -374,6 +374,10 @@ SearchResult ShardedLanIndex::Search(const Graph& query,
     merged.status = Status::FailedPrecondition("Search before Build()");
     return merged;
   }
+  // Every shard shares the database alphabet; reject before any shard
+  // runs (or records trace events).
+  merged.status = shards_.front()->db().CheckLabels(query);
+  if (!merged.status.ok()) return merged;
   const int use = max_shards <= 0
                       ? num_shards()
                       : std::min(max_shards, num_shards());

@@ -9,10 +9,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include <cstring>
-#include <istream>
-#include <ostream>
-
 #include "common/logging.h"
 #include "common/prefetch.h"
 
@@ -569,7 +565,6 @@ HnswIndex HnswIndex::BuildWithDistance(GraphId num_nodes,
                                        ThreadPool* pool) {
   LAN_CHECK_GT(num_nodes, 0);
   HnswIndex index;
-  index.flat_search_view_ = options.flat_search_view;
   size_t threads = options.num_build_threads > 0
                        ? static_cast<size_t>(options.num_build_threads)
                        : (pool != nullptr ? pool->num_threads()
@@ -615,26 +610,13 @@ Status HnswIndex::Insert(GraphId id, const PairDistanceFn& distance,
     touched->erase(std::unique(touched->begin(), touched->end()),
                    touched->end());
   }
-  // flat_search_view_ deliberately not updated from `options`: the layout
-  // chosen at build time is sticky across re-publishes (see hnsw.h).
   RebuildViewFromCore();
   return Status::OK();
 }
 
-void HnswIndex::UpperLayer::Compact() {
-  if (ext_offsets != nullptr) return;  // attached CSR is already contiguous
-  flat_offsets.assign(adjacency.size() + 1, 0);
-  int64_t total = 0;
-  for (size_t i = 0; i < adjacency.size(); ++i) {
-    flat_offsets[i] = total;
-    total += static_cast<int64_t>(adjacency[i].size());
-  }
-  flat_offsets[adjacency.size()] = total;
-  flat_neighbors.clear();
-  flat_neighbors.reserve(static_cast<size_t>(total));
-  for (const auto& row : adjacency) {
-    flat_neighbors.insert(flat_neighbors.end(), row.begin(), row.end());
-  }
+void HnswIndex::SkipInsertLevels(Rng* rng, const HnswOptions& options,
+                                 uint64_t count) {
+  for (uint64_t i = 0; i < count; ++i) DrawLevel(rng, options);
 }
 
 void HnswIndex::RebuildViewFromCore() {
@@ -648,51 +630,33 @@ void HnswIndex::RebuildViewFromCore() {
       LAN_CHECK_OK(base_layer_.AddEdge(id, n));
     }
   }
+  // Epoch-publish compaction: search iterates contiguous CSR rows; the
+  // nested base form stays authoritative for the next mutation.
+  base_layer_.Compact();
+  // Upper-layer view rows are the core rows verbatim, written straight
+  // into CSR form.
   for (size_t l = 1; l < core_.adjacency.size(); ++l) {
+    const auto& rows = core_.adjacency[l];
     UpperLayer layer;
-    layer.adjacency.assign(static_cast<size_t>(num_nodes), {});
+    layer.owned_offsets.assign(static_cast<size_t>(num_nodes) + 1, 0);
     for (GraphId id = 0; id < num_nodes; ++id) {
-      const auto& neighbors = core_.adjacency[l][static_cast<size_t>(id)];
-      if (!neighbors.empty()) {
-        layer.adjacency[static_cast<size_t>(id)] = neighbors;
-        layer.members.push_back(id);
-      }
+      layer.owned_offsets[static_cast<size_t>(id) + 1] =
+          layer.owned_offsets[static_cast<size_t>(id)] +
+          static_cast<int64_t>(rows[static_cast<size_t>(id)].size());
+    }
+    layer.owned_neighbors.reserve(
+        static_cast<size_t>(layer.owned_offsets.back()));
+    for (GraphId id = 0; id < num_nodes; ++id) {
+      const auto& row = rows[static_cast<size_t>(id)];
+      layer.owned_neighbors.insert(layer.owned_neighbors.end(), row.begin(),
+                                   row.end());
     }
     layers_.push_back(std::move(layer));
-  }
-  if (flat_search_view_) {
-    // Epoch-publish compaction: search iterates contiguous CSR rows from
-    // here on; the nested form above stays authoritative for the next
-    // mutation and for serialization.
-    base_layer_.Compact();
-    for (UpperLayer& layer : layers_) layer.Compact();
-  }
-}
-
-void HnswIndex::UpperLayer::Attach(GraphId num_nodes, const int64_t* offsets,
-                                   const GraphId* neighbors) {
-  adjacency.clear();
-  flat_offsets.clear();
-  flat_neighbors.clear();
-  ext_offsets = offsets;
-  ext_neighbors = neighbors;
-  members.clear();
-  for (GraphId id = 0; id < num_nodes; ++id) {
-    if (offsets[static_cast<size_t>(id) + 1] >
-        offsets[static_cast<size_t>(id)]) {
-      members.push_back(id);
-    }
   }
 }
 
 void HnswIndex::UpperLayer::PrefetchRow(GraphId id) const {
-  if (ext_offsets != nullptr) {
-    PrefetchRead(ext_neighbors + ext_offsets[static_cast<size_t>(id)]);
-    return;
-  }
-  if (!flat_offsets.empty()) {
-    PrefetchRead(flat_neighbors.data() + flat_offsets[static_cast<size_t>(id)]);
-  }
+  PrefetchRead(neighbors() + offsets()[static_cast<size_t>(id)]);
 }
 
 std::span<const GraphId> HnswIndex::CoreRow(int layer, GraphId id) const {
@@ -790,189 +754,11 @@ Result<HnswIndex> HnswIndex::FromSnapshotView(const HnswSnapshotView& view) {
     // Upper-layer view rows equal core rows (RebuildViewFromCore copies
     // them verbatim above the base), so the core CSR backs both.
     UpperLayer layer;
-    layer.Attach(view.num_nodes, view.core_layers[l].first,
-                 view.core_layers[l].second);
+    layer.ext_offsets = view.core_layers[l].first;
+    layer.ext_neighbors = view.core_layers[l].second;
     index.layers_.push_back(std::move(layer));
   }
   index.core_csr_ = view.core_layers;
-  index.flat_search_view_ = true;
-  return index;
-}
-
-void HnswIndex::RebuildCoreFromView() {
-  const GraphId num_nodes = base_layer_.NumNodes();
-  core_ = HnswCore();
-  core_.num_nodes = num_nodes;
-  core_.entry = entry_point_;
-  core_.node_level.assign(static_cast<size_t>(num_nodes), 0);
-  core_.adjacency.assign(layers_.size() + 1, {});
-  core_.adjacency[0].resize(static_cast<size_t>(num_nodes));
-  for (GraphId id = 0; id < num_nodes; ++id) {
-    core_.adjacency[0][static_cast<size_t>(id)] = base_layer_.Neighbors(id);
-  }
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    core_.adjacency[l + 1].resize(static_cast<size_t>(num_nodes));
-    for (GraphId member : layers_[l].members) {
-      core_.adjacency[l + 1][static_cast<size_t>(member)] =
-          layers_[l].adjacency[static_cast<size_t>(member)];
-      core_.node_level[static_cast<size_t>(member)] =
-          static_cast<int>(l) + 1;
-    }
-  }
-}
-
-namespace {
-
-constexpr char kHnswMagicV1[8] = {'L', 'A', 'N', 'H', 'N', 'S', 'W', '1'};
-constexpr char kHnswMagicV2[8] = {'L', 'A', 'N', 'H', 'N', 'S', 'W', '2'};
-
-Status WritePod(std::ostream& out, const void* data, size_t bytes) {
-  out.write(static_cast<const char*>(data),
-            static_cast<std::streamsize>(bytes));
-  if (!out.good()) return Status::IoError("hnsw write failed");
-  return Status::OK();
-}
-
-Status ReadPod(std::istream& in, void* data, size_t bytes) {
-  in.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-  if (in.gcount() != static_cast<std::streamsize>(bytes)) {
-    return Status::IoError("hnsw read truncated");
-  }
-  return Status::OK();
-}
-
-Status WriteIdList(std::ostream& out, std::span<const GraphId> ids) {
-  const int64_t count = static_cast<int64_t>(ids.size());
-  LAN_RETURN_NOT_OK(WritePod(out, &count, sizeof(count)));
-  if (count > 0) {
-    LAN_RETURN_NOT_OK(WritePod(out, ids.data(), ids.size() * sizeof(GraphId)));
-  }
-  return Status::OK();
-}
-
-Result<std::vector<GraphId>> ReadIdList(std::istream& in, GraphId num_nodes) {
-  int64_t count = 0;
-  LAN_RETURN_NOT_OK(ReadPod(in, &count, sizeof(count)));
-  if (count < 0 || count > num_nodes) {
-    return Status::IoError("hnsw id list size out of range");
-  }
-  std::vector<GraphId> ids(static_cast<size_t>(count));
-  if (count > 0) {
-    LAN_RETURN_NOT_OK(ReadPod(in, ids.data(), ids.size() * sizeof(GraphId)));
-  }
-  for (GraphId id : ids) {
-    if (id < 0 || id >= num_nodes) return Status::IoError("hnsw bad id");
-  }
-  return ids;
-}
-
-}  // namespace
-
-Status HnswIndex::Save(std::ostream& out) const {
-  // v2: the construction-form core. The view is re-derived on load, so a
-  // restored index accepts Inserts exactly as if it had never been saved.
-  LAN_RETURN_NOT_OK(WritePod(out, kHnswMagicV2, sizeof(kHnswMagicV2)));
-  const GraphId num_nodes = core_.num_nodes;
-  LAN_RETURN_NOT_OK(WritePod(out, &num_nodes, sizeof(num_nodes)));
-  LAN_RETURN_NOT_OK(WritePod(out, &core_.entry, sizeof(core_.entry)));
-  const int32_t num_layers = static_cast<int32_t>(NumCoreLayers());
-  LAN_RETURN_NOT_OK(WritePod(out, &num_layers, sizeof(num_layers)));
-  std::vector<int32_t> levels(core_.node_level.begin(),
-                              core_.node_level.end());
-  if (!levels.empty()) {
-    LAN_RETURN_NOT_OK(
-        WritePod(out, levels.data(), levels.size() * sizeof(int32_t)));
-  }
-  // CoreRow reads the nested adjacency or, on a frozen index, the
-  // attached per-layer CSR — a snapshot-loaded index saves identically.
-  for (int32_t l = 0; l < num_layers; ++l) {
-    for (GraphId id = 0; id < num_nodes; ++id) {
-      LAN_RETURN_NOT_OK(WriteIdList(out, CoreRow(l, id)));
-    }
-  }
-  return Status::OK();
-}
-
-Result<HnswIndex> HnswIndex::Load(std::istream& in) {
-  char magic[8];
-  LAN_RETURN_NOT_OK(ReadPod(in, magic, sizeof(magic)));
-  HnswIndex index;
-  if (std::memcmp(magic, kHnswMagicV2, sizeof(magic)) == 0) {
-    GraphId num_nodes = 0;
-    LAN_RETURN_NOT_OK(ReadPod(in, &num_nodes, sizeof(num_nodes)));
-    if (num_nodes <= 0) return Status::IoError("hnsw bad node count");
-    LAN_RETURN_NOT_OK(
-        ReadPod(in, &index.core_.entry, sizeof(index.core_.entry)));
-    if (index.core_.entry < 0 || index.core_.entry >= num_nodes) {
-      return Status::IoError("hnsw bad entry point");
-    }
-    int32_t num_layers = 0;
-    LAN_RETURN_NOT_OK(ReadPod(in, &num_layers, sizeof(num_layers)));
-    if (num_layers <= 0 || num_layers > 64) {
-      return Status::IoError("hnsw bad layer count");
-    }
-    index.core_.num_nodes = num_nodes;
-    std::vector<int32_t> levels(static_cast<size_t>(num_nodes));
-    LAN_RETURN_NOT_OK(
-        ReadPod(in, levels.data(), levels.size() * sizeof(int32_t)));
-    index.core_.node_level.assign(levels.begin(), levels.end());
-    for (int32_t level : levels) {
-      if (level < 0 || level >= num_layers) {
-        return Status::IoError("hnsw bad node level");
-      }
-    }
-    index.core_.adjacency.assign(static_cast<size_t>(num_layers), {});
-    for (auto& layer : index.core_.adjacency) {
-      layer.resize(static_cast<size_t>(num_nodes));
-      for (GraphId id = 0; id < num_nodes; ++id) {
-        LAN_ASSIGN_OR_RETURN(layer[static_cast<size_t>(id)],
-                             ReadIdList(in, num_nodes));
-        for (GraphId n : layer[static_cast<size_t>(id)]) {
-          if (n == id) return Status::IoError("hnsw self loop");
-        }
-      }
-    }
-    index.RebuildViewFromCore();
-    return index;
-  }
-  if (std::memcmp(magic, kHnswMagicV1, sizeof(magic)) != 0) {
-    return Status::IoError("bad hnsw magic");
-  }
-  // Legacy v1: view only; reconstruct an equivalent construction state.
-  GraphId num_nodes = 0;
-  LAN_RETURN_NOT_OK(ReadPod(in, &num_nodes, sizeof(num_nodes)));
-  if (num_nodes <= 0) return Status::IoError("hnsw bad node count");
-  LAN_RETURN_NOT_OK(
-      ReadPod(in, &index.entry_point_, sizeof(index.entry_point_)));
-  if (index.entry_point_ < 0 || index.entry_point_ >= num_nodes) {
-    return Status::IoError("hnsw bad entry point");
-  }
-  index.base_layer_ = ProximityGraph(num_nodes);
-  for (GraphId id = 0; id < num_nodes; ++id) {
-    LAN_ASSIGN_OR_RETURN(std::vector<GraphId> neighbors,
-                         ReadIdList(in, num_nodes));
-    for (GraphId n : neighbors) {
-      if (n == id) return Status::IoError("hnsw self loop");
-      LAN_RETURN_NOT_OK(index.base_layer_.AddEdge(id, n));
-    }
-  }
-  int32_t num_upper = 0;
-  LAN_RETURN_NOT_OK(ReadPod(in, &num_upper, sizeof(num_upper)));
-  if (num_upper < 0 || num_upper > 64) {
-    return Status::IoError("hnsw bad layer count");
-  }
-  for (int32_t l = 0; l < num_upper; ++l) {
-    UpperLayer layer;
-    layer.adjacency.assign(static_cast<size_t>(num_nodes), {});
-    LAN_ASSIGN_OR_RETURN(layer.members, ReadIdList(in, num_nodes));
-    for (GraphId member : layer.members) {
-      LAN_ASSIGN_OR_RETURN(std::vector<GraphId> neighbors,
-                           ReadIdList(in, num_nodes));
-      layer.adjacency[static_cast<size_t>(member)] = std::move(neighbors);
-    }
-    index.layers_.push_back(std::move(layer));
-  }
-  index.RebuildCoreFromView();
   return index;
 }
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <span>
 #include <utility>
 #include <vector>
@@ -39,12 +38,6 @@ struct HnswOptions {
   /// count when no pool)". Ignored by incremental Insert, which is always
   /// a single-node serial step.
   int num_build_threads = 1;
-  /// Compact the published view's adjacency into contiguous CSR rows that
-  /// search iterates with software prefetch. Never changes results — the
-  /// CSR rows hold the same ids in the same order as the nested lists —
-  /// only locality. Off exists for A/B benchmarks and layout-equivalence
-  /// tests.
-  bool flat_search_view = true;
 };
 
 /// \brief Construction-form state of an HNSW index: the directed layered
@@ -126,37 +119,18 @@ class HnswIndex {
   GraphId SelectInitialNodeFn(
       const std::function<double(GraphId)>& distance) const;
 
-  /// Binary (de)serialization of the index structure. Construction is the
-  /// GED-heavy offline phase, so persisting it makes restarts cheap. The
-  /// construction-form state is saved too, so an index restored from disk
-  /// accepts further Inserts exactly as if it had never been saved. Load
-  /// also accepts the legacy view-only format (reconstructing an
-  /// equivalent construction state).
-  Status Save(std::ostream& out) const;
-  static Result<HnswIndex> Load(std::istream& in);
-
   /// Builds a frozen index over a mapped snapshot section without copying
   /// the adjacency: the base layer and every upper layer route directly
   /// over the view's CSR arrays, and the construction-form core is kept
   /// as per-layer CSR pointers. Allocation count is O(num_layers), not
   /// O(num_nodes). Validates structure (monotone offsets, ids in range,
   /// no self loops) and returns a Status on malformed input. A frozen
-  /// index serves Search/Save normally; the first Insert thaws it
+  /// index serves Search normally; the first Insert thaws it
   /// (materializes an owned core) and proceeds as usual.
   static Result<HnswIndex> FromSnapshotView(const HnswSnapshotView& view);
 
   /// True while the adjacency is backed by an attached snapshot view.
   bool frozen() const { return !core_csr_.empty(); }
-
-  /// Frozen -> fully owned in one step: copies every attached array into
-  /// owned storage so the snapshot backing may be released afterwards.
-  /// No-op on an owned index.
-  void Materialize() {
-    if (frozen()) {
-      Thaw();
-      RebuildViewFromCore();
-    }
-  }
 
   /// Construction-form introspection for the snapshot codec; works in
   /// both frozen and owned modes.
@@ -183,6 +157,12 @@ class HnswIndex {
                 const HnswOptions& options, Rng* rng,
                 std::vector<GraphId>* touched = nullptr);
 
+  /// Advances `rng` past the level draws of `count` Inserts, so a caller
+  /// restoring an index that already took `count` online inserts resumes
+  /// the level stream exactly where the original left off.
+  static void SkipInsertLevels(Rng* rng, const HnswOptions& options,
+                               uint64_t count);
+
   /// Full HNSW k-ANN query: upper-layer descent, then Algorithm 1 on the
   /// base layer with beam size `ef`. `live` (optional) filters tombstoned
   /// ids out of the answers; dead nodes are still traversed.
@@ -190,49 +170,35 @@ class HnswIndex {
                        const std::vector<uint8_t>* live = nullptr) const;
 
  private:
-  /// adjacency of upper layer l (1-based in HNSW terms): node -> neighbors.
-  /// Sparse: only nodes assigned to that layer appear. Like
-  /// ProximityGraph, carries an optional CSR copy (flat_offsets /
-  /// flat_neighbors) for the descent hot loop; empty offsets = nested
-  /// form only.
+  /// CSR adjacency of upper layer l (1-based in HNSW terms): row of node i
+  /// is neighbors[offsets[i] .. offsets[i+1]), empty for nodes below the
+  /// layer. Owned (written from the core by RebuildViewFromCore) or, in
+  /// snapshot view mode, external pointers into the mapping.
   struct UpperLayer {
-    std::vector<std::vector<GraphId>> adjacency;  // indexed by GraphId
-    std::vector<GraphId> members;
-    std::vector<int64_t> flat_offsets;
-    std::vector<GraphId> flat_neighbors;
+    std::vector<int64_t> owned_offsets;
+    std::vector<GraphId> owned_neighbors;
     /// External CSR (snapshot view mode): not owned; null == owned mode.
     const int64_t* ext_offsets = nullptr;
     const GraphId* ext_neighbors = nullptr;
 
-    void Compact();
-    /// Points the layer at an externally owned CSR and derives `members`
-    /// (the nodes with non-empty rows). One allocation total.
-    void Attach(GraphId num_nodes, const int64_t* offsets,
-                const GraphId* neighbors);
-    std::span<const GraphId> NeighborSpan(GraphId id) const {
-      if (ext_offsets != nullptr) {
-        const int64_t begin = ext_offsets[static_cast<size_t>(id)];
-        const int64_t end = ext_offsets[static_cast<size_t>(id) + 1];
-        return {ext_neighbors + begin, static_cast<size_t>(end - begin)};
-      }
-      if (!flat_offsets.empty()) {
-        const auto begin = flat_offsets[static_cast<size_t>(id)];
-        const auto end = flat_offsets[static_cast<size_t>(id) + 1];
-        return {flat_neighbors.data() + begin,
-                static_cast<size_t>(end - begin)};
-      }
-      const auto& nested = adjacency[static_cast<size_t>(id)];
-      return {nested.data(), nested.size()};
+    const int64_t* offsets() const {
+      return ext_offsets != nullptr ? ext_offsets : owned_offsets.data();
     }
-    /// Prefetch hint for `id`'s row; no-op in nested-only form.
+    const GraphId* neighbors() const {
+      return ext_offsets != nullptr ? ext_neighbors : owned_neighbors.data();
+    }
+    std::span<const GraphId> NeighborSpan(GraphId id) const {
+      const int64_t begin = offsets()[static_cast<size_t>(id)];
+      const int64_t end = offsets()[static_cast<size_t>(id) + 1];
+      return {neighbors() + begin, static_cast<size_t>(end - begin)};
+    }
+    /// Prefetch hint for `id`'s row.
     void PrefetchRow(GraphId id) const;
   };
 
-  /// Re-derives the public view (symmetrized base layer, sparse upper
+  /// Re-derives the public view (symmetrized base layer, CSR upper
   /// layers, entry point) from `core_`; called after every mutation.
   void RebuildViewFromCore();
-  /// Reconstructs an equivalent `core_` from a legacy view-only load.
-  void RebuildCoreFromView();
   /// Frozen -> owned: materializes the nested core adjacency from the
   /// attached per-layer CSRs and drops the view pointers. The routing
   /// view still references the attached arrays until the next
@@ -243,9 +209,6 @@ class HnswIndex {
   ProximityGraph base_layer_;
   std::vector<UpperLayer> layers_;
   GraphId entry_point_ = kInvalidGraphId;
-  /// Sticky copy of HnswOptions::flat_search_view, so every re-publish
-  /// (Insert) keeps the layout the index was built with.
-  bool flat_search_view_ = true;
   /// Frozen mode: construction-form adjacency as per-layer CSR pointers
   /// into the snapshot mapping (layer 0 first). Empty == owned mode.
   std::vector<std::pair<const int64_t*, const GraphId*>> core_csr_;

@@ -83,11 +83,6 @@ class ProximityGraph {
   /// True while a valid CSR view backs NeighborSpan().
   bool compacted() const { return is_view() || !flat_offsets_.empty(); }
 
-  /// Drops the CSR view (NeighborSpan falls back to the nested form).
-  /// Used by tests/benches to compare the two layouts on one topology.
-  /// No-op on a view-backed graph, which has no nested fallback.
-  void ClearFlatView();
-
   /// Points the graph at an externally owned CSR adjacency without
   /// copying: row of node i is neighbors[offsets[i] .. offsets[i+1]),
   /// rows sorted ascending, both directions of every undirected edge
@@ -137,6 +132,11 @@ class ProximityGraph {
   std::string ToDot(const std::string& name = "PG") const;
 
  private:
+  /// Drops the CSR view (NeighborSpan falls back to the nested form);
+  /// AddEdge calls it before the nested form diverges. No-op on a
+  /// view-backed graph, which has no nested fallback.
+  void ClearFlatView();
+
   std::vector<std::vector<GraphId>> adjacency_;
   int64_t num_edges_ = 0;
   /// CSR view: row of node i is flat_neighbors_[flat_offsets_[i] ..

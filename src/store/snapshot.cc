@@ -143,12 +143,6 @@ Status SnapshotWriter::WriteToFile(const std::string& path) const {
   return Status::OK();
 }
 
-bool Snapshot::LooksLikeSnapshot(std::string_view bytes) {
-  return bytes.size() >= sizeof(kSnapshotMagic) &&
-         std::memcmp(bytes.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) ==
-             0;
-}
-
 Result<Snapshot> Snapshot::Validate(std::shared_ptr<const void> owner,
                                     const uint8_t* data, size_t size) {
   if (size < kHeaderSize) return Status::IoError("snapshot too small");
@@ -225,15 +219,6 @@ Result<Snapshot> Snapshot::Open(const std::string& path) {
   mapping->len = size;
   return Validate(std::move(mapping), static_cast<const uint8_t*>(addr),
                   size);
-}
-
-Result<Snapshot> Snapshot::FromBuffer(std::string_view bytes) {
-  // Copy into an allocation aligned for the widest payload element (the
-  // default operator new alignment is >= 8), so Array() views are valid.
-  auto buffer = std::shared_ptr<uint8_t[]>(new uint8_t[bytes.size()]);
-  std::memcpy(buffer.get(), bytes.data(), bytes.size());
-  const uint8_t* data = buffer.get();
-  return Validate(std::move(buffer), data, bytes.size());
 }
 
 bool Snapshot::Has(SectionKind kind) const {

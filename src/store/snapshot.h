@@ -7,7 +7,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -139,8 +138,8 @@ class SectionReader {
 };
 
 /// \brief Assembles and writes a snapshot file: add sections in order,
-/// then WriteToFile/WriteTo lays out header + TOC + aligned payloads and
-/// stamps the checksums.
+/// then WriteToFile lays out header + TOC + aligned payloads and stamps
+/// the checksums.
 class SnapshotWriter {
  public:
   /// Starts a new section; fill the returned builder before adding the
@@ -148,25 +147,20 @@ class SnapshotWriter {
   SectionBuilder* AddSection(SectionKind kind);
 
   Status WriteToFile(const std::string& path) const;
-  Status WriteTo(std::ostream& out) const;
 
  private:
+  Status WriteTo(std::ostream& out) const;
+
   std::vector<std::pair<SectionKind, std::unique_ptr<SectionBuilder>>>
       sections_;
 };
 
-/// \brief A validated, read-only snapshot: either an mmap of the file
-/// (Open) or an owned aligned buffer (FromBuffer, the stream path).
-/// Copies share the backing.
+/// \brief A validated, read-only mmap of a snapshot file. Copies share the
+/// mapping.
 class Snapshot {
  public:
   /// Maps `path` and validates header, TOC and every section checksum.
   static Result<Snapshot> Open(const std::string& path);
-  /// Same validation over an in-memory image (copied once into an
-  /// aligned allocation so zero-copy views stay well-aligned).
-  static Result<Snapshot> FromBuffer(std::string_view bytes);
-  /// True if `bytes` starts with the snapshot magic (format sniffing).
-  static bool LooksLikeSnapshot(std::string_view bytes);
 
   bool Has(SectionKind kind) const;
   /// The payload of the first section of `kind`; empty span if absent.
@@ -175,12 +169,12 @@ class Snapshot {
   size_t size() const { return size_; }
   uint32_t version() const { return version_; }
 
-  /// Keep-alive handle for the backing memory; attach-mode loaders store
-  /// this (IndexSnapshot::backing) so views outlive the Snapshot object.
+  /// Keep-alive handle for the mapping; attach-mode loaders store this
+  /// (IndexSnapshot::backing) so views outlive the Snapshot object.
   std::shared_ptr<const void> owner() const { return owner_; }
 
   /// One line per section: kind, offset, size, checksum (lan_tool
-  /// snapshot inspect).
+  /// inspect).
   std::string Describe() const;
 
  private:

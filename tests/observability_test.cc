@@ -669,42 +669,61 @@ TEST(ObservabilityErrorTest, BatchSurfacesPerQueryErrors) {
   EXPECT_EQ(*batch.stats.metrics.FindCounter("query_errors"), 2);
 }
 
+TEST(ObservabilityErrorTest, OutOfAlphabetQueryLabelIsRejectedEverywhere) {
+  // A query label outside the database alphabet must come back as
+  // InvalidArgument on every routing x init path; unchecked, the learned
+  // paths index past the one-hot tables and abort the process.
+  GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(30), 80);
+  LanIndex index(TinyConfig());
+  ASSERT_TRUE(index.Build(&db).ok());
+  WorkloadOptions wopts;
+  wopts.num_queries = 10;
+  ASSERT_TRUE(index.Train(SampleWorkload(db, wopts, 81).train).ok());
+  Graph bad = db.Get(0);
+  bad.set_label(0, db.num_labels());
+
+  for (RoutingMethod routing : kAllRoutings) {
+    for (InitMethod init : kAllInits) {
+      SearchOptions options;
+      options.k = 3;
+      options.routing = routing;
+      options.init = init;
+      ASSERT_TRUE(index.Ready(options).ok());
+      const SearchResult result = index.Search(bad, options);
+      EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument)
+          << RoutingMethodName(routing) << "/" << InitMethodName(init) << ": "
+          << result.status.ToString();
+      EXPECT_TRUE(result.results.empty());
+      const BatchSearchResult batch = index.SearchBatch({bad}, options);
+      ASSERT_EQ(batch.results.size(), 1u);
+      EXPECT_EQ(batch.results[0].status.code(), StatusCode::kInvalidArgument);
+      // The same query with in-range labels still succeeds.
+      EXPECT_TRUE(index.Search(db.Get(0), options).status.ok());
+    }
+  }
+
+  ShardedIndexOptions sharded_options;
+  sharded_options.num_shards = 2;
+  sharded_options.shard_config = TinyConfig();
+  ShardedLanIndex sharded(sharded_options);
+  ASSERT_TRUE(sharded.Build(db).ok());
+  SearchOptions baseline;
+  baseline.k = 3;
+  baseline.routing = RoutingMethod::kBaselineRoute;
+  baseline.init = InitMethod::kHnswIs;
+  EXPECT_EQ(sharded.Search(bad, baseline).status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(sharded.Search(db.Get(0), baseline).status.ok());
+}
+
 // ---------------------------------------------------------------------------
 // Persistence of the mutated index
 // ---------------------------------------------------------------------------
 
-TEST(MutableIndexPersistenceTest, ReloadedIndexSearchesBitwiseEqual) {
-  // Mutate online (insert + remove), checkpoint index + models, reload
-  // into a fresh process-equivalent, and require bitwise-equal answers
-  // for every routing x init ablation: the checkpoint must capture the
-  // whole mutable state (PG growth, tombstones, epoch, grown clusters).
-  GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(50), 41);
-  LanIndex original(TinyConfig());
-  ASSERT_TRUE(original.Build(&db).ok());
-  Rng rng(42);
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(
-        original.Insert(PerturbGraph(db.Get(i), 2, db.num_labels(), &rng))
-            .ok());
-  }
-  ASSERT_TRUE(original.Remove(7).ok());
-  ASSERT_TRUE(original.Remove(52).ok());  // one online insert tombstoned too
-  WorkloadOptions wopts;
-  wopts.num_queries = 15;
-  QueryWorkload workload = SampleWorkload(db, wopts, 43);
-  ASSERT_TRUE(original.Train(workload.train).ok());
-
-  std::stringstream index_stream, models_stream;
-  ASSERT_TRUE(original.SaveIndex(index_stream).ok());
-  ASSERT_TRUE(original.SaveModels(models_stream).ok());
-
-  LanIndex reloaded(TinyConfig());
-  ASSERT_TRUE(reloaded.BuildFromSavedIndex(&db, index_stream).ok());
-  ASSERT_TRUE(reloaded.LoadModels(models_stream).ok());
-  EXPECT_EQ(reloaded.epoch(), original.epoch());
-  EXPECT_EQ(reloaded.live_size(), original.live_size());
-  EXPECT_EQ(reloaded.tombstones(), original.tombstones());
-
+/// Every routing x init combination answers every query identically
+/// (results and NDC, bitwise) on both indexes.
+void ExpectSameSearches(const LanIndex& a, const LanIndex& b,
+                        const std::vector<Graph>& queries) {
   for (RoutingMethod routing : kAllRoutings) {
     for (InitMethod init : kAllInits) {
       SearchOptions options;
@@ -712,17 +731,81 @@ TEST(MutableIndexPersistenceTest, ReloadedIndexSearchesBitwiseEqual) {
       options.beam = 8;
       options.routing = routing;
       options.init = init;
-      for (const Graph& query : workload.test) {
-        SearchResult before = original.Search(query, options);
-        SearchResult after = reloaded.Search(query, options);
-        ASSERT_TRUE(before.status.ok());
-        ASSERT_TRUE(after.status.ok());
+      for (const Graph& query : queries) {
+        SearchResult before = a.Search(query, options);
+        SearchResult after = b.Search(query, options);
+        ASSERT_TRUE(before.status.ok()) << before.status.ToString();
+        ASSERT_TRUE(after.status.ok()) << after.status.ToString();
         EXPECT_EQ(before.results, after.results)
             << RoutingMethodName(routing) << "/" << InitMethodName(init);
-        EXPECT_EQ(before.stats.ndc, after.stats.ndc);
+        EXPECT_EQ(before.stats.ndc, after.stats.ndc)
+            << RoutingMethodName(routing) << "/" << InitMethodName(init);
       }
     }
   }
+}
+
+/// Mutates online (3 inserts, 2 removes, one of them an inserted graph)
+/// with Train before or after the inserts, snapshots the index, reopens
+/// it in a fresh index, and requires bitwise-equal answers for every
+/// routing x init ablation — also after one more Insert on both. The
+/// snapshot must capture the whole mutable state (PG growth, tombstones,
+/// epoch, grown clusters, the rank contexts of the trained prefix).
+void CheckMutatedSnapshotRoundTrip(bool train_before_insert,
+                                   const std::string& path) {
+  GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(50), 41);
+  WorkloadOptions wopts;
+  wopts.num_queries = 15;
+  QueryWorkload workload = SampleWorkload(db, wopts, 43);
+  LanIndex original(TinyConfig());
+  ASSERT_TRUE(original.Build(&db).ok());
+  if (train_before_insert) {
+    ASSERT_TRUE(original.Train(workload.train).ok());
+  }
+  Rng rng(42);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(
+        original.Insert(PerturbGraph(db.Get(i), 2, db.num_labels(), &rng))
+            .ok());
+  }
+  ASSERT_TRUE(original.Remove(7).ok());
+  ASSERT_TRUE(original.Remove(51).ok());  // one online insert tombstoned too
+  if (!train_before_insert) {
+    ASSERT_TRUE(original.Train(workload.train).ok());
+  }
+
+  ASSERT_TRUE(original.SaveSnapshot(path).ok());
+  LanIndex reopened(TinyConfig());
+  const Status opened = reopened.OpenSnapshot(path);
+  ASSERT_TRUE(opened.ok()) << opened.ToString();
+  EXPECT_TRUE(reopened.trained());
+  EXPECT_EQ(reopened.epoch(), original.epoch());
+  EXPECT_EQ(reopened.live_size(), original.live_size());
+  EXPECT_EQ(reopened.tombstones(), original.tombstones());
+  ExpectSameSearches(original, reopened, workload.test);
+
+  // Both indexes keep accepting writes and stay in lockstep.
+  Graph extra = PerturbGraph(db.Get(10), 2, db.num_labels(), &rng);
+  auto a = original.Insert(extra);
+  auto b = reopened.Insert(extra);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(*a, *b);
+  ExpectSameSearches(original, reopened, workload.test);
+}
+
+TEST(MutableIndexPersistenceTest, InsertThenTrainReopensBitwiseEqual) {
+  CheckMutatedSnapshotRoundTrip(/*train_before_insert=*/false,
+                                testing::TempDir() +
+                                    "insert_then_train.lansnap");
+}
+
+TEST(MutableIndexPersistenceTest, TrainThenInsertReopensBitwiseEqual) {
+  // The rank model's context matrix covers only the trained prefix here;
+  // inserted graphs get their contexts on the fly, before and after the
+  // round trip.
+  CheckMutatedSnapshotRoundTrip(/*train_before_insert=*/true,
+                                testing::TempDir() +
+                                    "train_then_insert.lansnap");
 }
 
 // ---------------------------------------------------------------------------

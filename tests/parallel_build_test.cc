@@ -21,7 +21,6 @@
 #include "graph/graph_generator.h"
 #include "lan/ground_truth.h"
 #include "lan/lan_index.h"
-#include "lan/workload.h"
 #include "pg/beam_search.h"
 #include "pg/hnsw.h"
 
@@ -63,7 +62,7 @@ std::vector<double> GoldenPoints() {
 // Same corpus and hashes as mutable_index_test's golden test: the
 // parallel-build refactor must leave the default (serial) builder
 // bit-for-bit identical, whether num_build_threads is defaulted or set
-// to 1 explicitly, and independent of the flat_search_view layout.
+// to 1 explicitly.
 TEST(ParallelBuildGoldenTest, SerialBuildKeepsGoldenHashes) {
   const std::vector<double> points = GoldenPoints();
   auto distance = [&points](GraphId a, GraphId b) {
@@ -71,21 +70,18 @@ TEST(ParallelBuildGoldenTest, SerialBuildKeepsGoldenHashes) {
                     points[static_cast<size_t>(b)]);
   };
   for (const int explicit_serial : {0, 1}) {
-    for (const bool flat : {true, false}) {
-      HnswOptions options;
-      options.M = 4;
-      options.ef_construction = 16;
-      options.flat_search_view = flat;
-      if (explicit_serial) options.num_build_threads = 1;
-      options.select_neighbors_heuristic = true;
-      EXPECT_EQ(TopologyHash(HnswIndex::BuildWithDistance(120, distance,
-                                                          options)),
-                0x72fc0fd77f61d7c9ULL);
-      options.select_neighbors_heuristic = false;
-      EXPECT_EQ(TopologyHash(HnswIndex::BuildWithDistance(120, distance,
-                                                          options)),
-                0x114f5e77f79983d8ULL);
-    }
+    HnswOptions options;
+    options.M = 4;
+    options.ef_construction = 16;
+    if (explicit_serial) options.num_build_threads = 1;
+    options.select_neighbors_heuristic = true;
+    EXPECT_EQ(TopologyHash(HnswIndex::BuildWithDistance(120, distance,
+                                                        options)),
+              0x72fc0fd77f61d7c9ULL);
+    options.select_neighbors_heuristic = false;
+    EXPECT_EQ(TopologyHash(HnswIndex::BuildWithDistance(120, distance,
+                                                        options)),
+              0x114f5e77f79983d8ULL);
   }
 }
 
@@ -199,7 +195,7 @@ TEST(ParallelBuildRecallTest, FourThreadsWithinOnePointOfSerial) {
 }
 
 // ---------------------------------------------------------------------------
-// CSR view vs. nested adjacency: bitwise-identical searches
+// Shared index config
 // ---------------------------------------------------------------------------
 
 LanConfig TinyConfig() {
@@ -220,53 +216,6 @@ LanConfig TinyConfig() {
   config.default_beam = 8;
   config.num_threads = 2;
   return config;
-}
-
-TEST(FlatViewEquivalenceTest, BitwiseEqualResultsAcrossRoutingAndInit) {
-  GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(60), 31);
-  WorkloadOptions wopts;
-  wopts.num_queries = 15;
-  QueryWorkload workload = SampleWorkload(db, wopts, 32);
-
-  // Identical configs except the layout knob: same topology, same trained
-  // models, so any result divergence is a CSR/nested mismatch.
-  LanConfig flat_config = TinyConfig();
-  flat_config.hnsw.flat_search_view = true;
-  LanConfig nested_config = TinyConfig();
-  nested_config.hnsw.flat_search_view = false;
-  LanIndex flat(flat_config);
-  LanIndex nested(nested_config);
-  ASSERT_TRUE(flat.Build(&db).ok());
-  ASSERT_TRUE(nested.Build(&db).ok());
-  ASSERT_TRUE(flat.Train(workload.train).ok());
-  ASSERT_TRUE(nested.Train(workload.train).ok());
-
-  for (const RoutingMethod routing :
-       {RoutingMethod::kLanRoute, RoutingMethod::kBaselineRoute,
-        RoutingMethod::kOracleRoute}) {
-    for (const InitMethod init :
-         {InitMethod::kLanIs, InitMethod::kHnswIs, InitMethod::kRandomIs}) {
-      SearchOptions options;
-      options.k = 5;
-      options.beam = 8;
-      options.routing = routing;
-      options.init = init;
-      for (const Graph& query : workload.test) {
-        const SearchResult a = flat.Search(query, options);
-        const SearchResult b = nested.Search(query, options);
-        ASSERT_TRUE(a.status.ok()) << a.status.ToString();
-        ASSERT_TRUE(b.status.ok()) << b.status.ToString();
-        ASSERT_EQ(a.results.size(), b.results.size())
-            << RoutingMethodName(routing) << "/" << InitMethodName(init);
-        for (size_t i = 0; i < a.results.size(); ++i) {
-          EXPECT_EQ(a.results[i].first, b.results[i].first);
-          // Bitwise: the CSR rows feed identical ids in identical order,
-          // so even floating-point accumulation is unchanged.
-          EXPECT_EQ(a.results[i].second, b.results[i].second);
-        }
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ TEST(ParamStoreIoTest, RejectsArchitectureMismatch) {
   EXPECT_FALSE(ReadParamStoreInto(&wrong_shape, buffer2).ok());
 }
 
-// ---------- LanIndex model checkpointing ----------
+// ---------- Shared index config ----------
 
 LanConfig TinyConfig() {
   LanConfig config;
@@ -106,113 +106,6 @@ LanConfig TinyConfig() {
   config.default_beam = 8;
   config.num_threads = 2;
   return config;
-}
-
-TEST(LanIndexIoTest, SaveLoadReproducesSearchExactly) {
-  DatasetSpec spec = DatasetSpec::SynLike(60);
-  GraphDatabase db = GenerateDatabase(spec, 31);
-  WorkloadOptions wopts;
-  wopts.num_queries = 15;
-  QueryWorkload workload = SampleWorkload(db, wopts, 32);
-
-  LanIndex trained(TinyConfig());
-  ASSERT_TRUE(trained.Build(&db).ok());
-  ASSERT_TRUE(trained.Train(workload.train).ok());
-  std::stringstream buffer;
-  ASSERT_TRUE(trained.SaveModels(buffer).ok());
-
-  LanIndex loaded(TinyConfig());
-  ASSERT_TRUE(loaded.Build(&db).ok());
-  EXPECT_FALSE(loaded.trained());
-  ASSERT_TRUE(loaded.LoadModels(buffer).ok());
-  EXPECT_TRUE(loaded.trained());
-  EXPECT_DOUBLE_EQ(loaded.gamma_star(), trained.gamma_star());
-
-  for (size_t i = 0; i < 3; ++i) {
-    const Graph& q = workload.test[i];
-    SearchOptions sopts;
-    sopts.k = 5;
-    SearchResult a = trained.Search(q, sopts);
-    SearchResult b = loaded.Search(q, sopts);
-    EXPECT_EQ(a.results, b.results) << "query " << i;
-    EXPECT_EQ(a.stats.ndc, b.stats.ndc);
-  }
-}
-
-TEST(LanIndexIoTest, SaveBeforeTrainFails) {
-  LanIndex index(TinyConfig());
-  std::stringstream buffer;
-  EXPECT_FALSE(index.SaveModels(buffer).ok());
-}
-
-TEST(LanIndexIoTest, LoadBeforeBuildFails) {
-  LanIndex index(TinyConfig());
-  std::stringstream buffer("junk");
-  EXPECT_FALSE(index.LoadModels(buffer).ok());
-}
-
-TEST(LanIndexIoTest, LoadRejectsGarbage) {
-  DatasetSpec spec = DatasetSpec::SynLike(30);
-  GraphDatabase db = GenerateDatabase(spec, 33);
-  LanIndex index(TinyConfig());
-  ASSERT_TRUE(index.Build(&db).ok());
-  std::stringstream buffer("definitely not a model file at all, no sir");
-  EXPECT_FALSE(index.LoadModels(buffer).ok());
-  EXPECT_FALSE(index.trained());
-}
-
-TEST(LanIndexIoTest, SavedIndexSkipsRebuildAndMatchesSearches) {
-  DatasetSpec spec = DatasetSpec::SynLike(50);
-  GraphDatabase db = GenerateDatabase(spec, 35);
-  WorkloadOptions wopts;
-  wopts.num_queries = 12;
-  QueryWorkload workload = SampleWorkload(db, wopts, 36);
-
-  LanIndex original(TinyConfig());
-  ASSERT_TRUE(original.Build(&db).ok());
-  ASSERT_TRUE(original.Train(workload.train).ok());
-  std::stringstream index_bytes, model_bytes;
-  ASSERT_TRUE(original.SaveIndex(index_bytes).ok());
-  ASSERT_TRUE(original.SaveModels(model_bytes).ok());
-
-  LanIndex restored(TinyConfig());
-  ASSERT_TRUE(restored.BuildFromSavedIndex(&db, index_bytes).ok());
-  ASSERT_TRUE(restored.LoadModels(model_bytes).ok());
-
-  // Identical PG topology...
-  ASSERT_EQ(restored.pg().NumNodes(), original.pg().NumNodes());
-  ASSERT_EQ(restored.pg().NumEdges(), original.pg().NumEdges());
-  for (GraphId id = 0; id < db.size(); ++id) {
-    EXPECT_EQ(restored.pg().Neighbors(id), original.pg().Neighbors(id));
-  }
-  EXPECT_EQ(restored.hnsw().EntryPoint(), original.hnsw().EntryPoint());
-  // ...and identical end-to-end searches.
-  SearchOptions sopts;
-  sopts.k = 4;
-  for (size_t i = 0; i < 2; ++i) {
-    SearchResult a = original.Search(workload.test[i], sopts);
-    SearchResult b = restored.Search(workload.test[i], sopts);
-    EXPECT_EQ(a.results, b.results);
-    EXPECT_EQ(a.stats.ndc, b.stats.ndc);
-  }
-}
-
-TEST(LanIndexIoTest, SavedIndexRejectsWrongDatabase) {
-  DatasetSpec spec = DatasetSpec::SynLike(40);
-  GraphDatabase db = GenerateDatabase(spec, 37);
-  LanIndex original(TinyConfig());
-  ASSERT_TRUE(original.Build(&db).ok());
-  std::stringstream bytes;
-  ASSERT_TRUE(original.SaveIndex(bytes).ok());
-
-  GraphDatabase smaller = GenerateDatabase(DatasetSpec::SynLike(20), 38);
-  LanIndex other(TinyConfig());
-  EXPECT_FALSE(other.BuildFromSavedIndex(&smaller, bytes).ok());
-}
-
-TEST(HnswIoTest, LoadRejectsCorruptedStreams) {
-  std::stringstream garbage("not an hnsw index");
-  EXPECT_FALSE(HnswIndex::Load(garbage).ok());
 }
 
 // ---------- Sharded index ----------

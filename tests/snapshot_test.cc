@@ -1,8 +1,7 @@
 // End-to-end tests of the single-file zero-copy snapshot format:
 // LanIndex::SaveSnapshot/OpenSnapshot round trips, corruption handling
 // (the loader must return a Status for any malformed input, never crash),
-// the committed golden fixture, the sharded directory layout, and the
-// legacy SaveIndex checkpoint shim that now rides on the same container.
+// the committed golden fixture, and the sharded directory layout.
 
 #include <gtest/gtest.h>
 
@@ -555,40 +554,33 @@ TEST_F(ShardedManifestTest, RejectsMissingManifest) {
   EXPECT_FALSE(opened.OpenSnapshot(dir_).ok());
 }
 
-// ---------- Legacy checkpoint shim ----------
+// ---------- Incomplete containers ----------
 
-TEST(LegacyCheckpointTest, SaveIndexNowWritesSnapshotContainer) {
-  const std::string path = TempPath("legacy_checkpoint.bin");
+TEST(SnapshotTest, OpenRejectsMissingSections) {
+  // A valid container holding only the PG sections (meta + hnsw) is not a
+  // self-contained index: the loader must refuse it rather than crash.
+  const std::string full_path = TempPath("full_for_partial.lansnap");
+  const std::string partial_path = TempPath("partial.lansnap");
   GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(40), 221);
   LanIndex original(TinyConfig());
   ASSERT_TRUE(original.Build(&db).ok());
-  ASSERT_TRUE(original.SaveIndexToFile(path).ok());
+  ASSERT_TRUE(original.SaveSnapshot(full_path).ok());
 
-  // The legacy checkpoint rides on the snapshot container now...
-  auto snapshot = Snapshot::Open(path);
-  ASSERT_TRUE(snapshot.ok());
-  EXPECT_TRUE(snapshot->Has(SectionKind::kMeta));
-  EXPECT_TRUE(snapshot->Has(SectionKind::kHnsw));
+  auto full = Snapshot::Open(full_path);
+  ASSERT_TRUE(full.ok());
+  SnapshotWriter writer;
+  for (const SectionKind kind : {SectionKind::kMeta, SectionKind::kHnsw}) {
+    const auto payload = full->Section(kind);
+    writer.AddSection(kind)->Bytes(payload.data(), payload.size());
+  }
+  ASSERT_TRUE(writer.WriteToFile(partial_path).ok());
 
-  // ...and still round-trips through the legacy entry point against the
-  // original database.
-  LanIndex restored(TinyConfig());
-  ASSERT_TRUE(restored.BuildFromSavedIndexFile(&db, path).ok());
-  WorkloadOptions wopts;
-  wopts.num_queries = 6;
-  QueryWorkload workload = SampleWorkload(db, wopts, 222);
-  SearchOptions sopts;
-  sopts.k = 4;
-  sopts.routing = RoutingMethod::kBaselineRoute;
-  sopts.init = InitMethod::kHnswIs;
-  SearchResult a = original.Search(workload.train[0], sopts);
-  SearchResult b = restored.Search(workload.train[0], sopts);
-  EXPECT_EQ(a.results, b.results);
-
-  // A view-only checkpoint (meta + hnsw) is not a full snapshot: the
-  // self-contained loader must refuse it rather than crash.
-  LanIndex full(TinyConfig());
-  EXPECT_FALSE(full.OpenSnapshot(path).ok());
+  LanIndex opened(TinyConfig());
+  const Status status = opened.OpenSnapshot(partial_path);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("missing the graphs section"),
+            std::string::npos)
+      << status.ToString();
 }
 
 }  // namespace

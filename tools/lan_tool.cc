@@ -2,30 +2,27 @@
 //
 //   lan_tool generate --kind aids --count 300 --seed 7 --out db.gdb
 //   lan_tool stats    --db db.gdb
-//   lan_tool build    --db db.gdb --models lan.mdl [--queries 30] [--seed 9]
-//   lan_tool search   --db db.gdb --models lan.mdl --k 10 [--queries 3]
-//   lan_tool eval     --db db.gdb --models lan.mdl --k 10 [--queries 6]
-//   lan_tool insert   --db db.gdb --count 20 --out-db db2.gdb --out-index i2
-//   lan_tool remove   --db db.gdb --count 10 --out-db db2.gdb --out-index i2
-//   lan_tool snapshot save    --db db.gdb --out idx.lansnap
-//   lan_tool snapshot load    --snapshot idx.lansnap --k 10
-//   lan_tool snapshot inspect --snapshot idx.lansnap
+//   lan_tool build    --db db.gdb --out idx.lansnap [--queries 30] [--seed 9]
+//   lan_tool search   --snapshot idx.lansnap --k 10 [--queries 3]
+//   lan_tool eval     --snapshot idx.lansnap --k 10 [--queries 6]
+//   lan_tool diagnose --snapshot idx.lansnap
+//   lan_tool insert   --snapshot idx.lansnap --count 20 --out idx2.lansnap
+//   lan_tool remove   --snapshot idx2.lansnap --count 10 --out idx3.lansnap
+//   lan_tool inspect  --snapshot idx.lansnap
 //   lan_tool serve    --snapshot idx.lansnap --stats-port 8080
 //
-// `build` trains the learned components and checkpoints them; `search`
-// and `eval` reload the checkpoint, so the expensive phases run once.
-// `insert`/`remove` exercise the online index maintenance path: they
-// mutate the database through the index (new epoch per mutation) and
-// persist the updated database + index checkpoint for the next command.
-// `snapshot` works with the single-file zero-copy format: `save` builds
-// (and by default trains) an index and writes everything — database,
-// embeddings, clusters, CGs, HNSW, models — into one file; `load` mmaps
-// that file into a ready index without the original database and runs a
-// few sanity queries; `inspect` prints the section table.
-// `serve` opens a snapshot and runs a self-generated query loop with the
+// Every index lives in one self-contained `.lansnap` file (database,
+// embeddings, clusters, CGs, HNSW, tombstones, epoch and, if trained, the
+// models). `build` constructs (and by default trains) an index and writes
+// it; every other index command mmaps a snapshot into a ready index, so
+// the expensive offline phases run once. `insert`/`remove` exercise the
+// online maintenance path: they mutate the index (new epoch per mutation)
+// and write the result to `--out` for the next command. `inspect` prints
+// the section table. `serve` runs a self-generated query loop with the
 // embedded stats server attached (/metrics, /statusz, /slowz, /healthz)
 // until SIGTERM/SIGINT; `--stats-port` also attaches the server to
-// `search` and `eval` for long runs.
+// `search` and `eval` for long runs. Untrained snapshots (`build
+// --queries 0`) serve through the baseline routing in `search`/`serve`.
 
 #include <atomic>
 #include <csignal>
@@ -93,7 +90,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: lan_tool "
                "<generate|stats|build|search|eval|diagnose|insert|remove|"
-               "snapshot|serve> [--flag value ...]\n"
+               "inspect|serve> [--flag value ...]\n"
                "  global   --force-scalar 1     pin scalar kernels "
                "(bit-reproducible; same as LAN_FORCE_SCALAR=1)\n"
                "           --quantized 1        int8 embedding plane for "
@@ -101,9 +98,10 @@ int Usage() {
                "  generate --kind aids|linux|pubchem|syn --count N "
                "[--seed S] --out FILE\n"
                "  stats    --db FILE\n"
-               "  build    --db FILE --models FILE [--index FILE] [--queries N]\n"
+               "  build    --db FILE --out FILE [--queries N] [--seed S]\n"
+               "           (--queries 0 skips model training)\n"
                "           [--build-threads N]   0 = hardware concurrency\n"
-               "  search   --db FILE --models FILE [--index FILE] [--k K]\n"
+               "  search   --snapshot FILE [--k K] [--queries N]\n"
                "           [--trace-out FILE]    per-query trace, JSON lines\n"
                "           [--metrics-out FILE]  metrics snapshot, JSON\n"
                "           [--ged-cache-mb N]    cross-query result cache "
@@ -111,22 +109,16 @@ int Usage() {
                "           [--cache-admission admit_all|admit_on_repeat]\n"
                "           [--stats-port P]      embedded stats server "
                "(0 = ephemeral port)\n"
-               "  eval     --db FILE --models FILE [--index FILE] [--k K]\n"
+               "  eval     --snapshot FILE [--k K] [--queries N]\n"
                "           [--trace-out FILE] [--metrics-out FILE]\n"
                "           [--ged-cache-mb N] [--cache-admission ...]\n"
                "           [--stats-port P]\n"
-               "  diagnose --db FILE --models FILE [--index FILE]\n"
-               "  insert   --db FILE --count N [--seed S] [--edits E]\n"
-               "           [--index FILE] [--models FILE] [--build-threads N]\n"
-               "           [--out-db FILE] [--out-index FILE]\n"
-               "  remove   --db FILE (--id G | --count N [--seed S])\n"
-               "           [--index FILE] [--models FILE]\n"
-               "           [--out-db FILE] [--out-index FILE]\n"
-               "  snapshot save    --db FILE --out FILE [--queries N] "
-               "[--seed S]\n"
-               "                   (--queries 0 skips model training)\n"
-               "  snapshot load    --snapshot FILE [--k K] [--queries N]\n"
-               "  snapshot inspect --snapshot FILE\n"
+               "  diagnose --snapshot FILE\n"
+               "  insert   --snapshot FILE --count N [--seed S] [--edits E]\n"
+               "           [--out FILE]          write the mutated index\n"
+               "  remove   --snapshot FILE (--id G | --count N [--seed S])\n"
+               "           [--out FILE]\n"
+               "  inspect  --snapshot FILE\n"
                "  serve    --snapshot FILE [--stats-port P] [--k K]\n"
                "           [--port-file FILE]    write the bound port\n"
                "           [--queries N]         query pool size (default 8)\n"
@@ -152,12 +144,12 @@ DatasetSpec SpecFor(const std::string& kind, int64_t count) {
 }
 
 /// Shared tool-scale index configuration (must match between `build` and
-/// the commands that reload the checkpoint).
+/// the commands that open the snapshot).
 ///
 /// `--build-threads N` sizes the worker pool AND opts PG insertion into
 /// the parallel builder (N = 0 follows the hardware count). Threading
-/// never changes the persisted formats, so checkpoints built with any
-/// thread count reload under any other.
+/// never changes the snapshot format, so snapshots built with any thread
+/// count open under any other.
 LanConfig ToolConfig(const Flags& flags) {
   LanConfig config;
   config.query_ged.skip_exact_gap = 3.0;
@@ -172,8 +164,8 @@ LanConfig ToolConfig(const Flags& flags) {
     config.hnsw.num_build_threads = threads;
   }
   // `--ged-cache-mb N` opts into the cross-query result cache with an
-  // N MiB budget (0 keeps it off). Serving-time state only: checkpoints
-  // and model files are identical with and without it.
+  // N MiB budget (0 keeps it off). Serving-time state only: snapshots are
+  // identical with and without it.
   if (flags.Has("ged-cache-mb")) {
     const int64_t mb = flags.GetInt("ged-cache-mb", 0);
     config.cache.enabled = mb > 0;
@@ -234,91 +226,102 @@ int Stats(const Flags& flags) {
 }
 
 int Build(const Flags& flags) {
+  const std::string out = flags.Get("out", "");
+  if (out.empty()) {
+    std::fprintf(stderr, "build: --out is required\n");
+    return 2;
+  }
   auto db = LoadDb(flags);
   if (!db.ok()) {
     std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
     return 1;
   }
-  const std::string models = flags.Get("models", "");
-  if (models.empty()) {
-    std::fprintf(stderr, "build: --models is required\n");
-    return 2;
-  }
   LanIndex index(ToolConfig(flags));
-  LAN_CHECK_OK(index.Build(&*db));
-  WorkloadOptions wopts;
-  wopts.num_queries = flags.GetInt("queries", 30);
-  QueryWorkload workload = SampleWorkload(
-      *db, wopts, static_cast<uint64_t>(flags.GetInt("seed", 9)));
-  LAN_CHECK_OK(index.Train(workload.train));
-  LAN_CHECK_OK(index.SaveModelsToFile(models));
-  if (flags.Has("index")) {
-    LAN_CHECK_OK(index.SaveIndexToFile(flags.Get("index", "")));
+  if (Status s = index.Build(&*db); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
+    return 1;
   }
-  std::printf("trained on %zu queries (gamma* = %.1f); models saved to %s%s\n",
-              workload.train.size(), index.gamma_star(), models.c_str(),
-              flags.Has("index") ? " (+ index checkpoint)" : "");
+  const int64_t num_queries = flags.GetInt("queries", 30);
+  if (num_queries > 0) {
+    WorkloadOptions wopts;
+    wopts.num_queries = num_queries;
+    QueryWorkload workload = SampleWorkload(
+        *db, wopts, static_cast<uint64_t>(flags.GetInt("seed", 9)));
+    if (Status s = index.Train(workload.train); !s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
+      return 1;
+    }
+    std::printf("trained on %zu queries (gamma* = %.1f)\n",
+                workload.train.size(), index.gamma_star());
+  }
+  if (Status s = index.SaveSnapshot(out); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
+    return 1;
+  }
+  std::printf("snapshot (%d graphs%s) written to %s\n", db->size(),
+              index.trained() ? ", trained models" : ", untrained",
+              out.c_str());
   return 0;
 }
 
-/// Loads db + models into a ready index; exits on failure.
-struct LoadedIndex {
-  explicit LoadedIndex(LanConfig config) : index(std::move(config)) {}
-  GraphDatabase db;
-  LanIndex index;
-};
-
-std::unique_ptr<LoadedIndex> LoadIndex(const Flags& flags,
-                                       bool require_models = true) {
-  auto db = LoadDb(flags);
-  if (!db.ok()) {
-    std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
+/// Opens `--snapshot` into a ready index; null after reporting the error.
+std::unique_ptr<LanIndex> OpenIndex(const Flags& flags) {
+  const std::string path = flags.Get("snapshot", "");
+  if (path.empty()) {
+    std::fprintf(stderr, "--snapshot is required\n");
     return nullptr;
   }
-  const std::string models = flags.Get("models", "");
-  if (models.empty() && require_models) {
-    std::fprintf(stderr, "--models is required\n");
+  auto index = std::make_unique<LanIndex>(ToolConfig(flags));
+  Timer timer;
+  if (Status s = index->OpenSnapshot(path); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return nullptr;
   }
-  auto loaded = std::make_unique<LoadedIndex>(ToolConfig(flags));
-  loaded->db = std::move(db).value();
-  Status build_status =
-      flags.Has("index")
-          ? loaded->index.BuildFromSavedIndexFile(&loaded->db,
-                                                  flags.Get("index", ""))
-          : loaded->index.Build(&loaded->db);
-  if (!build_status.ok()) {
-    std::fprintf(stderr, "%s\n", build_status.ToString().c_str());
-    return nullptr;
-  }
-  if (!models.empty()) {
-    if (Status s = loaded->index.LoadModelsFromFile(models); !s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return nullptr;
-    }
-  }
-  return loaded;
+  std::printf("opened %s in %.3fs: %d graphs (%d live), epoch %llu, %s\n",
+              path.c_str(), timer.ElapsedSeconds(), index->db().size(),
+              index->live_size(),
+              static_cast<unsigned long long>(index->epoch()),
+              index->trained() ? "trained" : "untrained");
+  return index;
 }
 
-/// Persists the mutated database/index when `--out-db`/`--out-index` are
-/// given; shared by `insert` and `remove`.
-int SaveMutation(const Flags& flags, const LoadedIndex& loaded) {
-  if (flags.Has("out-db")) {
-    const std::string out_db = flags.Get("out-db", "");
-    if (Status s = WriteDatabaseToFile(loaded.db, out_db); !s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("database saved to %s\n", out_db.c_str());
+/// Sampled perturbations of database graphs: every split of a
+/// `num_queries` workload, concatenated (tiny counts land in `train`).
+std::vector<Graph> SampleQueries(const GraphDatabase& db,
+                                 int64_t num_queries, uint64_t seed) {
+  WorkloadOptions wopts;
+  wopts.num_queries = num_queries;
+  QueryWorkload workload = SampleWorkload(db, wopts, seed);
+  std::vector<Graph> queries = std::move(workload.train);
+  queries.insert(queries.end(), workload.validation.begin(),
+                 workload.validation.end());
+  queries.insert(queries.end(), workload.test.begin(), workload.test.end());
+  return queries;
+}
+
+/// Search options for the tool's query loops: full LAN search on a trained
+/// index, the baseline route + HNSW descent on an untrained one.
+SearchOptions DefaultSearchOptions(const LanIndex& index, int k) {
+  SearchOptions options;
+  options.k = k;
+  options.profile = true;
+  if (!index.trained()) {
+    options.routing = RoutingMethod::kBaselineRoute;
+    options.init = InitMethod::kHnswIs;
   }
-  if (flags.Has("out-index")) {
-    const std::string out_index = flags.Get("out-index", "");
-    if (Status s = loaded.index.SaveIndexToFile(out_index); !s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("index checkpoint saved to %s\n", out_index.c_str());
+  return options;
+}
+
+/// Writes the mutated index to `--out` when given; shared by `insert`
+/// and `remove`.
+int SaveMutation(const Flags& flags, const LanIndex& index) {
+  if (!flags.Has("out")) return 0;
+  const std::string out = flags.Get("out", "");
+  if (Status s = index.SaveSnapshot(out); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
+    return 1;
   }
+  std::printf("snapshot saved to %s\n", out.c_str());
   return 0;
 }
 
@@ -327,8 +330,9 @@ int InsertCmd(const Flags& flags) {
     std::fprintf(stderr, "insert: --count is required\n");
     return 2;
   }
-  auto loaded = LoadIndex(flags, /*require_models=*/false);
-  if (loaded == nullptr) return 1;
+  auto index = OpenIndex(flags);
+  if (index == nullptr) return 1;
+  const GraphDatabase& db = index->db();
   const int64_t count = flags.GetInt("count", 0);
   const int edits = static_cast<int>(flags.GetInt("edits", 3));
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 99)));
@@ -336,13 +340,10 @@ int InsertCmd(const Flags& flags) {
   for (int64_t i = 0; i < count; ++i) {
     // New graphs are perturbations of existing ones, like the paper's
     // query workloads — they stay on the database's distribution.
-    const GraphId base =
-        static_cast<GraphId>(rng.NextBounded(
-            static_cast<uint64_t>(loaded->db.size())));
-    Graph graph =
-        PerturbGraph(loaded->db.Get(base), edits, loaded->db.num_labels(),
-                     &rng);
-    auto inserted = loaded->index.Insert(std::move(graph));
+    const GraphId base = static_cast<GraphId>(
+        rng.NextBounded(static_cast<uint64_t>(db.size())));
+    Graph graph = PerturbGraph(db.Get(base), edits, db.num_labels(), &rng);
+    auto inserted = index->Insert(std::move(graph));
     if (!inserted.ok()) {
       std::fprintf(stderr, "insert %lld failed: %s\n",
                    static_cast<long long>(i),
@@ -353,10 +354,9 @@ int InsertCmd(const Flags& flags) {
   std::printf("inserted %lld graphs in %.2fs; db now %d graphs "
               "(%d live, %d tombstones), epoch %llu\n",
               static_cast<long long>(count), timer.ElapsedSeconds(),
-              loaded->db.size(), loaded->index.live_size(),
-              loaded->index.tombstones(),
-              static_cast<unsigned long long>(loaded->index.epoch()));
-  return SaveMutation(flags, *loaded);
+              db.size(), index->live_size(), index->tombstones(),
+              static_cast<unsigned long long>(index->epoch()));
+  return SaveMutation(flags, *index);
 }
 
 int RemoveCmd(const Flags& flags) {
@@ -364,8 +364,9 @@ int RemoveCmd(const Flags& flags) {
     std::fprintf(stderr, "remove: --id or --count is required\n");
     return 2;
   }
-  auto loaded = LoadIndex(flags, /*require_models=*/false);
-  if (loaded == nullptr) return 1;
+  auto index = OpenIndex(flags);
+  if (index == nullptr) return 1;
+  const GraphDatabase& db = index->db();
   std::vector<GraphId> targets;
   if (flags.Has("id")) {
     targets.push_back(static_cast<GraphId>(flags.GetInt("id", -1)));
@@ -373,19 +374,18 @@ int RemoveCmd(const Flags& flags) {
     // Random live ids, sampled without replacement via retry.
     Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 99)));
     const int64_t count =
-        std::min<int64_t>(flags.GetInt("count", 0),
-                          loaded->index.live_size());
-    std::vector<uint8_t> picked(static_cast<size_t>(loaded->db.size()), 0);
+        std::min<int64_t>(flags.GetInt("count", 0), index->live_size());
+    std::vector<uint8_t> picked(static_cast<size_t>(db.size()), 0);
     while (static_cast<int64_t>(targets.size()) < count) {
       const GraphId id = static_cast<GraphId>(
-          rng.NextBounded(static_cast<uint64_t>(loaded->db.size())));
-      if (picked[static_cast<size_t>(id)] || !loaded->db.IsLive(id)) continue;
+          rng.NextBounded(static_cast<uint64_t>(db.size())));
+      if (picked[static_cast<size_t>(id)] || !db.IsLive(id)) continue;
       picked[static_cast<size_t>(id)] = 1;
       targets.push_back(id);
     }
   }
   for (const GraphId id : targets) {
-    if (Status s = loaded->index.Remove(id); !s.ok()) {
+    if (Status s = index->Remove(id); !s.ok()) {
       std::fprintf(stderr, "remove #%d failed: %s\n", id,
                    s.ToString().c_str());
       return 1;
@@ -393,10 +393,10 @@ int RemoveCmd(const Flags& flags) {
   }
   std::printf("removed %zu graphs; db now %d graphs "
               "(%d live, %d tombstones), epoch %llu\n",
-              targets.size(), loaded->db.size(), loaded->index.live_size(),
-              loaded->index.tombstones(),
-              static_cast<unsigned long long>(loaded->index.epoch()));
-  return SaveMutation(flags, *loaded);
+              targets.size(), db.size(), index->live_size(),
+              index->tombstones(),
+              static_cast<unsigned long long>(index->epoch()));
+  return SaveMutation(flags, *index);
 }
 
 /// Opens `path` for writing or returns null after reporting the error
@@ -484,20 +484,13 @@ std::unique_ptr<StatsServer> StartStatsServer(const Flags& flags,
 }
 
 int SearchCmd(const Flags& flags) {
-  auto loaded = LoadIndex(flags);
-  if (loaded == nullptr) return 1;
-  const int k = static_cast<int>(flags.GetInt("k", 10));
-  const int64_t num_queries = flags.GetInt("queries", 3);
-  WorkloadOptions wopts;
-  wopts.num_queries = num_queries;
-  QueryWorkload workload = SampleWorkload(
-      loaded->db, wopts, static_cast<uint64_t>(flags.GetInt("seed", 123)));
-  // All sampled queries land in `train` for tiny counts; search whatever
-  // was sampled.
-  std::vector<Graph> queries = workload.train;
-  queries.insert(queries.end(), workload.validation.begin(),
-                 workload.validation.end());
-  queries.insert(queries.end(), workload.test.begin(), workload.test.end());
+  auto index = OpenIndex(flags);
+  if (index == nullptr) return 1;
+  const std::vector<Graph> queries =
+      SampleQueries(index->db(), flags.GetInt("queries", 3),
+                    static_cast<uint64_t>(flags.GetInt("seed", 123)));
+  const SearchOptions base_options =
+      DefaultSearchOptions(*index, static_cast<int>(flags.GetInt("k", 10)));
 
   std::unique_ptr<std::ofstream> trace_out;
   if (flags.Has("trace-out")) {
@@ -521,15 +514,13 @@ int SearchCmd(const Flags& flags) {
 
   QueryTrace trace;
   for (size_t i = 0; i < queries.size(); ++i) {
-    SearchOptions options;
-    options.k = k;
-    options.profile = true;
+    SearchOptions options = base_options;
     if (trace_out != nullptr) {
       trace.Clear();
       options.trace = &trace;
     }
     Timer timer;
-    SearchResult result = loaded->index.Search(queries[i], options);
+    SearchResult result = index->Search(queries[i], options);
     registry.Increment(queries_counter);
     registry.Observe(latency_hist, timer.ElapsedSeconds());
     registry.Observe(ndc_hist, static_cast<double>(result.stats.ndc));
@@ -554,7 +545,7 @@ int SearchCmd(const Flags& flags) {
     if (CloseOut(trace_out.get(), flags.Get("trace-out", "")) != 0) return 1;
     std::printf("trace written to %s\n", flags.Get("trace-out", "").c_str());
   }
-  if (ResultCache* cache = loaded->index.result_cache()) {
+  if (ResultCache* cache = index->result_cache()) {
     cache->AppendMetrics(&registry);
     const ShardCacheStats stats = cache->Stats();
     const int64_t lookups = stats.hits + stats.misses;
@@ -578,23 +569,21 @@ int SearchCmd(const Flags& flags) {
 }
 
 int Diagnose(const Flags& flags) {
-  auto loaded = LoadIndex(flags);
-  if (loaded == nullptr) return 1;
-  const LanIndex& index = loaded->index;
+  auto opened = OpenIndex(flags);
+  if (opened == nullptr) return 1;
+  const LanIndex& index = *opened;
+  const GraphDatabase& db = index.db();
   std::printf("simd: detected %s, active %s\n",
               SimdLevelName(DetectedSimdLevel()),
               SimdLevelName(ActiveSimdLevel()));
   std::printf("database: %d graphs, avg |V| %.1f, avg |E| %.1f\n",
-              loaded->db.size(), loaded->db.AverageNodes(),
-              loaded->db.AverageEdges());
+              db.size(), db.AverageNodes(), db.AverageEdges());
   std::printf("PG: %lld edges, avg degree %.1f, connected: %s\n",
               static_cast<long long>(index.pg().NumEdges()),
               index.pg().AverageDegree(),
               index.pg().IsConnected() ? "yes" : "NO");
   std::printf("HNSW: %d layers, entry point #%d\n", index.hnsw().NumLayers(),
               index.hnsw().EntryPoint());
-  std::printf("gamma* = %.2f; M_nh threshold = %.2f\n", index.gamma_star(),
-              index.neighborhood_model()->calibrated_threshold());
   const EmbeddingMatrix& embeddings = index.embeddings();
   std::printf("embeddings: %lld x %d, storage %s (f32 %zu bytes",
               static_cast<long long>(embeddings.rows()), embeddings.dim(),
@@ -620,51 +609,63 @@ int Diagnose(const Flags& flags) {
                 }
                 return smallest;
               }());
+  if (!index.trained()) {
+    std::printf("models: untrained\n");
+    return 0;
+  }
+  std::printf("gamma* = %.2f; M_nh threshold = %.2f\n", index.gamma_star(),
+              index.neighborhood_model()->calibrated_threshold());
   // Neighborhood-size distribution over a few probe queries.
   WorkloadOptions wopts;
   wopts.num_queries = 6;
-  QueryWorkload probes = SampleWorkload(loaded->db, wopts, 777);
+  QueryWorkload probes = SampleWorkload(db, wopts, 777);
   GedComputer ged(ToolConfig(flags).query_ged);
   std::printf("|N_Q| over %zu probe queries:", probes.train.size());
   for (const Graph& q : probes.train) {
     int64_t in_neighborhood = 0;
-    for (GraphId id = 0; id < loaded->db.size(); ++id) {
-      if (ged.Distance(q, loaded->db.Get(id)) <= index.gamma_star()) {
+    for (GraphId id = 0; id < db.size(); ++id) {
+      if (ged.Distance(q, db.Get(id)) <= index.gamma_star()) {
         ++in_neighborhood;
       }
     }
     std::printf(" %lld", static_cast<long long>(in_neighborhood));
   }
-  std::printf(" (of %d)\n", loaded->db.size());
+  std::printf(" (of %d)\n", db.size());
   return 0;
 }
 
 int Eval(const Flags& flags) {
-  auto loaded = LoadIndex(flags);
-  if (loaded == nullptr) return 1;
+  auto index = OpenIndex(flags);
+  if (index == nullptr) return 1;
+  if (!index->trained()) {
+    std::fprintf(stderr,
+                 "eval: the LAN sweep needs a trained snapshot "
+                 "(build with --queries > 0)\n");
+    return 1;
+  }
   const int k = static_cast<int>(flags.GetInt("k", 10));
   WorkloadOptions wopts;
   wopts.num_queries = flags.GetInt("queries", 6) * 5;  // 1/5 become test
   QueryWorkload workload = SampleWorkload(
-      loaded->db, wopts, static_cast<uint64_t>(flags.GetInt("seed", 321)));
+      index->db(), wopts, static_cast<uint64_t>(flags.GetInt("seed", 321)));
   GedComputer ged(ToolConfig(flags).query_ged);
   std::vector<KnnList> truths =
-      BuildTruths(loaded->db, workload.test, k, ged);
+      BuildTruths(index->db(), workload.test, k, ged);
   MetricsRegistry registry;
   auto stats_server = StartStatsServer(flags, &registry);
   PrintCurveHeader(k);
-  PrintCurve(SweepIndex(loaded->index, RoutingMethod::kLanRoute,
+  PrintCurve(SweepIndex(*index, RoutingMethod::kLanRoute,
                         InitMethod::kLanIs, workload.test, truths, k,
                         {8, 16, 32}, "LAN", &registry),
              k);
-  PrintCurve(SweepIndex(loaded->index, RoutingMethod::kBaselineRoute,
+  PrintCurve(SweepIndex(*index, RoutingMethod::kBaselineRoute,
                         InitMethod::kHnswIs, workload.test, truths, k,
                         {8, 16, 32}, "HNSW", &registry),
              k);
   if (flags.Has("metrics-out")) {
     auto out = OpenOut(flags.Get("metrics-out", ""));
     if (out == nullptr) return 1;
-    if (ResultCache* cache = loaded->index.result_cache()) {
+    if (ResultCache* cache = index->result_cache()) {
       cache->AppendMetrics(&registry);
     }
     *out << registry.Snapshot().ToJson() << "\n";
@@ -681,8 +682,7 @@ int Eval(const Flags& flags) {
     SearchOptions options;
     options.k = k;
     options.trace_factory = [&traces](size_t i) { return &traces[i]; };
-    BatchSearchResult batch =
-        loaded->index.SearchBatch(workload.test, options);
+    BatchSearchResult batch = index->SearchBatch(workload.test, options);
     for (size_t i = 0; i < batch.results.size(); ++i) {
       if (!batch.results[i].status.ok()) {
         std::fprintf(stderr, "query %zu failed: %s\n", i,
@@ -698,91 +698,10 @@ int Eval(const Flags& flags) {
   return 0;
 }
 
-int SnapshotSave(const Flags& flags) {
-  const std::string out = flags.Get("out", "");
-  if (out.empty()) {
-    std::fprintf(stderr, "snapshot save: --out is required\n");
-    return 2;
-  }
-  auto db = LoadDb(flags);
-  if (!db.ok()) {
-    std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
-    return 1;
-  }
-  LanIndex index(ToolConfig(flags));
-  LAN_CHECK_OK(index.Build(&*db));
-  const int64_t num_queries = flags.GetInt("queries", 30);
-  if (num_queries > 0) {
-    WorkloadOptions wopts;
-    wopts.num_queries = num_queries;
-    QueryWorkload workload = SampleWorkload(
-        *db, wopts, static_cast<uint64_t>(flags.GetInt("seed", 9)));
-    LAN_CHECK_OK(index.Train(workload.train));
-  }
-  if (Status s = index.SaveSnapshot(out); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
-  std::printf("snapshot (%d graphs%s) written to %s\n", db->size(),
-              index.trained() ? ", trained models" : ", untrained",
-              out.c_str());
-  return 0;
-}
-
-int SnapshotLoad(const Flags& flags) {
+int Inspect(const Flags& flags) {
   const std::string path = flags.Get("snapshot", "");
   if (path.empty()) {
-    std::fprintf(stderr, "snapshot load: --snapshot is required\n");
-    return 2;
-  }
-  LanIndex index(ToolConfig(flags));
-  Timer timer;
-  if (Status s = index.OpenSnapshot(path); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
-  std::printf("opened %s in %.3fs: %d graphs (%d live), epoch %llu, %s\n",
-              path.c_str(), timer.ElapsedSeconds(), index.db().size(),
-              index.live_size(),
-              static_cast<unsigned long long>(index.epoch()),
-              index.trained() ? "trained" : "untrained");
-  // A few sanity queries straight off the mapped index — the snapshot is
-  // self-contained, so no --db is needed. Untrained snapshots fall back
-  // to the baseline (non-learned) routing.
-  const int k = static_cast<int>(flags.GetInt("k", 10));
-  WorkloadOptions wopts;
-  wopts.num_queries = flags.GetInt("queries", 3);
-  QueryWorkload workload = SampleWorkload(
-      index.db(), wopts, static_cast<uint64_t>(flags.GetInt("seed", 123)));
-  std::vector<Graph> queries = workload.train;
-  queries.insert(queries.end(), workload.validation.begin(),
-                 workload.validation.end());
-  queries.insert(queries.end(), workload.test.begin(), workload.test.end());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    SearchOptions options;
-    options.k = k;
-    if (!index.trained()) {
-      options.routing = RoutingMethod::kBaselineRoute;
-      options.init = InitMethod::kHnswIs;
-    }
-    SearchResult result = index.Search(queries[i], options);
-    if (!result.status.ok()) {
-      std::fprintf(stderr, "query %zu failed: %s\n", i,
-                   result.status.ToString().c_str());
-      return 1;
-    }
-    std::printf("query %zu: NDC %lld, top GED %.0f (%zu results)\n", i,
-                static_cast<long long>(result.stats.ndc),
-                result.results.empty() ? -1.0 : result.results.front().second,
-                result.results.size());
-  }
-  return 0;
-}
-
-int SnapshotInspect(const Flags& flags) {
-  const std::string path = flags.Get("snapshot", "");
-  if (path.empty()) {
-    std::fprintf(stderr, "snapshot inspect: --snapshot is required\n");
+    std::fprintf(stderr, "inspect: --snapshot is required\n");
     return 2;
   }
   auto snapshot = Snapshot::Open(path);
@@ -813,48 +732,25 @@ void HandleStopSignal(int) { g_stop = 1; }
 /// with their trace and per-stage breakdown.
 int Serve(const Flags& flags) {
   const std::string path = flags.Get("snapshot", "");
-  if (path.empty()) {
-    std::fprintf(stderr, "serve: --snapshot is required\n");
-    return 2;
-  }
-  LanIndex index(ToolConfig(flags));
-  Timer open_timer;
-  if (Status s = index.OpenSnapshot(path); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
-  std::printf("opened %s in %.3fs: %d graphs (%d live), epoch %llu, %s\n",
-              path.c_str(), open_timer.ElapsedSeconds(), index.db().size(),
-              index.live_size(),
-              static_cast<unsigned long long>(index.epoch()),
-              index.trained() ? "trained" : "untrained");
+  auto opened = OpenIndex(flags);
+  if (opened == nullptr) return 1;
+  LanIndex& index = *opened;
 
   // The query pool: sampled perturbations of database graphs, cycled
-  // forever. Self-contained like `snapshot load` — no --db needed.
-  WorkloadOptions wopts;
-  wopts.num_queries = flags.GetInt("queries", 8);
-  QueryWorkload workload = SampleWorkload(
-      index.db(), wopts, static_cast<uint64_t>(flags.GetInt("seed", 123)));
-  std::vector<Graph> queries = workload.train;
-  queries.insert(queries.end(), workload.validation.begin(),
-                 workload.validation.end());
-  queries.insert(queries.end(), workload.test.begin(), workload.test.end());
+  // forever. The snapshot is self-contained — no --db needed.
+  const std::vector<Graph> queries =
+      SampleQueries(index.db(), flags.GetInt("queries", 8),
+                    static_cast<uint64_t>(flags.GetInt("seed", 123)));
   if (queries.empty()) {
     std::fprintf(stderr, "serve: empty query pool\n");
     return 1;
   }
 
-  const int k = static_cast<int>(flags.GetInt("k", 10));
   const int64_t max_queries = flags.GetInt("max-queries", 0);
   const int64_t slow_inject_every = flags.GetInt("slow-inject-every", 0);
   const int64_t throttle_ms = flags.GetInt("throttle-ms", 0);
-  SearchOptions base_options;
-  base_options.k = k;
-  base_options.profile = true;
-  if (!index.trained()) {
-    base_options.routing = RoutingMethod::kBaselineRoute;
-    base_options.init = InitMethod::kHnswIs;
-  }
+  const SearchOptions base_options =
+      DefaultSearchOptions(index, static_cast<int>(flags.GetInt("k", 10)));
 
   MetricsRegistry registry;
   const CounterId queries_counter = registry.Counter("queries");
@@ -1010,20 +906,9 @@ int Serve(const Flags& flags) {
   return errors == 0 ? 0 : 1;
 }
 
-int SnapshotCmd(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  const std::string verb = argv[2];
-  Flags flags(argc, argv, 3);
-  if (verb == "save") return SnapshotSave(flags);
-  if (verb == "load") return SnapshotLoad(flags);
-  if (verb == "inspect") return SnapshotInspect(flags);
-  return Usage();
-}
-
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
-  if (command == "snapshot") return SnapshotCmd(argc, argv);
   Flags flags(argc, argv, 2);
   // `--force-scalar 1` pins the scalar kernel table (same effect as
   // LAN_FORCE_SCALAR=1): bit-for-bit reproducible results across hosts.
@@ -1038,6 +923,7 @@ int Main(int argc, char** argv) {
   if (command == "diagnose") return Diagnose(flags);
   if (command == "insert") return InsertCmd(flags);
   if (command == "remove") return RemoveCmd(flags);
+  if (command == "inspect") return Inspect(flags);
   if (command == "serve") return Serve(flags);
   return Usage();
 }

@@ -1,6 +1,7 @@
-# Drives lan_tool through the full lifecycle; any non-zero exit fails.
+# Drives lan_tool through the full lifecycle over .lansnap snapshots;
+# any non-zero exit fails.
 set(DB ${WORK_DIR}/pipeline.gdb)
-set(MODELS ${WORK_DIR}/pipeline.mdl)
+set(SNAP ${WORK_DIR}/pipeline.lansnap)
 
 function(run_step)
   execute_process(COMMAND ${ARGV} RESULT_VARIABLE code)
@@ -9,22 +10,42 @@ function(run_step)
   endif()
 endfunction()
 
+# Like run_step, but also returns the step's stdout in `out_var`.
+function(run_step_output out_var)
+  execute_process(COMMAND ${ARGN} RESULT_VARIABLE code OUTPUT_VARIABLE out)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "step failed (${code}): ${ARGN}\n${out}")
+  endif()
+  set(${out_var} "${out}" PARENT_SCOPE)
+endfunction()
+
 run_step(${LAN_TOOL} generate --kind syn --count 60 --seed 3 --out ${DB})
 run_step(${LAN_TOOL} stats --db ${DB})
-set(INDEX ${WORK_DIR}/pipeline.idx)
 # --build-threads 2 exercises the parallel construction path end-to-end
 # (recall/quality checks below run against the parallel-built index).
-run_step(${LAN_TOOL} build --db ${DB} --models ${MODELS} --index ${INDEX} --queries 12
+run_step(${LAN_TOOL} build --db ${DB} --out ${SNAP} --queries 12
          --build-threads 2)
-run_step(${LAN_TOOL} search --db ${DB} --models ${MODELS} --index ${INDEX} --k 3 --queries 1)
-run_step(${LAN_TOOL} diagnose --db ${DB} --models ${MODELS} --index ${INDEX})
 
 # Observability outputs: the trace must be non-empty JSON lines, the
 # metrics snapshot one parseable JSON object.
 set(TRACE ${WORK_DIR}/pipeline.trace.jsonl)
 set(METRICS ${WORK_DIR}/pipeline.metrics.json)
-run_step(${LAN_TOOL} search --db ${DB} --models ${MODELS} --index ${INDEX}
-         --k 3 --queries 2 --trace-out ${TRACE} --metrics-out ${METRICS})
+run_step(${LAN_TOOL} search --snapshot ${SNAP} --k 3 --queries 2
+         --trace-out ${TRACE} --metrics-out ${METRICS})
+run_step(${LAN_TOOL} diagnose --snapshot ${SNAP})
+run_step(${LAN_TOOL} inspect --snapshot ${SNAP})
+
+# --force-scalar applies to every command, snapshot ones included. The
+# untrained snapshot built here also backs the `serve` section below.
+set(SCALAR_SNAP ${WORK_DIR}/pipeline.scalar.lansnap)
+run_step(${LAN_TOOL} build --db ${DB} --out ${SCALAR_SNAP} --queries 0
+         --force-scalar 1)
+run_step_output(diagnose_out ${LAN_TOOL} diagnose --snapshot ${SCALAR_SNAP}
+                --force-scalar 1)
+if(NOT diagnose_out MATCHES "active scalar")
+  message(FATAL_ERROR "diagnose ignored --force-scalar:\n${diagnose_out}")
+endif()
+
 foreach(artifact ${TRACE} ${METRICS})
   if(NOT EXISTS ${artifact})
     message(FATAL_ERROR "search did not write ${artifact}")
@@ -61,24 +82,27 @@ if(ndc_p50 LESS_EQUAL 0)
   message(FATAL_ERROR "metrics query_ndc p50 is ${ndc_p50}; expected > 0")
 endif()
 
-# Online updates: insert + remove mutate the db/index pair through the
-# epoch-versioned path; the stale model checkpoint must still load over
-# the grown index (inserted graphs join their nearest frozen centroid).
-set(DB2 ${WORK_DIR}/pipeline2.gdb)
-set(INDEX2 ${WORK_DIR}/pipeline2.idx)
-run_step(${LAN_TOOL} insert --db ${DB} --index ${INDEX} --count 5 --seed 11
-         --build-threads 2 --out-db ${DB2} --out-index ${INDEX2})
-run_step(${LAN_TOOL} remove --db ${DB2} --index ${INDEX2} --count 2 --seed 12
-         --out-db ${DB2} --out-index ${INDEX2})
-run_step(${LAN_TOOL} stats --db ${DB2})
-run_step(${LAN_TOOL} search --db ${DB2} --models ${MODELS} --index ${INDEX2}
-         --k 3 --queries 1)
+# Online updates: insert + remove mutate the trained index through the
+# epoch-versioned path and write successor snapshots; the stale models
+# must still reopen over the grown index (inserted graphs keep their
+# nearest frozen centroid and get M_rk contexts on the fly).
+set(SNAP2 ${WORK_DIR}/pipeline2.lansnap)
+set(SNAP3 ${WORK_DIR}/pipeline3.lansnap)
+run_step(${LAN_TOOL} insert --snapshot ${SNAP} --count 5 --seed 11
+         --build-threads 2 --out ${SNAP2})
+run_step(${LAN_TOOL} remove --snapshot ${SNAP2} --count 2 --seed 12
+         --out ${SNAP3})
+run_step_output(search_out ${LAN_TOOL} search --snapshot ${SNAP3} --k 3
+                --queries 1)
+if(NOT search_out MATCHES "65 graphs \\(63 live\\), epoch 7, trained")
+  message(FATAL_ERROR "mutated snapshot did not reopen trained:\n${search_out}")
+endif()
 
 # eval --trace-out: one private trace per parallel query, concatenated as
 # JSON lines (each carries its query_id).
 set(EVAL_TRACE ${WORK_DIR}/pipeline.eval.trace.jsonl)
-run_step(${LAN_TOOL} eval --db ${DB2} --models ${MODELS} --index ${INDEX2}
-         --k 3 --queries 2 --trace-out ${EVAL_TRACE})
+run_step(${LAN_TOOL} eval --snapshot ${SNAP3} --k 3 --queries 2
+         --trace-out ${EVAL_TRACE})
 if(NOT EXISTS ${EVAL_TRACE})
   message(FATAL_ERROR "eval did not write ${EVAL_TRACE}")
 endif()
@@ -108,16 +132,13 @@ if(NOT BASH_PROGRAM)
   return()  # the HTTP assertions need bash; everything above still ran
 endif()
 
-set(SNAP ${WORK_DIR}/pipeline.lansnap)
-run_step(${LAN_TOOL} snapshot save --db ${DB} --out ${SNAP} --queries 0)
-
 set(PORT_FILE ${WORK_DIR}/pipeline.serve.port)
 set(PID_FILE ${WORK_DIR}/pipeline.serve.pid)
 set(SERVE_LOG ${WORK_DIR}/pipeline.serve.log)
 file(REMOVE ${PORT_FILE})
 execute_process(
   COMMAND ${BASH_PROGRAM} -c
-    "'${LAN_TOOL}' serve --snapshot '${SNAP}' --stats-port 0 --port-file '${PORT_FILE}' --slow-inject-every 4 --ged-cache-mb 4 --throttle-ms 1 > '${SERVE_LOG}' 2>&1 & echo $! > '${PID_FILE}'"
+    "'${LAN_TOOL}' serve --snapshot '${SCALAR_SNAP}' --stats-port 0 --port-file '${PORT_FILE}' --slow-inject-every 4 --ged-cache-mb 4 --throttle-ms 1 > '${SERVE_LOG}' 2>&1 & echo $! > '${PID_FILE}'"
   RESULT_VARIABLE code)
 if(NOT code EQUAL 0)
   message(FATAL_ERROR "failed to launch lan_tool serve")
