@@ -118,7 +118,10 @@ Status GraphDatabase::CompactStorage() {
   return AttachStore(std::move(packed), std::move(live));
 }
 
-Status GraphDatabase::CheckLabels(const Graph& graph) const {
+Status GraphDatabase::CheckGraph(const Graph& graph) const {
+  if (graph.NumNodes() == 0) {
+    return Status::InvalidArgument("graph has no nodes");
+  }
   for (NodeId v = 0; v < graph.NumNodes(); ++v) {
     const Label l = graph.label(v);
     if (l < 0 || l >= num_labels_) {
@@ -131,7 +134,7 @@ Status GraphDatabase::CheckLabels(const Graph& graph) const {
 }
 
 Result<GraphId> GraphDatabase::Add(Graph graph) {
-  LAN_RETURN_NOT_OK(CheckLabels(graph));
+  LAN_RETURN_NOT_OK(CheckGraph(graph));
   graphs_.push_back(std::move(graph));
   live_.push_back(1);
   RepublishSlots();

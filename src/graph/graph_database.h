@@ -41,14 +41,15 @@ class GraphDatabase {
   GraphDatabase(GraphDatabase&& other) noexcept;
   GraphDatabase& operator=(GraphDatabase&& other) noexcept;
 
-  /// InvalidArgument if a node label of `graph` lies outside the alphabet
-  /// [0, num_labels). The one validation for graphs entering the index:
-  /// Add() applies it, and so does every search entry point, so an
-  /// untrusted query fails with a Status instead of aborting the process.
-  Status CheckLabels(const Graph& graph) const;
+  /// InvalidArgument if `graph` has no nodes or a node label lies outside
+  /// the alphabet [0, num_labels). The one validation for graphs entering
+  /// the index: Add() applies it, and so does every search entry point, so
+  /// an untrusted query fails with a Status instead of aborting the
+  /// process.
+  Status CheckGraph(const Graph& graph) const;
 
-  /// Appends a graph; returns its id. Fails if a node label is outside the
-  /// alphabet (CheckLabels). Safe against concurrent readers (single writer).
+  /// Appends a graph; returns its id. Fails on a graph CheckGraph rejects.
+  /// Safe against concurrent readers (single writer).
   Result<GraphId> Add(Graph graph);
 
   /// Tombstones `id`: the graph data is kept (it remains navigable and

@@ -538,9 +538,10 @@ void LanIndex::SearchInto(const Graph& query, const SearchOptions& options,
   out.stats = SearchStats{};
   out.epoch = 0;
   out.status = Ready(options);
-  // An out-of-alphabet label would index past the one-hot/embedding
-  // tables on the learned paths; reject it on every path alike.
-  if (out.status.ok()) out.status = db_->CheckLabels(query);
+  // An empty graph or an out-of-alphabet label would abort the learned
+  // paths (compressed GNN graph, one-hot/embedding tables); reject them on
+  // every path alike.
+  if (out.status.ok()) out.status = db_->CheckGraph(query);
   if (!out.status.ok()) return;
 
   // Per-query working state: dense visited/cache arrays, candidate pool

@@ -279,8 +279,8 @@ class LanIndex {
   /// Checks that this index can execute a search with `options`: Build()
   /// has run, the knobs are in range, and — for routing/init modes that
   /// need the learned models — Train() has run or a trained snapshot was
-  /// opened. SearchInto additionally rejects a query whose labels fall
-  /// outside the database alphabet (GraphDatabase::CheckLabels).
+  /// opened. SearchInto additionally rejects an empty query or one whose
+  /// labels fall outside the database alphabet (GraphDatabase::CheckGraph).
   Status Ready(const SearchOptions& options) const;
 
   /// The search entry point. Every routing/init ablation, tracing, and

@@ -378,7 +378,7 @@ void EncodeHnsw(SectionBuilder* b, const HnswIndex& hnsw) {
   const GraphId num_nodes = hnsw.NumNodes();
   b->Pod(num_nodes);
   b->Pod(hnsw.EntryPoint());
-  const int32_t core_layers = hnsw.NumCoreLayers();
+  const int32_t core_layers = hnsw.NumLayers();
   b->Pod(core_layers);
   std::vector<int32_t> node_level(static_cast<size_t>(num_nodes));
   for (GraphId id = 0; id < num_nodes; ++id) {

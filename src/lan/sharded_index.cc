@@ -376,7 +376,7 @@ SearchResult ShardedLanIndex::Search(const Graph& query,
   }
   // Every shard shares the database alphabet; reject before any shard
   // runs (or records trace events).
-  merged.status = shards_.front()->db().CheckLabels(query);
+  merged.status = shards_.front()->db().CheckGraph(query);
   if (!merged.status.ok()) return merged;
   const int use = max_shards <= 0
                       ? num_shards()

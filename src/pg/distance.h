@@ -2,7 +2,6 @@
 #define LAN_PG_DISTANCE_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/profile.h"
@@ -153,16 +152,16 @@ class DistanceOracle {
  public:
   /// Provider-backed constructor (index query path). `trace` (optional)
   /// receives one kDistance event per computed distance and one kCacheHit
-  /// per cross-query hit. `scratch` (optional) donates an epoch-stamped
-  /// dense cache, making the oracle allocation-free; without it a
-  /// per-query hash map is used.
+  /// per cross-query hit. `scratch` (optional) donates the epoch-stamped
+  /// dense distance cache, making the oracle allocation-free; without it
+  /// the oracle owns one, sized to the database on construction.
   DistanceOracle(const DistanceProvider* provider, const GraphDatabase* db,
                  const QueryContext& ctx, const Graph* query,
                  SearchStats* stats, TraceSink* trace = nullptr,
                  SearchScratch* scratch = nullptr)
       : provider_(provider), db_(db), ctx_(ctx), query_(query), stats_(stats),
-        trace_(trace), scratch_(scratch) {
-    InitCache();
+        trace_(trace), cache_(CacheFor(scratch)) {
+    cache_->Reset(db_->size());
   }
 
   /// Convenience constructor for standalone callers (tests, range search,
@@ -172,30 +171,21 @@ class DistanceOracle {
                  const GedComputer* ged, SearchStats* stats,
                  TraceSink* trace = nullptr, SearchScratch* scratch = nullptr)
       : owned_provider_(db, ged, ged), provider_(&owned_provider_), db_(db),
-        query_(query), stats_(stats), trace_(trace), scratch_(scratch) {
-    InitCache();
+        query_(query), stats_(stats), trace_(trace),
+        cache_(CacheFor(scratch)) {
+    cache_->Reset(db_->size());
   }
 
   DistanceOracle(const DistanceOracle&) = delete;
   DistanceOracle& operator=(const DistanceOracle&) = delete;
 
   /// d(Q, db[id]) under the query protocol; cached for the query's
-  /// lifetime. Scratch-backed: one array probe. Map-backed: single probe —
-  /// try_emplace either finds the cached value or claims the slot the
-  /// computed value lands in.
+  /// lifetime (one array probe).
   double Distance(GraphId id) {
-    if (scratch_ != nullptr) {
-      if (const double* found = scratch_->distance_cache.Find(id)) {
-        return *found;
-      }
-      const double d = ComputeDistance(id);
-      scratch_->distance_cache.Insert(id, d);
-      return d;
-    }
-    auto [it, inserted] = cache_.try_emplace(id, 0.0);
-    if (!inserted) return it->second;
-    it->second = ComputeDistance(id);
-    return it->second;
+    if (const double* found = cache_->Find(id)) return *found;
+    const double d = ComputeDistance(id);
+    cache_->Insert(id, d);
+    return d;
   }
 
   /// True if d(Q, db[id]) has already been evaluated for this query.
@@ -205,11 +195,7 @@ class DistanceOracle {
   /// probe where IsCached + Distance would take two. Note this reflects
   /// only this query's evaluations, never the cross-query cache, so
   /// control flow keyed on it is identical with and without caching.
-  const double* FindCached(GraphId id) const {
-    if (scratch_ != nullptr) return scratch_->distance_cache.Find(id);
-    const auto it = cache_.find(id);
-    return it != cache_.end() ? &it->second : nullptr;
-  }
+  const double* FindCached(GraphId id) const { return cache_->Find(id); }
 
   /// Looks up a memoized model score; charges stats->cache_hits and emits
   /// kCacheHit on a hit.
@@ -244,29 +230,15 @@ class DistanceOracle {
   void set_profile(StageProfile* profile) { profile_ = profile; }
 
   /// Visits every distance evaluated so far with fn(GraphId, double) —
-  /// range queries harvest encounters. Iteration order is unspecified.
+  /// range queries harvest encounters. Visits in evaluation order.
   template <typename Fn>
   void ForEachCached(Fn&& fn) const {
-    if (scratch_ != nullptr) {
-      for (GraphId id : scratch_->distance_cache.keys()) {
-        fn(id, *scratch_->distance_cache.Find(id));
-      }
-      return;
-    }
-    for (const auto& [id, d] : cache_) fn(id, d);
+    for (GraphId id : cache_->keys()) fn(id, *cache_->Find(id));
   }
 
  private:
-  static constexpr size_t kInitialCacheBuckets = 256;
-
-  void InitCache() {
-    if (scratch_ != nullptr) {
-      scratch_->distance_cache.Reset(db_->size());
-    } else {
-      // A routing search touches a few hundred graphs; pre-sizing keeps
-      // the per-distance bookkeeping rehash-free.
-      cache_.reserve(kInitialCacheBuckets);
-    }
+  StampedDoubleMap* CacheFor(SearchScratch* scratch) {
+    return scratch != nullptr ? &scratch->distance_cache : &owned_cache_;
   }
 
   /// First-evaluation path: asks the provider, then charges either NDC
@@ -322,9 +294,9 @@ class DistanceOracle {
   SearchStats* stats_;
   TraceSink* trace_;
   StageProfile* profile_ = nullptr;
-  SearchScratch* scratch_;
   AccumulatingTimer distance_timer_;
-  std::unordered_map<GraphId, double> cache_;
+  StampedDoubleMap owned_cache_;  // used when no scratch is donated
+  StampedDoubleMap* cache_;
 };
 
 }  // namespace lan

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/prefetch.h"
 
 namespace lan {
 namespace {
@@ -620,73 +619,47 @@ void HnswIndex::SkipInsertLevels(Rng* rng, const HnswOptions& options,
 }
 
 void HnswIndex::RebuildViewFromCore() {
-  const GraphId num_nodes = core_.num_nodes;
   entry_point_ = core_.entry;
-  base_layer_ = ProximityGraph(num_nodes);
   layers_.clear();
-  if (num_nodes == 0) return;
-  for (GraphId id = 0; id < num_nodes; ++id) {
-    for (GraphId n : core_.adjacency[0][static_cast<size_t>(id)]) {
-      LAN_CHECK_OK(base_layer_.AddEdge(id, n));
-    }
+  if (core_.num_nodes == 0) {
+    base_layer_ = ProximityGraph();
+    return;
   }
-  // Epoch-publish compaction: search iterates contiguous CSR rows; the
-  // nested base form stays authoritative for the next mutation.
-  base_layer_.Compact();
-  // Upper-layer view rows are the core rows verbatim, written straight
-  // into CSR form.
+  // The base layer is core layer 0 symmetrized; upper layers are the core
+  // rows verbatim.
+  const auto& base_rows = core_.adjacency[0];
+  base_layer_ = ProximityGraph::Symmetrize(
+      core_.num_nodes, [&base_rows](const auto& emit) {
+        for (size_t id = 0; id < base_rows.size(); ++id) {
+          for (GraphId n : base_rows[id]) emit(static_cast<GraphId>(id), n);
+        }
+      });
   for (size_t l = 1; l < core_.adjacency.size(); ++l) {
-    const auto& rows = core_.adjacency[l];
-    UpperLayer layer;
-    layer.owned_offsets.assign(static_cast<size_t>(num_nodes) + 1, 0);
-    for (GraphId id = 0; id < num_nodes; ++id) {
-      layer.owned_offsets[static_cast<size_t>(id) + 1] =
-          layer.owned_offsets[static_cast<size_t>(id)] +
-          static_cast<int64_t>(rows[static_cast<size_t>(id)].size());
-    }
-    layer.owned_neighbors.reserve(
-        static_cast<size_t>(layer.owned_offsets.back()));
-    for (GraphId id = 0; id < num_nodes; ++id) {
-      const auto& row = rows[static_cast<size_t>(id)];
-      layer.owned_neighbors.insert(layer.owned_neighbors.end(), row.begin(),
-                                   row.end());
-    }
-    layers_.push_back(std::move(layer));
+    layers_.push_back(ProximityGraph::FromRows(core_.adjacency[l]));
   }
-}
-
-void HnswIndex::UpperLayer::PrefetchRow(GraphId id) const {
-  PrefetchRead(neighbors() + offsets()[static_cast<size_t>(id)]);
 }
 
 std::span<const GraphId> HnswIndex::CoreRow(int layer, GraphId id) const {
-  if (frozen()) {
-    const auto& [offsets, neighbors] = core_csr_[static_cast<size_t>(layer)];
-    const int64_t begin = offsets[static_cast<size_t>(id)];
-    const int64_t end = offsets[static_cast<size_t>(id) + 1];
-    return {neighbors + begin, static_cast<size_t>(end - begin)};
+  if (layer > 0) {
+    return layers_[static_cast<size_t>(layer) - 1].NeighborSpan(id);
   }
-  const auto& row =
-      core_.adjacency[static_cast<size_t>(layer)][static_cast<size_t>(id)];
+  if (frozen()) return frozen_core0_.NeighborSpan(id);
+  const auto& row = core_.adjacency[0][static_cast<size_t>(id)];
   return {row.data(), row.size()};
 }
 
 void HnswIndex::Thaw() {
   if (!frozen()) return;
-  const GraphId num_nodes = core_.num_nodes;
-  core_.adjacency.assign(core_csr_.size(), {});
-  for (size_t l = 0; l < core_csr_.size(); ++l) {
-    const auto& [offsets, neighbors] = core_csr_[l];
-    auto& layer = core_.adjacency[l];
-    layer.resize(static_cast<size_t>(num_nodes));
-    for (GraphId id = 0; id < num_nodes; ++id) {
-      const int64_t begin = offsets[static_cast<size_t>(id)];
-      const int64_t end = offsets[static_cast<size_t>(id) + 1];
-      layer[static_cast<size_t>(id)].assign(neighbors + begin,
-                                            neighbors + end);
+  core_.adjacency.assign(static_cast<size_t>(NumLayers()), {});
+  for (int l = 0; l < NumLayers(); ++l) {
+    auto& layer = core_.adjacency[static_cast<size_t>(l)];
+    layer.resize(static_cast<size_t>(core_.num_nodes));
+    for (GraphId id = 0; id < core_.num_nodes; ++id) {
+      const std::span<const GraphId> row = CoreRow(l, id);
+      layer[static_cast<size_t>(id)].assign(row.begin(), row.end());
     }
   }
-  core_csr_.clear();
+  frozen_core0_ = ProximityGraph();
   // The routing view (base_layer_/layers_) still points at the attached
   // CSRs; the caller's next RebuildViewFromCore replaces it with an owned
   // one. Until then the snapshot backing must stay alive — Insert, the
@@ -748,17 +721,17 @@ Result<HnswIndex> HnswIndex::FromSnapshotView(const HnswSnapshotView& view) {
   index.entry_point_ = view.entry;
   index.core_.node_level.assign(view.node_level,
                                 view.node_level + view.num_nodes);
-  index.base_layer_.AttachFlatView(view.num_nodes, view.base_offsets,
-                                   view.base_neighbors);
+  index.base_layer_ = ProximityGraph::View(view.num_nodes, view.base_offsets,
+                                           view.base_neighbors);
+  // Upper-layer view rows equal core rows (RebuildViewFromCore copies them
+  // verbatim above the base), so the core CSR backs both.
   for (size_t l = 1; l < num_layers; ++l) {
-    // Upper-layer view rows equal core rows (RebuildViewFromCore copies
-    // them verbatim above the base), so the core CSR backs both.
-    UpperLayer layer;
-    layer.ext_offsets = view.core_layers[l].first;
-    layer.ext_neighbors = view.core_layers[l].second;
-    index.layers_.push_back(std::move(layer));
+    index.layers_.push_back(ProximityGraph::View(
+        view.num_nodes, view.core_layers[l].first,
+        view.core_layers[l].second));
   }
-  index.core_csr_ = view.core_layers;
+  index.frozen_core0_ = ProximityGraph::View(
+      view.num_nodes, view.core_layers[0].first, view.core_layers[0].second);
   return index;
 }
 
@@ -787,7 +760,7 @@ GraphId HnswIndex::SelectInitialNodeFn(
       curr_d = best_d;
       // Hint the next hop's row while the distance evaluations above are
       // still warm in flight.
-      it->PrefetchRow(curr);
+      it->PrefetchNeighbors(curr);
     }
   }
   return curr;

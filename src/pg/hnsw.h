@@ -121,8 +121,8 @@ class HnswIndex {
 
   /// Builds a frozen index over a mapped snapshot section without copying
   /// the adjacency: the base layer and every upper layer route directly
-  /// over the view's CSR arrays, and the construction-form core is kept
-  /// as per-layer CSR pointers. Allocation count is O(num_layers), not
+  /// over the view's CSR arrays, and the directed core layer 0 is kept as
+  /// one more borrowed CSR. Allocation count is O(num_layers), not
   /// O(num_nodes). Validates structure (monotone offsets, ids in range,
   /// no self loops) and returns a Status on malformed input. A frozen
   /// index serves Search normally; the first Insert thaws it
@@ -130,14 +130,11 @@ class HnswIndex {
   static Result<HnswIndex> FromSnapshotView(const HnswSnapshotView& view);
 
   /// True while the adjacency is backed by an attached snapshot view.
-  bool frozen() const { return !core_csr_.empty(); }
+  bool frozen() const { return frozen_core0_.NumNodes() > 0; }
 
-  /// Construction-form introspection for the snapshot codec; works in
-  /// both frozen and owned modes.
-  int NumCoreLayers() const {
-    return frozen() ? static_cast<int>(core_csr_.size())
-                    : static_cast<int>(core_.adjacency.size());
-  }
+  /// Construction-form (directed) row of `id` at `layer` in [0,
+  /// NumLayers()), for the snapshot codec; works in both frozen and owned
+  /// modes.
   std::span<const GraphId> CoreRow(int layer, GraphId id) const;
   int NodeLevel(GraphId id) const {
     return core_.node_level[static_cast<size_t>(id)];
@@ -170,48 +167,25 @@ class HnswIndex {
                        const std::vector<uint8_t>* live = nullptr) const;
 
  private:
-  /// CSR adjacency of upper layer l (1-based in HNSW terms): row of node i
-  /// is neighbors[offsets[i] .. offsets[i+1]), empty for nodes below the
-  /// layer. Owned (written from the core by RebuildViewFromCore) or, in
-  /// snapshot view mode, external pointers into the mapping.
-  struct UpperLayer {
-    std::vector<int64_t> owned_offsets;
-    std::vector<GraphId> owned_neighbors;
-    /// External CSR (snapshot view mode): not owned; null == owned mode.
-    const int64_t* ext_offsets = nullptr;
-    const GraphId* ext_neighbors = nullptr;
-
-    const int64_t* offsets() const {
-      return ext_offsets != nullptr ? ext_offsets : owned_offsets.data();
-    }
-    const GraphId* neighbors() const {
-      return ext_offsets != nullptr ? ext_neighbors : owned_neighbors.data();
-    }
-    std::span<const GraphId> NeighborSpan(GraphId id) const {
-      const int64_t begin = offsets()[static_cast<size_t>(id)];
-      const int64_t end = offsets()[static_cast<size_t>(id) + 1];
-      return {neighbors() + begin, static_cast<size_t>(end - begin)};
-    }
-    /// Prefetch hint for `id`'s row.
-    void PrefetchRow(GraphId id) const;
-  };
-
   /// Re-derives the public view (symmetrized base layer, CSR upper
   /// layers, entry point) from `core_`; called after every mutation.
   void RebuildViewFromCore();
   /// Frozen -> owned: materializes the nested core adjacency from the
-  /// attached per-layer CSRs and drops the view pointers. The routing
-  /// view still references the attached arrays until the next
+  /// attached CSRs (CoreRow) and drops the borrowed core layer 0. The
+  /// routing view still references the attached arrays until the next
   /// RebuildViewFromCore, so the backing must stay alive through it.
   void Thaw();
 
   HnswCore core_;
   ProximityGraph base_layer_;
-  std::vector<UpperLayer> layers_;
+  /// Upper layer l (1-based in HNSW terms) at layers_[l - 1]: the core
+  /// rows verbatim, empty for nodes below the layer. These rows are also
+  /// the construction form of layers >= 1, so CoreRow reads them.
+  std::vector<ProximityGraph> layers_;
   GraphId entry_point_ = kInvalidGraphId;
-  /// Frozen mode: construction-form adjacency as per-layer CSR pointers
-  /// into the snapshot mapping (layer 0 first). Empty == owned mode.
-  std::vector<std::pair<const int64_t*, const GraphId*>> core_csr_;
+  /// Frozen mode: the directed core layer 0, borrowed from the snapshot
+  /// mapping. Empty == owned mode (core_.adjacency is authoritative).
+  ProximityGraph frozen_core0_;
 };
 
 }  // namespace lan

@@ -1,73 +1,42 @@
 #include "pg/proximity_graph.h"
 
-#include <algorithm>
 #include <deque>
 
 #include "common/string_util.h"
 
 namespace lan {
 
-Status ProximityGraph::AddEdge(GraphId a, GraphId b) {
-  if (is_view()) {
-    return Status::FailedPrecondition(
-        "pg is an immutable snapshot view; rebuild before mutating");
+Result<ProximityGraph> ProximityGraph::FromEdges(
+    GraphId num_nodes, std::span<const std::pair<GraphId, GraphId>> edges) {
+  if (num_nodes < 0) {
+    return Status::InvalidArgument(StrFormat("pg node count %d", num_nodes));
   }
-  if (a < 0 || b < 0 || a >= NumNodes() || b >= NumNodes()) {
-    return Status::OutOfRange(StrFormat("pg edge (%d,%d) out of range", a, b));
+  for (const auto& [a, b] : edges) {
+    if (a < 0 || b < 0 || a >= num_nodes || b >= num_nodes) {
+      return Status::OutOfRange(
+          StrFormat("pg edge (%d,%d) out of range", a, b));
+    }
+    if (a == b) {
+      return Status::InvalidArgument(StrFormat("pg self-loop at %d", a));
+    }
   }
-  if (a == b) {
-    return Status::InvalidArgument(StrFormat("pg self-loop at %d", a));
-  }
-  if (HasEdge(a, b)) return Status::OK();  // idempotent
-  ClearFlatView();  // nested form is about to diverge from the CSR copy
-  auto& la = adjacency_[static_cast<size_t>(a)];
-  auto& lb = adjacency_[static_cast<size_t>(b)];
-  la.insert(std::lower_bound(la.begin(), la.end(), b), b);
-  lb.insert(std::lower_bound(lb.begin(), lb.end(), a), a);
-  ++num_edges_;
-  return Status::OK();
+  return Symmetrize(num_nodes, [edges](const auto& emit) {
+    for (const auto& [a, b] : edges) emit(a, b);
+  });
 }
 
-void ProximityGraph::Compact() {
-  if (is_view()) return;  // the attached CSR is already contiguous
-  flat_offsets_.assign(adjacency_.size() + 1, 0);
-  int64_t total = 0;
-  for (size_t i = 0; i < adjacency_.size(); ++i) {
-    flat_offsets_[i] = total;
-    total += static_cast<int64_t>(adjacency_[i].size());
+ProximityGraph ProximityGraph::FromRows(
+    const std::vector<std::vector<GraphId>>& rows) {
+  std::vector<int64_t> offsets(rows.size() + 1, 0);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    offsets[i + 1] = offsets[i] + static_cast<int64_t>(rows[i].size());
   }
-  flat_offsets_[adjacency_.size()] = total;
-  flat_neighbors_.clear();
-  flat_neighbors_.reserve(static_cast<size_t>(total));
-  for (const auto& row : adjacency_) {
-    flat_neighbors_.insert(flat_neighbors_.end(), row.begin(), row.end());
+  std::vector<GraphId> neighbors;
+  neighbors.reserve(static_cast<size_t>(offsets.back()));
+  for (const auto& row : rows) {
+    neighbors.insert(neighbors.end(), row.begin(), row.end());
   }
-}
-
-void ProximityGraph::ClearFlatView() {
-  if (is_view()) return;  // no nested fallback to fall back to
-  flat_offsets_.clear();
-  flat_offsets_.shrink_to_fit();
-  flat_neighbors_.clear();
-  flat_neighbors_.shrink_to_fit();
-}
-
-void ProximityGraph::AttachFlatView(GraphId num_nodes, const int64_t* offsets,
-                                    const GraphId* neighbors) {
-  adjacency_.clear();
-  flat_offsets_.clear();
-  flat_neighbors_.clear();
-  view_num_nodes_ = num_nodes;
-  view_offsets_ = offsets;
-  view_neighbors_ = neighbors;
-  // Symmetrized CSR: each undirected edge appears in both rows.
-  num_edges_ = offsets[static_cast<size_t>(num_nodes)] / 2;
-}
-
-bool ProximityGraph::HasEdge(GraphId a, GraphId b) const {
-  if (a < 0 || b < 0 || a >= NumNodes() || b >= NumNodes()) return false;
-  const std::span<const GraphId> row = NeighborSpan(a);
-  return std::binary_search(row.begin(), row.end(), b);
+  return ProximityGraph(std::move(offsets), std::move(neighbors));
 }
 
 bool ProximityGraph::IsConnected() const {
@@ -89,20 +58,6 @@ bool ProximityGraph::IsConnected() const {
     }
   }
   return visited == static_cast<size_t>(num_nodes);
-}
-
-std::string ProximityGraph::ToDot(const std::string& name) const {
-  std::string out = "graph " + name + " {\n";
-  for (GraphId id = 0; id < NumNodes(); ++id) {
-    out += StrFormat("  n%d;\n", id);
-  }
-  for (GraphId id = 0; id < NumNodes(); ++id) {
-    for (GraphId n : NeighborSpan(id)) {
-      if (id < n) out += StrFormat("  n%d -- n%d;\n", id, n);
-    }
-  }
-  out += "}\n";
-  return out;
 }
 
 }  // namespace lan

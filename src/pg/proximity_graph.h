@@ -1,152 +1,145 @@
 #ifndef LAN_PG_PROXIMITY_GRAPH_H_
 #define LAN_PG_PROXIMITY_GRAPH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
-#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/prefetch.h"
 #include "common/status.h"
+#include "common/vec_view.h"
 #include "graph/graph.h"
 
 namespace lan {
 
 /// \brief The proximity-graph index structure: an undirected graph over
-/// GraphIds of a database (Sec. III-B). Construction lives in
-/// NswBuilder / HnswIndex; routing in beam_search / np_route.
+/// GraphIds of a database (Sec. III-B). HnswIndex builds it; routing
+/// (beam_search, np_route) reads it.
 ///
-/// Two adjacency forms coexist. The nested `vector<vector<GraphId>>` is
-/// the authoritative, mutable construction form (AddEdge). Compact()
-/// additionally derives a contiguous CSR copy (`flat_offsets_` +
-/// `flat_neighbors_`) that the search hot loops iterate through
-/// NeighborSpan(): one cache-friendly row per node instead of one heap
-/// allocation per node, plus Prefetch* hints for upcoming rows.
-/// Publish-time code (HnswIndex::RebuildViewFromCore) compacts; a later
-/// AddEdge invalidates the CSR copy and NeighborSpan falls back to the
-/// nested form, so the two views can never disagree.
-///
-/// A third, immutable form exists for snapshot loading: AttachFlatView
-/// points the graph at an externally owned CSR (typically a mapped
-/// snapshot section) without copying it. A view-backed graph rejects
-/// AddEdge; the caller must keep the backing memory alive for the
-/// graph's lifetime (LanIndex threads the mapping through
+/// One immutable CSR: the row of node i is neighbors[offsets[i] ..
+/// offsets[i+1]), one contiguous array the search hot loops iterate
+/// through NeighborSpan(), plus Prefetch hints for upcoming rows. The
+/// arrays are either owned or borrowed from a mapped snapshot section
+/// (ConstVecView); a borrowed graph, and every copy of it, depends on the
+/// backing staying alive (LanIndex threads the mapping through
 /// IndexSnapshot::backing).
+///
+/// FromEdges is the public way to assemble one: it validates, symmetrizes
+/// and sorts, so rows are ascending and every undirected edge appears in
+/// both rows. HnswIndex also stores its directed per-layer rows (upper
+/// layers, the frozen core) in this type; those rows keep construction
+/// order, so only NeighborSpan/PrefetchNeighbors apply to them.
 class ProximityGraph {
  public:
+  /// The empty graph (zero nodes).
   ProximityGraph() = default;
-  explicit ProximityGraph(GraphId num_nodes)
-      : adjacency_(static_cast<size_t>(num_nodes)) {}
+
+  /// Undirected graph on ids [0, num_nodes) with the given edges. Each
+  /// edge lands in both endpoint rows; rows come out sorted and free of
+  /// duplicates, so repeated edges (in either direction) are idempotent.
+  /// Rejects a self-loop (InvalidArgument) and an id outside the range
+  /// (OutOfRange).
+  static Result<ProximityGraph> FromEdges(
+      GraphId num_nodes, std::span<const std::pair<GraphId, GraphId>> edges);
 
   GraphId NumNodes() const {
-    return is_view() ? view_num_nodes_
-                     : static_cast<GraphId>(adjacency_.size());
+    return offsets_.empty() ? 0 : static_cast<GraphId>(offsets_.size() - 1);
   }
 
-  /// Adds the undirected edge {a, b} if absent; self-loops rejected.
-  /// Invalidates a previously Compact()ed flat view. Fails on a
-  /// view-backed graph (FailedPrecondition) — thaw/rebuild first.
-  Status AddEdge(GraphId a, GraphId b);
-
-  bool HasEdge(GraphId a, GraphId b) const;
-
-  /// Sorted neighbor list (construction form; invalid in view mode —
-  /// use NeighborSpan, which covers every mode).
-  const std::vector<GraphId>& Neighbors(GraphId id) const {
-    return adjacency_[static_cast<size_t>(id)];
-  }
-
-  /// Search-time neighbor view: the attached/owned CSR row when present,
-  /// the nested list otherwise. Same ids in the same order either way, so
-  /// routing results are bitwise independent of which form backs the span.
+  /// Neighbor row of `id`, ascending for undirected graphs.
   std::span<const GraphId> NeighborSpan(GraphId id) const {
-    if (is_view()) {
-      const int64_t begin = view_offsets_[static_cast<size_t>(id)];
-      const int64_t end = view_offsets_[static_cast<size_t>(id) + 1];
-      return {view_neighbors_ + begin, static_cast<size_t>(end - begin)};
-    }
-    if (!flat_offsets_.empty()) {
-      const auto begin = flat_offsets_[static_cast<size_t>(id)];
-      const auto end = flat_offsets_[static_cast<size_t>(id) + 1];
-      return {flat_neighbors_.data() + begin,
-              static_cast<size_t>(end - begin)};
-    }
-    const auto& nested = adjacency_[static_cast<size_t>(id)];
-    return {nested.data(), nested.size()};
+    const int64_t begin = offsets_[static_cast<size_t>(id)];
+    const int64_t end = offsets_[static_cast<size_t>(id) + 1];
+    return {neighbors_.data() + begin, static_cast<size_t>(end - begin)};
   }
-
-  /// Derives the contiguous CSR view from the nested adjacency. Idempotent;
-  /// called once per epoch publish, after construction settles. No-op on a
-  /// view-backed graph (the attached CSR is already contiguous).
-  void Compact();
-
-  /// True while a valid CSR view backs NeighborSpan().
-  bool compacted() const { return is_view() || !flat_offsets_.empty(); }
-
-  /// Points the graph at an externally owned CSR adjacency without
-  /// copying: row of node i is neighbors[offsets[i] .. offsets[i+1]),
-  /// rows sorted ascending, both directions of every undirected edge
-  /// present (offsets[num_nodes] counts each edge twice). Replaces any
-  /// owned adjacency; zero allocations. The arrays must outlive the
-  /// graph and every copy of it.
-  void AttachFlatView(GraphId num_nodes, const int64_t* offsets,
-                      const GraphId* neighbors);
-
-  /// True when AttachFlatView backs the adjacency (immutable mode).
-  bool is_view() const { return view_offsets_ != nullptr; }
 
   /// Hints the cache that `id`'s neighbor row is about to be scanned.
-  /// No-op unless compacted (nested rows are scattered heap allocations
-  /// whose base pointer is itself a dependent load).
   void PrefetchNeighbors(GraphId id) const {
-    if (is_view()) {
-      const int64_t begin = view_offsets_[static_cast<size_t>(id)];
-      const int64_t end = view_offsets_[static_cast<size_t>(id) + 1];
-      PrefetchReadRange(view_neighbors_ + begin,
-                        static_cast<size_t>(end - begin) * sizeof(GraphId));
-      return;
-    }
-    if (flat_offsets_.empty()) return;
-    const auto begin = flat_offsets_[static_cast<size_t>(id)];
-    const auto end = flat_offsets_[static_cast<size_t>(id) + 1];
-    PrefetchReadRange(flat_neighbors_.data() + begin,
-                      static_cast<size_t>(end - begin) * sizeof(GraphId));
+    const std::span<const GraphId> row = NeighborSpan(id);
+    PrefetchReadRange(row.data(), row.size() * sizeof(GraphId));
   }
 
   int32_t Degree(GraphId id) const {
     return static_cast<int32_t>(NeighborSpan(id).size());
   }
 
-  int64_t NumEdges() const { return num_edges_; }
+  /// Undirected edge count (each edge fills two row slots).
+  int64_t NumEdges() const {
+    return static_cast<int64_t>(neighbors_.size()) / 2;
+  }
   double AverageDegree() const {
-    return NumNodes() == 0
-               ? 0.0
-               : 2.0 * static_cast<double>(num_edges_) /
-                     static_cast<double>(NumNodes());
+    return NumNodes() == 0 ? 0.0
+                           : static_cast<double>(neighbors_.size()) /
+                                 static_cast<double>(NumNodes());
   }
 
   /// True if every node can reach node 0 (empty graphs are connected).
   bool IsConnected() const;
 
-  /// Graphviz DOT rendering of the index topology (debug/visualization).
-  std::string ToDot(const std::string& name = "PG") const;
-
  private:
-  /// Drops the CSR view (NeighborSpan falls back to the nested form);
-  /// AddEdge calls it before the nested form diverges. No-op on a
-  /// view-backed graph, which has no nested fallback.
-  void ClearFlatView();
+  friend class HnswIndex;
 
-  std::vector<std::vector<GraphId>> adjacency_;
-  int64_t num_edges_ = 0;
-  /// CSR view: row of node i is flat_neighbors_[flat_offsets_[i] ..
-  /// flat_offsets_[i+1]). Empty offsets == not compacted.
-  std::vector<int64_t> flat_offsets_;
-  std::vector<GraphId> flat_neighbors_;
-  /// External CSR view (AttachFlatView): not owned; null == not attached.
-  GraphId view_num_nodes_ = 0;
-  const int64_t* view_offsets_ = nullptr;
-  const GraphId* view_neighbors_ = nullptr;
+  ProximityGraph(ConstVecView<int64_t> offsets,
+                 ConstVecView<GraphId> neighbors)
+      : offsets_(std::move(offsets)), neighbors_(std::move(neighbors)) {}
+
+  /// Borrowed CSR over `num_nodes` rows (no copy, no validation).
+  static ProximityGraph View(GraphId num_nodes, const int64_t* offsets,
+                             const GraphId* neighbors) {
+    return ProximityGraph(
+        ConstVecView<int64_t>(offsets, static_cast<size_t>(num_nodes) + 1),
+        ConstVecView<GraphId>(neighbors,
+                              static_cast<size_t>(offsets[num_nodes])));
+  }
+
+  /// Owned CSR with `rows` taken verbatim (row order kept).
+  static ProximityGraph FromRows(
+      const std::vector<std::vector<GraphId>>& rows);
+
+  /// Owned undirected CSR: `for_each_edge(emit)` calls emit(a, b) for
+  /// every edge, in one or both directions and possibly repeated; ids must
+  /// be in range and distinct. Degree count, fill both directions, then
+  /// sort and de-duplicate each row in place.
+  template <typename ForEachEdge>
+  static ProximityGraph Symmetrize(GraphId num_nodes,
+                                   const ForEachEdge& for_each_edge) {
+    const size_t n = static_cast<size_t>(num_nodes);
+    std::vector<int64_t> offsets(n + 1, 0);
+    for_each_edge([&offsets](GraphId a, GraphId b) {
+      LAN_DCHECK(a != b);
+      ++offsets[static_cast<size_t>(a) + 1];
+      ++offsets[static_cast<size_t>(b) + 1];
+    });
+    for (size_t i = 0; i < n; ++i) offsets[i + 1] += offsets[i];
+    std::vector<GraphId> neighbors(static_cast<size_t>(offsets[n]));
+    std::vector<int64_t> cursor(offsets.begin(), offsets.end() - 1);
+    for_each_edge([&neighbors, &cursor](GraphId a, GraphId b) {
+      neighbors[static_cast<size_t>(cursor[static_cast<size_t>(a)]++)] = b;
+      neighbors[static_cast<size_t>(cursor[static_cast<size_t>(b)]++)] = a;
+    });
+    // Rows shift left as duplicates drop out; row i is read at its filled
+    // offsets before offsets[i] is overwritten with its final one.
+    int64_t out = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const auto begin = neighbors.begin() + offsets[i];
+      const auto end = neighbors.begin() + offsets[i + 1];
+      std::sort(begin, end);
+      const auto last = std::unique(begin, end);
+      offsets[i] = out;
+      const auto dest = neighbors.begin() + out;
+      if (dest != begin) std::copy(begin, last, dest);
+      out += last - begin;
+    }
+    offsets[n] = out;
+    neighbors.resize(static_cast<size_t>(out));
+    return ProximityGraph(std::move(offsets), std::move(neighbors));
+  }
+
+  ConstVecView<int64_t> offsets_;  // [NumNodes() + 1], or empty
+  ConstVecView<GraphId> neighbors_;
 };
 
 }  // namespace lan

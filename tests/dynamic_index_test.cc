@@ -10,7 +10,6 @@
 #include "lan/ground_truth.h"
 #include "pg/beam_search.h"
 #include "pg/hnsw.h"
-#include "pg/nsw_builder.h"
 
 namespace lan {
 namespace {
@@ -106,33 +105,16 @@ TEST(HnswInsertTest, RejectsOutOfOrderIds) {
   EXPECT_FALSE(index.Insert(0, distance, options, &rng).ok());
 }
 
-// ---------- Exact kNN graph ----------
+// ---------- HNSW base layer as a reference topology ----------
 
-TEST(ExactKnnGraphTest, LinksTrueNearestNeighbors) {
-  // 1-D points: node i's 2 nearest are i-1 and i+1.
-  std::vector<double> points = {0, 10, 20, 30, 40, 50};
-  ProximityGraph pg = BuildExactKnnGraph(
-      6,
-      [&points](GraphId a, GraphId b) {
-        return std::abs(points[static_cast<size_t>(a)] -
-                        points[static_cast<size_t>(b)]);
-      },
-      /*M=*/2);
-  for (GraphId i = 1; i + 1 < 6; ++i) {
-    EXPECT_TRUE(pg.HasEdge(i, i - 1));
-    EXPECT_TRUE(pg.HasEdge(i, i + 1));
-  }
-  EXPECT_FALSE(pg.HasEdge(0, 5));
-}
-
-TEST(ExactKnnGraphTest, BeatsOrMatchesNswAsReferenceTopology) {
+TEST(HnswBaseLayerTest, RoutesAsReferenceTopology) {
   DatasetSpec spec = DatasetSpec::SynLike(40);
   GraphDatabase db = GenerateDatabase(spec, 6);
   GedComputer ged(FastGed());
-  auto distance = [&db, &ged](GraphId a, GraphId b) {
-    return ged.Distance(db.Get(a), db.Get(b));
-  };
-  ProximityGraph exact = BuildExactKnnGraph(db.size(), distance, 5);
+  HnswOptions options;
+  options.M = 5;
+  const HnswIndex hnsw = HnswIndex::Build(db, ged, options);
+  const ProximityGraph& pg = hnsw.BaseLayer();
   Rng rng(7);
   double recall = 0.0;
   const int kQueries = 5;
@@ -142,7 +124,7 @@ TEST(ExactKnnGraphTest, BeatsOrMatchesNswAsReferenceTopology) {
         db.num_labels(), &rng);
     SearchStats stats;
     DistanceOracle oracle(&db, &query, &ged, &stats);
-    RoutingResult result = BeamSearchRoute(exact, &oracle, 0, 12, 5);
+    RoutingResult result = BeamSearchRoute(pg, &oracle, 0, 12, 5);
     KnnList truth = ComputeGroundTruth(db, query, 5, ged);
     recall += RecallAtK(result.results, truth, 5);
   }

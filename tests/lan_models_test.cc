@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "graph/graph_generator.h"
@@ -12,6 +14,7 @@
 #include "lan/rank_model.h"
 #include "lan/regression_ranker.h"
 #include "pg/distance.h"
+#include "pg/proximity_graph.h"
 #include "lan/workload.h"
 
 namespace lan {
@@ -22,6 +25,13 @@ GedOptions FastGed() {
   o.approximate_only = true;
   o.beam_width = 0;
   return o;
+}
+
+/// The path 0 - 1 - ... - (n-1).
+ProximityGraph PathGraph(GraphId n) {
+  std::vector<std::pair<GraphId, GraphId>> edges;
+  for (GraphId i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
+  return ProximityGraph::FromEdges(n, edges).value();
 }
 
 PairScorerOptions TinyScorer(int heads = 1, bool context = false) {
@@ -178,14 +188,15 @@ TEST(RankModelTest, BuildExamplesLabelsMonotone) {
   // Per head h, labels must be monotone: in top 20% implies in top 40%...
   GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(30), 11);
   GedComputer ged(FastGed());
-  ProximityGraph pg(db.size());
+  std::vector<std::pair<GraphId, GraphId>> edges;
   Rng rng(11);
   for (GraphId i = 0; i < db.size(); ++i) {
     for (int e = 0; e < 5; ++e) {
       GraphId j = static_cast<GraphId>(rng.NextBounded(30));
-      if (i != j) ASSERT_TRUE(pg.AddEdge(i, j).ok());
+      if (i != j) edges.emplace_back(i, j);
     }
   }
+  const ProximityGraph pg = ProximityGraph::FromEdges(db.size(), edges).value();
   Graph query = db.Get(0);
   std::vector<std::vector<double>> distances = {
       ComputeAllDistances(db, query, ged)};
@@ -213,10 +224,7 @@ TEST(RankModelTest, BuildExamplesLabelsMonotone) {
 TEST(RankModelTest, GammaStarFiltersNodes) {
   GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(20), 12);
   GedComputer ged(FastGed());
-  ProximityGraph pg(db.size());
-  for (GraphId i = 0; i + 1 < db.size(); ++i) {
-    ASSERT_TRUE(pg.AddEdge(i, i + 1).ok());
-  }
+  const ProximityGraph pg = PathGraph(db.size());
   Graph query = db.Get(0);
   std::vector<std::vector<double>> distances = {
       ComputeAllDistances(db, query, ged)};
@@ -230,14 +238,15 @@ TEST(RankModelTest, GammaStarFiltersNodes) {
 TEST(RankModelTest, TrainingReducesLoss) {
   GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(25), 13);
   GedComputer ged(FastGed());
-  ProximityGraph pg(db.size());
+  std::vector<std::pair<GraphId, GraphId>> edges;
   Rng rng(13);
   for (GraphId i = 0; i < db.size(); ++i) {
     for (int e = 0; e < 4; ++e) {
       GraphId j = static_cast<GraphId>(rng.NextBounded(25));
-      if (i != j) ASSERT_TRUE(pg.AddEdge(i, j).ok());
+      if (i != j) edges.emplace_back(i, j);
     }
   }
+  const ProximityGraph pg = ProximityGraph::FromEdges(db.size(), edges).value();
   std::vector<Graph> queries = {db.Get(1), db.Get(2)};
   std::vector<std::vector<double>> distances;
   for (const Graph& q : queries) {
@@ -414,10 +423,7 @@ TEST(ClusterModelTest, PredictionsNonNegative) {
 TEST(RegressionRankerTest, BuildExamplesStayInNeighborhoods) {
   GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(25), 50);
   GedComputer ged(FastGed());
-  ProximityGraph pg(db.size());
-  for (GraphId i = 0; i + 1 < db.size(); ++i) {
-    ASSERT_TRUE(pg.AddEdge(i, i + 1).ok());
-  }
+  const ProximityGraph pg = PathGraph(db.size());
   std::vector<std::vector<double>> distances = {
       ComputeAllDistances(db, db.Get(0), ged)};
   Rng rng(51);
@@ -436,14 +442,15 @@ TEST(RegressionRankerTest, BuildExamplesStayInNeighborhoods) {
 TEST(RegressionRankerTest, LearnsToOrderByDistance) {
   GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(30), 52);
   GedComputer ged(FastGed());
-  ProximityGraph pg(db.size());
+  std::vector<std::pair<GraphId, GraphId>> edges;
   Rng rng(53);
   for (GraphId i = 0; i < db.size(); ++i) {
     for (int e = 0; e < 4; ++e) {
       GraphId j = static_cast<GraphId>(rng.NextBounded(30));
-      if (i != j) ASSERT_TRUE(pg.AddEdge(i, j).ok());
+      if (i != j) edges.emplace_back(i, j);
     }
   }
+  const ProximityGraph pg = ProximityGraph::FromEdges(db.size(), edges).value();
   std::vector<Graph> queries = {db.Get(1), db.Get(7)};
   std::vector<std::vector<double>> distances;
   for (const Graph& q : queries) {

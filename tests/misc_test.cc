@@ -3,6 +3,8 @@
 #include <sstream>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "graph/graph_dot.h"
 #include "graph/graph_io.h"
@@ -47,15 +49,6 @@ TEST(GraphDotTest, StreamVariant) {
   std::ostringstream out;
   EXPECT_TRUE(WriteDot(g, out).ok());
   EXPECT_FALSE(out.str().empty());
-}
-
-TEST(ProximityGraphDotTest, RendersTopology) {
-  ProximityGraph pg(3);
-  ASSERT_TRUE(pg.AddEdge(0, 2).ok());
-  const std::string dot = pg.ToDot("Index");
-  EXPECT_NE(dot.find("graph Index {"), std::string::npos);
-  EXPECT_NE(dot.find("n0 -- n2;"), std::string::npos);
-  EXPECT_EQ(dot.find("n2 -- n0"), std::string::npos);  // each edge once
 }
 
 // ---------- LanConfig validation ----------
@@ -148,11 +141,12 @@ TEST(RoutingTraceTest, NpRouteRecordsExplorationOrder) {
   gopts.approximate_only = true;
   gopts.beam_width = 0;
   GedComputer ged(gopts);
-  ProximityGraph pg(db.size());
+  std::vector<std::pair<GraphId, GraphId>> edges;
   for (GraphId i = 0; i + 1 < db.size(); ++i) {
-    ASSERT_TRUE(pg.AddEdge(i, i + 1).ok());
-    if (i + 5 < db.size()) ASSERT_TRUE(pg.AddEdge(i, i + 5).ok());
+    edges.emplace_back(i, i + 1);
+    if (i + 5 < db.size()) edges.emplace_back(i, i + 5);
   }
+  const ProximityGraph pg = ProximityGraph::FromEdges(db.size(), edges).value();
   Graph query = db.Get(20);
   SearchStats stats;
   DistanceOracle oracle(&db, &query, &ged, &stats);
@@ -177,8 +171,9 @@ TEST(RoutingTraceTest, NpRouteRecordsExplorationOrder) {
 }
 
 TEST(RoutingTraceTest, BeamSearchTrace) {
-  ProximityGraph pg(5);
-  for (GraphId i = 0; i + 1 < 5; ++i) ASSERT_TRUE(pg.AddEdge(i, i + 1).ok());
+  std::vector<std::pair<GraphId, GraphId>> edges;
+  for (GraphId i = 0; i + 1 < 5; ++i) edges.emplace_back(i, i + 1);
+  const ProximityGraph pg = ProximityGraph::FromEdges(5, edges).value();
   auto result = BeamSearchRouteFn(
       pg, [](GraphId id) { return static_cast<double>(10 - id); },
       /*init=*/0, /*beam=*/5, /*k=*/2, /*record_trace=*/true);

@@ -63,7 +63,9 @@ uint64_t TopologyHash(const HnswIndex& index) {
   const ProximityGraph& base = index.BaseLayer();
   h = Fnv(h, static_cast<uint64_t>(base.NumNodes()));
   for (GraphId id = 0; id < base.NumNodes(); ++id) {
-    for (GraphId n : base.Neighbors(id)) h = Fnv(h, static_cast<uint64_t>(n));
+    for (GraphId n : base.NeighborSpan(id)) {
+      h = Fnv(h, static_cast<uint64_t>(n));
+    }
     h = Fnv(h, 0xfffffffffULL);
   }
   return h;

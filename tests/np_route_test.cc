@@ -168,7 +168,7 @@ TEST(NpRouteTest, SingleNodeDatabase) {
   ASSERT_TRUE(g.AddEdge(0, 1).ok());
   ASSERT_TRUE(db.Add(g).ok());
   GedComputer ged(FastGed());
-  ProximityGraph pg(1);
+  const ProximityGraph pg = ProximityGraph::FromEdges(1, {}).value();
   SearchStats stats;
   Graph query = g;
   DistanceOracle oracle(&db, &query, &ged, &stats);

@@ -670,17 +670,19 @@ TEST(ObservabilityErrorTest, BatchSurfacesPerQueryErrors) {
 }
 
 TEST(ObservabilityErrorTest, OutOfAlphabetQueryLabelIsRejectedEverywhere) {
-  // A query label outside the database alphabet must come back as
-  // InvalidArgument on every routing x init path; unchecked, the learned
-  // paths index past the one-hot tables and abort the process.
+  // A query label outside the database alphabet, or a query with no nodes,
+  // must come back as InvalidArgument on every routing x init path;
+  // unchecked, the learned paths index past the one-hot tables or build an
+  // empty compressed GNN graph, and abort the process.
   GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(30), 80);
   LanIndex index(TinyConfig());
   ASSERT_TRUE(index.Build(&db).ok());
   WorkloadOptions wopts;
   wopts.num_queries = 10;
   ASSERT_TRUE(index.Train(SampleWorkload(db, wopts, 81).train).ok());
-  Graph bad = db.Get(0);
-  bad.set_label(0, db.num_labels());
+  Graph bad_label = db.Get(0);
+  bad_label.set_label(0, db.num_labels());
+  const std::vector<Graph> bad_queries = {bad_label, Graph{}};
 
   for (RoutingMethod routing : kAllRoutings) {
     for (InitMethod init : kAllInits) {
@@ -689,18 +691,30 @@ TEST(ObservabilityErrorTest, OutOfAlphabetQueryLabelIsRejectedEverywhere) {
       options.routing = routing;
       options.init = init;
       ASSERT_TRUE(index.Ready(options).ok());
-      const SearchResult result = index.Search(bad, options);
-      EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument)
-          << RoutingMethodName(routing) << "/" << InitMethodName(init) << ": "
-          << result.status.ToString();
-      EXPECT_TRUE(result.results.empty());
-      const BatchSearchResult batch = index.SearchBatch({bad}, options);
-      ASSERT_EQ(batch.results.size(), 1u);
-      EXPECT_EQ(batch.results[0].status.code(), StatusCode::kInvalidArgument);
+      for (const Graph& bad : bad_queries) {
+        const SearchResult result = index.Search(bad, options);
+        EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument)
+            << RoutingMethodName(routing) << "/" << InitMethodName(init)
+            << " (" << bad.NumNodes() << " nodes): "
+            << result.status.ToString();
+        EXPECT_TRUE(result.results.empty());
+        const BatchSearchResult batch = index.SearchBatch({bad}, options);
+        ASSERT_EQ(batch.results.size(), 1u);
+        EXPECT_EQ(batch.results[0].status.code(),
+                  StatusCode::kInvalidArgument);
+      }
       // The same query with in-range labels still succeeds.
       EXPECT_TRUE(index.Search(db.Get(0), options).status.ok());
     }
   }
+
+  // An empty graph never enters the database either.
+  const uint64_t epoch = index.epoch();
+  const GraphId size = db.size();
+  EXPECT_EQ(index.Insert(Graph{}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.epoch(), epoch);
+  EXPECT_EQ(db.size(), size);
 
   ShardedIndexOptions sharded_options;
   sharded_options.num_shards = 2;
@@ -711,8 +725,10 @@ TEST(ObservabilityErrorTest, OutOfAlphabetQueryLabelIsRejectedEverywhere) {
   baseline.k = 3;
   baseline.routing = RoutingMethod::kBaselineRoute;
   baseline.init = InitMethod::kHnswIs;
-  EXPECT_EQ(sharded.Search(bad, baseline).status.code(),
-            StatusCode::kInvalidArgument);
+  for (const Graph& bad : bad_queries) {
+    EXPECT_EQ(sharded.Search(bad, baseline).status.code(),
+              StatusCode::kInvalidArgument);
+  }
   EXPECT_TRUE(sharded.Search(db.Get(0), baseline).status.ok());
 }
 

@@ -1,11 +1,9 @@
-// Tests for parallel index construction and the flat CSR search view:
-// the serial (num_build_threads=1) build stays bit-for-bit on the PR 3
-// golden hashes, multi-threaded builds match serial recall within a
-// point, the CSR view returns bitwise-identical search results to the
-// nested adjacency across every routing x init combination, and epoch
-// publication (which compacts the CSR rows) stays clean under active
-// readers (the ParallelBuildConcurrencyTest cases also run under the
-// asan/tsan presets via `ctest -L concurrency`).
+// Tests for parallel index construction: the serial (num_build_threads=1)
+// build stays bit-for-bit on the golden topology hashes, multi-threaded
+// builds match serial recall within a point, and epoch publication (a
+// fresh base CSR per epoch) stays clean under active readers (the
+// ParallelBuildConcurrencyTest cases also run under the asan/tsan presets
+// via `ctest -L concurrency`).
 
 #include <gtest/gtest.h>
 
@@ -13,6 +11,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -46,7 +45,9 @@ uint64_t TopologyHash(const HnswIndex& index) {
   const ProximityGraph& base = index.BaseLayer();
   h = Fnv(h, static_cast<uint64_t>(base.NumNodes()));
   for (GraphId id = 0; id < base.NumNodes(); ++id) {
-    for (GraphId n : base.Neighbors(id)) h = Fnv(h, static_cast<uint64_t>(n));
+    for (GraphId n : base.NeighborSpan(id)) {
+      h = Fnv(h, static_cast<uint64_t>(n));
+    }
     h = Fnv(h, 0xfffffffffULL);
   }
   return h;
@@ -162,19 +163,15 @@ TEST(ParallelBuildRecallTest, FourThreadsWithinOnePointOfSerial) {
       HnswIndex::BuildWithDistance(1000, corpus.Distance(), options);
 
   // Structural sanity on the concurrently built graph: in-range,
-  // self-loop-free, duplicate-free rows, and a CSR view that mirrors the
-  // nested lists exactly.
+  // self-loop-free, duplicate-free rows.
   const ProximityGraph& base = parallel.BaseLayer();
   ASSERT_EQ(base.NumNodes(), 1000);
   for (GraphId id = 0; id < base.NumNodes(); ++id) {
-    const auto& row = base.Neighbors(id);
-    const auto span = base.NeighborSpan(id);
-    ASSERT_EQ(row.size(), span.size());
-    for (size_t i = 0; i < row.size(); ++i) {
-      EXPECT_EQ(row[i], span[i]);
-      EXPECT_NE(row[i], id);
-      EXPECT_GE(row[i], 0);
-      EXPECT_LT(row[i], base.NumNodes());
+    const std::span<const GraphId> row = base.NeighborSpan(id);
+    for (const GraphId n : row) {
+      EXPECT_NE(n, id);
+      EXPECT_GE(n, 0);
+      EXPECT_LT(n, base.NumNodes());
     }
     std::vector<GraphId> sorted(row.begin(), row.end());
     std::sort(sorted.begin(), sorted.end());
@@ -270,8 +267,8 @@ TEST(ParallelBuildConcurrencyTest, BuildsAndPublishesUnderActiveReaders) {
       HnswIndex::BuildWithDistance(300, corpus.Distance(), hnsw_options);
   EXPECT_EQ(built.NumNodes(), 300);
 
-  // 2. Online inserts re-publish the snapshot — compacting the CSR rows
-  // at every epoch — while the readers iterate the previous epoch's rows.
+  // 2. Online inserts re-publish the snapshot — a fresh base CSR at every
+  // epoch — while the readers iterate the previous epoch's rows.
   Rng wrng(44);
   for (int i = 0; i < 8; ++i) {
     auto inserted = index.Insert(PerturbGraph(
@@ -284,36 +281,6 @@ TEST(ParallelBuildConcurrencyTest, BuildsAndPublishesUnderActiveReaders) {
   for (std::thread& t : readers) t.join();
   EXPECT_GT(searches.load(), 0);
   EXPECT_EQ(failures.load(), 0);
-}
-
-// ---------------------------------------------------------------------------
-// ProximityGraph CSR mechanics
-// ---------------------------------------------------------------------------
-
-TEST(ProximityGraphCsrTest, CompactMirrorsNestedAndInvalidatesOnMutation) {
-  ProximityGraph pg(5);
-  ASSERT_TRUE(pg.AddEdge(0, 1).ok());
-  ASSERT_TRUE(pg.AddEdge(0, 2).ok());
-  ASSERT_TRUE(pg.AddEdge(3, 4).ok());
-  EXPECT_FALSE(pg.compacted());
-
-  pg.Compact();
-  EXPECT_TRUE(pg.compacted());
-  for (GraphId id = 0; id < pg.NumNodes(); ++id) {
-    const auto& nested = pg.Neighbors(id);
-    const auto span = pg.NeighborSpan(id);
-    ASSERT_EQ(nested.size(), span.size());
-    for (size_t i = 0; i < nested.size(); ++i) EXPECT_EQ(nested[i], span[i]);
-  }
-
-  // Mutation drops the flat copy so the two views can never disagree;
-  // NeighborSpan falls back to the (now larger) nested rows.
-  ASSERT_TRUE(pg.AddEdge(1, 2).ok());
-  EXPECT_FALSE(pg.compacted());
-  EXPECT_EQ(pg.NeighborSpan(1).size(), 2u);
-  pg.Compact();
-  EXPECT_TRUE(pg.compacted());
-  EXPECT_EQ(pg.NeighborSpan(1).size(), 2u);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "graph/graph_generator.h"
@@ -26,17 +29,39 @@ GedOptions FastGed() {
 // ---------- ProximityGraph ----------
 
 TEST(ProximityGraphTest, EdgesAndDegrees) {
-  ProximityGraph pg(4);
-  EXPECT_TRUE(pg.AddEdge(0, 1).ok());
-  EXPECT_TRUE(pg.AddEdge(1, 2).ok());
-  EXPECT_TRUE(pg.AddEdge(0, 1).ok());  // idempotent
+  using Edges = std::vector<std::pair<GraphId, GraphId>>;
+  // Repeated edges, in either direction, are idempotent; rows come out
+  // symmetric and sorted.
+  Result<ProximityGraph> built =
+      ProximityGraph::FromEdges(4, Edges{{1, 2}, {0, 1}, {1, 0}, {0, 1}});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const ProximityGraph& pg = *built;
+  EXPECT_EQ(pg.NumNodes(), 4);
   EXPECT_EQ(pg.NumEdges(), 2);
   EXPECT_EQ(pg.Degree(1), 2);
-  EXPECT_FALSE(pg.AddEdge(0, 0).ok());
-  EXPECT_FALSE(pg.AddEdge(0, 9).ok());
-  EXPECT_FALSE(pg.IsConnected());
-  EXPECT_TRUE(pg.AddEdge(2, 3).ok());
-  EXPECT_TRUE(pg.IsConnected());
+  EXPECT_EQ(pg.Degree(3), 0);
+  auto row = [&pg](GraphId id) {
+    const std::span<const GraphId> span = pg.NeighborSpan(id);
+    return std::vector<GraphId>(span.begin(), span.end());
+  };
+  EXPECT_EQ(row(0), (std::vector<GraphId>{1}));
+  EXPECT_EQ(row(1), (std::vector<GraphId>{0, 2}));
+  EXPECT_EQ(row(2), (std::vector<GraphId>{1}));
+  EXPECT_FALSE(pg.IsConnected());  // node 3 is isolated
+
+  EXPECT_EQ(ProximityGraph::FromEdges(4, Edges{{0, 0}}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ProximityGraph::FromEdges(4, Edges{{0, 9}}).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(ProximityGraph::FromEdges(4, Edges{{-1, 2}}).status().code(),
+            StatusCode::kOutOfRange);
+
+  Result<ProximityGraph> joined =
+      ProximityGraph::FromEdges(4, Edges{{0, 1}, {1, 2}, {2, 3}});
+  ASSERT_TRUE(joined.ok());
+  EXPECT_TRUE(joined->IsConnected());
+  EXPECT_EQ(ProximityGraph().NumNodes(), 0);
+  EXPECT_TRUE(ProximityGraph().IsConnected());
 }
 
 // ---------- CandidatePool ----------
@@ -173,12 +198,11 @@ struct SmallWorld {
     for (int i = 0; i < 8; ++i) {
       EXPECT_TRUE(db.Add(GenerateGraph(spec, &rng)).ok());
     }
-    pg = ProximityGraph(db.size());
+    std::vector<std::pair<GraphId, GraphId>> edges;
     for (GraphId a = 0; a < db.size(); ++a) {
-      for (GraphId b = a + 1; b < db.size(); ++b) {
-        EXPECT_TRUE(pg.AddEdge(a, b).ok());
-      }
+      for (GraphId b = a + 1; b < db.size(); ++b) edges.emplace_back(a, b);
     }
+    pg = ProximityGraph::FromEdges(db.size(), edges).value();
   }
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "common/random.h"
 #include "nn/autograd.h"
@@ -10,7 +12,7 @@
 #include "pg/beam_search.h"
 #include "pg/candidate_pool.h"
 #include "pg/np_route.h"
-#include "pg/nsw_builder.h"
+#include "pg/hnsw.h"
 
 namespace lan {
 namespace {
@@ -20,70 +22,6 @@ GedOptions FastGed() {
   o.approximate_only = true;
   o.beam_width = 0;
   return o;
-}
-
-// ---------- NSW builder ----------
-
-TEST(NswBuilderTest, VectorsAreNavigable) {
-  // 1-D points; NSW search must find the nearest neighbor.
-  std::vector<double> points(60);
-  for (size_t i = 0; i < points.size(); ++i) points[i] = static_cast<double>(i);
-  NswOptions options;
-  options.M = 4;
-  ProximityGraph pg = BuildNswGraph(
-      60,
-      [&points](GraphId a, GraphId b) {
-        return std::abs(points[static_cast<size_t>(a)] -
-                        points[static_cast<size_t>(b)]);
-      },
-      options);
-  EXPECT_TRUE(pg.IsConnected());
-  int hits = 0;
-  for (double probe : {3.2, 17.8, 41.1, 55.9}) {
-    auto result = BeamSearchRouteFn(
-        pg,
-        [&points, probe](GraphId id) {
-          return std::abs(points[static_cast<size_t>(id)] - probe);
-        },
-        /*init=*/0, /*beam=*/8, /*k=*/1);
-    ASSERT_FALSE(result.results.empty());
-    const double found = points[static_cast<size_t>(result.results[0].first)];
-    hits += std::abs(found - probe) <= 0.5;
-  }
-  EXPECT_GE(hits, 3);
-}
-
-TEST(NswBuilderTest, GraphDatabaseOverloadSearchable) {
-  DatasetSpec spec = DatasetSpec::SynLike(50);
-  GraphDatabase db = GenerateDatabase(spec, 61);
-  GedComputer ged(FastGed());
-  NswOptions options;
-  options.M = 5;
-  ProximityGraph pg = BuildNswGraph(db, ged, options);
-  EXPECT_EQ(pg.NumNodes(), db.size());
-  EXPECT_GE(pg.AverageDegree(), 2.0);
-
-  Rng rng(62);
-  double recall = 0.0;
-  const int kQueries = 5;
-  for (int i = 0; i < kQueries; ++i) {
-    Graph query = PerturbGraph(
-        db.Get(static_cast<GraphId>(rng.NextBounded(50))), 1,
-        db.num_labels(), &rng);
-    SearchStats stats;
-    DistanceOracle oracle(&db, &query, &ged, &stats);
-    RoutingResult result = BeamSearchRoute(pg, &oracle, 0, 12, 5);
-    KnnList truth = ComputeGroundTruth(db, query, 5, ged);
-    recall += RecallAtK(result.results, truth, 5);
-  }
-  EXPECT_GE(recall / kQueries, 0.6);
-}
-
-TEST(NswBuilderTest, SingleNode) {
-  ProximityGraph pg =
-      BuildNswGraph(1, [](GraphId, GraphId) { return 0.0; }, NswOptions{});
-  EXPECT_EQ(pg.NumNodes(), 1);
-  EXPECT_EQ(pg.NumEdges(), 0);
 }
 
 // ---------- Failure injection: adversarial neighbor rankers ----------
@@ -99,7 +37,8 @@ class RandomRanker : public NeighborRanker {
   std::vector<std::vector<GraphId>> RankNeighbors(const ProximityGraph& pg,
                                                   GraphId node,
                                                   const Graph& query) override {
-    std::vector<GraphId> shuffled = pg.Neighbors(node);
+    const std::span<const GraphId> row = pg.NeighborSpan(node);
+    std::vector<GraphId> shuffled(row.begin(), row.end());
     rng_.Shuffle(&shuffled);
     return SplitIntoBatches(shuffled, batch_percent_);
   }
@@ -138,9 +77,9 @@ struct RoutedWorld {
     DatasetSpec spec = DatasetSpec::SynLike(70);
     spec.num_labels = 4;
     db = GenerateDatabase(spec, 71);
-    NswOptions options;
+    HnswOptions options;
     options.M = 5;
-    pg = BuildNswGraph(db, ged, options);
+    pg = HnswIndex::Build(db, ged, options).BaseLayer();
     Rng rng(72);
     query = PerturbGraph(db.Get(10), 2, db.num_labels(), &rng);
   }

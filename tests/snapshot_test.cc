@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cpu_features.h"
@@ -382,6 +385,34 @@ TEST(SnapshotGoldenTest, OpensCommittedFixture) {
         SectionKind::kClusters, SectionKind::kCgs, SectionKind::kHnsw,
         SectionKind::kModels}) {
     EXPECT_TRUE(snapshot->Has(kind)) << SectionKindName(kind);
+  }
+}
+
+// The fixture's base CSR was written by the publish path of its day
+// (nested AddEdge symmetrization, then compaction). Symmetrizing the stored
+// core layer 0 through FromEdges, the derivation every publish now runs,
+// must reproduce each stored row exactly.
+TEST(SnapshotGoldenTest, BaseLayerIsSymmetrizedCoreLayer0) {
+  LanIndex index(GoldenConfig());
+  Status status = index.OpenSnapshot(GoldenPath());
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  const HnswIndex& hnsw = index.hnsw();
+  ASSERT_TRUE(hnsw.frozen());
+  std::vector<std::pair<GraphId, GraphId>> edges;
+  for (GraphId id = 0; id < hnsw.NumNodes(); ++id) {
+    for (GraphId n : hnsw.CoreRow(0, id)) edges.emplace_back(id, n);
+  }
+  Result<ProximityGraph> derived =
+      ProximityGraph::FromEdges(hnsw.NumNodes(), edges);
+  ASSERT_TRUE(derived.ok()) << derived.status().ToString();
+  const ProximityGraph& stored = hnsw.BaseLayer();
+  ASSERT_EQ(derived->NumNodes(), stored.NumNodes());
+  EXPECT_EQ(derived->NumEdges(), stored.NumEdges());
+  for (GraphId id = 0; id < stored.NumNodes(); ++id) {
+    const std::span<const GraphId> want = stored.NeighborSpan(id);
+    const std::span<const GraphId> got = derived->NeighborSpan(id);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "row " << id;
   }
 }
 

@@ -21,6 +21,24 @@ endfunction()
 
 run_step(${LAN_TOOL} generate --kind syn --count 60 --seed 3 --out ${DB})
 run_step(${LAN_TOOL} stats --db ${DB})
+# A database holding a graph with no nodes is rejected with a Status that
+# names the graph: a clean non-zero exit, never an abort.
+set(EMPTY_DB ${WORK_DIR}/pipeline.empty.gdb)
+file(WRITE ${EMPTY_DB} "lan-graphdb v1\nname empty\nlabels 2\ngraphs 2\n"
+     "g 2 1\nn 0 1\ne 0 1\n" "g 0 0\nn\n")
+execute_process(COMMAND ${LAN_TOOL} build --db ${EMPTY_DB}
+                        --out ${WORK_DIR}/pipeline.empty.lansnap
+                RESULT_VARIABLE empty_code OUTPUT_VARIABLE empty_out
+                ERROR_VARIABLE empty_err)
+if(NOT empty_code MATCHES "^[0-9]+$" OR empty_code EQUAL 0)
+  message(FATAL_ERROR "build on an empty graph exited with '${empty_code}'; "
+                      "expected a non-zero exit code:\n${empty_err}")
+endif()
+if(NOT empty_err MATCHES "graph 1:" OR empty_err MATCHES "FATAL")
+  message(FATAL_ERROR "build on an empty graph did not report it cleanly:\n"
+                      "${empty_out}${empty_err}")
+endif()
+
 # --build-threads 2 exercises the parallel construction path end-to-end
 # (recall/quality checks below run against the parallel-built index).
 run_step(${LAN_TOOL} build --db ${DB} --out ${SNAP} --queries 12
