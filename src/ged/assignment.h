@@ -28,6 +28,10 @@ class CostMatrix {
   double at(int32_t r, int32_t c) const {
     return data_[static_cast<size_t>(r) * n_ + c];
   }
+  /// Row r's n() costs, contiguous.
+  const double* row(int32_t r) const {
+    return data_.data() + static_cast<size_t>(r) * n_;
+  }
   int32_t n() const { return n_; }
 
  private:
@@ -53,8 +57,9 @@ Assignment SolveAssignment(const CostMatrix& cost);
 void SolveAssignmentInto(const CostMatrix& cost, Assignment* out);
 
 /// \brief Greedy (suboptimal) assignment: repeatedly picks the globally
-/// cheapest remaining cell. O(n^2 log n). Used as a fast baseline and in
-/// tests as a sanity upper bound for the optimal solver.
+/// cheapest remaining cell, ties broken by row, then column. O(n^2) plus
+/// a sort of the distinct costs. Used as a fast baseline and in tests as a
+/// sanity upper bound for the optimal solver.
 Assignment SolveAssignmentGreedy(const CostMatrix& cost);
 
 /// Allocation-free variant of the greedy solver (see SolveAssignmentInto).

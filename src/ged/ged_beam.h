@@ -13,6 +13,11 @@ namespace lan {
 ApproxGedResult BeamGed(const Graph& g1, const Graph& g2, int beam_width,
                         const GedCosts& costs = GedCosts::Uniform());
 
+/// Allocation-free variant: writes into `out` (reusing its mapping's
+/// capacity) and keeps the beam in the thread's GedScratch.
+void BeamGedInto(const Graph& g1, const Graph& g2, int beam_width,
+                 const GedCosts& costs, ApproxGedResult* out);
+
 }  // namespace lan
 
 #endif  // LAN_GED_GED_BEAM_H_

@@ -53,8 +53,8 @@ uint64_t GedOptions::Fingerprint() const {
 
 GedValue GedComputer::Compute(const Graph& g1, const Graph& g2) const {
   // Approximate upper bounds (also used to prune the exact search). The
-  // results live in the thread's scratch, so the dominant per-distance
-  // path (approximate_only) allocates nothing in the steady state.
+  // results live in the thread's scratch, so the approximate tiers
+  // allocate nothing in the steady state.
   GedScratch& s = ThreadGedScratch();
   BipartiteGedVjInto(g1, g2, options_.costs, &s.vj_result);
   BipartiteGedHungarianInto(g1, g2, options_.costs, &s.hung_result);
@@ -70,10 +70,9 @@ GedValue GedComputer::Compute(const Graph& g1, const Graph& g2) const {
     best.method = GedMethod::kHungarian;
   }
   if (options_.beam_width > 0) {
-    const ApproxGedResult beam =
-        BeamGed(g1, g2, options_.beam_width, options_.costs);
-    if (beam.distance < best.distance) {
-      best.distance = beam.distance;
+    BeamGedInto(g1, g2, options_.beam_width, options_.costs, &s.beam_result);
+    if (s.beam_result.distance < best.distance) {
+      best.distance = s.beam_result.distance;
       best.method = GedMethod::kBeam;
     }
   }

@@ -1,0 +1,395 @@
+// Reference-equivalence test for the flat-state Beam tier and the two
+// assignment solvers (greedy behind VJ, Jonker–Volgenant behind Hungarian).
+// They were rewritten for speed under the contract that every distance,
+// mapping and tie-break stays bit-for-bit what the straightforward
+// formulations below produce: Beam with one heap vector per state and a
+// per-child linear preimage scan, the greedy solver as a full sort of
+// (cost, row, col) tuples, and JV sweeping every column twice per step.
+// Those formulations live only here, as the references.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "common/random.h"
+#include "ged/assignment.h"
+#include "ged/ged_beam.h"
+#include "ged/ged_bipartite.h"
+#include "ged/ged_costs.h"
+#include "ged/ged_scratch.h"
+#include "ged/node_mapping.h"
+#include "graph/graph_generator.h"
+
+namespace lan {
+namespace {
+
+// ---------- Reference Beam ----------
+
+struct BeamState {
+  double g = 0.0;              // resolved cost so far
+  std::vector<NodeId> images;  // images of g1 nodes [0, depth)
+};
+
+double ExtendCost(const Graph& g1, const Graph& g2, const BeamState& state,
+                  NodeId v, const GedCosts& costs) {
+  const NodeId u = static_cast<NodeId>(state.images.size());
+  double delta = 0.0;
+  if (v == kEpsilon) {
+    delta += costs.node_delete;
+    for (NodeId t : g1.Neighbors(u)) {
+      if (t < u) delta += costs.edge_delete;
+    }
+    return delta;
+  }
+  if (g1.label(u) != g2.label(v)) delta += costs.node_relabel;
+  for (NodeId t : g1.Neighbors(u)) {
+    if (t >= u) continue;
+    const NodeId wt = state.images[static_cast<size_t>(t)];
+    if (wt == kEpsilon || !g2.HasEdge(wt, v)) delta += costs.edge_delete;
+  }
+  for (NodeId w : g2.Neighbors(v)) {
+    for (NodeId t = 0; t < u; ++t) {
+      if (state.images[static_cast<size_t>(t)] == w) {
+        if (!g1.HasEdge(t, u)) delta += costs.edge_insert;
+        break;
+      }
+    }
+  }
+  return delta;
+}
+
+ApproxGedResult ReferenceBeamGed(const Graph& g1, const Graph& g2,
+                                 int beam_width, const GedCosts& costs) {
+  const int32_t n1 = g1.NumNodes();
+  const int32_t n2 = g2.NumNodes();
+  std::vector<BeamState> beam{BeamState{}};
+  for (NodeId u = 0; u < n1; ++u) {
+    std::vector<BeamState> next;
+    for (const BeamState& state : beam) {
+      std::vector<bool> used(static_cast<size_t>(n2), false);
+      for (NodeId w : state.images) {
+        if (w != kEpsilon) used[static_cast<size_t>(w)] = true;
+      }
+      for (NodeId v = 0; v <= n2; ++v) {
+        const bool is_epsilon = (v == n2);
+        if (!is_epsilon && used[static_cast<size_t>(v)]) continue;
+        BeamState child;
+        child.g = state.g + ExtendCost(g1, g2, state,
+                                       is_epsilon ? kEpsilon : v, costs);
+        child.images = state.images;
+        child.images.push_back(is_epsilon ? kEpsilon : v);
+        next.push_back(std::move(child));
+      }
+    }
+    if (next.size() > static_cast<size_t>(beam_width)) {
+      std::partial_sort(next.begin(),
+                        next.begin() + static_cast<ptrdiff_t>(beam_width),
+                        next.end(), [](const BeamState& a, const BeamState& b) {
+                          return a.g < b.g;
+                        });
+      next.resize(static_cast<size_t>(beam_width));
+    }
+    beam = std::move(next);
+  }
+  ApproxGedResult best;
+  best.distance = -1.0;
+  for (const BeamState& state : beam) {
+    NodeMapping map;
+    map.image = state.images;
+    const double cost = MapCost(g1, g2, map, costs);
+    if (best.distance < 0.0 || cost < best.distance) {
+      best.distance = cost;
+      best.mapping = std::move(map);
+    }
+  }
+  return best;
+}
+
+// ---------- Reference assignment solvers ----------
+
+Assignment ReferenceGreedy(const CostMatrix& cost) {
+  const int32_t n = cost.n();
+  Assignment out;
+  out.row_to_col.assign(static_cast<size_t>(n), -1);
+  std::vector<std::tuple<double, int32_t, int32_t>> cells;
+  for (int32_t r = 0; r < n; ++r) {
+    for (int32_t c = 0; c < n; ++c) cells.emplace_back(cost.at(r, c), r, c);
+  }
+  std::sort(cells.begin(), cells.end());
+  std::vector<uint8_t> row_used(static_cast<size_t>(n), 0);
+  std::vector<uint8_t> col_used(static_cast<size_t>(n), 0);
+  int32_t assigned = 0;
+  for (const auto& [x, r, c] : cells) {
+    if (row_used[static_cast<size_t>(r)] || col_used[static_cast<size_t>(c)])
+      continue;
+    row_used[static_cast<size_t>(r)] = 1;
+    col_used[static_cast<size_t>(c)] = 1;
+    out.row_to_col[static_cast<size_t>(r)] = c;
+    out.cost += x;
+    if (++assigned == n) break;
+  }
+  return out;
+}
+
+/// Jonker–Volgenant with the textbook per-step sweep over all columns.
+Assignment ReferenceJv(const CostMatrix& cost) {
+  const int32_t n = cost.n();
+  Assignment out;
+  out.row_to_col.assign(static_cast<size_t>(n), -1);
+  if (n == 0) return out;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const size_t m = static_cast<size_t>(n) + 1;
+  std::vector<double> u(m, 0.0), v(m, 0.0);
+  std::vector<int32_t> col_to_row(m, 0), way(m, 0);
+  for (int32_t i = 1; i <= n; ++i) {
+    col_to_row[0] = i;
+    int32_t j0 = 0;
+    std::vector<double> minv(m, kInf);
+    std::vector<uint8_t> used(m, 0);
+    do {
+      used[static_cast<size_t>(j0)] = 1;
+      const int32_t i0 = col_to_row[static_cast<size_t>(j0)];
+      double delta = kInf;
+      int32_t j1 = -1;
+      for (int32_t j = 1; j <= n; ++j) {
+        const size_t sj = static_cast<size_t>(j);
+        if (used[sj]) continue;
+        const double cur =
+            cost.at(i0 - 1, j - 1) - u[static_cast<size_t>(i0)] - v[sj];
+        if (cur < minv[sj]) {
+          minv[sj] = cur;
+          way[sj] = j0;
+        }
+        if (minv[sj] < delta) {
+          delta = minv[sj];
+          j1 = j;
+        }
+      }
+      for (int32_t j = 0; j <= n; ++j) {
+        const size_t sj = static_cast<size_t>(j);
+        if (used[sj]) {
+          u[static_cast<size_t>(col_to_row[sj])] += delta;
+          v[sj] -= delta;
+        } else {
+          minv[sj] -= delta;
+        }
+      }
+      j0 = j1;
+    } while (col_to_row[static_cast<size_t>(j0)] != 0);
+    do {
+      const int32_t j1 = way[static_cast<size_t>(j0)];
+      col_to_row[static_cast<size_t>(j0)] =
+          col_to_row[static_cast<size_t>(j1)];
+      j0 = j1;
+    } while (j0 != 0);
+  }
+  for (int32_t j = 1; j <= n; ++j) {
+    const int32_t i = col_to_row[static_cast<size_t>(j)];
+    if (i > 0) {
+      out.row_to_col[static_cast<size_t>(i - 1)] = j - 1;
+      out.cost += cost.at(i - 1, j - 1);
+    }
+  }
+  return out;
+}
+
+/// Cost of the bipartite matrix's off-diagonal deletion/insertion cells.
+constexpr double kForbidden = 1e9;
+
+// ---------- Fixtures ----------
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+struct NamedCosts {
+  std::string name;
+  GedCosts costs;
+};
+
+std::vector<NamedCosts> CostModels() {
+  GedCosts weighted;
+  weighted.node_insert = 1.5;
+  weighted.node_delete = 1.5;
+  weighted.node_relabel = 0.7;
+  weighted.edge_insert = 0.3;
+  weighted.edge_delete = 0.3;
+  GedCosts asymmetric;
+  asymmetric.node_insert = 0.9;
+  asymmetric.node_delete = 2.3;
+  asymmetric.node_relabel = 1.1;
+  asymmetric.edge_insert = 0.35;
+  asymmetric.edge_delete = 1.75;
+  // Deletion and relabel cells at or just above the forbidden cells' cost:
+  // exact ties with them and finite cells past them.
+  GedCosts huge;
+  huge.node_delete = kForbidden;
+  huge.node_relabel = kForbidden;
+  huge.edge_delete = 3.0;
+  return {{"uniform", GedCosts::Uniform()},
+          {"weighted", weighted},
+          {"asymmetric", asymmetric},
+          {"huge", huge}};
+}
+
+struct NamedPair {
+  std::string name;
+  Graph g1, g2;
+};
+
+/// Seeded AIDS-, SYN- and Linux-like pairs: independent draws, perturbed
+/// copies (near ties), identical graphs (heavy ties), n1 > n2 and both
+/// empty sides.
+std::vector<NamedPair> Pairs() {
+  std::vector<NamedPair> pairs;
+  const std::pair<std::string, DatasetSpec> families[] = {
+      {"aids", DatasetSpec::AidsLike(1)},
+      {"syn", DatasetSpec::SynLike(1)},
+      {"linux", DatasetSpec::LinuxLike(1)}};
+  Rng rng(20221);
+  for (const auto& [family, spec] : families) {
+    for (int i = 0; i < 4; ++i) {
+      Graph a = GenerateGraph(spec, &rng);
+      Graph b = GenerateGraph(spec, &rng);
+      if (a.NumNodes() < b.NumNodes()) std::swap(a, b);
+      Graph near = PerturbGraph(a, 1 + i, spec.num_labels, &rng);
+      const std::string tag = family + std::to_string(i);
+      pairs.push_back({tag + "/larger_first", a, b});
+      pairs.push_back({tag + "/smaller_first", b, a});
+      pairs.push_back({tag + "/perturbed", a, near});
+      pairs.push_back({tag + "/identical", a, a});
+    }
+    Graph g = GenerateGraph(spec, &rng);
+    pairs.push_back({family + "/empty_first", Graph{}, g});
+    pairs.push_back({family + "/empty_second", g, Graph{}});
+  }
+  pairs.push_back({"both_empty", Graph{}, Graph{}});
+  Graph single;
+  single.AddNode(0);
+  pairs.push_back({"single_vs_single", single, single});
+  return pairs;
+}
+
+// ---------- Tests ----------
+
+TEST(GedTierEquivalenceTest, BeamMatchesReferenceBitForBit) {
+  const std::vector<NamedPair> pairs = Pairs();
+  int compared = 0;
+  for (const NamedCosts& model : CostModels()) {
+    for (const NamedPair& pair : pairs) {
+      for (int width : {1, 4, 8, 16}) {
+        const ApproxGedResult want =
+            ReferenceBeamGed(pair.g1, pair.g2, width, model.costs);
+        const ApproxGedResult got =
+            BeamGed(pair.g1, pair.g2, width, model.costs);
+        ASSERT_EQ(Bits(got.distance), Bits(want.distance))
+            << model.name << " " << pair.name << " w=" << width << ": "
+            << got.distance << " vs " << want.distance;
+        ASSERT_EQ(got.mapping.image, want.mapping.image)
+            << model.name << " " << pair.name << " w=" << width;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 500);
+}
+
+/// Runs a bipartite tier, then checks the assignment its solver returned
+/// against `reference` on the very matrix the tier built (both left in the
+/// thread's GedScratch).
+template <typename Tier, typename Reference>
+void ExpectSolverMatchesOnTierMatrices(Tier tier, Reference reference) {
+  for (const NamedCosts& model : CostModels()) {
+    for (const NamedPair& pair : Pairs()) {
+      tier(pair.g1, pair.g2, model.costs);
+      const GedScratch& s = ThreadGedScratch();
+      const Assignment want = reference(s.cost_matrix);
+      ASSERT_EQ(s.assignment.row_to_col, want.row_to_col)
+          << model.name << " " << pair.name;
+      ASSERT_EQ(Bits(s.assignment.cost), Bits(want.cost))
+          << model.name << " " << pair.name;
+    }
+  }
+}
+
+TEST(GedTierEquivalenceTest, GreedyMatchesTupleSortOnVjMatrices) {
+  ExpectSolverMatchesOnTierMatrices(
+      [](const Graph& a, const Graph& b, const GedCosts& costs) {
+        return BipartiteGedVj(a, b, costs);
+      },
+      ReferenceGreedy);
+}
+
+TEST(GedTierEquivalenceTest, JvMatchesReferenceOnHungarianMatrices) {
+  ExpectSolverMatchesOnTierMatrices(
+      [](const Graph& a, const Graph& b, const GedCosts& costs) {
+        return BipartiteGedHungarian(a, b, costs);
+      },
+      ReferenceJv);
+}
+
+TEST(GedTierEquivalenceTest, SolversMatchReferencesOnRandomMatrices) {
+  // Few distinct values (heavy ties), forbidden cells, finite cells above
+  // them, infinity (greedy only: JV needs finite costs), and signed zeros.
+  const double values[] = {0.0,        -0.0,           0.5,
+                           1.0,        1.0,            2.5,
+                           kForbidden, kForbidden,     kForbidden + 1.0,
+                           2 * kForbidden,
+                           std::numeric_limits<double>::infinity()};
+  const size_t num_values = sizeof(values) / sizeof(values[0]);
+  Rng rng(7);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int32_t n = static_cast<int32_t>(rng.NextInt(0, 24));
+    // Draw from a prefix of `values`, so some matrices have no forbidden
+    // cells and others are mostly forbidden.
+    const bool finite = trial % 2 == 0;
+    const size_t span = static_cast<size_t>(
+        rng.NextInt(1, static_cast<int64_t>(num_values) - (finite ? 1 : 0)));
+    CostMatrix m(n);
+    for (int32_t r = 0; r < n; ++r) {
+      for (int32_t c = 0; c < n; ++c) {
+        m.at(r, c) = values[rng.NextBounded(span)];
+      }
+    }
+    const Assignment greedy_want = ReferenceGreedy(m);
+    const Assignment greedy_got = SolveAssignmentGreedy(m);
+    ASSERT_EQ(greedy_got.row_to_col, greedy_want.row_to_col) << trial;
+    ASSERT_EQ(Bits(greedy_got.cost), Bits(greedy_want.cost)) << trial;
+    if (!finite) continue;
+    const Assignment jv_want = ReferenceJv(m);
+    const Assignment jv_got = SolveAssignment(m);
+    ASSERT_EQ(jv_got.row_to_col, jv_want.row_to_col) << trial;
+    ASSERT_EQ(Bits(jv_got.cost), Bits(jv_want.cost)) << trial;
+  }
+}
+
+TEST(GedTierEquivalenceTest, JvMatchesReferenceOnRealValuedMatrices) {
+  // Continuous costs: no ties, long augmenting paths, potentials that are
+  // not exact in binary.
+  Rng rng(11);
+  for (int trial = 0; trial < 100; ++trial) {
+    const int32_t n = static_cast<int32_t>(rng.NextInt(1, 40));
+    CostMatrix m(n);
+    for (int32_t r = 0; r < n; ++r) {
+      for (int32_t c = 0; c < n; ++c) m.at(r, c) = rng.NextDouble() * 7.3;
+    }
+    const Assignment want = ReferenceJv(m);
+    const Assignment got = SolveAssignment(m);
+    ASSERT_EQ(got.row_to_col, want.row_to_col) << trial;
+    ASSERT_EQ(Bits(got.cost), Bits(want.cost)) << trial;
+  }
+}
+
+}  // namespace
+}  // namespace lan

@@ -18,6 +18,7 @@
 #include <new>
 #include <vector>
 
+#include "ged/ged_lower_bounds.h"
 #include "graph/graph_generator.h"
 #include "lan/lan_index.h"
 
@@ -121,6 +122,68 @@ TEST(SearchAllocTest, ZeroSteadyStateAllocationsPerQuery) {
       << "steady-state queries must not touch the heap";
   EXPECT_TRUE(result.status.ok());
   EXPECT_FALSE(result.results.empty());
+}
+
+TEST(SearchAllocTest, ZeroSteadyStateAllocationsWithShippedTiers) {
+  // The shipped approximate tier set: VJ, Hungarian and Beam4. Also the
+  // cheap lower bounds that gate the exact attempt.
+  GraphDatabase db = GenerateDatabase(DatasetSpec::AidsLike(40), 23);
+
+  LanConfig config;
+  config.query_ged.approximate_only = true;
+  config.query_ged.beam_width = 4;
+  config.num_threads = 1;
+  LanIndex index(config);
+  const GraphDatabase* cdb = &db;
+  ASSERT_TRUE(index.Build(cdb).ok());
+
+  SearchOptions options;
+  options.k = 5;
+  options.beam = 8;
+  options.routing = RoutingMethod::kBaselineRoute;
+  options.init = InitMethod::kRandomIs;
+
+  std::vector<Graph> queries;
+  queries.push_back(db.Get(2));
+  queries.push_back(db.Get(11));
+  queries.push_back(db.Get(29));
+
+  SearchResult result;
+  double bounds = 0.0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Graph& q : queries) {
+      index.SearchInto(q, options, &result);
+      ASSERT_TRUE(result.status.ok());
+      ASSERT_FALSE(result.results.empty());
+      for (GraphId id = 0; id < db.size(); ++id) {
+        bounds += BestLowerBound(q, db.Get(id));
+      }
+    }
+  }
+
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_count_allocs.store(true, std::memory_order_relaxed);
+  for (const Graph& q : queries) {
+    index.SearchInto(q, options, &result);
+  }
+  const int64_t search_allocs = g_alloc_count.load(std::memory_order_relaxed);
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  double measured_bounds = 0.0;
+  for (const Graph& q : queries) {
+    for (GraphId id = 0; id < db.size(); ++id) {
+      measured_bounds += BestLowerBound(q, db.Get(id));
+    }
+  }
+  g_count_allocs.store(false, std::memory_order_relaxed);
+
+  EXPECT_EQ(search_allocs, 0)
+      << "steady-state queries with Beam must not touch the heap";
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0)
+      << "warm lower bounds must not touch the heap";
+  EXPECT_TRUE(result.status.ok());
+  EXPECT_FALSE(result.results.empty());
+  EXPECT_GT(measured_bounds, 0.0);
+  EXPECT_EQ(2 * measured_bounds, bounds);
 }
 
 TEST(SearchAllocTest, RepeatedSearchIntoReusesResultStorage) {
