@@ -88,16 +88,6 @@ int Main() {
   std::vector<float> y = RandomVec(static_cast<size_t>(kVecLen), &rng);
   std::vector<float> soft = RandomVec(
       static_cast<size_t>(kRows) * kCols, &rng);
-  std::vector<int8_t> xq(static_cast<size_t>(kVecLen));
-  std::vector<int8_t> yq(static_cast<size_t>(kVecLen));
-  for (int64_t i = 0; i < kVecLen; ++i) {
-    xq[i] = static_cast<int8_t>(
-        static_cast<int>(rng.NextBounded(255)) - 127);
-    yq[i] = static_cast<int8_t>(
-        static_cast<int>(rng.NextBounded(255)) - 127);
-  }
-  const float xq_scale = 0.0131f;
-  const float yq_scale = 0.0097f;
 
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
   if (DetectedSimdLevel() >= SimdLevel::kAvx2) {
@@ -136,18 +126,6 @@ int Main() {
       {"l2sq_128", 3.0 * kVecLen,
        [&](const KernelTable& kt) {
          volatile double sink = kt.l2sq(x.data(), y.data(), kVecLen);
-         (void)sink;
-       }},
-      {"dot_i8_128", 2.0 * kVecLen,
-       [&](const KernelTable& kt) {
-         volatile double sink = kt.dot_i8(xq.data(), xq_scale, yq.data(),
-                                          yq_scale, kVecLen);
-         (void)sink;
-       }},
-      {"l2sq_i8_128", 3.0 * kVecLen,
-       [&](const KernelTable& kt) {
-         volatile double sink = kt.l2sq_i8(xq.data(), xq_scale, yq.data(),
-                                           yq_scale, kVecLen);
          (void)sink;
        }},
       {"softmax_rows_160x128", 4.0 * kRows * kCols,

@@ -80,11 +80,4 @@ double SquaredL2(std::span<const float> a, std::span<const float> b) {
                               static_cast<int64_t>(a.size()));
 }
 
-double SquaredL2Quantized(std::span<const int8_t> a, float scale_a,
-                          std::span<const int8_t> b, float scale_b) {
-  LAN_CHECK_EQ(a.size(), b.size());
-  return ActiveKernels().l2sq_i8(a.data(), scale_a, b.data(), scale_b,
-                                 static_cast<int64_t>(a.size()));
-}
-
 }  // namespace lan

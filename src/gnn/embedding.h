@@ -38,12 +38,6 @@ EmbeddingMatrix EmbedDatabase(const GraphDatabase& db,
 /// Squared L2 distance between two equal-length vectors.
 double SquaredL2(std::span<const float> a, std::span<const float> b);
 
-/// Squared L2 distance between two symmetric-per-row int8-quantized vectors
-/// (codes + per-row scale each, see QuantizeRowI8). An approximation of the
-/// f32 distance; bitwise identical across SIMD levels (see docs/kernels.md).
-double SquaredL2Quantized(std::span<const int8_t> a, float scale_a,
-                          std::span<const int8_t> b, float scale_b);
-
 }  // namespace lan
 
 #endif  // LAN_GNN_EMBEDDING_H_

@@ -1,7 +1,6 @@
 #ifndef LAN_GNN_EMBEDDING_MATRIX_H_
 #define LAN_GNN_EMBEDDING_MATRIX_H_
 
-#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -10,51 +9,14 @@
 
 namespace lan {
 
-/// Symmetric per-row int8 quantization of one `row`: scale = max|x| / 127,
-/// code[i] = round(x[i] / scale) clamped to [-127, 127] (an all-zero row
-/// gets scale 0 and all-zero codes). Returns the scale; `out` must hold
-/// row.size() bytes. Reconstruction is code * scale, so the per-element
-/// error is at most scale / 2.
-inline float QuantizeRowI8(std::span<const float> row, int8_t* out) {
-  float max_abs = 0.0f;
-  for (const float x : row) {
-    const float a = x < 0.0f ? -x : x;
-    if (a > max_abs) max_abs = a;
-  }
-  if (max_abs == 0.0f) {
-    for (size_t i = 0; i < row.size(); ++i) out[i] = 0;
-    return 0.0f;
-  }
-  const float scale = max_abs / 127.0f;
-  const float inv = 127.0f / max_abs;
-  for (size_t i = 0; i < row.size(); ++i) {
-    // lround (round-half-away-from-zero) is deterministic across hosts,
-    // unlike lrint under a varying rounding mode.
-    long v = std::lround(row[i] * inv);
-    if (v > 127) v = 127;
-    if (v < -127) v = -127;
-    out[i] = static_cast<int8_t>(v);
-  }
-  return scale;
-}
-
 /// \brief Row-major matrix of per-graph embedding vectors (and of the
 /// KMeans centroids): row i is graph/centroid i's `dim`-float vector.
 ///
 /// Replaces `std::vector<std::vector<float>>` so the whole corpus is one
-/// contiguous allocation the SIMD kernels (and future int8 / NUMA work)
-/// can address directly — and so a snapshot can expose it zero-copy as a
-/// *view* over mapped memory. Like Graph, a view is read-only and copying
+/// contiguous allocation the SIMD kernels can address directly — and so a
+/// snapshot can expose it zero-copy as a *view* over mapped memory. Like Graph, a view is read-only and copying
 /// one materializes an owned matrix (the online-insert path copies the
 /// published matrix, then appends).
-///
-/// Optional int8 plane: Quantize() derives a symmetric per-row int8 code
-/// matrix plus a float scale column (see QuantizeRowI8) alongside the f32
-/// data, for the l2sq_i8/dot_i8 kernels. The plane is a derived cache of
-/// the f32 arena: AppendRow extends it automatically, but mutating rows
-/// through MutableRow does NOT — call Quantize() again after bulk edits
-/// (KMeans re-quantizes centroids after each update step). Snapshots can
-/// attach the plane zero-copy via AttachQuantizedView.
 class EmbeddingMatrix {
  public:
   EmbeddingMatrix() = default;
@@ -70,21 +32,6 @@ class EmbeddingMatrix {
     dim_ = other.dim_;
     owned_.assign(other.data(), other.data() + other.size());
     view_ = nullptr;
-    // The quantized plane travels with the copy (materialized if the
-    // source held it as a view), so the online-insert path keeps int8
-    // serving without re-quantizing the whole corpus.
-    quantized_ = other.quantized_;
-    if (other.quantized_) {
-      q_owned_.assign(other.quantized_data(),
-                      other.quantized_data() + other.size());
-      scales_owned_.assign(other.scales_data(),
-                           other.scales_data() + other.rows_);
-    } else {
-      q_owned_.clear();
-      scales_owned_.clear();
-    }
-    q_view_ = nullptr;
-    scales_view_ = nullptr;
     return *this;
   }
   EmbeddingMatrix(EmbeddingMatrix&&) noexcept = default;
@@ -147,17 +94,10 @@ class EmbeddingMatrix {
     }
     LAN_CHECK_EQ(dim, dim_);
     owned_.reserve(static_cast<size_t>(rows) * static_cast<size_t>(dim_));
-    if (has_quantized()) {
-      q_owned_.reserve(static_cast<size_t>(rows) *
-                       static_cast<size_t>(dim_));
-      scales_owned_.reserve(static_cast<size_t>(rows));
-    }
   }
 
   /// Appends one row (owned matrices only; copy a view to materialize it
-  /// first). An empty matrix adopts the row's length as its dim. When the
-  /// quantized plane exists, the row's codes + scale are appended too, so
-  /// the plane never goes stale under online inserts.
+  /// first). An empty matrix adopts the row's length as its dim.
   void AppendRow(std::span<const float> row) {
     LAN_CHECK(!is_view());
     if (rows_ == 0 && dim_ == 0) {
@@ -165,82 +105,17 @@ class EmbeddingMatrix {
     }
     LAN_CHECK_EQ(static_cast<int32_t>(row.size()), dim_);
     owned_.insert(owned_.end(), row.begin(), row.end());
-    if (has_quantized()) {
-      LAN_CHECK(q_view_ == nullptr);  // copy a view to materialize first
-      const size_t old = q_owned_.size();
-      q_owned_.resize(old + row.size());
-      scales_owned_.push_back(QuantizeRowI8(row, q_owned_.data() + old));
-    }
     ++rows_;
   }
 
-  // ---- int8 plane ----
-
-  bool has_quantized() const { return quantized_; }
-
-  /// (Re)builds the int8 plane from the current f32 data. Works for both
-  /// owned and view f32 storage (the plane itself is owned); idempotent,
-  /// and safe to call again after MutableRow edits.
-  void Quantize() {
-    quantized_ = true;
-    q_view_ = nullptr;
-    scales_view_ = nullptr;
-    q_owned_.resize(size());
-    scales_owned_.resize(static_cast<size_t>(rows_));
-    for (int64_t i = 0; i < rows_; ++i) {
-      scales_owned_[static_cast<size_t>(i)] = QuantizeRowI8(
-          Row(i),
-          q_owned_.data() + static_cast<size_t>(i) *
-                                static_cast<size_t>(dim_));
-    }
-  }
-
-  /// Attaches an externally-owned quantized plane (a mapped snapshot
-  /// section): `codes` holds rows*dim int8 values, `scales` one float per
-  /// row. The memory must outlive the view.
-  void AttachQuantizedView(const int8_t* codes, const float* scales) {
-    quantized_ = true;
-    q_owned_.clear();
-    scales_owned_.clear();
-    q_view_ = codes;
-    scales_view_ = scales;
-  }
-
-  const int8_t* quantized_data() const {
-    return q_view_ != nullptr ? q_view_ : q_owned_.data();
-  }
-  const float* scales_data() const {
-    return scales_view_ != nullptr ? scales_view_ : scales_owned_.data();
-  }
-
-  std::span<const int8_t> QuantizedRow(int64_t i) const {
-    return {quantized_data() +
-                static_cast<size_t>(i) * static_cast<size_t>(dim_),
-            static_cast<size_t>(dim_)};
-  }
-  float scale(int64_t i) const {
-    return scales_data()[static_cast<size_t>(i)];
-  }
-
-  /// Bytes held by each plane (diagnostics: lan_tool diagnose).
+  /// Bytes held by the f32 arena (diagnostics: lan_tool diagnose).
   size_t f32_bytes() const { return size() * sizeof(float); }
-  size_t quantized_bytes() const {
-    if (!has_quantized()) return 0;
-    return size() * sizeof(int8_t) +
-           static_cast<size_t>(rows_) * sizeof(float);
-  }
 
  private:
   std::vector<float> owned_;
   const float* view_ = nullptr;
   int64_t rows_ = 0;
   int32_t dim_ = 0;
-  // int8 plane: codes (rows x dim) + per-row scale column, owned or view.
-  bool quantized_ = false;
-  std::vector<int8_t> q_owned_;
-  std::vector<float> scales_owned_;
-  const int8_t* q_view_ = nullptr;
-  const float* scales_view_ = nullptr;
 };
 
 }  // namespace lan

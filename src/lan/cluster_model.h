@@ -28,11 +28,6 @@ struct ClusterModelOptions {
 ///
 /// Regression target is log1p(count) — the intersection-size distribution
 /// is skewed, as the paper observes.
-///
-/// M_c always consumes f32 embeddings and centroids, even when the index
-/// serves int8 embedding distances (LanConfig::quantized_embeddings):
-/// quantization stops at embedding-space distance kernels, so trained model
-/// weights and outputs are identical either way.
 class ClusterModel {
  public:
   /// `feature_dim` = query-embedding dim + centroid dim.

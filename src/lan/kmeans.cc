@@ -24,10 +24,9 @@ void KMeansResult::RebuildMembers(int32_t num_clusters) {
 }
 
 KMeansResult KMeans(const EmbeddingMatrix& points, int num_clusters,
-                    int max_iterations, Rng* rng, bool use_quantized) {
+                    int max_iterations, Rng* rng) {
   LAN_CHECK(!points.empty());
   LAN_CHECK_GT(num_clusters, 0);
-  if (use_quantized) LAN_CHECK(points.has_quantized());
   const size_t n = static_cast<size_t>(points.rows());
   const size_t k = std::min(static_cast<size_t>(num_clusters), n);
   const int32_t dim = points.dim();
@@ -70,37 +69,10 @@ KMeansResult KMeans(const EmbeddingMatrix& points, int num_clusters,
   result.assignment.assign(n, 0);
   for (int iter = 0; iter < max_iterations; ++iter) {
     bool changed = false;
-    // Assign — the O(n * k * dim) hot loop, optionally over int8 codes.
-    // Centroids were re-quantized after the previous update (or, on the
-    // first iteration, below), so both planes are current here.
-    if (use_quantized) result.centroids.Quantize();
+    // Assign — the O(n * k * dim) hot loop.
     for (size_t i = 0; i < n; ++i) {
-      int32_t best = 0;
-      double best_d = std::numeric_limits<double>::infinity();
-      if (use_quantized) {
-        const std::span<const int8_t> pcodes =
-            points.QuantizedRow(static_cast<int64_t>(i));
-        const float pscale = points.scale(static_cast<int64_t>(i));
-        for (size_t c = 0; c < num_centroids; ++c) {
-          const double d = SquaredL2Quantized(
-              pcodes, pscale,
-              result.centroids.QuantizedRow(static_cast<int64_t>(c)),
-              result.centroids.scale(static_cast<int64_t>(c)));
-          if (d < best_d) {
-            best_d = d;
-            best = static_cast<int32_t>(c);
-          }
-        }
-      } else {
-        for (size_t c = 0; c < num_centroids; ++c) {
-          const double d = Sq(points.Row(static_cast<int64_t>(i)),
-                              result.centroids.Row(static_cast<int64_t>(c)));
-          if (d < best_d) {
-            best_d = d;
-            best = static_cast<int32_t>(c);
-          }
-        }
-      }
+      const int32_t best = NearestCentroid(
+          result.centroids, points.Row(static_cast<int64_t>(i)));
       if (result.assignment[i] != best) {
         result.assignment[i] = best;
         changed = true;
@@ -129,10 +101,6 @@ KMeansResult KMeans(const EmbeddingMatrix& points, int num_clusters,
     }
     if (!changed && iter > 0) break;
   }
-  // Leave the final centroids with a fresh plane (the loop may have
-  // exited right after an update step), so callers can serve int8.
-  if (use_quantized) result.centroids.Quantize();
-
   result.members.assign(num_centroids, {});
   result.inertia = 0.0;
   for (size_t i = 0; i < n; ++i) {
@@ -151,24 +119,6 @@ int32_t NearestCentroid(const EmbeddingMatrix& centroids,
   double best_d = std::numeric_limits<double>::infinity();
   for (int64_t c = 0; c < centroids.rows(); ++c) {
     const double d = Sq(point, centroids.Row(c));
-    if (d < best_d) {
-      best_d = d;
-      best = static_cast<int32_t>(c);
-    }
-  }
-  return best;
-}
-
-int32_t NearestCentroidQuantized(const EmbeddingMatrix& centroids,
-                                 std::span<const int8_t> codes, float scale) {
-  LAN_CHECK(!centroids.empty());
-  LAN_CHECK(centroids.has_quantized());
-  int32_t best = 0;
-  double best_d = std::numeric_limits<double>::infinity();
-  for (int64_t c = 0; c < centroids.rows(); ++c) {
-    const double d = SquaredL2Quantized(codes, scale,
-                                        centroids.QuantizedRow(c),
-                                        centroids.scale(c));
     if (d < best_d) {
       best_d = d;
       best = static_cast<int32_t>(c);

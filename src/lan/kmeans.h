@@ -28,26 +28,14 @@ struct KMeansResult {
 
 /// \brief Lloyd's algorithm with kmeans++ seeding (the clustering step of
 /// the optimized M_nh design, Sec. V-B2). `points` rows are the inputs.
-///
-/// With `use_quantized` the O(n * k * dim) assignment loop runs over int8
-/// codes (`points` must already carry its quantized plane; centroids are
-/// re-quantized after every update step). Seeding, the centroid update and
-/// the inertia stay f32, and the returned centroids carry a quantized
-/// plane. Assignments may differ slightly from the f32 run.
 KMeansResult KMeans(const EmbeddingMatrix& points, int num_clusters,
-                    int max_iterations, Rng* rng, bool use_quantized = false);
+                    int max_iterations, Rng* rng);
 
 /// \brief Index of the centroid (matrix row) closest in squared L2 to
 /// `point`. Used to assign online-inserted graphs to an existing
 /// clustering without re-running KMeans. `centroids` must be non-empty.
 int32_t NearestCentroid(const EmbeddingMatrix& centroids,
                         std::span<const float> point);
-
-/// \brief int8 variant of NearestCentroid: `codes`/`scale` quantize the
-/// query point (QuantizeRowI8) and `centroids` must carry its quantized
-/// plane. Ties broken toward the lower index, like NearestCentroid.
-int32_t NearestCentroidQuantized(const EmbeddingMatrix& centroids,
-                                 std::span<const int8_t> codes, float scale);
 
 }  // namespace lan
 

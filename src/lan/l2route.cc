@@ -13,63 +13,25 @@ L2RouteIndex L2RouteIndex::Build(const GraphDatabase& db,
   index.options_ = options;
   index.embeddings_ = EmbedDatabase(db, options.embedding);
   const auto& embeddings = index.embeddings_;
-  if (options.quantized_embeddings) {
-    index.embeddings_.Quantize();
-    index.hnsw_ = HnswIndex::BuildWithDistance(
-        db.size(),
-        [&embeddings](GraphId a, GraphId b) {
-          return SquaredL2Quantized(embeddings.QuantizedRow(a),
-                                    embeddings.scale(a),
-                                    embeddings.QuantizedRow(b),
-                                    embeddings.scale(b));
-        },
-        options.hnsw, pool);
-  } else {
-    index.hnsw_ = HnswIndex::BuildWithDistance(
-        db.size(),
-        [&embeddings](GraphId a, GraphId b) {
-          return SquaredL2(embeddings.Row(a), embeddings.Row(b));
-        },
-        options.hnsw, pool);
-  }
+  index.hnsw_ = HnswIndex::BuildWithDistance(
+      db.size(),
+      [&embeddings](GraphId a, GraphId b) {
+        return SquaredL2(embeddings.Row(a), embeddings.Row(b));
+      },
+      options.hnsw, pool);
   return index;
-}
-
-RoutingResult L2RouteIndex::RouteEmbedding(const Graph& query, int ef) const {
-  const std::vector<float> q = EmbedGraph(query, options_.embedding);
-  if (!options_.quantized_embeddings) {
-    auto l2 = [this, &q](GraphId id) {
-      return SquaredL2(q, embeddings_.Row(id));
-    };
-    const GraphId init = hnsw_.SelectInitialNodeFn(l2);
-    return BeamSearchRouteFn(hnsw_.BaseLayer(), l2, init, ef, ef);
-  }
-  // int8 routing: quantize the query once, stream codes through the beam,
-  // then swap in exact f32 distances for the pooled candidates so the
-  // final ordering (what recall is measured on) is not quantization-biased.
-  std::vector<int8_t> q_codes(q.size());
-  const float q_scale = QuantizeRowI8(q, q_codes.data());
-  auto l2q = [this, &q_codes, q_scale](GraphId id) {
-    return SquaredL2Quantized(q_codes, q_scale, embeddings_.QuantizedRow(id),
-                              embeddings_.scale(id));
-  };
-  const GraphId init = hnsw_.SelectInitialNodeFn(l2q);
-  RoutingResult routed = BeamSearchRouteFn(hnsw_.BaseLayer(), l2q, init, ef, ef);
-  for (auto& [id, d] : routed.results) {
-    d = SquaredL2(q, embeddings_.Row(id));
-  }
-  std::sort(routed.results.begin(), routed.results.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second < b.second;
-              return a.first < b.first;
-            });
-  return routed;
 }
 
 RoutingResult L2RouteIndex::Search(DistanceOracle* oracle, int ef,
                                    int k) const {
   // Route purely in embedding space; keep the whole beam as candidates.
-  RoutingResult routed = RouteEmbedding(oracle->query(), ef);
+  const std::vector<float> q = EmbedGraph(oracle->query(), options_.embedding);
+  auto l2 = [this, &q](GraphId id) {
+    return SquaredL2(q, embeddings_.Row(id));
+  };
+  const GraphId init = hnsw_.SelectInitialNodeFn(l2);
+  const RoutingResult routed =
+      BeamSearchRouteFn(hnsw_.BaseLayer(), l2, init, ef, ef);
 
   // GED re-rank (the only NDC this method pays).
   RoutingResult out;

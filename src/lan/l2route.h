@@ -13,11 +13,6 @@ namespace lan {
 struct L2RouteOptions {
   EmbeddingOptions embedding;
   HnswOptions hnsw;
-  /// Build an int8 plane over the embeddings and route on int8 distances
-  /// (graph construction and query routing both), with an f32 re-rank of
-  /// the pooled beam so embedding-space recall stays within tolerance.
-  /// Off by default: the f32 path stays bit-for-bit what it was.
-  bool quantized_embeddings = false;
 };
 
 /// \brief The L2route baseline of Sec. VII: graphs are converted to
@@ -35,13 +30,6 @@ class L2RouteIndex {
   /// Routes in embedding space with beam `ef`, then re-ranks the pooled
   /// candidates by GED. Larger `ef` trades time for recall.
   RoutingResult Search(DistanceOracle* oracle, int ef, int k) const;
-
-  /// Embedding-space phase only: embeds `query` and routes with beam `ef`,
-  /// no GED. With quantized_embeddings the hot loop runs on int8 codes and
-  /// the pooled beam is re-ranked with exact f32 distances; otherwise the
-  /// result is the raw beam (distances are f32 squared L2 either way).
-  /// Exposed for recall-parity tests and the quantized_route bench.
-  RoutingResult RouteEmbedding(const Graph& query, int ef) const;
 
   const HnswIndex& hnsw() const { return hnsw_; }
   const EmbeddingMatrix& embeddings() const { return embeddings_; }

@@ -127,7 +127,6 @@ void LanIndex::FinishBuild(HnswIndex hnsw) {
   config_.embedding = embedding;
   auto embeddings =
       std::make_shared<EmbeddingMatrix>(EmbedDatabase(*db_, embedding));
-  if (config_.quantized_embeddings) embeddings->Quantize();
   const int num_clusters =
       config_.num_clusters > 0
           ? config_.num_clusters
@@ -135,8 +134,7 @@ void LanIndex::FinishBuild(HnswIndex hnsw) {
                             static_cast<double>(db_->size()))));
   Rng rng(config_.seed);
   auto clusters = std::make_shared<KMeansResult>(
-      KMeans(*embeddings, num_clusters, config_.kmeans_iterations, &rng,
-             config_.quantized_embeddings));
+      KMeans(*embeddings, num_clusters, config_.kmeans_iterations, &rng));
 
   auto snap = std::make_shared<IndexSnapshot>();
   snap->num_graphs = db_->size();
@@ -204,16 +202,8 @@ Result<GraphId> LanIndex::Insert(Graph graph) {
   auto embeddings = std::make_shared<EmbeddingMatrix>(*snap->embeddings);
   embeddings->AppendRow(EmbedGraph(added, config_.embedding));
   auto clusters = std::make_shared<KMeansResult>(*snap->clusters);
-  int32_t c;
-  if (embeddings->has_quantized() && clusters->centroids.has_quantized()) {
-    const int64_t last = embeddings->rows() - 1;
-    c = NearestCentroidQuantized(clusters->centroids,
-                                 embeddings->QuantizedRow(last),
-                                 embeddings->scale(last));
-  } else {
-    c = NearestCentroid(clusters->centroids,
-                        embeddings->Row(embeddings->rows() - 1));
-  }
+  const int32_t c = NearestCentroid(clusters->centroids,
+                                    embeddings->Row(embeddings->rows() - 1));
   clusters->assignment.push_back(c);
   clusters->members[static_cast<size_t>(c)].push_back(id);
 
@@ -624,11 +614,9 @@ void LanIndex::SearchInto(const Graph& query, const SearchOptions& options,
         LanInitOptions init_options = config_.init;
         init_options.threshold = nh_model_->calibrated_threshold();
         LanInitialSelector selector(nh_model_.get(), cluster_model_.get(),
-                                    snap->clusters.get(),
-                                    snap->embeddings.get(), snap->cgs.get(),
+                                    snap->clusters.get(), snap->cgs.get(),
                                     &query_cg, &config_.embedding,
-                                    config_.use_compressed_gnn, init_options,
-                                    config_.quantized_embeddings);
+                                    config_.use_compressed_gnn, init_options);
         selector.set_scratch(scratch);
         start = selector.Select(&oracle, &rng);
         break;

@@ -88,14 +88,6 @@ struct LanConfig {
   /// (Definition 3) instead of raw graphs (Definition 1).
   bool use_compressed_gnn = true;
 
-  /// Build an int8 plane (symmetric per-row quantization) over the corpus
-  /// embeddings and the KMeans centroids, and serve embedding-space
-  /// distances — KMeans assignment, online-insert cluster assignment, and
-  /// LAN_IS's empty-neighborhood fallback — from int8 kernels. Trained
-  /// models (M_c/M_nh/M_rk) always see f32 inputs; GED and Algorithms 1-4
-  /// are untouched. Off by default: the f32 path stays bit-for-bit.
-  bool quantized_embeddings = false;
-
   // ---- Cross-query result cache (docs/caching.md) ----
   /// Memoizes GED values and M_rk/M_c scores across queries, keyed by the
   /// query's canonical content hash; hits skip the whole GED/model

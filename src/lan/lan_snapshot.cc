@@ -493,18 +493,6 @@ Status LanIndex::SaveSnapshot(const std::string& path) const {
   EncodeGraphs(writer.AddSection(SectionKind::kGraphs), spans);
   EncodeMatrix(writer.AddSection(SectionKind::kEmbeddings),
                *snap->embeddings);
-  if (snap->embeddings->has_quantized()) {
-    // Codes + scales ride along so a reopened index serves int8 zero-copy.
-    // Centroid planes are not persisted: they are k * dim and re-derived
-    // from the decoded f32 centroids in O(k * dim) at open.
-    SectionBuilder* b =
-        writer.AddSection(SectionKind::kQuantizedEmbeddings);
-    const EmbeddingMatrix& m = *snap->embeddings;
-    b->Pod(m.rows());
-    b->Pod(m.dim());
-    b->Array(m.quantized_data(), m.size());
-    b->Array(m.scales_data(), static_cast<size_t>(m.rows()));
-  }
   EncodeClusters(writer.AddSection(SectionKind::kClusters), *snap->clusters);
   LAN_RETURN_NOT_OK(EncodeCgs(writer.AddSection(SectionKind::kCgs),
                               *snap->cgs));
@@ -585,35 +573,9 @@ Status LanIndex::OpenSnapshot(const std::string& path) {
   if (embeddings.rows() != n) {
     return Status::IoError("embeddings section: row count mismatch");
   }
-  if (image.Has(SectionKind::kQuantizedEmbeddings)) {
-    // Attach the plane zero-copy whether or not the knob is on: present
-    // but unused costs nothing, and a config flip needs no re-save.
-    SectionReader qr(image.Section(SectionKind::kQuantizedEmbeddings));
-    int64_t q_rows = 0;
-    int32_t q_dim = 0;
-    LAN_RETURN_NOT_OK(qr.Pod(&q_rows));
-    LAN_RETURN_NOT_OK(qr.Pod(&q_dim));
-    if (q_rows != n || q_dim != embeddings.dim()) {
-      return Status::IoError(
-          "quantized-embeddings section: shape mismatch");
-    }
-    LAN_ASSIGN_OR_RETURN(std::span<const int8_t> codes,
-                         qr.Array<int8_t>(embeddings.size()));
-    LAN_ASSIGN_OR_RETURN(std::span<const float> scales,
-                         qr.Array<float>(static_cast<size_t>(n)));
-    embeddings.AttachQuantizedView(codes.data(), scales.data());
-  } else if (config_.quantized_embeddings) {
-    // Legacy snapshot without the section: quantize on first use (open).
-    embeddings.Quantize();
-  }
   LAN_ASSIGN_OR_RETURN(
       KMeansResult clusters,
       DecodeClusters(image.Section(SectionKind::kClusters), n));
-  if (config_.quantized_embeddings) {
-    // Centroid planes are never persisted; re-derive from the decoded f32
-    // centroids (the plane itself is owned even over a view matrix).
-    clusters.centroids.Quantize();
-  }
   auto cgs = std::make_shared<std::vector<CompressedGnnGraph>>();
   LAN_RETURN_NOT_OK(DecodeCgs(image.Section(SectionKind::kCgs),
                               backing.get(), cgs.get(), n));
@@ -622,6 +584,17 @@ Status LanIndex::OpenSnapshot(const std::string& path) {
           static_cast<int>(config_.scorer.gnn_dims.size())) {
     return Status::InvalidArgument(
         "snapshot CG depth does not match config.scorer.gnn_dims");
+  }
+  // Inserts embed with the config's dim and M_c is sized from it, so a
+  // mismatch must be rejected here rather than abort on the first write.
+  if (embeddings.dim() != config_.embedding.dim) {
+    return Status::InvalidArgument(StrFormat(
+        "snapshot embedding dim %d does not match config.embedding.dim %d",
+        embeddings.dim(), config_.embedding.dim));
+  }
+  if (clusters.centroids.dim() != embeddings.dim()) {
+    return Status::InvalidArgument(
+        "snapshot centroid dim does not match its embedding dim");
   }
 
   // Trained state, if the snapshot carries it: architectures come from

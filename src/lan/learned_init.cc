@@ -114,48 +114,6 @@ GraphId LanInitialSelector::Select(DistanceOracle* oracle, Rng* rng) {
 
   // 3) Sample s candidates and take the closest (true distances; counted).
   if (predicted_.empty()) {
-    // Int8 fallback: instead of a random draw, scan centroids then the
-    // nearest cluster's members on int8 codes — a cheap embedding-space
-    // nearest neighbor as the routing start. Free of model inference (and
-    // of NDC: no GED is computed), it only replaces the random choice.
-    if (use_quantized_ && db_embeddings_->has_quantized() &&
-        clusters_->centroids.has_quantized()) {
-      const std::vector<float> query_embedding =
-          EmbedGraph(oracle->query(), *embedding_options_);
-      std::vector<int8_t> q_codes(query_embedding.size());
-      const float q_scale =
-          QuantizeRowI8(query_embedding, q_codes.data());
-      const int32_t c = NearestCentroidQuantized(clusters_->centroids,
-                                                 q_codes, q_scale);
-      const std::vector<int32_t>& members =
-          clusters_->members[static_cast<size_t>(c)];
-      if (!members.empty()) {
-        GraphId nearest = kInvalidGraphId;
-        double nearest_d = 0.0;
-        for (int32_t member : members) {
-          const GraphId id = static_cast<GraphId>(member);
-          const double d = SquaredL2Quantized(
-              q_codes, q_scale, db_embeddings_->QuantizedRow(id),
-              db_embeddings_->scale(id));
-          if (nearest == kInvalidGraphId || d < nearest_d ||
-              (d == nearest_d && id < nearest)) {
-            nearest = id;
-            nearest_d = d;
-          }
-        }
-        if (sink != nullptr) {
-          TraceEvent event;
-          event.type = TraceEventType::kInitSelect;
-          event.id = nearest;
-          event.value = nearest_d;
-          event.aux = 0.0;  // empty predicted neighborhood
-          event.detail = "quantized_fallback";
-          sink->Record(event);
-        }
-        return nearest;
-      }
-      // Empty cluster: fall through to the random draw below.
-    }
     // Bounded by the clustering's coverage, not the database size: under a
     // concurrent insert the database may already hold graphs this query's
     // pinned snapshot does not index.

@@ -32,28 +32,19 @@ struct LanInitOptions {
 /// predicted neighborhood is empty.
 ///
 /// Constructed once per query (it caches the query CG / embedding).
-///
-/// With `use_quantized` (and centroid/embedding int8 planes present) the
-/// empty-neighborhood fallback becomes an int8 nearest-centroid scan
-/// followed by an int8 nearest-member scan instead of a random draw — the
-/// M_c/M_nh inference pipeline itself always runs on f32 inputs, so the
-/// trained models' outputs are unchanged.
 class LanInitialSelector : public InitialSelector {
  public:
   LanInitialSelector(const NeighborhoodModel* nh_model,
                      const ClusterModel* cluster_model,
                      const KMeansResult* clusters,
-                     const EmbeddingMatrix* db_embeddings,
                      const std::vector<CompressedGnnGraph>* db_cgs,
                      const CompressedGnnGraph* query_cg,
                      const EmbeddingOptions* embedding_options,
-                     bool use_compressed, LanInitOptions options,
-                     bool use_quantized = false)
+                     bool use_compressed, LanInitOptions options)
       : nh_model_(nh_model), cluster_model_(cluster_model),
-        clusters_(clusters), db_embeddings_(db_embeddings), db_cgs_(db_cgs),
+        clusters_(clusters), db_cgs_(db_cgs),
         query_cg_(query_cg), embedding_options_(embedding_options),
-        use_compressed_(use_compressed), options_(options),
-        use_quantized_(use_quantized) {}
+        use_compressed_(use_compressed), options_(options) {}
 
   GraphId Select(DistanceOracle* oracle, Rng* rng) override;
 
@@ -70,13 +61,11 @@ class LanInitialSelector : public InitialSelector {
   const NeighborhoodModel* nh_model_;
   const ClusterModel* cluster_model_;
   const KMeansResult* clusters_;
-  const EmbeddingMatrix* db_embeddings_;
   const std::vector<CompressedGnnGraph>* db_cgs_;
   const CompressedGnnGraph* query_cg_;
   const EmbeddingOptions* embedding_options_;
   bool use_compressed_;
   LanInitOptions options_;
-  bool use_quantized_;
   SearchScratch* scratch_ = nullptr;
   std::vector<GraphId> predicted_;
 };

@@ -113,31 +113,6 @@ double L2SqScalar(const float* a, const float* b, int64_t n) {
   return total;
 }
 
-double DotI8Scalar(const int8_t* a, float scale_a, const int8_t* b,
-                   float scale_b, int64_t n) {
-  int64_t acc = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    acc += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return internal::CombineDotI8(acc, scale_a, scale_b);
-}
-
-double L2SqI8Scalar(const int8_t* a, float scale_a, const int8_t* b,
-                    float scale_b, int64_t n) {
-  // Different per-row scales make the code-difference form invalid; gather
-  // the three dot accumulators in one pass instead and let the shared
-  // combine apply the scales (||sa*A - sb*B||^2 decomposition).
-  int64_t aa = 0, ab = 0, bb = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    const int32_t av = a[i];
-    const int32_t bv = b[i];
-    aa += av * av;
-    ab += av * bv;
-    bb += bv * bv;
-  }
-  return internal::CombineL2SqI8(aa, ab, bb, scale_a, scale_b);
-}
-
 void ReluScalar(float* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) x[i] = std::max(0.0f, x[i]);
 }
@@ -163,28 +138,6 @@ void SoftmaxRowsScalar(float* data, int32_t rows, int32_t cols) {
 
 }  // namespace
 
-namespace internal {
-
-// Deliberately out of line and free of target attributes: one compiled
-// instance of the closing double arithmetic serves every ISA table, which
-// is what makes the int8 kernels bitwise identical across levels (the
-// integer accumulators they feed in are exact).
-double CombineDotI8(int64_t acc, float scale_a, float scale_b) {
-  return static_cast<double>(scale_a) * static_cast<double>(scale_b) *
-         static_cast<double>(acc);
-}
-
-double CombineL2SqI8(int64_t aa, int64_t ab, int64_t bb, float scale_a,
-                     float scale_b) {
-  const double sa = static_cast<double>(scale_a);
-  const double sb = static_cast<double>(scale_b);
-  return sa * sa * static_cast<double>(aa) -
-         2.0 * sa * sb * static_cast<double>(ab) +
-         sb * sb * static_cast<double>(bb);
-}
-
-}  // namespace internal
-
 const KernelTable& ScalarKernels() {
   static const KernelTable table = {
       /*name=*/"scalar",
@@ -196,8 +149,6 @@ const KernelTable& ScalarKernels() {
       /*relu=*/&ReluScalar,
       /*sigmoid=*/&SigmoidScalar,
       /*softmax_rows=*/&SoftmaxRowsScalar,
-      /*dot_i8=*/&DotI8Scalar,
-      /*l2sq_i8=*/&L2SqI8Scalar,
   };
   return table;
 }

@@ -52,21 +52,6 @@ struct KernelTable {
   /// SIMD variants vectorize only the max and divide passes (both exact),
   /// keeping the scalar exp/sum pass, so results match scalar bitwise.
   void (*softmax_rows)(float* data, int32_t rows, int32_t cols);
-
-  /// Scaled int8 dot product: scale_a * scale_b * sum(a[i] * b[i]). The
-  /// integer sum is exact (i32 lanes widened to i64, see docs/kernels.md
-  /// for the length bound) and the scales are applied once at the end via
-  /// a combine routine shared by every table, so — unlike the f32 kernels
-  /// — results are bitwise identical across ISA levels.
-  double (*dot_i8)(const int8_t* a, float scale_a, const int8_t* b,
-                   float scale_b, int64_t n);
-
-  /// Squared L2 between two symmetric-per-row-quantized vectors with
-  /// *different* scales: sa^2*(A.A) - 2*sa*sb*(A.B) + sb^2*(B.B), all
-  /// three dot accumulators gathered in one integer pass and combined in
-  /// double at the end (shared combine routine; bitwise across levels).
-  double (*l2sq_i8)(const int8_t* a, float scale_a, const int8_t* b,
-                    float scale_b, int64_t n);
 };
 
 /// The always-available reference table (the pre-dispatch scalar code).
@@ -86,16 +71,6 @@ namespace internal {
 /// build targets a non-x86 architecture (the TUs then compile to stubs).
 const KernelTable* Avx2Kernels();
 const KernelTable* Avx512Kernels();
-
-/// Final scale application of the int8 kernels, compiled exactly once (in
-/// kernels.cc, no target attribute) and called out of line by every ISA
-/// variant. The integer accumulators are exact, so routing the handful of
-/// closing double operations through one shared instruction sequence makes
-/// dot_i8/l2sq_i8 bitwise identical across ISA levels — FMA contraction
-/// inside a per-ISA TU could otherwise round the combine differently.
-double CombineDotI8(int64_t acc, float scale_a, float scale_b);
-double CombineL2SqI8(int64_t aa, int64_t ab, int64_t bb, float scale_a,
-                     float scale_b);
 }  // namespace internal
 
 }  // namespace lan

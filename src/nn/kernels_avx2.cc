@@ -223,89 +223,6 @@ LAN_AVX2 double L2SqAvx2(const float* a, const float* b, int64_t n) {
   return total;
 }
 
-/// Widens the 8 i32 lanes to i64 before summing: per-lane partial sums
-/// stay exact for any realistic length, but their 8-way total could wrap
-/// i32 past ~65k elements.
-LAN_AVX2 inline int64_t HsumI32To64(__m256i v) {
-  const __m256i lo =
-      _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v));
-  const __m256i hi =
-      _mm256_cvtepi32_epi64(_mm256_extracti128_si256(v, 1));
-  const __m256i s = _mm256_add_epi64(lo, hi);
-  alignas(32) int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), s);
-  return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-}
-
-// For short inputs the full i32 total of a madd accumulator cannot wrap
-// (each element pair adds at most 2*127^2 = 32258; 65536 * 32258 < 2^31),
-// so summing the lanes in i32 is exact and much cheaper than widening.
-// Either path yields the same integer, keeping the cross-ISA bitwise
-// contract intact; the threshold matches the AVX-512 TU.
-constexpr int64_t kI8HsumI32SafeLen = int64_t{1} << 16;
-
-LAN_AVX2 inline int64_t HsumMadd(__m256i v, int64_t n) {
-  if (n <= kI8HsumI32SafeLen) {
-    const __m128i q =
-        _mm_add_epi32(_mm256_castsi256_si128(v),
-                      _mm256_extracti128_si256(v, 1));
-    const __m128i p = _mm_add_epi32(q, _mm_shuffle_epi32(q, 0x4e));
-    return _mm_cvtsi128_si32(_mm_add_epi32(p, _mm_shuffle_epi32(p, 0xb1)));
-  }
-  return HsumI32To64(v);
-}
-
-LAN_AVX2 double DotI8Avx2(const int8_t* a, float scale_a, const int8_t* b,
-                          float scale_b, int64_t n) {
-  // 16 codes per step: sign-extend to i16, then madd pairs into i32 lanes.
-  // Each madd term is <= 2*127^2, so the i32 lanes hold ~66k steps (>1M
-  // elements) without overflow — far beyond any embedding dim here.
-  __m256i acc = _mm256_setzero_si256();
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i av = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
-    const __m256i bv = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(av, bv));
-  }
-  int64_t sum = HsumMadd(acc, n);
-  for (; i < n; ++i) {
-    sum += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return internal::CombineDotI8(sum, scale_a, scale_b);
-}
-
-LAN_AVX2 double L2SqI8Avx2(const int8_t* a, float scale_a, const int8_t* b,
-                           float scale_b, int64_t n) {
-  // One pass gathers all three accumulators of the scaled decomposition
-  // (A.A, A.B, B.B); the shared combine applies the scales.
-  __m256i acc_aa = _mm256_setzero_si256();
-  __m256i acc_ab = _mm256_setzero_si256();
-  __m256i acc_bb = _mm256_setzero_si256();
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i av = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
-    const __m256i bv = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
-    acc_aa = _mm256_add_epi32(acc_aa, _mm256_madd_epi16(av, av));
-    acc_ab = _mm256_add_epi32(acc_ab, _mm256_madd_epi16(av, bv));
-    acc_bb = _mm256_add_epi32(acc_bb, _mm256_madd_epi16(bv, bv));
-  }
-  int64_t aa = HsumMadd(acc_aa, n);
-  int64_t ab = HsumMadd(acc_ab, n);
-  int64_t bb = HsumMadd(acc_bb, n);
-  for (; i < n; ++i) {
-    const int32_t av = a[i];
-    const int32_t bv = b[i];
-    aa += av * av;
-    ab += av * bv;
-    bb += bv * bv;
-  }
-  return internal::CombineL2SqI8(aa, ab, bb, scale_a, scale_b);
-}
-
 LAN_AVX2 void ReluAvx2(float* x, int64_t n) {
   const __m256 zero = _mm256_setzero_ps();
   int64_t i = 0;
@@ -360,8 +277,6 @@ const KernelTable* Avx2Kernels() {
     t.l2sq = &L2SqAvx2;
     t.relu = &ReluAvx2;
     t.softmax_rows = &SoftmaxRowsAvx2;
-    t.dot_i8 = &DotI8Avx2;
-    t.l2sq_i8 = &L2SqI8Avx2;
     return t;
   }();
   return &table;

@@ -14,10 +14,6 @@
 #include <cmath>
 
 #define LAN_AVX512 __attribute__((target("avx512f")))
-// The int8 kernels need the bw extension for 512-bit cvtepi8/madd_epi16;
-// safe at dispatch time because SimdLevel::kAvx512 already requires cpuid
-// avx512bw (see cpu_features.cc).
-#define LAN_AVX512BW __attribute__((target("avx512f,avx512bw")))
 
 namespace lan {
 namespace {
@@ -199,80 +195,6 @@ LAN_AVX512 double L2SqAvx512(const float* a, const float* b, int64_t n) {
   return total;
 }
 
-// Sums 16 i32 lanes exactly by widening to i64 first (the i32 lane total
-// could wrap for very long inputs even though each lane is in range).
-LAN_AVX512BW inline int64_t HsumI32To64Avx512(__m512i v) {
-  const __m512i lo =
-      _mm512_cvtepi32_epi64(_mm512_castsi512_si256(v));
-  const __m512i hi =
-      _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(v, 1));
-  return _mm512_reduce_add_epi64(_mm512_add_epi64(lo, hi));
-}
-
-// Below this length the full i32 total of a madd accumulator is provably
-// < 2^31 (each element pair contributes at most 2*127^2 = 32258, and
-// 65536 * 32258 < 2^31), so lanes can be summed without widening — the
-// cheap epilogue that matters for short embedding rows. The result is the
-// same exact integer either way, so the cross-ISA bitwise contract is
-// unaffected by which path runs.
-constexpr int64_t kI8HsumI32SafeLen = int64_t{1} << 16;
-
-LAN_AVX512BW inline int64_t HsumMaddAvx512(__m512i v, int64_t n) {
-  if (n <= kI8HsumI32SafeLen) {
-    return _mm512_reduce_add_epi32(v);
-  }
-  return HsumI32To64Avx512(v);
-}
-
-LAN_AVX512BW double DotI8Avx512(const int8_t* a, float scale_a,
-                                const int8_t* b, float scale_b, int64_t n) {
-  // 32 codes per step: sign-extend to i16 across a zmm, madd pairs to i32.
-  __m512i acc = _mm512_setzero_si512();
-  int64_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m512i av = _mm512_cvtepi8_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)));
-    const __m512i bv = _mm512_cvtepi8_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
-    acc = _mm512_add_epi32(acc, _mm512_madd_epi16(av, bv));
-  }
-  int64_t sum = HsumMaddAvx512(acc, n);
-  for (; i < n; ++i) {
-    sum += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return internal::CombineDotI8(sum, scale_a, scale_b);
-}
-
-LAN_AVX512BW double L2SqI8Avx512(const int8_t* a, float scale_a,
-                                 const int8_t* b, float scale_b, int64_t n) {
-  // Gathers A.A, A.B and B.B in one pass; the shared combine applies the
-  // two row scales (different per row, so no code-difference shortcut).
-  __m512i acc_aa = _mm512_setzero_si512();
-  __m512i acc_ab = _mm512_setzero_si512();
-  __m512i acc_bb = _mm512_setzero_si512();
-  int64_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m512i av = _mm512_cvtepi8_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)));
-    const __m512i bv = _mm512_cvtepi8_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
-    acc_aa = _mm512_add_epi32(acc_aa, _mm512_madd_epi16(av, av));
-    acc_ab = _mm512_add_epi32(acc_ab, _mm512_madd_epi16(av, bv));
-    acc_bb = _mm512_add_epi32(acc_bb, _mm512_madd_epi16(bv, bv));
-  }
-  int64_t aa = HsumMaddAvx512(acc_aa, n);
-  int64_t ab = HsumMaddAvx512(acc_ab, n);
-  int64_t bb = HsumMaddAvx512(acc_bb, n);
-  for (; i < n; ++i) {
-    const int32_t av = a[i];
-    const int32_t bv = b[i];
-    aa += av * av;
-    ab += av * bv;
-    bb += bv * bv;
-  }
-  return internal::CombineL2SqI8(aa, ab, bb, scale_a, scale_b);
-}
-
 LAN_AVX512 void ReluAvx512(float* x, int64_t n) {
   const __m512 zero = _mm512_setzero_ps();
   int64_t i = 0;
@@ -336,8 +258,6 @@ const KernelTable* Avx512Kernels() {
     t.l2sq = &L2SqAvx512;
     t.relu = &ReluAvx512;
     t.softmax_rows = &SoftmaxRowsAvx512;
-    t.dot_i8 = &DotI8Avx512;
-    t.l2sq_i8 = &L2SqI8Avx512;
     return t;
   }();
   return &table;

@@ -75,8 +75,8 @@ const char* SectionKindName(SectionKind kind) {
       return "models";
     case SectionKind::kShardManifest:
       return "shard-manifest";
-    case SectionKind::kQuantizedEmbeddings:
-      return "quantized-embeddings";
+    case SectionKind::kRetiredInt8Embeddings:
+      return "retired-int8";
   }
   return "unknown";
 }

@@ -45,7 +45,9 @@ enum class SectionKind : uint32_t {
   kHnsw = 6,        ///< HNSW core + base-view CSR layers
   kModels = 7,      ///< trained parameter blobs + rank context matrix
   kShardManifest = 8,  ///< ShardedLanIndex directory manifest
-  kQuantizedEmbeddings = 9,  ///< int8 embedding codes + per-row scales
+  /// Retired: held the int8 quantized embedding plane. Never written,
+  /// skipped on read (older files keep opening), never reuse the value.
+  kRetiredInt8Embeddings = 9,
 };
 
 /// Human-readable name of a section kind ("meta", "graphs", ...).

@@ -6,6 +6,7 @@
 #include "gnn/compressed_gnn_graph.h"
 #include "gnn/cross_graph.h"
 #include "gnn/embedding.h"
+#include "gnn/embedding_matrix.h"
 #include "gnn/gin.h"
 #include "gnn/gnn_graph.h"
 #include "gnn/hag.h"
@@ -340,6 +341,41 @@ TEST(EmbeddingTest, CloserGraphsCloserInEmbedding) {
     if (SquaredL2(base, near) < SquaredL2(base, far)) ++wins;
   }
   EXPECT_GE(wins, trials * 3 / 5);
+}
+
+// ---------- Embedding matrix ----------
+
+TEST(EmbeddingMatrixTest, ViewCopiesAsOwned) {
+  Rng rng(31);
+  EmbeddingMatrix m(6, 8);
+  for (int64_t i = 0; i < m.rows(); ++i) {
+    float* row = m.MutableRow(i);
+    for (int32_t j = 0; j < m.dim(); ++j) row[j] = rng.NextFloat(-3.0f, 3.0f);
+  }
+  // A view over m's arena stands in for a mapped snapshot section.
+  const EmbeddingMatrix view = EmbeddingMatrix::FromView(6, 8, m.data());
+  ASSERT_TRUE(view.is_view());
+  const EmbeddingMatrix owned = view;  // copy materializes the rows
+  EXPECT_FALSE(owned.is_view());
+  EXPECT_NE(owned.data(), m.data());
+  ASSERT_EQ(owned.rows(), 6);
+  ASSERT_EQ(owned.dim(), 8);
+  for (int64_t i = 0; i < 6; ++i) {
+    for (int32_t j = 0; j < 8; ++j) {
+      EXPECT_EQ(owned.Row(i)[j], m.Row(i)[j]) << "row " << i << " col " << j;
+    }
+  }
+}
+
+TEST(EmbeddingMatrixTest, ReserveAdoptsDimAndChecksMismatch) {
+  EmbeddingMatrix m;
+  m.Reserve(100, 24);  // pre-dim reserve now sizes rows * dim, not rows * 0
+  EXPECT_EQ(m.dim(), 24);
+  EXPECT_EQ(m.rows(), 0);
+  std::vector<float> row(24, 1.0f);
+  m.AppendRow(row);
+  EXPECT_EQ(m.dim(), 24);
+  EXPECT_DEATH(m.Reserve(10, 8), "dim");
 }
 
 }  // namespace

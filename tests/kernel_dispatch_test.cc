@@ -135,54 +135,6 @@ TEST_F(KernelDispatchTest, RawKernelsMatchScalar) {
   }
 }
 
-TEST_F(KernelDispatchTest, Int8KernelsBitwiseAcrossLevels) {
-  // Unlike the f32 kernels, dot_i8/l2sq_i8 promise bitwise equality across
-  // ISA levels: integer accumulation is exact and the closing double
-  // arithmetic runs through one shared combine routine. EXPECT_EQ, not
-  // EXPECT_NEAR.
-  const int64_t n = 301;  // exercises both vector body and scalar tail
-  Rng rng(303);
-  std::vector<int8_t> a(static_cast<size_t>(n));
-  std::vector<int8_t> b(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    // Full code range [-127, 127] (QuantizeRowI8 never emits -128).
-    a[static_cast<size_t>(i)] =
-        static_cast<int8_t>(static_cast<int>(rng.NextBounded(255)) - 127);
-    b[static_cast<size_t>(i)] =
-        static_cast<int8_t>(static_cast<int>(rng.NextBounded(255)) - 127);
-  }
-  a[0] = -127;
-  b[0] = -127;  // extremes included
-  const float sa = 0.037f, sb = 0.021f;
-  const KernelTable& scalar = ScalarKernels();
-  const double dot_ref = scalar.dot_i8(a.data(), sa, b.data(), sb, n);
-  const double l2_ref = scalar.l2sq_i8(a.data(), sa, b.data(), sb, n);
-  // Sanity against a direct double-precision evaluation of the definition.
-  double expect_dot = 0.0, expect_l2 = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    const double av = static_cast<double>(sa) * a[static_cast<size_t>(i)];
-    const double bv = static_cast<double>(sb) * b[static_cast<size_t>(i)];
-    expect_dot += av * bv;
-    expect_l2 += (av - bv) * (av - bv);
-  }
-  EXPECT_NEAR(dot_ref, expect_dot, 1e-9 * std::abs(expect_dot) + 1e-12);
-  EXPECT_NEAR(l2_ref, expect_l2, 1e-9 * expect_l2 + 1e-12);
-
-  for (SimdLevel level : HostLevels()) {
-    SCOPED_TRACE(SimdLevelName(level));
-    const KernelTable& kt = KernelsFor(level);
-    for (const int64_t len : {int64_t{0}, int64_t{1}, int64_t{15},
-                              int64_t{16}, int64_t{32}, int64_t{33}, n}) {
-      EXPECT_EQ(kt.dot_i8(a.data(), sa, b.data(), sb, len),
-                scalar.dot_i8(a.data(), sa, b.data(), sb, len))
-          << "len " << len;
-      EXPECT_EQ(kt.l2sq_i8(a.data(), sa, b.data(), sb, len),
-                scalar.l2sq_i8(a.data(), sa, b.data(), sb, len))
-          << "len " << len;
-    }
-  }
-}
-
 TEST_F(KernelDispatchTest, ScalarTableIsDeterministic) {
   // Pinning scalar twice must yield bit-identical outputs (the
   // LAN_FORCE_SCALAR reproducibility contract at the kernel layer).

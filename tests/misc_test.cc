@@ -1,12 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include <set>
 #include <utility>
 #include <vector>
 
-#include "graph/graph_dot.h"
 #include "graph/graph_io.h"
 #include "graph/graph_generator.h"
 #include "lan/evaluation.h"
@@ -17,39 +14,6 @@
 
 namespace lan {
 namespace {
-
-// ---------- DOT export ----------
-
-TEST(GraphDotTest, RendersNodesAndEdges) {
-  Graph g;
-  g.AddNode(3);
-  g.AddNode(7);
-  ASSERT_TRUE(g.AddEdge(0, 1).ok());
-  const std::string dot = ToDot(g);
-  EXPECT_NE(dot.find("graph G {"), std::string::npos);
-  EXPECT_NE(dot.find("n0 [label=\"0:3\"]"), std::string::npos);
-  EXPECT_NE(dot.find("n1 [label=\"1:7\"]"), std::string::npos);
-  EXPECT_NE(dot.find("n0 -- n1;"), std::string::npos);
-}
-
-TEST(GraphDotTest, LabelsOptional) {
-  Graph g;
-  g.AddNode(1);
-  DotOptions options;
-  options.show_labels = false;
-  options.name = "Mol";
-  const std::string dot = ToDot(g, options);
-  EXPECT_NE(dot.find("graph Mol {"), std::string::npos);
-  EXPECT_EQ(dot.find("label"), std::string::npos);
-}
-
-TEST(GraphDotTest, StreamVariant) {
-  Graph g;
-  g.AddNode(0);
-  std::ostringstream out;
-  EXPECT_TRUE(WriteDot(g, out).ok());
-  EXPECT_FALSE(out.str().empty());
-}
 
 // ---------- LanConfig validation ----------
 

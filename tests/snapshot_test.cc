@@ -614,5 +614,109 @@ TEST(SnapshotTest, OpenRejectsMissingSections) {
       << status.ToString();
 }
 
+// ---------- Config mismatch ----------
+
+TEST(SnapshotTest, OpenRejectsEmbeddingDimMismatch) {
+  // Inserts embed at config.embedding.dim and M_c is sized from it, so a
+  // snapshot of another dim must fail to open instead of aborting later.
+  const std::string path16 = TempPath("dim16.lansnap");
+  const std::string path32 = TempPath("dim32.lansnap");
+  const std::string mixed_path = TempPath("dim_mixed.lansnap");
+  GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(40), 231);
+  LanIndex index16(TinyConfig());
+  ASSERT_TRUE(index16.Build(&db).ok());
+  ASSERT_TRUE(index16.SaveSnapshot(path16).ok());
+  LanConfig config32 = TinyConfig();
+  config32.embedding.dim = 32;
+  LanIndex index32(config32);
+  ASSERT_TRUE(index32.Build(&db).ok());
+  ASSERT_TRUE(index32.SaveSnapshot(path32).ok());
+
+  LanConfig config64 = TinyConfig();
+  config64.embedding.dim = 64;
+  LanIndex opened64(config64);
+  const Status status = opened64.OpenSnapshot(path16);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("embedding dim"), std::string::npos)
+      << status.ToString();
+
+  // Dim-16 embeddings next to dim-32 centroids: the same cluster count and
+  // assignment length, so only the dim check can catch it.
+  auto a = Snapshot::Open(path16);
+  auto b = Snapshot::Open(path32);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  SnapshotWriter writer;
+  for (const SectionInfo& info : a->sections()) {
+    const auto payload = info.kind == SectionKind::kClusters
+                             ? b->Section(info.kind)
+                             : a->Section(info.kind);
+    writer.AddSection(info.kind)->Bytes(payload.data(), payload.size());
+  }
+  ASSERT_TRUE(writer.WriteToFile(mixed_path).ok());
+  LanIndex mixed(TinyConfig());
+  const Status mixed_status = mixed.OpenSnapshot(mixed_path);
+  EXPECT_EQ(mixed_status.code(), StatusCode::kInvalidArgument)
+      << mixed_status.ToString();
+  EXPECT_NE(mixed_status.message().find("centroid dim"), std::string::npos)
+      << mixed_status.ToString();
+}
+
+// ---------- Retired sections ----------
+
+TEST(SnapshotTest, RetiredSectionIsSkippedOnOpen) {
+  // Files saved with the retired int8 embedding plane carry a kind-9
+  // section. The reader skips it by its TOC entry: such a file opens and
+  // answers exactly like the same file without it.
+  const std::string path = TempPath("without_retired.lansnap");
+  const std::string retired_path = TempPath("with_retired.lansnap");
+  GraphDatabase db;
+  LanIndex original(TinyConfig());
+  QueryWorkload workload = BuildAndSave(path, 40, &db, &original);
+
+  auto full = Snapshot::Open(path);
+  ASSERT_TRUE(full.ok());
+  SnapshotWriter writer;
+  for (const SectionInfo& info : full->sections()) {
+    const auto payload = full->Section(info.kind);
+    writer.AddSection(info.kind)->Bytes(payload.data(), payload.size());
+    if (info.kind == SectionKind::kEmbeddings) {
+      // Where the old writer put it: rows, dim, codes, per-row scales.
+      SectionBuilder* retired =
+          writer.AddSection(SectionKind::kRetiredInt8Embeddings);
+      const EmbeddingMatrix& m = original.embeddings();
+      retired->Pod(m.rows());
+      retired->Pod(m.dim());
+      const std::vector<int8_t> codes(m.size(), 1);
+      const std::vector<float> scales(static_cast<size_t>(m.rows()), 0.5f);
+      retired->Array(codes.data(), codes.size());
+      retired->Array(scales.data(), scales.size());
+    }
+  }
+  ASSERT_TRUE(writer.WriteToFile(retired_path).ok());
+  auto image = Snapshot::Open(retired_path);
+  ASSERT_TRUE(image.ok());
+  ASSERT_TRUE(image->Has(SectionKind::kRetiredInt8Embeddings));
+
+  LanIndex plain(TinyConfig());
+  ASSERT_TRUE(plain.OpenSnapshot(path).ok());
+  LanIndex with_retired(TinyConfig());
+  ASSERT_TRUE(with_retired.OpenSnapshot(retired_path).ok());
+  EXPECT_TRUE(with_retired.trained());
+  for (const InitMethod init : {InitMethod::kLanIs, InitMethod::kHnswIs}) {
+    for (size_t i = 0; i < 3; ++i) {
+      SearchOptions sopts;
+      sopts.k = 5;
+      sopts.init = init;
+      SearchResult x = plain.Search(workload.test[i], sopts);
+      SearchResult y = with_retired.Search(workload.test[i], sopts);
+      ASSERT_TRUE(x.status.ok());
+      ASSERT_TRUE(y.status.ok());
+      EXPECT_EQ(x.results, y.results)
+          << InitMethodName(init) << " query " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace lan

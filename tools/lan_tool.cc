@@ -35,6 +35,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -59,30 +60,57 @@ namespace lan {
 namespace tool {
 namespace {
 
-/// Minimal --flag value parser.
+using FlagSet = std::set<std::string>;
+
+/// Minimal --flag value parser. `known` holds every flag the subcommand
+/// reads: any other flag, or a trailing flag with no value, exits 2 and
+/// names it, so a mistyped or retired option never quietly falls back to
+/// its default.
 class Flags {
  public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
+  Flags(int argc, char** argv, int first, const std::string& command,
+        FlagSet known)
+      : known_(std::move(known)) {
+    for (int i = first; i < argc; i += 2) {
       if (std::strncmp(argv[i], "--", 2) != 0) {
         std::fprintf(stderr, "expected --flag, got '%s'\n", argv[i]);
         std::exit(2);
       }
-      values_[argv[i] + 2] = argv[i + 1];
+      const std::string key = argv[i] + 2;
+      if (!known_.contains(key)) {
+        std::fprintf(stderr, "%s: unknown flag --%s\n", command.c_str(),
+                     key.c_str());
+        std::exit(2);
+      }
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s: flag --%s has no value\n", command.c_str(),
+                     key.c_str());
+        std::exit(2);
+      }
+      values_[key] = argv[i + 1];
     }
   }
 
   std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = values_.find(key);
+    auto it = Find(key);
     return it == values_.end() ? fallback : it->second;
   }
   int64_t GetInt(const std::string& key, int64_t fallback) const {
-    auto it = values_.find(key);
+    auto it = Find(key);
     return it == values_.end() ? fallback : std::atoll(it->second.c_str());
   }
-  bool Has(const std::string& key) const { return values_.contains(key); }
+  bool Has(const std::string& key) const { return Find(key) != values_.end(); }
 
  private:
+  // Reading a flag absent from the subcommand's table is a bug in this
+  // file: the table would reject that flag on the command line.
+  std::map<std::string, std::string>::const_iterator Find(
+      const std::string& key) const {
+    LAN_CHECK(known_.contains(key)) << "undeclared flag --" << key;
+    return values_.find(key);
+  }
+
+  FlagSet known_;
   std::map<std::string, std::string> values_;
 };
 
@@ -93,8 +121,8 @@ int Usage() {
                "inspect|serve> [--flag value ...]\n"
                "  global   --force-scalar 1     pin scalar kernels "
                "(bit-reproducible; same as LAN_FORCE_SCALAR=1)\n"
-               "           --quantized 1        int8 embedding plane for "
-               "embedding-space distances (default f32)\n"
+               "           a flag the command does not take, or one with "
+               "no value, exits 2\n"
                "  generate --kind aids|linux|pubchem|syn --count N "
                "[--seed S] --out FILE\n"
                "  stats    --db FILE\n"
@@ -170,10 +198,6 @@ LanConfig ToolConfig(const Flags& flags) {
     const int64_t mb = flags.GetInt("ged-cache-mb", 0);
     config.cache.enabled = mb > 0;
     config.cache.capacity_bytes = static_cast<size_t>(mb) << 20;
-  }
-  // `--quantized 1` builds/serves the int8 embedding plane (default f32).
-  if (flags.GetInt("quantized", 0) != 0) {
-    config.quantized_embeddings = true;
   }
   if (flags.Has("cache-admission")) {
     const std::string name = flags.Get("cache-admission", "");
@@ -585,14 +609,9 @@ int Diagnose(const Flags& flags) {
   std::printf("HNSW: %d layers, entry point #%d\n", index.hnsw().NumLayers(),
               index.hnsw().EntryPoint());
   const EmbeddingMatrix& embeddings = index.embeddings();
-  std::printf("embeddings: %lld x %d, storage %s (f32 %zu bytes",
+  std::printf("embeddings: %lld x %d, f32 %zu bytes\n",
               static_cast<long long>(embeddings.rows()), embeddings.dim(),
-              embeddings.has_quantized() ? "f32+int8" : "f32",
               embeddings.f32_bytes());
-  if (embeddings.has_quantized()) {
-    std::printf(", int8 codes+scales %zu bytes", embeddings.quantized_bytes());
-  }
-  std::printf(")\n");
   std::printf("clusters: %zu (largest %zu, smallest %zu members)\n",
               static_cast<size_t>(index.clusters().centroids.rows()),
               [&] {
@@ -712,10 +731,6 @@ int Inspect(const Flags& flags) {
   std::printf("%s: %zu bytes, format v%u\n%s", path.c_str(),
               snapshot->size(), snapshot->version(),
               snapshot->Describe().c_str());
-  std::printf("embedding storage: %s\n",
-              snapshot->Has(SectionKind::kQuantizedEmbeddings)
-                  ? "f32+int8 (serves int8 zero-copy)"
-                  : "f32 only (int8 derived lazily if configured)");
   return 0;
 }
 
@@ -906,26 +921,60 @@ int Serve(const Flags& flags) {
   return errors == 0 ? 0 : 1;
 }
 
+FlagSet Union(FlagSet a, const FlagSet& b) {
+  a.insert(b.begin(), b.end());
+  return a;
+}
+
+struct Subcommand {
+  int (*run)(const Flags&);
+  FlagSet flags;  // every flag `run` reads, besides --force-scalar
+};
+
+const std::map<std::string, Subcommand>& Subcommands() {
+  // ToolConfig's flags, read by every command that builds or opens an
+  // index; `open` adds OpenIndex's --snapshot, `server` the stats server.
+  static const FlagSet config = {"build-threads", "ged-cache-mb",
+                                 "cache-admission"};
+  static const FlagSet open = Union(config, {"snapshot"});
+  static const FlagSet server = {"stats-port", "port-file"};
+  static const std::map<std::string, Subcommand> commands = {
+      {"generate", {&Generate, {"kind", "count", "seed", "out"}}},
+      {"stats", {&Stats, {"db"}}},
+      {"build", {&Build, Union(config, {"db", "out", "queries", "seed"})}},
+      {"search",
+       {&SearchCmd, Union(Union(open, server), {"k", "queries", "seed",
+                                                "trace-out", "metrics-out"})}},
+      {"eval",
+       {&Eval, Union(Union(open, server), {"k", "queries", "seed",
+                                           "trace-out", "metrics-out"})}},
+      {"diagnose", {&Diagnose, open}},
+      {"insert", {&InsertCmd, Union(open, {"count", "edits", "seed", "out"})}},
+      {"remove", {&RemoveCmd, Union(open, {"id", "count", "seed", "out"})}},
+      {"inspect", {&Inspect, {"snapshot"}}},
+      {"serve",
+       {&Serve,
+        Union(Union(open, server),
+              {"k", "queries", "seed", "max-queries", "trace-sample",
+               "slow-queries", "slow-inject-every", "slow-beam",
+               "throttle-ms"})}},
+  };
+  return commands;
+}
+
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
-  Flags flags(argc, argv, 2);
+  const auto it = Subcommands().find(command);
+  if (it == Subcommands().end()) return Usage();
+  Flags flags(argc, argv, 2, command,
+              Union(it->second.flags, {"force-scalar"}));
   // `--force-scalar 1` pins the scalar kernel table (same effect as
   // LAN_FORCE_SCALAR=1): bit-for-bit reproducible results across hosts.
   if (flags.GetInt("force-scalar", 0) != 0) {
     SetActiveSimdLevel(SimdLevel::kScalar);
   }
-  if (command == "generate") return Generate(flags);
-  if (command == "stats") return Stats(flags);
-  if (command == "build") return Build(flags);
-  if (command == "search") return SearchCmd(flags);
-  if (command == "eval") return Eval(flags);
-  if (command == "diagnose") return Diagnose(flags);
-  if (command == "insert") return InsertCmd(flags);
-  if (command == "remove") return RemoveCmd(flags);
-  if (command == "inspect") return Inspect(flags);
-  if (command == "serve") return Serve(flags);
-  return Usage();
+  return it->second.run(flags);
 }
 
 }  // namespace

@@ -39,6 +39,25 @@ if(NOT empty_err MATCHES "graph 1:" OR empty_err MATCHES "FATAL")
                       "${empty_out}${empty_err}")
 endif()
 
+# A flag the subcommand does not read (here the retired --quantized) and a
+# trailing flag with no value are rejected up front: exit 2 with the flag
+# named on stderr, never an abort or a silent fallback to a default.
+function(expect_flag_error flag)
+  execute_process(COMMAND ${LAN_TOOL} ${ARGN} RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL 2 OR err MATCHES "FATAL" OR NOT err MATCHES "${flag}")
+    message(FATAL_ERROR "lan_tool ${ARGN} exited with '${code}'; expected 2 "
+                        "naming ${flag}:\n${out}${err}")
+  endif()
+endfunction()
+set(BAD_SNAP ${WORK_DIR}/pipeline.bad.lansnap)
+file(REMOVE ${BAD_SNAP})
+expect_flag_error(--quantized build --db ${DB} --out ${BAD_SNAP} --quantized 1)
+expect_flag_error(--snapshot inspect --snapshot)
+if(EXISTS ${BAD_SNAP})
+  message(FATAL_ERROR "build with an unknown flag still wrote ${BAD_SNAP}")
+endif()
+
 # --build-threads 2 exercises the parallel construction path end-to-end
 # (recall/quality checks below run against the parallel-built index).
 run_step(${LAN_TOOL} build --db ${DB} --out ${SNAP} --queries 12
