@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -123,6 +124,8 @@ int Main() {
     options.include_context_embedding = true;
     PairScorer scorer(db.num_labels(), options);
     const Matrix context_row = scorer.ContextEmbedding(cgs[kNumNeighbors]);
+    const std::span<const float> context_span(
+        context_row.data(), static_cast<size_t>(context_row.cols()));
 
     // Per-level row counts averaged over the candidate set, for FLOPs.
     std::vector<int32_t> ng_cg(kGnnLayers, 0), nq_cg(kGnnLayers, 0);
@@ -144,8 +147,7 @@ int Main() {
       }
     });
     const double batched_cg = TimePerCall([&] {
-      scorer.PredictCompressedBatchWithContextRow(cand_cgs, cg_cache,
-                                                  context_row);
+      scorer.InferHeads(scorer.InferCross(cand_cgs, cg_cache), context_span);
     });
     Report(json, "M_rk", "cg", kNumNeighbors, per_pair_cg, batched_cg,
            PairFlops(ng_cg, nq_cg, db.num_labels(), options));
@@ -157,8 +159,8 @@ int Main() {
       }
     });
     const double batched_raw = TimePerCall([&] {
-      scorer.PredictRawBatchWithContextRow(cand_graphs, raw_cache,
-                                           context_row);
+      scorer.InferHeads(scorer.InferCross(cand_graphs, raw_cache),
+                        context_span);
     });
     Report(json, "M_rk", "raw", kNumNeighbors, per_pair_raw, batched_raw,
            PairFlops(ng_raw, nq_raw, db.num_labels(), options));

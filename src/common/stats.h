@@ -66,8 +66,13 @@ struct SearchStats {
   int64_t ndc = 0;
   /// Number of routing steps (nodes explored on the PG).
   int64_t routing_steps = 0;
-  /// Number of learned-model forward passes.
+  /// Number of rows scored by the learned models' heads (M_rk: one per
+  /// (routing node, neighbor) pair; M_nh: one per member; M_c: one per
+  /// cluster).
   int64_t model_inferences = 0;
+  /// Number of cross-graph embeddings h_{G,Q} actually encoded: M_rk's
+  /// per-query memo misses plus M_nh's rows. At most model_inferences.
+  int64_t cross_encodings = 0;
   /// Number of cross-query result-cache hits (GED or model scores). Each
   /// hit replaced a computation that would otherwise have counted toward
   /// ndc or model_inferences, so results are identical either way — only
@@ -89,6 +94,7 @@ struct SearchStats {
     ndc += o.ndc;
     routing_steps += o.routing_steps;
     model_inferences += o.model_inferences;
+    cross_encodings += o.cross_encodings;
     cache_hits += o.cache_hits;
     distance_seconds += o.distance_seconds;
     learning_seconds += o.learning_seconds;

@@ -31,7 +31,9 @@ namespace lan {
 ///   kDistance      — DistanceOracle cache miss: d(Q, `id`) = value.
 ///                    Exactly one event per counted NDC.
 ///   kModelInference— one stacked forward pass: detail=model name,
-///                    aux=batch size (learned_init / learned_ranker / M_c)
+///                    aux=rows scored by the heads, value=cross-graph
+///                    rows encoded (M_rk: memo misses; M_nh: aux; M_c:
+///                    0) (learned_init / learned_ranker / M_c)
 ///   kEpochPinned   — search pinned index epoch value=epoch with
 ///                    aux=live graphs in that snapshot (LanIndex::Search;
 ///                    emitted right after kQueryBegin)

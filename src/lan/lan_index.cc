@@ -435,6 +435,8 @@ BatchSearchResult LanIndex::SearchBatch(const std::vector<Graph>& queries,
       "query_routing_steps", MetricsRegistry::CountBounds());
   const HistogramId inference_hist = registry.Histogram(
       "query_model_inferences", MetricsRegistry::CountBounds());
+  const HistogramId encoding_hist = registry.Histogram(
+      "query_cross_encodings", MetricsRegistry::CountBounds());
   const GaugeId live_gauge = registry.Gauge("index_live_size");
   const GaugeId tombstone_gauge = registry.Gauge("index_tombstones");
   const GaugeId epoch_gauge = registry.Gauge("index_epoch");
@@ -470,6 +472,8 @@ BatchSearchResult LanIndex::SearchBatch(const std::vector<Graph>& queries,
     registry.Observe(steps_hist, static_cast<double>(r.stats.routing_steps));
     registry.Observe(inference_hist,
                      static_cast<double>(r.stats.model_inferences));
+    registry.Observe(encoding_hist,
+                     static_cast<double>(r.stats.cross_encodings));
     if (options.profile) stage_hists.Observe(r.stats.stages);
   };
   if (num_threads <= 0 || threads == pool_->num_threads()) {

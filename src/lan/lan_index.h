@@ -160,8 +160,8 @@ struct BatchStats {
   /// Latency/NDC/steps/inference distributions over the batch (scraped
   /// from a per-call MetricsRegistry whose shards the workers filled
   /// contention-free). Histogram names: query_latency_seconds, query_ndc,
-  /// query_routing_steps, query_model_inferences; counters: queries,
-  /// query_errors.
+  /// query_routing_steps, query_model_inferences, query_cross_encodings;
+  /// counters: queries, query_errors.
   MetricsSnapshot metrics;
 };
 

@@ -80,6 +80,7 @@ GraphId LanInitialSelector::Select(DistanceOracle* oracle, Rng* rng) {
     TraceEvent event;
     event.type = TraceEventType::kModelInference;
     event.detail = "M_nh";
+    event.value = static_cast<double>(candidates.size());  // encodings
     event.aux = static_cast<double>(candidates.size());
     sink->Record(event);
   }
@@ -109,6 +110,7 @@ GraphId LanInitialSelector::Select(DistanceOracle* oracle, Rng* rng) {
   }
   if (stats != nullptr) {
     stats->model_inferences += inferences;
+    stats->cross_encodings += static_cast<int64_t>(candidates.size());
     stats->learning_seconds += timer.ElapsedSeconds();
   }
 

@@ -1,5 +1,7 @@
 #include "lan/learned_ranker.h"
 
+#include <algorithm>
+
 namespace lan {
 
 std::vector<std::vector<GraphId>> LearnedNeighborRanker::RankNeighbors(
@@ -46,18 +48,56 @@ std::vector<std::vector<GraphId>> LearnedNeighborRanker::RankNeighbors(
   }
   std::vector<std::vector<GraphId>> batches;
   int64_t inferences = 0;
+  int64_t encodings = 0;
   {
     StageSpan span(oracle_->profile(), Stage::kModelInference);
-    if (use_compressed_) {
-      batches = model_->PredictBatches(neighbors, *db_cgs_, node, query_cache_,
-                                       &inferences);
-    } else {
-      batches = model_->PredictBatchesRaw(neighbors, oracle_->db(), node,
-                                          query_cache_, &inferences);
+    const PairScorer& scorer = model_->scorer();
+    const int32_t cross_dim = scorer.cross_dim();
+    // Encode the neighbors this query has not met yet, in one batch.
+    std::vector<GraphId> misses;
+    for (GraphId n : neighbors) {
+      const int32_t slot = static_cast<int32_t>(memo_slot_.size());
+      if (memo_slot_.emplace(n, slot).second) misses.push_back(n);
     }
+    if (!misses.empty()) {
+      Matrix encoded;
+      if (use_compressed_) {
+        std::vector<const CompressedGnnGraph*> gs;
+        gs.reserve(misses.size());
+        for (GraphId n : misses) {
+          gs.push_back(&(*db_cgs_)[static_cast<size_t>(n)]);
+        }
+        encoded = scorer.InferCross(gs, query_cache_);
+      } else {
+        std::vector<const Graph*> gs;
+        gs.reserve(misses.size());
+        for (GraphId n : misses) gs.push_back(&oracle_->db().Get(n));
+        encoded = scorer.InferCross(gs, query_cache_);
+      }
+      memo_rows_.insert(memo_rows_.end(), encoded.data(),
+                        encoded.data() + encoded.size());
+      encodings = static_cast<int64_t>(misses.size());
+    }
+    // This node's neighbor rows, in neighbor order.
+    Matrix cross(static_cast<int32_t>(neighbors.size()), cross_dim);
+    for (size_t i = 0; i < neighbors.size(); ++i) {
+      const float* row =
+          memo_rows_.data() +
+          static_cast<size_t>(memo_slot_.at(neighbors[i])) * cross_dim;
+      std::copy(row, row + cross_dim,
+                cross.data() + i * static_cast<size_t>(cross_dim));
+    }
+    batches = use_compressed_
+                  ? model_->PredictBatchesFromCross(
+                        neighbors, cross, node,
+                        (*db_cgs_)[static_cast<size_t>(node)], &inferences)
+                  : model_->PredictBatchesFromCross(
+                        neighbors, cross, node, oracle_->db().Get(node),
+                        &inferences);
   }
   if (stats != nullptr) {
     stats->model_inferences += inferences;
+    stats->cross_encodings += encodings;
     stats->learning_seconds += timer.ElapsedSeconds();
   }
   if (TraceSink* sink = oracle_->trace(); sink != nullptr && inferences > 0) {
@@ -65,6 +105,7 @@ std::vector<std::vector<GraphId>> LearnedNeighborRanker::RankNeighbors(
     event.type = TraceEventType::kModelInference;
     event.id = node;
     event.detail = "M_rk";
+    event.value = static_cast<double>(encodings);
     event.aux = static_cast<double>(inferences);
     sink->Record(event);
   }

@@ -1,6 +1,7 @@
 #ifndef LAN_LAN_LEARNED_RANKER_H_
 #define LAN_LAN_LEARNED_RANKER_H_
 
+#include <unordered_map>
 #include <vector>
 
 #include "common/timer.h"
@@ -16,8 +17,18 @@ namespace lan {
 /// else all neighbors are returned as one batch, i.e., no pruning — the
 /// design constraint that motivates learned initial node selection.
 ///
-/// Model time is charged to SearchStats::learning_seconds and each scored
-/// neighbor to SearchStats::model_inferences.
+/// Each neighbor's cross-graph row h_{G',Q} depends only on (G', Q): the
+/// routing node G joins M_rk's features only at the heads, as its context
+/// row. So the ranker keeps a per-query memo from GraphId to cross row. A
+/// routing node encodes only its neighbors not yet in the memo (one
+/// batched InferCross call), then runs the heads over all its neighbors'
+/// rows. Rows and head probabilities do not depend on batch composition
+/// (docs/kernels.md, contract 4), so the batches equal the unmemoized
+/// NeighborRankModel::PredictBatches bit for bit. The memo is always on.
+///
+/// Model time is charged to SearchStats::learning_seconds, each neighbor
+/// scored by the heads to SearchStats::model_inferences, and each memo
+/// miss to SearchStats::cross_encodings.
 class LearnedNeighborRanker : public NeighborRanker {
  public:
   LearnedNeighborRanker(const NeighborRankModel* model,
@@ -43,6 +54,10 @@ class LearnedNeighborRanker : public NeighborRanker {
   /// reused for every routing node of this query.
   QueryEncodingCache query_cache_;
   bool query_cache_ready_ = false;
+  /// The per-query memo: memo_slot_[G'] is the row of h_{G',Q} in
+  /// memo_rows_ (row-major, cross_dim floats per row).
+  std::unordered_map<GraphId, int32_t> memo_slot_;
+  std::vector<float> memo_rows_;
 };
 
 }  // namespace lan

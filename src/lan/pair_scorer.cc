@@ -104,7 +104,7 @@ QueryEncodingCache PairScorer::EncodeQuery(const Graph& q) const {
   return cross_.EncodeQuery(q);
 }
 
-std::vector<std::vector<float>> PairScorer::FinishBatch(
+std::vector<std::vector<float>> PairScorer::InferHeads(
     const Matrix& cross, std::span<const float> context_row) const {
   const int32_t num_cands = cross.rows();
   Matrix features;
@@ -141,11 +141,11 @@ std::vector<std::vector<float>> PairScorer::PredictCompressedBatch(
     const QueryEncodingCache& query, const CompressedGnnGraph* context) const {
   const Matrix cross = cross_.InferCrossEmbeddings(gs, query);
   if (!options_.include_context_embedding) {
-    return FinishBatch(cross, {});
+    return InferHeads(cross, {});
   }
   LAN_CHECK(context != nullptr);
   const Matrix ctx = context_gin_.InferGraphEmbeddingCompressed(*context);
-  return FinishBatch(cross, {ctx.data(), static_cast<size_t>(ctx.cols())});
+  return InferHeads(cross, {ctx.data(), static_cast<size_t>(ctx.cols())});
 }
 
 std::vector<std::vector<float>> PairScorer::PredictRawBatch(
@@ -153,48 +153,21 @@ std::vector<std::vector<float>> PairScorer::PredictRawBatch(
     const Graph* context) const {
   const Matrix cross = cross_.InferCrossEmbeddings(gs, query);
   if (!options_.include_context_embedding) {
-    return FinishBatch(cross, {});
+    return InferHeads(cross, {});
   }
   LAN_CHECK(context != nullptr);
   const Matrix ctx = context_gin_.InferGraphEmbedding(*context);
-  return FinishBatch(cross, {ctx.data(), static_cast<size_t>(ctx.cols())});
+  return InferHeads(cross, {ctx.data(), static_cast<size_t>(ctx.cols())});
 }
 
-std::vector<std::vector<float>> PairScorer::PredictCompressedBatchWithContextRow(
-    const std::vector<const CompressedGnnGraph*>& gs,
-    const QueryEncodingCache& query,
-    std::span<const float> context_row) const {
-  LAN_CHECK(options_.include_context_embedding);
-  LAN_CHECK(!context_row.empty());
-  return FinishBatch(cross_.InferCrossEmbeddings(gs, query), context_row);
+Matrix PairScorer::InferCross(const std::vector<const CompressedGnnGraph*>& gs,
+                              const QueryEncodingCache& query) const {
+  return cross_.InferCrossEmbeddings(gs, query);
 }
 
-std::vector<std::vector<float>> PairScorer::PredictRawBatchWithContextRow(
-    const std::vector<const Graph*>& gs, const QueryEncodingCache& query,
-    std::span<const float> context_row) const {
-  LAN_CHECK(options_.include_context_embedding);
-  LAN_CHECK(!context_row.empty());
-  return FinishBatch(cross_.InferCrossEmbeddings(gs, query), context_row);
-}
-
-std::vector<std::vector<float>> PairScorer::PredictCompressedBatchWithContextRow(
-    const std::vector<const CompressedGnnGraph*>& gs,
-    const QueryEncodingCache& query, const Matrix& context_row) const {
-  LAN_CHECK_EQ(context_row.rows(), 1);
-  return PredictCompressedBatchWithContextRow(
-      gs, query,
-      std::span<const float>(context_row.data(),
-                             static_cast<size_t>(context_row.cols())));
-}
-
-std::vector<std::vector<float>> PairScorer::PredictRawBatchWithContextRow(
-    const std::vector<const Graph*>& gs, const QueryEncodingCache& query,
-    const Matrix& context_row) const {
-  LAN_CHECK_EQ(context_row.rows(), 1);
-  return PredictRawBatchWithContextRow(
-      gs, query,
-      std::span<const float>(context_row.data(),
-                             static_cast<size_t>(context_row.cols())));
+Matrix PairScorer::InferCross(const std::vector<const Graph*>& gs,
+                              const QueryEncodingCache& query) const {
+  return cross_.InferCrossEmbeddings(gs, query);
 }
 
 std::vector<float> PairScorer::PredictCompressedWithContextRow(

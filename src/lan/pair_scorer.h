@@ -61,7 +61,7 @@ class PairScorer {
 
   /// The context encoder's (query-independent) embedding of one graph —
   /// precomputable once after training, then passed to the
-  /// *WithContextRow inference helpers below.
+  /// *WithContextRow per-pair helpers or to InferHeads.
   Matrix ContextEmbedding(const CompressedGnnGraph& cg) const;
   Matrix ContextEmbedding(const Graph& g) const;
 
@@ -80,7 +80,8 @@ class PairScorer {
 
   /// Batched inference: out[i] == PredictCompressed(*gs[i], q, context),
   /// computed with one GEMM per GNN layer / head layer over the whole
-  /// candidate set and no autograd bookkeeping.
+  /// candidate set and no autograd bookkeeping. Equal to
+  /// InferHeads(InferCross(gs, query), context's embedding).
   std::vector<std::vector<float>> PredictCompressedBatch(
       const std::vector<const CompressedGnnGraph*>& gs,
       const QueryEncodingCache& query,
@@ -89,36 +90,32 @@ class PairScorer {
       const std::vector<const Graph*>& gs, const QueryEncodingCache& query,
       const Graph* context) const;
 
-  /// Batched inference with a precomputed context embedding row. The span
-  /// overloads accept one row of a context matrix directly (no per-call
-  /// Matrix temporary); the Matrix overloads forward to them.
-  std::vector<std::vector<float>> PredictCompressedBatchWithContextRow(
-      const std::vector<const CompressedGnnGraph*>& gs,
-      const QueryEncodingCache& query,
-      std::span<const float> context_row) const;
-  std::vector<std::vector<float>> PredictRawBatchWithContextRow(
-      const std::vector<const Graph*>& gs, const QueryEncodingCache& query,
-      std::span<const float> context_row) const;
-  std::vector<std::vector<float>> PredictCompressedBatchWithContextRow(
-      const std::vector<const CompressedGnnGraph*>& gs,
-      const QueryEncodingCache& query, const Matrix& context_row) const;
-  std::vector<std::vector<float>> PredictRawBatchWithContextRow(
-      const std::vector<const Graph*>& gs, const QueryEncodingCache& query,
-      const Matrix& context_row) const;
+  /// First half of batched inference: the cross-graph rows h_{G,Q}, one
+  /// per candidate (|gs| x cross_dim). Row i depends only on (*gs[i], Q),
+  /// never on which other candidates share the batch, so rows computed in
+  /// different calls may be reused and mixed (the per-query memo of
+  /// LearnedNeighborRanker relies on this).
+  Matrix InferCross(const std::vector<const CompressedGnnGraph*>& gs,
+                    const QueryEncodingCache& query) const;
+  Matrix InferCross(const std::vector<const Graph*>& gs,
+                    const QueryEncodingCache& query) const;
+
+  /// Second half: appends the context row (empty span = none) to every
+  /// cross row, runs all heads batched, and returns per-candidate sigmoid
+  /// probabilities. Row i's probabilities depend only on cross row i and
+  /// the context row.
+  std::vector<std::vector<float>> InferHeads(
+      const Matrix& cross, std::span<const float> context_row) const;
 
   ParamStore* params() { return &store_; }
   const ParamStore& params() const { return store_; }
   const PairScorerOptions& options() const { return options_; }
   int32_t num_labels() const { return num_labels_; }
+  /// Width of one InferCross row.
+  int32_t cross_dim() const { return cross_.cross_dim(); }
 
  private:
   VarId Heads(Tape* tape, VarId features) const;
-
-  /// Appends the optional context row (empty span = none) to every
-  /// cross-embedding row, runs all heads batched, and returns
-  /// per-candidate sigmoid probabilities.
-  std::vector<std::vector<float>> FinishBatch(
-      const Matrix& cross, std::span<const float> context_row) const;
 
   int32_t num_labels_;
   PairScorerOptions options_;

@@ -29,6 +29,7 @@ RangeSearchResult RangeSearchExact(const GraphDatabase& db, const Graph& query,
   // qualify, no GED needed.
   std::vector<GraphId> survivors;
   for (GraphId id = 0; id < db.size(); ++id) {
+    if (!db.IsLive(id)) continue;  // tombstones are never answers
     if (BestLowerBound(query, db.Get(id)) > threshold) {
       ++out.stats.filtered;
     } else {
@@ -64,9 +65,13 @@ RangeSearchResult RangeSearchApproximate(const LanIndex& index,
   SearchStats stats;
   GedComputer ged(index.config().query_ged);
   DistanceOracle oracle(&index.db(), &query, &ged, &stats);
+  // One pinned epoch for the graph, the CGs and the live mask, as in
+  // LanIndex::Search.
+  const std::shared_ptr<const IndexSnapshot> snap = index.Snapshot();
+  const std::vector<uint8_t>& live = *snap->live;
 
   const CompressedGnnGraph query_cg = index.QueryCg(query);
-  LearnedNeighborRanker ranker(index.rank_model(), &index.db_cgs(), &query_cg,
+  LearnedNeighborRanker ranker(index.rank_model(), snap->cgs.get(), &query_cg,
                                &oracle, index.gamma_star(),
                                index.config().use_compressed_gnn);
   NpRouteOptions options;
@@ -74,14 +79,16 @@ RangeSearchResult RangeSearchApproximate(const LanIndex& index,
   options.k = beam;
   options.step_size = index.config().step_size;
 
-  const GraphId init = index.hnsw().SelectInitialNode(&oracle);
-  NpRoute(index.pg(), &oracle, &ranker, init, options);
+  const GraphId init = snap->hnsw->SelectInitialNode(&oracle);
+  NpRoute(snap->hnsw->BaseLayer(), &oracle, &ranker, init, options);
 
-  // Harvest every encountered pair within the threshold: the routing's
-  // second stage swept thresholds outward, so the cache covers the
-  // query's vicinity.
+  // Harvest every encountered live pair within the threshold: the
+  // routing's second stage swept thresholds outward, so the cache covers
+  // the query's vicinity. Tombstones are routed through, never reported.
   oracle.ForEachCached([&](GraphId id, double d) {
-    if (d <= threshold) out.results.emplace_back(id, d);
+    if (d <= threshold && live[static_cast<size_t>(id)] != 0) {
+      out.results.emplace_back(id, d);
+    }
   });
   SortAscending(&out.results);
   out.stats.verified = stats.ndc;

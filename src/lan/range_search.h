@@ -15,8 +15,8 @@ struct RangeSearchStats {
   double seconds = 0.0;
 };
 
-/// \brief One range query's answer: every (id, distance) with
-/// d(Q, G) <= threshold, ascending.
+/// \brief One range query's answer: every live (id, distance) with
+/// d(Q, G) <= threshold, ascending. Tombstoned graphs are never reported.
 struct RangeSearchResult {
   KnnList results;
   RangeSearchStats stats;

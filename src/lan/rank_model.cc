@@ -160,48 +160,43 @@ std::vector<std::vector<GraphId>> NeighborRankModel::PredictBatches(
     std::span<const GraphId> neighbors,
     const std::vector<CompressedGnnGraph>& db_cgs, GraphId node,
     const QueryEncodingCache& query, int64_t* inference_count) const {
-  const bool cached_context =
-      static_cast<int64_t>(node) < contexts_.rows();
   std::vector<const CompressedGnnGraph*> gs;
   gs.reserve(neighbors.size());
   for (GraphId n : neighbors) gs.push_back(&db_cgs[static_cast<size_t>(n)]);
-  const std::vector<std::vector<float>> probs =
-      cached_context
-          ? scorer_.PredictCompressedBatchWithContextRow(gs, query,
-                                                         contexts_.Row(node))
-          : scorer_.PredictCompressedBatch(
-                gs, query, &db_cgs[static_cast<size_t>(node)]);
+  return PredictBatchesFromCross(neighbors, scorer_.InferCross(gs, query),
+                                 node, db_cgs[static_cast<size_t>(node)],
+                                 inference_count);
+}
+
+template <typename G>
+std::vector<std::vector<float>> NeighborRankModel::HeadProbs(
+    const Matrix& cross, GraphId node, const G& node_graph) const {
+  if (static_cast<int64_t>(node) < contexts_.rows()) {
+    return scorer_.InferHeads(cross, contexts_.Row(node));
+  }
+  const Matrix ctx = scorer_.ContextEmbedding(node_graph);
+  return scorer_.InferHeads(cross,
+                            {ctx.data(), static_cast<size_t>(ctx.cols())});
+}
+
+std::vector<std::vector<GraphId>> NeighborRankModel::PredictBatchesFromCross(
+    std::span<const GraphId> neighbors, const Matrix& cross, GraphId node,
+    const CompressedGnnGraph& node_cg, int64_t* inference_count) const {
+  LAN_CHECK_EQ(static_cast<size_t>(cross.rows()), neighbors.size());
   if (inference_count != nullptr) {
     *inference_count += static_cast<int64_t>(neighbors.size());
   }
-  return GroupByBatch(neighbors, probs);
+  return GroupByBatch(neighbors, HeadProbs(cross, node, node_cg));
 }
 
-std::vector<std::vector<GraphId>> NeighborRankModel::PredictBatchesRaw(
-    std::span<const GraphId> neighbors, const GraphDatabase& db,
-    GraphId node, const Graph& query, int64_t* inference_count) const {
-  return PredictBatchesRaw(neighbors, db, node, scorer_.EncodeQuery(query),
-                           inference_count);
-}
-
-std::vector<std::vector<GraphId>> NeighborRankModel::PredictBatchesRaw(
-    std::span<const GraphId> neighbors, const GraphDatabase& db,
-    GraphId node, const QueryEncodingCache& query,
-    int64_t* inference_count) const {
-  const bool cached_context =
-      static_cast<int64_t>(node) < contexts_.rows();
-  std::vector<const Graph*> gs;
-  gs.reserve(neighbors.size());
-  for (GraphId n : neighbors) gs.push_back(&db.Get(n));
-  const std::vector<std::vector<float>> probs =
-      cached_context
-          ? scorer_.PredictRawBatchWithContextRow(gs, query,
-                                                  contexts_.Row(node))
-          : scorer_.PredictRawBatch(gs, query, &db.Get(node));
+std::vector<std::vector<GraphId>> NeighborRankModel::PredictBatchesFromCross(
+    std::span<const GraphId> neighbors, const Matrix& cross, GraphId node,
+    const Graph& node_graph, int64_t* inference_count) const {
+  LAN_CHECK_EQ(static_cast<size_t>(cross.rows()), neighbors.size());
   if (inference_count != nullptr) {
     *inference_count += static_cast<int64_t>(neighbors.size());
   }
-  return GroupByBatch(neighbors, probs);
+  return GroupByBatch(neighbors, HeadProbs(cross, node, node_graph));
 }
 
 std::vector<RankExample> BuildRankExamples(

@@ -75,31 +75,33 @@ class NeighborRankModel {
 
   /// Predicted batches, best first (empty predicted ranks are skipped).
   /// Increments *inference_count once per neighbor scored. All neighbors
-  /// are scored in one batched inference pass (no per-pair tapes).
+  /// are encoded and scored in one batched inference pass (no per-pair
+  /// tapes): InferCross over `neighbors`, then PredictBatchesFromCross.
   std::vector<std::vector<GraphId>> PredictBatches(
       std::span<const GraphId> neighbors,
       const std::vector<CompressedGnnGraph>& db_cgs, GraphId node,
       const CompressedGnnGraph& query_cg, int64_t* inference_count) const;
 
-  /// Like above with the per-query encoder cache pre-built — the hot path
-  /// used by LearnedNeighborRanker, which scores many nodes' neighbor
-  /// lists against the same query.
+  /// Like above with the per-query encoder cache pre-built. This is the
+  /// unmemoized reference for LearnedNeighborRanker, which reuses each
+  /// neighbor's cross row across the routing nodes of one query.
   std::vector<std::vector<GraphId>> PredictBatches(
       std::span<const GraphId> neighbors,
       const std::vector<CompressedGnnGraph>& db_cgs, GraphId node,
       const QueryEncodingCache& query, int64_t* inference_count) const;
 
-  /// The no-CG ablation (Fig. 10): identical predictions computed on raw
-  /// graphs.
-  std::vector<std::vector<GraphId>> PredictBatchesRaw(
-      std::span<const GraphId> neighbors, const GraphDatabase& db,
-      GraphId node, const Graph& query, int64_t* inference_count) const;
-
-  /// Raw ablation with the per-query encoder cache pre-built.
-  std::vector<std::vector<GraphId>> PredictBatchesRaw(
-      std::span<const GraphId> neighbors, const GraphDatabase& db,
-      GraphId node, const QueryEncodingCache& query,
-      int64_t* inference_count) const;
+  /// The heads half of M_rk: groups routing node `node`'s neighbors into
+  /// predicted batches from their cross rows (row i = h_{neighbors[i], Q},
+  /// from PairScorer::InferCross on CGs or raw graphs). The context row is
+  /// `node`'s cached one; a node without one (inserted after training) is
+  /// encoded from `node_cg` / `node_graph`. Increments *inference_count
+  /// once per neighbor scored.
+  std::vector<std::vector<GraphId>> PredictBatchesFromCross(
+      std::span<const GraphId> neighbors, const Matrix& cross, GraphId node,
+      const CompressedGnnGraph& node_cg, int64_t* inference_count) const;
+  std::vector<std::vector<GraphId>> PredictBatchesFromCross(
+      std::span<const GraphId> neighbors, const Matrix& cross, GraphId node,
+      const Graph& node_graph, int64_t* inference_count) const;
 
   const PairScorer& scorer() const { return scorer_; }
   PairScorer* mutable_scorer() { return &scorer_; }
@@ -108,6 +110,11 @@ class NeighborRankModel {
   std::vector<std::vector<GraphId>> GroupByBatch(
       std::span<const GraphId> neighbors,
       const std::vector<std::vector<float>>& probs) const;
+  /// InferHeads on `cross` with `node`'s context row: the cached row when
+  /// there is one, else `node_graph`'s embedding computed now.
+  template <typename G>
+  std::vector<std::vector<float>> HeadProbs(const Matrix& cross, GraphId node,
+                                            const G& node_graph) const;
 
   RankModelOptions options_;
   PairScorer scorer_;

@@ -1,13 +1,19 @@
 // Golden-equivalence tests for the batched query-time inference path: the
 // stacked one-GEMM-per-layer forwards must reproduce the per-pair tape
 // reference on all three learned models (M_rk, M_nh, M_c), on both raw
-// and compressed graphs, and be bit-for-bit deterministic.
+// and compressed graphs, and be bit-for-bit deterministic. Per pair and
+// batched agree exactly at the scalar level (within kTol at the others),
+// and at every level a candidate's cross row and head probabilities do not
+// depend on which batch computed them (docs/kernels.md, contract 4).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
+#include "common/cpu_features.h"
 #include "common/random.h"
 #include "gnn/compressed_gnn_graph.h"
 #include "graph/graph_generator.h"
@@ -102,9 +108,9 @@ TEST_F(BatchedInferenceTest, CompressedBatchMatchesPerPairCachedContextRow) {
   PairScorer scorer(db_.num_labels(), TinyScorer(/*heads=*/4, /*context=*/true));
   const Matrix context_row = scorer.ContextEmbedding(cgs_[9]);
   const QueryEncodingCache cache = scorer.EncodeQuery(query_cg_);
-  const std::vector<std::vector<float>> batched =
-      scorer.PredictCompressedBatchWithContextRow(CandidateCgs(), cache,
-                                                  context_row);
+  const std::vector<std::vector<float>> batched = scorer.InferHeads(
+      scorer.InferCross(CandidateCgs(), cache),
+      {context_row.data(), static_cast<size_t>(context_row.cols())});
   for (size_t i = 0; i < candidates_.size(); ++i) {
     const std::vector<float> reference = scorer.PredictCompressedWithContextRow(
         cgs_[static_cast<size_t>(candidates_[i])], query_cg_, context_row);
@@ -132,9 +138,9 @@ TEST_F(BatchedInferenceTest, RawBatchMatchesPerPairWithContextRow) {
   PairScorer scorer(db_.num_labels(), TinyScorer(/*heads=*/4, /*context=*/true));
   const Matrix context_row = scorer.ContextEmbedding(db_.Get(9));
   const QueryEncodingCache cache = scorer.EncodeQuery(query_);
-  const std::vector<std::vector<float>> batched =
-      scorer.PredictRawBatchWithContextRow(CandidateGraphs(), cache,
-                                           context_row);
+  const std::vector<std::vector<float>> batched = scorer.InferHeads(
+      scorer.InferCross(CandidateGraphs(), cache),
+      {context_row.data(), static_cast<size_t>(context_row.cols())});
   for (size_t i = 0; i < candidates_.size(); ++i) {
     const std::vector<float> reference = scorer.PredictRawWithContextRow(
         db_.Get(candidates_[i]), query_, context_row);
@@ -172,6 +178,98 @@ TEST_F(BatchedInferenceTest, BatchedInferenceIsBitwiseDeterministic) {
       EXPECT_EQ(a[i][h], b[i][h]);  // exact, not approximate
     }
   }
+}
+
+TEST_F(BatchedInferenceTest, ScalarPerPairEqualsBatchedExactly) {
+  // The scalar table is the reference: there, the per-pair tape and the
+  // stacked batch perform the same operations in the same order.
+  const SimdLevel saved = ActiveSimdLevel();
+  SetActiveSimdLevel(SimdLevel::kScalar);
+  PairScorer scorer(db_.num_labels(), TinyScorer(/*heads=*/4, /*context=*/true));
+  const std::vector<std::vector<float>> cg_batched =
+      scorer.PredictCompressedBatch(CandidateCgs(),
+                                    scorer.EncodeQuery(query_cg_), &cgs_[9]);
+  const std::vector<std::vector<float>> raw_batched = scorer.PredictRawBatch(
+      CandidateGraphs(), scorer.EncodeQuery(query_), &db_.Get(9));
+  for (size_t i = 0; i < candidates_.size(); ++i) {
+    const GraphId id = candidates_[i];
+    EXPECT_EQ(cg_batched[i], scorer.PredictCompressed(
+                                 cgs_[static_cast<size_t>(id)], query_cg_,
+                                 &cgs_[9]));
+    EXPECT_EQ(raw_batched[i],
+              scorer.PredictRaw(db_.Get(id), query_, &db_.Get(9)));
+  }
+  SetActiveSimdLevel(saved);
+}
+
+/// For every contiguous sub-batch of `gs` (sizes 1..N, forward and
+/// reversed), each candidate's cross row and head probabilities must equal
+/// its row of the full batch bit for bit.
+template <typename G>
+void ExpectSubBatchInvariance(const PairScorer& scorer,
+                              const std::vector<const G*>& gs,
+                              const QueryEncodingCache& query,
+                              std::span<const float> context_row) {
+  const Matrix full_cross = scorer.InferCross(gs, query);
+  const std::vector<std::vector<float>> full_probs =
+      scorer.InferHeads(full_cross, context_row);
+  const int32_t dim = scorer.cross_dim();
+  const size_t n = gs.size();
+  int64_t checked = 0;
+  for (size_t size = 1; size <= n; ++size) {
+    for (size_t begin = 0; begin + size <= n; ++begin) {
+      for (bool reversed : {false, true}) {
+        std::vector<size_t> order;
+        for (size_t j = begin; j < begin + size; ++j) order.push_back(j);
+        if (reversed) std::reverse(order.begin(), order.end());
+        std::vector<const G*> sub;
+        for (size_t j : order) sub.push_back(gs[j]);
+        const Matrix cross = scorer.InferCross(sub, query);
+        const std::vector<std::vector<float>> probs =
+            scorer.InferHeads(cross, context_row);
+        for (size_t r = 0; r < order.size(); ++r) {
+          const size_t j = order[r];
+          for (int32_t c = 0; c < dim; ++c) {
+            ASSERT_EQ(cross.at(static_cast<int32_t>(r), c),
+                      full_cross.at(static_cast<int32_t>(j), c))
+                << "candidate " << j << " in sub-batch [" << begin << ", "
+                << begin + size << ") reversed=" << reversed;
+          }
+          ASSERT_EQ(probs[r], full_probs[j])
+              << "candidate " << j << " in sub-batch [" << begin << ", "
+              << begin + size << ") reversed=" << reversed;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, static_cast<int64_t>(n * (n + 1) * (n + 2) / 3));
+}
+
+TEST_F(BatchedInferenceTest, RowsAreInvariantToBatchCompositionAtEveryLevel) {
+  // M_rk's shape: several heads over h_{G',Q} || h_ctx(G).
+  PairScorer scorer(db_.num_labels(), TinyScorer(/*heads=*/4, /*context=*/true));
+  const Matrix context = scorer.ContextEmbedding(cgs_[9]);
+  const std::span<const float> context_row(
+      context.data(), static_cast<size_t>(context.cols()));
+  // 11 candidates: spans several kInferChunkSize chunks and a ragged tail.
+  std::vector<const CompressedGnnGraph*> cg_cands;
+  std::vector<const Graph*> raw_cands;
+  for (GraphId id = 0; id < 11; ++id) {
+    cg_cands.push_back(&cgs_[static_cast<size_t>(id)]);
+    raw_cands.push_back(&db_.Get(id));
+  }
+  const SimdLevel saved = ActiveSimdLevel();
+  for (int level = 0; level <= static_cast<int>(DetectedSimdLevel());
+       ++level) {
+    SetActiveSimdLevel(static_cast<SimdLevel>(level));
+    SCOPED_TRACE(SimdLevelName(ActiveSimdLevel()));
+    ExpectSubBatchInvariance(scorer, cg_cands, scorer.EncodeQuery(query_cg_),
+                             context_row);
+    ExpectSubBatchInvariance(scorer, raw_cands, scorer.EncodeQuery(query_),
+                             context_row);
+  }
+  SetActiveSimdLevel(saved);
 }
 
 TEST_F(BatchedInferenceTest, NeighborhoodModelBatchMatchesPerPair) {
@@ -276,6 +374,8 @@ TEST(BatchedSearchTest, SearchBatchMatchesSequentialSearch) {
     EXPECT_EQ(batch[i].stats.ndc, sequential.stats.ndc);
     EXPECT_EQ(batch[i].stats.model_inferences,
               sequential.stats.model_inferences);
+    EXPECT_EQ(batch[i].stats.cross_encodings,
+              sequential.stats.cross_encodings);
   }
 }
 

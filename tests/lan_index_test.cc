@@ -8,8 +8,10 @@
 #include "lan/evaluation.h"
 #include "lan/l2route.h"
 #include "lan/lan_index.h"
+#include "lan/learned_ranker.h"
 #include "lan/range_search.h"
 #include "lan/workload.h"
+#include "pg/np_route.h"
 
 namespace lan {
 namespace {
@@ -263,6 +265,119 @@ TEST_F(LanIndexTest, ApproximateRangeSearchSoundAndUseful) {
   if (!exact.results.empty()) {
     EXPECT_GE(static_cast<double>(approx.results.size()),
               0.3 * static_cast<double>(exact.results.size()));
+  }
+}
+
+TEST(RangeSearchTombstoneTest, RemovedGraphsAreNeverReported) {
+  GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(40), 23);
+  WorkloadOptions wopts;
+  wopts.num_queries = 10;
+  const QueryWorkload workload = SampleWorkload(db, wopts, 24);
+  LanIndex index(TinyConfig());
+  ASSERT_TRUE(index.Build(&db).ok());
+  ASSERT_TRUE(index.Train(workload.train).ok());
+  GedComputer ged(TinyConfig().query_ged);
+  const auto reports = [](const RangeSearchResult& r, GraphId id) {
+    for (const auto& [rid, d] : r.results) {
+      if (rid == id) return true;
+    }
+    return false;
+  };
+
+  // The query is graph `victim` itself: at threshold 0 both range
+  // searches report it while it is live.
+  const GraphId victim = 5;
+  const Graph query = db.Get(victim);
+  ASSERT_TRUE(reports(RangeSearchExact(db, query, 0.0, ged), victim));
+  ASSERT_TRUE(reports(RangeSearchApproximate(index, query, 0.0, 16), victim));
+
+  ASSERT_TRUE(index.Remove(victim).ok());
+  EXPECT_FALSE(reports(RangeSearchExact(db, query, 0.0, ged), victim));
+  EXPECT_FALSE(reports(RangeSearchApproximate(index, query, 0.0, 16), victim));
+  for (const auto& [rid, d] : index.Search(query, Opts(5)).results) {
+    EXPECT_NE(rid, victim);
+  }
+}
+
+// ---------- LearnedNeighborRanker's per-query memo ----------
+
+/// Runs the memoized LearnedNeighborRanker and checks each of its model
+/// results against the unmemoized "encode every neighbor, then score"
+/// reference for the same node.
+class MemoCheckingRanker : public NeighborRanker {
+ public:
+  MemoCheckingRanker(const LanIndex& index, const CompressedGnnGraph* query_cg,
+                     DistanceOracle* oracle, bool use_compressed)
+      : index_(index),
+        query_cg_(query_cg),
+        oracle_(oracle),
+        use_compressed_(use_compressed),
+        ranker_(index.rank_model(), &index.db_cgs(), query_cg, oracle,
+                index.gamma_star(), use_compressed) {}
+
+  std::vector<std::vector<GraphId>> RankNeighbors(const ProximityGraph& pg,
+                                                  GraphId node,
+                                                  const Graph& query) override {
+    const int64_t scored_before = oracle_->stats()->model_inferences;
+    std::vector<std::vector<GraphId>> got =
+        ranker_.RankNeighbors(pg, node, query);
+    if (oracle_->stats()->model_inferences == scored_before) return got;
+
+    const NeighborRankModel& model = *index_.rank_model();
+    const std::span<const GraphId> neighbors = pg.NeighborSpan(node);
+    std::vector<std::vector<GraphId>> reference;
+    if (use_compressed_) {
+      reference = model.PredictBatches(neighbors, index_.db_cgs(), node,
+                                       *query_cg_, nullptr);
+    } else {
+      std::vector<const Graph*> gs;
+      for (GraphId n : neighbors) gs.push_back(&index_.db().Get(n));
+      reference = model.PredictBatchesFromCross(
+          neighbors,
+          model.scorer().InferCross(gs, model.scorer().EncodeQuery(query)),
+          node, index_.db().Get(node), nullptr);
+    }
+    EXPECT_EQ(got, reference) << "routing node " << node;
+    distinct_neighbors.insert(neighbors.begin(), neighbors.end());
+    return got;
+  }
+
+  /// Neighbors of every model-scored node this query.
+  std::set<GraphId> distinct_neighbors;
+
+ private:
+  const LanIndex& index_;
+  const CompressedGnnGraph* query_cg_;
+  DistanceOracle* oracle_;
+  bool use_compressed_;
+  LearnedNeighborRanker ranker_;
+};
+
+TEST_F(LanIndexTest, MemoizedRankerMatchesUnmemoizedReference) {
+  for (bool use_compressed : {true, false}) {
+    SCOPED_TRACE(use_compressed ? "compressed" : "raw");
+    int64_t scored = 0;
+    int64_t encoded = 0;
+    for (const Graph& query : workload_->test) {
+      SearchStats stats;
+      DistanceOracle oracle(db_, &query, ged_, &stats);
+      const CompressedGnnGraph query_cg = index_->QueryCg(query);
+      MemoCheckingRanker ranker(*index_, &query_cg, &oracle, use_compressed);
+      NpRouteOptions options;
+      options.beam_size = 16;
+      options.k = 5;
+      options.step_size = index_->config().step_size;
+      NpRoute(index_->pg(), &oracle, &ranker,
+              index_->hnsw().SelectInitialNode(&oracle), options);
+      // One encoding per distinct neighbor; one head row per pair.
+      EXPECT_EQ(stats.cross_encodings,
+                static_cast<int64_t>(ranker.distinct_neighbors.size()));
+      scored += stats.model_inferences;
+      encoded += stats.cross_encodings;
+    }
+    // The memo was exercised: some neighbors were scored at several nodes.
+    EXPECT_GT(encoded, 0);
+    EXPECT_LT(encoded, scored);
   }
 }
 

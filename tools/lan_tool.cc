@@ -774,6 +774,10 @@ int Serve(const Flags& flags) {
       "query_latency_seconds", MetricsRegistry::LatencyBounds());
   const HistogramId ndc_hist =
       registry.Histogram("query_ndc", MetricsRegistry::CountBounds());
+  const HistogramId inference_hist = registry.Histogram(
+      "query_model_inferences", MetricsRegistry::CountBounds());
+  const HistogramId encoding_hist = registry.Histogram(
+      "query_cross_encodings", MetricsRegistry::CountBounds());
   StageHistograms stage_hists;
   stage_hists.Register(&registry);
   registry.SetGauge(registry.Gauge("index_live_size"),
@@ -886,6 +890,10 @@ int Serve(const Flags& flags) {
     registry.Increment(queries_counter);
     registry.Observe(latency_hist, latency);
     registry.Observe(ndc_hist, static_cast<double>(result.stats.ndc));
+    registry.Observe(inference_hist,
+                     static_cast<double>(result.stats.model_inferences));
+    registry.Observe(encoding_hist,
+                     static_cast<double>(result.stats.cross_encodings));
     stage_hists.Observe(result.stats.stages);
     if (!result.status.ok()) {
       ++errors;

@@ -225,7 +225,9 @@ foreach(needle
         "stage_routing_seconds"
         "stage_ged_seconds_sum"
         "cache_hits"
-        "query_latency_seconds_count")
+        "query_latency_seconds_count"
+        "query_model_inferences_count"
+        "query_cross_encodings_count")
   if(NOT metrics MATCHES "${needle}")
     message(FATAL_ERROR "/metrics missing '${needle}':\n${metrics}")
   endif()
