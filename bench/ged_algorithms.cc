@@ -15,7 +15,6 @@
 #include "ged/ged_computer.h"
 #include "ged/ged_dfs.h"
 #include "ged/ged_exact.h"
-#include "ged/mcs.h"
 #include "graph/graph_generator.h"
 
 namespace lan {
@@ -103,18 +102,6 @@ void BM_GedProtocol(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GedProtocol);
-
-void BM_McsBudgeted(benchmark::State& state) {
-  McsOptions options;
-  options.time_budget_seconds = 0.001;
-  options.max_expansions = 2000;
-  size_t i = 0;
-  for (auto _ : state) {
-    const auto& [a, b] = AidsPairs()[i++ % AidsPairs().size()];
-    benchmark::DoNotOptimize(McsDistance(a, b, options));
-  }
-}
-BENCHMARK(BM_McsBudgeted);
 
 /// Tightness report: approximation mean overshoot vs exact on small pairs.
 void PrintTightness() {

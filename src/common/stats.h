@@ -78,17 +78,10 @@ struct SearchStats {
   /// ndc or model_inferences, so results are identical either way — only
   /// the cost accounting moves.
   int64_t cache_hits = 0;
-  /// Wall-clock split (seconds) for the Fig. 11 breakdown.
-  double distance_seconds = 0.0;
-  double learning_seconds = 0.0;
-  double other_seconds = 0.0;
-  /// Per-stage self-time breakdown; populated only when the query ran with
-  /// SearchOptions::profile (all-zero otherwise).
+  /// Per-stage self-time breakdown, the only per-query latency record
+  /// (Fig. 11's split is derived from it); populated only when the query
+  /// ran with SearchOptions::profile (all-zero otherwise).
   StageBreakdown stages;
-
-  double TotalSeconds() const {
-    return distance_seconds + learning_seconds + other_seconds;
-  }
 
   void Merge(const SearchStats& o) {
     ndc += o.ndc;
@@ -96,9 +89,6 @@ struct SearchStats {
     model_inferences += o.model_inferences;
     cross_encodings += o.cross_encodings;
     cache_hits += o.cache_hits;
-    distance_seconds += o.distance_seconds;
-    learning_seconds += o.learning_seconds;
-    other_seconds += o.other_seconds;
     stages.Merge(o.stages);
   }
 };

@@ -30,37 +30,6 @@ class Timer {
   Clock::time_point start_;
 };
 
-/// \brief Accumulates wall time across multiple start/stop intervals.
-/// Used by the per-query time-breakdown instrumentation (Fig. 11).
-class AccumulatingTimer {
- public:
-  void Start() { timer_.Restart(); }
-  void Stop() { total_seconds_ += timer_.ElapsedSeconds(); }
-  void Reset() { total_seconds_ = 0.0; }
-  double TotalSeconds() const { return total_seconds_; }
-
- private:
-  Timer timer_;
-  double total_seconds_ = 0.0;
-};
-
-/// \brief RAII guard that adds the scope's duration to an AccumulatingTimer.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(AccumulatingTimer* target) : target_(target) {
-    if (target_ != nullptr) target_->Start();
-  }
-  ~ScopedTimer() {
-    if (target_ != nullptr) target_->Stop();
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  AccumulatingTimer* target_;
-};
-
 }  // namespace lan
 
 #endif  // LAN_COMMON_TIMER_H_

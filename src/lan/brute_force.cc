@@ -2,13 +2,10 @@
 
 #include <algorithm>
 
-#include "common/timer.h"
-
 namespace lan {
 
 SearchResult BruteForceIndex::Search(const Graph& query, int k) const {
   SearchResult out;
-  Timer timer;
   DistanceOracle oracle(this, db_, QueryContext{}, &query, &out.stats);
   KnnList all;
   all.reserve(static_cast<size_t>(db_->size()));
@@ -23,8 +20,6 @@ SearchResult BruteForceIndex::Search(const Graph& query, int k) const {
                     });
   all.resize(keep);
   out.results = std::move(all);
-  out.stats.other_seconds = std::max(
-      0.0, timer.ElapsedSeconds() - out.stats.distance_seconds);
   return out;
 }
 

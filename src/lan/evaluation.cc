@@ -102,12 +102,7 @@ MethodCurve SweepL2Route(const L2RouteIndex& l2, const GraphDatabase& db,
         [&](const Graph& q, int kk) {
           SearchResult result;
           DistanceOracle oracle(&db, &q, &ged, &result.stats);
-          Timer timer;
-          RoutingResult routed = l2.Search(&oracle, ef, kk);
-          result.results = std::move(routed.results);
-          result.stats.other_seconds =
-              std::max(0.0, timer.ElapsedSeconds() -
-                                result.stats.distance_seconds);
+          result.results = l2.Search(&oracle, ef, kk).results;
           return result;
         },
         queries, truths, k);

@@ -581,7 +581,6 @@ void LanIndex::SearchInto(const Graph& query, const SearchOptions& options,
     sink->Record(pinned);
   }
 
-  Timer total_timer;
   // Cache identity: the canonical content hash keys this query's results
   // in the cross-query cache (0 = caching off, providers pass through).
   QueryContext ctx;
@@ -604,9 +603,7 @@ void LanIndex::SearchInto(const Graph& query, const SearchOptions& options,
   CompressedGnnGraph query_cg;
   if (needs_models) {
     StageSpan span(profile, Stage::kModelInference);
-    Timer t;
     query_cg = QueryCg(query);
-    out.stats.learning_seconds += t.ElapsedSeconds();
   }
 
   // ---- Initial node. ----
@@ -668,9 +665,6 @@ void LanIndex::SearchInto(const Graph& query, const SearchOptions& options,
   }
 
   out.results.assign(routed.results.begin(), routed.results.end());
-  out.stats.other_seconds = std::max(
-      0.0, total_timer.ElapsedSeconds() - out.stats.distance_seconds -
-               out.stats.learning_seconds);
   if (profile != nullptr) out.stats.stages = profile->breakdown();
   if (sink != nullptr) {
     TraceEvent event;

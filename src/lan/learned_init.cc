@@ -4,14 +4,12 @@
 #include <numeric>
 
 #include "common/logging.h"
-#include "common/timer.h"
 
 namespace lan {
 
 GraphId LanInitialSelector::Select(DistanceOracle* oracle, Rng* rng) {
   SearchStats* stats = oracle->stats();
   TraceSink* sink = oracle->trace();
-  Timer timer;
   predicted_.clear();
 
   // 1) Cluster-level pruning with M_c. The per-cluster counts depend only
@@ -111,7 +109,6 @@ GraphId LanInitialSelector::Select(DistanceOracle* oracle, Rng* rng) {
   if (stats != nullptr) {
     stats->model_inferences += inferences;
     stats->cross_encodings += static_cast<int64_t>(candidates.size());
-    stats->learning_seconds += timer.ElapsedSeconds();
   }
 
   // 3) Sample s candidates and take the closest (true distances; counted).

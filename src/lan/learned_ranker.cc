@@ -38,7 +38,6 @@ std::vector<std::vector<GraphId>> LearnedNeighborRanker::RankNeighbors(
   }
 
   SearchStats* stats = oracle_->stats();
-  Timer timer;
   if (!query_cache_ready_) {
     StageSpan span(oracle_->profile(), Stage::kModelInference);
     query_cache_ = use_compressed_
@@ -98,7 +97,6 @@ std::vector<std::vector<GraphId>> LearnedNeighborRanker::RankNeighbors(
   if (stats != nullptr) {
     stats->model_inferences += inferences;
     stats->cross_encodings += encodings;
-    stats->learning_seconds += timer.ElapsedSeconds();
   }
   if (TraceSink* sink = oracle_->trace(); sink != nullptr && inferences > 0) {
     TraceEvent event;

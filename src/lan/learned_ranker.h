@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/timer.h"
 #include "lan/rank_model.h"
 #include "pg/neighbor_ranker.h"
 
@@ -26,7 +25,7 @@ namespace lan {
 /// (docs/kernels.md, contract 4), so the batches equal the unmemoized
 /// NeighborRankModel::PredictBatches bit for bit. The memo is always on.
 ///
-/// Model time is charged to SearchStats::learning_seconds, each neighbor
+/// Model time is charged to the kModelInference stage, each neighbor
 /// scored by the heads to SearchStats::model_inferences, and each memo
 /// miss to SearchStats::cross_encodings.
 class LearnedNeighborRanker : public NeighborRanker {

@@ -6,7 +6,6 @@
 
 #include "common/profile.h"
 #include "common/stats.h"
-#include "common/timer.h"
 #include "common/trace.h"
 #include "ged/ged_computer.h"
 #include "graph/graph_database.h"
@@ -140,7 +139,7 @@ class GedDistanceProvider final : public DistanceProvider {
 
 /// \brief Per-query distance evaluator: caches d(Q, G_id) for the query's
 /// lifetime, counts every computed distance as one NDC (the paper's
-/// metric), and attributes the wall time to SearchStats::distance_seconds.
+/// metric), and charges the GED time to the query's Stage::kGed span.
 ///
 /// One DistanceOracle is created per query; all routing code computes
 /// distances exclusively through it, so NDC is counted in exactly one
@@ -250,14 +249,10 @@ class DistanceOracle {
       // (when a caching provider is layered) and the GED computation
       // itself are both charged to the ged stage.
       StageSpan span(profile_, Stage::kGed);
-      ScopedTimer timer(stats_ != nullptr ? &distance_timer_ : nullptr);
       result = provider_->Exact(ctx_, *query_, id);
     }
     if (result.computed) {
-      if (stats_ != nullptr) {
-        ++stats_->ndc;
-        stats_->distance_seconds = distance_timer_.TotalSeconds();
-      }
+      if (stats_ != nullptr) ++stats_->ndc;
       if (trace_ != nullptr) {
         TraceEvent event;
         event.type = TraceEventType::kDistance;
@@ -266,9 +261,6 @@ class DistanceOracle {
         trace_->Record(event);
       }
     } else {
-      if (stats_ != nullptr) {
-        stats_->distance_seconds = distance_timer_.TotalSeconds();
-      }
       ChargeCacheHit(ResultKind::kExactGed, id, result.value);
     }
     return result.value;
@@ -294,7 +286,6 @@ class DistanceOracle {
   SearchStats* stats_;
   TraceSink* trace_;
   StageProfile* profile_ = nullptr;
-  AccumulatingTimer distance_timer_;
   StampedDoubleMap owned_cache_;  // used when no scratch is donated
   StampedDoubleMap* cache_;
 };

@@ -8,7 +8,6 @@
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "common/timer.h"
 
 namespace lan {
 namespace {
@@ -177,14 +176,19 @@ TEST(PercentileTest, Interpolates) {
 TEST(SearchStatsTest, MergeAddsFields) {
   SearchStats a, b;
   a.ndc = 3;
-  a.distance_seconds = 1.0;
+  a.stages.seconds[static_cast<size_t>(Stage::kGed)] = 1.0;
+  a.stages.counts[static_cast<size_t>(Stage::kGed)] = 3;
   b.ndc = 4;
   b.routing_steps = 2;
-  b.learning_seconds = 0.5;
+  b.stages.seconds[static_cast<size_t>(Stage::kModelInference)] = 0.5;
+  b.stages.counts[static_cast<size_t>(Stage::kModelInference)] = 1;
   a.Merge(b);
   EXPECT_EQ(a.ndc, 7);
   EXPECT_EQ(a.routing_steps, 2);
-  EXPECT_DOUBLE_EQ(a.TotalSeconds(), 1.5);
+  EXPECT_DOUBLE_EQ(a.stages.SecondsOf(Stage::kGed), 1.0);
+  EXPECT_EQ(a.stages.CountOf(Stage::kGed), 3);
+  EXPECT_EQ(a.stages.CountOf(Stage::kModelInference), 1);
+  EXPECT_DOUBLE_EQ(a.stages.TotalSeconds(), 1.5);
 }
 
 // ---------- string_util ----------
@@ -242,17 +246,6 @@ TEST(ThreadPoolTest, ParallelForCoversRange) {
   std::vector<int> hits(1000, 0);
   ThreadPool::ParallelFor(hits.size(), 4, [&](size_t i) { hits[i] = 1; });
   for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(TimerTest, AccumulatingTimerSums) {
-  AccumulatingTimer t;
-  t.Start();
-  t.Stop();
-  t.Start();
-  t.Stop();
-  EXPECT_GE(t.TotalSeconds(), 0.0);
-  t.Reset();
-  EXPECT_EQ(t.TotalSeconds(), 0.0);
 }
 
 }  // namespace

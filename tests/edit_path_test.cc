@@ -4,7 +4,6 @@
 #include "ged/edit_path.h"
 #include "ged/ged_bipartite.h"
 #include "ged/ged_exact.h"
-#include "ged/mcs.h"
 #include "graph/graph_generator.h"
 
 namespace lan {
@@ -138,94 +137,6 @@ TEST(IsomorphismTest, RejectsDifferentStructure) {
   Graph triangle = path;
   ASSERT_TRUE(triangle.AddEdge(0, 2).ok());
   EXPECT_FALSE(IsomorphicUpToRenumbering(path, triangle));
-}
-
-// ---------- MCS ----------
-
-TEST(McsTest, IdenticalGraphsFullOverlap) {
-  Graph g = MakePath({0, 1, 2, 1});
-  McsResult mcs = MaximumCommonSubgraph(g, g);
-  EXPECT_TRUE(mcs.optimal);
-  EXPECT_EQ(mcs.size(), 4);
-  EXPECT_DOUBLE_EQ(McsDistance(g, g), 0.0);
-  EXPECT_DOUBLE_EQ(McsSimilarity(g, g), 1.0);
-}
-
-TEST(McsTest, DisjointLabelsNoOverlap) {
-  Graph a = MakePath({0, 0});
-  Graph b = MakePath({1, 1});
-  McsResult mcs = MaximumCommonSubgraph(a, b);
-  EXPECT_EQ(mcs.size(), 0);
-  EXPECT_DOUBLE_EQ(McsDistance(a, b), 4.0);
-}
-
-TEST(McsTest, SubgraphRelation) {
-  // Path 0-1 is an induced subgraph of path 0-1-2.
-  Graph small = MakePath({0, 1});
-  Graph big = MakePath({0, 1, 2});
-  McsResult mcs = MaximumCommonSubgraph(small, big);
-  EXPECT_EQ(mcs.size(), 2);
-  EXPECT_DOUBLE_EQ(McsDistance(small, big), 1.0);
-}
-
-TEST(McsTest, InducedSemanticsRejectExtraEdges) {
-  // Triangle vs path with identical labels: an induced common subgraph
-  // can use at most 2 nodes (any 3 path nodes are not mutually adjacent).
-  Graph triangle;
-  for (int i = 0; i < 3; ++i) triangle.AddNode(0);
-  ASSERT_TRUE(triangle.AddEdge(0, 1).ok());
-  ASSERT_TRUE(triangle.AddEdge(1, 2).ok());
-  ASSERT_TRUE(triangle.AddEdge(0, 2).ok());
-  Graph path = MakePath({0, 0, 0});
-  McsResult mcs = MaximumCommonSubgraph(triangle, path);
-  EXPECT_TRUE(mcs.optimal);
-  EXPECT_EQ(mcs.size(), 2);
-}
-
-TEST(McsTest, CorrespondenceIsConsistent) {
-  Rng rng(9);
-  DatasetSpec spec = DatasetSpec::SynLike(1);
-  spec.avg_nodes = 7;
-  for (int i = 0; i < 10; ++i) {
-    Graph a = GenerateGraph(spec, &rng);
-    Graph b = GenerateGraph(spec, &rng);
-    McsResult mcs = MaximumCommonSubgraph(a, b);
-    // Label preservation + induced adjacency agreement.
-    for (const auto& [u, w] : mcs.correspondence) {
-      EXPECT_EQ(a.label(u), b.label(w));
-    }
-    for (const auto& [u1, w1] : mcs.correspondence) {
-      for (const auto& [u2, w2] : mcs.correspondence) {
-        EXPECT_EQ(a.HasEdge(u1, u2), b.HasEdge(w1, w2));
-      }
-    }
-  }
-}
-
-TEST(McsTest, BudgetTruncationStillValid) {
-  Rng rng(10);
-  DatasetSpec spec = DatasetSpec::AidsLike(1);
-  Graph a = GenerateGraph(spec, &rng);
-  Graph b = GenerateGraph(spec, &rng);
-  McsOptions options;
-  options.max_expansions = 200;
-  options.time_budget_seconds = 0.0;
-  McsResult mcs = MaximumCommonSubgraph(a, b, options);
-  // Whatever was found is a valid common subgraph.
-  for (const auto& [u, w] : mcs.correspondence) {
-    EXPECT_EQ(a.label(u), b.label(w));
-  }
-}
-
-TEST(McsTest, DistanceSymmetry) {
-  Rng rng(11);
-  DatasetSpec spec = DatasetSpec::SynLike(1);
-  spec.avg_nodes = 6;
-  for (int i = 0; i < 5; ++i) {
-    Graph a = GenerateGraph(spec, &rng);
-    Graph b = GenerateGraph(spec, &rng);
-    EXPECT_DOUBLE_EQ(McsDistance(a, b), McsDistance(b, a));
-  }
 }
 
 }  // namespace

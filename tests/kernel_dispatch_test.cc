@@ -2,7 +2,7 @@
 // agree with the scalar reference — bitwise for the elementwise kernels
 // (whose SIMD variants are IEEE-exact by construction) and within a
 // tolerance for the FMA/reduction kernels — both on raw kernel calls and
-// through all four model heads (M_rk, M_nh, M_c, regression ranker).
+// through all three model heads (M_rk, M_nh, M_c).
 // Also covers the LAN_FORCE_SCALAR / --force-scalar pinning contract.
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "lan/neighborhood_model.h"
 #include "lan/pair_scorer.h"
 #include "lan/rank_model.h"
-#include "lan/regression_ranker.h"
 #include "nn/kernels.h"
 
 namespace lan {
@@ -261,27 +260,6 @@ TEST_F(ModelHeadDispatchTest, ClusterModelMatchesScalar) {
     ASSERT_EQ(got.size(), ref.size());
     for (size_t i = 0; i < ref.size(); ++i) {
       EXPECT_NEAR(got[i], ref[i], kTol) << "cluster " << i;
-    }
-  }
-}
-
-TEST_F(ModelHeadDispatchTest, RegressionRankerMatchesScalar) {
-  RegressionRankerOptions options;
-  options.scorer = TinyScorer(/*heads=*/1);
-  RegressionRankModel model(db_.num_labels(), options);
-  SetActiveSimdLevel(SimdLevel::kScalar);
-  std::vector<float> ref;
-  for (GraphId id : candidates_) {
-    ref.push_back(model.PredictDistance(cgs_[static_cast<size_t>(id)],
-                                        query_cg_));
-  }
-  for (SimdLevel level : HostLevels()) {
-    SCOPED_TRACE(SimdLevelName(level));
-    SetActiveSimdLevel(level);
-    for (size_t i = 0; i < candidates_.size(); ++i) {
-      const float got = model.PredictDistance(
-          cgs_[static_cast<size_t>(candidates_[i])], query_cg_);
-      EXPECT_NEAR(got, ref[i], kTol) << "candidate " << i;
     }
   }
 }

@@ -99,7 +99,9 @@ TEST_F(LanIndexTest, BuildPopulatesStructures) {
 
 TEST_F(LanIndexTest, FullSearchReturnsKResultsWithStats) {
   const Graph& query = workload_->test[0];
-  SearchResult result = index_->Search(query, Opts(5));
+  SearchOptions options = Opts(5);
+  options.profile = true;
+  SearchResult result = index_->Search(query, options);
   ASSERT_EQ(result.results.size(), 5u);
   for (size_t i = 1; i < result.results.size(); ++i) {
     EXPECT_LE(result.results[i - 1].second, result.results[i].second);
@@ -108,7 +110,7 @@ TEST_F(LanIndexTest, FullSearchReturnsKResultsWithStats) {
   EXPECT_LT(result.stats.ndc, db_->size());  // pruning: no exhaustive scan
   EXPECT_GT(result.stats.routing_steps, 0);
   EXPECT_GT(result.stats.model_inferences, 0);
-  EXPECT_GT(result.stats.TotalSeconds(), 0.0);
+  EXPECT_GT(result.stats.stages.TotalSeconds(), 0.0);
 }
 
 TEST_F(LanIndexTest, SearchIsDeterministic) {

@@ -12,7 +12,6 @@
 #include "lan/neighborhood_model.h"
 #include "lan/pair_scorer.h"
 #include "lan/rank_model.h"
-#include "lan/regression_ranker.h"
 #include "pg/distance.h"
 #include "pg/proximity_graph.h"
 #include "lan/workload.h"
@@ -416,99 +415,6 @@ TEST(ClusterModelTest, PredictionsNonNegative) {
       EmbeddingMatrix::FromRows({{0.f, 0.f}, {1.f, 1.f}});
   auto counts = model.PredictCounts({0.5f, 0.5f}, centroids);
   for (float c : counts) EXPECT_GE(c, 0.0f);
-}
-
-// ---------- Regression ranker (the Sec. IV-C design alternative) ----------
-
-TEST(RegressionRankerTest, BuildExamplesStayInNeighborhoods) {
-  GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(25), 50);
-  GedComputer ged(FastGed());
-  const ProximityGraph pg = PathGraph(db.size());
-  std::vector<std::vector<double>> distances = {
-      ComputeAllDistances(db, db.Get(0), ged)};
-  Rng rng(51);
-  auto examples =
-      BuildRegressionExamples(pg, distances, /*gamma_star=*/1e9, 10000, &rng);
-  ASSERT_FALSE(examples.empty());
-  for (const auto& ex : examples) {
-    EXPECT_NEAR(ex.distance,
-                distances[0][static_cast<size_t>(ex.graph)], 1e-6);
-  }
-  auto none =
-      BuildRegressionExamples(pg, distances, /*gamma_star=*/-1.0, 10000, &rng);
-  EXPECT_TRUE(none.empty());
-}
-
-TEST(RegressionRankerTest, LearnsToOrderByDistance) {
-  GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(30), 52);
-  GedComputer ged(FastGed());
-  std::vector<std::pair<GraphId, GraphId>> edges;
-  Rng rng(53);
-  for (GraphId i = 0; i < db.size(); ++i) {
-    for (int e = 0; e < 4; ++e) {
-      GraphId j = static_cast<GraphId>(rng.NextBounded(30));
-      if (i != j) edges.emplace_back(i, j);
-    }
-  }
-  const ProximityGraph pg = ProximityGraph::FromEdges(db.size(), edges).value();
-  std::vector<Graph> queries = {db.Get(1), db.Get(7)};
-  std::vector<std::vector<double>> distances;
-  for (const Graph& q : queries) {
-    distances.push_back(ComputeAllDistances(db, q, ged));
-  }
-  std::vector<CompressedGnnGraph> db_cgs, query_cgs;
-  for (GraphId i = 0; i < db.size(); ++i) {
-    db_cgs.push_back(BuildCompressedGnnGraph(db.Get(i), 2));
-  }
-  for (const Graph& q : queries) {
-    query_cgs.push_back(BuildCompressedGnnGraph(q, 2));
-  }
-  RegressionRankerOptions options;
-  options.scorer = TinyScorer();
-  options.epochs = 10;
-  RegressionRankModel model(db.num_labels(), options);
-  model.Train(db_cgs, query_cgs,
-              BuildRegressionExamples(pg, distances, 1e9, 1000, &rng));
-
-  // Self-query: the query graph itself (distance 0) should rank ahead of
-  // far graphs more often than chance over several probes.
-  int correct = 0, total = 0;
-  for (GraphId g = 0; g < db.size(); g += 3) {
-    const float near_pred = model.PredictDistance(db_cgs[1], query_cgs[0]);
-    const float far_pred =
-        model.PredictDistance(db_cgs[static_cast<size_t>(g)], query_cgs[0]);
-    const double near_true = distances[0][1];
-    const double far_true = distances[0][static_cast<size_t>(g)];
-    if (std::abs(near_true - far_true) < 3.0) continue;  // not informative
-    ++total;
-    correct += (near_pred < far_pred) == (near_true < far_true);
-  }
-  if (total > 0) {
-    EXPECT_GE(static_cast<double>(correct) / total, 0.5);
-  }
-}
-
-TEST(RegressionRankerTest, PredictBatchesCoverNeighbors) {
-  GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(12), 54);
-  std::vector<CompressedGnnGraph> db_cgs;
-  for (GraphId i = 0; i < db.size(); ++i) {
-    db_cgs.push_back(BuildCompressedGnnGraph(db.Get(i), 2));
-  }
-  RegressionRankerOptions options;
-  options.scorer = TinyScorer();
-  options.batch_percent = 25;
-  RegressionRankModel model(db.num_labels(), options);
-  std::vector<GraphId> neighbors = {0, 2, 4, 6, 8, 10};
-  int64_t inferences = 0;
-  auto batches =
-      model.PredictBatches(neighbors, db_cgs, db_cgs[1], &inferences);
-  EXPECT_EQ(inferences, 6);
-  std::set<GraphId> seen;
-  for (const auto& batch : batches) {
-    for (GraphId id : batch) EXPECT_TRUE(seen.insert(id).second);
-  }
-  EXPECT_EQ(seen.size(), neighbors.size());
-  EXPECT_EQ(batches.size(), 3u);  // ceil(6*0.25)=2 per batch -> 3 batches
 }
 
 }  // namespace

@@ -226,9 +226,14 @@ TEST(BeamSearchTest, StatsTrackDistanceTime) {
   SmallWorld world;
   Graph query = world.db.Get(0);
   SearchStats stats;
+  StageProfile profile;
   DistanceOracle oracle(&world.db, &query, &world.ged, &stats);
+  oracle.set_profile(&profile);
   BeamSearchRoute(world.pg, &oracle, 0, 4, 2);
-  EXPECT_GT(stats.distance_seconds, 0.0);
+  // GED time is charged to the kGed stage: one span per computed distance.
+  ASSERT_GT(stats.ndc, 0);
+  EXPECT_GT(profile.breakdown().SecondsOf(Stage::kGed), 0.0);
+  EXPECT_EQ(profile.breakdown().CountOf(Stage::kGed), stats.ndc);
 }
 
 TEST(DistanceOracleTest, CachesAndCounts) {

@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -70,7 +71,7 @@ class Flags {
  public:
   Flags(int argc, char** argv, int first, const std::string& command,
         FlagSet known)
-      : known_(std::move(known)) {
+      : command_(command), known_(std::move(known)) {
     for (int i = first; i < argc; i += 2) {
       if (std::strncmp(argv[i], "--", 2) != 0) {
         std::fprintf(stderr, "expected --flag, got '%s'\n", argv[i]);
@@ -99,6 +100,18 @@ class Flags {
     auto it = Find(key);
     return it == values_.end() ? fallback : std::atoll(it->second.c_str());
   }
+  /// A count or size in [1, INT_MAX]: zero, a negative, an overflowing or
+  /// a non-numeric value exits 2 naming the flag.
+  int GetPositive(const std::string& key, int fallback) const {
+    const int64_t value = GetInt(key, fallback);
+    if (value <= 0 || value > std::numeric_limits<int>::max()) {
+      std::fprintf(stderr, "%s: --%s must be a positive integer, got '%s'\n",
+                   command_.c_str(), key.c_str(),
+                   Get(key, std::to_string(fallback)).c_str());
+      std::exit(2);
+    }
+    return static_cast<int>(value);
+  }
   bool Has(const std::string& key) const { return Find(key) != values_.end(); }
 
  private:
@@ -110,6 +123,7 @@ class Flags {
     return values_.find(key);
   }
 
+  std::string command_;
   FlagSet known_;
   std::map<std::string, std::string> values_;
 };
@@ -227,10 +241,13 @@ int Generate(const Flags& flags) {
     return 2;
   }
   DatasetSpec spec =
-      SpecFor(flags.Get("kind", "aids"), flags.GetInt("count", 0));
+      SpecFor(flags.Get("kind", "aids"), flags.GetPositive("count", 0));
   GraphDatabase db = GenerateDatabase(
       spec, static_cast<uint64_t>(flags.GetInt("seed", 1)));
-  LAN_CHECK_OK(WriteDatabaseToFile(db, out));
+  if (Status s = WriteDatabaseToFile(db, out); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
+    return 1;
+  }
   std::printf("wrote %d graphs (%s) to %s\n", db.size(), db.name().c_str(),
               out.c_str());
   return 0;
@@ -354,10 +371,10 @@ int InsertCmd(const Flags& flags) {
     std::fprintf(stderr, "insert: --count is required\n");
     return 2;
   }
+  const int count = flags.GetPositive("count", 0);
   auto index = OpenIndex(flags);
   if (index == nullptr) return 1;
   const GraphDatabase& db = index->db();
-  const int64_t count = flags.GetInt("count", 0);
   const int edits = static_cast<int>(flags.GetInt("edits", 3));
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 99)));
   Timer timer;
@@ -388,6 +405,7 @@ int RemoveCmd(const Flags& flags) {
     std::fprintf(stderr, "remove: --id or --count is required\n");
     return 2;
   }
+  const int requested = flags.Has("id") ? 0 : flags.GetPositive("count", 0);
   auto index = OpenIndex(flags);
   if (index == nullptr) return 1;
   const GraphDatabase& db = index->db();
@@ -397,8 +415,7 @@ int RemoveCmd(const Flags& flags) {
   } else {
     // Random live ids, sampled without replacement via retry.
     Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 99)));
-    const int64_t count =
-        std::min<int64_t>(flags.GetInt("count", 0), index->live_size());
+    const int64_t count = std::min<int64_t>(requested, index->live_size());
     std::vector<uint8_t> picked(static_cast<size_t>(db.size()), 0);
     while (static_cast<int64_t>(targets.size()) < count) {
       const GraphId id = static_cast<GraphId>(
@@ -508,13 +525,14 @@ std::unique_ptr<StatsServer> StartStatsServer(const Flags& flags,
 }
 
 int SearchCmd(const Flags& flags) {
+  const int num_queries = flags.GetPositive("queries", 3);
+  const int k = flags.GetPositive("k", 10);
   auto index = OpenIndex(flags);
   if (index == nullptr) return 1;
   const std::vector<Graph> queries =
-      SampleQueries(index->db(), flags.GetInt("queries", 3),
+      SampleQueries(index->db(), num_queries,
                     static_cast<uint64_t>(flags.GetInt("seed", 123)));
-  const SearchOptions base_options =
-      DefaultSearchOptions(*index, static_cast<int>(flags.GetInt("k", 10)));
+  const SearchOptions base_options = DefaultSearchOptions(*index, k);
 
   std::unique_ptr<std::ofstream> trace_out;
   if (flags.Has("trace-out")) {
@@ -654,6 +672,10 @@ int Diagnose(const Flags& flags) {
 }
 
 int Eval(const Flags& flags) {
+  const int k = flags.GetPositive("k", 10);
+  WorkloadOptions wopts;
+  // 1/5 become test queries.
+  wopts.num_queries = static_cast<int64_t>(flags.GetPositive("queries", 6)) * 5;
   auto index = OpenIndex(flags);
   if (index == nullptr) return 1;
   if (!index->trained()) {
@@ -662,9 +684,6 @@ int Eval(const Flags& flags) {
                  "(build with --queries > 0)\n");
     return 1;
   }
-  const int k = static_cast<int>(flags.GetInt("k", 10));
-  WorkloadOptions wopts;
-  wopts.num_queries = flags.GetInt("queries", 6) * 5;  // 1/5 become test
   QueryWorkload workload = SampleWorkload(
       index->db(), wopts, static_cast<uint64_t>(flags.GetInt("seed", 321)));
   GedComputer ged(ToolConfig(flags).query_ged);
@@ -747,6 +766,8 @@ void HandleStopSignal(int) { g_stop = 1; }
 /// with their trace and per-stage breakdown.
 int Serve(const Flags& flags) {
   const std::string path = flags.Get("snapshot", "");
+  const int num_queries = flags.GetPositive("queries", 8);
+  const int k = flags.GetPositive("k", 10);
   auto opened = OpenIndex(flags);
   if (opened == nullptr) return 1;
   LanIndex& index = *opened;
@@ -754,7 +775,7 @@ int Serve(const Flags& flags) {
   // The query pool: sampled perturbations of database graphs, cycled
   // forever. The snapshot is self-contained — no --db needed.
   const std::vector<Graph> queries =
-      SampleQueries(index.db(), flags.GetInt("queries", 8),
+      SampleQueries(index.db(), num_queries,
                     static_cast<uint64_t>(flags.GetInt("seed", 123)));
   if (queries.empty()) {
     std::fprintf(stderr, "serve: empty query pool\n");
@@ -764,8 +785,7 @@ int Serve(const Flags& flags) {
   const int64_t max_queries = flags.GetInt("max-queries", 0);
   const int64_t slow_inject_every = flags.GetInt("slow-inject-every", 0);
   const int64_t throttle_ms = flags.GetInt("throttle-ms", 0);
-  const SearchOptions base_options =
-      DefaultSearchOptions(index, static_cast<int>(flags.GetInt("k", 10)));
+  const SearchOptions base_options = DefaultSearchOptions(index, k);
 
   MetricsRegistry registry;
   const CounterId queries_counter = registry.Counter("queries");

@@ -57,6 +57,26 @@ expect_flag_error(--snapshot inspect --snapshot)
 if(EXISTS ${BAD_SNAP})
   message(FATAL_ERROR "build with an unknown flag still wrote ${BAD_SNAP}")
 endif()
+# A non-positive count exits 2 naming the flag; generate --count -3 used
+# to write an empty database and exit 0.
+set(BAD_DB ${WORK_DIR}/pipeline.bad.gdb)
+file(REMOVE ${BAD_DB})
+expect_flag_error(--count generate --kind syn --count -3 --out ${BAD_DB})
+expect_flag_error(--count generate --kind syn --count 0 --out ${BAD_DB})
+if(EXISTS ${BAD_DB})
+  message(FATAL_ERROR "generate with a bad --count still wrote ${BAD_DB}")
+endif()
+# An unwritable --out is reported as a Status with exit 1, not an abort.
+execute_process(COMMAND ${LAN_TOOL} generate --kind syn --count 5
+                        --out ${WORK_DIR}/no-such-dir/db.gdb
+                RESULT_VARIABLE write_code OUTPUT_VARIABLE write_out
+                ERROR_VARIABLE write_err)
+if(NOT write_code EQUAL 1 OR write_err MATCHES "FATAL" OR
+   NOT write_err MATCHES "IoError")
+  message(FATAL_ERROR "generate to a missing directory exited with "
+                      "'${write_code}'; expected 1 with an IoError:\n"
+                      "${write_out}${write_err}")
+endif()
 
 # --build-threads 2 exercises the parallel construction path end-to-end
 # (recall/quality checks below run against the parallel-built index).
@@ -134,6 +154,14 @@ run_step_output(search_out ${LAN_TOOL} search --snapshot ${SNAP3} --k 3
 if(NOT search_out MATCHES "65 graphs \\(63 live\\), epoch 7, trained")
   message(FATAL_ERROR "mutated snapshot did not reopen trained:\n${search_out}")
 endif()
+
+# A non-positive --k or --queries exits 2 naming the flag (both used to
+# abort inside the ground-truth and evaluation code), as does one past
+# INT_MAX.
+expect_flag_error(--k eval --snapshot ${SNAP3} --k 0)
+expect_flag_error(--queries eval --snapshot ${SNAP3} --queries 0)
+expect_flag_error(--k eval --snapshot ${SNAP3} --k 3000000000)
+expect_flag_error(--k search --snapshot ${SNAP3} --k -1)
 
 # eval --trace-out: one private trace per parallel query, concatenated as
 # JSON lines (each carries its query_id).
