@@ -41,7 +41,7 @@ int Main() {
     }
     std::vector<CompressedGnnGraph> query_cgs;
     for (const Graph& q : env->test_queries) {
-      query_cgs.push_back(env->index->QueryCg(q));
+      query_cgs.push_back(env->index->QueryCg(q).Get());
     }
     const int s = env->index->config().init.samples;
     for (float threshold : {0.5f, 0.6f, 0.7f}) {

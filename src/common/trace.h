@@ -37,8 +37,11 @@ namespace lan {
 ///   kEpochPinned   — search pinned index epoch value=epoch with
 ///                    aux=live graphs in that snapshot (LanIndex::Search;
 ///                    emitted right after kQueryBegin)
-///   kCacheHit      — cross-query result cache hit for graph `id`:
-///                    detail=result kind, value=distance for GED kinds.
+///   kCacheHit      — cross-query result cache hit for graph `id`
+///                    (kInvalidGraphId for the query-level kinds):
+///                    detail=ResultKindName (exact_ged, rank_batches,
+///                    cluster_counts, neighborhood, ...), value=distance
+///                    for GED kinds.
 ///                    Hits are NOT counted as NDC and emit no kDistance,
 ///                    so the "one kDistance per NDC" invariant holds with
 ///                    caching enabled (DistanceOracle)

@@ -70,6 +70,31 @@ struct CompressedGnnGraph {
 /// Algorithm 5. `num_layers` >= 0; the graph must be non-empty.
 CompressedGnnGraph BuildCompressedGnnGraph(const Graph& g, int num_layers);
 
+/// \brief A query's CG, built by the first Get().
+///
+/// The learned components read the query CG only when a model actually
+/// runs, so a query whose model outputs all come from the cross-query
+/// result cache never builds it. One instance per query; not thread-safe.
+class LazyQueryCg {
+ public:
+  LazyQueryCg(const Graph* query, int num_layers)
+      : query_(query), num_layers_(num_layers) {}
+
+  const CompressedGnnGraph& Get() {
+    if (!built_) {
+      cg_ = BuildCompressedGnnGraph(*query_, num_layers_);
+      built_ = true;
+    }
+    return cg_;
+  }
+
+ private:
+  const Graph* query_;
+  int num_layers_;
+  bool built_ = false;
+  CompressedGnnGraph cg_;
+};
+
 }  // namespace lan
 
 #endif  // LAN_GNN_COMPRESSED_GNN_GRAPH_H_

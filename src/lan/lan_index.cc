@@ -209,22 +209,21 @@ Result<GraphId> LanIndex::Insert(Graph graph) {
 
   // Copy-on-write PG extension: concurrent searches keep routing on the
   // previous epoch's topology. With the cache on, build-protocol pair
-  // distances route through the provider keyed by the smaller endpoint's
+  // distances route through the provider keyed by the first endpoint's
   // content hash, so consecutive inserts re-probing the same region reuse
-  // each other's GED work.
+  // each other's GED work. The pair keeps its order: the build-protocol
+  // GED is not symmetric, and the cache-off path computes d(a, b).
   auto hnsw = std::make_shared<HnswIndex>(*snap->hnsw);
   std::vector<GraphId> touched;
   const uint64_t next_epoch = snap->epoch + 1;
   HnswIndex::PairDistanceFn pair_distance;
   if (result_cache_ != nullptr) {
     pair_distance = [this, next_epoch](GraphId a, GraphId b) {
-      const GraphId qa = std::min(a, b);
-      const GraphId qb = std::max(a, b);
-      const Graph& ga = db_->Get(qa);
+      const Graph& ga = db_->Get(a);
       QueryContext ctx;
       ctx.query_hash = ga.ContentHash();
       ctx.epoch = next_epoch;
-      return caching_provider_->Approx(ctx, ga, qb).value;
+      return caching_provider_->Approx(ctx, ga, b).value;
     };
   } else {
     pair_distance = [this](GraphId a, GraphId b) {
@@ -238,9 +237,12 @@ Result<GraphId> LanIndex::Insert(Graph graph) {
 
   // Invalidate before Publish: queries pinning the new epoch must never
   // see a pre-mutation cached result for a graph whose base-layer
-  // neighborhood just changed (that is what kRankBatches depends on).
+  // neighborhood just changed (that is what kRankBatches depends on), nor
+  // a kept set computed over the old member lists (kNeighborhood, keyed
+  // kInvalidGraphId like the other query-level entries).
   if (result_cache_ != nullptr) {
     touched.push_back(id);
+    touched.push_back(kInvalidGraphId);
     result_cache_->InvalidateGraphs(touched, next_epoch);
   }
 
@@ -429,14 +431,7 @@ BatchSearchResult LanIndex::SearchBatch(const std::vector<Graph>& queries,
   const CounterId errors_counter = registry.Counter("query_errors");
   const HistogramId latency_hist = registry.Histogram(
       "query_latency_seconds", MetricsRegistry::LatencyBounds());
-  const HistogramId ndc_hist =
-      registry.Histogram("query_ndc", MetricsRegistry::CountBounds());
-  const HistogramId steps_hist = registry.Histogram(
-      "query_routing_steps", MetricsRegistry::CountBounds());
-  const HistogramId inference_hist = registry.Histogram(
-      "query_model_inferences", MetricsRegistry::CountBounds());
-  const HistogramId encoding_hist = registry.Histogram(
-      "query_cross_encodings", MetricsRegistry::CountBounds());
+  const QueryHistograms query_hists(&registry);
   const GaugeId live_gauge = registry.Gauge("index_live_size");
   const GaugeId tombstone_gauge = registry.Gauge("index_tombstones");
   const GaugeId epoch_gauge = registry.Gauge("index_epoch");
@@ -468,12 +463,7 @@ BatchSearchResult LanIndex::SearchBatch(const std::vector<Graph>& queries,
     registry.Increment(queries_counter);
     if (!r.status.ok()) registry.Increment(errors_counter);
     registry.Observe(latency_hist, timer.ElapsedSeconds());
-    registry.Observe(ndc_hist, static_cast<double>(r.stats.ndc));
-    registry.Observe(steps_hist, static_cast<double>(r.stats.routing_steps));
-    registry.Observe(inference_hist,
-                     static_cast<double>(r.stats.model_inferences));
-    registry.Observe(encoding_hist,
-                     static_cast<double>(r.stats.cross_encodings));
+    query_hists.Observe(r.stats);
     if (options.profile) stage_hists.Observe(r.stats.stages);
   };
   if (num_threads <= 0 || threads == pool_->num_threads()) {
@@ -496,9 +486,9 @@ BatchSearchResult LanIndex::SearchBatch(const std::vector<Graph>& queries,
   return out;
 }
 
-CompressedGnnGraph LanIndex::QueryCg(const Graph& query) const {
-  return BuildCompressedGnnGraph(
-      query, static_cast<int>(config_.scorer.gnn_dims.size()));
+LazyQueryCg LanIndex::QueryCg(const Graph& query) const {
+  return LazyQueryCg(&query,
+                     static_cast<int>(config_.scorer.gnn_dims.size()));
 }
 
 Status LanIndex::Ready(const SearchOptions& options) const {
@@ -563,8 +553,6 @@ void LanIndex::SearchInto(const Graph& query, const SearchOptions& options,
   const int beam = options.beam > 0 ? options.beam : config_.default_beam;
   const RoutingMethod routing = options.routing;
   const InitMethod init = options.init;
-  const bool needs_models = (routing == RoutingMethod::kLanRoute) ||
-                            (init == InitMethod::kLanIs);
   TraceSink* sink = options.trace;
   if (sink != nullptr) {
     TraceEvent event;
@@ -599,12 +587,10 @@ void LanIndex::SearchInto(const Graph& query, const SearchOptions& options,
   }
   Rng rng(qhash);
 
-  // Query CG, needed by the learned components.
-  CompressedGnnGraph query_cg;
-  if (needs_models) {
-    StageSpan span(profile, Stage::kModelInference);
-    query_cg = QueryCg(query);
-  }
+  // Query CG for the learned components, built by the first model miss
+  // inside its kModelInference span; a query whose model outputs all hit
+  // the result cache never builds it.
+  LazyQueryCg query_cg = QueryCg(query);
 
   // ---- Initial node. ----
   GraphId start = kInvalidGraphId;

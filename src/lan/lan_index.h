@@ -89,8 +89,8 @@ struct LanConfig {
   bool use_compressed_gnn = true;
 
   // ---- Cross-query result cache (docs/caching.md) ----
-  /// Memoizes GED values and M_rk/M_c scores across queries, keyed by the
-  /// query's canonical content hash; hits skip the whole GED/model
+  /// Memoizes GED values and M_rk/M_nh/M_c outputs across queries, keyed
+  /// by the query's canonical content hash; hits skip the whole GED/model
   /// pipeline. Off by default; results are identical either way (only
   /// stats.ndc / model_inferences vs stats.cache_hits accounting moves).
   ResultCacheOptions cache;
@@ -159,9 +159,8 @@ struct BatchStats {
   SearchStats totals;
   /// Latency/NDC/steps/inference distributions over the batch (scraped
   /// from a per-call MetricsRegistry whose shards the workers filled
-  /// contention-free). Histogram names: query_latency_seconds, query_ndc,
-  /// query_routing_steps, query_model_inferences, query_cross_encodings;
-  /// counters: queries, query_errors.
+  /// contention-free). Histograms: query_latency_seconds plus the
+  /// QueryHistograms set; counters: queries, query_errors.
   MetricsSnapshot metrics;
 };
 
@@ -310,6 +309,7 @@ class LanIndex {
   const GraphDatabase& db() const { return *db_; }
   double gamma_star() const { return gamma_star_; }
   const NeighborhoodModel* neighborhood_model() const { return nh_model_.get(); }
+  const ClusterModel* cluster_model() const { return cluster_model_.get(); }
   const NeighborRankModel* rank_model() const { return rank_model_.get(); }
   const std::vector<CompressedGnnGraph>& db_cgs() const {
     return *Snapshot()->cgs;
@@ -343,8 +343,9 @@ class LanIndex {
     return snap->num_graphs - snap->live_count;
   }
 
-  /// CG of an ad-hoc query graph under this index's GNN depth.
-  CompressedGnnGraph QueryCg(const Graph& query) const;
+  /// CG of an ad-hoc query graph under this index's GNN depth, built by
+  /// its first Get(). `query` must outlive the result.
+  LazyQueryCg QueryCg(const Graph& query) const;
 
  private:
   /// Tail of Build: derives CGs, embeddings, and clusters over the

@@ -58,57 +58,29 @@ GraphId LanInitialSelector::Select(DistanceOracle* oracle, Rng* rng) {
     }
   }
 
-  // 2) Member-level prediction with M_nh: gather every member of the
-  // scanned clusters (in scan order) and score them in one batched
-  // inference pass against the query encoded once.
-  std::vector<GraphId> local_candidates;
-  std::vector<GraphId>& candidates =
-      scratch_ != nullptr ? scratch_->init_candidates : local_candidates;
-  candidates.clear();
-  for (size_t i = 0; i < scan; ++i) {
-    for (int32_t member : clusters_->members[cluster_order[i]]) {
-      candidates.push_back(static_cast<GraphId>(member));
+  // 2) Member-level prediction with M_nh, memoized across queries
+  // (kNeighborhood; graph id unused). The kept set depends on the scanned
+  // member lists too; Insert invalidates it (class comment).
+  const std::span<const size_t> scanned(cluster_order.data(), scan);
+  int64_t nh_rows = 0;
+  CachedScore cached_kept;
+  if (oracle->FindScore(ResultKind::kNeighborhood, kInvalidGraphId,
+                        &cached_kept)) {
+    predicted_ = std::move(cached_kept.ids);
+  } else {
+    nh_rows = PredictKeptSet(oracle, scanned);
+    if (oracle->caches_scores()) {
+      CachedScore store;
+      store.ids = predicted_;
+      oracle->StoreScore(ResultKind::kNeighborhood, kInvalidGraphId, store);
     }
-  }
-  // A counts hit replaced the M_c forward pass, so only M_nh inference is
-  // charged on that path.
-  int64_t inferences = static_cast<int64_t>(candidates.size()) +
-                       (counts_cached ? 0 : static_cast<int64_t>(counts.size()));
-  if (sink != nullptr && !candidates.empty()) {
-    TraceEvent event;
-    event.type = TraceEventType::kModelInference;
-    event.detail = "M_nh";
-    event.value = static_cast<double>(candidates.size());  // encodings
-    event.aux = static_cast<double>(candidates.size());
-    sink->Record(event);
-  }
-  std::vector<float> probs;
-  if (!candidates.empty()) {
-    StageSpan span(oracle->profile(), Stage::kModelInference);
-    if (use_compressed_) {
-      const QueryEncodingCache query_cache =
-          nh_model_->scorer().EncodeQuery(*query_cg_);
-      std::vector<const CompressedGnnGraph*> gs;
-      gs.reserve(candidates.size());
-      for (GraphId id : candidates) {
-        gs.push_back(&(*db_cgs_)[static_cast<size_t>(id)]);
-      }
-      probs = nh_model_->PredictProbsBatch(gs, query_cache);
-    } else {
-      const QueryEncodingCache query_cache =
-          nh_model_->scorer().EncodeQuery(oracle->query());
-      std::vector<const Graph*> gs;
-      gs.reserve(candidates.size());
-      for (GraphId id : candidates) gs.push_back(&oracle->db().Get(id));
-      probs = nh_model_->PredictProbsRawBatch(gs, query_cache);
-    }
-  }
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (probs[i] >= options_.threshold) predicted_.push_back(candidates[i]);
   }
   if (stats != nullptr) {
-    stats->model_inferences += inferences;
-    stats->cross_encodings += static_cast<int64_t>(candidates.size());
+    // A counts hit replaced the M_c forward pass, so only what actually
+    // ran is charged.
+    stats->model_inferences +=
+        nh_rows + (counts_cached ? 0 : static_cast<int64_t>(counts.size()));
+    stats->cross_encodings += nh_rows;
   }
 
   // 3) Sample s candidates and take the closest (true distances; counted).
@@ -159,6 +131,55 @@ GraphId LanInitialSelector::Select(DistanceOracle* oracle, Rng* rng) {
     sink->Record(event);
   }
   return best;
+}
+
+int64_t LanInitialSelector::PredictKeptSet(DistanceOracle* oracle,
+                                           std::span<const size_t> scanned) {
+  // Gather every member of the scanned clusters (in scan order) and score
+  // them in one batched inference pass against the query encoded once.
+  std::vector<GraphId> local_candidates;
+  std::vector<GraphId>& candidates =
+      scratch_ != nullptr ? scratch_->init_candidates : local_candidates;
+  candidates.clear();
+  for (size_t c : scanned) {
+    for (int32_t member : clusters_->members[c]) {
+      candidates.push_back(static_cast<GraphId>(member));
+    }
+  }
+  if (candidates.empty()) return 0;
+  if (TraceSink* sink = oracle->trace(); sink != nullptr) {
+    TraceEvent event;
+    event.type = TraceEventType::kModelInference;
+    event.detail = "M_nh";
+    event.value = static_cast<double>(candidates.size());  // encodings
+    event.aux = static_cast<double>(candidates.size());
+    sink->Record(event);
+  }
+  std::vector<float> probs;
+  {
+    StageSpan span(oracle->profile(), Stage::kModelInference);
+    if (use_compressed_) {
+      const QueryEncodingCache query_cache =
+          nh_model_->scorer().EncodeQuery(query_cg_->Get());
+      std::vector<const CompressedGnnGraph*> gs;
+      gs.reserve(candidates.size());
+      for (GraphId id : candidates) {
+        gs.push_back(&(*db_cgs_)[static_cast<size_t>(id)]);
+      }
+      probs = nh_model_->PredictProbsBatch(gs, query_cache);
+    } else {
+      const QueryEncodingCache query_cache =
+          nh_model_->scorer().EncodeQuery(oracle->query());
+      std::vector<const Graph*> gs;
+      gs.reserve(candidates.size());
+      for (GraphId id : candidates) gs.push_back(&oracle->db().Get(id));
+      probs = nh_model_->PredictProbsRawBatch(gs, query_cache);
+    }
+  }
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (probs[i] >= options_.threshold) predicted_.push_back(candidates[i]);
+  }
+  return static_cast<int64_t>(candidates.size());
 }
 
 }  // namespace lan

@@ -1,8 +1,10 @@
 #ifndef LAN_LAN_LEARNED_INIT_H_
 #define LAN_LAN_LEARNED_INIT_H_
 
+#include <span>
 #include <vector>
 
+#include "gnn/compressed_gnn_graph.h"
 #include "gnn/embedding.h"
 #include "lan/cluster_model.h"
 #include "lan/kmeans.h"
@@ -26,19 +28,29 @@ struct LanInitOptions {
 /// \brief LAN_IS (Sec. V): the learned initial-node selector.
 ///
 /// Pipeline per query: M_c scores every KMeans cluster; M_nh scores the
-/// members of the top clusters; s graphs sampled from the predicted
-/// neighborhood get their true distances computed (counted NDC) and the
-/// best becomes the routing start. Falls back to a random node when the
-/// predicted neighborhood is empty.
+/// members of the top clusters and keeps those above the threshold; s
+/// graphs sampled from the kept set get their true distances computed
+/// (counted NDC) and the best becomes the routing start. Falls back to a
+/// random node when the kept set is empty.
 ///
-/// Constructed once per query (it caches the query CG / embedding).
+/// Both model outputs memoize across queries when the oracle's provider
+/// caches: M_c's counts under kClusterCounts and the kept set under
+/// kNeighborhood, both keyed (query hash, kInvalidGraphId). The kept set
+/// depends only on the query, the weights and the scanned member lists.
+/// Insert is the only writer of member lists and bumps kInvalidGraphId's
+/// watermark, Remove leaves clusters alone and Train clears the cache, so
+/// a hit was computed against the pinned snapshot's member lists. A full
+/// hit runs no model and never reads the query CG, which is therefore
+/// built lazily.
+///
+/// Constructed once per query.
 class LanInitialSelector : public InitialSelector {
  public:
   LanInitialSelector(const NeighborhoodModel* nh_model,
                      const ClusterModel* cluster_model,
                      const KMeansResult* clusters,
                      const std::vector<CompressedGnnGraph>* db_cgs,
-                     const CompressedGnnGraph* query_cg,
+                     LazyQueryCg* query_cg,
                      const EmbeddingOptions* embedding_options,
                      bool use_compressed, LanInitOptions options)
       : nh_model_(nh_model), cluster_model_(cluster_model),
@@ -58,11 +70,16 @@ class LanInitialSelector : public InitialSelector {
   }
 
  private:
+  /// Runs M_nh over the members of `scanned` (in order) and fills
+  /// predicted_ with the kept ones; returns the number of rows scored.
+  int64_t PredictKeptSet(DistanceOracle* oracle,
+                         std::span<const size_t> scanned);
+
   const NeighborhoodModel* nh_model_;
   const ClusterModel* cluster_model_;
   const KMeansResult* clusters_;
   const std::vector<CompressedGnnGraph>* db_cgs_;
-  const CompressedGnnGraph* query_cg_;
+  LazyQueryCg* query_cg_;
   const EmbeddingOptions* embedding_options_;
   bool use_compressed_;
   LanInitOptions options_;

@@ -41,7 +41,7 @@ std::vector<std::vector<GraphId>> LearnedNeighborRanker::RankNeighbors(
   if (!query_cache_ready_) {
     StageSpan span(oracle_->profile(), Stage::kModelInference);
     query_cache_ = use_compressed_
-                       ? model_->scorer().EncodeQuery(*query_cg_)
+                       ? model_->scorer().EncodeQuery(query_cg_->Get())
                        : model_->scorer().EncodeQuery(query);
     query_cache_ready_ = true;
   }

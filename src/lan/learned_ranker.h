@@ -32,7 +32,7 @@ class LearnedNeighborRanker : public NeighborRanker {
  public:
   LearnedNeighborRanker(const NeighborRankModel* model,
                         const std::vector<CompressedGnnGraph>* db_cgs,
-                        const CompressedGnnGraph* query_cg,
+                        LazyQueryCg* query_cg,
                         DistanceOracle* oracle, double gamma_star,
                         bool use_compressed)
       : model_(model), db_cgs_(db_cgs), query_cg_(query_cg), oracle_(oracle),
@@ -45,7 +45,7 @@ class LearnedNeighborRanker : public NeighborRanker {
  private:
   const NeighborRankModel* model_;
   const std::vector<CompressedGnnGraph>* db_cgs_;
-  const CompressedGnnGraph* query_cg_;
+  LazyQueryCg* query_cg_;
   DistanceOracle* oracle_;
   double gamma_star_;
   bool use_compressed_;

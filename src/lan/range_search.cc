@@ -70,7 +70,7 @@ RangeSearchResult RangeSearchApproximate(const LanIndex& index,
   const std::shared_ptr<const IndexSnapshot> snap = index.Snapshot();
   const std::vector<uint8_t>& live = *snap->live;
 
-  const CompressedGnnGraph query_cg = index.QueryCg(query);
+  LazyQueryCg query_cg = index.QueryCg(query);
   LearnedNeighborRanker ranker(index.rank_model(), snap->cgs.get(), &query_cg,
                                &oracle, index.gamma_star(),
                                index.config().use_compressed_gnn);

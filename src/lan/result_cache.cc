@@ -210,14 +210,14 @@ DistanceResult CachingDistanceProvider::Approx(const QueryContext& ctx,
 bool CachingDistanceProvider::FindScore(const QueryContext& ctx,
                                         ResultKind kind, GraphId id,
                                         CachedScore* out) const {
-  if (ctx.query_hash == 0) return false;
+  if (!CachesScores(ctx)) return false;
   return cache_->FindScore(ctx.query_hash, id, kind, ctx.epoch, out);
 }
 
 void CachingDistanceProvider::StoreScore(const QueryContext& ctx,
                                          ResultKind kind, GraphId id,
                                          const CachedScore& value) const {
-  if (ctx.query_hash == 0) return;
+  if (!CachesScores(ctx)) return;
   cache_->PutScore(ctx.query_hash, id, kind, ctx.epoch, value);
 }
 

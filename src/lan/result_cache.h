@@ -44,8 +44,8 @@ struct ResultCacheOptions {
 /// \brief The index-wide cross-query memoization store.
 ///
 /// Keyed by (canonical query content hash, graph id, result kind, GED
-/// protocol salt); holds exact/approximate GED values and M_rk/M_c model
-/// scores. Two byte-bounded LRU stores split the budget: GED doubles
+/// protocol salt); holds exact/approximate GED values and M_rk/M_nh/M_c
+/// model outputs. Two byte-bounded LRU stores split the budget: GED doubles
 /// (3/4, the high-traffic kind) and model-score blobs (1/4).
 ///
 /// Epoch invalidation contract: every entry is stamped with the index
@@ -55,7 +55,9 @@ struct ResultCacheOptions {
 ///     watermark(g) <= min(entry_epoch, E)
 /// i.e. nothing touched g since the entry was computed or the query
 /// pinned. Insert/Remove call InvalidateGraphs with only the touched ids
-/// (new node + rewired HNSW neighbors) — a watermark bump plus a physical
+/// (new node + rewired HNSW neighbors; Insert adds kInvalidGraphId, the
+/// id of query-level entries, as it changes a cluster's members) — a
+/// watermark bump plus a physical
 /// sweep of stale entries — so mutation never needs a global flush.
 /// Put/Invalidate races self-heal: a Put that slips past a concurrent
 /// watermark bump leaves an entry whose epoch is below the watermark,
@@ -145,6 +147,9 @@ class CachingDistanceProvider final : public DistanceProvider {
                  CachedScore* out) const override;
   void StoreScore(const QueryContext& ctx, ResultKind kind, GraphId id,
                   const CachedScore& value) const override;
+  bool CachesScores(const QueryContext& ctx) const override {
+    return ctx.query_hash != 0;
+  }
 
   const DistanceProvider* base() const { return base_; }
   ResultCache* cache() const { return cache_.get(); }

@@ -12,6 +12,8 @@ const char* ResultKindName(ResultKind kind) {
       return "rank_batches";
     case ResultKind::kClusterCounts:
       return "cluster_counts";
+    case ResultKind::kNeighborhood:
+      return "neighborhood";
   }
   return "unknown";
 }
@@ -33,6 +35,11 @@ void DistanceProvider::StoreScore(const QueryContext& ctx, ResultKind kind,
   (void)kind;
   (void)id;
   (void)value;
+}
+
+bool DistanceProvider::CachesScores(const QueryContext& ctx) const {
+  (void)ctx;
+  return false;
 }
 
 }  // namespace lan

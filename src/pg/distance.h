@@ -26,6 +26,9 @@ enum class ResultKind : uint8_t {
   kRankBatches = 2,
   /// M_c output: per-cluster predicted |C ∩ N_Q| counts (graph id unused).
   kClusterCounts = 3,
+  /// M_nh output: LAN_IS's kept set over the scanned clusters (graph id
+  /// unused).
+  kNeighborhood = 4,
 };
 
 const char* ResultKindName(ResultKind kind);
@@ -56,7 +59,8 @@ struct DistanceResult {
 ///
 /// kRankBatches: `ids` holds the batches' graph ids flattened in order and
 /// `sizes` the per-batch lengths. kClusterCounts: `floats` holds the
-/// per-cluster predicted counts.
+/// per-cluster predicted counts. kNeighborhood: `ids` holds the kept
+/// members in scan order.
 struct CachedScore {
   std::vector<float> floats;
   std::vector<GraphId> ids;
@@ -78,7 +82,7 @@ struct CachedScore {
 ///
 /// Exact/Approx name the two GED protocols an index carries (query-time
 /// and build-time options respectively). FindScore/StoreScore expose
-/// model-score memoization (M_rk, M_c); the base implementation has no
+/// model-score memoization (M_rk, M_nh, M_c); the base implementation has no
 /// storage, so scores are recomputed unless a caching decorator is
 /// present.
 ///
@@ -103,6 +107,9 @@ class DistanceProvider {
   /// Offers a model score for memoization. Default: drops it.
   virtual void StoreScore(const QueryContext& ctx, ResultKind kind, GraphId id,
                           const CachedScore& value) const;
+
+  /// Whether StoreScore keeps model scores for this query. Default: false.
+  virtual bool CachesScores(const QueryContext& ctx) const;
 };
 
 /// \brief Leaf provider: computes every result directly from the GED
@@ -215,6 +222,9 @@ class DistanceOracle {
   const GraphDatabase& db() const { return *db_; }
   const DistanceProvider* provider() const { return provider_; }
   const QueryContext& context() const { return ctx_; }
+  /// False when StoreScore is sure to drop its value, so callers can skip
+  /// assembling the blob.
+  bool caches_scores() const { return provider_->CachesScores(ctx_); }
   SearchStats* stats() { return stats_; }
   /// The query's trace sink (null when tracing is disabled). The oracle is
   /// the per-query context every routing/init component already receives,

@@ -182,8 +182,7 @@ TEST_F(LanIndexTest, CompressedAndRawInferenceAgreeOnResults) {
 }
 
 TEST_F(LanIndexTest, QueryCgMatchesConfigDepth) {
-  CompressedGnnGraph cg = index_->QueryCg(workload_->test[0]);
-  EXPECT_EQ(cg.num_layers,
+  EXPECT_EQ(index_->QueryCg(workload_->test[0]).Get().num_layers,
             static_cast<int>(index_->config().scorer.gnn_dims.size()));
 }
 
@@ -308,7 +307,7 @@ TEST(RangeSearchTombstoneTest, RemovedGraphsAreNeverReported) {
 /// reference for the same node.
 class MemoCheckingRanker : public NeighborRanker {
  public:
-  MemoCheckingRanker(const LanIndex& index, const CompressedGnnGraph* query_cg,
+  MemoCheckingRanker(const LanIndex& index, LazyQueryCg* query_cg,
                      DistanceOracle* oracle, bool use_compressed)
       : index_(index),
         query_cg_(query_cg),
@@ -330,7 +329,7 @@ class MemoCheckingRanker : public NeighborRanker {
     std::vector<std::vector<GraphId>> reference;
     if (use_compressed_) {
       reference = model.PredictBatches(neighbors, index_.db_cgs(), node,
-                                       *query_cg_, nullptr);
+                                       query_cg_->Get(), nullptr);
     } else {
       std::vector<const Graph*> gs;
       for (GraphId n : neighbors) gs.push_back(&index_.db().Get(n));
@@ -349,7 +348,7 @@ class MemoCheckingRanker : public NeighborRanker {
 
  private:
   const LanIndex& index_;
-  const CompressedGnnGraph* query_cg_;
+  LazyQueryCg* query_cg_;
   DistanceOracle* oracle_;
   bool use_compressed_;
   LearnedNeighborRanker ranker_;
@@ -363,7 +362,7 @@ TEST_F(LanIndexTest, MemoizedRankerMatchesUnmemoizedReference) {
     for (const Graph& query : workload_->test) {
       SearchStats stats;
       DistanceOracle oracle(db_, &query, ged_, &stats);
-      const CompressedGnnGraph query_cg = index_->QueryCg(query);
+      LazyQueryCg query_cg = index_->QueryCg(query);
       MemoCheckingRanker ranker(*index_, &query_cg, &oracle, use_compressed);
       NpRouteOptions options;
       options.beam_size = 16;

@@ -13,6 +13,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "common/shard_cache.h"
 #include "graph/graph_generator.h"
 #include "lan/lan_index.h"
+#include "lan/learned_init.h"
 #include "lan/result_cache.h"
 #include "lan/workload.h"
 
@@ -258,6 +261,31 @@ TEST(ResultCacheTest, ScoreRoundTripAndClear) {
   EXPECT_EQ(cache.Stats().entries, 0);
 }
 
+TEST(ResultCacheTest, QueryLevelScoreKindsDoNotShareEntries) {
+  // kClusterCounts and kNeighborhood share the (query hash,
+  // kInvalidGraphId) key; the kind keeps them apart.
+  ResultCache cache(SmallCacheOptions());
+  CachedScore counts;
+  counts.floats = {0.5f, 3.0f};
+  CachedScore kept;
+  kept.ids = {7, 2};
+  cache.PutScore(42, kInvalidGraphId, ResultKind::kClusterCounts, 0, counts);
+  CachedScore out;
+  EXPECT_FALSE(
+      cache.FindScore(42, kInvalidGraphId, ResultKind::kNeighborhood, 0, &out));
+  cache.PutScore(42, kInvalidGraphId, ResultKind::kNeighborhood, 0, kept);
+  ASSERT_TRUE(cache.FindScore(42, kInvalidGraphId, ResultKind::kClusterCounts,
+                              0, &out));
+  EXPECT_EQ(out.floats, counts.floats);
+  EXPECT_TRUE(out.ids.empty());
+  ASSERT_TRUE(
+      cache.FindScore(42, kInvalidGraphId, ResultKind::kNeighborhood, 0, &out));
+  EXPECT_TRUE(out.floats.empty());
+  EXPECT_EQ(out.ids, kept.ids);
+  EXPECT_STREQ(ResultKindName(ResultKind::kNeighborhood), "neighborhood");
+  EXPECT_STREQ(ResultKindName(ResultKind::kClusterCounts), "cluster_counts");
+}
+
 TEST(ResultCacheTest, ValidateRejectsBadKnobs) {
   ResultCacheOptions options = SmallCacheOptions();
   EXPECT_TRUE(options.Validate().ok());
@@ -484,6 +512,52 @@ TEST_F(CacheEquivalenceTest, TraceChargesHitsWithoutBreakingNdcInvariant) {
   EXPECT_GT(result.stats.cache_hits, 0);
 }
 
+/// Counts `trace` events of `type` whose detail is `detail`.
+int64_t CountDetail(const QueryTrace& trace, TraceEventType type,
+                    const std::string& detail) {
+  return std::count_if(trace.events().begin(), trace.events().end(),
+                       [&](const TraceEvent& event) {
+                         return event.type == type && event.detail != nullptr &&
+                                detail == event.detail;
+                       });
+}
+
+TEST_F(CacheEquivalenceTest, HotLanQueryRunsNoModel) {
+  // With M_rk's batches, M_c's counts and M_nh's kept set all memoized, a
+  // repeated LAN_Route + LAN_IS query encodes nothing: no query CG, no
+  // cross row, no forward pass, and the same answers as without a cache.
+  SearchOptions options;
+  options.k = 4;
+  options.beam = 8;
+  options.routing = RoutingMethod::kLanRoute;
+  options.init = InitMethod::kLanIs;
+  for (const Graph& query : workload_->test) {
+    ASSERT_TRUE(cached_->Search(query, options).status.ok());  // warm
+    QueryTrace trace;
+    SearchOptions traced = options;
+    traced.trace = &trace;
+    traced.profile = true;
+    const SearchResult hot = cached_->Search(query, traced);
+    const SearchResult cold = plain_->Search(query, options);
+    ASSERT_TRUE(hot.status.ok());
+    ASSERT_TRUE(cold.status.ok());
+    EXPECT_EQ(hot.stats.ndc, 0);
+    EXPECT_EQ(hot.stats.model_inferences, 0);
+    EXPECT_EQ(hot.stats.cross_encodings, 0);
+    // Not even the query CG is built: no model-inference span opened.
+    EXPECT_EQ(hot.stats.stages.CountOf(Stage::kModelInference), 0);
+    ASSERT_EQ(hot.results.size(), cold.results.size());
+    for (size_t i = 0; i < hot.results.size(); ++i) {
+      EXPECT_EQ(hot.results[i].first, cold.results[i].first);
+      EXPECT_EQ(hot.results[i].second, cold.results[i].second);  // bitwise
+    }
+    EXPECT_EQ(CountDetail(trace, TraceEventType::kCacheHit, "neighborhood"),
+              1);
+    EXPECT_EQ(CountDetail(trace, TraceEventType::kModelInference, "M_nh"), 0);
+    EXPECT_EQ(trace.CountOf(TraceEventType::kModelInference), 0);
+  }
+}
+
 TEST_F(CacheEquivalenceTest, SearchBatchExportsCacheMetrics) {
   // Duplicate queries inside one batch: the second occurrence hits.
   std::vector<Graph> queries;
@@ -566,12 +640,174 @@ TEST(ResultCacheMutationTest, InsertRemoveKeepCachedSearchesIdentical) {
       ASSERT_TRUE(b.ok());
       ASSERT_EQ(a.value(), b.value());
     }
+    // The build-protocol GED behind Insert is not symmetric, so the
+    // cached path must evaluate each pair in the order the uncached one
+    // does, or the two PGs drift apart.
+    const auto snap_with = cached.Snapshot();
+    const auto snap_without = plain.Snapshot();
+    const ProximityGraph& with_pg = snap_with->hnsw->BaseLayer();
+    const ProximityGraph& without_pg = snap_without->hnsw->BaseLayer();
+    ASSERT_EQ(with_pg.NumNodes(), without_pg.NumNodes());
+    for (GraphId n = 0; n < with_pg.NumNodes(); ++n) {
+      const auto a = with_pg.NeighborSpan(n);
+      const auto b = without_pg.NeighborSpan(n);
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "node " << n << " after mutation " << m;
+    }
     // Queries whose results were cached at the previous epoch must not be
     // served stale entries for rewired graphs.
     expect_identical("after mutation");
   }
   EXPECT_GT(cached.epoch(), 0u);
   EXPECT_GT(cached.result_cache()->Stats().invalidations, 0);
+}
+
+TEST(ResultCacheMutationTest, InsertIntoScannedClusterRerunsNeighborhoodModel) {
+  GraphDatabase db_a = GenerateDatabase(DatasetSpec::SynLike(60), 71);
+  GraphDatabase db_b = GenerateDatabase(DatasetSpec::SynLike(60), 71);
+  WorkloadOptions wopts;
+  wopts.num_queries = 20;
+  const QueryWorkload workload = SampleWorkload(db_a, wopts, 72);
+  LanIndex cached(MutationConfig(true));
+  LanIndex plain(MutationConfig(false));
+  ASSERT_TRUE(cached.Build(&db_a).ok());
+  ASSERT_TRUE(plain.Build(&db_b).ok());
+  ASSERT_TRUE(cached.Train(workload.train).ok());
+  ASSERT_TRUE(plain.Train(workload.train).ok());
+
+  // Baseline routing: M_nh is then the only model that encodes rows.
+  SearchOptions options;
+  options.k = 5;
+  options.routing = RoutingMethod::kBaselineRoute;
+  options.init = InitMethod::kLanIs;
+  const Graph& query = workload.test[0];
+  ASSERT_TRUE(cached.Search(query, options).status.ok());  // warm
+  QueryTrace hot_trace;
+  SearchOptions traced = options;
+  traced.trace = &hot_trace;
+  const SearchResult hot = cached.Search(query, traced);
+  ASSERT_TRUE(hot.status.ok());
+  EXPECT_EQ(hot.stats.cross_encodings, 0);
+  std::set<int64_t> scanned;
+  for (const TraceEvent& event : hot_trace.events()) {
+    if (event.type == TraceEventType::kClusterScore) scanned.insert(event.id);
+  }
+  ASSERT_FALSE(scanned.empty());
+
+  // A copy of a scanned cluster's member embeds like it, so it lands in a
+  // scanned cluster and grows that cluster's member count.
+  const size_t target = static_cast<size_t>(*scanned.begin());
+  const GraphId member = cached.clusters().members[target].front();
+  Graph copy = db_a.Get(member);
+  auto a = cached.Insert(copy);
+  auto b = plain.Insert(std::move(copy));
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_EQ(a.value(), b.value());
+  ASSERT_EQ(scanned.count(cached.clusters().assignment[static_cast<size_t>(
+                a.value())]),
+            1u);
+
+  QueryTrace trace;
+  traced.trace = &trace;
+  const SearchResult with = cached.Search(query, traced);
+  const SearchResult without = plain.Search(query, options);
+  ASSERT_TRUE(with.status.ok());
+  ASSERT_TRUE(without.status.ok());
+  EXPECT_EQ(with.results, without.results);
+  // Insert invalidated the stored kept set, so M_nh ran again.
+  EXPECT_GT(with.stats.cross_encodings, 0);
+  EXPECT_EQ(with.stats.cross_encodings, without.stats.cross_encodings);
+  EXPECT_EQ(CountDetail(trace, TraceEventType::kModelInference, "M_nh"), 1);
+  EXPECT_EQ(CountDetail(trace, TraceEventType::kCacheHit, "neighborhood"), 0);
+}
+
+/// One LanInitialSelector::Select of `index`'s models over `snap`'s
+/// clusters, pinned at `snap`'s epoch, with the same Rng seed every time,
+/// so two runs differ only through the memo.
+struct SelectOutcome {
+  GraphId start = kInvalidGraphId;
+  std::vector<GraphId> kept;
+  SearchStats stats;
+};
+
+SelectOutcome RunLanIs(const LanIndex& index, const IndexSnapshot& snap,
+                       const DistanceProvider* provider, const Graph& query) {
+  SelectOutcome out;
+  QueryContext ctx;
+  ctx.query_hash = query.ContentHash();
+  ctx.epoch = snap.epoch;
+  DistanceOracle oracle(provider, &index.db(), ctx, &query, &out.stats);
+  LazyQueryCg query_cg = index.QueryCg(query);
+  LanInitOptions options = index.config().init;
+  options.threshold = index.neighborhood_model()->calibrated_threshold();
+  LanInitialSelector selector(index.neighborhood_model(),
+                              index.cluster_model(), snap.clusters.get(),
+                              snap.cgs.get(), &query_cg,
+                              &index.config().embedding,
+                              index.config().use_compressed_gnn, options);
+  Rng rng(7);
+  out.start = selector.Select(&oracle, &rng);
+  out.kept = selector.last_predicted_neighborhood();
+  return out;
+}
+
+TEST(ResultCacheMutationTest, PinnedEpochsNeverShareAKeptSet) {
+  GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(60), 71);
+  WorkloadOptions wopts;
+  wopts.num_queries = 20;
+  const QueryWorkload workload = SampleWorkload(db, wopts, 72);
+  LanIndex index(MutationConfig(true));
+  ASSERT_TRUE(index.Build(&db).ok());
+  ASSERT_TRUE(index.Train(workload.train).ok());
+  const Graph& query = workload.test[0];
+  const DistanceProvider* caching = index.distance_provider();
+  const DistanceProvider* base =
+      static_cast<const CachingDistanceProvider*>(caching)->base();
+
+  // A query pinned before the Insert keeps the old member lists for its
+  // whole life; its answers must never mix with the new epoch's.
+  const auto old_snap = index.Snapshot();
+  const SelectOutcome ref_old = RunLanIs(index, *old_snap, base, query);
+  ASSERT_FALSE(ref_old.kept.empty());
+
+  auto expect_as_uncached = [&](const IndexSnapshot& snap,
+                                const SelectOutcome& ref, bool expect_hit,
+                                const char* when) {
+    const SelectOutcome got = RunLanIs(index, snap, caching, query);
+    EXPECT_EQ(got.start, ref.start) << when;
+    EXPECT_EQ(got.kept, ref.kept) << when;
+    // A hit runs no M_nh row; a miss scores every scanned member again.
+    if (expect_hit) {
+      EXPECT_EQ(got.stats.cross_encodings, 0) << when;
+    } else {
+      EXPECT_EQ(got.stats.cross_encodings, ref.stats.cross_encodings) << when;
+    }
+  };
+  expect_as_uncached(*old_snap, ref_old, false, "old epoch stores");
+  expect_as_uncached(*old_snap, ref_old, true, "old epoch hits its entry");
+
+  // A copy of a kept member embeds and scores like it: it lands in a
+  // scanned cluster and joins the kept set.
+  const GraphId kept = ref_old.kept.front();
+  const auto inserted = index.Insert(db.Get(kept));
+  ASSERT_TRUE(inserted.ok());
+  const auto new_snap = index.Snapshot();
+  ASSERT_EQ(new_snap->clusters->assignment[static_cast<size_t>(
+                inserted.value())],
+            old_snap->clusters->assignment[static_cast<size_t>(kept)]);
+  const SelectOutcome ref_new = RunLanIs(index, *new_snap, base, query);
+  ASSERT_NE(ref_old.kept, ref_new.kept);
+
+  expect_as_uncached(*new_snap, ref_new, false, "new epoch after Insert");
+  expect_as_uncached(*new_snap, ref_new, true, "new epoch hits its entry");
+  expect_as_uncached(*old_snap, ref_old, false, "old epoch after new stored");
+  // The old epoch's store was refused. Its rejected lookup also dropped
+  // the new entry (FindIf erases what fails its predicate), so the new
+  // epoch recomputes once and then hits again.
+  expect_as_uncached(*new_snap, ref_new, false, "new epoch after old ran");
+  expect_as_uncached(*new_snap, ref_new, true, "new epoch hits again");
+  expect_as_uncached(*old_snap, ref_old, false, "old epoch stays a miss");
 }
 
 // ---------------------------------------------------------------------------
@@ -589,6 +825,13 @@ TEST(ResultCacheConcurrencyTest, ConcurrentSearchesServeTrueDistances) {
   LanIndex plain(MutationConfig(false));
   ASSERT_TRUE(cached.Build(&db).ok());
   ASSERT_TRUE(plain.Build(&mirror_db).ok());
+  // Trained, so one searcher runs LAN_Route + LAN_IS: its memoized M_rk
+  // batches and kept sets are stored at whatever epoch it pinned.
+  WorkloadOptions wopts;
+  wopts.num_queries = 20;
+  const QueryWorkload workload = SampleWorkload(db, wopts, 74);
+  ASSERT_TRUE(cached.Train(workload.train).ok());
+  ASSERT_TRUE(plain.Train(workload.train).ok());
 
   std::vector<Graph> queries;
   Rng qgen(72);
@@ -616,8 +859,11 @@ TEST(ResultCacheConcurrencyTest, ConcurrentSearchesServeTrueDistances) {
       SearchOptions options;
       options.k = 5;
       options.routing = t % 2 == 0 ? RoutingMethod::kBaselineRoute
-                                   : RoutingMethod::kOracleRoute;
-      options.init = t % 2 == 0 ? InitMethod::kHnswIs : InitMethod::kRandomIs;
+                        : t == 1   ? RoutingMethod::kOracleRoute
+                                   : RoutingMethod::kLanRoute;
+      options.init = t % 2 == 0 ? InitMethod::kHnswIs
+                     : t == 1   ? InitMethod::kRandomIs
+                                : InitMethod::kLanIs;
       size_t next = static_cast<size_t>(t);
       while (!done.load(std::memory_order_acquire)) {
         const Graph& query = queries[next++ % queries.size()];
@@ -669,18 +915,23 @@ TEST(ResultCacheConcurrencyTest, ConcurrentSearchesServeTrueDistances) {
   EXPECT_EQ(violations.load(), 0);
   EXPECT_GT(searches.load(), 0);
 
-  // Quiesced: the cache-on index (with a now well-populated cache) must
-  // still agree exactly with its never-cached twin.
-  SearchOptions options;
-  options.k = 5;
-  options.routing = RoutingMethod::kBaselineRoute;
-  options.init = InitMethod::kHnswIs;
-  for (const Graph& query : queries) {
-    SearchResult with = cached.Search(query, options);
-    SearchResult without = plain.Search(query, options);
-    ASSERT_TRUE(with.status.ok());
-    ASSERT_TRUE(without.status.ok());
-    EXPECT_EQ(with.results, without.results);
+  // Quiesced: the cache-on index (with a now well-populated cache, some
+  // of it stored at older epochs) must still agree exactly with its
+  // never-cached twin.
+  for (RoutingMethod routing :
+       {RoutingMethod::kBaselineRoute, RoutingMethod::kLanRoute}) {
+    SearchOptions options;
+    options.k = 5;
+    options.routing = routing;
+    options.init = routing == RoutingMethod::kLanRoute ? InitMethod::kLanIs
+                                                       : InitMethod::kHnswIs;
+    for (const Graph& query : queries) {
+      SearchResult with = cached.Search(query, options);
+      SearchResult without = plain.Search(query, options);
+      ASSERT_TRUE(with.status.ok());
+      ASSERT_TRUE(without.status.ok());
+      EXPECT_EQ(with.results, without.results);
+    }
   }
 }
 

@@ -548,8 +548,7 @@ int SearchCmd(const Flags& flags) {
   const CounterId queries_counter = registry.Counter("queries");
   const HistogramId latency_hist = registry.Histogram(
       "query_latency_seconds", MetricsRegistry::LatencyBounds());
-  const HistogramId ndc_hist =
-      registry.Histogram("query_ndc", MetricsRegistry::CountBounds());
+  const QueryHistograms query_hists(&registry);
   StageHistograms stage_hists;
   stage_hists.Register(&registry);
   auto stats_server = StartStatsServer(flags, &registry);
@@ -565,7 +564,7 @@ int SearchCmd(const Flags& flags) {
     SearchResult result = index->Search(queries[i], options);
     registry.Increment(queries_counter);
     registry.Observe(latency_hist, timer.ElapsedSeconds());
-    registry.Observe(ndc_hist, static_cast<double>(result.stats.ndc));
+    query_hists.Observe(result.stats);
     stage_hists.Observe(result.stats.stages);
     if (!result.status.ok()) {
       std::fprintf(stderr, "query %zu failed: %s\n", i,
@@ -792,12 +791,7 @@ int Serve(const Flags& flags) {
   const CounterId errors_counter = registry.Counter("query_errors");
   const HistogramId latency_hist = registry.Histogram(
       "query_latency_seconds", MetricsRegistry::LatencyBounds());
-  const HistogramId ndc_hist =
-      registry.Histogram("query_ndc", MetricsRegistry::CountBounds());
-  const HistogramId inference_hist = registry.Histogram(
-      "query_model_inferences", MetricsRegistry::CountBounds());
-  const HistogramId encoding_hist = registry.Histogram(
-      "query_cross_encodings", MetricsRegistry::CountBounds());
+  const QueryHistograms query_hists(&registry);
   StageHistograms stage_hists;
   stage_hists.Register(&registry);
   registry.SetGauge(registry.Gauge("index_live_size"),
@@ -909,11 +903,7 @@ int Serve(const Flags& flags) {
     const double latency = timer.ElapsedSeconds();
     registry.Increment(queries_counter);
     registry.Observe(latency_hist, latency);
-    registry.Observe(ndc_hist, static_cast<double>(result.stats.ndc));
-    registry.Observe(inference_hist,
-                     static_cast<double>(result.stats.model_inferences));
-    registry.Observe(encoding_hist,
-                     static_cast<double>(result.stats.cross_encodings));
+    query_hists.Observe(result.stats);
     stage_hists.Observe(result.stats.stages);
     if (!result.status.ok()) {
       ++errors;

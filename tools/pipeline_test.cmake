@@ -138,6 +138,14 @@ string(JSON ndc_p50 GET "${metrics_json}" histograms query_ndc p50)
 if(ndc_p50 LESS_EQUAL 0)
   message(FATAL_ERROR "metrics query_ndc p50 is ${ndc_p50}; expected > 0")
 endif()
+# search exports the same per-query set as serve and SearchBatch.
+foreach(hist query_routing_steps query_model_inferences query_cross_encodings
+        query_cache_hits)
+  string(JSON hist_count GET "${metrics_json}" histograms ${hist} count)
+  if(NOT hist_count EQUAL 2)
+    message(FATAL_ERROR "metrics ${hist} count is ${hist_count}; expected 2")
+  endif()
+endforeach()
 
 # Online updates: insert + remove mutate the trained index through the
 # epoch-versioned path and write successor snapshots; the stale models
@@ -254,8 +262,10 @@ foreach(needle
         "stage_ged_seconds_sum"
         "cache_hits"
         "query_latency_seconds_count"
+        "query_routing_steps_count"
         "query_model_inferences_count"
-        "query_cross_encodings_count")
+        "query_cross_encodings_count"
+        "query_cache_hits_count")
   if(NOT metrics MATCHES "${needle}")
     message(FATAL_ERROR "/metrics missing '${needle}':\n${metrics}")
   endif()
