@@ -3,7 +3,10 @@
 // AVX-512 when detected) at paper-scale shapes — 128-dim GNN layers
 // stacked over a 32-candidate batch — and reports throughput plus the
 // speedup over the scalar reference. One JSON line per (kernel, level),
-// mirrored into BENCH_kernels.json in the working directory.
+// mirrored into BENCH_kernels.json in the working directory. The
+// `jv_rb_aids` row times the Jonker–Volgenant solver, whose column scan is
+// dispatched the same way, on the Riesen–Bunke matrices of seeded
+// AIDS-like pairs (the Hungarian GED tier's work).
 //
 // LAN_BENCH_SMOKE=1 shrinks the timing windows (used by `ctest -L
 // perf-smoke` to verify the bench binaries stay runnable).
@@ -18,6 +21,10 @@
 #include "common/cpu_features.h"
 #include "common/random.h"
 #include "common/timer.h"
+#include "ged/assignment.h"
+#include "ged/ged_bipartite.h"
+#include "ged/ged_scratch.h"
+#include "graph/graph_generator.h"
 #include "nn/kernels.h"
 
 namespace lan {
@@ -30,6 +37,8 @@ constexpr int32_t kRows = 160;  // stacked node/group rows of a batch
 constexpr int32_t kInner = 128;
 constexpr int32_t kCols = 128;
 constexpr int64_t kVecLen = 128;
+// AIDS-like pairs behind the jv_rb_aids row (n1 + n2 ~ 50 per matrix).
+constexpr int kJvPairs = 64;
 
 bool SmokeMode() {
   const char* s = std::getenv("LAN_BENCH_SMOKE");
@@ -58,14 +67,19 @@ double TimePerCall(const std::function<void()>& fn) {
   return best;
 }
 
+/// `flops` <= 0 omits the gflops field (the JV row counts no flops).
 void Report(FILE* json, const char* kernel, const char* level,
             double per_call_sec, double flops, double scalar_sec) {
+  char gflops[64] = "";
+  if (flops > 0.0) {
+    std::snprintf(gflops, sizeof(gflops), "\"gflops\":%.3f,",
+                  flops / per_call_sec / 1e9);
+  }
   char line[512];
   std::snprintf(line, sizeof(line),
                 "{\"bench\":\"kernels\",\"kernel\":\"%s\",\"level\":\"%s\","
-                "\"seconds_per_call\":%.3e,\"gflops\":%.3f,"
-                "\"speedup_vs_scalar\":%.2f}",
-                kernel, level, per_call_sec, flops / per_call_sec / 1e9,
+                "\"seconds_per_call\":%.3e,%s\"speedup_vs_scalar\":%.2f}",
+                kernel, level, per_call_sec, gflops,
                 scalar_sec / per_call_sec);
   std::printf("%s\n", line);
   if (json != nullptr) std::fprintf(json, "%s\n", line);
@@ -75,6 +89,20 @@ std::vector<float> RandomVec(size_t n, Rng* rng) {
   std::vector<float> out(n);
   for (float& x : out) x = rng->NextFloat(-1.0f, 1.0f);
   return out;
+}
+
+/// The Hungarian tier's cost matrices of `kJvPairs` seeded AIDS-like pairs.
+std::vector<CostMatrix> AidsHungarianMatrices() {
+  const DatasetSpec spec = DatasetSpec::AidsLike(1);
+  Rng rng(2022);
+  std::vector<CostMatrix> matrices;
+  for (int p = 0; p < kJvPairs; ++p) {
+    const Graph g1 = GenerateGraph(spec, &rng);
+    const Graph g2 = GenerateGraph(spec, &rng);
+    BipartiteGedHungarian(g1, g2);  // leaves its matrix in the scratch
+    matrices.push_back(ThreadGedScratch().cost_matrix);
+  }
+  return matrices;
 }
 
 int Main() {
@@ -143,6 +171,24 @@ int Main() {
       Report(json, cs.name, kt.name, sec, cs.flops, scalar_sec);
     }
   }
+
+  // The JV solver dispatches on the active level, not on a table.
+  const std::vector<CostMatrix> matrices = AidsHungarianMatrices();
+  const SimdLevel saved = ActiveSimdLevel();
+  Assignment assignment;
+  double scalar_sec = 0.0;
+  for (SimdLevel level : levels) {
+    SetActiveSimdLevel(level);
+    const double sec = TimePerCall([&] {
+                         for (const CostMatrix& m : matrices) {
+                           SolveAssignmentInto(m, &assignment);
+                         }
+                       }) /
+                       kJvPairs;
+    if (level == SimdLevel::kScalar) scalar_sec = sec;
+    Report(json, "jv_rb_aids", SimdLevelName(level), sec, 0.0, scalar_sec);
+  }
+  SetActiveSimdLevel(saved);
 
   if (json != nullptr) std::fclose(json);
   return 0;

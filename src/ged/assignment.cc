@@ -1,13 +1,56 @@
 #include "ged/assignment.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
 
+#include "common/cpu_features.h"
 #include "common/logging.h"
 #include "ged/ged_scratch.h"
+#include "ged/jv_scan.h"
 
 namespace lan {
+
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// The portable column scan (see JvScanFn): free columns in ascending order,
+// eight columns per byte of the used mask.
+int32_t JvScanScalar(const JvScanArgs& a, double* delta_out) {
+  double delta = kInf;
+  int32_t j1 = 0;
+  for (int32_t base = 1; base <= a.n; base += 8) {
+    unsigned free_bits =
+        ~static_cast<unsigned>(a.used[(base - 1) / 8]) & 0xffu;
+    for (; free_bits != 0; free_bits &= free_bits - 1) {
+      const int32_t j = base + std::countr_zero(free_bits);
+      double m = a.minv[j] - a.last_delta;
+      const double cur = a.row[j - 1] - a.u_i0 - a.v[j];
+      if (cur < m) {
+        m = cur;
+        a.way[j] = a.j0;
+      }
+      a.minv[j] = m;
+      if (m < delta) {
+        delta = m;
+        j1 = j;
+      }
+    }
+  }
+  *delta_out = delta;
+  return j1;
+}
+
+JvScanFn ActiveJvScan() {
+  if (ActiveSimdLevel() >= SimdLevel::kAvx512) {
+    if (JvScanFn scan = internal::Avx512JvScan()) return scan;
+  }
+  return &JvScanScalar;
+}
+
+}  // namespace
 
 // Jonker–Volgenant style shortest augmenting path (a.k.a. the "lap"
 // algorithm as used by scipy.optimize.linear_sum_assignment).
@@ -17,7 +60,6 @@ void SolveAssignmentInto(const CostMatrix& cost, Assignment* out) {
   out->row_to_col.assign(static_cast<size_t>(n), -1);
   if (n == 0) return;
 
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   GedScratch& s = ThreadGedScratch();
   // Potentials for rows (u) and columns (v); 1-indexed internally with a
   // virtual row/column 0 to simplify the augmenting loop.
@@ -26,60 +68,58 @@ void SolveAssignmentInto(const CostMatrix& cost, Assignment* out) {
   s.jv_col_to_row.assign(static_cast<size_t>(n) + 1, 0);
   s.jv_way.assign(static_cast<size_t>(n) + 1, 0);
   s.jv_minv.resize(static_cast<size_t>(n) + 1);
-  s.jv_free.resize(static_cast<size_t>(n));
   s.jv_used.resize(static_cast<size_t>(n) + 1);
+  const size_t mask_bytes = static_cast<size_t>(n + 7) / 8;
+  s.jv_used_mask.resize(mask_bytes);
   double* u = s.jv_u.data();
   double* v = s.jv_v.data();
   int32_t* col_to_row = s.jv_col_to_row.data();
   int32_t* way = s.jv_way.data();
   double* minv = s.jv_minv.data();
-  // The columns not yet on the alternating tree, ascending (so ties on
-  // minv pick the lowest column), and those on it.
-  int32_t* free_cols = s.jv_free.data();
+  // The columns on the alternating tree, in the order they joined it, and
+  // the same set as a bit mask (plus the padding bits past column n).
   int32_t* used_cols = s.jv_used.data();
+  uint8_t* used_mask = s.jv_used_mask.data();
+  const uint8_t tail_bits = static_cast<uint8_t>(0xff << ((n - 1) % 8 + 1));
 
+  const JvScanFn scan = ActiveJvScan();
+  JvScanArgs args{.row = nullptr,
+                  .u_i0 = 0.0,
+                  .last_delta = 0.0,
+                  .v = v,
+                  .minv = minv,
+                  .way = way,
+                  .used = used_mask,
+                  .n = n,
+                  .j0 = 0};
   for (int32_t i = 1; i <= n; ++i) {
     col_to_row[0] = i;
     int32_t j0 = 0;
     std::fill(minv, minv + n + 1, kInf);
-    for (int32_t k = 0; k < n; ++k) free_cols[k] = k + 1;
-    int32_t num_free = n;
+    std::fill(used_mask, used_mask + mask_bytes, uint8_t{0});
+    used_mask[mask_bytes - 1] = tail_bits;
     int32_t num_used = 0;
     // Each step lowers the free columns' minv by the previous step's
     // delta; that subtraction is folded into the next scan, which is the
     // only reader.
-    double last_delta = 0.0;
+    args.last_delta = 0.0;
     do {
       used_cols[num_used++] = j0;
       const int32_t i0 = col_to_row[j0];
-      const double* row = cost.row(i0 - 1);
-      const double u_i0 = u[i0];
+      args.row = cost.row(i0 - 1);
+      args.u_i0 = u[i0];
+      args.j0 = j0;
       double delta = kInf;
-      int32_t k1 = -1;
-      for (int32_t k = 0; k < num_free; ++k) {
-        const int32_t j = free_cols[k];
-        double m = minv[j] - last_delta;
-        const double cur = row[j - 1] - u_i0 - v[j];
-        if (cur < m) {
-          m = cur;
-          way[j] = j0;
-        }
-        minv[j] = m;
-        if (m < delta) {
-          delta = m;
-          k1 = k;
-        }
-      }
-      LAN_CHECK_GE(k1, 0);
+      const int32_t j1 = scan(args, &delta);
+      LAN_CHECK_GT(j1, 0);
       for (int32_t k = 0; k < num_used; ++k) {
         const int32_t j = used_cols[k];
         u[col_to_row[j]] += delta;
         v[j] -= delta;
       }
-      last_delta = delta;
-      j0 = free_cols[k1];
-      std::copy(free_cols + k1 + 1, free_cols + num_free, free_cols + k1);
-      --num_free;
+      args.last_delta = delta;
+      j0 = j1;
+      used_mask[(j0 - 1) / 8] |= static_cast<uint8_t>(1u << ((j0 - 1) % 8));
     } while (col_to_row[j0] != 0);
     // Augment along the alternating path.
     do {

@@ -35,7 +35,9 @@ struct BeamCandidate {
 struct GedScratch {
   // --- SolveAssignment (Jonker–Volgenant) ---
   std::vector<double> jv_u, jv_v, jv_minv;
-  std::vector<int32_t> jv_col_to_row, jv_way, jv_free, jv_used;
+  std::vector<int32_t> jv_col_to_row, jv_way, jv_used;
+  /// The used columns as bits, eight columns per byte (see JvScanArgs).
+  std::vector<uint8_t> jv_used_mask;
   // --- SolveAssignmentGreedy ---
   /// Distinct costs, their hash slots, each cell's distinct cost, the
   /// distinct costs in ascending order, their next sorted position, and the

@@ -5,7 +5,9 @@
 // formulations below produce: Beam with one heap vector per state and a
 // per-child linear preimage scan, the greedy solver as a full sort of
 // (cost, row, col) tuples, and JV sweeping every column twice per step.
-// Those formulations live only here, as the references.
+// Those formulations live only here, as the references. The JV column scan
+// is dispatched by SIMD level, so its cases run at every level the host
+// supports.
 
 #include <gtest/gtest.h>
 
@@ -20,10 +22,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/cpu_features.h"
 #include "common/random.h"
 #include "ged/assignment.h"
 #include "ged/ged_beam.h"
 #include "ged/ged_bipartite.h"
+#include "ged/ged_computer.h"
 #include "ged/ged_costs.h"
 #include "ged/ged_scratch.h"
 #include "ged/node_mapping.h"
@@ -281,6 +285,30 @@ std::vector<NamedPair> Pairs() {
   return pairs;
 }
 
+/// The SIMD levels the host supports, scalar first.
+std::vector<SimdLevel> HostLevels() {
+  std::vector<SimdLevel> levels;
+  for (SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (level <= DetectedSimdLevel()) levels.push_back(level);
+  }
+  return levels;
+}
+
+/// Runs `body` once per host level with dispatch pinned to it, then
+/// restores the level that was active before.
+template <typename Body>
+void AtEveryLevel(Body body) {
+  const SimdLevel saved = ActiveSimdLevel();
+  for (SimdLevel level : HostLevels()) {
+    SCOPED_TRACE(SimdLevelName(level));
+    SetActiveSimdLevel(level);
+    body(level);
+    if (testing::Test::HasFatalFailure()) break;
+  }
+  SetActiveSimdLevel(saved);
+}
+
 // ---------- Tests ----------
 
 TEST(GedTierEquivalenceTest, BeamMatchesReferenceBitForBit) {
@@ -332,11 +360,13 @@ TEST(GedTierEquivalenceTest, GreedyMatchesTupleSortOnVjMatrices) {
 }
 
 TEST(GedTierEquivalenceTest, JvMatchesReferenceOnHungarianMatrices) {
-  ExpectSolverMatchesOnTierMatrices(
-      [](const Graph& a, const Graph& b, const GedCosts& costs) {
-        return BipartiteGedHungarian(a, b, costs);
-      },
-      ReferenceJv);
+  AtEveryLevel([](SimdLevel) {
+    ExpectSolverMatchesOnTierMatrices(
+        [](const Graph& a, const Graph& b, const GedCosts& costs) {
+          return BipartiteGedHungarian(a, b, costs);
+        },
+        ReferenceJv);
+  });
 }
 
 TEST(GedTierEquivalenceTest, SolversMatchReferencesOnRandomMatrices) {
@@ -350,7 +380,9 @@ TEST(GedTierEquivalenceTest, SolversMatchReferencesOnRandomMatrices) {
   const size_t num_values = sizeof(values) / sizeof(values[0]);
   Rng rng(7);
   for (int trial = 0; trial < 400; ++trial) {
-    const int32_t n = static_cast<int32_t>(rng.NextInt(0, 24));
+    // Every size 0..40 (every tail width of an 8-column scan block) comes
+    // up among the finite (even) trials.
+    const int32_t n = trial % 41;
     // Draw from a prefix of `values`, so some matrices have no forbidden
     // cells and others are mostly forbidden.
     const bool finite = trial % 2 == 0;
@@ -368,9 +400,12 @@ TEST(GedTierEquivalenceTest, SolversMatchReferencesOnRandomMatrices) {
     ASSERT_EQ(Bits(greedy_got.cost), Bits(greedy_want.cost)) << trial;
     if (!finite) continue;
     const Assignment jv_want = ReferenceJv(m);
-    const Assignment jv_got = SolveAssignment(m);
-    ASSERT_EQ(jv_got.row_to_col, jv_want.row_to_col) << trial;
-    ASSERT_EQ(Bits(jv_got.cost), Bits(jv_want.cost)) << trial;
+    AtEveryLevel([&](SimdLevel) {
+      const Assignment jv_got = SolveAssignment(m);
+      ASSERT_EQ(jv_got.row_to_col, jv_want.row_to_col) << trial;
+      ASSERT_EQ(Bits(jv_got.cost), Bits(jv_want.cost)) << trial;
+    });
+    if (HasFatalFailure()) return;
   }
 }
 
@@ -378,16 +413,59 @@ TEST(GedTierEquivalenceTest, JvMatchesReferenceOnRealValuedMatrices) {
   // Continuous costs: no ties, long augmenting paths, potentials that are
   // not exact in binary.
   Rng rng(11);
-  for (int trial = 0; trial < 100; ++trial) {
-    const int32_t n = static_cast<int32_t>(rng.NextInt(1, 40));
+  for (int trial = 0; trial < 120; ++trial) {
+    const int32_t n = 1 + trial % 40;
     CostMatrix m(n);
     for (int32_t r = 0; r < n; ++r) {
       for (int32_t c = 0; c < n; ++c) m.at(r, c) = rng.NextDouble() * 7.3;
     }
     const Assignment want = ReferenceJv(m);
-    const Assignment got = SolveAssignment(m);
-    ASSERT_EQ(got.row_to_col, want.row_to_col) << trial;
-    ASSERT_EQ(Bits(got.cost), Bits(want.cost)) << trial;
+    AtEveryLevel([&](SimdLevel) {
+      const Assignment got = SolveAssignment(m);
+      ASSERT_EQ(got.row_to_col, want.row_to_col) << trial;
+      ASSERT_EQ(Bits(got.cost), Bits(want.cost)) << trial;
+    });
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(GedTierEquivalenceTest, ComputeIsBitwiseIdenticalAtEveryLevel) {
+  // The full protocol with a wall-clock-free exact attempt, so each value
+  // is a pure function of the pair and the level.
+  const std::vector<NamedPair> pairs = Pairs();
+  for (const NamedCosts& model : CostModels()) {
+    GedOptions options;
+    options.skip_exact_gap = 3.0;
+    options.exact_max_expansions = 1'000;
+    options.exact_time_budget_seconds = 0.0;
+    options.costs = model.costs;
+    const GedComputer ged(options);
+    std::vector<GedValue> scalar;
+    AtEveryLevel([&](SimdLevel level) {
+      for (size_t p = 0; p < pairs.size(); ++p) {
+        const GedValue got = ged.Compute(pairs[p].g1, pairs[p].g2);
+        if (level == SimdLevel::kScalar) {
+          scalar.push_back(got);
+          continue;
+        }
+        ASSERT_EQ(Bits(got.distance), Bits(scalar[p].distance))
+            << model.name << " " << pairs[p].name << ": " << got.distance
+            << " vs " << scalar[p].distance;
+        ASSERT_EQ(got.method, scalar[p].method)
+            << model.name << " " << pairs[p].name;
+        ASSERT_EQ(got.exact, scalar[p].exact)
+            << model.name << " " << pairs[p].name;
+      }
+    });
+    if (HasFatalFailure()) return;
+    EXPECT_EQ(scalar.size(), pairs.size());
+    // The Hungarian tier's value reaches the result on some pairs.
+    EXPECT_GT(std::count_if(scalar.begin(), scalar.end(),
+                            [](const GedValue& v) {
+                              return v.method == GedMethod::kHungarian;
+                            }),
+              0)
+        << model.name;
   }
 }
 
