@@ -9,8 +9,6 @@ const char* TraceEventTypeName(TraceEventType type) {
   switch (type) {
     case TraceEventType::kQueryBegin:
       return "query_begin";
-    case TraceEventType::kShard:
-      return "shard";
     case TraceEventType::kClusterScore:
       return "cluster_score";
     case TraceEventType::kClusterPrune:

@@ -15,7 +15,6 @@ namespace lan {
 /// Event vocabulary (producers in parentheses):
 ///   kQueryBegin    — search framing: value=k, aux=beam, detail=routing,
 ///                    detail2=init (LanIndex::Search)
-///   kShard         — sub-search enters shard id=`id` (ShardedLanIndex)
 ///   kClusterScore  — M_c kept cluster `id`: value=predicted |C ∩ N_Q|,
 ///                    aux=member count (learned_init)
 ///   kClusterPrune  — M_c discarded cluster `id` (same fields)
@@ -48,7 +47,6 @@ namespace lan {
 ///   kQueryEnd      — value=stats.ndc, aux=stats.routing_steps
 enum class TraceEventType : int8_t {
   kQueryBegin = 0,
-  kShard,
   kClusterScore,
   kClusterPrune,
   kInitCandidate,
@@ -70,7 +68,7 @@ const char* TraceEventTypeName(TraceEventType type);
 /// at their defaults and are omitted from the JSON line.
 struct TraceEvent {
   TraceEventType type = TraceEventType::kQueryBegin;
-  /// Graph / cluster / shard id, depending on `type`.
+  /// Graph or cluster id, depending on `type`.
   int64_t id = -1;
   /// Step or batch index, depending on `type`.
   int64_t step = -1;
@@ -110,8 +108,7 @@ inline void TraceRecord(TraceSink* sink, const TraceEvent& event) {
 
 /// \brief In-memory trace of one query, serializable as JSON lines.
 ///
-/// Not thread-safe: one QueryTrace per concurrently-running query (a
-/// sharded search over shards visited sequentially may share one).
+/// Not thread-safe: one QueryTrace per concurrently-running query.
 class QueryTrace final : public TraceSink {
  public:
   void Record(const TraceEvent& event) override { events_.push_back(event); }

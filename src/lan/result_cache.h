@@ -21,8 +21,8 @@ ShardCacheStats SubtractCacheCounters(ShardCacheStats stats,
                                       const ShardCacheStats& baseline);
 
 /// Emits one ShardCacheStats as the standard `cache.*` metrics — shared by
-/// ResultCache::AppendMetrics, ShardedLanIndex's per-shard aggregation,
-/// and the stats server's moving-baseline scrape.
+/// ResultCache::AppendMetrics and the stats server's moving-baseline
+/// scrape.
 void AppendCacheMetrics(const ShardCacheStats& stats, size_t capacity_bytes,
                         MetricsRegistry* registry);
 

@@ -18,6 +18,51 @@
 namespace lan {
 namespace {
 
+// GCC's unmasked 512-bit max, float -> double widening and 512 -> 256
+// extract read an undefined pass-through operand, which GCC 12 reports as
+// uninitialized; their all-lanes maskz forms run the same instruction.
+constexpr __mmask8 kAll = 0xff;
+
+LAN_AVX512 inline __m512 MaxPs(__m512 a, __m512 b) {
+  return _mm512_maskz_max_ps(0xffff, a, b);
+}
+
+LAN_AVX512 inline __m512d LoadWidePd(const float* p) {  // 8 floats -> f64
+  return _mm512_maskz_cvtps_pd(kAll, _mm256_loadu_ps(p));
+}
+
+template <int kUpper>
+LAN_AVX512 inline __m256 HalfPs(__m512 v) {
+  return _mm256_castpd_ps(
+      _mm512_maskz_extractf64x4_pd(kAll, _mm512_castps_pd(v), kUpper));
+}
+
+// Horizontal reductions in the lane order of GCC's _mm512_reduce_* (upper
+// half op lower half, down to one lane), so results match them bitwise.
+LAN_AVX512 inline float ReduceAddPs(__m512 v) {
+  const __m256 s8 = _mm256_add_ps(HalfPs<1>(v), HalfPs<0>(v));
+  const __m128 s4 =
+      _mm_add_ps(_mm256_extractf128_ps(s8, 1), _mm256_extractf128_ps(s8, 0));
+  const __m128 s2 = _mm_add_ps(s4, _mm_shuffle_ps(s4, s4, 0x4e));
+  return _mm_cvtss_f32(s2) + _mm_cvtss_f32(_mm_shuffle_ps(s2, s2, 0x01));
+}
+
+LAN_AVX512 inline float ReduceMaxPs(__m512 v) {
+  const __m256 m8 = _mm256_max_ps(HalfPs<1>(v), HalfPs<0>(v));
+  const __m128 m4 =
+      _mm_max_ps(_mm256_extractf128_ps(m8, 1), _mm256_extractf128_ps(m8, 0));
+  const __m128 m2 = _mm_max_ps(m4, _mm_shuffle_ps(m4, m4, 0x4e));
+  return _mm_cvtss_f32(_mm_max_ps(m2, _mm_shuffle_ps(m2, m2, 0x11)));
+}
+
+LAN_AVX512 inline double ReduceAddPd(__m512d v) {
+  const __m256d s4 = _mm256_add_pd(_mm512_maskz_extractf64x4_pd(kAll, v, 1),
+                                   _mm512_maskz_extractf64x4_pd(kAll, v, 0));
+  const __m128d s2 =
+      _mm_add_pd(_mm256_extractf128_pd(s4, 1), _mm256_extractf128_pd(s4, 0));
+  return _mm_cvtsd_f64(s2) + _mm_cvtsd_f64(_mm_unpackhi_pd(s2, s2));
+}
+
 LAN_AVX512 void MatMulAccumulateAvx512(const float* a, int32_t m, int32_t k,
                                        const float* b, int32_t n, float* c) {
   int32_t j0 = 0;
@@ -132,7 +177,7 @@ LAN_AVX512 float DotAvx512(const float* a, const float* b, int32_t n) {
   for (; i + 16 <= n; i += 16) {
     s0 = _mm512_fmadd_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i), s0);
   }
-  float sum = _mm512_reduce_add_ps(
+  float sum = ReduceAddPs(
       _mm512_add_ps(_mm512_add_ps(s0, s1), _mm512_add_ps(s2, s3)));
   for (; i < n; ++i) sum += a[i] * b[i];
   return sum;
@@ -172,22 +217,17 @@ LAN_AVX512 double L2SqAvx512(const float* a, const float* b, int64_t n) {
   __m512d acc1 = _mm512_setzero_pd();
   int64_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    const __m512d d0 =
-        _mm512_sub_pd(_mm512_cvtps_pd(_mm256_loadu_ps(a + i)),
-                      _mm512_cvtps_pd(_mm256_loadu_ps(b + i)));
+    const __m512d d0 = _mm512_sub_pd(LoadWidePd(a + i), LoadWidePd(b + i));
     const __m512d d1 =
-        _mm512_sub_pd(_mm512_cvtps_pd(_mm256_loadu_ps(a + i + 8)),
-                      _mm512_cvtps_pd(_mm256_loadu_ps(b + i + 8)));
+        _mm512_sub_pd(LoadWidePd(a + i + 8), LoadWidePd(b + i + 8));
     acc0 = _mm512_fmadd_pd(d0, d0, acc0);
     acc1 = _mm512_fmadd_pd(d1, d1, acc1);
   }
   for (; i + 8 <= n; i += 8) {
-    const __m512d d =
-        _mm512_sub_pd(_mm512_cvtps_pd(_mm256_loadu_ps(a + i)),
-                      _mm512_cvtps_pd(_mm256_loadu_ps(b + i)));
+    const __m512d d = _mm512_sub_pd(LoadWidePd(a + i), LoadWidePd(b + i));
     acc0 = _mm512_fmadd_pd(d, d, acc0);
   }
-  double total = _mm512_reduce_add_pd(_mm512_add_pd(acc0, acc1));
+  double total = ReduceAddPd(_mm512_add_pd(acc0, acc1));
   for (; i < n; ++i) {
     const double d = static_cast<double>(a[i]) - b[i];
     total += d * d;
@@ -199,13 +239,13 @@ LAN_AVX512 void ReluAvx512(float* x, int64_t n) {
   const __m512 zero = _mm512_setzero_ps();
   int64_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(x + i, _mm512_max_ps(_mm512_loadu_ps(x + i), zero));
+    _mm512_storeu_ps(x + i, MaxPs(_mm512_loadu_ps(x + i), zero));
   }
   if (i < n) {
     const __mmask16 mask = static_cast<__mmask16>((1u << (n - i)) - 1u);
     _mm512_mask_storeu_ps(
         x + i, mask,
-        _mm512_max_ps(_mm512_maskz_loadu_ps(mask, x + i), zero));
+        MaxPs(_mm512_maskz_loadu_ps(mask, x + i), zero));
   }
 }
 
@@ -216,13 +256,13 @@ LAN_AVX512 void SoftmaxRowsAvx512(float* data, int32_t rows, int32_t cols) {
     __m512 vmax = ninf;
     int32_t j = 0;
     for (; j + 16 <= cols; j += 16) {
-      vmax = _mm512_max_ps(vmax, _mm512_loadu_ps(row + j));
+      vmax = MaxPs(vmax, _mm512_loadu_ps(row + j));
     }
     if (j < cols) {
       const __mmask16 mask = static_cast<__mmask16>((1u << (cols - j)) - 1u);
-      vmax = _mm512_max_ps(vmax, _mm512_mask_loadu_ps(ninf, mask, row + j));
+      vmax = MaxPs(vmax, _mm512_mask_loadu_ps(ninf, mask, row + j));
     }
-    const float row_max = _mm512_reduce_max_ps(vmax);
+    const float row_max = ReduceMaxPs(vmax);
     float total = 0.0f;
     for (j = 0; j < cols; ++j) {
       const float e = std::exp(row[j] - row_max);

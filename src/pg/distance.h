@@ -76,9 +76,9 @@ struct CachedScore {
 ///
 /// Implementations: GedDistanceProvider (direct computation),
 /// CachingDistanceProvider (cross-query memoization decorator, see
-/// lan/result_cache.h), BruteForceIndex (ground truth). Layering composes
-/// at construction time — callers hold one `const DistanceProvider*` and
-/// never know whether caching is stacked underneath.
+/// lan/result_cache.h). Layering composes at construction time — callers
+/// hold one `const DistanceProvider*` and never know whether caching is
+/// stacked underneath.
 ///
 /// Exact/Approx name the two GED protocols an index carries (query-time
 /// and build-time options respectively). FindScore/StoreScore expose
@@ -170,9 +170,9 @@ class DistanceOracle {
     cache_->Reset(db_->size());
   }
 
-  /// Convenience constructor for standalone callers (tests, range search,
-  /// ground truth): wraps `ged` in an owned GedDistanceProvider serving
-  /// both protocols, with caching disabled (query_hash 0).
+  /// Convenience constructor for standalone callers (tests, evaluation):
+  /// wraps `ged` in an owned GedDistanceProvider serving both protocols,
+  /// with caching disabled (query_hash 0).
   DistanceOracle(const GraphDatabase* db, const Graph* query,
                  const GedComputer* ged, SearchStats* stats,
                  TraceSink* trace = nullptr, SearchScratch* scratch = nullptr)
@@ -237,13 +237,6 @@ class DistanceOracle {
   /// and init component already receives the oracle.
   StageProfile* profile() const { return profile_; }
   void set_profile(StageProfile* profile) { profile_ = profile; }
-
-  /// Visits every distance evaluated so far with fn(GraphId, double) —
-  /// range queries harvest encounters. Visits in evaluation order.
-  template <typename Fn>
-  void ForEachCached(Fn&& fn) const {
-    for (GraphId id : cache_->keys()) fn(id, *cache_->Find(id));
-  }
 
  private:
   StampedDoubleMap* CacheFor(SearchScratch* scratch) {

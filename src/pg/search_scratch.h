@@ -14,8 +14,7 @@ namespace lan {
 /// \brief Epoch-stamped dense map GraphId -> double. Backing arrays are
 /// sized once to the id universe and never shrink; `Reset` is O(1) (bump
 /// the epoch), so a per-query cache costs no allocation and no clearing
-/// after the first query on a thread. Insertion order is preserved in
-/// `keys()` for iteration.
+/// after the first query on a thread.
 ///
 /// Must be `Reset` before first use after construction.
 class StampedDoubleMap {
@@ -23,7 +22,6 @@ class StampedDoubleMap {
   /// Starts a new generation covering ids [0, n). Amortized O(1): only
   /// grows the arrays when `n` exceeds every previous generation.
   void Reset(int64_t n) {
-    keys_.clear();
     if (static_cast<size_t>(n) > stamps_.size()) {
       stamps_.resize(static_cast<size_t>(n), 0);
       values_.resize(static_cast<size_t>(n));
@@ -45,17 +43,11 @@ class StampedDoubleMap {
     const size_t i = static_cast<size_t>(id);
     stamps_[i] = epoch_;
     values_[i] = value;
-    keys_.push_back(id);
   }
-
-  /// Ids inserted this generation, in insertion order.
-  const std::vector<GraphId>& keys() const { return keys_; }
-  size_t size() const { return keys_.size(); }
 
  private:
   std::vector<uint32_t> stamps_;
   std::vector<double> values_;
-  std::vector<GraphId> keys_;
   uint32_t epoch_ = 0;
 };
 

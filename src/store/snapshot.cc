@@ -73,8 +73,8 @@ const char* SectionKindName(SectionKind kind) {
       return "hnsw";
     case SectionKind::kModels:
       return "models";
-    case SectionKind::kShardManifest:
-      return "shard-manifest";
+    case SectionKind::kRetiredShardManifest:
+      return "retired-shard-manifest";
     case SectionKind::kRetiredInt8Embeddings:
       return "retired-int8";
   }
@@ -241,7 +241,7 @@ std::string Snapshot::Describe() const {
                               static_cast<unsigned long long>(size_),
                               sections_.size());
   for (const SectionInfo& s : sections_) {
-    out += StrFormat("  %-14s offset=%-10llu size=%-10llu xxh64=%016llx\n",
+    out += StrFormat("  %-22s offset=%-10llu size=%-10llu xxh64=%016llx\n",
                      SectionKindName(s.kind),
                      static_cast<unsigned long long>(s.offset),
                      static_cast<unsigned long long>(s.size),

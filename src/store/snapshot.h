@@ -44,7 +44,9 @@ enum class SectionKind : uint32_t {
   kCgs = 5,         ///< compressed GNN graphs (arena form)
   kHnsw = 6,        ///< HNSW core + base-view CSR layers
   kModels = 7,      ///< trained parameter blobs + rank context matrix
-  kShardManifest = 8,  ///< ShardedLanIndex directory manifest
+  /// Retired: held the manifest of a sharded directory layout. Never
+  /// written, skipped on read, never reuse the value.
+  kRetiredShardManifest = 8,
   /// Retired: held the int8 quantized embedding plane. Never written,
   /// skipped on read (older files keep opening), never reuse the value.
   kRetiredInt8Embeddings = 9,

@@ -4,8 +4,6 @@
 #include "ged/ged_dfs.h"
 #include "ged/ged_exact.h"
 #include "graph/graph_generator.h"
-#include "lan/brute_force.h"
-#include "lan/workload.h"
 
 namespace lan {
 namespace {
@@ -93,58 +91,6 @@ TEST(DfsGedTest, CallerBoundTightensSearch) {
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r->distance, unbounded->distance);
   EXPECT_LE(r->expansions, unbounded->expansions);
-}
-
-// ---------- BruteForceIndex / RefineTopK ----------
-
-TEST(BruteForceIndexTest, MatchesGroundTruth) {
-  DatasetSpec spec = DatasetSpec::SynLike(40);
-  GraphDatabase db = GenerateDatabase(spec, 9);
-  GedOptions ged_options;
-  ged_options.approximate_only = true;
-  ged_options.beam_width = 0;
-  BruteForceIndex index(&db, ged_options);
-  Rng rng(10);
-  Graph query = PerturbGraph(db.Get(5), 2, db.num_labels(), &rng);
-  SearchResult result = index.Search(query, 5);
-  GedComputer ged(ged_options);
-  KnnList truth = ComputeGroundTruth(db, query, 5, ged);
-  EXPECT_EQ(result.results, truth);
-  EXPECT_EQ(result.stats.ndc, db.size());
-}
-
-TEST(RefineTopKTest, ExactBudgetNeverWorsensDistances) {
-  DatasetSpec spec = DatasetSpec::SynLike(30);
-  spec.avg_nodes = 7;
-  GraphDatabase db = GenerateDatabase(spec, 11);
-  Rng rng(12);
-  Graph query = PerturbGraph(db.Get(3), 2, db.num_labels(), &rng);
-
-  GedOptions coarse;
-  coarse.approximate_only = true;
-  coarse.beam_width = 0;
-  BruteForceIndex index(&db, coarse);
-  SearchResult coarse_result = index.Search(query, 5);
-
-  GedOptions fine;
-  fine.exact_time_budget_seconds = 2.0;
-  fine.exact_max_expansions = 2'000'000;
-  SearchStats stats;
-  KnnList refined =
-      RefineTopK(db, query, coarse_result.results, fine, &stats);
-  ASSERT_EQ(refined.size(), coarse_result.results.size());
-  EXPECT_EQ(stats.ndc, static_cast<int64_t>(refined.size()));
-  // Refined distances are exact => never above the coarse upper bounds
-  // for the same id.
-  for (const auto& [id, refined_d] : refined) {
-    for (const auto& [cid, coarse_d] : coarse_result.results) {
-      if (cid == id) EXPECT_LE(refined_d, coarse_d + 1e-9);
-    }
-  }
-  // Sorted ascending.
-  for (size_t i = 1; i < refined.size(); ++i) {
-    EXPECT_LE(refined[i - 1].second, refined[i].second);
-  }
 }
 
 }  // namespace

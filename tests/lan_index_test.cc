@@ -9,7 +9,6 @@
 #include "lan/l2route.h"
 #include "lan/lan_index.h"
 #include "lan/learned_ranker.h"
-#include "lan/range_search.h"
 #include "lan/workload.h"
 #include "pg/np_route.h"
 
@@ -220,84 +219,6 @@ TEST_F(LanIndexTest, TrainBeforeBuildFails) {
   LanIndex fresh(TinyConfig());
   EXPECT_FALSE(fresh.Train(workload_->train).ok());
   EXPECT_FALSE(fresh.Build(static_cast<const GraphDatabase*>(nullptr)).ok());
-}
-
-// ---------- Range search ----------
-
-TEST_F(LanIndexTest, ExactRangeSearchMatchesBruteForce) {
-  const Graph& query = workload_->test[0];
-  const double threshold = index_->gamma_star() * 0.6;
-  RangeSearchResult filtered = RangeSearchExact(*db_, query, threshold, *ged_);
-  // Reference: scan without filters.
-  KnnList reference;
-  for (GraphId id = 0; id < db_->size(); ++id) {
-    const double d = ged_->Distance(query, db_->Get(id));
-    if (d <= threshold) reference.emplace_back(id, d);
-  }
-  std::sort(reference.begin(), reference.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second < b.second;
-              return a.first < b.first;
-            });
-  EXPECT_EQ(filtered.results, reference);
-  // The filters did real work and never verified more than the db size.
-  EXPECT_EQ(filtered.stats.filtered + filtered.stats.verified, db_->size());
-  EXPECT_GT(filtered.stats.filtered, 0);
-}
-
-TEST_F(LanIndexTest, ApproximateRangeSearchSoundAndUseful) {
-  const Graph& query = workload_->test[1];
-  const double threshold = index_->gamma_star() * 0.8;
-  RangeSearchResult exact = RangeSearchExact(*db_, query, threshold, *ged_);
-  RangeSearchResult approx =
-      RangeSearchApproximate(*index_, query, threshold, /*beam=*/16);
-  // Soundness: every reported pair is genuinely within the threshold.
-  for (const auto& [id, d] : approx.results) {
-    EXPECT_LE(d, threshold + 1e-9);
-    EXPECT_NEAR(ged_->Distance(query, db_->Get(id)), d, 1e-9);
-  }
-  // No duplicates, and far less verification work than the exact scan.
-  std::set<GraphId> unique;
-  for (const auto& [id, d] : approx.results) {
-    EXPECT_TRUE(unique.insert(id).second);
-  }
-  EXPECT_LT(approx.stats.verified, db_->size());
-  // Usefulness: finds a decent share of the true range set.
-  if (!exact.results.empty()) {
-    EXPECT_GE(static_cast<double>(approx.results.size()),
-              0.3 * static_cast<double>(exact.results.size()));
-  }
-}
-
-TEST(RangeSearchTombstoneTest, RemovedGraphsAreNeverReported) {
-  GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(40), 23);
-  WorkloadOptions wopts;
-  wopts.num_queries = 10;
-  const QueryWorkload workload = SampleWorkload(db, wopts, 24);
-  LanIndex index(TinyConfig());
-  ASSERT_TRUE(index.Build(&db).ok());
-  ASSERT_TRUE(index.Train(workload.train).ok());
-  GedComputer ged(TinyConfig().query_ged);
-  const auto reports = [](const RangeSearchResult& r, GraphId id) {
-    for (const auto& [rid, d] : r.results) {
-      if (rid == id) return true;
-    }
-    return false;
-  };
-
-  // The query is graph `victim` itself: at threshold 0 both range
-  // searches report it while it is live.
-  const GraphId victim = 5;
-  const Graph query = db.Get(victim);
-  ASSERT_TRUE(reports(RangeSearchExact(db, query, 0.0, ged), victim));
-  ASSERT_TRUE(reports(RangeSearchApproximate(index, query, 0.0, 16), victim));
-
-  ASSERT_TRUE(index.Remove(victim).ok());
-  EXPECT_FALSE(reports(RangeSearchExact(db, query, 0.0, ged), victim));
-  EXPECT_FALSE(reports(RangeSearchApproximate(index, query, 0.0, 16), victim));
-  for (const auto& [rid, d] : index.Search(query, Opts(5)).results) {
-    EXPECT_NE(rid, victim);
-  }
 }
 
 // ---------- LearnedNeighborRanker's per-query memo ----------

@@ -1,9 +1,8 @@
 // Tests for the epoch-versioned mutable index: the golden HNSW topology
 // contract (batch Build == insert loop, bit-for-bit), GraphDatabase
 // append/tombstone semantics, LanIndex online Insert/Remove with epoch
-// publication, tombstone-aware routing, the online-insert recall
-// acceptance bar against a from-scratch rebuild, and ShardedLanIndex
-// insert routing / global-id translation.
+// publication, tombstone-aware routing, and the online-insert recall
+// acceptance bar against a from-scratch rebuild.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +16,6 @@
 #include "graph/graph_generator.h"
 #include "lan/ground_truth.h"
 #include "lan/lan_index.h"
-#include "lan/sharded_index.h"
 #include "lan/workload.h"
 #include "pg/hnsw.h"
 
@@ -278,6 +276,13 @@ TEST(MutableLanIndexTest, ImmutableBuildRejectsMutation) {
   EXPECT_FALSE(index.Remove(0).ok());
 }
 
+TEST(MutableLanIndexTest, MutationsBeforeBuildFail) {
+  LanIndex index(TinyConfig());
+  EXPECT_EQ(index.Insert(Graph()).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(index.Remove(0).code(), StatusCode::kFailedPrecondition);
+}
+
 TEST(MutableLanIndexTest, TombstonesAreTraversedButNeverReturned) {
   GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(50), 54);
   LanIndex index(TinyConfig());
@@ -414,65 +419,6 @@ TEST(OnlineInsertRecallTest, WithinOnePointOfFromScratchRebuild) {
   rebuilt_recall /= kQueries;
   EXPECT_GE(rebuilt_recall, 0.8);
   EXPECT_GE(online_recall, rebuilt_recall - 0.01);  // within 1 point
-}
-
-// ---------------------------------------------------------------------------
-// ShardedLanIndex online updates
-// ---------------------------------------------------------------------------
-
-TEST(ShardedMutableTest, InsertRoutesToSmallestShardWithGlobalIds) {
-  GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(30), 71);
-  ShardedIndexOptions sharded_options;
-  sharded_options.num_shards = 2;
-  sharded_options.shard_config = TinyConfig();
-  ShardedLanIndex sharded(sharded_options);
-  ASSERT_TRUE(sharded.Build(db).ok());
-  EXPECT_EQ(sharded.total_size(), 30);
-  EXPECT_EQ(sharded.live_size(), 30);
-
-  // Tombstone two odd ids: round-robin placed them in shard 1, so the
-  // next insert must rebalance into shard 1.
-  ASSERT_TRUE(sharded.Remove(1).ok());
-  ASSERT_TRUE(sharded.Remove(3).ok());
-  EXPECT_EQ(sharded.live_size(), 28);
-  EXPECT_FALSE(sharded.Remove(1).ok());   // already tombstoned
-  EXPECT_FALSE(sharded.Remove(30).ok());  // out of range
-
-  const GraphId shard1_before = sharded.shard(1).db().size();
-  Rng rng(72);
-  Graph inserted = PerturbGraph(db.Get(4), 3, db.num_labels(), &rng);
-  auto global_id = sharded.Insert(inserted);
-  ASSERT_TRUE(global_id.ok());
-  EXPECT_EQ(global_id.value(), 30);
-  EXPECT_EQ(sharded.shard(1).db().size(), shard1_before + 1);
-  EXPECT_EQ(sharded.total_size(), 31);
-  EXPECT_EQ(sharded.live_size(), 29);
-  EXPECT_GT(sharded.epoch(), 0u);
-
-  // The merged search answers in global ids: the inserted graph comes
-  // back as #30, and the tombstoned ids never appear.
-  SearchResult found = sharded.Search(inserted, BaselineOptions(5));
-  ASSERT_TRUE(found.status.ok());
-  bool has_inserted = false;
-  for (const auto& [rid, d] : found.results) {
-    has_inserted |= (rid == 30);
-    EXPECT_NE(rid, 1);
-    EXPECT_NE(rid, 3);
-  }
-  EXPECT_TRUE(has_inserted);
-
-  // The new global id is removable too.
-  ASSERT_TRUE(sharded.Remove(30).ok());
-  EXPECT_EQ(sharded.live_size(), 28);
-}
-
-TEST(ShardedMutableTest, MutationsBeforeBuildFail) {
-  ShardedIndexOptions sharded_options;
-  sharded_options.num_shards = 2;
-  sharded_options.shard_config = TinyConfig();
-  ShardedLanIndex sharded(sharded_options);
-  EXPECT_FALSE(sharded.Insert(Graph()).ok());
-  EXPECT_FALSE(sharded.Remove(0).ok());
 }
 
 }  // namespace

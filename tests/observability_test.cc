@@ -18,7 +18,6 @@
 #include "graph/graph_generator.h"
 #include "lan/lan_index.h"
 #include "lan/result_cache.h"
-#include "lan/sharded_index.h"
 #include "lan/workload.h"
 
 namespace lan {
@@ -715,21 +714,6 @@ TEST(ObservabilityErrorTest, OutOfAlphabetQueryLabelIsRejectedEverywhere) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(index.epoch(), epoch);
   EXPECT_EQ(db.size(), size);
-
-  ShardedIndexOptions sharded_options;
-  sharded_options.num_shards = 2;
-  sharded_options.shard_config = TinyConfig();
-  ShardedLanIndex sharded(sharded_options);
-  ASSERT_TRUE(sharded.Build(db).ok());
-  SearchOptions baseline;
-  baseline.k = 3;
-  baseline.routing = RoutingMethod::kBaselineRoute;
-  baseline.init = InitMethod::kHnswIs;
-  for (const Graph& bad : bad_queries) {
-    EXPECT_EQ(sharded.Search(bad, baseline).status.code(),
-              StatusCode::kInvalidArgument);
-  }
-  EXPECT_TRUE(sharded.Search(db.Get(0), baseline).status.ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -822,91 +806,6 @@ TEST(MutableIndexPersistenceTest, TrainThenInsertReopensBitwiseEqual) {
   CheckMutatedSnapshotRoundTrip(/*train_before_insert=*/true,
                                 testing::TempDir() +
                                     "train_then_insert.lansnap");
-}
-
-// ---------------------------------------------------------------------------
-// Sharded index
-// ---------------------------------------------------------------------------
-
-TEST(ShardedObservabilityTest, OptionsSearchEmitsShardEvents) {
-  DatasetSpec spec = DatasetSpec::SynLike(40);
-  GraphDatabase db = GenerateDatabase(spec, 91);
-  ShardedIndexOptions sharded_options;
-  sharded_options.num_shards = 2;
-  sharded_options.shard_config = TinyConfig();
-  ShardedLanIndex sharded(sharded_options);
-  ASSERT_TRUE(sharded.Build(db).ok());
-  WorkloadOptions wopts;
-  wopts.num_queries = 10;
-  QueryWorkload workload = SampleWorkload(db, wopts, 92);
-  ASSERT_TRUE(sharded.Train(workload.train).ok());
-  const Graph& query = workload.test.front();
-
-  SearchOptions options;
-  options.k = 4;
-  SearchResult via_options = sharded.Search(query, options);
-  ASSERT_TRUE(via_options.status.ok());
-  EXPECT_FALSE(via_options.results.empty());
-
-  QueryTrace trace;
-  SearchOptions traced = options;
-  traced.trace = &trace;
-  SearchResult with_trace = sharded.Search(query, traced);
-  ASSERT_TRUE(with_trace.status.ok());
-  EXPECT_EQ(with_trace.results, via_options.results);
-  EXPECT_EQ(trace.CountOf(TraceEventType::kShard), 2);
-  EXPECT_EQ(trace.CountOf(TraceEventType::kQueryBegin), 2);  // one per shard
-  EXPECT_EQ(trace.CountOf(TraceEventType::kDistance), with_trace.stats.ndc);
-}
-
-TEST(ShardedObservabilityTest, AppendCacheMetricsAggregatesShards) {
-  DatasetSpec spec = DatasetSpec::SynLike(30);
-  GraphDatabase db = GenerateDatabase(spec, 94);
-  ShardedIndexOptions sharded_options;
-  sharded_options.num_shards = 2;
-  sharded_options.shard_config = TinyConfig();
-  sharded_options.shard_config.cache.enabled = true;
-  sharded_options.shard_config.cache.capacity_bytes = 1 << 20;
-  ShardedLanIndex sharded(sharded_options);
-  ASSERT_TRUE(sharded.Build(db).ok());
-  WorkloadOptions wopts;
-  wopts.num_queries = 8;
-  QueryWorkload workload = SampleWorkload(db, wopts, 95);
-  ASSERT_TRUE(sharded.Train(workload.train).ok());
-
-  const ShardCacheStats before = sharded.CacheStats();
-  SearchOptions options;
-  options.k = 3;
-  const Graph& query = workload.test.front();
-  ASSERT_TRUE(sharded.Search(query, options).status.ok());
-  ASSERT_TRUE(sharded.Search(query, options).status.ok());  // repeat: hits
-  const ShardCacheStats after = sharded.CacheStats();
-  EXPECT_GT(after.hits + after.misses, before.hits + before.misses);
-
-  MetricsRegistry registry;
-  sharded.AppendCacheMetrics(&registry, &before);
-  MetricsSnapshot snapshot = registry.Snapshot();
-  ASSERT_NE(snapshot.FindCounter("cache.hits"), nullptr);
-  ASSERT_NE(snapshot.FindGauge("cache.hit_rate"), nullptr);
-  EXPECT_EQ(*snapshot.FindCounter("cache.hits"), after.hits - before.hits);
-  EXPECT_GT(*snapshot.FindGauge("cache.hit_rate"), 0.0);
-  // Capacity aggregates across both shards' caches.
-  EXPECT_GE(*snapshot.FindGauge("cache.capacity_bytes"),
-            static_cast<double>(1 << 20));
-}
-
-TEST(ShardedObservabilityTest, SearchBeforeBuildReturnsError) {
-  ShardedIndexOptions sharded_options;
-  sharded_options.num_shards = 2;
-  sharded_options.shard_config = TinyConfig();
-  ShardedLanIndex sharded(sharded_options);
-  DatasetSpec spec = DatasetSpec::SynLike(3);
-  GraphDatabase db = GenerateDatabase(spec, 93);
-  SearchOptions options;
-  options.k = 2;
-  SearchResult result = sharded.Search(db.Get(0), options);
-  EXPECT_FALSE(result.status.ok());
-  EXPECT_TRUE(result.results.empty());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // End-to-end tests of the single-file zero-copy snapshot format:
 // LanIndex::SaveSnapshot/OpenSnapshot round trips, corruption handling
 // (the loader must return a Status for any malformed input, never crash),
-// the committed golden fixture, and the sharded directory layout.
+// the committed golden fixture, and retired section kinds.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "common/cpu_features.h"
 #include "graph/graph_generator.h"
 #include "lan/lan_index.h"
-#include "lan/sharded_index.h"
 #include "lan/workload.h"
 #include "store/snapshot.h"
 
@@ -433,158 +432,6 @@ TEST(SnapshotGoldenTest, DISABLED_RegenerateGoldenFixture) {
   std::printf("golden fixture written to %s\n", GoldenPath().c_str());
 }
 
-// ---------- Sharded directory snapshots ----------
-
-TEST(ShardedSnapshotTest, RoundTripMatchesSearches) {
-  const std::string dir = TempPath("sharded_snap");
-  GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(60), 201);
-  WorkloadOptions wopts;
-  wopts.num_queries = 12;
-  QueryWorkload workload = SampleWorkload(db, wopts, 202);
-
-  ShardedIndexOptions options;
-  options.num_shards = 3;
-  options.shard_config = TinyConfig();
-  ShardedLanIndex original(options);
-  ASSERT_TRUE(original.Build(db).ok());
-  ASSERT_TRUE(original.Train(workload.train).ok());
-  ASSERT_TRUE(original.SaveSnapshot(dir).ok());
-
-  ShardedLanIndex opened(options);
-  ASSERT_TRUE(opened.OpenSnapshot(dir).ok());
-  EXPECT_EQ(opened.num_shards(), original.num_shards());
-  EXPECT_EQ(opened.total_size(), original.total_size());
-  for (int s = 0; s < opened.num_shards(); ++s) {
-    ASSERT_EQ(opened.shard(s).db().size(), original.shard(s).db().size());
-    for (GraphId local = 0; local < opened.shard(s).db().size(); ++local) {
-      EXPECT_EQ(opened.GlobalId(s, local), original.GlobalId(s, local));
-    }
-  }
-  for (size_t i = 0; i < 3; ++i) {
-    SearchOptions sopts;
-    sopts.k = 6;
-    SearchResult a = original.Search(workload.test[i], sopts);
-    SearchResult b = opened.Search(workload.test[i], sopts);
-    ASSERT_TRUE(a.status.ok());
-    ASSERT_TRUE(b.status.ok());
-    EXPECT_EQ(a.results, b.results) << "query " << i;
-  }
-
-  // The reopened index stays mutable: insert routes to the smallest
-  // shard and gets the next global id.
-  auto inserted = opened.Insert(db.Get(0));
-  ASSERT_TRUE(inserted.ok());
-  EXPECT_EQ(inserted.value(), db.size());
-}
-
-TEST(ShardedSnapshotTest, SaveBeforeBuildFails) {
-  ShardedIndexOptions options;
-  options.shard_config = TinyConfig();
-  ShardedLanIndex sharded(options);
-  EXPECT_FALSE(sharded.SaveSnapshot(TempPath("sharded_nope")).ok());
-}
-
-/// Helpers to craft a hostile manifest over an otherwise valid shard
-/// directory: each entry is (file name, global ids).
-void WriteManifest(
-    const std::string& dir, int32_t shards, int64_t total,
-    const std::vector<std::pair<std::string, std::vector<GraphId>>>& entries) {
-  SnapshotWriter writer;
-  SectionBuilder* b = writer.AddSection(SectionKind::kShardManifest);
-  b->Pod<int32_t>(shards);
-  b->Pod<int64_t>(total);
-  for (const auto& [file, ids] : entries) {
-    b->Pod<int64_t>(static_cast<int64_t>(file.size()));
-    b->Bytes(file.data(), file.size());
-    b->Pod<int64_t>(static_cast<int64_t>(ids.size()));
-    b->Array(ids.data(), ids.size());
-  }
-  ASSERT_TRUE(writer.WriteToFile(dir + "/manifest.lansnap").ok());
-}
-
-class ShardedManifestTest : public testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = TempPath("sharded_manifest");
-    db_ = GenerateDatabase(DatasetSpec::SynLike(20), 211);
-    ShardedIndexOptions options;
-    options.num_shards = 2;
-    options.shard_config = TinyConfig();
-    ShardedLanIndex original(options);
-    ASSERT_TRUE(original.Build(db_).ok());
-    ASSERT_TRUE(original.SaveSnapshot(dir_).ok());
-  }
-
-  void ExpectOpenFails(const std::string& needle) {
-    ShardedIndexOptions options;
-    options.num_shards = 2;
-    options.shard_config = TinyConfig();
-    ShardedLanIndex opened(options);
-    Status status = opened.OpenSnapshot(dir_);
-    ASSERT_FALSE(status.ok());
-    EXPECT_NE(status.message().find(needle), std::string::npos)
-        << status.ToString();
-  }
-
-  /// Round-robin ids for shard `s` of 2 over 20 graphs.
-  static std::vector<GraphId> ShardIds(int s) {
-    std::vector<GraphId> ids;
-    for (GraphId g = s; g < 20; g += 2) ids.push_back(g);
-    return ids;
-  }
-
-  std::string dir_;
-  GraphDatabase db_;
-};
-
-TEST_F(ShardedManifestTest, RejectsDuplicateGlobalIds) {
-  auto shard0 = ShardIds(0);
-  auto shard1 = ShardIds(1);
-  shard1[0] = shard0[0];  // id 0 now claimed by both shards
-  WriteManifest(dir_, 2, 20,
-                {{"shard-000.lansnap", shard0}, {"shard-001.lansnap", shard1}});
-  ExpectOpenFails("duplicate global id");
-}
-
-TEST_F(ShardedManifestTest, RejectsOutOfRangeGlobalIds) {
-  auto shard1 = ShardIds(1);
-  shard1.back() = 999;
-  WriteManifest(dir_, 2, 20,
-                {{"shard-000.lansnap", ShardIds(0)},
-                 {"shard-001.lansnap", shard1}});
-  ExpectOpenFails("outside");
-}
-
-TEST_F(ShardedManifestTest, RejectsIncompleteCoverage) {
-  auto shard1 = ShardIds(1);
-  shard1.pop_back();
-  WriteManifest(dir_, 2, 20,
-                {{"shard-000.lansnap", ShardIds(0)},
-                 {"shard-001.lansnap", shard1}});
-  // Either the coverage check or the shard-size cross-check must fire.
-  ShardedIndexOptions options;
-  options.num_shards = 2;
-  options.shard_config = TinyConfig();
-  ShardedLanIndex opened(options);
-  EXPECT_FALSE(opened.OpenSnapshot(dir_).ok());
-}
-
-TEST_F(ShardedManifestTest, RejectsPathEscapeInShardFileName) {
-  WriteManifest(dir_, 2, 20,
-                {{"../shard-000.lansnap", ShardIds(0)},
-                 {"shard-001.lansnap", ShardIds(1)}});
-  ExpectOpenFails("invalid shard file name");
-}
-
-TEST_F(ShardedManifestTest, RejectsMissingManifest) {
-  ASSERT_EQ(std::remove((dir_ + "/manifest.lansnap").c_str()), 0);
-  ShardedIndexOptions options;
-  options.num_shards = 2;
-  options.shard_config = TinyConfig();
-  ShardedLanIndex opened(options);
-  EXPECT_FALSE(opened.OpenSnapshot(dir_).ok());
-}
-
 // ---------- Incomplete containers ----------
 
 TEST(SnapshotTest, OpenRejectsMissingSections) {
@@ -666,8 +513,9 @@ TEST(SnapshotTest, OpenRejectsEmbeddingDimMismatch) {
 
 TEST(SnapshotTest, RetiredSectionIsSkippedOnOpen) {
   // Files saved with the retired int8 embedding plane carry a kind-9
-  // section. The reader skips it by its TOC entry: such a file opens and
-  // answers exactly like the same file without it.
+  // section, and the manifest of the retired sharded directory layout was
+  // a kind-8 section. The reader skips both by their TOC entries: such a
+  // file opens and answers exactly like the same file without them.
   const std::string path = TempPath("without_retired.lansnap");
   const std::string retired_path = TempPath("with_retired.lansnap");
   GraphDatabase db;
@@ -693,10 +541,28 @@ TEST(SnapshotTest, RetiredSectionIsSkippedOnOpen) {
       retired->Array(scales.data(), scales.size());
     }
   }
+  // The old manifest layout: shard count, total size, then per shard its
+  // file name and global ids.
+  SectionBuilder* manifest =
+      writer.AddSection(SectionKind::kRetiredShardManifest);
+  const std::string shard_file = "shard-000.lansnap";
+  std::vector<GraphId> global_ids(static_cast<size_t>(db.size()));
+  for (GraphId id = 0; id < db.size(); ++id) {
+    global_ids[static_cast<size_t>(id)] = id;
+  }
+  manifest->Pod<int32_t>(1);
+  manifest->Pod<int64_t>(db.size());
+  manifest->Pod<int64_t>(static_cast<int64_t>(shard_file.size()));
+  manifest->Bytes(shard_file.data(), shard_file.size());
+  manifest->Pod<int64_t>(static_cast<int64_t>(global_ids.size()));
+  manifest->Array(global_ids.data(), global_ids.size());
   ASSERT_TRUE(writer.WriteToFile(retired_path).ok());
   auto image = Snapshot::Open(retired_path);
   ASSERT_TRUE(image.ok());
   ASSERT_TRUE(image->Has(SectionKind::kRetiredInt8Embeddings));
+  ASSERT_TRUE(image->Has(SectionKind::kRetiredShardManifest));
+  EXPECT_STREQ(SectionKindName(SectionKind::kRetiredShardManifest),
+               "retired-shard-manifest");
 
   LanIndex plain(TinyConfig());
   ASSERT_TRUE(plain.OpenSnapshot(path).ok());
