@@ -37,10 +37,6 @@ void SetLogLevel(LogLevel level) {
   g_min_level.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_min_level.load(std::memory_order_relaxed));
-}
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)

@@ -17,7 +17,6 @@ enum class LogLevel : int {
 
 /// Sets the minimum severity that is actually emitted (default: kInfo).
 void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 
 namespace internal {
 

@@ -5,25 +5,17 @@
 
 namespace lan {
 
-/// \brief Software prefetch hint, compiled out unless LAN_PREFETCH is
-/// defined (CMake option, default ON; forced OFF under sanitizers so the
-/// instrumented presets exercise byte-identical code paths).
+/// \brief Software prefetch hint for `bytes` of contiguous data starting
+/// at `addr` (one hint per 64-byte cache line, capped so a pathologically
+/// long row cannot flood the prefetch queue). Compiled out unless
+/// LAN_PREFETCH is defined (CMake option, default ON; forced OFF under
+/// sanitizers so the instrumented presets exercise byte-identical code
+/// paths).
 ///
 /// Semantically a no-op either way: prefetching only warms the cache, so
 /// flipping the option can never change a search result — only its
 /// latency. Keep call sites cheap: hint the line(s) you are about to
 /// read, not speculative far-future state.
-inline void PrefetchRead(const void* addr) {
-#if defined(LAN_PREFETCH)
-  __builtin_prefetch(addr, /*rw=*/0, /*locality=*/3);
-#else
-  (void)addr;
-#endif
-}
-
-/// Hints `bytes` of contiguous data starting at `addr` (one hint per
-/// 64-byte cache line, capped so a pathologically long row cannot flood
-/// the prefetch queue).
 inline void PrefetchReadRange(const void* addr, size_t bytes) {
 #if defined(LAN_PREFETCH)
   constexpr size_t kLine = 64;

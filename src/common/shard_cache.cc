@@ -2,28 +2,6 @@
 
 namespace lan {
 
-const char* CacheAdmissionName(CacheAdmission admission) {
-  switch (admission) {
-    case CacheAdmission::kAdmitAll:
-      return "admit_all";
-    case CacheAdmission::kAdmitOnRepeat:
-      return "admit_on_repeat";
-  }
-  return "unknown";
-}
-
-bool ParseCacheAdmission(const std::string& name, CacheAdmission* out) {
-  if (name == "admit_all") {
-    *out = CacheAdmission::kAdmitAll;
-    return true;
-  }
-  if (name == "admit_on_repeat") {
-    *out = CacheAdmission::kAdmitOnRepeat;
-    return true;
-  }
-  return false;
-}
-
 uint64_t MixCacheHash(uint64_t x) {
   // splitmix64 finalizer.
   x += 0x9e3779b97f4a7c15ull;

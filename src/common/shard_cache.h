@@ -6,27 +6,11 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 namespace lan {
-
-/// Admission policy for ShardedLruCache::Put.
-///
-///  - kAdmitAll: every Put inserts (classic LRU).
-///  - kAdmitOnRepeat: a key must be Put twice before it is admitted
-///    (TinyLFU-style doorkeeper). One-hit-wonder keys then never displace
-///    entries that are actually re-used, which matters when the cache is
-///    much smaller than the working set.
-enum class CacheAdmission : int32_t {
-  kAdmitAll = 0,
-  kAdmitOnRepeat = 1,
-};
-
-const char* CacheAdmissionName(CacheAdmission admission);
-bool ParseCacheAdmission(const std::string& name, CacheAdmission* out);
 
 /// Aggregate counters for one cache (summed across shards).
 struct ShardCacheStats {
@@ -35,7 +19,7 @@ struct ShardCacheStats {
   int64_t inserts = 0;
   int64_t evictions = 0;      // capacity-driven removals
   int64_t invalidations = 0;  // validity/EraseIf/Clear removals
-  int64_t rejected = 0;       // Puts refused by admission or size
+  int64_t rejected = 0;       // Puts refused by size
   int64_t entries = 0;        // resident entries (point-in-time)
   int64_t bytes = 0;          // resident charged bytes (point-in-time)
 
@@ -54,7 +38,7 @@ struct ShardCacheStats {
 /// 128-bit cache key. `lo` is reserved for a sweepable attribute (the
 /// graph id in the result cache) so EraseIf can target all entries for
 /// one graph without knowing the hashed half; `hi` carries the mixed
-/// query/kind/protocol hash.
+/// query/kind hash.
 struct CacheKey128 {
   uint64_t hi = 0;
   uint64_t lo = 0;
@@ -89,9 +73,7 @@ class ShardedLruCache {
   /// hash bucket) charged on top of the caller-reported value bytes.
   static constexpr size_t kEntryOverheadBytes = 64;
 
-  ShardedLruCache(size_t capacity_bytes, int num_shards,
-                  CacheAdmission admission)
-      : admission_(admission) {
+  ShardedLruCache(size_t capacity_bytes, int num_shards) {
     if (num_shards < 1) num_shards = 1;
     shards_.resize(static_cast<size_t>(num_shards));
     for (auto& shard : shards_) shard = std::make_unique<Shard>();
@@ -132,8 +114,8 @@ class ShardedLruCache {
   }
 
   /// Inserts (or refreshes) `key` with the given epoch stamp, charging
-  /// `value_bytes + kEntryOverheadBytes`. May be refused by the admission
-  /// policy or because the entry alone exceeds the shard capacity.
+  /// `value_bytes + kEntryOverheadBytes`. Refused when the entry alone
+  /// exceeds the shard capacity.
   void Put(const CacheKey128& key, V value, size_t value_bytes,
            uint64_t epoch) {
     const size_t bytes = value_bytes + kEntryOverheadBytes;
@@ -152,11 +134,6 @@ class ShardedLruCache {
       it->second.epoch = epoch;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second.pos);
       EvictOver(shard);
-      return;
-    }
-    if (admission_ == CacheAdmission::kAdmitOnRepeat &&
-        !PassesDoorkeeper(shard, key)) {
-      ++shard.stats.rejected;
       return;
     }
     shard.lru.push_front(key);
@@ -195,7 +172,7 @@ class ShardedLruCache {
   }
 
   /// Drops every resident entry (counted as invalidations). Counters are
-  /// preserved; doorkeepers are reset.
+  /// preserved.
   void Clear() {
     for (auto& shard_ptr : shards_) {
       Shard& shard = *shard_ptr;
@@ -204,7 +181,6 @@ class ShardedLruCache {
       shard.map.clear();
       shard.lru.clear();
       shard.bytes = 0;
-      shard.door.clear();
     }
   }
 
@@ -220,7 +196,6 @@ class ShardedLruCache {
     return total;
   }
 
-  int num_shards() const { return static_cast<int>(shards_.size()); }
   size_t capacity_bytes() const {
     return shard_capacity_bytes_ * shards_.size();
   }
@@ -244,7 +219,6 @@ class ShardedLruCache {
     mutable std::mutex mu;
     std::unordered_map<CacheKey128, Entry, KeyHasher> map;
     std::list<CacheKey128> lru;  // front = most recently used
-    std::vector<uint32_t> door;  // doorkeeper fingerprints (lazy)
     size_t bytes = 0;
     ShardCacheStats stats;  // entries/bytes fields unused here
   };
@@ -252,18 +226,6 @@ class ShardedLruCache {
   Shard& ShardFor(const CacheKey128& key) const {
     const uint64_t h = KeyHasher()(key);
     return *shards_[static_cast<size_t>(h % shards_.size())];
-  }
-
-  // Caller holds shard.mu.
-  bool PassesDoorkeeper(Shard& shard, const CacheKey128& key) const {
-    static constexpr size_t kDoorSlots = 4096;
-    if (shard.door.empty()) shard.door.assign(kDoorSlots, 0);
-    const uint64_t h = MixCacheHash(key.hi + 3 * key.lo + 1);
-    const size_t slot = static_cast<size_t>(h & (kDoorSlots - 1));
-    const uint32_t fp = static_cast<uint32_t>(h >> 32) | 1u;
-    if (shard.door[slot] == fp) return true;  // second sighting: admit
-    shard.door[slot] = fp;
-    return false;
   }
 
   // Caller holds shard.mu.
@@ -279,7 +241,6 @@ class ShardedLruCache {
 
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t shard_capacity_bytes_ = 0;
-  CacheAdmission admission_ = CacheAdmission::kAdmitAll;
 };
 
 }  // namespace lan

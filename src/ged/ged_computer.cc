@@ -1,7 +1,6 @@
 #include "ged/ged_computer.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "ged/ged_beam.h"
 #include "ged/ged_lower_bounds.h"
@@ -22,33 +21,6 @@ const char* GedMethodName(GedMethod method) {
       return "Beam";
   }
   return "?";
-}
-
-uint64_t GedOptions::Fingerprint() const {
-  uint64_t h = 14695981039346656037ull;  // FNV-1a over the knob bytes
-  auto mix = [&h](uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (x >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
-  auto mix_double = [&mix](double d) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(d), "double must be 64-bit");
-    std::memcpy(&bits, &d, sizeof(bits));
-    mix(bits);
-  };
-  mix_double(exact_time_budget_seconds);
-  mix(static_cast<uint64_t>(exact_max_expansions));
-  mix(static_cast<uint64_t>(static_cast<int64_t>(beam_width)));
-  mix(approximate_only ? 1 : 0);
-  mix_double(skip_exact_gap);
-  mix_double(costs.node_insert);
-  mix_double(costs.node_delete);
-  mix_double(costs.node_relabel);
-  mix_double(costs.edge_insert);
-  mix_double(costs.edge_delete);
-  return h;
 }
 
 GedValue GedComputer::Compute(const Graph& g1, const Graph& g2) const {

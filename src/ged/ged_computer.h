@@ -41,12 +41,6 @@ struct GedOptions {
   /// paper's uniform model; set custom costs only for direct GedComputer
   /// use.
   GedCosts costs;
-
-  /// Stable 64-bit digest of every knob that changes the produced
-  /// distances. Two GedOptions with different fingerprints may disagree on
-  /// d(G1, G2), so cross-query caches mix the fingerprint into their keys
-  /// to keep results from different protocols apart.
-  uint64_t Fingerprint() const;
 };
 
 /// \brief Distance with provenance.

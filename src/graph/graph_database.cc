@@ -111,13 +111,6 @@ Status GraphDatabase::AttachStore(std::shared_ptr<const GraphStore> store,
   return Status::OK();
 }
 
-Status GraphDatabase::CompactStorage() {
-  if (empty()) return Status::OK();
-  auto packed = std::make_shared<const GraphStore>(GraphStore::Pack(*this));
-  std::vector<uint8_t> live = live_;
-  return AttachStore(std::move(packed), std::move(live));
-}
-
 Status GraphDatabase::CheckGraph(const Graph& graph) const {
   if (graph.NumNodes() == 0) {
     return Status::InvalidArgument("graph has no nodes");

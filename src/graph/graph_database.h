@@ -106,12 +106,6 @@ class GraphDatabase {
   Status AttachStore(std::shared_ptr<const GraphStore> store,
                      std::vector<uint8_t> live = {});
 
-  /// Repacks every graph into one fresh columnar GraphStore and swaps it
-  /// in (ids, live bits, and graph contents are unchanged; the pointer
-  /// table is republished). This is the epoch-publish compaction step for
-  /// corpora that accumulated owned tail graphs. Setup-phase only.
-  Status CompactStorage();
-
   /// The attached columnar store, if any (null for plain deque storage).
   const std::shared_ptr<const GraphStore>& store() const { return store_; }
   /// Number of graphs served from the attached store (0 without one).

@@ -102,7 +102,8 @@ Graph GenerateMoleculeLike(const DatasetSpec& spec, Rng* rng) {
     const Label label = DrawLabel(spec.num_labels, spec.label_skew, rng);
     const int32_t capacity = 4 - g.Degree(parent);  // valence bound
     const int32_t bundle = static_cast<int32_t>(std::min<int64_t>(
-        {static_cast<int64_t>(remaining), 1 + rng->NextBounded(3),
+        {static_cast<int64_t>(remaining),
+         static_cast<int64_t>(1 + rng->NextBounded(3)),
          static_cast<int64_t>(capacity)}));
     for (int32_t b = 0; b < bundle; ++b) {
       const NodeId leaf = g.AddNode(label);

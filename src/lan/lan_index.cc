@@ -160,16 +160,8 @@ void LanIndex::FinishSetup(GraphId built_size,
   HnswIndex::SkipInsertLevels(&insert_rng_, config_.hnsw,
                               inserted_since_build);
 
-  // Provider stack: the query path computes through distance_provider(),
-  // which is the caching decorator iff the cross-query cache is on. The
-  // GED-protocol fingerprints salt the cache keys so exact- and
-  // build-protocol values can never alias.
-  base_provider_ = GedDistanceProvider(db_, &query_ged_, &build_ged_);
   if (config_.cache.enabled) {
-    const uint64_t salt = config_.query_ged.Fingerprint() ^
-                          MixCacheHash(config_.build_ged.Fingerprint());
-    result_cache_ = std::make_shared<ResultCache>(config_.cache, salt);
-    caching_provider_ = MakeCachingProvider(&base_provider_, result_cache_);
+    result_cache_ = std::make_unique<ResultCache>(config_.cache);
   }
   built_ = true;
 }
@@ -208,28 +200,14 @@ Result<GraphId> LanIndex::Insert(Graph graph) {
   clusters->members[static_cast<size_t>(c)].push_back(id);
 
   // Copy-on-write PG extension: concurrent searches keep routing on the
-  // previous epoch's topology. With the cache on, build-protocol pair
-  // distances route through the provider keyed by the first endpoint's
-  // content hash, so consecutive inserts re-probing the same region reuse
-  // each other's GED work. The pair keeps its order: the build-protocol
-  // GED is not symmetric, and the cache-off path computes d(a, b).
+  // previous epoch's topology. The build-protocol GED is not symmetric;
+  // the pair is evaluated as d(a, b) in the order HnswIndex asks for it.
   auto hnsw = std::make_shared<HnswIndex>(*snap->hnsw);
   std::vector<GraphId> touched;
   const uint64_t next_epoch = snap->epoch + 1;
-  HnswIndex::PairDistanceFn pair_distance;
-  if (result_cache_ != nullptr) {
-    pair_distance = [this, next_epoch](GraphId a, GraphId b) {
-      const Graph& ga = db_->Get(a);
-      QueryContext ctx;
-      ctx.query_hash = ga.ContentHash();
-      ctx.epoch = next_epoch;
-      return caching_provider_->Approx(ctx, ga, b).value;
-    };
-  } else {
-    pair_distance = [this](GraphId a, GraphId b) {
-      return build_ged_.Distance(db_->Get(a), db_->Get(b));
-    };
-  }
+  const auto pair_distance = [this](GraphId a, GraphId b) {
+    return build_ged_.Distance(db_->Get(a), db_->Get(b));
+  };
   LAN_RETURN_NOT_OK(hnsw->Insert(id, pair_distance, config_.hnsw,
                                  &insert_rng_,
                                  result_cache_ != nullptr ? &touched
@@ -570,12 +548,12 @@ void LanIndex::SearchInto(const Graph& query, const SearchOptions& options,
   }
 
   // Cache identity: the canonical content hash keys this query's results
-  // in the cross-query cache (0 = caching off, providers pass through).
+  // in the cross-query cache (0 = caching off, the oracle computes all).
   QueryContext ctx;
   ctx.epoch = snap->epoch;
   if (result_cache_ != nullptr) ctx.query_hash = query.ContentHash();
-  DistanceOracle oracle(distance_provider(), db_, ctx, &query, &out.stats,
-                        sink, scratch);
+  DistanceOracle oracle(db_, &query, &query_ged_, &out.stats, sink, scratch,
+                        result_cache_.get(), ctx);
   oracle.set_profile(profile);
 
   // Deterministic per-query randomness.

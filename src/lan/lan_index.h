@@ -18,9 +18,9 @@
 #include "lan/learned_init.h"
 #include "lan/neighborhood_model.h"
 #include "lan/rank_model.h"
-#include "lan/result_cache.h"
 #include "pg/hnsw.h"
 #include "pg/np_route.h"
+#include "pg/result_cache.h"
 
 namespace lan {
 
@@ -322,13 +322,6 @@ class LanIndex {
   /// false. Stats()/AppendMetrics expose hit rates; tools surface them via
   /// --metrics-out.
   ResultCache* result_cache() const { return result_cache_.get(); }
-  /// The provider the query path computes through (the caching decorator
-  /// when enabled, the direct GED provider otherwise). Valid after Build.
-  const DistanceProvider* distance_provider() const {
-    return caching_provider_ != nullptr
-               ? caching_provider_.get()
-               : static_cast<const DistanceProvider*>(&base_provider_);
-  }
 
   // ---- Mutable-index introspection ----
   /// The snapshot a search starting now would pin. Holding the returned
@@ -352,9 +345,8 @@ class LanIndex {
   /// database, then publishes the first snapshot (epoch 0, all live).
   void FinishBuild(HnswIndex hnsw);
   /// Shared tail of FinishBuild and OpenSnapshot: the online-insert level
-  /// stream (a function of the size at Build and of the inserts since),
-  /// the distance-provider stack and the result cache; marks the index
-  /// built.
+  /// stream (a function of the size at Build and of the inserts since)
+  /// and the result cache; marks the index built.
   void FinishSetup(GraphId built_size, uint64_t inserted_since_build);
   /// Installs `snap` as the current snapshot (release publish).
   void Publish(std::shared_ptr<const IndexSnapshot> snap);
@@ -372,14 +364,9 @@ class LanIndex {
   std::shared_ptr<const void> snapshot_backing_;
   GedComputer build_ged_;
   GedComputer query_ged_;
-  /// Leaf of the provider stack (set up in FinishBuild): direct GED
-  /// computation, query protocol = Exact, build protocol = Approx.
-  GedDistanceProvider base_provider_;
-  /// Non-null iff config_.cache.enabled: the cross-query store and the
-  /// decorator that layers it over base_provider_. shared_ptr because the
-  /// cache may outlive a batch call that snapshots its stats.
-  std::shared_ptr<ResultCache> result_cache_;
-  std::unique_ptr<DistanceProvider> caching_provider_;
+  /// Non-null iff config_.cache.enabled: the cross-query store every
+  /// query's DistanceOracle reads through.
+  std::unique_ptr<ResultCache> result_cache_;
   std::unique_ptr<ThreadPool> pool_;
 
   /// Current epoch's state; accessed via atomic shared_ptr ops (readers

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/shard_cache.h"
 #include "common/string_util.h"
 #include "graph/graph_store.h"
 #include "lan/lan_index.h"

@@ -33,8 +33,8 @@ struct LanInitOptions {
 /// (counted NDC) and the best becomes the routing start. Falls back to a
 /// random node when the kept set is empty.
 ///
-/// Both model outputs memoize across queries when the oracle's provider
-/// caches: M_c's counts under kClusterCounts and the kept set under
+/// Both model outputs memoize across queries when the oracle reads
+/// through a result cache: M_c's counts under kClusterCounts and the kept set under
 /// kNeighborhood, both keyed (query hash, kInvalidGraphId). The kept set
 /// depends only on the query, the weights and the scanned member lists.
 /// Insert is the only writer of member lists and bumps kInvalidGraphId's

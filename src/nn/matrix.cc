@@ -37,12 +37,6 @@ void Matrix::AddInPlace(const Matrix& other) {
                        static_cast<int64_t>(data_.size()));
 }
 
-void Matrix::AddScaledInPlace(const Matrix& other, float scale) {
-  LAN_CHECK(SameShape(other));
-  ActiveKernels().axpy(data_.data(), scale, other.data_.data(),
-                       static_cast<int64_t>(data_.size()));
-}
-
 void Matrix::ScaleInPlace(float scale) {
   ActiveKernels().scale(data_.data(), scale,
                         static_cast<int64_t>(data_.size()));

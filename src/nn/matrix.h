@@ -49,8 +49,6 @@ class Matrix {
 
   /// this += other (same shape).
   void AddInPlace(const Matrix& other);
-  /// this += scale * other (same shape).
-  void AddScaledInPlace(const Matrix& other, float scale);
   /// this *= scale.
   void ScaleInPlace(float scale);
 

@@ -48,9 +48,6 @@ class CandidatePool {
   GraphId Best() const;
 
   bool AllExplored() const;
-  bool HasUnexploredWithin(double gamma) const {
-    return BestUnexploredWithin(gamma) != kInvalidGraphId;
-  }
 
   double DistanceOf(GraphId id) const;
 

@@ -484,7 +484,7 @@ class ParallelHnswBuilder {
   /// its own lock only. Distances inside Shrink are computed while holding
   /// that single lock; contention is per-node, never global.
   void Connect(GraphId a, GraphId b, int layer, int cap, Cache* cache) {
-    for (const auto [node, other] : {std::pair{a, b}, std::pair{b, a}}) {
+    for (const auto& [node, other] : {std::pair{a, b}, std::pair{b, a}}) {
       std::lock_guard<std::mutex> guard(locks_[static_cast<size_t>(node)]);
       auto& list = core_->adjacency[static_cast<size_t>(layer)]
                                    [static_cast<size_t>(node)];

@@ -3,7 +3,6 @@
 
 #include "common/random.h"
 #include "pg/distance.h"
-#include "pg/hnsw.h"
 
 namespace lan {
 
@@ -28,19 +27,6 @@ class RandomInitialSelector : public InitialSelector {
 
  private:
   GraphId num_nodes_;
-};
-
-/// \brief HNSW_IS: greedy descent through the HNSW upper layers.
-class HnswDescentSelector : public InitialSelector {
- public:
-  explicit HnswDescentSelector(const HnswIndex* index) : index_(index) {}
-
-  GraphId Select(DistanceOracle* oracle, Rng* rng) override {
-    return index_->SelectInitialNode(oracle);
-  }
-
- private:
-  const HnswIndex* index_;
 };
 
 }  // namespace lan

@@ -74,7 +74,9 @@ TEST(DfsGedTest, TimeoutReportedOnHardPair) {
   options.max_expansions = 100;
   options.time_budget_seconds = 0.0;
   auto r = DfsGed(a, b, options);
-  if (!r.ok()) EXPECT_EQ(r.status().code(), StatusCode::kTimeout);
+  if (!r.ok()) {
+    EXPECT_EQ(r.status().code(), StatusCode::kTimeout);
+  }
 }
 
 TEST(DfsGedTest, CallerBoundTightensSearch) {

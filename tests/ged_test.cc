@@ -155,7 +155,9 @@ TEST(ExactGedTest, TimeoutReported) {
   options.time_budget_seconds = 0.0;
   auto r = ExactGed(a, b, options);
   // Either it is trivially solvable within 50 expansions or we time out.
-  if (!r.ok()) EXPECT_EQ(r.status().code(), StatusCode::kTimeout);
+  if (!r.ok()) {
+    EXPECT_EQ(r.status().code(), StatusCode::kTimeout);
+  }
 }
 
 TEST(ExactGedTest, MappingAchievesReportedDistance) {

@@ -26,28 +26,6 @@ std::set<GraphId> Ids(const KnnList& list) {
   return ids;
 }
 
-/// Sorted distance multiset. Theorem 1's result equality is asserted up
-/// to ties: when several graphs share the k-th distance, either is an
-/// equally valid answer, and integer GED makes such ties common.
-std::vector<double> Distances(const KnnList& list) {
-  std::vector<double> out;
-  for (const auto& [id, d] : list) out.push_back(d);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// Ids that are strictly inside the k-th distance (never ambiguous).
-std::set<GraphId> StrictIds(const KnnList& list) {
-  if (list.empty()) return {};
-  double kth = list.front().second;
-  for (const auto& [id, d] : list) kth = std::max(kth, d);
-  std::set<GraphId> ids;
-  for (const auto& [id, d] : list) {
-    if (d < kth - 1e-9) ids.insert(id);
-  }
-  return ids;
-}
-
 /// Shared fixture data: database + PG + GED evaluator.
 struct World {
   GraphDatabase db{4};

@@ -17,8 +17,8 @@
 #include "common/trace.h"
 #include "graph/graph_generator.h"
 #include "lan/lan_index.h"
-#include "lan/result_cache.h"
 #include "lan/workload.h"
+#include "pg/result_cache.h"
 
 namespace lan {
 namespace {
@@ -182,7 +182,6 @@ TEST(MetricsRegistryTest, CacheMetricsAreNamespacedAndCollisionFree) {
   ResultCacheOptions cache_options;
   cache_options.enabled = true;
   cache_options.capacity_bytes = 1 << 20;
-  cache_options.num_shards = 2;
   ResultCache cache(cache_options);
   cache.AppendMetrics(&registry);
 
@@ -311,7 +310,6 @@ TEST(CacheMetricsTest, HitRateGaugeReflectsLookups) {
   ResultCacheOptions options;
   options.enabled = true;
   options.capacity_bytes = 1 << 20;
-  options.num_shards = 2;
   ResultCache cache(options);
   cache.PutGed(/*query_hash=*/1, /*id=*/0, ResultKind::kExactGed,
                /*epoch=*/0, 3.0);

@@ -1,7 +1,7 @@
 // Tests for the cross-query result cache: the ShardedLruCache store, the
-// canonical keying inputs (Graph::ContentHash, GedOptions::Fingerprint),
-// the ResultCache epoch/watermark invalidation contract, the
-// CachingDistanceProvider decorator, and — the property the whole design
+// canonical keying input (Graph::ContentHash), the ResultCache
+// epoch/watermark invalidation contract, DistanceOracle's reads through
+// the cache, and — the property the whole design
 // exists to preserve — that cache-on searches are bitwise identical to
 // cache-off searches across every routing/init combination, including
 // across Insert/Remove epoch advances and under concurrent mutation
@@ -24,8 +24,9 @@
 #include "graph/graph_generator.h"
 #include "lan/lan_index.h"
 #include "lan/learned_init.h"
-#include "lan/result_cache.h"
 #include "lan/workload.h"
+#include "pg/distance.h"
+#include "pg/result_cache.h"
 
 namespace lan {
 namespace {
@@ -37,7 +38,7 @@ namespace {
 CacheKey128 Key(uint64_t hi, uint64_t lo) { return CacheKey128{hi, lo}; }
 
 TEST(ShardedLruCacheTest, FindAfterPutRoundTrips) {
-  ShardedLruCache<double> cache(1 << 16, 4, CacheAdmission::kAdmitAll);
+  ShardedLruCache<double> cache(1 << 16, 4);
   cache.Put(Key(1, 7), 3.5, sizeof(double), /*epoch=*/2);
   double value = 0.0;
   ASSERT_TRUE(cache.Find(Key(1, 7), &value));
@@ -56,7 +57,7 @@ TEST(ShardedLruCacheTest, EvictsLeastRecentlyUsedUnderBytePressure) {
   // One shard, room for exactly three (8 + 64)-byte entries.
   const size_t entry = sizeof(double) +
                        ShardedLruCache<double>::kEntryOverheadBytes;
-  ShardedLruCache<double> cache(3 * entry, 1, CacheAdmission::kAdmitAll);
+  ShardedLruCache<double> cache(3 * entry, 1);
   cache.Put(Key(1, 0), 1.0, sizeof(double), 0);
   cache.Put(Key(2, 0), 2.0, sizeof(double), 0);
   cache.Put(Key(3, 0), 3.0, sizeof(double), 0);
@@ -72,7 +73,7 @@ TEST(ShardedLruCacheTest, EvictsLeastRecentlyUsedUnderBytePressure) {
 }
 
 TEST(ShardedLruCacheTest, OversizedValueIsRejected) {
-  ShardedLruCache<double> cache(128, 1, CacheAdmission::kAdmitAll);
+  ShardedLruCache<double> cache(128, 1);
   cache.Put(Key(1, 0), 1.0, /*value_bytes=*/4096, 0);
   double value = 0.0;
   EXPECT_FALSE(cache.Find(Key(1, 0), &value));
@@ -80,19 +81,8 @@ TEST(ShardedLruCacheTest, OversizedValueIsRejected) {
   EXPECT_EQ(cache.Stats().inserts, 0);
 }
 
-TEST(ShardedLruCacheTest, AdmitOnRepeatRequiresSecondPut) {
-  ShardedLruCache<double> cache(1 << 16, 1, CacheAdmission::kAdmitOnRepeat);
-  cache.Put(Key(9, 1), 5.0, sizeof(double), 0);  // first sighting: refused
-  double value = 0.0;
-  EXPECT_FALSE(cache.Find(Key(9, 1), &value));
-  EXPECT_EQ(cache.Stats().rejected, 1);
-  cache.Put(Key(9, 1), 5.0, sizeof(double), 0);  // second sighting: admitted
-  ASSERT_TRUE(cache.Find(Key(9, 1), &value));
-  EXPECT_DOUBLE_EQ(value, 5.0);
-}
-
 TEST(ShardedLruCacheTest, EraseIfSweepsMatchingKeys) {
-  ShardedLruCache<double> cache(1 << 16, 4, CacheAdmission::kAdmitAll);
+  ShardedLruCache<double> cache(1 << 16, 4);
   for (uint64_t q = 0; q < 4; ++q) {
     cache.Put(Key(q, /*lo=*/q % 2), static_cast<double>(q), sizeof(double), q);
   }
@@ -109,7 +99,7 @@ TEST(ShardedLruCacheTest, EraseIfSweepsMatchingKeys) {
 }
 
 TEST(ShardedLruCacheTest, FindIfErasesEntriesFailingThePredicate) {
-  ShardedLruCache<double> cache(1 << 16, 1, CacheAdmission::kAdmitAll);
+  ShardedLruCache<double> cache(1 << 16, 1);
   cache.Put(Key(5, 5), 1.5, sizeof(double), /*epoch=*/3);
   double value = 0.0;
   EXPECT_FALSE(cache.FindIf(Key(5, 5), &value,
@@ -121,7 +111,7 @@ TEST(ShardedLruCacheTest, FindIfErasesEntriesFailingThePredicate) {
 }
 
 TEST(ShardedLruCacheTest, ClearDropsEntriesAndKeepsCounters) {
-  ShardedLruCache<double> cache(1 << 16, 2, CacheAdmission::kAdmitAll);
+  ShardedLruCache<double> cache(1 << 16, 2);
   cache.Put(Key(1, 1), 1.0, sizeof(double), 0);
   cache.Put(Key(2, 2), 2.0, sizeof(double), 0);
   cache.Clear();
@@ -135,7 +125,7 @@ TEST(ShardedLruCacheTest, ClearDropsEntriesAndKeepsCounters) {
 }
 
 // ---------------------------------------------------------------------------
-// Canonical keying inputs
+// Canonical keying input
 // ---------------------------------------------------------------------------
 
 TEST(GraphContentHashTest, EqualGraphsShareHashAndPerturbationsChange) {
@@ -157,21 +147,6 @@ TEST(GraphContentHashTest, EqualGraphsShareHashAndPerturbationsChange) {
   EXPECT_EQ(changed, db.size());
 }
 
-TEST(GedFingerprintTest, DistinguishesProtocols) {
-  GedOptions base;
-  EXPECT_EQ(base.Fingerprint(), GedOptions().Fingerprint());
-  GedOptions approximate = base;
-  approximate.approximate_only = true;
-  GedOptions beam = base;
-  beam.beam_width = 32;
-  GedOptions costs = base;
-  costs.costs.node_relabel = 2.0;
-  EXPECT_NE(base.Fingerprint(), approximate.Fingerprint());
-  EXPECT_NE(base.Fingerprint(), beam.Fingerprint());
-  EXPECT_NE(base.Fingerprint(), costs.Fingerprint());
-  EXPECT_NE(approximate.Fingerprint(), beam.Fingerprint());
-}
-
 // ---------------------------------------------------------------------------
 // ResultCache: keying and the epoch/watermark contract
 // ---------------------------------------------------------------------------
@@ -180,19 +155,18 @@ ResultCacheOptions SmallCacheOptions() {
   ResultCacheOptions options;
   options.enabled = true;
   options.capacity_bytes = 1 << 20;
-  options.num_shards = 2;
   return options;
 }
 
 TEST(ResultCacheTest, GedRoundTripAndKeySeparation) {
-  ResultCache cache(SmallCacheOptions(), /*key_salt=*/0xabcd);
+  ResultCache cache(SmallCacheOptions());
   cache.PutGed(/*query_hash=*/10, /*id=*/3, ResultKind::kExactGed,
                /*epoch=*/0, 7.5);
   double value = 0.0;
   ASSERT_TRUE(cache.FindGed(10, 3, ResultKind::kExactGed, 0, &value));
   EXPECT_DOUBLE_EQ(value, 7.5);
   // Different kind, query, or graph: distinct keys.
-  EXPECT_FALSE(cache.FindGed(10, 3, ResultKind::kApproxGed, 0, &value));
+  EXPECT_FALSE(cache.FindGed(10, 3, ResultKind::kRankBatches, 0, &value));
   EXPECT_FALSE(cache.FindGed(11, 3, ResultKind::kExactGed, 0, &value));
   EXPECT_FALSE(cache.FindGed(10, 4, ResultKind::kExactGed, 0, &value));
 }
@@ -228,13 +202,13 @@ TEST(ResultCacheTest, WatermarkInvalidationContract) {
 TEST(ResultCacheTest, InvalidateGraphsSweepsOnlyTouchedIds) {
   ResultCache cache(SmallCacheOptions());
   for (GraphId id = 0; id < 6; ++id) {
-    cache.PutGed(77, id, ResultKind::kApproxGed, 0, static_cast<double>(id));
+    cache.PutGed(77, id, ResultKind::kExactGed, 0, static_cast<double>(id));
   }
   cache.InvalidateGraphs({1, 4}, /*epoch=*/2);
   double value = 0.0;
   for (GraphId id = 0; id < 6; ++id) {
     const bool expect_live = (id != 1 && id != 4);
-    EXPECT_EQ(cache.FindGed(77, id, ResultKind::kApproxGed, 2, &value),
+    EXPECT_EQ(cache.FindGed(77, id, ResultKind::kExactGed, 2, &value),
               expect_live)
         << "graph " << id;
   }
@@ -291,76 +265,73 @@ TEST(ResultCacheTest, ValidateRejectsBadKnobs) {
   EXPECT_TRUE(options.Validate().ok());
   options.capacity_bytes = 0;
   EXPECT_FALSE(options.Validate().ok());
-  options = SmallCacheOptions();
-  options.num_shards = 0;
-  EXPECT_FALSE(options.Validate().ok());
   // Disabled caches never validate their knobs (they are not constructed).
   options.enabled = false;
   EXPECT_TRUE(options.Validate().ok());
 }
 
-TEST(CacheAdmissionTest, NamesRoundTrip) {
-  CacheAdmission admission = CacheAdmission::kAdmitAll;
-  EXPECT_TRUE(ParseCacheAdmission("admit_on_repeat", &admission));
-  EXPECT_EQ(admission, CacheAdmission::kAdmitOnRepeat);
-  EXPECT_STREQ(CacheAdmissionName(admission), "admit_on_repeat");
-  EXPECT_TRUE(ParseCacheAdmission("admit_all", &admission));
-  EXPECT_EQ(admission, CacheAdmission::kAdmitAll);
-  EXPECT_FALSE(ParseCacheAdmission("bogus", &admission));
-}
-
 // ---------------------------------------------------------------------------
-// CachingDistanceProvider
+// DistanceOracle over a ResultCache
 // ---------------------------------------------------------------------------
 
-TEST(CachingDistanceProviderTest, SecondLookupIsServedFromCache) {
+TEST(DistanceOracleCacheTest, SecondOracleIsServedFromCache) {
   GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(6), 13);
   GedOptions gopts;
   gopts.approximate_only = true;
   gopts.beam_width = 0;
   GedComputer ged(gopts);
-  GedDistanceProvider base(&db, &ged, &ged);
-  auto cache = std::make_shared<ResultCache>(SmallCacheOptions());
-  CachingDistanceProvider provider(&base, cache);
+  ResultCache cache(SmallCacheOptions());
 
   const Graph& query = db.Get(0);
   QueryContext ctx;
   ctx.query_hash = query.ContentHash();
   ctx.epoch = 0;
 
-  const DistanceResult first = provider.Exact(ctx, query, 3);
-  EXPECT_TRUE(first.computed);
-  const DistanceResult second = provider.Exact(ctx, query, 3);
-  EXPECT_FALSE(second.computed);
-  EXPECT_DOUBLE_EQ(second.value, first.value);
-  // The two GED protocols do not share entries.
-  const DistanceResult approx = provider.Approx(ctx, query, 3);
-  EXPECT_TRUE(approx.computed);
-  EXPECT_EQ(cache->Stats().hits, 1);
+  SearchStats first_stats;
+  DistanceOracle first(&db, &query, &ged, &first_stats, nullptr, nullptr,
+                       &cache, ctx);
+  const double computed = first.Distance(3);
+  EXPECT_EQ(computed, ged.Distance(query, db.Get(3)));
+  EXPECT_EQ(first_stats.ndc, 1);
+  EXPECT_EQ(first_stats.cache_hits, 0);
+
+  // A later query with the same hash is served the stored value: charged
+  // as a cache hit, not as NDC.
+  SearchStats second_stats;
+  DistanceOracle second(&db, &query, &ged, &second_stats, nullptr, nullptr,
+                        &cache, ctx);
+  EXPECT_EQ(second.Distance(3), computed);  // bitwise
+  EXPECT_EQ(second_stats.ndc, 0);
+  EXPECT_EQ(second_stats.cache_hits, 1);
+  EXPECT_EQ(cache.Stats().hits, 1);
 }
 
-TEST(CachingDistanceProviderTest, ZeroQueryHashBypassesTheCache) {
+TEST(DistanceOracleCacheTest, ZeroQueryHashBypassesTheCache) {
   GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(6), 14);
   GedOptions gopts;
   gopts.approximate_only = true;
   GedComputer ged(gopts);
-  GedDistanceProvider base(&db, &ged, &ged);
-  auto cache = std::make_shared<ResultCache>(SmallCacheOptions());
-  CachingDistanceProvider provider(&base, cache);
+  ResultCache cache(SmallCacheOptions());
 
   QueryContext anonymous;  // query_hash == 0
   const Graph& query = db.Get(1);
-  EXPECT_TRUE(provider.Exact(anonymous, query, 2).computed);
-  EXPECT_TRUE(provider.Exact(anonymous, query, 2).computed);
-  EXPECT_EQ(cache->Stats().inserts, 0);
+  for (int pass = 0; pass < 2; ++pass) {
+    SearchStats stats;
+    DistanceOracle oracle(&db, &query, &ged, &stats, nullptr, nullptr, &cache,
+                          anonymous);
+    (void)oracle.Distance(2);
+    EXPECT_EQ(stats.ndc, 1);
+    EXPECT_EQ(stats.cache_hits, 0);
 
-  CachedScore score;
-  score.floats = {1.0f};
-  provider.StoreScore(anonymous, ResultKind::kClusterCounts, kInvalidGraphId,
-                      score);
-  CachedScore out;
-  EXPECT_FALSE(provider.FindScore(anonymous, ResultKind::kClusterCounts,
-                                  kInvalidGraphId, &out));
+    EXPECT_FALSE(oracle.caches_scores());
+    CachedScore score;
+    score.floats = {1.0f};
+    oracle.StoreScore(ResultKind::kClusterCounts, kInvalidGraphId, score);
+    CachedScore out;
+    EXPECT_FALSE(
+        oracle.FindScore(ResultKind::kClusterCounts, kInvalidGraphId, &out));
+  }
+  EXPECT_EQ(cache.Stats().inserts, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -389,7 +360,6 @@ LanConfig TinyConfig(bool cache_enabled) {
   config.num_threads = 2;
   config.cache.enabled = cache_enabled;
   config.cache.capacity_bytes = 8 << 20;
-  config.cache.num_shards = 4;
   return config;
 }
 
@@ -732,12 +702,14 @@ struct SelectOutcome {
 };
 
 SelectOutcome RunLanIs(const LanIndex& index, const IndexSnapshot& snap,
-                       const DistanceProvider* provider, const Graph& query) {
+                       ResultCache* cache, const Graph& query) {
   SelectOutcome out;
   QueryContext ctx;
   ctx.query_hash = query.ContentHash();
   ctx.epoch = snap.epoch;
-  DistanceOracle oracle(provider, &index.db(), ctx, &query, &out.stats);
+  const GedComputer ged(index.config().query_ged);
+  DistanceOracle oracle(&index.db(), &query, &ged, &out.stats, nullptr,
+                        nullptr, cache, ctx);
   LazyQueryCg query_cg = index.QueryCg(query);
   LanInitOptions options = index.config().init;
   options.threshold = index.neighborhood_model()->calibrated_threshold();
@@ -761,9 +733,8 @@ TEST(ResultCacheMutationTest, PinnedEpochsNeverShareAKeptSet) {
   ASSERT_TRUE(index.Build(&db).ok());
   ASSERT_TRUE(index.Train(workload.train).ok());
   const Graph& query = workload.test[0];
-  const DistanceProvider* caching = index.distance_provider();
-  const DistanceProvider* base =
-      static_cast<const CachingDistanceProvider*>(caching)->base();
+  ResultCache* caching = index.result_cache();
+  ResultCache* base = nullptr;  // the uncached reference
 
   // A query pinned before the Insert keeps the old member lists for its
   // whole life; its answers must never mix with the new epoch's.

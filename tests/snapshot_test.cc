@@ -416,8 +416,8 @@ TEST(SnapshotGoldenTest, BaseLayerIsSymmetrizedCoreLayer0) {
 }
 
 /// Manual fixture regeneration (run after an intentional format change):
-///   snapshot_test --gtest_filter='*RegenerateGoldenFixture' \
-///       --gtest_also_run_disabled_tests
+/// run snapshot_test with --gtest_also_run_disabled_tests and
+/// --gtest_filter='*RegenerateGoldenFixture'.
 TEST(SnapshotGoldenTest, DISABLED_RegenerateGoldenFixture) {
   SetActiveSimdLevel(SimdLevel::kScalar);
   GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(kGoldenGraphs), 7);

@@ -148,12 +148,11 @@ int Usage() {
                "           [--metrics-out FILE]  metrics snapshot, JSON\n"
                "           [--ged-cache-mb N]    cross-query result cache "
                "budget (0 = off)\n"
-               "           [--cache-admission admit_all|admit_on_repeat]\n"
                "           [--stats-port P]      embedded stats server "
                "(0 = ephemeral port)\n"
                "  eval     --snapshot FILE [--k K] [--queries N]\n"
                "           [--trace-out FILE] [--metrics-out FILE]\n"
-               "           [--ged-cache-mb N] [--cache-admission ...]\n"
+               "           [--ged-cache-mb N]\n"
                "           [--stats-port P]\n"
                "  diagnose --snapshot FILE\n"
                "  insert   --snapshot FILE --count N [--seed S] [--edits E]\n"
@@ -212,16 +211,6 @@ LanConfig ToolConfig(const Flags& flags) {
     const int64_t mb = flags.GetInt("ged-cache-mb", 0);
     config.cache.enabled = mb > 0;
     config.cache.capacity_bytes = static_cast<size_t>(mb) << 20;
-  }
-  if (flags.Has("cache-admission")) {
-    const std::string name = flags.Get("cache-admission", "");
-    if (!ParseCacheAdmission(name, &config.cache.admission)) {
-      std::fprintf(stderr,
-                   "unknown --cache-admission '%s' "
-                   "(want admit_all or admit_on_repeat)\n",
-                   name.c_str());
-      std::exit(2);
-    }
   }
   return config;
 }
@@ -952,8 +941,7 @@ struct Subcommand {
 const std::map<std::string, Subcommand>& Subcommands() {
   // ToolConfig's flags, read by every command that builds or opens an
   // index; `open` adds OpenIndex's --snapshot, `server` the stats server.
-  static const FlagSet config = {"build-threads", "ged-cache-mb",
-                                 "cache-admission"};
+  static const FlagSet config = {"build-threads", "ged-cache-mb"};
   static const FlagSet open = Union(config, {"snapshot"});
   static const FlagSet server = {"stats-port", "port-file"};
   static const std::map<std::string, Subcommand> commands = {

@@ -163,6 +163,24 @@ if(NOT search_out MATCHES "65 graphs \\(63 live\\), epoch 7, trained")
   message(FATAL_ERROR "mutated snapshot did not reopen trained:\n${search_out}")
 endif()
 
+# Insert computes every build-protocol distance directly, cache on or off,
+# so the same inserts into the same snapshot write the same bytes with
+# --ged-cache-mb as without it.
+set(SNAP_UNCACHED ${WORK_DIR}/pipeline.insert.uncached.lansnap)
+set(SNAP_CACHED ${WORK_DIR}/pipeline.insert.cached.lansnap)
+run_step(${LAN_TOOL} insert --snapshot ${SNAP} --count 5 --seed 11
+         --out ${SNAP_UNCACHED})
+run_step(${LAN_TOOL} insert --snapshot ${SNAP} --count 5 --seed 11
+         --ged-cache-mb 4 --out ${SNAP_CACHED})
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${SNAP_UNCACHED}
+                        ${SNAP_CACHED}
+                RESULT_VARIABLE insert_differ)
+if(NOT insert_differ EQUAL 0)
+  message(FATAL_ERROR "insert with --ged-cache-mb 4 wrote a different "
+                      "snapshot than without it: ${SNAP_CACHED} vs "
+                      "${SNAP_UNCACHED}")
+endif()
+
 # A non-positive --k or --queries exits 2 naming the flag (both used to
 # abort inside the ground-truth and evaluation code), as does one past
 # INT_MAX.
