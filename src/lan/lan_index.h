@@ -97,10 +97,11 @@ struct LanConfig {
 
   uint64_t seed = 123;
   /// Worker threads for offline phases (0 = hardware concurrency). Sizes
-  /// the index's resident pool; to also parallelize PG *insertion* (not
-  /// just per-step distance evaluations), set hnsw.num_build_threads to 0
-  /// ("follow this pool") or an explicit count — insertion stays serial by
-  /// default to preserve the bit-for-bit build determinism contract.
+  /// the index's resident pool. PG construction inserts on one worker by
+  /// default (the bit-for-bit determinism contract) and spreads each
+  /// insertion step's missing distances over this pool; set
+  /// hnsw.num_build_threads to 0 ("follow this pool") or an explicit
+  /// count to run that many insertion workers instead.
   int num_threads = 0;
 
   /// Checks every knob is in range; called by LanIndex::Build.

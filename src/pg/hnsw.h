@@ -24,19 +24,14 @@ struct HnswOptions {
   int ef_construction = 32;
   /// RNG seed for the level assignment.
   uint64_t seed = 42;
-  /// Use Malkov's diversity heuristic when selecting/shrinking neighbor
-  /// lists (keep a candidate only if it is closer to the node than to any
-  /// already-kept neighbor). Produces sparser, better-navigable graphs
-  /// than plain nearest-M on clustered data.
-  bool select_neighbors_heuristic = true;
-  /// Batch-build insertion threads. 1 (default) runs the serial insert
-  /// loop, bit-for-bit identical across releases for a fixed seed. >1
-  /// partitions insertions across threads with per-node locking
-  /// (hnswlib-style): same level sequence (levels are pre-drawn from the
-  /// seed's stream), statistically equivalent topology, no bit-for-bit
-  /// guarantee. 0 means "use the passed pool's width (or the hardware
-  /// count when no pool)". Ignored by incremental Insert, which is always
-  /// a single-node serial step.
+  /// Batch-build insertion workers. 1 (default) inserts in id order,
+  /// bit-for-bit identical across releases for a fixed seed. >1 runs the
+  /// same locked insertion step on that many workers at once
+  /// (hnswlib-style): same level sequence (levels are drawn from the
+  /// seed's stream in id order), statistically equivalent topology, no
+  /// bit-for-bit guarantee. 0 means "use the passed pool's width (or the
+  /// hardware count when no pool)". Ignored by incremental Insert, which
+  /// is always a single-node serial step.
   int num_build_threads = 1;
 };
 
@@ -90,8 +85,9 @@ class HnswIndex {
   /// when a ThreadPool is passed to the builder.
   using PairDistanceFn = std::function<double(GraphId, GraphId)>;
 
-  /// Builds the index. `pool` (optional) parallelizes the per-step
-  /// neighbor distance evaluations.
+  /// Builds the index. `pool` (optional) runs the insertion workers when
+  /// its width matches the worker count; with one worker it instead
+  /// parallelizes each search step's missing distance evaluations.
   static HnswIndex Build(const GraphDatabase& db, const GedComputer& ged,
                          const HnswOptions& options,
                          ThreadPool* pool = nullptr);

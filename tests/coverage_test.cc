@@ -88,32 +88,28 @@ TEST(EditPathTest, Figure2OptimalPathHasFiveOps) {
   EXPECT_TRUE(IsomorphicUpToRenumbering(*applied, q));
 }
 
-// ---------- HNSW heuristic toggle ----------
+// ---------- HNSW diversity selection ----------
 
-TEST(HnswHeuristicTest, BothSelectionModesSearchable) {
+TEST(HnswHeuristicTest, DiversitySelectionSearchable) {
   DatasetSpec spec = DatasetSpec::SynLike(50);
   GraphDatabase db = GenerateDatabase(spec, 60);
   GedComputer ged(FastGed());
-  for (bool heuristic : {false, true}) {
-    HnswOptions options;
-    options.M = 4;
-    options.ef_construction = 16;
-    options.select_neighbors_heuristic = heuristic;
-    HnswIndex index = HnswIndex::Build(db, ged, options);
-    // Degree cap respected either way (undirected union can exceed the
-    // per-list cap, but not the sum of both lists' caps).
-    for (GraphId id = 0; id < db.size(); ++id) {
-      EXPECT_LE(index.BaseLayer().Degree(id), 6 * options.M);
-    }
-    Rng rng(61);
-    Graph query = PerturbGraph(db.Get(7), 1, db.num_labels(), &rng);
-    SearchStats stats;
-    DistanceOracle oracle(&db, &query, &ged, &stats);
-    RoutingResult result = index.Search(&oracle, 12, 5);
-    KnnList truth = ComputeGroundTruth(db, query, 5, ged);
-    EXPECT_GE(RecallAtK(result.results, truth, 5), 0.6)
-        << "heuristic=" << heuristic;
+  HnswOptions options;
+  options.M = 4;
+  options.ef_construction = 16;
+  HnswIndex index = HnswIndex::Build(db, ged, options);
+  // Degree cap respected (undirected union can exceed the per-list cap,
+  // but not the sum of both lists' caps).
+  for (GraphId id = 0; id < db.size(); ++id) {
+    EXPECT_LE(index.BaseLayer().Degree(id), 6 * options.M);
   }
+  Rng rng(61);
+  Graph query = PerturbGraph(db.Get(7), 1, db.num_labels(), &rng);
+  SearchStats stats;
+  DistanceOracle oracle(&db, &query, &ged, &stats);
+  RoutingResult result = index.Search(&oracle, 12, 5);
+  KnnList truth = ComputeGroundTruth(db, query, 5, ged);
+  EXPECT_GE(RecallAtK(result.results, truth, 5), 0.6);
 }
 
 // ---------- HAG bookkeeping ----------

@@ -1,14 +1,17 @@
 // Tests for the epoch-versioned mutable index: the golden HNSW topology
-// contract (batch Build == insert loop, bit-for-bit), GraphDatabase
-// append/tombstone semantics, LanIndex online Insert/Remove with epoch
-// publication, tombstone-aware routing, and the online-insert recall
-// acceptance bar against a from-scratch rebuild.
+// contract (batch Build == insert loop, bit-for-bit), the completeness of
+// HNSW Insert's rewired-row report, GraphDatabase append/tombstone
+// semantics, LanIndex online Insert/Remove with epoch publication,
+// tombstone-aware routing, and the online-insert recall acceptance bar
+// against a from-scratch rebuild.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/random.h"
@@ -76,11 +79,10 @@ std::vector<double> GoldenPoints() {
   return points;
 }
 
-HnswOptions GoldenOptions(bool heuristic) {
+HnswOptions GoldenOptions() {
   HnswOptions options;
   options.M = 4;
   options.ef_construction = 16;
-  options.select_neighbors_heuristic = heuristic;
   return options;
 }
 
@@ -95,12 +97,9 @@ TEST(HnswGoldenTopologyTest, BatchBuildReproducesPreRefactorTopology) {
     return std::abs(points[static_cast<size_t>(a)] -
                     points[static_cast<size_t>(b)]);
   };
-  HnswIndex heuristic = HnswIndex::BuildWithDistance(
-      120, distance, GoldenOptions(/*heuristic=*/true));
-  EXPECT_EQ(TopologyHash(heuristic), 0x72fc0fd77f61d7c9ULL);
-  HnswIndex plain = HnswIndex::BuildWithDistance(
-      120, distance, GoldenOptions(/*heuristic=*/false));
-  EXPECT_EQ(TopologyHash(plain), 0x114f5e77f79983d8ULL);
+  HnswIndex index =
+      HnswIndex::BuildWithDistance(120, distance, GoldenOptions());
+  EXPECT_EQ(TopologyHash(index), 0x72fc0fd77f61d7c9ULL);
 }
 
 TEST(HnswGoldenTopologyTest, BatchBuildIsLiterallyAnInsertLoop) {
@@ -109,17 +108,50 @@ TEST(HnswGoldenTopologyTest, BatchBuildIsLiterallyAnInsertLoop) {
     return std::abs(points[static_cast<size_t>(a)] -
                     points[static_cast<size_t>(b)]);
   };
-  for (const bool heuristic : {true, false}) {
-    const HnswOptions options = GoldenOptions(heuristic);
-    HnswIndex batch = HnswIndex::BuildWithDistance(120, distance, options);
-    HnswIndex grown;
-    Rng rng(options.seed);  // the level stream batch Build draws from
-    for (GraphId id = 0; id < 120; ++id) {
-      ASSERT_TRUE(grown.Insert(id, distance, options, &rng).ok()) << id;
+  const HnswOptions options = GoldenOptions();
+  HnswIndex batch = HnswIndex::BuildWithDistance(120, distance, options);
+  HnswIndex grown;
+  Rng rng(options.seed);  // the level stream batch Build draws from
+  for (GraphId id = 0; id < 120; ++id) {
+    ASSERT_TRUE(grown.Insert(id, distance, options, &rng).ok()) << id;
+  }
+  EXPECT_EQ(TopologyHash(grown), TopologyHash(batch));
+  EXPECT_EQ(grown.NumLayers(), batch.NumLayers());
+  EXPECT_EQ(grown.EntryPoint(), batch.EntryPoint());
+}
+
+// Insert's `touched` list drives cache invalidation: every node whose
+// symmetrized base-layer row an insert changes (its new edges, and the
+// edges the diversity shrink drops) must be reported, or a cached
+// routing result over the old row would survive the write.
+TEST(HnswInsertTest, TouchedCoversEveryRewiredBaseRow) {
+  const std::vector<double> points = GoldenPoints();
+  auto distance = [&points](GraphId a, GraphId b) {
+    return std::abs(points[static_cast<size_t>(a)] -
+                    points[static_cast<size_t>(b)]);
+  };
+  const HnswOptions options = GoldenOptions();
+  HnswIndex index = HnswIndex::BuildWithDistance(80, distance, options);
+  const auto base_row = [&index](GraphId id) {
+    const std::span<const GraphId> row = index.BaseLayer().NeighborSpan(id);
+    return std::vector<GraphId>(row.begin(), row.end());
+  };
+  Rng rng(7);
+  for (GraphId id = 80; id < 120; ++id) {
+    std::vector<std::vector<GraphId>> before;
+    for (GraphId n = 0; n < id; ++n) before.push_back(base_row(n));
+    before.emplace_back();  // the new node has no row yet
+    std::vector<GraphId> touched;
+    ASSERT_TRUE(index.Insert(id, distance, options, &rng, &touched).ok());
+    EXPECT_TRUE(std::is_sorted(touched.begin(), touched.end())) << id;
+    EXPECT_EQ(std::adjacent_find(touched.begin(), touched.end()),
+              touched.end())
+        << id;
+    for (GraphId n = 0; n <= id; ++n) {
+      if (base_row(n) == before[static_cast<size_t>(n)]) continue;
+      EXPECT_TRUE(std::binary_search(touched.begin(), touched.end(), n))
+          << "insert " << id << " rewired row " << n << " unreported";
     }
-    EXPECT_EQ(TopologyHash(grown), TopologyHash(batch)) << heuristic;
-    EXPECT_EQ(grown.NumLayers(), batch.NumLayers());
-    EXPECT_EQ(grown.EntryPoint(), batch.EntryPoint());
   }
 }
 

@@ -75,14 +75,9 @@ TEST(ParallelBuildGoldenTest, SerialBuildKeepsGoldenHashes) {
     options.M = 4;
     options.ef_construction = 16;
     if (explicit_serial) options.num_build_threads = 1;
-    options.select_neighbors_heuristic = true;
     EXPECT_EQ(TopologyHash(HnswIndex::BuildWithDistance(120, distance,
                                                         options)),
               0x72fc0fd77f61d7c9ULL);
-    options.select_neighbors_heuristic = false;
-    EXPECT_EQ(TopologyHash(HnswIndex::BuildWithDistance(120, distance,
-                                                        options)),
-              0x114f5e77f79983d8ULL);
   }
 }
 
@@ -255,7 +250,7 @@ TEST(ParallelBuildConcurrencyTest, BuildsAndPublishesUnderActiveReaders) {
   }
 
   // 1. A multi-threaded HnswIndex build runs to completion while the
-  // readers hammer the published index: per-node locks, the entry-point
+  // readers hammer the published index: the node locks, the entry-point
   // mutex, and the readers' lock-free snapshot path all overlap (tsan
   // sees the real interleavings).
   const VectorCorpus corpus(300, 0, 43);

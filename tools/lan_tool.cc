@@ -113,6 +113,8 @@ class Flags {
     return static_cast<int>(value);
   }
   bool Has(const std::string& key) const { return Find(key) != values_.end(); }
+  /// Whether the subcommand declares `key` at all.
+  bool Takes(const std::string& key) const { return known_.contains(key); }
 
  private:
   // Reading a flag absent from the subcommand's table is a bug in this
@@ -161,6 +163,7 @@ int Usage() {
                "           [--out FILE]\n"
                "  inspect  --snapshot FILE\n"
                "  serve    --snapshot FILE [--stats-port P] [--k K]\n"
+               "           [--ged-cache-mb N]\n"
                "           [--port-file FILE]    write the bound port\n"
                "           [--queries N]         query pool size (default 8)\n"
                "           [--max-queries N]     stop after N (0 = until "
@@ -187,10 +190,10 @@ DatasetSpec SpecFor(const std::string& kind, int64_t count) {
 /// Shared tool-scale index configuration (must match between `build` and
 /// the commands that open the snapshot).
 ///
-/// `--build-threads N` sizes the worker pool AND opts PG insertion into
-/// the parallel builder (N = 0 follows the hardware count). Threading
-/// never changes the snapshot format, so snapshots built with any thread
-/// count open under any other.
+/// `--build-threads N` sizes the worker pool AND runs PG insertion on N
+/// workers (N = 0 follows the hardware count). Threading never changes
+/// the snapshot format, so snapshots built with any thread count open
+/// under any other.
 LanConfig ToolConfig(const Flags& flags) {
   LanConfig config;
   config.query_ged.skip_exact_gap = 3.0;
@@ -205,9 +208,9 @@ LanConfig ToolConfig(const Flags& flags) {
     config.hnsw.num_build_threads = threads;
   }
   // `--ged-cache-mb N` opts into the cross-query result cache with an
-  // N MiB budget (0 keeps it off). Serving-time state only: snapshots are
-  // identical with and without it.
-  if (flags.Has("ged-cache-mb")) {
+  // N MiB budget (0 keeps it off). Only the commands that run queries
+  // (search, eval, serve) take it: nothing else reads the cache.
+  if (flags.Takes("ged-cache-mb") && flags.Has("ged-cache-mb")) {
     const int64_t mb = flags.GetInt("ged-cache-mb", 0);
     config.cache.enabled = mb > 0;
     config.cache.capacity_bytes = static_cast<size_t>(mb) << 20;
@@ -940,30 +943,31 @@ struct Subcommand {
 
 const std::map<std::string, Subcommand>& Subcommands() {
   // ToolConfig's flags, read by every command that builds or opens an
-  // index; `open` adds OpenIndex's --snapshot, `server` the stats server.
-  static const FlagSet config = {"build-threads", "ged-cache-mb"};
+  // index; `open` adds OpenIndex's --snapshot, and `serving` the result
+  // cache and the stats server of the commands that run queries.
+  static const FlagSet config = {"build-threads"};
   static const FlagSet open = Union(config, {"snapshot"});
-  static const FlagSet server = {"stats-port", "port-file"};
+  static const FlagSet serving =
+      Union(open, {"ged-cache-mb", "stats-port", "port-file"});
   static const std::map<std::string, Subcommand> commands = {
       {"generate", {&Generate, {"kind", "count", "seed", "out"}}},
       {"stats", {&Stats, {"db"}}},
       {"build", {&Build, Union(config, {"db", "out", "queries", "seed"})}},
       {"search",
-       {&SearchCmd, Union(Union(open, server), {"k", "queries", "seed",
-                                                "trace-out", "metrics-out"})}},
+       {&SearchCmd, Union(serving, {"k", "queries", "seed", "trace-out",
+                                    "metrics-out"})}},
       {"eval",
-       {&Eval, Union(Union(open, server), {"k", "queries", "seed",
-                                           "trace-out", "metrics-out"})}},
+       {&Eval, Union(serving, {"k", "queries", "seed", "trace-out",
+                               "metrics-out"})}},
       {"diagnose", {&Diagnose, open}},
       {"insert", {&InsertCmd, Union(open, {"count", "edits", "seed", "out"})}},
       {"remove", {&RemoveCmd, Union(open, {"id", "count", "seed", "out"})}},
       {"inspect", {&Inspect, {"snapshot"}}},
       {"serve",
        {&Serve,
-        Union(Union(open, server),
-              {"k", "queries", "seed", "max-queries", "trace-sample",
-               "slow-queries", "slow-inject-every", "slow-beam",
-               "throttle-ms"})}},
+        Union(serving, {"k", "queries", "seed", "max-queries", "trace-sample",
+                        "slow-queries", "slow-inject-every", "slow-beam",
+                        "throttle-ms"})}},
   };
   return commands;
 }
