@@ -41,10 +41,12 @@ std::vector<int> BenchBeams() { return {4, 8, 16, 32, 64}; }
 
 GedOptions BenchQueryGed() {
   GedOptions o;
-  // Every distance evaluation pays the exact-GED budget (as in the paper,
+  // Every distance evaluation pays an exact-GED attempt (as in the paper,
   // where a 20-ANN query costs ~40 s): this keeps distance computation the
-  // dominant query cost, the regime LAN is designed for.
-  o.exact_time_budget_seconds = 0.001;
+  // dominant query cost, the regime LAN is designed for. The attempt is
+  // capped by expansions only, so each distance (and the recall measured
+  // against it) is a function of the pair, not of the load.
+  o.exact_time_budget_seconds = 0.0;
   o.exact_max_expansions = 2000;
   o.beam_width = 4;
   return o;

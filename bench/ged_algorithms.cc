@@ -6,15 +6,19 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "common/random.h"
+#include "common/timer.h"
 #include "ged/ged_beam.h"
 #include "ged/ged_bipartite.h"
 #include "ged/ged_computer.h"
 #include "ged/ged_dfs.h"
 #include "ged/ged_exact.h"
+#include "ged/ged_lower_bounds.h"
+#include "graph/graph_database.h"
 #include "graph/graph_generator.h"
 
 namespace lan {
@@ -65,7 +69,7 @@ BENCHMARK(BM_GedBeam)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_GedExactBudgeted(benchmark::State& state) {
   ExactGedOptions options;
-  options.time_budget_seconds = 0.001;
+  options.time_budget_seconds = 0.0;
   options.max_expansions = 2000;
   size_t i = 0;
   for (auto _ : state) {
@@ -78,7 +82,7 @@ BENCHMARK(BM_GedExactBudgeted);
 
 void BM_GedDfsBudgeted(benchmark::State& state) {
   ExactGedOptions options;
-  options.time_budget_seconds = 0.001;
+  options.time_budget_seconds = 0.0;
   options.max_expansions = 2000;
   size_t i = 0;
   for (auto _ : state) {
@@ -91,7 +95,7 @@ BENCHMARK(BM_GedDfsBudgeted);
 
 void BM_GedProtocol(benchmark::State& state) {
   GedOptions options;
-  options.exact_time_budget_seconds = 0.001;
+  options.exact_time_budget_seconds = 0.0;
   options.exact_max_expansions = 2000;
   options.beam_width = 4;
   GedComputer ged(options);
@@ -102,6 +106,59 @@ void BM_GedProtocol(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GedProtocol);
+
+/// Query-database pairs the shipped protocol sends to A*: 2-edit perturbed
+/// copies of AIDS-like database graphs against the whole database, kept
+/// where the best VJ/Hungarian/Beam4 bound is within 3 of the lower bound.
+struct GatedPair {
+  Graph query, graph;
+  double upper_bound;
+};
+
+std::vector<GatedPair>& AidsGatedPairs() {
+  static auto* pairs = [] {
+    const GraphDatabase db =
+        GenerateDatabase(DatasetSpec::AidsLike(200), 1003);
+    auto* out = new std::vector<GatedPair>();
+    Rng rng(1004);
+    for (GraphId qid = 0; qid < db.size(); qid += 4) {
+      const Graph q = PerturbGraph(db.Get(qid), 2, db.num_labels(), &rng);
+      for (GraphId id = 0; id < db.size(); ++id) {
+        const Graph& g = db.Get(id);
+        const double best = std::min({BipartiteGedVj(q, g).distance,
+                                      BipartiteGedHungarian(q, g).distance,
+                                      BeamGed(q, g, 4).distance});
+        if (best - BestLowerBound(q, g) <= 3.0) out->push_back({q, g, best});
+      }
+    }
+    return out;
+  }();
+  return *pairs;
+}
+
+/// The exact tier as the pinned protocol runs it (10k expansions, no wall
+/// budget, upper bound from the shipped tiers). `us_per_expansion` charges
+/// a capped attempt its 10k expansions.
+void BM_GedExactGated(benchmark::State& state) {
+  const std::vector<GatedPair>& pairs = AidsGatedPairs();
+  ExactGedOptions options;
+  options.time_budget_seconds = 0.0;
+  options.max_expansions = 10'000;
+  int64_t expansions = 0;
+  size_t i = 0;
+  Timer timer;
+  for (auto _ : state) {
+    const GatedPair& pair = pairs[i++ % pairs.size()];
+    options.upper_bound = pair.upper_bound;
+    auto r = ExactGed(pair.query, pair.graph, options);
+    expansions += r.ok() ? r->expansions : options.max_expansions;
+  }
+  const double us = timer.ElapsedSeconds() * 1e6;
+  state.counters["pairs"] = static_cast<double>(pairs.size());
+  state.counters["us_per_expansion"] =
+      expansions > 0 ? us / static_cast<double>(expansions) : 0.0;
+}
+BENCHMARK(BM_GedExactGated);
 
 /// Tightness report: approximation mean overshoot vs exact on small pairs.
 void PrintTightness() {

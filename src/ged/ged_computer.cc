@@ -68,9 +68,10 @@ GedValue GedComputer::Compute(const Graph& g1, const Graph& g2) const {
     exact_options.max_expansions = options_.exact_max_expansions;
     exact_options.upper_bound = best.distance;
     exact_options.costs = options_.costs;
-    Result<ExactGedResult> exact = ExactGed(g1, g2, exact_options);
-    if (exact.ok()) {
-      best.distance = exact.value().distance;
+    // The attempt's buffers are disjoint from vj_result/hung_result.
+    double exact = 0.0;
+    if (ExactGedDistance(g1, g2, exact_options, &s, &exact)) {
+      best.distance = exact;
       best.method = GedMethod::kExact;
       best.exact = true;
     }

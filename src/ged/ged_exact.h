@@ -10,6 +10,8 @@
 
 namespace lan {
 
+struct GedScratch;
+
 /// \brief Budget for the exact A* search.
 struct ExactGedOptions {
   /// Abort after this many expanded search states (<=0: unlimited).
@@ -30,16 +32,38 @@ struct ExactGedResult {
   int64_t expansions = 0;
 };
 
-/// \brief Exact graph edit distance under uniform costs via A* over node
-/// maps (the classical algorithm of Riesen et al., Sec. III-A of the
-/// paper's references).
+/// \brief Exact graph edit distance via A* over node maps (the classical
+/// algorithm of Riesen et al., Sec. III-A of the paper's references), under
+/// `options.costs`.
 ///
-/// Nodes of `g1` are mapped in a fixed order; each search state is a
-/// partial map; h() combines the label-multiset and edge-count lower
-/// bounds on the unmapped remainder. Returns Status::Timeout when the
-/// budget is exhausted before the optimum is proven.
+/// The search runs from the smaller graph. Its nodes are mapped in a fixed
+/// order (degree descending); each search state is a partial map, and h()
+/// combines the label-multiset and edge-count lower bounds on the unmapped
+/// remainder. States are popped f ascending, deeper first on ties, and a
+/// state's children enter the open list v ascending, then ε.
+///
+/// States live in a per-attempt arena in the thread's GedScratch as
+/// {g, fully-used g2 edges, parent index, image} records: a state stores
+/// only its own pair, and an expansion rebuilds its map, the used g2 nodes
+/// and the unused-label histogram once by walking the parent chain. The open
+/// list is a binary heap of {f, depth, state index}. Labels map to dense ids
+/// once per attempt, so the suffix label histograms are one flat table and
+/// each child's h is O(1). An attempt that grew the arena or the heap past a
+/// fixed number of entries releases that storage when it ends; below the
+/// bound it is kept, and the next attempt allocates nothing.
+///
+/// Returns Status::Timeout when the budget is exhausted before the optimum
+/// is proven. The mapping is empty when the upper bound was proven optimal
+/// without reaching a goal state.
 Result<ExactGedResult> ExactGed(const Graph& g1, const Graph& g2,
                                 const ExactGedOptions& options = {});
+
+/// \brief ExactGed's search without the mapping or a Status, in `scratch`:
+/// returns true and sets `*distance` to ExactGed's distance when the
+/// optimum is proven within the budget, false otherwise.
+bool ExactGedDistance(const Graph& g1, const Graph& g2,
+                      const ExactGedOptions& options, GedScratch* scratch,
+                      double* distance);
 
 }  // namespace lan
 

@@ -23,8 +23,26 @@ struct BeamCandidate {
   NodeId v;
 };
 
-/// \brief Reusable per-thread buffers of the approximate-GED hot path
-/// (bipartite matrix build, assignment solvers, Beam, MapCost, lower
+/// One A* search state in the per-attempt arena: the map of its parent
+/// extended by one pair. The search-order node at depth d - 1 of a state at
+/// depth d maps to `image` (kEpsilon = deletion); the earlier pairs are found
+/// by walking `parent` links to the root (parent -1).
+struct AStarState {
+  double g;                   // cost of the resolved part
+  int64_t fully_used_edges2;  // g2 edges with both endpoints used
+  int32_t parent;
+  NodeId image;
+};
+
+/// An A* open-list entry: a state's f = g + h, its depth and arena index.
+struct AStarOpenEntry {
+  double f;
+  int32_t depth;
+  int32_t state;
+};
+
+/// \brief Reusable per-thread buffers of the GED hot path (bipartite
+/// matrix build, assignment solvers, Beam, exact A*, MapCost, lower
 /// bounds). A query computes hundreds of GEDs; pulling these out of the
 /// per-call scope makes the whole d(Q, G) evaluation allocation-free in the
 /// steady state.
@@ -69,6 +87,29 @@ struct GedScratch {
   NodeMapping beam_map;
   /// GedComputer::Compute's per-call results.
   ApproxGedResult vj_result, hung_result, beam_result;
+  // --- ExactGed (A*) ---
+  /// The attempt's search states and its open list (a binary heap). Both
+  /// are released after an attempt that grew them past a fixed bound.
+  std::vector<AStarState> astar_states;
+  std::vector<AStarOpenEntry> astar_open;
+  /// g1's search order, each g1 node's depth in it, and the g1 edges with
+  /// an endpoint at depth >= d (n1 + 1 entries).
+  std::vector<NodeId> astar_order;
+  std::vector<int32_t> astar_depth_of;
+  std::vector<int64_t> astar_suffix_edges1;
+  /// g1's distinct labels (sorted), each g2 node's dense label id (1 +
+  /// rank in that list; 0 for a label g1 lacks), the label histograms of
+  /// the search-order suffixes (row d covers order[d..n1), one column per
+  /// id) and the unused g2 nodes' histogram at the expanded state.
+  std::vector<Label> astar_labels;
+  std::vector<int32_t> astar_dense2;
+  std::vector<int32_t> astar_suffix_hist, astar_unused_hist;
+  /// The expanded state's map: images by depth, the depth that uses each g2
+  /// node (-1 = unused), and 1 on the images of the expanded node's mapped
+  /// neighbors (all 0 between expansions).
+  std::vector<NodeId> astar_images;
+  std::vector<int32_t> astar_used_by;
+  std::vector<uint8_t> astar_mark;
   // --- MapCost ---
   std::vector<NodeId> preimage;
   // --- Lower bounds (label multisets, degree sequences) ---

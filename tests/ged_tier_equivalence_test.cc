@@ -1,13 +1,15 @@
-// Reference-equivalence test for the flat-state Beam tier and the two
-// assignment solvers (greedy behind VJ, Jonker–Volgenant behind Hungarian).
-// They were rewritten for speed under the contract that every distance,
-// mapping and tie-break stays bit-for-bit what the straightforward
-// formulations below produce: Beam with one heap vector per state and a
-// per-child linear preimage scan, the greedy solver as a full sort of
-// (cost, row, col) tuples, and JV sweeping every column twice per step.
-// Those formulations live only here, as the references. The JV column scan
-// is dispatched by SIMD level, so its cases run at every level the host
-// supports.
+// Reference-equivalence test for the flat-state Beam tier, the two
+// assignment solvers (greedy behind VJ, Jonker–Volgenant behind Hungarian)
+// and the flat A* behind the exact tier. They were rewritten for speed
+// under the contract that every distance, mapping, tie-break and expansion
+// count stays bit-for-bit what the straightforward formulations below
+// produce: Beam with one heap vector per state and a per-child linear
+// preimage scan, the greedy solver as a full sort of (cost, row, col)
+// tuples, JV sweeping every column twice per step, and A* with a
+// priority_queue of states that own their image vectors and a heuristic
+// rebuilt from hash-map label histograms per child. Those formulations live
+// only here, as the references. The JV column scan is dispatched by SIMD
+// level, so its cases run at every level the host supports.
 
 #include <gtest/gtest.h>
 
@@ -17,18 +19,23 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <queue>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/cpu_features.h"
+#include "common/timer.h"
 #include "common/random.h"
 #include "ged/assignment.h"
 #include "ged/ged_beam.h"
 #include "ged/ged_bipartite.h"
 #include "ged/ged_computer.h"
 #include "ged/ged_costs.h"
+#include "ged/ged_exact.h"
+#include "ged/ged_lower_bounds.h"
 #include "ged/ged_scratch.h"
 #include "ged/node_mapping.h"
 #include "graph/graph_generator.h"
@@ -209,6 +216,309 @@ Assignment ReferenceJv(const CostMatrix& cost) {
 /// Cost of the bipartite matrix's off-diagonal deletion/insertion cells.
 constexpr double kForbidden = 1e9;
 
+// ---------- Reference A* ----------
+
+/// A partial map of the first `depth` g1 nodes (in search order).
+struct ReferenceSearchState {
+  double f = 0.0;  // g + h
+  double g = 0.0;  // cost of the resolved part
+  int32_t depth = 0;
+  int64_t fully_used_edges2 = 0;  // g2 edges with both endpoints used
+  std::vector<NodeId> images;     // images of search-order nodes [0, depth)
+
+  bool operator>(const ReferenceSearchState& other) const {
+    if (f != other.f) return f > other.f;
+    return depth < other.depth;  // prefer deeper states on ties
+  }
+};
+
+using ReferenceOpenList =
+    std::priority_queue<ReferenceSearchState, std::vector<ReferenceSearchState>,
+                        std::greater<ReferenceSearchState>>;
+
+class ReferenceAStar {
+ public:
+  ReferenceAStar(const Graph& g1, const Graph& g2,
+                 const ExactGedOptions& options)
+      : g1_(g1), g2_(g2), options_(options) {
+    // Process high-degree nodes first: their edge costs resolve earlier,
+    // which tightens g and prunes faster.
+    order_.resize(static_cast<size_t>(g1_.NumNodes()));
+    for (NodeId v = 0; v < g1_.NumNodes(); ++v) {
+      order_[static_cast<size_t>(v)] = v;
+    }
+    std::stable_sort(order_.begin(), order_.end(), [&](NodeId a, NodeId b) {
+      return g1_.Degree(a) > g1_.Degree(b);
+    });
+    BuildSuffixTables();
+  }
+
+  Result<ExactGedResult> Run() {
+    Timer timer;
+    ReferenceOpenList open;
+    {
+      ReferenceSearchState root;
+      root.f = Heuristic(root);
+      open.push(std::move(root));
+    }
+
+    ExactGedResult result;
+    const int32_t n1 = g1_.NumNodes();
+    while (!open.empty()) {
+      ReferenceSearchState state = open.top();
+      open.pop();
+      if (options_.upper_bound >= 0.0 &&
+          state.f > options_.upper_bound + 1e-9) {
+        // Every remaining completion costs more than the known achievable
+        // upper bound, so the optimum is exactly that bound.
+        result.distance = options_.upper_bound;
+        result.expansions = expansions_;
+        return result;
+      }
+      if (state.depth == n1) {
+        result.distance = state.g;
+        result.mapping = FinalMapping(state);
+        result.expansions = expansions_;
+        return result;
+      }
+      ++expansions_;
+      if (options_.max_expansions > 0 &&
+          expansions_ > options_.max_expansions) {
+        return Status::Timeout("A* GED: expansion budget exhausted");
+      }
+      if (options_.time_budget_seconds > 0.0 && (expansions_ & 0x1F) == 0 &&
+          timer.ElapsedSeconds() > options_.time_budget_seconds) {
+        return Status::Timeout("A* GED: time budget exhausted");
+      }
+      Expand(state, &open);
+    }
+    if (options_.upper_bound >= 0.0) {
+      // All states were pruned against the bound: the optimum equals it.
+      result.distance = options_.upper_bound;
+      result.expansions = expansions_;
+      return result;
+    }
+    return Status::Internal("A* GED: search space exhausted without goal");
+  }
+
+ private:
+  void BuildSuffixTables() {
+    const int32_t n1 = g1_.NumNodes();
+    // suffix_label_hist_[d] = histogram of labels of order_[d..n1).
+    suffix_label_hist_.assign(static_cast<size_t>(n1) + 1, {});
+    for (int32_t d = n1 - 1; d >= 0; --d) {
+      suffix_label_hist_[static_cast<size_t>(d)] =
+          suffix_label_hist_[static_cast<size_t>(d) + 1];
+      ++suffix_label_hist_[static_cast<size_t>(d)]
+                          [g1_.label(order_[static_cast<size_t>(d)])];
+    }
+    // pos_in_order_[v] = search depth of g1 node v.
+    pos_in_order_.assign(static_cast<size_t>(n1), 0);
+    for (int32_t d = 0; d < n1; ++d) {
+      pos_in_order_[static_cast<size_t>(order_[static_cast<size_t>(d)])] = d;
+    }
+    // suffix_edges1_[d] = #g1 edges with >=1 endpoint at depth >= d.
+    suffix_edges1_.assign(static_cast<size_t>(n1) + 1, 0);
+    for (const auto& [a, b] : g1_.Edges()) {
+      const int32_t latest = std::max(pos_in_order_[static_cast<size_t>(a)],
+                                      pos_in_order_[static_cast<size_t>(b)]);
+      // Edge has an endpoint at depth >= d  iff  d <= latest.
+      ++suffix_edges1_[0];
+      --suffix_edges1_[static_cast<size_t>(latest) + 1];
+    }
+    for (int32_t d = 1; d <= n1; ++d) {
+      suffix_edges1_[static_cast<size_t>(d)] +=
+          suffix_edges1_[static_cast<size_t>(d) - 1];
+    }
+  }
+
+  double Heuristic(const ReferenceSearchState& state) const {
+    const int32_t n1 = g1_.NumNodes();
+    const int32_t n2 = g2_.NumNodes();
+    const int32_t remaining1 = n1 - state.depth;
+    // Unused g2 labels.
+    std::vector<bool> used(static_cast<size_t>(n2), false);
+    for (NodeId v : state.images) {
+      if (v != kEpsilon) used[static_cast<size_t>(v)] = true;
+    }
+    std::unordered_map<Label, int32_t> unused_hist;
+    int32_t remaining2 = 0;
+    for (NodeId v = 0; v < n2; ++v) {
+      if (!used[static_cast<size_t>(v)]) {
+        ++unused_hist[g2_.label(v)];
+        ++remaining2;
+      }
+    }
+    int64_t common = 0;
+    const auto& suffix_hist =
+        suffix_label_hist_[static_cast<size_t>(state.depth)];
+    for (const auto& [label, count] : suffix_hist) {
+      auto it = unused_hist.find(label);
+      if (it != unused_hist.end()) {
+        common += std::min(count, it->second);
+      }
+    }
+    // Weighted admissible bound: each mismatched pair costs at least
+    // min(relabel, delete+insert); each surplus node at least one
+    // insert/delete; each surplus edge at least one edge op.
+    const GedCosts& costs = options_.costs;
+    const int64_t mismatched =
+        std::min(remaining1, remaining2) >= common
+            ? std::min(remaining1, remaining2) - common
+            : 0;
+    double h = static_cast<double>(mismatched) * costs.MinMismatchCost();
+    if (remaining1 > remaining2) {
+      h += (remaining1 - remaining2) * costs.node_delete;
+    } else {
+      h += (remaining2 - remaining1) * costs.node_insert;
+    }
+    const int64_t rem_edges1 = suffix_edges1_[static_cast<size_t>(state.depth)];
+    const int64_t rem_edges2 = g2_.NumEdges() - state.fully_used_edges2;
+    if (rem_edges1 > rem_edges2) {
+      h += (rem_edges1 - rem_edges2) * costs.edge_delete;
+    } else {
+      h += (rem_edges2 - rem_edges1) * costs.edge_insert;
+    }
+    return h;
+  }
+
+  /// Cost delta of extending `state` by mapping the next g1 node to `v`
+  /// (or ε), plus the bookkeeping for fully-used g2 edges.
+  void Expand(const ReferenceSearchState& state, ReferenceOpenList* open) {
+    const NodeId u = order_[static_cast<size_t>(state.depth)];
+    const int32_t n2 = g2_.NumNodes();
+    std::vector<bool> used(static_cast<size_t>(n2), false);
+    // preimage-by-depth: g2 node -> search depth that used it.
+    std::vector<int32_t> used_by(static_cast<size_t>(n2), -1);
+    for (int32_t d = 0; d < state.depth; ++d) {
+      const NodeId w = state.images[static_cast<size_t>(d)];
+      if (w != kEpsilon) {
+        used[static_cast<size_t>(w)] = true;
+        used_by[static_cast<size_t>(w)] = d;
+      }
+    }
+
+    // Substitution u -> v for every unused v, then deletion u -> ε.
+    for (NodeId v = 0; v <= n2; ++v) {
+      const bool is_epsilon = (v == n2);
+      if (!is_epsilon && used[static_cast<size_t>(v)]) continue;
+
+      const GedCosts& costs = options_.costs;
+      double delta = 0.0;
+      if (is_epsilon) {
+        delta += costs.node_delete;
+        // Every g1 edge from u to an already-mapped node is deleted.
+        for (NodeId t : g1_.Neighbors(u)) {
+          if (pos_in_order_[static_cast<size_t>(t)] < state.depth) {
+            delta += costs.edge_delete;
+          }
+        }
+      } else {
+        if (g1_.label(u) != g2_.label(v)) delta += costs.node_relabel;
+        // g1 edges (t, u) with t already mapped: matched or deleted.
+        for (NodeId t : g1_.Neighbors(u)) {
+          const int32_t dt = pos_in_order_[static_cast<size_t>(t)];
+          if (dt >= state.depth) continue;
+          const NodeId wt = state.images[static_cast<size_t>(dt)];
+          if (wt == kEpsilon || !g2_.HasEdge(wt, v)) {
+            delta += costs.edge_delete;
+          }
+        }
+        // g2 edges (w, v) with w already used and no matching g1 edge:
+        // insertions.
+        for (NodeId w : g2_.Neighbors(v)) {
+          const int32_t dw = used_by[static_cast<size_t>(w)];
+          if (dw < 0) continue;
+          const NodeId tw = order_[static_cast<size_t>(dw)];
+          if (!g1_.HasEdge(tw, u)) delta += costs.edge_insert;
+        }
+      }
+
+      ReferenceSearchState next;
+      next.depth = state.depth + 1;
+      next.images = state.images;
+      next.images.push_back(is_epsilon ? kEpsilon : v);
+      next.g = state.g + delta;
+      next.fully_used_edges2 = state.fully_used_edges2;
+      if (!is_epsilon) {
+        for (NodeId w : g2_.Neighbors(v)) {
+          if (used[static_cast<size_t>(w)]) ++next.fully_used_edges2;
+        }
+      }
+      // Goal completion: charge insertions for everything never used.
+      if (next.depth == g1_.NumNodes()) {
+        int32_t used_count = 0;
+        for (NodeId w : next.images) {
+          if (w != kEpsilon) ++used_count;
+        }
+        next.g += (n2 - used_count) * options_.costs.node_insert;
+        next.g += static_cast<double>(g2_.NumEdges() - next.fully_used_edges2) *
+                  options_.costs.edge_insert;
+        next.f = next.g;
+      } else {
+        next.f = next.g + Heuristic(next);
+      }
+      if (options_.upper_bound >= 0.0 && next.f > options_.upper_bound + 1e-9) {
+        continue;
+      }
+      open->push(std::move(next));
+    }
+  }
+
+  const Graph& g1_;
+  const Graph& g2_;
+  const ExactGedOptions& options_;
+  std::vector<NodeId> order_;
+  std::vector<int32_t> pos_in_order_;
+  std::vector<std::unordered_map<Label, int32_t>> suffix_label_hist_;
+  std::vector<int64_t> suffix_edges1_;
+  int64_t expansions_ = 0;
+
+  NodeMapping FinalMapping(const ReferenceSearchState& state) const {
+    NodeMapping map;
+    map.image.assign(static_cast<size_t>(g1_.NumNodes()), kEpsilon);
+    for (int32_t d = 0; d < state.depth; ++d) {
+      map.image[static_cast<size_t>(order_[static_cast<size_t>(d)])] =
+          state.images[static_cast<size_t>(d)];
+    }
+    return map;
+  }
+};
+
+Result<ExactGedResult> ReferenceExactGed(const Graph& g1, const Graph& g2,
+                                         const ExactGedOptions& options) {
+  if (g1.NumNodes() == 0) {
+    // The only edit path inserts all of g2 (the root state would otherwise
+    // be a goal without the completion charge).
+    ExactGedResult r;
+    r.distance = g2.NumNodes() * options.costs.node_insert +
+                 g2.NumEdges() * options.costs.edge_insert;
+    return r;
+  }
+  // Search from the smaller graph: shallower tree, same optimum (GED is
+  // symmetric under uniform costs).
+  if (g1.NumNodes() > g2.NumNodes()) {
+    // Solving the reversed problem: deletions and insertions trade places.
+    ExactGedOptions swapped_options = options;
+    swapped_options.costs = options.costs.Swapped();
+    LAN_ASSIGN_OR_RETURN(ExactGedResult swapped,
+                         ReferenceExactGed(g2, g1, swapped_options));
+    // A bound proven without a goal state comes with no mapping to invert.
+    if (swapped.mapping.image.empty() && g2.NumNodes() > 0) return swapped;
+    // Invert the mapping so it is expressed as g1 -> g2.
+    NodeMapping inverted;
+    inverted.image.assign(static_cast<size_t>(g1.NumNodes()), kEpsilon);
+    for (NodeId u = 0; u < g2.NumNodes(); ++u) {
+      const NodeId v = swapped.mapping.image[static_cast<size_t>(u)];
+      if (v != kEpsilon) inverted.image[static_cast<size_t>(v)] = u;
+    }
+    swapped.mapping = std::move(inverted);
+    return swapped;
+  }
+  ReferenceAStar search(g1, g2, options);
+  return search.Run();
+}
+
 // ---------- Fixtures ----------
 
 uint64_t Bits(double x) {
@@ -282,6 +592,30 @@ std::vector<NamedPair> Pairs() {
   Graph single;
   single.AddNode(0);
   pairs.push_back({"single_vs_single", single, single});
+  return pairs;
+}
+
+/// SYN-like pairs of at most 8 nodes a side, where a search without an
+/// upper bound still finishes: independent draws both ways round and
+/// perturbed copies.
+std::vector<NamedPair> SmallPairs() {
+  DatasetSpec spec = DatasetSpec::SynLike(1);
+  spec.avg_nodes = 6;
+  spec.avg_edges = 8;
+  std::vector<NamedPair> pairs;
+  Rng rng(20224);
+  while (pairs.size() < 12) {
+    Graph a = GenerateGraph(spec, &rng);
+    Graph b = GenerateGraph(spec, &rng);
+    if (std::max(a.NumNodes(), b.NumNodes()) > 8) continue;
+    if (a.NumNodes() < b.NumNodes()) std::swap(a, b);
+    Graph near = PerturbGraph(a, 2, spec.num_labels, &rng);
+    if (near.NumNodes() > 8) continue;
+    const std::string tag = "small" + std::to_string(pairs.size() / 3);
+    pairs.push_back({tag + "/larger_first", a, b});
+    pairs.push_back({tag + "/smaller_first", b, a});
+    pairs.push_back({tag + "/perturbed", a, near});
+  }
   return pairs;
 }
 
@@ -467,6 +801,76 @@ TEST(GedTierEquivalenceTest, ComputeIsBitwiseIdenticalAtEveryLevel) {
               0)
         << model.name;
   }
+}
+
+
+TEST(GedTierEquivalenceTest, ExactMatchesReferenceBitForBit) {
+  // No wall-clock budget, so both searches are pure functions of the pair,
+  // the bound and the cap. The bound is the best shipped tier's value, as
+  // GedComputer seeds it; small pairs also run unbounded. The 10k cap runs
+  // where the protocol would try A* (bound - lower bound <= 3) and on the
+  // small pairs: elsewhere it only times out, after 10k reference
+  // expansions.
+  std::vector<NamedPair> pairs = Pairs();
+  for (NamedPair& pair : SmallPairs()) pairs.push_back(std::move(pair));
+  int compared = 0;
+  int capped = 0;
+  int unbounded = 0;
+  int swapped = 0;
+  int gated_large = 0;
+  for (const NamedCosts& model : CostModels()) {
+    for (const NamedPair& pair : pairs) {
+      const double best = std::min(
+          {BipartiteGedVj(pair.g1, pair.g2, model.costs).distance,
+           BipartiteGedHungarian(pair.g1, pair.g2, model.costs).distance,
+           BeamGed(pair.g1, pair.g2, 4, model.costs).distance});
+      const bool small =
+          std::max(pair.g1.NumNodes(), pair.g2.NumNodes()) <= 8;
+      const GedCosts& c = model.costs;
+      const double min_cost = std::min({c.node_insert, c.node_delete,
+                                        c.node_relabel, c.edge_insert,
+                                        c.edge_delete});
+      const bool gated =
+          best - BestLowerBound(pair.g1, pair.g2) * min_cost <= 3.0;
+      if (gated && !small) ++gated_large;
+      std::vector<double> bounds = {best};
+      if (small) bounds.push_back(-1.0);
+      for (double bound : bounds) {
+        for (int64_t cap : {50, 500, 10'000}) {
+          if (cap == 10'000 && !small && !gated) continue;
+          ExactGedOptions options;
+          options.max_expansions = cap;
+          options.time_budget_seconds = 0.0;
+          options.upper_bound = bound;
+          options.costs = model.costs;
+          const std::string where = model.name + " " + pair.name +
+                                    " bound=" + std::to_string(bound) +
+                                    " cap=" + std::to_string(cap);
+          const Result<ExactGedResult> want =
+              ReferenceExactGed(pair.g1, pair.g2, options);
+          const Result<ExactGedResult> got =
+              ExactGed(pair.g1, pair.g2, options);
+          ASSERT_EQ(got.status().code(), want.status().code()) << where;
+          ++compared;
+          if (bound < 0.0) ++unbounded;
+          if (pair.g1.NumNodes() > pair.g2.NumNodes()) ++swapped;
+          if (!want.ok()) {
+            ++capped;
+            continue;
+          }
+          ASSERT_EQ(Bits(got->distance), Bits(want->distance))
+              << where << ": " << got->distance << " vs " << want->distance;
+          ASSERT_EQ(got->expansions, want->expansions) << where;
+          ASSERT_EQ(got->mapping.image, want->mapping.image) << where;
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 800);
+  EXPECT_GT(capped, 200);
+  EXPECT_GT(unbounded, 150);
+  EXPECT_GT(swapped, 200);
+  EXPECT_GT(gated_large, 80);
 }
 
 }  // namespace

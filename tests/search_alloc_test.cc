@@ -12,13 +12,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <vector>
 
+#include "common/random.h"
+#include "common/trace.h"
+#include "ged/ged_beam.h"
+#include "ged/ged_bipartite.h"
 #include "ged/ged_lower_bounds.h"
+#include "ged/ged_scratch.h"
 #include "graph/graph_generator.h"
 #include "lan/lan_index.h"
 
@@ -184,6 +190,75 @@ TEST(SearchAllocTest, ZeroSteadyStateAllocationsWithShippedTiers) {
   EXPECT_FALSE(result.results.empty());
   EXPECT_GT(measured_bounds, 0.0);
   EXPECT_EQ(2 * measured_bounds, bounds);
+}
+
+TEST(SearchAllocTest, ZeroSteadyStateAllocationsWithExactAttempts) {
+  // lanbench's pinned protocol: VJ, Hungarian and Beam4, then an A* attempt
+  // (10k expansions, no wall-clock budget) wherever the bound gap is <= 3.
+  // Queries are perturbed copies of database graphs, so some evaluated
+  // pairs are close enough for the attempt to run.
+  GraphDatabase db = GenerateDatabase(DatasetSpec::AidsLike(40), 31);
+
+  LanConfig config;
+  config.query_ged.skip_exact_gap = 3.0;
+  config.query_ged.exact_max_expansions = 10'000;
+  config.query_ged.exact_time_budget_seconds = 0.0;
+  config.num_threads = 1;
+  LanIndex index(config);
+  const GraphDatabase* cdb = &db;
+  ASSERT_TRUE(index.Build(cdb).ok());
+
+  SearchOptions options;
+  options.k = 5;
+  options.beam = 8;
+  options.routing = RoutingMethod::kBaselineRoute;
+  options.init = InitMethod::kRandomIs;
+
+  Rng rng(37);
+  std::vector<Graph> queries;
+  for (GraphId id : {3, 17, 31}) {
+    queries.push_back(PerturbGraph(db.Get(id), 2, db.num_labels(), &rng));
+  }
+
+  // Warmup: two passes over the measured queries; the first is traced, and
+  // its evaluated pairs are replayed through the gap gate to show that the
+  // measured window makes A* attempts.
+  SearchResult result;
+  int64_t attempts = 0;
+  for (const Graph& q : queries) {
+    QueryTrace trace;
+    options.trace = &trace;
+    index.SearchInto(q, options, &result);
+    ASSERT_TRUE(result.status.ok());
+    for (const TraceEvent& e : trace.events()) {
+      if (e.type != TraceEventType::kDistance) continue;
+      const Graph& g = db.Get(static_cast<GraphId>(e.id));
+      const double best = std::min({BipartiteGedVj(q, g).distance,
+                                    BipartiteGedHungarian(q, g).distance,
+                                    BeamGed(q, g, 4).distance});
+      if (best - BestLowerBound(q, g) <= 3.0) ++attempts;
+    }
+  }
+  options.trace = nullptr;
+  for (const Graph& q : queries) {
+    index.SearchInto(q, options, &result);
+    ASSERT_TRUE(result.status.ok());
+  }
+  ASSERT_GT(attempts, 0);
+
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_count_allocs.store(true, std::memory_order_relaxed);
+  for (const Graph& q : queries) {
+    index.SearchInto(q, options, &result);
+  }
+  g_count_allocs.store(false, std::memory_order_relaxed);
+
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0)
+      << "steady-state queries with A* attempts must not touch the heap";
+  EXPECT_TRUE(result.status.ok());
+  EXPECT_FALSE(result.results.empty());
+  // The attempts ran on this thread and kept their arena.
+  EXPECT_GT(ThreadGedScratch().astar_states.capacity(), 0u);
 }
 
 TEST(SearchAllocTest, RepeatedSearchIntoReusesResultStorage) {
