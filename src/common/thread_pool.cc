@@ -35,14 +35,8 @@ void ThreadPool::Submit(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(mu_);
     LAN_CHECK(!shutting_down_);
     tasks_.push(std::move(task));
-    ++in_flight_;
   }
   task_available_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::WorkerLoop() {
@@ -58,11 +52,6 @@ void ThreadPool::WorkerLoop() {
       tasks_.pop();
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
-    }
   }
 }
 

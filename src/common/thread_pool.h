@@ -11,8 +11,10 @@
 
 namespace lan {
 
-/// \brief Fixed-size worker pool used for offline work (PG construction,
-/// ground-truth computation, model training data generation).
+/// \brief Fixed-size worker pool used for offline work (PG construction
+/// distances, ground-truth computation, model training data generation).
+/// Work runs only through ParallelFor, which returns when its range is
+/// done.
 ///
 /// Query-time code paths are single-threaded on purpose: QPS in the paper is
 /// a per-query latency measure.
@@ -23,12 +25,6 @@ class ThreadPool {
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task; returns immediately.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished.
-  void Wait();
 
   size_t num_threads() const { return workers_.size(); }
 
@@ -47,14 +43,14 @@ class ThreadPool {
                           const std::function<void(size_t)>& fn);
 
  private:
+  /// Enqueues a task; returns immediately.
+  void Submit(std::function<void()> task);
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;
   std::mutex mu_;
   std::condition_variable task_available_;
-  std::condition_variable all_done_;
-  size_t in_flight_ = 0;
   bool shutting_down_ = false;
 };
 

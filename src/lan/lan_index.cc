@@ -7,7 +7,6 @@
 #include "common/timer.h"
 #include "lan/learned_ranker.h"
 #include "pg/beam_search.h"
-#include "pg/init_selector.h"
 
 namespace lan {
 

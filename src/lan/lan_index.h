@@ -97,11 +97,10 @@ struct LanConfig {
 
   uint64_t seed = 123;
   /// Worker threads for offline phases (0 = hardware concurrency). Sizes
-  /// the index's resident pool. PG construction inserts on one worker by
-  /// default (the bit-for-bit determinism contract) and spreads each
-  /// insertion step's missing distances over this pool; set
-  /// hnsw.num_build_threads to 0 ("follow this pool") or an explicit
-  /// count to run that many insertion workers instead.
+  /// the index's resident pool, which computes each PG insertion step's
+  /// missing distances, derives CGs and generates training data. PG
+  /// insertion itself always runs in id order on the building thread, so
+  /// the topology does not depend on this count.
   int num_threads = 0;
 
   /// Checks every knob is in range; called by LanIndex::Build.

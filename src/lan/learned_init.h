@@ -4,12 +4,13 @@
 #include <span>
 #include <vector>
 
+#include "common/random.h"
 #include "gnn/compressed_gnn_graph.h"
 #include "gnn/embedding.h"
 #include "lan/cluster_model.h"
 #include "lan/kmeans.h"
 #include "lan/neighborhood_model.h"
-#include "pg/init_selector.h"
+#include "pg/distance.h"
 #include "pg/search_scratch.h"
 
 namespace lan {
@@ -44,7 +45,7 @@ struct LanInitOptions {
 /// built lazily.
 ///
 /// Constructed once per query.
-class LanInitialSelector : public InitialSelector {
+class LanInitialSelector {
  public:
   LanInitialSelector(const NeighborhoodModel* nh_model,
                      const ClusterModel* cluster_model,
@@ -58,7 +59,7 @@ class LanInitialSelector : public InitialSelector {
         query_cg_(query_cg), embedding_options_(embedding_options),
         use_compressed_(use_compressed), options_(options) {}
 
-  GraphId Select(DistanceOracle* oracle, Rng* rng) override;
+  GraphId Select(DistanceOracle* oracle, Rng* rng);
 
   /// Optional per-query scratch: Select's gather buffers (candidate list,
   /// cluster scan order) reuse the scratch's storage instead of allocating.

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <queue>
 #include <unordered_map>
 #include <unordered_set>
@@ -43,46 +40,32 @@ void AppendNodes(HnswCore* core, const std::vector<int>& levels) {
 /// The per-node HNSW insertion step (Malkov & Yashunin): greedy descent
 /// through the layers above the node's level, ef-search at each layer
 /// from there down to the base, and diversity-heuristic neighbor
-/// selection. Batch Build, serial or multi-worker, and the online Insert
-/// all run it.
-///
-/// Insertions of different ids may run concurrently over one core,
-/// hnswlib/SVS style: striped mutexes guard the neighbor lists, and an
-/// insertion holds at most one of them at a time (it reads a list by
-/// copying it under its lock; Connect updates a and then b, each under
-/// its own lock), so no lock ordering is needed and no deadlock is
-/// possible. The entry point lives under one extra mutex. With one worker
-/// the step makes the same distance comparisons in the same order on
-/// every run, so the topology is bit-for-bit reproducible; with more,
-/// insertions interleave and the topology is only statistically
-/// equivalent (validated by recall parity).
+/// selection. Batch Build and the online Insert both run it, one id at a
+/// time on the calling thread, so every run makes the same distance
+/// comparisons in the same order and the topology is bit-for-bit
+/// reproducible. The only parallelism is Prefetch, which computes a search
+/// step's missing distances on a pool before the in-order loop reads them.
 class HnswInserter {
  public:
-  /// `prefetch_pool` (optional) computes each search step's missing
-  /// distances in parallel, and `touched` (optional) collects the ids
-  /// whose base-layer list an insertion rewires: pass either only when
-  /// this inserter's caller is its sole worker.
+  /// `pool` (optional) computes each search step's missing distances, and
+  /// `touched` (optional) collects the ids whose base-layer list an
+  /// insertion rewires.
   HnswInserter(HnswCore* core, const HnswIndex::PairDistanceFn& distance,
-               const HnswOptions& options, ThreadPool* prefetch_pool,
+               const HnswOptions& options, ThreadPool* pool,
                std::vector<GraphId>* touched = nullptr)
-      : core_(core), distance_fn_(distance), options_(options),
-        pool_(prefetch_pool), touched_(touched) {}
+      : core_(core), distance_fn_(distance), options_(options), pool_(pool),
+        touched_(touched) {}
 
   /// Inserts node `id`, whose level and (empty) rows AppendNodes already
   /// put in the core. The first node inserted becomes the entry point.
   void Insert(GraphId id) {
-    const int level = core_->node_level[static_cast<size_t>(id)];
-    GraphId curr;
-    int top;
-    {
-      std::lock_guard<std::mutex> guard(entry_mu_);
-      if (core_->entry == kInvalidGraphId) {
-        core_->entry = id;
-        return;
-      }
-      curr = core_->entry;
-      top = core_->node_level[static_cast<size_t>(curr)];
+    if (core_->entry == kInvalidGraphId) {
+      core_->entry = id;
+      return;
     }
+    const int level = core_->node_level[static_cast<size_t>(id)];
+    GraphId curr = core_->entry;
+    const int top = core_->node_level[static_cast<size_t>(curr)];
     for (int l = top; l > level; --l) {
       curr = GreedyStep(id, curr, l);
     }
@@ -97,29 +80,11 @@ class HnswInserter {
       }
       if (!candidates.empty()) curr = candidates[0].second;
     }
-    if (level > top) {
-      std::lock_guard<std::mutex> guard(entry_mu_);
-      // Re-check: another high node may have published meanwhile.
-      if (level > core_->node_level[static_cast<size_t>(core_->entry)]) {
-        core_->entry = id;
-      }
-    }
+    if (level > top) core_->entry = id;
   }
 
  private:
   using Item = std::pair<double, GraphId>;
-
-  /// One shard of the pair-distance cache. The cache spans the whole
-  /// build (or one online Insert): neighbor sets overlap heavily across
-  /// insertions, so GED-heavy builds revisit the same pairs constantly.
-  /// Striping it over lock-protected shards keeps concurrent lookups
-  /// nearly contention-free.
-  struct CacheShard {
-    std::mutex mu;
-    std::unordered_map<int64_t, double> map;
-  };
-  static constexpr size_t kCacheShards = 64;
-  static constexpr size_t kLockStripes = 1024;
 
   static int64_t PairKey(GraphId a, GraphId b) {
     const int64_t lo = std::min(a, b);
@@ -127,68 +92,36 @@ class HnswInserter {
     return (hi << 32) | lo;
   }
 
-  CacheShard& ShardFor(int64_t key) {
-    return shards_[static_cast<size_t>(key) % kCacheShards];
-  }
-
-  std::optional<double> Cached(int64_t key) {
-    CacheShard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> guard(shard.mu);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) return std::nullopt;
+  double Distance(GraphId a, GraphId b) {
+    if (a == b) return 0.0;
+    const auto [it, inserted] = cache_.try_emplace(PairKey(a, b), 0.0);
+    if (inserted) it->second = distance_fn_(a, b);
     return it->second;
   }
 
-  void Store(int64_t key, double d) {
-    CacheShard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> guard(shard.mu);
-    shard.map.emplace(key, d);
-  }
-
-  double Distance(GraphId a, GraphId b) {
-    if (a == b) return 0.0;
-    const int64_t key = PairKey(a, b);
-    if (const std::optional<double> d = Cached(key)) return *d;
-    // Computed outside the shard lock: a racing duplicate evaluation is
-    // benign (the distance is deterministic) and far cheaper than holding
-    // the lock across a GED call. Shard mutexes are leaf locks — taken
-    // with a node lock possibly held (Shrink), never the other way round.
-    const double d = distance_fn_(a, b);
-    Store(key, d);
-    return d;
-  }
-
-  /// With a prefetch pool, computes the distances from `target` to
-  /// `others` that are not cached yet in parallel, so the caller's
-  /// in-order loop over `others` then only reads the cache.
+  /// With a pool, computes the distances from `target` to `others` that
+  /// are not cached yet in parallel, so the caller's in-order loop over
+  /// `others` then only reads the cache. The pool computes the pairs the
+  /// loop would, in the same argument order, so the values are the same.
   void Prefetch(GraphId target, const std::vector<GraphId>& others) {
     if (pool_ == nullptr) return;
     std::vector<GraphId> missing;
     for (GraphId o : others) {
-      if (o != target && !Cached(PairKey(target, o))) missing.push_back(o);
+      if (o != target && !cache_.contains(PairKey(target, o))) {
+        missing.push_back(o);
+      }
     }
     if (missing.size() < 2) return;
     std::vector<double> results(missing.size());
+    pool_->ParallelFor(missing.size(), [&](size_t i) {
+      results[i] = distance_fn_(target, missing[i]);
+    });
     for (size_t i = 0; i < missing.size(); ++i) {
-      pool_->Submit([this, target, &missing, &results, i] {
-        results[i] = distance_fn_(target, missing[i]);
-      });
-    }
-    pool_->Wait();
-    for (size_t i = 0; i < missing.size(); ++i) {
-      Store(PairKey(target, missing[i]), results[i]);
+      cache_.emplace(PairKey(target, missing[i]), results[i]);
     }
   }
 
-  std::mutex& NodeLock(GraphId node) {
-    return node_locks_[static_cast<size_t>(node) % kLockStripes];
-  }
-
-  /// Snapshot of a node's neighbor list at `layer`. Copy-under-lock: the
-  /// caller then searches over the copy without holding anything, so GED
-  /// evaluations never serialize behind a neighbor's lock.
-  std::vector<GraphId> CopyNeighbors(int layer, GraphId node) {
-    std::lock_guard<std::mutex> guard(NodeLock(node));
+  const std::vector<GraphId>& Row(int layer, GraphId node) const {
     return core_->adjacency[static_cast<size_t>(layer)]
                            [static_cast<size_t>(node)];
   }
@@ -197,7 +130,7 @@ class HnswInserter {
     GraphId curr = start;
     double curr_d = Distance(target, curr);
     for (;;) {
-      const std::vector<GraphId> neighbors = CopyNeighbors(layer, curr);
+      const std::vector<GraphId>& neighbors = Row(layer, curr);
       Prefetch(target, neighbors);
       GraphId best = curr;
       double best_d = curr_d;
@@ -233,7 +166,7 @@ class HnswInserter {
         break;
       }
       std::vector<GraphId> todo;
-      for (GraphId n : CopyNeighbors(layer, node)) {
+      for (GraphId n : Row(layer, node)) {
         if (visited.insert(n).second) todo.push_back(n);
       }
       Prefetch(target, todo);
@@ -256,9 +189,8 @@ class HnswInserter {
     return out;
   }
 
-  /// Adds the edge {a, b} at `layer`, shrinking each endpoint's list under
-  /// its own lock only. Distances inside Shrink are computed while holding
-  /// that single lock; contention is per lock stripe, never global.
+  /// Adds the edge {a, b} at `layer`: appends b to a's list and shrinks
+  /// it, then the same for a in b's list.
   void Connect(GraphId a, GraphId b, int layer, int cap) {
     // Base-layer rewiring is what invalidates cached routing state: the
     // endpoints gain an edge, and anything Shrink drops loses one.
@@ -268,7 +200,6 @@ class HnswInserter {
       touched->push_back(b);
     }
     for (const auto& [node, other] : {std::pair{a, b}, std::pair{b, a}}) {
-      std::lock_guard<std::mutex> guard(NodeLock(node));
       auto& list = core_->adjacency[static_cast<size_t>(layer)]
                                    [static_cast<size_t>(node)];
       if (std::find(list.begin(), list.end(), other) == list.end()) {
@@ -278,13 +209,12 @@ class HnswInserter {
     }
   }
 
-  /// Keeps `cap` of `node`'s neighbors; must be called with `node`'s lock
-  /// held. Candidates are taken closest first, and one is kept only if it
-  /// is closer to `node` than to every already-kept neighbor, so kept
-  /// edges spread across clusters instead of all pointing into one; the
-  /// nearest rejected candidates then fill any remaining slots
-  /// (keepPrunedConnections). Every neighbor removed is appended to
-  /// `dropped` when it is non-null.
+  /// Keeps `cap` of `node`'s neighbors. Candidates are taken closest
+  /// first, and one is kept only if it is closer to `node` than to every
+  /// already-kept neighbor, so kept edges spread across clusters instead
+  /// of all pointing into one; the nearest rejected candidates then fill
+  /// any remaining slots (keepPrunedConnections). Every neighbor removed
+  /// is appended to `dropped` when it is non-null.
   void Shrink(std::vector<GraphId>* list, GraphId node, int cap,
               std::vector<GraphId>* dropped) {
     if (list->size() <= static_cast<size_t>(cap)) return;
@@ -329,11 +259,10 @@ class HnswInserter {
   const HnswOptions& options_;
   ThreadPool* pool_;
   std::vector<GraphId>* touched_;
-  std::unique_ptr<std::mutex[]> node_locks_ =
-      std::make_unique<std::mutex[]>(kLockStripes);
-  std::unique_ptr<CacheShard[]> shards_ =
-      std::make_unique<CacheShard[]>(kCacheShards);
-  std::mutex entry_mu_;
+  /// Pair distances memoized across the whole build (or one online
+  /// Insert): neighbor sets overlap heavily across insertions, so
+  /// GED-heavy builds revisit the same pairs constantly.
+  std::unordered_map<int64_t, double> cache_;
 };
 
 }  // namespace
@@ -354,34 +283,13 @@ HnswIndex HnswIndex::BuildWithDistance(GraphId num_nodes,
                                        ThreadPool* pool) {
   LAN_CHECK_GT(num_nodes, 0);
   HnswIndex index;
-  const size_t threads =
-      options.num_build_threads > 0
-          ? static_cast<size_t>(options.num_build_threads)
-          : (pool != nullptr ? pool->num_threads() : DefaultThreadCount());
-  // Levels are drawn in id order from the seed's stream in every mode:
-  // the same draws an insert loop makes, so one worker reproduces it
-  // bit-for-bit and more workers build on the same level sequence.
+  // The level draws an insert loop makes: one per node, in id order.
   Rng rng(options.seed);
   std::vector<int> levels(static_cast<size_t>(num_nodes));
   for (int& level : levels) level = DrawLevel(&rng, options);
   AppendNodes(&index.core_, levels);
-  // One worker spreads each step's distances over the pool instead.
-  HnswInserter inserter(&index.core_, distance, options,
-                        threads <= 1 ? pool : nullptr);
-  inserter.Insert(0);  // node 0 seeds the graph as the edgeless entry
-  const auto insert_one = [&inserter](size_t i) {
-    inserter.Insert(static_cast<GraphId>(i) + 1);
-  };
-  // With one thread both loops run inline in id order. The pool's
-  // resident workers are reused only when its width matches, so an
-  // explicit `num_build_threads` request always wins over whatever pool
-  // the caller happens to hold.
-  const size_t rest = static_cast<size_t>(num_nodes) - 1;
-  if (pool != nullptr && pool->num_threads() == threads) {
-    pool->ParallelFor(rest, insert_one);
-  } else {
-    ThreadPool::ParallelFor(rest, threads, insert_one);
-  }
+  HnswInserter inserter(&index.core_, distance, options, pool);
+  for (GraphId id = 0; id < num_nodes; ++id) inserter.Insert(id);
   index.RebuildViewFromCore();
   return index;
 }
@@ -397,7 +305,7 @@ Status HnswIndex::Insert(GraphId id, const PairDistanceFn& distance,
   // mutation below then proceeds exactly as on a freshly built index.
   Thaw();
   AppendNodes(&core_, {DrawLevel(rng, options)});
-  HnswInserter(&core_, distance, options, /*prefetch_pool=*/nullptr, touched)
+  HnswInserter(&core_, distance, options, /*pool=*/nullptr, touched)
       .Insert(id);
   if (touched != nullptr) {
     std::sort(touched->begin(), touched->end());

@@ -24,15 +24,6 @@ struct HnswOptions {
   int ef_construction = 32;
   /// RNG seed for the level assignment.
   uint64_t seed = 42;
-  /// Batch-build insertion workers. 1 (default) inserts in id order,
-  /// bit-for-bit identical across releases for a fixed seed. >1 runs the
-  /// same locked insertion step on that many workers at once
-  /// (hnswlib-style): same level sequence (levels are drawn from the
-  /// seed's stream in id order), statistically equivalent topology, no
-  /// bit-for-bit guarantee. 0 means "use the passed pool's width (or the
-  /// hardware count when no pool)". Ignored by incremental Insert, which
-  /// is always a single-node serial step.
-  int num_build_threads = 1;
 };
 
 /// \brief Construction-form state of an HNSW index: the directed layered
@@ -75,19 +66,20 @@ struct HnswSnapshotView {
 /// distances are computed with the provided GedComputer (typically in
 /// approximate-only mode) and are an offline cost, not query NDC.
 ///
-/// Batch Build is literally "insert N times" over the same per-node
-/// insertion step that the public Insert uses, so an index grown
+/// Batch Build is literally "insert N times", in id order, over the same
+/// per-node insertion step that the public Insert uses, so an index grown
 /// incrementally from a prefix behaves exactly like a batch build over
-/// that prefix plus inserts.
+/// that prefix plus inserts. The topology is a pure function of the
+/// distances and the options: no thread count or pool changes it.
 class HnswIndex {
  public:
   /// Symmetric distance between two indexed items. Must be thread-safe
   /// when a ThreadPool is passed to the builder.
   using PairDistanceFn = std::function<double(GraphId, GraphId)>;
 
-  /// Builds the index. `pool` (optional) runs the insertion workers when
-  /// its width matches the worker count; with one worker it instead
-  /// parallelizes each search step's missing distance evaluations.
+  /// Builds the index by inserting ids 0..n-1 in order on the calling
+  /// thread. `pool` (optional) only computes each insertion step's missing
+  /// distances in parallel; the result is the same with or without it.
   static HnswIndex Build(const GraphDatabase& db, const GedComputer& ged,
                          const HnswOptions& options,
                          ThreadPool* pool = nullptr);

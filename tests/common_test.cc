@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <set>
+#include <vector>
 
 #include "common/random.h"
 #include "common/stats.h"
@@ -222,24 +223,31 @@ TEST(StringUtilTest, StrFormat) {
 
 // ---------- ThreadPool ----------
 
-TEST(ThreadPoolTest, RunsAllTasks) {
+// Every pool user runs work through the instance ParallelFor: each index
+// runs exactly once, the pool is reusable call after call, and a call made
+// from inside one of the pool's own tasks runs inline instead of
+// deadlocking on the pool's queue.
+TEST(ThreadPoolTest, PoolParallelForCoversRangeAndNests) {
   ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+  for (int call = 0; call < 2; ++call) {
+    std::vector<std::atomic<int>> hits(1000);
+    pool.ParallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
+    for (size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "call " << call << " index " << i;
+    }
   }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
 
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
+  constexpr size_t kOuter = 16;
+  constexpr size_t kInner = 64;
+  std::vector<std::atomic<int>> nested(kOuter * kInner);
+  pool.ParallelFor(kOuter, [&](size_t outer) {
+    pool.ParallelFor(kInner, [&](size_t inner) {
+      nested[outer * kInner + inner].fetch_add(1);
+    });
+  });
+  for (size_t i = 0; i < nested.size(); ++i) {
+    EXPECT_EQ(nested[i].load(), 1) << "nested index " << i;
+  }
 }
 
 TEST(ThreadPoolTest, ParallelForCoversRange) {

@@ -1,33 +1,30 @@
-// Tests for parallel index construction: the serial (num_build_threads=1)
-// build stays bit-for-bit on the golden topology hashes, multi-threaded
-// builds match serial recall within a point, and epoch publication (a
-// fresh base CSR per epoch) stays clean under active readers (the
+// Tests for index construction with a distance pool: the build stays
+// bit-for-bit on the golden topology hashes whether or not a pool computes
+// its distances, and epoch publication (a fresh base CSR per epoch) stays
+// clean under active readers while a pool-backed build runs (the
 // ParallelBuildConcurrencyTest cases also run under the asan/tsan presets
 // via `ctest -L concurrency`).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "graph/graph_generator.h"
-#include "lan/ground_truth.h"
 #include "lan/lan_index.h"
-#include "pg/beam_search.h"
 #include "pg/hnsw.h"
 
 namespace lan {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Golden topology: the serial path must not drift
+// Golden topology: the distance pool must not change it
 // ---------------------------------------------------------------------------
 
 uint64_t Fnv(uint64_t h, uint64_t v) {
@@ -60,131 +57,53 @@ std::vector<double> GoldenPoints() {
   return points;
 }
 
-// Same corpus and hashes as mutable_index_test's golden test: the
-// parallel-build refactor must leave the default (serial) builder
-// bit-for-bit identical, whether num_build_threads is defaulted or set
-// to 1 explicitly.
+// Same corpus and hashes as mutable_index_test's golden test: a pool that
+// computes each insertion step's missing distances must leave the
+// topology bit-for-bit identical to the build without one.
 TEST(ParallelBuildGoldenTest, SerialBuildKeepsGoldenHashes) {
   const std::vector<double> points = GoldenPoints();
   auto distance = [&points](GraphId a, GraphId b) {
     return std::abs(points[static_cast<size_t>(a)] -
                     points[static_cast<size_t>(b)]);
   };
-  for (const int explicit_serial : {0, 1}) {
-    HnswOptions options;
-    options.M = 4;
-    options.ef_construction = 16;
-    if (explicit_serial) options.num_build_threads = 1;
+  HnswOptions options;
+  options.M = 4;
+  options.ef_construction = 16;
+  ThreadPool four_workers(4);
+  ThreadPool* const pools[] = {nullptr, &four_workers};
+  for (ThreadPool* distance_pool : pools) {
     EXPECT_EQ(TopologyHash(HnswIndex::BuildWithDistance(120, distance,
-                                                        options)),
-              0x72fc0fd77f61d7c9ULL);
+                                                        options,
+                                                        distance_pool)),
+              0x72fc0fd77f61d7c9ULL)
+        << (distance_pool == nullptr ? "no pool" : "4-worker pool");
   }
 }
 
-// ---------------------------------------------------------------------------
-// Multi-threaded build: structural sanity + recall parity
-// ---------------------------------------------------------------------------
-
-/// A 1000-item corpus of 8-d points under L2: large enough that the
-/// parallel builder sees real contention, cheap enough for a unit test.
+/// A corpus of 8-d points under L2, cheap enough for a unit test.
 struct VectorCorpus {
   static constexpr int kDim = 8;
   std::vector<std::vector<double>> items;
-  std::vector<std::vector<double>> queries;
 
-  explicit VectorCorpus(GraphId n, int num_queries, uint64_t seed) {
+  VectorCorpus(GraphId n, uint64_t seed) {
     Rng rng(seed);
-    const auto draw = [&rng] {
+    for (GraphId i = 0; i < n; ++i) {
       std::vector<double> v(kDim);
       for (double& x : v) x = rng.NextDouble();
-      return v;
-    };
-    for (GraphId i = 0; i < n; ++i) items.push_back(draw());
-    for (int i = 0; i < num_queries; ++i) queries.push_back(draw());
-  }
-
-  static double L2(const std::vector<double>& a,
-                   const std::vector<double>& b) {
-    double sum = 0.0;
-    for (int d = 0; d < kDim; ++d) sum += (a[d] - b[d]) * (a[d] - b[d]);
-    return std::sqrt(sum);
+      items.push_back(std::move(v));
+    }
   }
 
   HnswIndex::PairDistanceFn Distance() const {
     return [this](GraphId a, GraphId b) {
-      return L2(items[static_cast<size_t>(a)], items[static_cast<size_t>(b)]);
+      const std::vector<double>& x = items[static_cast<size_t>(a)];
+      const std::vector<double>& y = items[static_cast<size_t>(b)];
+      double sum = 0.0;
+      for (int d = 0; d < kDim; ++d) sum += (x[d] - y[d]) * (x[d] - y[d]);
+      return std::sqrt(sum);
     };
-  }
-
-  KnnList Truth(const std::vector<double>& query, int k) const {
-    KnnList all;
-    for (size_t i = 0; i < items.size(); ++i) {
-      all.emplace_back(static_cast<GraphId>(i), L2(query, items[i]));
-    }
-    std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
-      if (a.second != b.second) return a.second < b.second;
-      return a.first < b.first;
-    });
-    all.resize(static_cast<size_t>(k));
-    return all;
   }
 };
-
-double MeanRecall(const HnswIndex& index, const VectorCorpus& corpus, int k,
-                  int beam) {
-  double total = 0.0;
-  for (const auto& query : corpus.queries) {
-    const auto qdist = [&corpus, &query](GraphId id) {
-      return VectorCorpus::L2(query, corpus.items[static_cast<size_t>(id)]);
-    };
-    const GraphId init = index.SelectInitialNodeFn(qdist);
-    const RoutingResult routed =
-        BeamSearchRouteFn(index.BaseLayer(), qdist, init, beam, k);
-    total += RecallAtK(routed.results, corpus.Truth(query, k), k);
-  }
-  return total / static_cast<double>(corpus.queries.size());
-}
-
-TEST(ParallelBuildRecallTest, FourThreadsWithinOnePointOfSerial) {
-  const VectorCorpus corpus(1000, 60, 7);
-  HnswOptions options;
-  options.M = 8;
-  options.ef_construction = 32;
-
-  HnswIndex serial =
-      HnswIndex::BuildWithDistance(1000, corpus.Distance(), options);
-  options.num_build_threads = 4;
-  HnswIndex parallel =
-      HnswIndex::BuildWithDistance(1000, corpus.Distance(), options);
-
-  // Structural sanity on the concurrently built graph: in-range,
-  // self-loop-free, duplicate-free rows.
-  const ProximityGraph& base = parallel.BaseLayer();
-  ASSERT_EQ(base.NumNodes(), 1000);
-  for (GraphId id = 0; id < base.NumNodes(); ++id) {
-    const std::span<const GraphId> row = base.NeighborSpan(id);
-    for (const GraphId n : row) {
-      EXPECT_NE(n, id);
-      EXPECT_GE(n, 0);
-      EXPECT_LT(n, base.NumNodes());
-    }
-    std::vector<GraphId> sorted(row.begin(), row.end());
-    std::sort(sorted.begin(), sorted.end());
-    EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) ==
-                sorted.end())
-        << "duplicate neighbor at node " << id;
-  }
-
-  const int k = 10;
-  const int beam = 24;
-  const double serial_recall = MeanRecall(serial, corpus, k, beam);
-  const double parallel_recall = MeanRecall(parallel, corpus, k, beam);
-  EXPECT_GE(serial_recall, 0.9);  // the corpus is easy; both should be high
-  // "Within 1 pt" is inclusive; the 1e-12 slack keeps a gap of exactly
-  // 0.01 (e.g. 1.00 vs 0.99) from failing on float rounding of the bound.
-  EXPECT_GE(parallel_recall, serial_recall - 0.01 - 1e-12)
-      << "serial " << serial_recall << " vs parallel " << parallel_recall;
-}
 
 // ---------------------------------------------------------------------------
 // Shared index config
@@ -249,17 +168,17 @@ TEST(ParallelBuildConcurrencyTest, BuildsAndPublishesUnderActiveReaders) {
     });
   }
 
-  // 1. A multi-threaded HnswIndex build runs to completion while the
-  // readers hammer the published index: the node locks, the entry-point
-  // mutex, and the readers' lock-free snapshot path all overlap (tsan
-  // sees the real interleavings).
-  const VectorCorpus corpus(300, 0, 43);
+  // 1. An HnswIndex build whose distances a 4-worker pool computes runs to
+  // completion while the readers hammer the published index: the pool's
+  // tasks, the inserting thread and the readers' lock-free snapshot path
+  // all overlap (tsan sees the real interleavings).
+  const VectorCorpus corpus(300, 43);
   HnswOptions hnsw_options;
   hnsw_options.M = 4;
   hnsw_options.ef_construction = 16;
-  hnsw_options.num_build_threads = 4;
-  const HnswIndex built =
-      HnswIndex::BuildWithDistance(300, corpus.Distance(), hnsw_options);
+  ThreadPool pool(4);
+  const HnswIndex built = HnswIndex::BuildWithDistance(
+      300, corpus.Distance(), hnsw_options, &pool);
   EXPECT_EQ(built.NumNodes(), 300);
 
   // 2. Online inserts re-publish the snapshot — a fresh base CSR at every

@@ -12,7 +12,6 @@
 #include "pg/candidate_pool.h"
 #include "pg/distance.h"
 #include "pg/hnsw.h"
-#include "pg/init_selector.h"
 #include "pg/neighbor_ranker.h"
 #include "pg/proximity_graph.h"
 
@@ -346,18 +345,6 @@ TEST(HnswTest, GenericBuilderWorksOnVectors) {
       /*beam=*/8, /*k=*/3);
   ASSERT_GE(result.results.size(), 1u);
   EXPECT_EQ(result.results[0].first, 7);
-}
-
-// ---------- Initial selectors ----------
-
-TEST(InitSelectorTest, RandomSelectorInRange) {
-  Rng rng(8);
-  RandomInitialSelector selector(10);
-  for (int i = 0; i < 50; ++i) {
-    GraphId id = selector.Select(nullptr, &rng);
-    EXPECT_GE(id, 0);
-    EXPECT_LT(id, 10);
-  }
 }
 
 }  // namespace

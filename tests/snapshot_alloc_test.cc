@@ -76,15 +76,12 @@ TEST(SnapshotAllocTest, OpenAllocationsDoNotScaleWithDatabaseSize) {
   constexpr int64_t kGraphs = 500;
   const std::string path = testing::TempDir() + "alloc_probe.lansnap";
 
-  // Setup (uncounted): build an untrained index and snapshot it. The HNSW
-  // build is pinned to one thread: a parallel build is not bit-reproducible,
-  // and the search below expects graph 3 to find itself.
+  // Setup (uncounted): build an untrained index and snapshot it.
   {
     GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(kGraphs), 57);
     LanConfig config;
     config.hnsw.M = 4;
     config.hnsw.ef_construction = 8;
-    config.hnsw.num_build_threads = 1;
     config.query_ged.approximate_only = true;
     config.query_ged.beam_width = 0;
     config.scorer.gnn_dims = {8, 8};

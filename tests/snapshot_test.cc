@@ -327,11 +327,10 @@ TEST_F(SnapshotCorruptionTest, RejectsTrailingGarbageSize) {
 #endif
 
 /// Config used to generate (and interpret) the committed fixture. Scalar
-/// kernels + a serial build make regeneration reproducible across hosts.
+/// kernels make regeneration reproducible across hosts.
 LanConfig GoldenConfig() {
   LanConfig config = TinyConfig();
   config.num_threads = 1;
-  config.hnsw.num_build_threads = 1;
   return config;
 }
 

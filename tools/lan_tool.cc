@@ -144,7 +144,10 @@ int Usage() {
                "  stats    --db FILE\n"
                "  build    --db FILE --out FILE [--queries N] [--seed S]\n"
                "           (--queries 0 skips model training)\n"
-               "           [--build-threads N]   0 = hardware concurrency\n"
+               "           [--build-threads N]   distance/training pool size, "
+               "0 = hardware\n"
+               "                                 concurrency; never changes "
+               "the snapshot\n"
                "  search   --snapshot FILE [--k K] [--queries N]\n"
                "           [--trace-out FILE]    per-query trace, JSON lines\n"
                "           [--metrics-out FILE]  metrics snapshot, JSON\n"
@@ -190,13 +193,20 @@ DatasetSpec SpecFor(const std::string& kind, int64_t count) {
 /// Shared tool-scale index configuration (must match between `build` and
 /// the commands that open the snapshot).
 ///
-/// `--build-threads N` sizes the worker pool AND runs PG insertion on N
-/// workers (N = 0 follows the hardware count). Threading never changes
-/// the snapshot format, so snapshots built with any thread count open
-/// under any other.
+/// The query GED protocol is the one lanbench measures: exact A* is tried
+/// only when the upper/lower-bound gap is at most 3, and it is capped by
+/// expansions, never by wall-clock time, so every distance (and so every
+/// search, eval and training table) is a pure function of its two graphs
+/// whatever the load.
+///
+/// `--build-threads N` sizes the worker pool (N = 0 follows the hardware
+/// count) that computes PG construction distances, derives CGs and trains.
+/// It never changes a snapshot's bytes: the PG is inserted in id order on
+/// one thread whatever N is.
 LanConfig ToolConfig(const Flags& flags) {
   LanConfig config;
   config.query_ged.skip_exact_gap = 3.0;
+  config.query_ged.exact_time_budget_seconds = 0.0;
   config.scorer.gnn_dims = {16, 16};
   config.rank.epochs = 5;
   config.nh.epochs = 5;
@@ -205,7 +215,6 @@ LanConfig ToolConfig(const Flags& flags) {
   if (flags.Has("build-threads")) {
     const int threads = static_cast<int>(flags.GetInt("build-threads", 0));
     config.num_threads = threads;
-    config.hnsw.num_build_threads = threads;
   }
   // `--ged-cache-mb N` opts into the cross-query result cache with an
   // N MiB budget (0 keeps it off). Only the commands that run queries

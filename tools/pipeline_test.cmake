@@ -1,7 +1,6 @@
 # Drives lan_tool through the full lifecycle over .lansnap snapshots;
 # any non-zero exit fails.
 set(DB ${WORK_DIR}/pipeline.gdb)
-set(SNAP ${WORK_DIR}/pipeline.lansnap)
 
 function(run_step)
   execute_process(COMMAND ${ARGV} RESULT_VARIABLE code)
@@ -78,10 +77,28 @@ if(NOT write_code EQUAL 1 OR write_err MATCHES "FATAL" OR
                       "${write_out}${write_err}")
 endif()
 
-# --build-threads 2 exercises the parallel construction path end-to-end
-# (recall/quality checks below run against the parallel-built index).
-run_step(${LAN_TOOL} build --db ${DB} --out ${SNAP} --queries 12
-         --build-threads 2)
+# Thread count never changes a snapshot: --build-threads only sizes the
+# pool that computes construction distances, derives CGs and trains, so
+# the same database and seed give byte-identical files at 1 and 4
+# threads, untrained and trained. The trained 4-thread build backs the
+# checks below.
+function(expect_same_bytes a b)
+  file(SHA256 ${a} hash_a)
+  file(SHA256 ${b} hash_b)
+  if(NOT hash_a STREQUAL hash_b)
+    message(FATAL_ERROR "${a} and ${b} differ (${hash_a} vs ${hash_b})")
+  endif()
+endfunction()
+foreach(queries 0 12)
+  set(SNAP_T1 ${WORK_DIR}/pipeline.q${queries}.t1.lansnap)
+  set(SNAP_T4 ${WORK_DIR}/pipeline.q${queries}.t4.lansnap)
+  run_step(${LAN_TOOL} build --db ${DB} --out ${SNAP_T1}
+           --queries ${queries} --build-threads 1)
+  run_step(${LAN_TOOL} build --db ${DB} --out ${SNAP_T4}
+           --queries ${queries} --build-threads 4)
+  expect_same_bytes(${SNAP_T1} ${SNAP_T4})
+endforeach()
+set(SNAP ${WORK_DIR}/pipeline.q12.t4.lansnap)
 
 # Observability outputs: the trace must be non-empty JSON lines, the
 # metrics snapshot one parseable JSON object.
