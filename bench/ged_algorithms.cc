@@ -15,7 +15,6 @@
 #include "ged/ged_beam.h"
 #include "ged/ged_bipartite.h"
 #include "ged/ged_computer.h"
-#include "ged/ged_dfs.h"
 #include "ged/ged_exact.h"
 #include "ged/ged_lower_bounds.h"
 #include "graph/graph_database.h"
@@ -69,7 +68,6 @@ BENCHMARK(BM_GedBeam)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_GedExactBudgeted(benchmark::State& state) {
   ExactGedOptions options;
-  options.time_budget_seconds = 0.0;
   options.max_expansions = 2000;
   size_t i = 0;
   for (auto _ : state) {
@@ -80,22 +78,9 @@ void BM_GedExactBudgeted(benchmark::State& state) {
 }
 BENCHMARK(BM_GedExactBudgeted);
 
-void BM_GedDfsBudgeted(benchmark::State& state) {
-  ExactGedOptions options;
-  options.time_budget_seconds = 0.0;
-  options.max_expansions = 2000;
-  size_t i = 0;
-  for (auto _ : state) {
-    const auto& [a, b] = AidsPairs()[i++ % AidsPairs().size()];
-    auto r = DfsGed(a, b, options);
-    benchmark::DoNotOptimize(r.ok());
-  }
-}
-BENCHMARK(BM_GedDfsBudgeted);
-
 void BM_GedProtocol(benchmark::State& state) {
   GedOptions options;
-  options.exact_time_budget_seconds = 0.0;
+  options.skip_exact_gap = -1.0;  // every pair pays an A* attempt
   options.exact_max_expansions = 2000;
   options.beam_width = 4;
   GedComputer ged(options);
@@ -107,7 +92,7 @@ void BM_GedProtocol(benchmark::State& state) {
 }
 BENCHMARK(BM_GedProtocol);
 
-/// Query-database pairs the shipped protocol sends to A*: 2-edit perturbed
+/// Query-database pairs the default protocol sends to A*: 2-edit perturbed
 /// copies of AIDS-like database graphs against the whole database, kept
 /// where the best VJ/Hungarian/Beam4 bound is within 3 of the lower bound.
 struct GatedPair {
@@ -136,13 +121,12 @@ std::vector<GatedPair>& AidsGatedPairs() {
   return *pairs;
 }
 
-/// The exact tier as the pinned protocol runs it (10k expansions, no wall
-/// budget, upper bound from the shipped tiers). `us_per_expansion` charges
-/// a capped attempt its 10k expansions.
+/// The exact tier as the default protocol runs it (10k expansions, upper
+/// bound from the shipped tiers). `us_per_expansion` charges a capped
+/// attempt its 10k expansions.
 void BM_GedExactGated(benchmark::State& state) {
   const std::vector<GatedPair>& pairs = AidsGatedPairs();
   ExactGedOptions options;
-  options.time_budget_seconds = 0.0;
   options.max_expansions = 10'000;
   int64_t expansions = 0;
   size_t i = 0;
@@ -169,7 +153,6 @@ void PrintTightness() {
   double exact_total = 0, vj_total = 0, hung_total = 0, beam_total = 0;
   int count = 0;
   ExactGedOptions generous;
-  generous.time_budget_seconds = 2.0;
   generous.max_expansions = 2'000'000;
   for (int i = 0; i < 20; ++i) {
     Graph a = GenerateGraph(spec, &rng);

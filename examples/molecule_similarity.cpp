@@ -62,7 +62,6 @@ int main(int argc, char** argv) {
               path.c_str());
 
   lan::LanConfig config;
-  config.query_ged.skip_exact_gap = 3.0;  // skip hopeless exact attempts
   config.scorer.gnn_dims = {16, 16};
   config.rank.epochs = 4;
   config.nh.epochs = 4;

@@ -21,7 +21,6 @@ int main() {
 
   // 2) Configure and build the index (offline).
   lan::LanConfig config;
-  config.query_ged.skip_exact_gap = 3.0;  // skip hopeless exact attempts
   config.scorer.gnn_dims = {16, 16};  // 2-layer cross-graph GNN
   config.rank.epochs = 4;             // tiny training run for the demo
   config.nh.epochs = 4;

@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <memory>
 
 #include "common/logging.h"
 
@@ -64,32 +65,35 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  const size_t shards = std::min(workers_.size() + 1, n);
-  std::atomic<size_t> next{0};
-  const auto drain = [&next, n, &fn] {
-    for (;;) {
-      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      fn(i);
-    }
+  // The loop state is shared with the submitted tasks, not held on this
+  // stack: the call returns once all n items are done, which can be before
+  // a worker has even started its task. Such a late task finds next >= n
+  // and returns without touching `fn` or anything of the caller's.
+  struct LoopState {
+    std::atomic<size_t> next{0};
+    size_t done = 0;  // finished items, guarded by mu
+    std::mutex mu;
+    std::condition_variable all_done;
   };
-  // `pending` is guarded by `done_mu` (not an atomic): the caller can only
-  // observe 0 while holding the lock, i.e. after the last worker released
-  // it, so no worker can still be touching the stack-allocated mu/cv when
-  // the caller returns and destroys them.
-  size_t pending = shards - 1;
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  for (size_t t = 1; t < shards; ++t) {
-    Submit([&drain, &pending, &done_mu, &done_cv] {
-      drain();
-      std::lock_guard<std::mutex> lock(done_mu);
-      if (--pending == 0) done_cv.notify_one();
-    });
-  }
+  const auto state = std::make_shared<LoopState>();
+  const auto drain = [state, n, body = &fn] {
+    size_t finished = 0;
+    for (;;) {
+      const size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) break;
+      (*body)(i);
+      ++finished;
+    }
+    if (finished == 0) return;
+    std::lock_guard<std::mutex> lock(state->mu);
+    state->done += finished;
+    if (state->done == n) state->all_done.notify_one();
+  };
+  const size_t shards = std::min(workers_.size() + 1, n);
+  for (size_t t = 1; t < shards; ++t) Submit(drain);
   drain();  // the calling thread is one of the shards
-  std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&pending] { return pending == 0; });
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->all_done.wait(lock, [&] { return state->done == n; });
 }
 
 void ThreadPool::ParallelFor(size_t n, size_t num_threads,

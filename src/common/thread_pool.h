@@ -29,7 +29,8 @@ class ThreadPool {
   size_t num_threads() const { return workers_.size(); }
 
   /// Runs fn(i) for i in [0, n) on the pool's workers and returns once all
-  /// iterations finish; the calling thread drains iterations too, so no
+  /// iterations finish, even if some worker has not yet started (busy with
+  /// other callers' work); the calling thread drains iterations too, so no
   /// capacity is wasted on a blocked parent. Reuses pool workers instead of
   /// spawning threads per call (the static overload's cost). Safe to call
   /// from inside a pool task: that is detected via a thread-local and the

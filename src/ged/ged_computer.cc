@@ -64,7 +64,6 @@ GedValue GedComputer::Compute(const Graph& g1, const Graph& g2) const {
   }
   if (try_exact) {
     ExactGedOptions exact_options;
-    exact_options.time_budget_seconds = options_.exact_time_budget_seconds;
     exact_options.max_expansions = options_.exact_max_expansions;
     exact_options.upper_bound = best.distance;
     exact_options.costs = options_.costs;

@@ -20,12 +20,19 @@ enum class GedMethod : int {
 const char* GedMethodName(GedMethod method);
 
 /// \brief Policy knobs for GedComputer.
+///
+/// The defaults are the one query protocol the library runs: exact A* is
+/// tried only when the best upper bound is within 3 of the lower bound, and
+/// it is capped by expansions, never by wall-clock time, so every distance
+/// is a pure function of its two graphs whatever the load. The paper's
+/// ground-truth protocol (always try A*) is `skip_exact_gap = -1` with a
+/// larger `exact_max_expansions`.
 struct GedOptions {
-  /// Budget for the exact attempt. The paper uses a 10 s wall budget; we
-  /// default to a much smaller one so end-to-end runs (which evaluate
-  /// GED tens of thousands of times) stay laptop-scale. Raise for
-  /// higher-fidelity ground truth.
-  double exact_time_budget_seconds = 0.002;
+  /// Ignored: GED has no wall-clock budget. Declared only because lanbench
+  /// assigns it; it goes when lanbench stops doing so.
+  double exact_time_budget_seconds = 0.0;
+  /// Cap on A*'s expanded states; a capped attempt falls back to the best
+  /// upper bound (<= 0: unlimited).
   int64_t exact_max_expansions = 10'000;
   /// Beam width of the Beam fallback (<= 0 skips Beam entirely; index
   /// construction uses that for cheap distances).
@@ -34,9 +41,9 @@ struct GedOptions {
   /// when distances are evaluated millions of times).
   bool approximate_only = false;
   /// Skip the exact attempt when the upper-bound/lower-bound gap exceeds
-  /// this (such proofs never finish within a small budget, so the attempt
-  /// would just burn the full timeout). < 0 disables the heuristic.
-  double skip_exact_gap = -1.0;
+  /// this (such proofs rarely finish within the expansion cap, so the
+  /// attempt would just burn it). < 0 always tries A*.
+  double skip_exact_gap = 3.0;
   /// Edit-operation costs. The learned components and benches assume the
   /// paper's uniform model; set custom costs only for direct GedComputer
   /// use.
@@ -52,11 +59,11 @@ struct GedValue {
 
 /// \brief The repository's single entry point for graph distances.
 ///
-/// Implements the paper's ground-truth protocol (Sec. VII): try exact A*
-/// within a budget; on timeout take the best (smallest) of the VJ,
-/// Hungarian, and Beam upper bounds. The approximations are first run
-/// anyway because their best value seeds the exact search's upper-bound
-/// pruning.
+/// Implements the paper's ground-truth protocol (Sec. VII) under an
+/// expansion cap: try exact A* when GedOptions lets it; otherwise, or when
+/// the cap is hit, take the best (smallest) of the VJ, Hungarian, and Beam
+/// upper bounds. The approximations are first run anyway because their
+/// best value seeds the exact search's upper-bound pruning.
 class GedComputer {
  public:
   explicit GedComputer(GedOptions options = {}) : options_(options) {}

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/timer.h"
 #include "ged/ged_scratch.h"
 
 namespace lan {
@@ -16,7 +15,7 @@ namespace {
 /// expansion AIDS attempt peaks near 57k states (1.4 MB) plus a 1 MB heap.
 constexpr size_t kRetainedEntries = size_t{1} << 14;
 
-enum class Outcome { kProven, kExpansionBudget, kTimeBudget, kExhausted };
+enum class Outcome { kProven, kExpansionBudget, kExhausted };
 
 struct Attempt {
   Outcome outcome = Outcome::kProven;
@@ -56,7 +55,6 @@ class AStarSearch {
   }
 
   Attempt Run() {
-    Timer timer;
     std::vector<AStarState>& states = s_.astar_states;
     std::vector<AStarOpenEntry>& open = s_.astar_open;
     states.clear();
@@ -98,11 +96,6 @@ class AStarSearch {
       if (options_.max_expansions > 0 &&
           expansions_ > options_.max_expansions) {
         attempt.outcome = Outcome::kExpansionBudget;
-        return attempt;
-      }
-      if (options_.time_budget_seconds > 0.0 && (expansions_ & 0x1F) == 0 &&
-          timer.ElapsedSeconds() > options_.time_budget_seconds) {
-        attempt.outcome = Outcome::kTimeBudget;
         return attempt;
       }
       Expand(top);
@@ -424,8 +417,6 @@ Result<ExactGedResult> ExactGed(const Graph& g1, const Graph& g2,
       return result;
     case Outcome::kExpansionBudget:
       return Status::Timeout("A* GED: expansion budget exhausted");
-    case Outcome::kTimeBudget:
-      return Status::Timeout("A* GED: time budget exhausted");
     case Outcome::kExhausted:
       break;
   }

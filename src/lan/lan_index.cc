@@ -9,6 +9,18 @@
 #include "pg/beam_search.h"
 
 namespace lan {
+namespace {
+
+/// Distances used while building and extending the PG: the approximate
+/// tiers without Beam, which keeps construction cheap.
+const GedComputer kBuildGed([] {
+  GedOptions options;
+  options.approximate_only = true;
+  options.beam_width = 0;
+  return options;
+}());
+
+}  // namespace
 
 const char* RoutingMethodName(RoutingMethod m) {
   switch (m) {
@@ -35,8 +47,7 @@ const char* InitMethodName(InitMethod m) {
 }
 
 LanIndex::LanIndex(LanConfig config)
-    : config_(std::move(config)), build_ged_(config_.build_ged),
-      query_ged_(config_.query_ged) {
+    : config_(std::move(config)), query_ged_(config_.query_ged) {
   const size_t threads = config_.num_threads > 0
                              ? static_cast<size_t>(config_.num_threads)
                              : DefaultThreadCount();
@@ -95,7 +106,7 @@ Status LanIndex::Build(const GraphDatabase* db) {
                 << db_->name() << ")";
 
   Timer timer;
-  HnswIndex hnsw = HnswIndex::Build(*db_, build_ged_, config_.hnsw,
+  HnswIndex hnsw = HnswIndex::Build(*db_, kBuildGed, config_.hnsw,
                                     pool_.get());
   LAN_LOG(Info) << "  PG built in " << timer.ElapsedSeconds() << "s, avg deg "
                 << hnsw.BaseLayer().AverageDegree();
@@ -205,7 +216,7 @@ Result<GraphId> LanIndex::Insert(Graph graph) {
   std::vector<GraphId> touched;
   const uint64_t next_epoch = snap->epoch + 1;
   const auto pair_distance = [this](GraphId a, GraphId b) {
-    return build_ged_.Distance(db_->Get(a), db_->Get(b));
+    return kBuildGed.Distance(db_->Get(a), db_->Get(b));
   };
   LAN_RETURN_NOT_OK(hnsw->Insert(id, pair_distance, config_.hnsw,
                                  &insert_rng_,

@@ -48,14 +48,8 @@ const char* InitMethodName(InitMethod m);
 struct LanConfig {
   // ---- Index construction ----
   HnswOptions hnsw;
-  /// Distances used while building the PG (offline; default cheap).
-  GedOptions build_ged = [] {
-    GedOptions o;
-    o.approximate_only = true;
-    o.beam_width = 0;
-    return o;
-  }();
-  /// Distances used at query time (the paper's ground-truth protocol).
+  /// Distances used at query time and for training tables. PG construction
+  /// always uses the approximate tiers without Beam.
   GedOptions query_ged;
 
   // ---- Routing ----
@@ -362,7 +356,6 @@ class LanIndex {
   /// the published snapshot (the rank model's context matrix, the owned
   /// database's graph arenas) for the lifetime of the index.
   std::shared_ptr<const void> snapshot_backing_;
-  GedComputer build_ged_;
   GedComputer query_ged_;
   /// Non-null iff config_.cache.enabled: the cross-query store every
   /// query's DistanceOracle reads through.

@@ -332,12 +332,13 @@ TEST(ClusterModelBatchTest, BatchedCountsMatchReference) {
   EXPECT_TRUE(model.PredictCounts(query_embedding, {}).empty());
 }
 
-TEST(BatchedSearchTest, SearchBatchMatchesSequentialSearch) {
+/// SearchBatch over 2 threads returns each query's sequential Search
+/// results and work counters, with `protocol` as the query distance.
+void ExpectSearchBatchMatchesSequentialSearch(const GedOptions& protocol) {
   LanConfig config;
   config.hnsw.M = 4;
   config.hnsw.ef_construction = 12;
-  config.query_ged.approximate_only = true;
-  config.query_ged.beam_width = 0;
+  config.query_ged = protocol;
   config.scorer.gnn_dims = {8, 8};
   config.scorer.mlp_hidden = 8;
   config.rank.epochs = 2;
@@ -377,6 +378,19 @@ TEST(BatchedSearchTest, SearchBatchMatchesSequentialSearch) {
     EXPECT_EQ(batch[i].stats.cross_encodings,
               sequential.stats.cross_encodings);
   }
+}
+
+TEST(BatchedSearchTest, SearchBatchMatchesSequentialSearch) {
+  GedOptions approximate;
+  approximate.approximate_only = true;
+  approximate.beam_width = 0;
+  ExpectSearchBatchMatchesSequentialSearch(approximate);
+}
+
+/// Under the protocol LanIndex queries with by default (VJ, Hungarian,
+/// Beam4 and gated, expansion-capped A*).
+TEST(BatchedSearchTest, SearchBatchMatchesSequentialSearchDefaultProtocol) {
+  ExpectSearchBatchMatchesSequentialSearch(GedOptions{});
 }
 
 }  // namespace

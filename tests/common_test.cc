@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <latch>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -248,6 +252,39 @@ TEST(ThreadPoolTest, PoolParallelForCoversRangeAndNests) {
   for (size_t i = 0; i < nested.size(); ++i) {
     EXPECT_EQ(nested[i].load(), 1) << "nested index " << i;
   }
+}
+
+// A call returns once its items are done, not once every task it submitted
+// has run: here both workers of a 2-worker pool are held by another thread's
+// loop, so the caller drains both of its items itself, and its queued task
+// runs (and finds nothing left) only after it returned.
+TEST(ThreadPoolTest, PoolParallelForReturnsWhileWorkersAreBusy) {
+  ThreadPool pool(2);
+  std::latch all_blocked(3);  // the busy caller and both workers
+  std::latch release(1);
+  std::thread busy([&] {
+    pool.ParallelFor(3, [&](size_t) {
+      all_blocked.count_down();
+      release.wait();
+    });
+  });
+  all_blocked.wait();
+
+  std::vector<std::atomic<int>> hits(2);
+  std::promise<void> returned;
+  std::thread caller([&] {
+    pool.ParallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
+    returned.set_value();
+  });
+  const std::future_status status =
+      returned.get_future().wait_for(std::chrono::seconds(10));
+  release.count_down();  // the watchdog: let the pool go either way
+  caller.join();
+  busy.join();
+  EXPECT_EQ(status, std::future_status::ready)
+      << "ParallelFor waited for workers after its items were done";
+  EXPECT_EQ(hits[0].load(), 1);
+  EXPECT_EQ(hits[1].load(), 1);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversRange) {

@@ -44,7 +44,6 @@ TEST(NamesTest, AllEnumsPrintable) {
 
 TEST(GedProvenanceTest, ExactFlagAndMethodConsistent) {
   GedOptions options;
-  options.exact_time_budget_seconds = 5.0;
   options.exact_max_expansions = 1'000'000;
   GedComputer ged(options);
   Graph a;
@@ -77,9 +76,7 @@ TEST(EditPathTest, Figure2OptimalPathHasFiveOps) {
   ASSERT_TRUE(q.AddEdge(0, 1).ok());
   ASSERT_TRUE(q.AddEdge(1, 2).ok());
 
-  ExactGedOptions options;
-  options.time_budget_seconds = 5.0;
-  auto exact = ExactGed(g, q, options);
+  auto exact = ExactGed(g, q);
   ASSERT_TRUE(exact.ok());
   auto path = ExtractEditPath(g, q, exact->mapping);
   EXPECT_EQ(path.size(), 5u);  // Example 1: d(G, Q) = 5

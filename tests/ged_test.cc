@@ -35,7 +35,6 @@ Graph Star(Label center, Label leaf, int leaves) {
 
 double Exact(const Graph& a, const Graph& b) {
   ExactGedOptions options;
-  options.time_budget_seconds = 5.0;
   options.max_expansions = 5'000'000;
   auto r = ExactGed(a, b, options);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
@@ -144,20 +143,32 @@ TEST(ExactGedTest, EmptyVersusGraph) {
 }
 
 TEST(ExactGedTest, TimeoutReported) {
+  // A pair whose proof takes more than 50 expansions: capped at 50, A*
+  // reports Timeout, the same way on every run.
   Rng rng(5);
   DatasetSpec spec = DatasetSpec::SynLike(1);
-  spec.avg_nodes = 24;
-  spec.avg_edges = 40;
+  spec.avg_nodes = 10;
+  spec.avg_edges = 14;
   Graph a = GenerateGraph(spec, &rng);
   Graph b = GenerateGraph(spec, &rng);
-  ExactGedOptions options;
-  options.max_expansions = 50;
-  options.time_budget_seconds = 0.0;
-  auto r = ExactGed(a, b, options);
-  // Either it is trivially solvable within 50 expansions or we time out.
-  if (!r.ok()) {
-    EXPECT_EQ(r.status().code(), StatusCode::kTimeout);
-  }
+  ExactGedOptions generous;
+  generous.max_expansions = 5'000'000;
+  const auto proven = ExactGed(a, b, generous);
+  ASSERT_TRUE(proven.ok()) << proven.status().ToString();
+  ASSERT_GT(proven->expansions, 50);
+
+  ExactGedOptions capped;
+  capped.max_expansions = 50;
+  const auto first = ExactGed(a, b, capped);
+  const auto second = ExactGed(a, b, capped);
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().code(), StatusCode::kTimeout);
+  EXPECT_EQ(second.status().ToString(), first.status().ToString());
+
+  const auto again = ExactGed(a, b, generous);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->expansions, proven->expansions);
+  EXPECT_EQ(again->distance, proven->distance);
 }
 
 TEST(ExactGedTest, MappingAchievesReportedDistance) {
@@ -184,7 +195,6 @@ TEST(ExactGedTest, UpperBoundPruningPreservesOptimum) {
     Graph b = GenerateGraph(spec, &rng);
     const double base = Exact(a, b);
     ExactGedOptions options;
-    options.time_budget_seconds = 5.0;
     options.upper_bound = BipartiteGedHungarian(a, b).distance;
     auto pruned = ExactGed(a, b, options);
     ASSERT_TRUE(pruned.ok());
@@ -264,7 +274,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GedPropertyTest, ::testing::Range(1, 6));
 
 TEST(GedComputerTest, ExactWhenBudgetAllows) {
   GedOptions options;
-  options.exact_time_budget_seconds = 5.0;
   options.exact_max_expansions = 1'000'000;
   GedComputer ged(options);
   Graph a = MakePath({0, 1, 2});
@@ -298,6 +307,47 @@ TEST(GedComputerTest, ProtocolNeverBelowExact) {
     Graph a = GenerateGraph(spec, &rng);
     Graph b = GenerateGraph(spec, &rng);
     EXPECT_GE(fallback.Distance(a, b) + 1e-9, Exact(a, b));
+  }
+}
+
+// GedComputer{} is the protocol lanbench pins: gap 3 and 10k expansions,
+// with no wall-clock budget to set. On perturbed AIDS- and SYN-like pairs,
+// some of which pass the gap gate and reach A*, it returns the same value,
+// tier and exactness as those options spelled out.
+TEST(GedComputerTest, DefaultIsThePinnedProtocol) {
+  GedOptions pinned_options;
+  pinned_options.skip_exact_gap = 3.0;
+  pinned_options.exact_max_expansions = 10'000;
+  const GedComputer pinned(pinned_options);
+  const GedComputer by_default;
+  for (const DatasetSpec& spec :
+       {DatasetSpec::AidsLike(12), DatasetSpec::SynLike(12)}) {
+    const GraphDatabase db = GenerateDatabase(spec, 61);
+    Rng rng(62);
+    int gated = 0;
+    int exact = 0;
+    for (GraphId qid = 0; qid < db.size(); qid += 3) {
+      const Graph query = PerturbGraph(
+          db.Get(qid), static_cast<int>(rng.NextInt(1, 3)), db.num_labels(),
+          &rng);
+      for (GraphId id = 0; id < db.size(); ++id) {
+        const Graph& g = db.Get(id);
+        const GedValue want = pinned.Compute(query, g);
+        const GedValue got = by_default.Compute(query, g);
+        const char* kind = DatasetKindName(spec.kind);
+        EXPECT_EQ(got.distance, want.distance) << kind << " " << id;
+        EXPECT_EQ(got.method, want.method) << kind << " " << id;
+        EXPECT_EQ(got.exact, want.exact) << kind << " " << id;
+        const double best =
+            std::min({BipartiteGedVj(query, g).distance,
+                      BipartiteGedHungarian(query, g).distance,
+                      BeamGed(query, g, 4).distance});
+        if (best - BestLowerBound(query, g) <= 3.0) ++gated;
+        if (got.method == GedMethod::kExact) ++exact;
+      }
+    }
+    EXPECT_GT(gated, 0) << DatasetKindName(spec.kind);
+    EXPECT_GT(exact, 0) << DatasetKindName(spec.kind);
   }
 }
 

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "common/cpu_features.h"
-#include "common/timer.h"
 #include "common/random.h"
 #include "ged/assignment.h"
 #include "ged/ged_beam.h"
@@ -254,7 +253,6 @@ class ReferenceAStar {
   }
 
   Result<ExactGedResult> Run() {
-    Timer timer;
     ReferenceOpenList open;
     {
       ReferenceSearchState root;
@@ -285,10 +283,6 @@ class ReferenceAStar {
       if (options_.max_expansions > 0 &&
           expansions_ > options_.max_expansions) {
         return Status::Timeout("A* GED: expansion budget exhausted");
-      }
-      if (options_.time_budget_seconds > 0.0 && (expansions_ & 0x1F) == 0 &&
-          timer.ElapsedSeconds() > options_.time_budget_seconds) {
-        return Status::Timeout("A* GED: time budget exhausted");
       }
       Expand(state, &open);
     }
@@ -764,14 +758,13 @@ TEST(GedTierEquivalenceTest, JvMatchesReferenceOnRealValuedMatrices) {
 }
 
 TEST(GedTierEquivalenceTest, ComputeIsBitwiseIdenticalAtEveryLevel) {
-  // The full protocol with a wall-clock-free exact attempt, so each value
-  // is a pure function of the pair and the level.
+  // The full protocol (exact attempts capped at 1000 expansions), so each
+  // value is a pure function of the pair and the level.
   const std::vector<NamedPair> pairs = Pairs();
   for (const NamedCosts& model : CostModels()) {
     GedOptions options;
     options.skip_exact_gap = 3.0;
     options.exact_max_expansions = 1'000;
-    options.exact_time_budget_seconds = 0.0;
     options.costs = model.costs;
     const GedComputer ged(options);
     std::vector<GedValue> scalar;
@@ -805,8 +798,7 @@ TEST(GedTierEquivalenceTest, ComputeIsBitwiseIdenticalAtEveryLevel) {
 
 
 TEST(GedTierEquivalenceTest, ExactMatchesReferenceBitForBit) {
-  // No wall-clock budget, so both searches are pure functions of the pair,
-  // the bound and the cap. The bound is the best shipped tier's value, as
+  // Both searches are pure functions of the pair, the bound and the cap. The bound is the best shipped tier's value, as
   // GedComputer seeds it; small pairs also run unbounded. The 10k cap runs
   // where the protocol would try A* (bound - lower bound <= 3) and on the
   // small pairs: elsewhere it only times out, after 10k reference
@@ -840,7 +832,6 @@ TEST(GedTierEquivalenceTest, ExactMatchesReferenceBitForBit) {
           if (cap == 10'000 && !small && !gated) continue;
           ExactGedOptions options;
           options.max_expansions = cap;
-          options.time_budget_seconds = 0.0;
           options.upper_bound = bound;
           options.costs = model.costs;
           const std::string where = model.name + " " + pair.name +

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/random.h"
 #include "graph/graph_generator.h"
@@ -23,6 +24,25 @@ GedOptions FastGed() {
 std::set<GraphId> Ids(const KnnList& list) {
   std::set<GraphId> ids;
   for (const auto& [id, d] : list) ids.insert(id);
+  return ids;
+}
+
+std::vector<double> Distances(const KnnList& list) {
+  std::vector<double> distances;
+  for (const auto& [id, d] : list) distances.push_back(d);
+  std::sort(distances.begin(), distances.end());
+  return distances;
+}
+
+/// Ids strictly closer than the list's largest distance. Which members of
+/// a tie at the k-th distance a route keeps is its own choice.
+std::set<GraphId> IdsBelowLast(const KnnList& list) {
+  std::set<GraphId> ids;
+  if (list.empty()) return ids;
+  const std::vector<double> distances = Distances(list);
+  for (const auto& [id, d] : list) {
+    if (d < distances.back()) ids.insert(id);
+  }
   return ids;
 }
 
@@ -58,9 +78,13 @@ struct World {
 /// set while spending no more distance computations.
 class Theorem1Test : public ::testing::TestWithParam<int> {};
 
-TEST_P(Theorem1Test, OracleNpRouteMatchesBaseline) {
-  World world(static_cast<uint64_t>(GetParam()));
-  Rng rng(static_cast<uint64_t>(GetParam()) * 7 + 1);
+/// Routes with `protocol` as the query distance; the PG is built with the
+/// cheap approximate distances either way.
+void ExpectOracleNpRouteMatchesBaseline(int seed, const GedOptions& protocol,
+                                        bool exact_ids) {
+  World world(static_cast<uint64_t>(seed));
+  const GedComputer ged(protocol);
+  Rng rng(static_cast<uint64_t>(seed) * 7 + 1);
 
   int64_t total_np_ndc = 0;
   int64_t total_baseline_ndc = 0;
@@ -72,15 +96,14 @@ TEST_P(Theorem1Test, OracleNpRouteMatchesBaseline) {
     const int k = static_cast<int>(rng.NextInt(1, beam));
 
     SearchStats baseline_stats;
-    DistanceOracle baseline_oracle(&world.db, &query, &world.ged,
-                                   &baseline_stats);
+    DistanceOracle baseline_oracle(&world.db, &query, &ged, &baseline_stats);
     RoutingResult baseline = BeamSearchRoute(world.hnsw.BaseLayer(),
                                              &baseline_oracle, init, beam, k);
 
     for (int y : {10, 20, 30, 50}) {
       SearchStats np_stats;
-      DistanceOracle np_oracle(&world.db, &query, &world.ged, &np_stats);
-      OracleRanker ranker(&world.db, &world.ged, y);
+      DistanceOracle np_oracle(&world.db, &query, &ged, &np_stats);
+      OracleRanker ranker(&world.db, &ged, y);
       NpRouteOptions options;
       options.beam_size = beam;
       options.k = k;
@@ -88,9 +111,21 @@ TEST_P(Theorem1Test, OracleNpRouteMatchesBaseline) {
       RoutingResult np = NpRoute(world.hnsw.BaseLayer(), &np_oracle, &ranker,
                                  init, options);
 
-      EXPECT_EQ(Ids(np.results), Ids(baseline.results))
+      // Theorem 1 assumes distinct distances. The result distances must
+      // match in any case; the ids only where no tie sits at the k-th
+      // distance, unless `exact_ids` asks for them outright.
+      EXPECT_EQ(Distances(np.results), Distances(baseline.results))
           << "trial " << trial << " y=" << y << " beam=" << beam
           << " k=" << k;
+      if (exact_ids) {
+        EXPECT_EQ(Ids(np.results), Ids(baseline.results))
+            << "trial " << trial << " y=" << y << " beam=" << beam
+            << " k=" << k;
+      } else {
+        EXPECT_EQ(IdsBelowLast(np.results), IdsBelowLast(baseline.results))
+            << "trial " << trial << " y=" << y << " beam=" << beam
+            << " k=" << k;
+      }
       // Theorem 1's NDC inequality assumes distinct distances; integer
       // GED ties let stage 2 re-qualify a few equal-distance nodes the
       // baseline had squeezed out, so we allow a small tie slack per
@@ -105,6 +140,20 @@ TEST_P(Theorem1Test, OracleNpRouteMatchesBaseline) {
   // In aggregate the pruning must win despite tie slack (baseline NDC is
   // accumulated once per y value, so the totals are directly comparable).
   EXPECT_LE(total_np_ndc, total_baseline_ndc);
+}
+
+TEST_P(Theorem1Test, OracleNpRouteMatchesBaseline) {
+  ExpectOracleNpRouteMatchesBaseline(GetParam(), FastGed(),
+                                     /*exact_ids=*/true);
+}
+
+/// The same property under the protocol LanIndex queries with by default
+/// (VJ, Hungarian, Beam4 and gated, expansion-capped A*). Its distances tie
+/// at the k-th result on seed 3 (ids 39 and 43, both at 17), where the two
+/// routes keep different members of the tie.
+TEST_P(Theorem1Test, OracleNpRouteMatchesBaselineDefaultProtocol) {
+  ExpectOracleNpRouteMatchesBaseline(GetParam(), GedOptions{},
+                                     /*exact_ids=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Theorem1Test, ::testing::Range(1, 7));

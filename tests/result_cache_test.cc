@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -342,9 +343,8 @@ LanConfig TinyConfig(bool cache_enabled) {
   LanConfig config;
   config.hnsw.M = 4;
   config.hnsw.ef_construction = 12;
-  // Approximate-only keeps the GED deterministic (the exact attempt's
-  // time budget is wall-clock dependent), so cached and fresh values are
-  // bit-identical by construction.
+  // Approximate-only keeps the suite cheap; the default protocol is just as
+  // deterministic (CacheEquivalenceDefaultProtocolTest).
   config.query_ged.approximate_only = true;
   config.query_ged.beam_width = 0;
   config.scorer.gnn_dims = {8, 8};
@@ -404,9 +404,14 @@ QueryWorkload* CacheEquivalenceTest::workload_ = nullptr;
 LanIndex* CacheEquivalenceTest::cached_ = nullptr;
 LanIndex* CacheEquivalenceTest::plain_ = nullptr;
 
-TEST_F(CacheEquivalenceTest, BitwiseIdenticalAcrossAllCombos) {
-  ASSERT_NE(cached_->result_cache(), nullptr);
-  EXPECT_EQ(plain_->result_cache(), nullptr);
+/// Every routing x init combination, twice per query (the second pass hits
+/// the cache), returns bitwise the same results from `cached` as from
+/// `plain`.
+void ExpectBitwiseIdenticalAcrossAllCombos(const LanIndex& cached,
+                                           const LanIndex& plain,
+                                           const std::vector<Graph>& queries) {
+  ASSERT_NE(cached.result_cache(), nullptr);
+  EXPECT_EQ(plain.result_cache(), nullptr);
   for (RoutingMethod routing :
        {RoutingMethod::kLanRoute, RoutingMethod::kBaselineRoute,
         RoutingMethod::kOracleRoute}) {
@@ -418,9 +423,9 @@ TEST_F(CacheEquivalenceTest, BitwiseIdenticalAcrossAllCombos) {
       options.routing = routing;
       options.init = init;
       for (int pass = 0; pass < 2; ++pass) {  // second pass hits the cache
-        for (const Graph& query : workload_->test) {
-          SearchResult with = cached_->Search(query, options);
-          SearchResult without = plain_->Search(query, options);
+        for (const Graph& query : queries) {
+          SearchResult with = cached.Search(query, options);
+          SearchResult without = plain.Search(query, options);
           ASSERT_TRUE(with.status.ok());
           ASSERT_TRUE(without.status.ok());
           ASSERT_EQ(with.results.size(), without.results.size())
@@ -443,9 +448,32 @@ TEST_F(CacheEquivalenceTest, BitwiseIdenticalAcrossAllCombos) {
       }
     }
   }
-  const ShardCacheStats stats = cached_->result_cache()->Stats();
+  const ShardCacheStats stats = cached.result_cache()->Stats();
   EXPECT_GT(stats.hits, 0);
   EXPECT_GT(stats.inserts, 0);
+}
+
+TEST_F(CacheEquivalenceTest, BitwiseIdenticalAcrossAllCombos) {
+  ExpectBitwiseIdenticalAcrossAllCombos(*cached_, *plain_, workload_->test);
+}
+
+/// The same identity under the query protocol LanIndex runs by default
+/// (VJ, Hungarian, Beam4 and gated, expansion-capped A*).
+TEST(CacheEquivalenceDefaultProtocolTest, BitwiseIdenticalAcrossAllCombos) {
+  const GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(60), 51);
+  WorkloadOptions wopts;
+  wopts.num_queries = 20;
+  const QueryWorkload workload = SampleWorkload(db, wopts, 52);
+  std::vector<std::unique_ptr<LanIndex>> indexes;
+  for (bool cache_enabled : {true, false}) {
+    LanConfig config = TinyConfig(cache_enabled);
+    config.query_ged = GedOptions{};
+    indexes.push_back(std::make_unique<LanIndex>(config));
+    ASSERT_TRUE(indexes.back()->Build(&db).ok());
+    ASSERT_TRUE(indexes.back()->Train(workload.train).ok());
+  }
+  ExpectBitwiseIdenticalAcrossAllCombos(*indexes[0], *indexes[1],
+                                        workload.test);
 }
 
 TEST_F(CacheEquivalenceTest, RepeatedQueryShiftsNdcToCacheHits) {

@@ -193,16 +193,13 @@ TEST(SearchAllocTest, ZeroSteadyStateAllocationsWithShippedTiers) {
 }
 
 TEST(SearchAllocTest, ZeroSteadyStateAllocationsWithExactAttempts) {
-  // lanbench's pinned protocol: VJ, Hungarian and Beam4, then an A* attempt
-  // (10k expansions, no wall-clock budget) wherever the bound gap is <= 3.
+  // The default protocol: VJ, Hungarian and Beam4, then an A* attempt
+  // (10k expansions) wherever the bound gap is <= 3.
   // Queries are perturbed copies of database graphs, so some evaluated
   // pairs are close enough for the attempt to run.
   GraphDatabase db = GenerateDatabase(DatasetSpec::AidsLike(40), 31);
 
   LanConfig config;
-  config.query_ged.skip_exact_gap = 3.0;
-  config.query_ged.exact_max_expansions = 10'000;
-  config.query_ged.exact_time_budget_seconds = 0.0;
   config.num_threads = 1;
   LanIndex index(config);
   const GraphDatabase* cdb = &db;

@@ -24,7 +24,6 @@ Graph MakePath(const std::vector<Label>& labels) {
 
 double ExactWeighted(const Graph& a, const Graph& b, const GedCosts& costs) {
   ExactGedOptions options;
-  options.time_budget_seconds = 5.0;
   options.max_expansions = 5'000'000;
   options.costs = costs;
   auto r = ExactGed(a, b, options);
@@ -198,7 +197,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WeightedGedPropertyTest, ::testing::Range(1, 5))
 
 TEST(WeightedGedComputerTest, ProtocolRespectsCosts) {
   GedOptions options;
-  options.exact_time_budget_seconds = 5.0;
   options.exact_max_expansions = 1'000'000;
   options.costs.node_relabel = 10.0;
   GedComputer ged(options);

@@ -191,13 +191,8 @@ DatasetSpec SpecFor(const std::string& kind, int64_t count) {
 }
 
 /// Shared tool-scale index configuration (must match between `build` and
-/// the commands that open the snapshot).
-///
-/// The query GED protocol is the one lanbench measures: exact A* is tried
-/// only when the upper/lower-bound gap is at most 3, and it is capped by
-/// expansions, never by wall-clock time, so every distance (and so every
-/// search, eval and training table) is a pure function of its two graphs
-/// whatever the load.
+/// the commands that open the snapshot). The query GED protocol is the
+/// library default.
 ///
 /// `--build-threads N` sizes the worker pool (N = 0 follows the hardware
 /// count) that computes PG construction distances, derives CGs and trains.
@@ -205,8 +200,6 @@ DatasetSpec SpecFor(const std::string& kind, int64_t count) {
 /// one thread whatever N is.
 LanConfig ToolConfig(const Flags& flags) {
   LanConfig config;
-  config.query_ged.skip_exact_gap = 3.0;
-  config.query_ged.exact_time_budget_seconds = 0.0;
   config.scorer.gnn_dims = {16, 16};
   config.rank.epochs = 5;
   config.nh.epochs = 5;
