@@ -1,11 +1,16 @@
 // Microbench for the epoch-versioned mutable index: online insert
-// throughput, and search tail latency with the writer idle vs actively
-// mutating. The headline number is the p99 ratio — the search hot path
+// throughput with a 1- and a 4-thread resident pool, and search tail
+// latency with the writer idle vs actively mutating. The insert rows feed
+// one seeded stream to two identical indexes, alternating index per
+// insert, and print the inserts/s ratio and whether both grew the same
+// topology (the pool only computes distances ahead, so it must not
+// change it). The search headline is the p99 ratio — the search hot path
 // takes no lock, so a busy writer should move the search p99 by well
 // under 10% (COW publication costs land on the writer).
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -48,6 +53,24 @@ std::vector<double> MeasureSearches(const LanIndex& index,
   return latencies;
 }
 
+/// FNV-1a over the index's entry point, layer count and every core row.
+uint64_t TopologyHash(const HnswIndex& hnsw) {
+  uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  mix(static_cast<uint64_t>(hnsw.EntryPoint()));
+  mix(static_cast<uint64_t>(hnsw.NumLayers()));
+  for (int l = 0; l < hnsw.NumLayers(); ++l) {
+    for (GraphId id = 0; id < hnsw.NumNodes(); ++id) {
+      for (GraphId n : hnsw.CoreRow(l, id)) mix(static_cast<uint64_t>(n));
+      mix(~0ull);
+    }
+  }
+  return h;
+}
+
 int Main() {
   const double scale = BenchScale();
   const int64_t db_size =
@@ -57,16 +80,22 @@ int Main() {
 
   DatasetSpec spec = DatasetSpec::SynLike(db_size);
   GraphDatabase db = GenerateDatabase(spec, 2024);
+  GraphDatabase serial_db = GenerateDatabase(spec, 2024);
   LanConfig config;
   config.hnsw.M = 8;
   config.hnsw.ef_construction = 24;
   config.query_ged = BenchQueryGed();
   config.scorer.gnn_dims = {16, 16};
   config.embedding.dim = 32;
+  config.num_threads = 4;
   LanIndex index(config);
-  std::fprintf(stderr, "[bench] building mutable index over %lld graphs\n",
-               static_cast<long long>(db_size));
+  LanConfig serial_config = config;
+  serial_config.num_threads = 1;
+  LanIndex serial(serial_config);
+  std::fprintf(stderr, "[bench] building two mutable indexes over %lld "
+               "graphs\n", static_cast<long long>(db_size));
   LAN_CHECK_OK(index.Build(&db));
+  LAN_CHECK_OK(serial.Build(&serial_db));
 
   WorkloadOptions wopts;
   wopts.num_queries = 40;
@@ -75,22 +104,37 @@ int Main() {
 
   std::printf("\n=== Online insert throughput + search tail latency ===\n");
 
-  // 1. Pure insert throughput (writer only).
+  // 1. Pure insert throughput (writer only), 1- vs 4-thread pool back to
+  // back: each graph of the stream goes to both indexes, in alternating
+  // order, so host load drifts over both alike.
   Rng rng(77);
   {
-    Timer timer;
+    double seconds[2] = {0.0, 0.0};  // [0] 1 thread, [1] 4 threads
+    LanIndex* const indexes[2] = {&serial, &index};
     for (int64_t i = 0; i < warm_inserts; ++i) {
       const GraphId base =
           static_cast<GraphId>(rng.NextBounded(static_cast<uint64_t>(db_size)));
-      auto inserted =
-          index.Insert(PerturbGraph(db.Get(base), 2, db.num_labels(), &rng));
-      LAN_CHECK(inserted.ok()) << inserted.status().ToString();
+      const Graph graph = PerturbGraph(db.Get(base), 2, db.num_labels(), &rng);
+      for (int k = 0; k < 2; ++k) {
+        const int side = static_cast<int>((i + k) % 2);
+        Timer timer;
+        auto inserted = indexes[side]->Insert(graph);
+        seconds[side] += timer.ElapsedSeconds();
+        LAN_CHECK(inserted.ok()) << inserted.status().ToString();
+      }
     }
-    const double seconds = timer.ElapsedSeconds();
-    std::printf("%-28s %10.1f inserts/sec (%lld inserts, %.2fs)\n",
-                "insert throughput:",
-                static_cast<double>(warm_inserts) / seconds,
-                static_cast<long long>(warm_inserts), seconds);
+    for (int side = 0; side < 2; ++side) {
+      std::printf("%-28s %10.1f inserts/sec (%lld inserts, %.2fs)\n",
+                  side == 0 ? "insert, 1-thread pool:"
+                            : "insert, 4-thread pool:",
+                  static_cast<double>(warm_inserts) / seconds[side],
+                  static_cast<long long>(warm_inserts), seconds[side]);
+    }
+    const bool same = TopologyHash(serial.hnsw()) == TopologyHash(index.hnsw());
+    std::printf("%-28s inserts/s ratio %.2fx, topology %s\n",
+                "4 vs 1 thread:", seconds[0] / seconds[1],
+                same ? "identical" : "DIFFERS");
+    LAN_CHECK(same) << "pool width changed the inserted topology";
   }
 
   // 2. Search latency, writer idle.

@@ -12,9 +12,9 @@
 namespace lan {
 
 /// \brief Fixed-size worker pool used for offline work (PG construction
-/// distances, ground-truth computation, model training data generation).
-/// Work runs only through ParallelFor, which returns when its range is
-/// done.
+/// distances, ground-truth computation, model training data generation)
+/// and for the distances of online inserts. Work runs only through
+/// ParallelFor, which returns when its range is done.
 ///
 /// Query-time code paths are single-threaded on purpose: QPS in the paper is
 /// a per-query latency measure.

@@ -220,8 +220,8 @@ Result<GraphId> LanIndex::Insert(Graph graph) {
   };
   LAN_RETURN_NOT_OK(hnsw->Insert(id, pair_distance, config_.hnsw,
                                  &insert_rng_,
-                                 result_cache_ != nullptr ? &touched
-                                                          : nullptr));
+                                 result_cache_ != nullptr ? &touched : nullptr,
+                                 pool_.get()));
 
   // Invalidate before Publish: queries pinning the new epoch must never
   // see a pre-mutation cached result for a graph whose base-layer

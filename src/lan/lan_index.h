@@ -90,11 +90,12 @@ struct LanConfig {
   ResultCacheOptions cache;
 
   uint64_t seed = 123;
-  /// Worker threads for offline phases (0 = hardware concurrency). Sizes
-  /// the index's resident pool, which computes each PG insertion step's
-  /// missing distances, derives CGs and generates training data. PG
-  /// insertion itself always runs in id order on the building thread, so
-  /// the topology does not depend on this count.
+  /// Worker threads for offline phases and online inserts (0 = hardware
+  /// concurrency). Sizes the index's resident pool, which computes each PG
+  /// insertion step's distances ahead (in Build and in every Insert),
+  /// derives CGs and generates training data. PG insertion itself always
+  /// runs in id order on the inserting thread, so the topology does not
+  /// depend on this count.
   int num_threads = 0;
 
   /// Checks every knob is in range; called by LanIndex::Build.
@@ -227,7 +228,8 @@ class LanIndex {
 
   /// Online insert: appends `graph` to the database, derives its CG /
   /// embedding / nearest-centroid cluster assignment, extends the PG with
-  /// the same insertion step batch construction uses, and publishes the
+  /// the same insertion step batch construction uses (its distances
+  /// computed ahead on the resident pool, as in Build), and publishes the
   /// next epoch. Concurrent searches are never blocked; they keep serving
   /// the previous epoch until the publish. Requires a mutable Build.
   /// The learned models are not retrained (the new graph is still

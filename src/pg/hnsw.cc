@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -43,17 +44,20 @@ void AppendNodes(HnswCore* core, const std::vector<int>& levels) {
 /// selection. Batch Build and the online Insert both run it, one id at a
 /// time on the calling thread, so every run makes the same distance
 /// comparisons in the same order and the topology is bit-for-bit
-/// reproducible. The only parallelism is Prefetch, which computes a search
-/// step's missing distances on a pool before the in-order loop reads them.
+/// reproducible. The only parallelism is computing distances ahead on a
+/// pool: Prefetch for a search step, PrefetchShrinks for a layer's
+/// neighbor-list shrinks. The in-order loops then read values equal to the
+/// ones they would have computed themselves.
 class HnswInserter {
  public:
-  /// `pool` (optional) computes each search step's missing distances, and
-  /// `touched` (optional) collects the ids whose base-layer list an
-  /// insertion rewires.
+  /// `pool` (optional) computes distances ahead, and `touched` (optional)
+  /// collects the ids whose base-layer list an insertion rewires. A pool of
+  /// one worker would only run that work inline, so it is not used.
   HnswInserter(HnswCore* core, const HnswIndex::PairDistanceFn& distance,
                const HnswOptions& options, ThreadPool* pool,
                std::vector<GraphId>* touched = nullptr)
-      : core_(core), distance_fn_(distance), options_(options), pool_(pool),
+      : core_(core), distance_fn_(distance), options_(options),
+        pool_(pool != nullptr && pool->num_threads() > 1 ? pool : nullptr),
         touched_(touched) {}
 
   /// Inserts node `id`, whose level and (empty) rows AppendNodes already
@@ -75,9 +79,11 @@ class HnswInserter {
       const int cap = (l == 0) ? 2 * options_.M : options_.M;
       const size_t keep =
           std::min(candidates.size(), static_cast<size_t>(cap));
+      PrefetchShrinks(id, {candidates.data(), keep}, l, cap);
       for (size_t i = 0; i < keep; ++i) {
         Connect(id, candidates[i].second, l, cap);
       }
+      speculative_.clear();
       if (!candidates.empty()) curr = candidates[0].second;
     }
     if (level > top) core_->entry = id;
@@ -85,6 +91,7 @@ class HnswInserter {
 
  private:
   using Item = std::pair<double, GraphId>;
+  using PairList = std::vector<std::pair<GraphId, GraphId>>;
 
   static int64_t PairKey(GraphId a, GraphId b) {
     const int64_t lo = std::min(a, b);
@@ -92,33 +99,122 @@ class HnswInserter {
     return (hi << 32) | lo;
   }
 
+  /// Key of the ordered pair (a, b), for values computed ahead.
+  static int64_t OrderedKey(GraphId a, GraphId b) {
+    return (int64_t{a} << 32) | b;
+  }
+
+  /// The distance of {a, b} as the in-order loops see it: the cached value
+  /// if the pair was asked for before, in whichever order that was, else
+  /// d(a, b), taken from speculative_ when it was computed ahead.
   double Distance(GraphId a, GraphId b) {
     if (a == b) return 0.0;
     const auto [it, inserted] = cache_.try_emplace(PairKey(a, b), 0.0);
-    if (inserted) it->second = distance_fn_(a, b);
+    if (inserted) {
+      const auto ahead = speculative_.find(OrderedKey(a, b));
+      it->second = ahead != speculative_.end() ? ahead->second
+                                               : distance_fn_(a, b);
+    }
     return it->second;
+  }
+
+  /// What Distance(a, b) would return now, for a pair that is cached or
+  /// was computed ahead in this order; caches nothing.
+  double Peek(GraphId a, GraphId b) const {
+    if (a == b) return 0.0;
+    const auto it = cache_.find(PairKey(a, b));
+    return it != cache_.end() ? it->second
+                              : speculative_.at(OrderedKey(a, b));
   }
 
   /// With a pool, computes the distances from `target` to `others` that
   /// are not cached yet in parallel, so the caller's in-order loop over
-  /// `others` then only reads the cache. The pool computes the pairs the
+  /// `others` then computes none itself. The pool computes the pairs the
   /// loop would, in the same argument order, so the values are the same.
   void Prefetch(GraphId target, const std::vector<GraphId>& others) {
     if (pool_ == nullptr) return;
-    std::vector<GraphId> missing;
-    for (GraphId o : others) {
-      if (o != target && !cache_.contains(PairKey(target, o))) {
-        missing.push_back(o);
+    PairList pairs;
+    for (GraphId o : others) Plan(target, o, &pairs);
+    ComputeAhead(&pairs);
+  }
+
+  /// With a pool, computes on it the distances the Shrinks of one layer's
+  /// Connect calls will ask for, in three batches: each shrunk node's
+  /// distance to its list members; then, in the closest-first order those
+  /// give, every (candidate, closest) pair; then every (candidate, closer
+  /// candidate) pair among those the closest does not reject. The lists
+  /// are exact: each neighbor's row plus `id`, and no Connect of the layer
+  /// touches another neighbor's row. Some of these values are never read:
+  /// the diversity check stops at the first closer neighbor.
+  void PrefetchShrinks(GraphId id, std::span<const Item> neighbors, int layer,
+                       int cap) {
+    if (pool_ == nullptr) return;
+    std::vector<std::pair<GraphId, std::vector<GraphId>>> shrunk;
+    for (const auto& [d, b] : neighbors) {
+      std::vector<GraphId> list = Row(layer, b);
+      if (std::find(list.begin(), list.end(), id) == list.end()) {
+        list.push_back(id);
+      }
+      if (list.size() > static_cast<size_t>(cap)) {
+        shrunk.emplace_back(b, std::move(list));
       }
     }
-    if (missing.size() < 2) return;
-    std::vector<double> results(missing.size());
-    pool_->ParallelFor(missing.size(), [&](size_t i) {
-      results[i] = distance_fn_(target, missing[i]);
-    });
-    for (size_t i = 0; i < missing.size(); ++i) {
-      cache_.emplace(PairKey(target, missing[i]), results[i]);
+    PairList pairs;
+    for (const auto& [node, list] : shrunk) {
+      for (GraphId x : list) Plan(node, x, &pairs);
     }
+    ComputeAhead(&pairs);
+    // The closest candidate is always kept, and every other candidate is
+    // compared with it first.
+    std::vector<std::vector<Item>> orders;
+    orders.reserve(shrunk.size());
+    for (const auto& [node, list] : shrunk) {
+      std::vector<Item>& closest_first = orders.emplace_back();
+      for (GraphId x : list) closest_first.emplace_back(Peek(node, x), x);
+      std::sort(closest_first.begin(), closest_first.end());
+      for (size_t i = 1; i < closest_first.size(); ++i) {
+        Plan(closest_first[i].second, closest_first[0].second, &pairs);
+      }
+    }
+    ComputeAhead(&pairs);
+    // A candidate closer to the closest one than to the node is never
+    // kept, so only the others can be compared with each other.
+    for (const std::vector<Item>& closest_first : orders) {
+      std::vector<GraphId> maybe_kept = {closest_first[0].second};
+      for (size_t i = 1; i < closest_first.size(); ++i) {
+        const auto& [d_node, candidate] = closest_first[i];
+        if (Peek(candidate, maybe_kept[0]) < d_node) continue;
+        for (GraphId earlier : maybe_kept) Plan(candidate, earlier, &pairs);
+        maybe_kept.push_back(candidate);
+      }
+    }
+    ComputeAhead(&pairs);
+  }
+
+  /// Appends (a, b) to `pairs`, and reserves its slot in speculative_,
+  /// unless Distance(a, b) would already find a value.
+  void Plan(GraphId a, GraphId b, PairList* pairs) {
+    if (a != b && !cache_.contains(PairKey(a, b)) &&
+        speculative_.try_emplace(OrderedKey(a, b), 0.0).second) {
+      pairs->emplace_back(a, b);
+    }
+  }
+
+  /// Computes d(a, b) for every planned pair on the pool into its
+  /// speculative_ slot, and empties the list. The distance need not be
+  /// symmetric and cache_ keeps the order asked first, so a value waits
+  /// there under its argument order until Distance reads exactly that
+  /// pair; one never read is dropped with the layer.
+  void ComputeAhead(PairList* pairs) {
+    std::vector<double> results(pairs->size());
+    pool_->ParallelFor(pairs->size(), [&](size_t i) {
+      results[i] = distance_fn_((*pairs)[i].first, (*pairs)[i].second);
+    });
+    for (size_t i = 0; i < pairs->size(); ++i) {
+      speculative_[OrderedKey((*pairs)[i].first, (*pairs)[i].second)] =
+          results[i];
+    }
+    pairs->clear();
   }
 
   const std::vector<GraphId>& Row(int layer, GraphId node) const {
@@ -263,6 +359,10 @@ class HnswInserter {
   /// Insert): neighbor sets overlap heavily across insertions, so
   /// GED-heavy builds revisit the same pairs constantly.
   std::unordered_map<int64_t, double> cache_;
+  /// d(a, b) computed ahead on the pool during the current layer, by
+  /// OrderedKey; Distance moves a value into cache_ only when it is asked
+  /// for.
+  std::unordered_map<int64_t, double> speculative_;
 };
 
 }  // namespace
@@ -296,7 +396,7 @@ HnswIndex HnswIndex::BuildWithDistance(GraphId num_nodes,
 
 Status HnswIndex::Insert(GraphId id, const PairDistanceFn& distance,
                          const HnswOptions& options, Rng* rng,
-                         std::vector<GraphId>* touched) {
+                         std::vector<GraphId>* touched, ThreadPool* pool) {
   if (id != core_.num_nodes) {
     return Status::InvalidArgument(
         "Insert: id must equal the current node count");
@@ -305,8 +405,7 @@ Status HnswIndex::Insert(GraphId id, const PairDistanceFn& distance,
   // mutation below then proceeds exactly as on a freshly built index.
   Thaw();
   AppendNodes(&core_, {DrawLevel(rng, options)});
-  HnswInserter(&core_, distance, options, /*pool=*/nullptr, touched)
-      .Insert(id);
+  HnswInserter(&core_, distance, options, pool, touched).Insert(id);
   if (touched != nullptr) {
     std::sort(touched->begin(), touched->end());
     touched->erase(std::unique(touched->begin(), touched->end()),

@@ -73,8 +73,10 @@ struct HnswSnapshotView {
 /// distances and the options: no thread count or pool changes it.
 class HnswIndex {
  public:
-  /// Symmetric distance between two indexed items. Must be thread-safe
-  /// when a ThreadPool is passed to the builder.
+  /// Distance between two indexed items. It need not be symmetric: the
+  /// insertion step memoizes each pair under the argument order it asks
+  /// first. Must be thread-safe when a ThreadPool is passed to Build,
+  /// BuildWithDistance or Insert.
   using PairDistanceFn = std::function<double(GraphId, GraphId)>;
 
   /// Builds the index by inserting ids 0..n-1 in order on the calling
@@ -138,9 +140,12 @@ class HnswIndex {
   /// rewired — the new node, the neighbors it connected to, and anyone
   /// the diversity shrink dropped — which is exactly the set whose
   /// routing-relevant view changed (cache invalidation consumes this).
+  /// `pool` (optional) only computes the step's distances ahead, as in
+  /// Build; the result is the same with or without it.
   Status Insert(GraphId id, const PairDistanceFn& distance,
                 const HnswOptions& options, Rng* rng,
-                std::vector<GraphId>* touched = nullptr);
+                std::vector<GraphId>* touched = nullptr,
+                ThreadPool* pool = nullptr);
 
   /// Advances `rng` past the level draws of `count` Inserts, so a caller
   /// restoring an index that already took `count` online inserts resumes

@@ -3,10 +3,11 @@
 // searches never observing a torn state. Every returned id must have been
 // live at the search's pinned epoch, which the test checks against a
 // mutation schedule the writer publishes through atomics that are ordered
-// before the corresponding snapshot publication. Run under the asan and
-// tsan presets (ctest -L concurrency); TSan sees real concurrent
-// Search/Insert interleavings here, so a missing fence is a failure, not
-// a flake.
+// before the corresponding snapshot publication. A second case has the
+// writer's Insert and a SearchBatch share the index's resident pool. Run
+// under the asan and tsan presets (ctest -L concurrency); TSan sees real
+// concurrent Search/Insert interleavings here, so a missing fence is a
+// failure, not a flake.
 
 #include <gtest/gtest.h>
 
@@ -184,6 +185,86 @@ TEST(ConcurrencyStressTest, SearchersServeConsistentEpochsUnderMutation) {
     recall += RecallAtK(result.results, truth, options.k);
   }
   EXPECT_GE(recall / kRecallQueries, 0.6);
+}
+
+// An online Insert computes its distances ahead on the index's resident
+// pool, the pool SearchBatch also runs on. With one thread inserting and
+// another running batches, both must finish, and every batch answer must
+// equal a sequential Search over the epoch that query pinned. The
+// reference is a 1-thread index over the same database that takes the
+// same inserts one epoch at a time.
+TEST(ConcurrencyStressTest, InsertSharesThePoolWithSearchBatch) {
+  constexpr GraphId kInitial = 60;
+  constexpr int kInserts = 16;
+  LanConfig config = StressConfig();
+  config.num_threads = 4;
+  GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(kInitial), 84);
+  LanIndex index(config);
+  ASSERT_TRUE(index.Build(&db).ok());
+
+  Rng rng(85);
+  std::vector<Graph> inserts;
+  for (int i = 0; i < kInserts; ++i) {
+    inserts.push_back(PerturbGraph(
+        db.Get(static_cast<GraphId>(rng.NextBounded(kInitial))), 2,
+        db.num_labels(), &rng));
+  }
+  std::vector<Graph> queries;
+  for (int i = 0; i < 8; ++i) {
+    queries.push_back(PerturbGraph(
+        db.Get(static_cast<GraphId>(rng.NextBounded(kInitial))), 2,
+        db.num_labels(), &rng));
+  }
+  SearchOptions options;
+  options.k = 5;
+  options.routing = RoutingMethod::kBaselineRoute;
+  options.init = InitMethod::kHnswIs;
+
+  std::atomic<bool> done{false};
+  int writer_failures = 0;
+  std::thread writer([&] {
+    for (const Graph& graph : inserts) {
+      if (!index.Insert(graph).ok()) {
+        ++writer_failures;
+        break;
+      }
+    }
+    done.store(true, std::memory_order_release);
+  });
+  // served[i] answers queries[i % queries.size()].
+  std::vector<SearchResult> served;
+  do {
+    BatchSearchResult batch = index.SearchBatch(queries, options);
+    for (SearchResult& result : batch.results) {
+      served.push_back(std::move(result));
+    }
+  } while (!done.load(std::memory_order_acquire));
+  writer.join();
+  ASSERT_EQ(writer_failures, 0);
+  EXPECT_EQ(index.epoch(), static_cast<uint64_t>(kInserts));
+
+  GraphDatabase reference_db =
+      GenerateDatabase(DatasetSpec::SynLike(kInitial), 84);
+  LanConfig reference_config = config;
+  reference_config.num_threads = 1;
+  LanIndex reference(reference_config);
+  ASSERT_TRUE(reference.Build(&reference_db).ok());
+  size_t checked = 0;
+  for (uint64_t epoch = 0; epoch <= kInserts; ++epoch) {
+    if (epoch > 0) {
+      ASSERT_TRUE(reference.Insert(inserts[epoch - 1]).ok()) << epoch;
+    }
+    for (size_t i = 0; i < served.size(); ++i) {
+      if (served[i].epoch != epoch) continue;
+      const SearchResult expected =
+          reference.Search(queries[i % queries.size()], options);
+      ASSERT_TRUE(served[i].status.ok()) << i;
+      EXPECT_EQ(served[i].results, expected.results)
+          << "query " << i % queries.size() << " at epoch " << epoch;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, served.size());
 }
 
 }  // namespace

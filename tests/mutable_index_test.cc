@@ -1,6 +1,7 @@
 // Tests for the epoch-versioned mutable index: the golden HNSW topology
-// contract (batch Build == insert loop, bit-for-bit), the completeness of
-// HNSW Insert's rewired-row report, GraphDatabase append/tombstone
+// contract (batch Build == insert loop, bit-for-bit), pool-independence of
+// Build and Insert under an asymmetric distance, the completeness of HNSW
+// Insert's rewired-row report, GraphDatabase append/tombstone
 // semantics, LanIndex online Insert/Remove with epoch publication,
 // tombstone-aware routing, and the online-insert recall acceptance bar
 // against a from-scratch rebuild.
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "graph/graph_generator.h"
 #include "lan/ground_truth.h"
@@ -152,6 +154,56 @@ TEST(HnswInsertTest, TouchedCoversEveryRewiredBaseRow) {
       EXPECT_TRUE(std::binary_search(touched.begin(), touched.end(), n))
           << "insert " << id << " rewired row " << n << " unreported";
     }
+  }
+}
+
+// The golden tests' 1-D distance is symmetric, so they cannot tell which
+// argument order a memoized pair was computed in. This distance can: d(a,
+// b) scales |p_a - p_b| by a factor hashed from the ordered pair, as the
+// build GED differs between (a, b) and (b, a). A pool only computes
+// distances ahead, so with or without one every layer's rows, the entry
+// point and each insert's `touched` must match exactly.
+TEST(HnswInsertTest, PoolKeepsTopologyUnderAsymmetricDistance) {
+  const std::vector<double> points = GoldenPoints();
+  auto distance = [&points](GraphId a, GraphId b) {
+    const uint64_t h = Fnv(Fnv(0, static_cast<uint64_t>(a)),
+                           static_cast<uint64_t>(b));
+    const double skew = 1.0 + static_cast<double>(h % 1024) / 1024.0;
+    return skew * std::abs(points[static_cast<size_t>(a)] -
+                           points[static_cast<size_t>(b)]);
+  };
+  const HnswOptions options = GoldenOptions();
+  const auto expect_same = [](const HnswIndex& serial,
+                              const HnswIndex& pooled, GraphId after) {
+    ASSERT_EQ(pooled.NumLayers(), serial.NumLayers()) << after;
+    EXPECT_EQ(pooled.EntryPoint(), serial.EntryPoint()) << after;
+    for (int l = 0; l < serial.NumLayers(); ++l) {
+      for (GraphId id = 0; id < serial.NumNodes(); ++id) {
+        const std::span<const GraphId> a = serial.CoreRow(l, id);
+        const std::span<const GraphId> b = pooled.CoreRow(l, id);
+        EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+            << "layer " << l << " row " << id << " after node " << after;
+      }
+    }
+  };
+  ThreadPool pool(4);
+  HnswIndex serial = HnswIndex::BuildWithDistance(80, distance, options);
+  HnswIndex pooled =
+      HnswIndex::BuildWithDistance(80, distance, options, &pool);
+  expect_same(serial, pooled, 79);
+  Rng serial_rng(7);
+  Rng pooled_rng(7);
+  for (GraphId id = 80; id < 120; ++id) {
+    std::vector<GraphId> serial_touched;
+    std::vector<GraphId> pooled_touched;
+    ASSERT_TRUE(serial.Insert(id, distance, options, &serial_rng,
+                              &serial_touched)
+                    .ok());
+    ASSERT_TRUE(pooled.Insert(id, distance, options, &pooled_rng,
+                              &pooled_touched, &pool)
+                    .ok());
+    EXPECT_EQ(pooled_touched, serial_touched) << id;
+    expect_same(serial, pooled, id);
   }
 }
 

@@ -195,9 +195,9 @@ DatasetSpec SpecFor(const std::string& kind, int64_t count) {
 /// library default.
 ///
 /// `--build-threads N` sizes the worker pool (N = 0 follows the hardware
-/// count) that computes PG construction distances, derives CGs and trains.
-/// It never changes a snapshot's bytes: the PG is inserted in id order on
-/// one thread whatever N is.
+/// count) that computes PG construction and insert distances, derives CGs
+/// and trains. It never changes a snapshot's bytes: the PG is inserted in
+/// id order on one thread whatever N is.
 LanConfig ToolConfig(const Flags& flags) {
   LanConfig config;
   config.scorer.gnn_dims = {16, 16};

@@ -167,11 +167,17 @@ endforeach()
 # Online updates: insert + remove mutate the trained index through the
 # epoch-versioned path and write successor snapshots; the stale models
 # must still reopen over the grown index (inserted graphs keep their
-# nearest frozen centroid and get M_rk contexts on the fly).
+# nearest frozen centroid and get M_rk contexts on the fly). Inserts run
+# on the same pool as the build, so like the build they write the same
+# bytes at 1 and 4 threads.
+set(SNAP2_T1 ${WORK_DIR}/pipeline2.t1.lansnap)
 set(SNAP2 ${WORK_DIR}/pipeline2.lansnap)
 set(SNAP3 ${WORK_DIR}/pipeline3.lansnap)
 run_step(${LAN_TOOL} insert --snapshot ${SNAP} --count 5 --seed 11
-         --build-threads 2 --out ${SNAP2})
+         --build-threads 1 --out ${SNAP2_T1})
+run_step(${LAN_TOOL} insert --snapshot ${SNAP} --count 5 --seed 11
+         --build-threads 4 --out ${SNAP2})
+expect_same_bytes(${SNAP2_T1} ${SNAP2})
 run_step(${LAN_TOOL} remove --snapshot ${SNAP2} --count 2 --seed 12
          --out ${SNAP3})
 run_step_output(search_out ${LAN_TOOL} search --snapshot ${SNAP3} --k 3
