@@ -83,11 +83,13 @@ class ShardedLruCache {
     }
   }
 
-  /// Looks up `key`; on a hit whose epoch satisfies `valid(epoch)` copies
-  /// the value into `*out`, refreshes recency, and returns true. A resident
-  /// entry failing `valid` is erased (invalidation) and reported as a miss.
-  template <typename ValidFn>
-  bool FindIf(const CacheKey128& key, V* out, ValidFn&& valid) {
+  /// Looks up `key`; on a hit whose epoch satisfies `valid(epoch)` calls
+  /// `read(const V&)` under the shard lock (so the caller copies only what
+  /// it needs, with no intermediate value; `read` must not call back into
+  /// this cache), refreshes recency, and returns true. A resident entry
+  /// failing `valid` is erased (invalidation) and reported as a miss.
+  template <typename ValidFn, typename ReadFn>
+  bool ReadIf(const CacheKey128& key, ValidFn&& valid, ReadFn&& read) {
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(key);
@@ -104,9 +106,16 @@ class ShardedLruCache {
       return false;
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second.pos);
-    *out = it->second.value;
+    read(it->second.value);
     ++shard.stats.hits;
     return true;
+  }
+
+  /// ReadIf that copies the value into `*out`.
+  template <typename ValidFn>
+  bool FindIf(const CacheKey128& key, V* out, ValidFn&& valid) {
+    return ReadIf(key, std::forward<ValidFn>(valid),
+                  [out](const V& value) { *out = value; });
   }
 
   bool Find(const CacheKey128& key, V* out) {

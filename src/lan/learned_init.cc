@@ -18,12 +18,11 @@ GraphId LanInitialSelector::Select(DistanceOracle* oracle, Rng* rng) {
   // embedding too — it feeds nothing else.
   std::vector<float> counts;
   bool counts_cached = false;
-  CachedScore cached_counts;
-  if (oracle->FindScore(ResultKind::kClusterCounts, kInvalidGraphId,
-                        &cached_counts) &&
-      static_cast<int64_t>(cached_counts.floats.size()) ==
-          clusters_->centroids.rows()) {
-    counts = std::move(cached_counts.floats);
+  if (oracle->ReadScore(ResultKind::kClusterCounts, kInvalidGraphId,
+                        [&counts](const CachedScore& cached) {
+                          counts = cached.floats;
+                        }) &&
+      static_cast<int64_t>(counts.size()) == clusters_->centroids.rows()) {
     counts_cached = true;
   } else {
     StageSpan span(oracle->profile(), Stage::kModelInference);
@@ -63,11 +62,10 @@ GraphId LanInitialSelector::Select(DistanceOracle* oracle, Rng* rng) {
   // member lists too; Insert invalidates it (class comment).
   const std::span<const size_t> scanned(cluster_order.data(), scan);
   int64_t nh_rows = 0;
-  CachedScore cached_kept;
-  if (oracle->FindScore(ResultKind::kNeighborhood, kInvalidGraphId,
-                        &cached_kept)) {
-    predicted_ = std::move(cached_kept.ids);
-  } else {
+  if (!oracle->ReadScore(ResultKind::kNeighborhood, kInvalidGraphId,
+                         [this](const CachedScore& cached) {
+                           predicted_ = cached.ids;
+                         })) {
     nh_rows = PredictKeptSet(oracle, scanned);
     if (oracle->caches_scores()) {
       CachedScore store;

@@ -4,10 +4,11 @@
 
 namespace lan {
 
-std::vector<std::vector<GraphId>> LearnedNeighborRanker::RankNeighbors(
-    const ProximityGraph& pg, GraphId node, const Graph& query) {
+void LearnedNeighborRanker::RankNeighbors(const ProximityGraph& pg,
+                                          GraphId node, const Graph& query,
+                                          RankedBatches* out) {
   const std::span<const GraphId> neighbors = pg.NeighborSpan(node);
-  if (neighbors.empty()) return {};
+  if (neighbors.empty()) return;
   // Opened inside the routing span; nested model-inference / cache-lookup
   // spans below subtract themselves, so rerank reports batch assembly.
   StageSpan rerank_span(oracle_->profile(), Stage::kRerank);
@@ -17,25 +18,25 @@ std::vector<std::vector<GraphId>> LearnedNeighborRanker::RankNeighbors(
   const double* node_distance = oracle_->FindCached(node);
   const bool in_neighborhood =
       node_distance != nullptr && *node_distance <= gamma_star_;
-  if (!in_neighborhood) return {{neighbors.begin(), neighbors.end()}};
+  if (!in_neighborhood) {
+    out->AppendBatch(neighbors);
+    return;
+  }
 
   // Cross-query memoization: M_rk's output for (query, node) depends only
   // on the query, the node's current neighbor list, and the trained
   // weights — all captured by the cache key + epoch watermark — so a hit
   // reproduces the computed batches exactly, skipping encode + forward.
-  CachedScore cached;
-  if (oracle_->FindScore(ResultKind::kRankBatches, node, &cached)) {
-    std::vector<std::vector<GraphId>> batches;
-    batches.reserve(cached.sizes.size());
-    size_t offset = 0;
+  // The blob is copied straight into the caller's buffer.
+  const auto copy_blob = [out](const CachedScore& cached) {
+    uint32_t end = static_cast<uint32_t>(out->ids.size());
+    out->ids.insert(out->ids.end(), cached.ids.begin(), cached.ids.end());
     for (int32_t size : cached.sizes) {
-      const size_t n = static_cast<size_t>(size);
-      batches.emplace_back(cached.ids.begin() + offset,
-                           cached.ids.begin() + offset + n);
-      offset += n;
+      end += static_cast<uint32_t>(size);
+      out->ends.push_back(end);
     }
-    return batches;
-  }
+  };
+  if (oracle_->ReadScore(ResultKind::kRankBatches, node, copy_blob)) return;
 
   SearchStats* stats = oracle_->stats();
   if (!query_cache_ready_) {
@@ -45,7 +46,8 @@ std::vector<std::vector<GraphId>> LearnedNeighborRanker::RankNeighbors(
                        : model_->scorer().EncodeQuery(query);
     query_cache_ready_ = true;
   }
-  std::vector<std::vector<GraphId>> batches;
+  const size_t first_batch = out->num_batches();
+  const size_t first_id = out->ids.size();
   int64_t inferences = 0;
   int64_t encodings = 0;
   {
@@ -86,13 +88,15 @@ std::vector<std::vector<GraphId>> LearnedNeighborRanker::RankNeighbors(
       std::copy(row, row + cross_dim,
                 cross.data() + i * static_cast<size_t>(cross_dim));
     }
-    batches = use_compressed_
-                  ? model_->PredictBatchesFromCross(
-                        neighbors, cross, node,
-                        (*db_cgs_)[static_cast<size_t>(node)], &inferences)
-                  : model_->PredictBatchesFromCross(
-                        neighbors, cross, node, oracle_->db().Get(node),
-                        &inferences);
+    if (use_compressed_) {
+      model_->PredictBatchesFromCross(neighbors, cross, node,
+                                      (*db_cgs_)[static_cast<size_t>(node)],
+                                      &inferences, out);
+    } else {
+      model_->PredictBatchesFromCross(neighbors, cross, node,
+                                      oracle_->db().Get(node), &inferences,
+                                      out);
+    }
   }
   if (stats != nullptr) {
     stats->model_inferences += inferences;
@@ -108,13 +112,14 @@ std::vector<std::vector<GraphId>> LearnedNeighborRanker::RankNeighbors(
     sink->Record(event);
   }
   CachedScore store;
-  store.sizes.reserve(batches.size());
-  for (const auto& batch : batches) {
-    store.sizes.push_back(static_cast<int32_t>(batch.size()));
-    store.ids.insert(store.ids.end(), batch.begin(), batch.end());
+  if (oracle_->caches_scores()) {
+    store.ids.assign(out->ids.begin() + static_cast<ptrdiff_t>(first_id),
+                     out->ids.end());
+    for (size_t j = first_batch; j < out->num_batches(); ++j) {
+      store.sizes.push_back(static_cast<int32_t>(out->Batch(j).size()));
+    }
   }
   oracle_->StoreScore(ResultKind::kRankBatches, node, store);
-  return batches;
 }
 
 }  // namespace lan

@@ -38,9 +38,8 @@ class LearnedNeighborRanker : public NeighborRanker {
       : model_(model), db_cgs_(db_cgs), query_cg_(query_cg), oracle_(oracle),
         gamma_star_(gamma_star), use_compressed_(use_compressed) {}
 
-  std::vector<std::vector<GraphId>> RankNeighbors(const ProximityGraph& pg,
-                                                  GraphId node,
-                                                  const Graph& query) override;
+  void RankNeighbors(const ProximityGraph& pg, GraphId node,
+                     const Graph& query, RankedBatches* out) override;
 
  private:
   const NeighborRankModel* model_;

@@ -96,9 +96,9 @@ double NeighborRankModel::EvaluateLoss(
   return total / (static_cast<double>(examples.size()) * num_heads());
 }
 
-std::vector<std::vector<GraphId>> NeighborRankModel::GroupByBatch(
+void NeighborRankModel::GroupByBatch(
     std::span<const GraphId> neighbors,
-    const std::vector<std::vector<float>>& probs) const {
+    const std::vector<std::vector<float>>& probs, RankedBatches* out) const {
   const int num_batches = num_heads() + 1;
   struct Scored {
     GraphId id;
@@ -129,7 +129,7 @@ std::vector<std::vector<GraphId>> NeighborRankModel::GroupByBatch(
   std::vector<GraphId> ranked;
   ranked.reserve(scored.size());
   for (const Scored& s : scored) ranked.push_back(s.id);
-  return SplitIntoBatches(ranked, options_.batch_percent);
+  SplitIntoBatches(ranked, options_.batch_percent, out);
 }
 
 void NeighborRankModel::PrecomputeContexts(
@@ -148,24 +148,26 @@ void NeighborRankModel::PrecomputeContexts(
   contexts_ = std::move(contexts);
 }
 
-std::vector<std::vector<GraphId>> NeighborRankModel::PredictBatches(
+void NeighborRankModel::PredictBatches(
     std::span<const GraphId> neighbors,
     const std::vector<CompressedGnnGraph>& db_cgs, GraphId node,
-    const CompressedGnnGraph& query_cg, int64_t* inference_count) const {
-  return PredictBatches(neighbors, db_cgs, node, scorer_.EncodeQuery(query_cg),
-                        inference_count);
+    const CompressedGnnGraph& query_cg, int64_t* inference_count,
+    RankedBatches* out) const {
+  PredictBatches(neighbors, db_cgs, node, scorer_.EncodeQuery(query_cg),
+                 inference_count, out);
 }
 
-std::vector<std::vector<GraphId>> NeighborRankModel::PredictBatches(
+void NeighborRankModel::PredictBatches(
     std::span<const GraphId> neighbors,
     const std::vector<CompressedGnnGraph>& db_cgs, GraphId node,
-    const QueryEncodingCache& query, int64_t* inference_count) const {
+    const QueryEncodingCache& query, int64_t* inference_count,
+    RankedBatches* out) const {
   std::vector<const CompressedGnnGraph*> gs;
   gs.reserve(neighbors.size());
   for (GraphId n : neighbors) gs.push_back(&db_cgs[static_cast<size_t>(n)]);
-  return PredictBatchesFromCross(neighbors, scorer_.InferCross(gs, query),
-                                 node, db_cgs[static_cast<size_t>(node)],
-                                 inference_count);
+  PredictBatchesFromCross(neighbors, scorer_.InferCross(gs, query), node,
+                          db_cgs[static_cast<size_t>(node)], inference_count,
+                          out);
 }
 
 template <typename G>
@@ -179,24 +181,26 @@ std::vector<std::vector<float>> NeighborRankModel::HeadProbs(
                             {ctx.data(), static_cast<size_t>(ctx.cols())});
 }
 
-std::vector<std::vector<GraphId>> NeighborRankModel::PredictBatchesFromCross(
+void NeighborRankModel::PredictBatchesFromCross(
     std::span<const GraphId> neighbors, const Matrix& cross, GraphId node,
-    const CompressedGnnGraph& node_cg, int64_t* inference_count) const {
+    const CompressedGnnGraph& node_cg, int64_t* inference_count,
+    RankedBatches* out) const {
   LAN_CHECK_EQ(static_cast<size_t>(cross.rows()), neighbors.size());
   if (inference_count != nullptr) {
     *inference_count += static_cast<int64_t>(neighbors.size());
   }
-  return GroupByBatch(neighbors, HeadProbs(cross, node, node_cg));
+  GroupByBatch(neighbors, HeadProbs(cross, node, node_cg), out);
 }
 
-std::vector<std::vector<GraphId>> NeighborRankModel::PredictBatchesFromCross(
+void NeighborRankModel::PredictBatchesFromCross(
     std::span<const GraphId> neighbors, const Matrix& cross, GraphId node,
-    const Graph& node_graph, int64_t* inference_count) const {
+    const Graph& node_graph, int64_t* inference_count,
+    RankedBatches* out) const {
   LAN_CHECK_EQ(static_cast<size_t>(cross.rows()), neighbors.size());
   if (inference_count != nullptr) {
     *inference_count += static_cast<int64_t>(neighbors.size());
   }
-  return GroupByBatch(neighbors, HeadProbs(cross, node, node_graph));
+  GroupByBatch(neighbors, HeadProbs(cross, node, node_graph), out);
 }
 
 std::vector<RankExample> BuildRankExamples(

@@ -10,6 +10,7 @@
 #include "lan/pair_scorer.h"
 #include "nn/optimizer.h"
 #include "pg/proximity_graph.h"
+#include "pg/search_scratch.h"
 
 namespace lan {
 
@@ -73,43 +74,48 @@ class NeighborRankModel {
   /// AttachContexts); row id is graph id's context embedding.
   const EmbeddingMatrix& contexts() const { return contexts_; }
 
-  /// Predicted batches, best first (empty predicted ranks are skipped).
-  /// Increments *inference_count once per neighbor scored. All neighbors
-  /// are encoded and scored in one batched inference pass (no per-pair
-  /// tapes): InferCross over `neighbors`, then PredictBatchesFromCross.
-  std::vector<std::vector<GraphId>> PredictBatches(
-      std::span<const GraphId> neighbors,
-      const std::vector<CompressedGnnGraph>& db_cgs, GraphId node,
-      const CompressedGnnGraph& query_cg, int64_t* inference_count) const;
+  /// Predicted batches, best first, appended to `out` (empty predicted
+  /// ranks are skipped). Increments *inference_count once per neighbor
+  /// scored. All neighbors are encoded and scored in one batched inference
+  /// pass (no per-pair tapes): InferCross over `neighbors`, then
+  /// PredictBatchesFromCross.
+  void PredictBatches(std::span<const GraphId> neighbors,
+                      const std::vector<CompressedGnnGraph>& db_cgs,
+                      GraphId node, const CompressedGnnGraph& query_cg,
+                      int64_t* inference_count, RankedBatches* out) const;
 
   /// Like above with the per-query encoder cache pre-built. This is the
   /// unmemoized reference for LearnedNeighborRanker, which reuses each
   /// neighbor's cross row across the routing nodes of one query.
-  std::vector<std::vector<GraphId>> PredictBatches(
-      std::span<const GraphId> neighbors,
-      const std::vector<CompressedGnnGraph>& db_cgs, GraphId node,
-      const QueryEncodingCache& query, int64_t* inference_count) const;
+  void PredictBatches(std::span<const GraphId> neighbors,
+                      const std::vector<CompressedGnnGraph>& db_cgs,
+                      GraphId node, const QueryEncodingCache& query,
+                      int64_t* inference_count, RankedBatches* out) const;
 
   /// The heads half of M_rk: groups routing node `node`'s neighbors into
   /// predicted batches from their cross rows (row i = h_{neighbors[i], Q},
   /// from PairScorer::InferCross on CGs or raw graphs). The context row is
   /// `node`'s cached one; a node without one (inserted after training) is
   /// encoded from `node_cg` / `node_graph`. Increments *inference_count
-  /// once per neighbor scored.
-  std::vector<std::vector<GraphId>> PredictBatchesFromCross(
-      std::span<const GraphId> neighbors, const Matrix& cross, GraphId node,
-      const CompressedGnnGraph& node_cg, int64_t* inference_count) const;
-  std::vector<std::vector<GraphId>> PredictBatchesFromCross(
-      std::span<const GraphId> neighbors, const Matrix& cross, GraphId node,
-      const Graph& node_graph, int64_t* inference_count) const;
+  /// once per neighbor scored. Appends the batches to `out`.
+  void PredictBatchesFromCross(std::span<const GraphId> neighbors,
+                               const Matrix& cross, GraphId node,
+                               const CompressedGnnGraph& node_cg,
+                               int64_t* inference_count,
+                               RankedBatches* out) const;
+  void PredictBatchesFromCross(std::span<const GraphId> neighbors,
+                               const Matrix& cross, GraphId node,
+                               const Graph& node_graph,
+                               int64_t* inference_count,
+                               RankedBatches* out) const;
 
   const PairScorer& scorer() const { return scorer_; }
   PairScorer* mutable_scorer() { return &scorer_; }
 
  private:
-  std::vector<std::vector<GraphId>> GroupByBatch(
-      std::span<const GraphId> neighbors,
-      const std::vector<std::vector<float>>& probs) const;
+  void GroupByBatch(std::span<const GraphId> neighbors,
+                    const std::vector<std::vector<float>>& probs,
+                    RankedBatches* out) const;
   /// InferHeads on `cross` with `node`'s context row: the cached row when
   /// there is one, else `node_graph`'s embedding computed now.
   template <typename G>

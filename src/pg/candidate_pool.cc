@@ -15,26 +15,23 @@ bool CandidatePool::Before(const PoolEntry& a, const PoolEntry& b) const {
   return ExploredAt(a.id) > ExploredAt(b.id);  // recently explored first
 }
 
-void CandidatePool::Add(GraphId id, double distance) {
-  if (Contains(id)) return;
-  entries_->push_back(PoolEntry{id, distance});
-}
-
 void CandidatePool::Resize(int beam_size) {
   LAN_CHECK_GT(beam_size, 0);
-  if (entries_->size() <= static_cast<size_t>(beam_size)) return;
-  std::sort(entries_->begin(), entries_->end(),
-            [this](const PoolEntry& a, const PoolEntry& b) {
-              return Before(a, b);
-            });
-  entries_->resize(static_cast<size_t>(beam_size));
-}
-
-bool CandidatePool::Contains(GraphId id) const {
-  for (const PoolEntry& e : *entries_) {
-    if (e.id == id) return true;
+  const size_t keep = static_cast<size_t>(beam_size);
+  if (entries_->size() <= keep) return;
+  // Ids are unique in W and Before is a strict total order over them, so
+  // the best `keep` form one well-defined set, and partial selection finds
+  // it without ordering it.
+  std::nth_element(entries_->begin(),
+                   entries_->begin() + static_cast<ptrdiff_t>(keep),
+                   entries_->end(),
+                   [this](const PoolEntry& a, const PoolEntry& b) {
+                     return Before(a, b);
+                   });
+  for (size_t i = keep; i < entries_->size(); ++i) {
+    states_->SetInPool((*entries_)[i].id, false);
   }
-  return false;
+  entries_->resize(keep);
 }
 
 GraphId CandidatePool::BestUnexplored() const {

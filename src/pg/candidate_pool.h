@@ -16,24 +16,37 @@ namespace lan {
 /// among explored, the more recently explored first). Resize(b) keeps the
 /// best b candidates.
 ///
+/// Every query below answers from the set alone, independent of the order
+/// of the backing vector, and that order is unspecified after Resize.
+/// Membership is the RouteStateArray's "in W" mark, so Add and Contains
+/// are O(1).
+///
 /// Exploration state and entry storage are donated by the caller (normally
 /// a SearchScratch), so constructing a pool per query allocates nothing.
 class CandidatePool {
  public:
-  /// `states` and `entries` must outlive the pool; `entries` is cleared
-  /// (its capacity is the reuse) and used as the pool's backing storage.
-  CandidatePool(const RouteStateArray* states, std::vector<PoolEntry>* entries)
+  /// `states` and `entries` must outlive the pool; `states` must be Reset
+  /// to cover every id added. `entries` is cleared (its capacity is the
+  /// reuse) and used as the pool's backing storage, and the pool starts
+  /// empty: the states' "in W" marks are cleared too.
+  CandidatePool(RouteStateArray* states, std::vector<PoolEntry>* entries)
       : states_(states), entries_(entries) {
     entries_->clear();
+    states_->ClearPool();
   }
 
   /// Inserts (id, distance); no-op if the id is already present.
-  void Add(GraphId id, double distance);
+  void Add(GraphId id, double distance) {
+    if (states_->InPool(id)) return;
+    states_->SetInPool(id, true);
+    entries_->push_back(PoolEntry{id, distance});
+  }
 
-  /// Trims to the best `beam_size` entries under the priority order.
+  /// Trims to the best `beam_size` entries under the priority order, by
+  /// partial selection: the kept set is the one a full sort would keep.
   void Resize(int beam_size);
 
-  bool Contains(GraphId id) const;
+  bool Contains(GraphId id) const { return states_->InPool(id); }
 
   /// Smallest-distance unexplored entry (ties: smaller id); kInvalidGraphId
   /// if none.
@@ -72,7 +85,7 @@ class CandidatePool {
   /// True if a ranks strictly before b in the priority order.
   bool Before(const PoolEntry& a, const PoolEntry& b) const;
 
-  const RouteStateArray* states_;
+  RouteStateArray* states_;
   std::vector<PoolEntry>* entries_;
 };
 

@@ -62,12 +62,15 @@ class DistanceOracle {
   /// control flow keyed on it is identical with and without caching.
   const double* FindCached(GraphId id) const { return cache_->Find(id); }
 
-  /// Looks up a memoized model score; charges stats->cache_hits and emits
-  /// kCacheHit on a hit.
-  bool FindScore(ResultKind kind, GraphId id, CachedScore* out) {
+  /// Looks up a memoized model score; on a hit calls `read` on the cached
+  /// blob (see ResultCache::ReadScore), charges stats->cache_hits and
+  /// emits kCacheHit.
+  bool ReadScore(ResultKind kind, GraphId id,
+                 const std::function<void(const CachedScore&)>& read) {
     StageSpan span(profile_, Stage::kCacheLookup);
     if (result_cache_ == nullptr ||
-        !result_cache_->FindScore(ctx_.query_hash, id, kind, ctx_.epoch, out)) {
+        !result_cache_->ReadScore(ctx_.query_hash, id, kind, ctx_.epoch,
+                                  read)) {
       return false;
     }
     ChargeCacheHit(kind, id, 0.0);

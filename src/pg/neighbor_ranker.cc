@@ -7,29 +7,26 @@
 
 namespace lan {
 
-std::vector<std::vector<GraphId>> SplitIntoBatches(
-    const std::vector<GraphId>& ranked, int batch_percent) {
+void SplitIntoBatches(std::span<const GraphId> ranked, int batch_percent,
+                      RankedBatches* out) {
   LAN_CHECK_GT(batch_percent, 0);
   LAN_CHECK_LE(batch_percent, 100);
-  std::vector<std::vector<GraphId>> batches;
-  if (ranked.empty()) return batches;
+  if (ranked.empty()) return;
   const size_t batch_size = std::max<size_t>(
       1, static_cast<size_t>(std::ceil(static_cast<double>(ranked.size()) *
                                        batch_percent / 100.0)));
   for (size_t start = 0; start < ranked.size(); start += batch_size) {
     const size_t end = std::min(start + batch_size, ranked.size());
-    batches.emplace_back(ranked.begin() + static_cast<ptrdiff_t>(start),
-                         ranked.begin() + static_cast<ptrdiff_t>(end));
+    out->AppendBatch(ranked.subspan(start, end - start));
   }
-  return batches;
 }
 
 OracleRanker::OracleRanker(const GraphDatabase* db, const GedComputer* ged,
                            int batch_percent)
     : db_(db), ged_(ged), batch_percent_(batch_percent) {}
 
-std::vector<std::vector<GraphId>> OracleRanker::RankNeighbors(
-    const ProximityGraph& pg, GraphId node, const Graph& query) {
+void OracleRanker::RankNeighbors(const ProximityGraph& pg, GraphId node,
+                                 const Graph& query, RankedBatches* out) {
   const std::span<const GraphId> row = pg.NeighborSpan(node);
   std::vector<GraphId> ranked(row.begin(), row.end());
   std::vector<double> dist(ranked.size());
@@ -45,7 +42,7 @@ std::vector<std::vector<GraphId>> OracleRanker::RankNeighbors(
   std::vector<GraphId> sorted;
   sorted.reserve(ranked.size());
   for (size_t i : order) sorted.push_back(ranked[i]);
-  return SplitIntoBatches(sorted, batch_percent_);
+  SplitIntoBatches(sorted, batch_percent_, out);
 }
 
 }  // namespace lan

@@ -2,6 +2,7 @@
 #define LAN_PG_NEIGHBOR_RANKER_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "pg/distance.h"
@@ -16,14 +17,21 @@ namespace lan {
 /// Implementations must NOT charge distance computations to the query's
 /// NDC (the oracle assumption of Sec. IV-A; the learned ranker's cost is
 /// model inference, counted separately).
+///
+/// Batches are written into a caller-owned flat RankedBatches: np_route
+/// passes its per-thread batch arena, so a ranker that only copies ids
+/// (the learned ranker on a cache hit) allocates nothing once the arena
+/// has grown.
 class NeighborRanker {
  public:
   virtual ~NeighborRanker() = default;
 
-  /// Partitions Neighbors(node) into batches, best first. Batches must be
-  /// non-empty and jointly contain every neighbor exactly once.
-  virtual std::vector<std::vector<GraphId>> RankNeighbors(
-      const ProximityGraph& pg, GraphId node, const Graph& query) = 0;
+  /// Partitions Neighbors(node) into batches, best first, and appends them
+  /// to `out` (the caller's buffer; what it already holds stays as is).
+  /// Batches must be non-empty and jointly contain every neighbor exactly
+  /// once.
+  virtual void RankNeighbors(const ProximityGraph& pg, GraphId node,
+                             const Graph& query, RankedBatches* out) = 0;
 };
 
 /// \brief The oracle ranker of Sec. IV-A: batches by true distance to the
@@ -36,9 +44,8 @@ class OracleRanker : public NeighborRanker {
   OracleRanker(const GraphDatabase* db, const GedComputer* ged,
                int batch_percent);
 
-  std::vector<std::vector<GraphId>> RankNeighbors(const ProximityGraph& pg,
-                                                  GraphId node,
-                                                  const Graph& query) override;
+  void RankNeighbors(const ProximityGraph& pg, GraphId node,
+                     const Graph& query, RankedBatches* out) override;
 
  private:
   const GraphDatabase* db_;
@@ -46,10 +53,10 @@ class OracleRanker : public NeighborRanker {
   int batch_percent_;
 };
 
-/// Splits an already-ranked list into batches of y%.
-/// Batch size = ceil(count * y / 100), at least 1.
-std::vector<std::vector<GraphId>> SplitIntoBatches(
-    const std::vector<GraphId>& ranked, int batch_percent);
+/// Splits an already-ranked list into batches of y% and appends them to
+/// `out`. Batch size = ceil(count * y / 100), at least 1.
+void SplitIntoBatches(std::span<const GraphId> ranked, int batch_percent,
+                      RankedBatches* out);
 
 }  // namespace lan
 

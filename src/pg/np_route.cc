@@ -1,7 +1,7 @@
 #include "pg/np_route.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -9,16 +9,6 @@
 
 namespace lan {
 namespace {
-
-/// Batch bookkeeping of one PG node: the ranked batches B_0..B_n, how many
-/// of them have been opened (distances computed), and the farthest member
-/// distance across the opened batches (a running max, so revisits need not
-/// re-scan every opened member through the oracle).
-struct BatchState {
-  std::vector<std::vector<GraphId>> batches;
-  size_t opened = 0;
-  double farthest_opened = -1.0;
-};
 
 class NpRouter {
  public:
@@ -28,11 +18,11 @@ class NpRouter {
       : pg_(pg), oracle_(oracle), ranker_(ranker), options_(options),
         scratch_(scratch), states_(&scratch->route_states),
         pool_(&scratch->route_states, &scratch->pool_entries),
+        batches_(&scratch->batches), batch_states_(&scratch->batch_states),
         sink_(oracle->trace()) {
-    // Ranked batches hold nested vectors, so they stay in a per-query map;
-    // one state is created per explored node, which the beam bounds (each
-    // gamma round explores at most a beam of nodes before the resize).
-    batch_states_.reserve(static_cast<size_t>(options.beam_size) * 4 + 16);
+    batches_->Clear();
+    batch_states_->clear();
+    scratch->batch_slots.Reset(pg.NumNodes());
   }
 
   void Run(GraphId init, RoutingResult* out) {
@@ -115,21 +105,36 @@ class NpRouter {
     return out;
   }
 
-  BatchState& GetBatchState(GraphId node) {
-    auto it = batch_states_.find(node);
-    if (it != batch_states_.end()) return it->second;
+  /// Slot of `node`'s BatchState, ranking its neighbors into the arena on
+  /// the first visit. The slot stays valid for the query; a reference to
+  /// the state does not outlive the next call, which may grow the arena.
+  uint32_t BatchSlot(GraphId node) {
+    StampedDenseMap<uint32_t>& slots = scratch_->batch_slots;
+    if (const uint32_t* slot = slots.Find(node)) return *slot;
     // The ranker is about to scan this node's adjacency row.
     pg_.PrefetchNeighbors(node);
     BatchState st;
-    st.batches = ranker_->RankNeighbors(pg_, node, oracle_->query());
-    return batch_states_.emplace(node, std::move(st)).first->second;
+    st.first_batch = static_cast<uint32_t>(batches_->num_batches());
+    ranker_->RankNeighbors(pg_, node, oracle_->query(), batches_);
+    st.num_batches =
+        static_cast<uint32_t>(batches_->num_batches()) - st.first_batch;
+    const uint32_t slot = static_cast<uint32_t>(batch_states_->size());
+    batch_states_->push_back(st);
+    slots.Insert(node, slot);
+    return slot;
+  }
+
+  /// Members of batch j of the node whose state is `st`.
+  std::span<const GraphId> Batch(const BatchState& st, uint32_t j) const {
+    return batches_->Batch(st.first_batch + j);
   }
 
   /// Opens batch j of `node`: computes distances and adds every member to
   /// W. Returns the largest member distance.
-  double OpenBatch(GraphId node, BatchState* st, size_t j) {
+  double OpenBatch(GraphId node, BatchState* st, uint32_t j) {
     double farthest = -1.0;
-    for (GraphId member : st->batches[j]) {
+    const std::span<const GraphId> members = Batch(*st, j);
+    for (GraphId member : members) {
       const double d = oracle_->Distance(member);
       pool_.Add(member, d);
       farthest = std::max(farthest, d);
@@ -142,7 +147,7 @@ class NpRouter {
       event.id = node;
       event.step = static_cast<int64_t>(j);
       event.value = farthest;
-      event.aux = static_cast<double>(st->batches[j].size());
+      event.aux = static_cast<double>(members.size());
       sink_->Record(event);
     }
     return farthest;
@@ -151,24 +156,25 @@ class NpRouter {
   /// Records that the remaining batches of `node` were pruned under
   /// threshold `gamma` (the prune that makes np_route beat Algorithm 1).
   void RecordGammaPrune(GraphId node, const BatchState& st, double gamma) {
-    if (sink_ == nullptr || st.opened >= st.batches.size()) return;
+    if (sink_ == nullptr || st.opened >= st.num_batches) return;
     TraceEvent event;
     event.type = TraceEventType::kGammaPrune;
     event.id = node;
     event.step = static_cast<int64_t>(st.opened);
     event.value = gamma;
-    event.aux = static_cast<double>(st.batches.size() - st.opened);
+    event.aux = static_cast<double>(st.num_batches - st.opened);
     sink_->Record(event);
   }
 
   /// Algorithm 4.
   void RankExplore(GraphId node, double gamma) {
-    BatchState& st = GetBatchState(node);
+    // Nothing below grows the arena, so the reference stays valid.
+    BatchState& st = (*batch_states_)[BatchSlot(node)];
     if (st.opened > 0 && st.farthest_opened >= gamma) {
       RecordGammaPrune(node, st, gamma);
       return;
     }
-    for (size_t j = st.opened; j < st.batches.size(); ++j) {
+    for (uint32_t j = st.opened; j < st.num_batches; ++j) {
       const double farthest = OpenBatch(node, &st, j);
       if (farthest >= gamma) {
         RecordGammaPrune(node, st, gamma);
@@ -179,11 +185,11 @@ class NpRouter {
 
   /// Algorithm 3.
   void AllQualifiedNeighbors(GraphId node, double gamma) {
-    BatchState& st = GetBatchState(node);
+    BatchState& st = (*batch_states_)[BatchSlot(node)];
     // Lines 3-10: re-add unexplored members of already-opened batches.
-    for (size_t j = 0; j < st.opened; ++j) {
+    for (uint32_t j = 0; j < st.opened; ++j) {
       bool added_far = false;
-      for (GraphId member : st.batches[j]) {
+      for (GraphId member : Batch(st, j)) {
         if (Explored(member)) continue;
         const double d = oracle_->Distance(member);  // cached
         pool_.Add(member, d);
@@ -195,7 +201,7 @@ class NpRouter {
       }
     }
     // Lines 11-18: open further batches.
-    for (size_t j = st.opened; j < st.batches.size(); ++j) {
+    for (uint32_t j = st.opened; j < st.num_batches; ++j) {
       const double farthest = OpenBatch(node, &st, j);
       if (farthest >= gamma) {
         RecordGammaPrune(node, st, gamma);
@@ -211,7 +217,8 @@ class NpRouter {
   SearchScratch* scratch_;
   RouteStateArray* states_;
   CandidatePool pool_;
-  std::unordered_map<GraphId, BatchState> batch_states_;
+  RankedBatches* batches_;
+  std::vector<BatchState>* batch_states_;
   int64_t clock_ = 0;
   int64_t routing_steps_ = 0;
   std::vector<GraphId>* trace_ = nullptr;

@@ -78,14 +78,16 @@ void ResultCache::PutGed(uint64_t query_hash, GraphId id, ResultKind kind,
   ged_cache_.Put(MakeKey(query_hash, id, kind), value, sizeof(double), epoch);
 }
 
-bool ResultCache::FindScore(uint64_t query_hash, GraphId id, ResultKind kind,
-                            uint64_t query_epoch, CachedScore* out) {
+bool ResultCache::ReadScore(
+    uint64_t query_hash, GraphId id, ResultKind kind, uint64_t query_epoch,
+    const std::function<void(const CachedScore&)>& read) {
   const uint64_t watermark = WatermarkOf(id);
-  return score_cache_.FindIf(
-      MakeKey(query_hash, id, kind), out,
+  return score_cache_.ReadIf(
+      MakeKey(query_hash, id, kind),
       [watermark, query_epoch](uint64_t entry_epoch) {
         return watermark <= entry_epoch && watermark <= query_epoch;
-      });
+      },
+      read);
 }
 
 void ResultCache::PutScore(uint64_t query_hash, GraphId id, ResultKind kind,

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
@@ -121,8 +122,12 @@ class ResultCache {
   void PutGed(uint64_t query_hash, GraphId id, ResultKind kind, uint64_t epoch,
               double value);
 
-  bool FindScore(uint64_t query_hash, GraphId id, ResultKind kind,
-                 uint64_t query_epoch, CachedScore* out);
+  /// Looks up a model score; on a hit calls `read` on the resident blob
+  /// under the shard lock, so the caller copies it straight into its own
+  /// storage, and returns true. `read` must not call into the cache.
+  bool ReadScore(uint64_t query_hash, GraphId id, ResultKind kind,
+                 uint64_t query_epoch,
+                 const std::function<void(const CachedScore&)>& read);
   void PutScore(uint64_t query_hash, GraphId id, ResultKind kind,
                 uint64_t epoch, const CachedScore& value);
 

@@ -297,11 +297,13 @@ TEST_F(BatchedInferenceTest, RankModelBatchesMatchCachedQueryOverload) {
   model.PrecomputeContexts(cgs_);
   int64_t inferences_a = 0;
   int64_t inferences_b = 0;
-  const auto direct = model.PredictBatches(candidates_, cgs_, /*node=*/10,
-                                           query_cg_, &inferences_a);
-  const auto cached = model.PredictBatches(candidates_, cgs_, /*node=*/10,
-                                           model.scorer().EncodeQuery(query_cg_),
-                                           &inferences_b);
+  RankedBatches direct;
+  RankedBatches cached;
+  model.PredictBatches(candidates_, cgs_, /*node=*/10, query_cg_,
+                       &inferences_a, &direct);
+  model.PredictBatches(candidates_, cgs_, /*node=*/10,
+                       model.scorer().EncodeQuery(query_cg_), &inferences_b,
+                       &cached);
   EXPECT_EQ(inferences_a, static_cast<int64_t>(candidates_.size()));
   EXPECT_EQ(inferences_a, inferences_b);
   EXPECT_EQ(direct, cached);

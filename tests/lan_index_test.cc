@@ -237,31 +237,34 @@ class MemoCheckingRanker : public NeighborRanker {
         ranker_(index.rank_model(), &index.db_cgs(), query_cg, oracle,
                 index.gamma_star(), use_compressed) {}
 
-  std::vector<std::vector<GraphId>> RankNeighbors(const ProximityGraph& pg,
-                                                  GraphId node,
-                                                  const Graph& query) override {
+  void RankNeighbors(const ProximityGraph& pg, GraphId node,
+                     const Graph& query, RankedBatches* out) override {
     const int64_t scored_before = oracle_->stats()->model_inferences;
-    std::vector<std::vector<GraphId>> got =
-        ranker_.RankNeighbors(pg, node, query);
-    if (oracle_->stats()->model_inferences == scored_before) return got;
+    const size_t first_batch = out->num_batches();
+    ranker_.RankNeighbors(pg, node, query, out);
+    if (oracle_->stats()->model_inferences == scored_before) return;
+    // This node's batches, lifted out of the router's shared arena.
+    RankedBatches got;
+    for (size_t j = first_batch; j < out->num_batches(); ++j) {
+      got.AppendBatch(out->Batch(j));
+    }
 
     const NeighborRankModel& model = *index_.rank_model();
     const std::span<const GraphId> neighbors = pg.NeighborSpan(node);
-    std::vector<std::vector<GraphId>> reference;
+    RankedBatches reference;
     if (use_compressed_) {
-      reference = model.PredictBatches(neighbors, index_.db_cgs(), node,
-                                       query_cg_->Get(), nullptr);
+      model.PredictBatches(neighbors, index_.db_cgs(), node, query_cg_->Get(),
+                           nullptr, &reference);
     } else {
       std::vector<const Graph*> gs;
       for (GraphId n : neighbors) gs.push_back(&index_.db().Get(n));
-      reference = model.PredictBatchesFromCross(
+      model.PredictBatchesFromCross(
           neighbors,
           model.scorer().InferCross(gs, model.scorer().EncodeQuery(query)),
-          node, index_.db().Get(node), nullptr);
+          node, index_.db().Get(node), nullptr, &reference);
     }
     EXPECT_EQ(got, reference) << "routing node " << node;
     distinct_neighbors.insert(neighbors.begin(), neighbors.end());
-    return got;
   }
 
   /// Neighbors of every model-scored node this query.

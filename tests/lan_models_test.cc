@@ -292,13 +292,14 @@ TEST(RankModelTest, PredictBatchesCoverAllNeighbors) {
   }
   std::vector<GraphId> neighbors = {1, 3, 5, 7, 9};
   int64_t inferences = 0;
-  auto batches = model.PredictBatches(neighbors, db_cgs, /*node=*/0,
-                                      db_cgs[2], &inferences);
+  RankedBatches batches;
+  model.PredictBatches(neighbors, db_cgs, /*node=*/0, db_cgs[2], &inferences,
+                       &batches);
   EXPECT_EQ(inferences, 5);
   std::set<GraphId> seen;
-  for (const auto& batch : batches) {
-    EXPECT_FALSE(batch.empty());
-    for (GraphId id : batch) EXPECT_TRUE(seen.insert(id).second);
+  for (size_t j = 0; j < batches.num_batches(); ++j) {
+    EXPECT_FALSE(batches.Batch(j).empty());
+    for (GraphId id : batches.Batch(j)) EXPECT_TRUE(seen.insert(id).second);
   }
   EXPECT_EQ(seen.size(), neighbors.size());
 }

@@ -160,25 +160,40 @@ TEST(CandidatePoolTest, AddIsIdempotent) {
 
 TEST(SplitIntoBatchesTest, TwentyPercent) {
   std::vector<GraphId> ranked = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  auto batches = SplitIntoBatches(ranked, 20);
-  ASSERT_EQ(batches.size(), 5u);
-  for (const auto& b : batches) EXPECT_EQ(b.size(), 2u);
-  EXPECT_EQ(batches[0], (std::vector<GraphId>{0, 1}));
-  EXPECT_EQ(batches[4], (std::vector<GraphId>{8, 9}));
+  RankedBatches batches;
+  SplitIntoBatches(ranked, 20, &batches);
+  ASSERT_EQ(batches.num_batches(), 5u);
+  for (size_t j = 0; j < 5; ++j) EXPECT_EQ(batches.Batch(j).size(), 2u);
+  EXPECT_EQ(batches.Batch(0)[0], 0);
+  EXPECT_EQ(batches.Batch(0)[1], 1);
+  EXPECT_EQ(batches.Batch(4)[0], 8);
+  EXPECT_EQ(batches.Batch(4)[1], 9);
 }
 
 TEST(SplitIntoBatchesTest, SmallListsGetSingletonBatches) {
   std::vector<GraphId> ranked = {4, 2};
-  auto batches = SplitIntoBatches(ranked, 30);
-  ASSERT_EQ(batches.size(), 2u);  // ceil(2*0.3)=1 per batch
-  EXPECT_EQ(batches[0][0], 4);
+  RankedBatches batches;
+  SplitIntoBatches(ranked, 30, &batches);
+  ASSERT_EQ(batches.num_batches(), 2u);  // ceil(2*0.3)=1 per batch
+  EXPECT_EQ(batches.Batch(0)[0], 4);
 }
 
 TEST(SplitIntoBatchesTest, HundredPercentIsOneBatch) {
   std::vector<GraphId> ranked = {1, 2, 3};
-  auto batches = SplitIntoBatches(ranked, 100);
-  ASSERT_EQ(batches.size(), 1u);
-  EXPECT_EQ(batches[0].size(), 3u);
+  RankedBatches batches;
+  SplitIntoBatches(ranked, 100, &batches);
+  ASSERT_EQ(batches.num_batches(), 1u);
+  EXPECT_EQ(batches.Batch(0).size(), 3u);
+}
+
+TEST(SplitIntoBatchesTest, AppendsAfterExistingBatches) {
+  RankedBatches batches;
+  batches.AppendBatch(std::vector<GraphId>{9});
+  SplitIntoBatches(std::vector<GraphId>{5, 6, 7}, 50, &batches);
+  ASSERT_EQ(batches.num_batches(), 3u);
+  EXPECT_EQ(batches.Batch(0)[0], 9);
+  EXPECT_EQ(batches.ids, (std::vector<GraphId>{9, 5, 6, 7}));
+  EXPECT_EQ(batches.ends, (std::vector<uint32_t>{1, 3, 4}));
 }
 
 // ---------- Beam search on a known PG ----------
@@ -257,13 +272,14 @@ TEST(OracleRankerTest, BatchesOrderedByTrueDistance) {
   Rng rng(4);
   Graph query = PerturbGraph(world.db.Get(5), 1, 3, &rng);
   OracleRanker ranker(&world.db, &world.ged, /*batch_percent=*/25);
-  auto batches = ranker.RankNeighbors(world.pg, /*node=*/0, query);
+  RankedBatches batches;
+  ranker.RankNeighbors(world.pg, /*node=*/0, query, &batches);
   // Node 0 has 7 neighbors; batch size ceil(7*0.25)=2 -> 4 batches.
-  ASSERT_EQ(batches.size(), 4u);
+  ASSERT_EQ(batches.num_batches(), 4u);
   double prev_max = -1.0;
-  for (const auto& batch : batches) {
+  for (size_t j = 0; j < batches.num_batches(); ++j) {
     double batch_min = 1e18, batch_max = -1.0;
-    for (GraphId id : batch) {
+    for (GraphId id : batches.Batch(j)) {
       const double d = world.ged.Distance(query, world.db.Get(id));
       batch_min = std::min(batch_min, d);
       batch_max = std::max(batch_max, d);

@@ -215,6 +215,13 @@ TEST(ResultCacheTest, InvalidateGraphsSweepsOnlyTouchedIds) {
   }
 }
 
+/// Copies a cached score out through ResultCache::ReadScore.
+bool FindScore(ResultCache* cache, uint64_t query_hash, GraphId id,
+               ResultKind kind, uint64_t query_epoch, CachedScore* out) {
+  return cache->ReadScore(query_hash, id, kind, query_epoch,
+                          [out](const CachedScore& value) { *out = value; });
+}
+
 TEST(ResultCacheTest, ScoreRoundTripAndClear) {
   ResultCache cache(SmallCacheOptions());
   CachedScore score;
@@ -223,7 +230,7 @@ TEST(ResultCacheTest, ScoreRoundTripAndClear) {
   score.sizes = {1, 2};
   cache.PutScore(42, 9, ResultKind::kRankBatches, 0, score);
   CachedScore out;
-  ASSERT_TRUE(cache.FindScore(42, 9, ResultKind::kRankBatches, 0, &out));
+  ASSERT_TRUE(FindScore(&cache, 42, 9, ResultKind::kRankBatches, 0, &out));
   EXPECT_EQ(out.floats, score.floats);
   EXPECT_EQ(out.ids, score.ids);
   EXPECT_EQ(out.sizes, score.sizes);
@@ -231,7 +238,7 @@ TEST(ResultCacheTest, ScoreRoundTripAndClear) {
   cache.PutGed(42, 9, ResultKind::kExactGed, 0, 1.0);
   cache.Clear();
   double value = 0.0;
-  EXPECT_FALSE(cache.FindScore(42, 9, ResultKind::kRankBatches, 0, &out));
+  EXPECT_FALSE(FindScore(&cache, 42, 9, ResultKind::kRankBatches, 0, &out));
   EXPECT_FALSE(cache.FindGed(42, 9, ResultKind::kExactGed, 0, &value));
   EXPECT_EQ(cache.Stats().entries, 0);
 }
@@ -246,15 +253,15 @@ TEST(ResultCacheTest, QueryLevelScoreKindsDoNotShareEntries) {
   kept.ids = {7, 2};
   cache.PutScore(42, kInvalidGraphId, ResultKind::kClusterCounts, 0, counts);
   CachedScore out;
-  EXPECT_FALSE(
-      cache.FindScore(42, kInvalidGraphId, ResultKind::kNeighborhood, 0, &out));
+  EXPECT_FALSE(FindScore(&cache, 42, kInvalidGraphId,
+                         ResultKind::kNeighborhood, 0, &out));
   cache.PutScore(42, kInvalidGraphId, ResultKind::kNeighborhood, 0, kept);
-  ASSERT_TRUE(cache.FindScore(42, kInvalidGraphId, ResultKind::kClusterCounts,
-                              0, &out));
+  ASSERT_TRUE(FindScore(&cache, 42, kInvalidGraphId,
+                        ResultKind::kClusterCounts, 0, &out));
   EXPECT_EQ(out.floats, counts.floats);
   EXPECT_TRUE(out.ids.empty());
-  ASSERT_TRUE(
-      cache.FindScore(42, kInvalidGraphId, ResultKind::kNeighborhood, 0, &out));
+  ASSERT_TRUE(FindScore(&cache, 42, kInvalidGraphId,
+                        ResultKind::kNeighborhood, 0, &out));
   EXPECT_TRUE(out.floats.empty());
   EXPECT_EQ(out.ids, kept.ids);
   EXPECT_STREQ(ResultKindName(ResultKind::kNeighborhood), "neighborhood");
@@ -328,9 +335,9 @@ TEST(DistanceOracleCacheTest, ZeroQueryHashBypassesTheCache) {
     CachedScore score;
     score.floats = {1.0f};
     oracle.StoreScore(ResultKind::kClusterCounts, kInvalidGraphId, score);
-    CachedScore out;
-    EXPECT_FALSE(
-        oracle.FindScore(ResultKind::kClusterCounts, kInvalidGraphId, &out));
+    EXPECT_FALSE(oracle.ReadScore(ResultKind::kClusterCounts,
+                                  kInvalidGraphId,
+                                  [](const CachedScore&) {}));
   }
   EXPECT_EQ(cache.Stats().inserts, 0);
 }

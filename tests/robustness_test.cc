@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <memory>
 #include <set>
 #include <span>
 #include <vector>
@@ -34,13 +38,12 @@ class RandomRanker : public NeighborRanker {
   RandomRanker(uint64_t seed, int batch_percent)
       : rng_(seed), batch_percent_(batch_percent) {}
 
-  std::vector<std::vector<GraphId>> RankNeighbors(const ProximityGraph& pg,
-                                                  GraphId node,
-                                                  const Graph& query) override {
+  void RankNeighbors(const ProximityGraph& pg, GraphId node,
+                     const Graph& query, RankedBatches* out) override {
     const std::span<const GraphId> row = pg.NeighborSpan(node);
     std::vector<GraphId> shuffled(row.begin(), row.end());
     rng_.Shuffle(&shuffled);
-    return SplitIntoBatches(shuffled, batch_percent_);
+    SplitIntoBatches(shuffled, batch_percent_, out);
   }
 
  private:
@@ -55,12 +58,13 @@ class InvertedOracleRanker : public NeighborRanker {
                        int batch_percent)
       : inner_(db, ged, batch_percent) {}
 
-  std::vector<std::vector<GraphId>> RankNeighbors(const ProximityGraph& pg,
-                                                  GraphId node,
-                                                  const Graph& query) override {
-    auto batches = inner_.RankNeighbors(pg, node, query);
-    std::reverse(batches.begin(), batches.end());
-    return batches;
+  void RankNeighbors(const ProximityGraph& pg, GraphId node,
+                     const Graph& query, RankedBatches* out) override {
+    RankedBatches batches;
+    inner_.RankNeighbors(pg, node, query, &batches);
+    for (size_t j = batches.num_batches(); j-- > 0;) {
+      out->AppendBatch(batches.Batch(j));
+    }
   }
 
  private:
@@ -208,6 +212,167 @@ TEST(CandidatePoolFuzzTest, ResizeMatchesReferenceSort) {
     for (size_t i = 0; i < keep; ++i) {
       EXPECT_TRUE(pool.Contains(reference[i].id))
           << "trial " << trial << " missing " << reference[i].id;
+    }
+  }
+}
+
+/// Linear reference for CandidatePool: a plain vector scanned on every
+/// query, fully sorted on every Resize, under the documented priority
+/// order. Shares the RouteStateArray (explored flags and timestamps) with
+/// the pool under test.
+class ReferencePool {
+ public:
+  explicit ReferencePool(const RouteStateArray* states) : states_(states) {}
+
+  void Clear() { entries_.clear(); }
+
+  void Add(GraphId id, double d) {
+    if (Find(id) == nullptr) entries_.push_back({id, d});
+  }
+
+  void Resize(int b) {
+    std::stable_sort(entries_.begin(), entries_.end(),
+                     [this](const PoolEntry& a, const PoolEntry& c) {
+                       return Before(a, c);
+                     });
+    if (entries_.size() > static_cast<size_t>(b)) {
+      entries_.resize(static_cast<size_t>(b));
+    }
+  }
+
+  const PoolEntry* Find(GraphId id) const {
+    for (const PoolEntry& e : entries_) {
+      if (e.id == id) return &e;
+    }
+    return nullptr;
+  }
+
+  GraphId Best() const {
+    const PoolEntry* best = nullptr;
+    for (const PoolEntry& e : entries_) {
+      if (best == nullptr || Before(e, *best)) best = &e;
+    }
+    return best == nullptr ? kInvalidGraphId : best->id;
+  }
+
+  GraphId BestUnexploredWithin(double gamma) const {
+    const PoolEntry* best = nullptr;
+    for (const PoolEntry& e : entries_) {
+      if (e.distance > gamma || states_->Explored(e.id)) continue;
+      if (best == nullptr || e.distance < best->distance ||
+          (e.distance == best->distance && e.id < best->id)) {
+        best = &e;
+      }
+    }
+    return best == nullptr ? kInvalidGraphId : best->id;
+  }
+
+  bool AllExplored() const {
+    for (const PoolEntry& e : entries_) {
+      if (!states_->Explored(e.id)) return false;
+    }
+    return true;
+  }
+
+  std::vector<std::pair<GraphId, double>> TopK(int k) const {
+    std::vector<PoolEntry> sorted = entries_;
+    std::sort(sorted.begin(), sorted.end(),
+              [](const PoolEntry& a, const PoolEntry& c) {
+                if (a.distance != c.distance) return a.distance < c.distance;
+                return a.id < c.id;
+              });
+    std::vector<std::pair<GraphId, double>> out;
+    for (size_t i = 0; i < sorted.size() && i < static_cast<size_t>(k); ++i) {
+      out.emplace_back(sorted[i].id, sorted[i].distance);
+    }
+    return out;
+  }
+
+  size_t size() const { return entries_.size(); }
+
+ private:
+  bool Before(const PoolEntry& a, const PoolEntry& c) const {
+    if (a.distance != c.distance) return a.distance < c.distance;
+    const bool xa = states_->Explored(a.id);
+    const bool xc = states_->Explored(c.id);
+    if (xa != xc) return !xa;
+    if (!xa) return a.id < c.id;
+    return states_->ExploredAt(a.id) > states_->ExploredAt(c.id);
+  }
+
+  const RouteStateArray* states_;
+  std::vector<PoolEntry> entries_;
+};
+
+/// Bit-level equality, so +0.0 and -0.0 count as different.
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(CandidatePoolFuzzTest, MultiRoundSequencesMatchLinearReference) {
+  constexpr GraphId kIds = 24;
+  // Few distinct values, both zeros among them: most comparisons tie.
+  const double kDistances[] = {-0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 3.0, 7.5};
+  Rng rng(83);
+  // One states array and entry buffer for every trial, as a search thread
+  // reuses its scratch: the epochs must isolate the trials.
+  RouteStateArray states;
+  std::vector<PoolEntry> entries;
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    states.Reset(kIds);
+    auto pool = std::make_unique<CandidatePool>(&states, &entries);
+    ReferencePool reference(&states);
+    int64_t clock = 0;
+    const int steps = 10 + static_cast<int>(rng.NextBounded(60));
+    for (int step = 0; step < steps; ++step) {
+      SCOPED_TRACE(testing::Message() << "step " << step);
+      const uint64_t op = rng.NextBounded(100);
+      if (op < 55) {
+        // Add, often an id that an earlier Resize evicted.
+        const GraphId id = static_cast<GraphId>(rng.NextBounded(kIds));
+        const double d = kDistances[rng.NextBounded(std::size(kDistances))];
+        pool->Add(id, d);
+        reference.Add(id, d);
+      } else if (op < 75) {
+        const GraphId id = static_cast<GraphId>(rng.NextBounded(kIds));
+        states.MarkExplored(id, clock++);
+      } else if (op < 97) {
+        const int b = 1 + static_cast<int>(rng.NextBounded(10));
+        pool->Resize(b);
+        reference.Resize(b);
+      } else {
+        // A new pool over the same states starts empty; exploration stays.
+        pool = std::make_unique<CandidatePool>(&states, &entries);
+        reference.Clear();
+      }
+
+      ASSERT_EQ(pool->size(), reference.size());
+      for (GraphId id = 0; id < kIds; ++id) {
+        const PoolEntry* ref = reference.Find(id);
+        ASSERT_EQ(pool->Contains(id), ref != nullptr) << "id " << id;
+        if (ref != nullptr) {
+          EXPECT_TRUE(SameBits(pool->DistanceOf(id), ref->distance))
+              << "id " << id;
+        }
+      }
+      EXPECT_EQ(pool->Best(), reference.Best());
+      EXPECT_EQ(pool->BestUnexplored(),
+                reference.BestUnexploredWithin(
+                    std::numeric_limits<double>::infinity()));
+      const double gamma = kDistances[rng.NextBounded(std::size(kDistances))];
+      EXPECT_EQ(pool->BestUnexploredWithin(gamma),
+                reference.BestUnexploredWithin(gamma))
+          << "gamma " << gamma;
+      EXPECT_EQ(pool->AllExplored(), reference.AllExplored());
+      const int k = 1 + static_cast<int>(rng.NextBounded(8));
+      const auto got = pool->TopK(k);
+      const auto want = reference.TopK(k);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].first, want[i].first) << "rank " << i;
+        EXPECT_TRUE(SameBits(got[i].second, want[i].second)) << "rank " << i;
+      }
     }
   }
 }

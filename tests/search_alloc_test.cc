@@ -2,8 +2,9 @@
 // warmup pass that grows every per-thread scratch buffer (SearchScratch,
 // GedScratch) to the workload's high-water mark, repeating the same
 // queries must perform ZERO heap allocations — the whole per-query hot
-// path (distance oracle cache, candidate pool, beam router, result
-// assembly, approximate GED) runs out of reused storage.
+// path (distance oracle cache, candidate pool, beam router, np_route's
+// batch arena, result assembly, approximate GED) runs out of reused
+// storage.
 //
 // Counting works by replacing global operator new/delete with malloc/free
 // wrappers that bump an atomic only while a test-controlled flag is set,
@@ -27,6 +28,8 @@
 #include "ged/ged_scratch.h"
 #include "graph/graph_generator.h"
 #include "lan/lan_index.h"
+#include "lan/workload.h"
+#include "pg/result_cache.h"
 
 namespace {
 
@@ -63,6 +66,26 @@ void* operator new(std::size_t size, std::align_val_t align) {
 }
 void* operator new[](std::size_t size, std::align_val_t align) {
   return CountedAlignedAlloc(size, static_cast<std::size_t>(align));
+}
+// The nothrow forms too (std::stable_sort's temporary buffer uses them),
+// so every allocation pairs with the matching replaced deallocation.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return CountedAlloc(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return CountedAlloc(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -256,6 +279,82 @@ TEST(SearchAllocTest, ZeroSteadyStateAllocationsWithExactAttempts) {
   EXPECT_FALSE(result.results.empty());
   // The attempts ran on this thread and kept their arena.
   EXPECT_GT(ThreadGedScratch().astar_states.capacity(), 0u);
+}
+
+TEST(SearchAllocTest, ZeroSteadyStateAllocationsWithLanRouteCacheHits) {
+  // np_route with the learned ranker on a trained index, result cache on:
+  // the candidate pool, the batch arena and the M_rk blobs it copies out of
+  // the cache must all run out of reused storage. The first pass misses
+  // the cache and runs M_rk, which allocates (model inference and the blob
+  // stored for later queries); such cold misses are outside this test.
+  GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(60), 41);
+  WorkloadOptions wopts;
+  wopts.num_queries = 20;
+  const QueryWorkload workload = SampleWorkload(db, wopts, 42);
+
+  LanConfig config;
+  config.hnsw.M = 4;
+  config.hnsw.ef_construction = 12;
+  config.query_ged.approximate_only = true;
+  config.query_ged.beam_width = 0;
+  config.scorer.gnn_dims = {8, 8};
+  config.scorer.mlp_hidden = 8;
+  config.rank.epochs = 3;
+  config.nh.epochs = 3;
+  config.cluster.epochs = 10;
+  config.max_rank_examples = 300;
+  config.max_nh_examples = 300;
+  config.neighborhood_knn = 10;
+  config.embedding.dim = 16;
+  config.num_threads = 1;
+  config.cache.enabled = true;
+  config.cache.capacity_bytes = 8 << 20;
+  LanIndex index(config);
+  ASSERT_TRUE(index.Build(&db).ok());
+  ASSERT_TRUE(index.Train(workload.train).ok());
+
+  SearchOptions options;
+  options.k = 5;
+  options.beam = 8;
+  options.routing = RoutingMethod::kLanRoute;
+  options.init = InitMethod::kRandomIs;
+
+  // Warmup: a cold pass fills the cache; a traced hot pass shows that the
+  // measured queries read cached M_rk batches and run no model.
+  SearchResult result;
+  for (const Graph& q : workload.test) {
+    index.SearchInto(q, options, &result);
+    ASSERT_TRUE(result.status.ok());
+  }
+  int64_t batch_hits = 0;
+  for (const Graph& q : workload.test) {
+    QueryTrace trace;
+    options.trace = &trace;
+    index.SearchInto(q, options, &result);
+    ASSERT_TRUE(result.status.ok());
+    ASSERT_FALSE(result.results.empty());
+    EXPECT_EQ(result.stats.model_inferences, 0);
+    for (const TraceEvent& e : trace.events()) {
+      if (e.type == TraceEventType::kCacheHit &&
+          e.detail == ResultKindName(ResultKind::kRankBatches)) {
+        ++batch_hits;
+      }
+    }
+  }
+  options.trace = nullptr;
+  ASSERT_GT(batch_hits, 0);
+
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_count_allocs.store(true, std::memory_order_relaxed);
+  for (const Graph& q : workload.test) {
+    index.SearchInto(q, options, &result);
+  }
+  g_count_allocs.store(false, std::memory_order_relaxed);
+
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0)
+      << "hot LAN_Route queries must not touch the heap";
+  EXPECT_TRUE(result.status.ok());
+  EXPECT_FALSE(result.results.empty());
 }
 
 TEST(SearchAllocTest, RepeatedSearchIntoReusesResultStorage) {
