@@ -74,28 +74,6 @@ void StageHistograms::Register(MetricsRegistry* registry) {
   }
 }
 
-void QueryHistograms::Register(MetricsRegistry* registry) {
-  registry_ = registry;
-  if (registry == nullptr) return;
-  const auto bounds = MetricsRegistry::CountBounds();
-  ndc_ = registry->Histogram("query_ndc", bounds);
-  routing_steps_ = registry->Histogram("query_routing_steps", bounds);
-  model_inferences_ = registry->Histogram("query_model_inferences", bounds);
-  cross_encodings_ = registry->Histogram("query_cross_encodings", bounds);
-  cache_hits_ = registry->Histogram("query_cache_hits", bounds);
-}
-
-void QueryHistograms::Observe(const SearchStats& stats) const {
-  if (registry_ == nullptr) return;
-  registry_->Observe(ndc_, static_cast<double>(stats.ndc));
-  registry_->Observe(routing_steps_, static_cast<double>(stats.routing_steps));
-  registry_->Observe(model_inferences_,
-                     static_cast<double>(stats.model_inferences));
-  registry_->Observe(cross_encodings_,
-                     static_cast<double>(stats.cross_encodings));
-  registry_->Observe(cache_hits_, static_cast<double>(stats.cache_hits));
-}
-
 void StageHistograms::Observe(const StageBreakdown& breakdown) const {
   if (registry_ == nullptr) return;
   for (int i = 0; i < kNumStages; ++i) {

@@ -34,7 +34,7 @@ enum class Stage : uint8_t {
   kGed = 4,
   /// Model forward passes: query encoding, M_c, M_nh, M_rk inference.
   kModelInference = 5,
-  /// Cross-query result-cache probes and stores.
+  /// Answer-cache probes and stores.
   kCacheLookup = 6,
   /// Pinning the immutable IndexSnapshot at query start.
   kSnapshotPin = 7,
@@ -188,32 +188,6 @@ class StageHistograms {
  private:
   MetricsRegistry* registry_ = nullptr;
   std::array<HistogramId, kNumStages> ids_{};
-};
-
-/// \brief The per-query work histograms over one registry: `query_ndc`,
-/// `query_routing_steps`, `query_model_inferences`,
-/// `query_cross_encodings` and `query_cache_hits`.
-///
-/// SearchBatch, `lan_tool search` and `lan_tool serve` all register
-/// through this one helper, so their /metrics export the same set.
-class QueryHistograms {
- public:
-  QueryHistograms() = default;
-  explicit QueryHistograms(MetricsRegistry* registry) { Register(registry); }
-
-  void Register(MetricsRegistry* registry);
-
-  /// One sample per histogram, zeros included: a query that computed
-  /// nothing (a full cache hit) is a real observation here.
-  void Observe(const SearchStats& stats) const;
-
- private:
-  MetricsRegistry* registry_ = nullptr;
-  HistogramId ndc_{};
-  HistogramId routing_steps_{};
-  HistogramId model_inferences_{};
-  HistogramId cross_encodings_{};
-  HistogramId cache_hits_{};
 };
 
 }  // namespace lan

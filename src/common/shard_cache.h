@@ -18,7 +18,7 @@ struct ShardCacheStats {
   int64_t misses = 0;
   int64_t inserts = 0;
   int64_t evictions = 0;      // capacity-driven removals
-  int64_t invalidations = 0;  // validity/EraseIf/Clear removals
+  int64_t invalidations = 0;  // validity/Clear removals
   int64_t rejected = 0;       // Puts refused by size
   int64_t entries = 0;        // resident entries (point-in-time)
   int64_t bytes = 0;          // resident charged bytes (point-in-time)
@@ -35,10 +35,8 @@ struct ShardCacheStats {
   }
 };
 
-/// 128-bit cache key. `lo` is reserved for a sweepable attribute (the
-/// graph id in the result cache) so EraseIf can target all entries for
-/// one graph without knowing the hashed half; `hi` carries the mixed
-/// query/kind hash.
+/// 128-bit cache key (the result cache packs the query hash and the
+/// search options into the two halves).
 struct CacheKey128 {
   uint64_t hi = 0;
   uint64_t lo = 0;
@@ -62,8 +60,7 @@ uint64_t MixCacheHash(uint64_t x);
 ///
 /// Epoch semantics are caller-defined: Put stores an epoch stamp, FindIf
 /// takes a predicate over that stamp, and entries failing the predicate
-/// are dropped (counted as invalidations) instead of returned. EraseIf
-/// sweeps whole key ranges (e.g. every entry of one graph id).
+/// are dropped (counted as invalidations) instead of returned.
 ///
 /// All methods are thread-safe.
 template <typename V>
@@ -83,13 +80,12 @@ class ShardedLruCache {
     }
   }
 
-  /// Looks up `key`; on a hit whose epoch satisfies `valid(epoch)` calls
-  /// `read(const V&)` under the shard lock (so the caller copies only what
-  /// it needs, with no intermediate value; `read` must not call back into
-  /// this cache), refreshes recency, and returns true. A resident entry
-  /// failing `valid` is erased (invalidation) and reported as a miss.
-  template <typename ValidFn, typename ReadFn>
-  bool ReadIf(const CacheKey128& key, ValidFn&& valid, ReadFn&& read) {
+  /// Looks up `key`; on a hit whose epoch satisfies `valid(epoch)` copies
+  /// the value into `*out` under the shard lock, refreshes recency, and
+  /// returns true. A resident entry failing `valid` is erased
+  /// (invalidation) and reported as a miss.
+  template <typename ValidFn>
+  bool FindIf(const CacheKey128& key, V* out, ValidFn&& valid) {
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(key);
@@ -106,20 +102,9 @@ class ShardedLruCache {
       return false;
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second.pos);
-    read(it->second.value);
+    *out = it->second.value;
     ++shard.stats.hits;
     return true;
-  }
-
-  /// ReadIf that copies the value into `*out`.
-  template <typename ValidFn>
-  bool FindIf(const CacheKey128& key, V* out, ValidFn&& valid) {
-    return ReadIf(key, std::forward<ValidFn>(valid),
-                  [out](const V& value) { *out = value; });
-  }
-
-  bool Find(const CacheKey128& key, V* out) {
-    return FindIf(key, out, [](uint64_t) { return true; });
   }
 
   /// Inserts (or refreshes) `key` with the given epoch stamp, charging
@@ -155,29 +140,6 @@ class ShardedLruCache {
     shard.bytes += bytes;
     ++shard.stats.inserts;
     EvictOver(shard);
-  }
-
-  /// Removes every entry for which `pred(key, epoch)` is true; returns the
-  /// number removed (also counted as invalidations).
-  template <typename Pred>
-  int64_t EraseIf(Pred&& pred) {
-    int64_t removed = 0;
-    for (auto& shard_ptr : shards_) {
-      Shard& shard = *shard_ptr;
-      std::lock_guard<std::mutex> lock(shard.mu);
-      for (auto it = shard.map.begin(); it != shard.map.end();) {
-        if (pred(it->first, it->second.epoch)) {
-          shard.bytes -= it->second.bytes;
-          shard.lru.erase(it->second.pos);
-          it = shard.map.erase(it);
-          ++shard.stats.invalidations;
-          ++removed;
-        } else {
-          ++it;
-        }
-      }
-    }
-    return removed;
   }
 
   /// Drops every resident entry (counted as invalidations). Counters are

@@ -73,10 +73,8 @@ struct SearchStats {
   /// Number of cross-graph embeddings h_{G,Q} actually encoded: M_rk's
   /// per-query memo misses plus M_nh's rows. At most model_inferences.
   int64_t cross_encodings = 0;
-  /// Number of cross-query result-cache hits (GED or model scores). Each
-  /// hit replaced a computation that would otherwise have counted toward
-  /// ndc or model_inferences, so results are identical either way — only
-  /// the cost accounting moves.
+  /// 1 when the answer cache served this query's whole answer (then ndc,
+  /// routing_steps and model_inferences are 0: nothing ran), else 0.
   int64_t cache_hits = 0;
   /// Per-stage self-time breakdown, the only per-query latency record
   /// (Fig. 11's split is derived from it); populated only when the query

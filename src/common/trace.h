@@ -36,14 +36,10 @@ namespace lan {
 ///   kEpochPinned   — search pinned index epoch value=epoch with
 ///                    aux=live graphs in that snapshot (LanIndex::Search;
 ///                    emitted right after kQueryBegin)
-///   kCacheHit      — cross-query result cache hit for graph `id`
-///                    (kInvalidGraphId for the query-level kinds):
-///                    detail=ResultKindName (exact_ged, rank_batches,
-///                    cluster_counts, neighborhood, ...), value=distance
-///                    for GED kinds.
-///                    Hits are NOT counted as NDC and emit no kDistance,
-///                    so the "one kDistance per NDC" invariant holds with
-///                    caching enabled (DistanceOracle)
+///   kCacheHit      — the answer cache served the whole answer:
+///                    detail="answer", value=answers served. The query
+///                    then emits only kQueryBegin, kEpochPinned, this and
+///                    kQueryEnd (LanIndex::Search)
 ///   kQueryEnd      — value=stats.ndc, aux=stats.routing_steps
 enum class TraceEventType : int8_t {
   kQueryBegin = 0,

@@ -73,8 +73,9 @@ CompressedGnnGraph BuildCompressedGnnGraph(const Graph& g, int num_layers);
 /// \brief A query's CG, built by the first Get().
 ///
 /// The learned components read the query CG only when a model actually
-/// runs, so a query whose model outputs all come from the cross-query
-/// result cache never builds it. One instance per query; not thread-safe.
+/// runs, so a query that runs none (baseline routing from HNSW_IS, or
+/// LAN_Route that never enters N_Q) never builds it. One instance per
+/// query; not thread-safe.
 class LazyQueryCg {
  public:
   LazyQueryCg(const Graph* query, int num_layers)

@@ -25,14 +25,7 @@ SweepPoint EvaluatePoint(
     int k, MetricsRegistry* registry) {
   LAN_CHECK_EQ(queries.size(), truths.size());
   LAN_CHECK(!queries.empty());
-  CounterId queries_counter;
-  HistogramId latency_hist, ndc_hist;
-  if (registry != nullptr) {
-    queries_counter = registry->Counter("queries");
-    latency_hist = registry->Histogram("query_latency_seconds",
-                                       MetricsRegistry::LatencyBounds());
-    ndc_hist = registry->Histogram("query_ndc", MetricsRegistry::CountBounds());
-  }
+  const QueryHistograms query_hists(registry);
   SweepPoint point;
   double recall_sum = 0.0;
   std::vector<double> latencies;
@@ -45,11 +38,7 @@ SweepPoint EvaluatePoint(
     latencies.push_back(query_timer.ElapsedSeconds());
     recall_sum += RecallAtK(result.results, truths[i], k);
     point.total_stats.Merge(result.stats);
-    if (registry != nullptr) {
-      registry->Increment(queries_counter);
-      registry->Observe(latency_hist, latencies.back());
-      registry->Observe(ndc_hist, static_cast<double>(result.stats.ndc));
-    }
+    query_hists.Observe(result, latencies.back());
   }
   const double elapsed = timer.ElapsedSeconds();
   const double n = static_cast<double>(queries.size());

@@ -37,9 +37,9 @@ std::vector<KnnList> BuildTruths(const GraphDatabase& db,
                                  ThreadPool* pool = nullptr);
 
 /// Runs `search` over all queries and aggregates one sweep point. When
-/// `registry` is non-null, every query is also recorded there (counter
-/// `queries`; histograms `query_latency_seconds`, `query_ndc`) so a bench
-/// can scrape one distribution snapshot across its whole sweep.
+/// `registry` is non-null, every query is also recorded there (the
+/// QueryHistograms set) so a bench can scrape one distribution snapshot
+/// across its whole sweep.
 SweepPoint EvaluatePoint(
     const std::function<SearchResult(const Graph&, int)>& search,
     const std::vector<Graph>& queries, const std::vector<KnnList>& truths,

@@ -213,26 +213,11 @@ Result<GraphId> LanIndex::Insert(Graph graph) {
   // previous epoch's topology. The build-protocol GED is not symmetric;
   // the pair is evaluated as d(a, b) in the order HnswIndex asks for it.
   auto hnsw = std::make_shared<HnswIndex>(*snap->hnsw);
-  std::vector<GraphId> touched;
-  const uint64_t next_epoch = snap->epoch + 1;
   const auto pair_distance = [this](GraphId a, GraphId b) {
     return kBuildGed.Distance(db_->Get(a), db_->Get(b));
   };
   LAN_RETURN_NOT_OK(hnsw->Insert(id, pair_distance, config_.hnsw,
-                                 &insert_rng_,
-                                 result_cache_ != nullptr ? &touched : nullptr,
-                                 pool_.get()));
-
-  // Invalidate before Publish: queries pinning the new epoch must never
-  // see a pre-mutation cached result for a graph whose base-layer
-  // neighborhood just changed (that is what kRankBatches depends on), nor
-  // a kept set computed over the old member lists (kNeighborhood, keyed
-  // kInvalidGraphId like the other query-level entries).
-  if (result_cache_ != nullptr) {
-    touched.push_back(id);
-    touched.push_back(kInvalidGraphId);
-    result_cache_->InvalidateGraphs(touched, next_epoch);
-  }
+                                 &insert_rng_, pool_.get()));
 
   auto live = std::make_shared<std::vector<uint8_t>>(*snap->live);
   live->push_back(1);
@@ -250,6 +235,9 @@ Result<GraphId> LanIndex::Insert(Graph graph) {
   // opened from one; carry the mapping forward with the new epoch.
   next->backing = snap->backing;
   Publish(std::move(next));
+  // Answers stored at older epochs can no longer be served (ResultCache);
+  // this only frees their memory.
+  if (result_cache_ != nullptr) result_cache_->Clear();
   return id;
 }
 
@@ -269,19 +257,12 @@ Status LanIndex::Remove(GraphId id) {
   auto live = std::make_shared<std::vector<uint8_t>>(*snap->live);
   (*live)[static_cast<size_t>(id)] = 0;
 
-  // Tombstoning keeps the node's graph content and PG edges (liveness is
-  // filtered at result-harvest time), so cached results never go *wrong* —
-  // but drop the dead graph's entries anyway: they can only be served to
-  // doomed lookups and the bytes are better spent on live graphs.
-  if (result_cache_ != nullptr) {
-    result_cache_->InvalidateGraph(id, snap->epoch + 1);
-  }
-
   auto next = std::make_shared<IndexSnapshot>(*snap);
   next->epoch = snap->epoch + 1;
   next->live_count = snap->live_count - 1;
   next->live = std::move(live);
   Publish(std::move(next));
+  if (result_cache_ != nullptr) result_cache_->Clear();  // as in Insert
   return Status::OK();
 }
 
@@ -395,13 +376,44 @@ Status LanIndex::Train(const std::vector<Graph>& train_queries) {
     cluster_model_->Train(query_embeddings, clusters.centroids, counts);
   }
 
-  // New models invalidate every memoized model score (and the GED entries
-  // are not worth keeping apart from them during an offline phase).
+  // New models change answers without moving the epoch, so the stored
+  // ones must go.
   if (result_cache_ != nullptr) result_cache_->Clear();
 
   trained_ = true;
   LAN_LOG(Info) << "LanIndex::Train done in " << timer.ElapsedSeconds() << "s";
   return Status::OK();
+}
+
+QueryHistograms::QueryHistograms(MetricsRegistry* registry)
+    : registry_(registry) {
+  if (registry == nullptr) return;
+  queries_ = registry->Counter("queries");
+  errors_ = registry->Counter("query_errors");
+  latency_ = registry->Histogram("query_latency_seconds",
+                                 MetricsRegistry::LatencyBounds());
+  const auto bounds = MetricsRegistry::CountBounds();
+  ndc_ = registry->Histogram("query_ndc", bounds);
+  routing_steps_ = registry->Histogram("query_routing_steps", bounds);
+  model_inferences_ = registry->Histogram("query_model_inferences", bounds);
+  cross_encodings_ = registry->Histogram("query_cross_encodings", bounds);
+  cache_hits_ = registry->Histogram("query_cache_hits", bounds);
+}
+
+void QueryHistograms::Observe(const SearchResult& result,
+                              double seconds) const {
+  if (registry_ == nullptr) return;
+  const SearchStats& stats = result.stats;
+  registry_->Increment(queries_);
+  if (!result.status.ok()) registry_->Increment(errors_);
+  registry_->Observe(latency_, seconds);
+  registry_->Observe(ndc_, static_cast<double>(stats.ndc));
+  registry_->Observe(routing_steps_, static_cast<double>(stats.routing_steps));
+  registry_->Observe(model_inferences_,
+                     static_cast<double>(stats.model_inferences));
+  registry_->Observe(cross_encodings_,
+                     static_cast<double>(stats.cross_encodings));
+  registry_->Observe(cache_hits_, static_cast<double>(stats.cache_hits));
 }
 
 BatchSearchResult LanIndex::SearchBatch(const std::vector<Graph>& queries,
@@ -415,10 +427,6 @@ BatchSearchResult LanIndex::SearchBatch(const std::vector<Graph>& queries,
   // Per-call registry: workers fill per-thread shards without contending,
   // merged once below.
   MetricsRegistry registry;
-  const CounterId queries_counter = registry.Counter("queries");
-  const CounterId errors_counter = registry.Counter("query_errors");
-  const HistogramId latency_hist = registry.Histogram(
-      "query_latency_seconds", MetricsRegistry::LatencyBounds());
   const QueryHistograms query_hists(&registry);
   const GaugeId live_gauge = registry.Gauge("index_live_size");
   const GaugeId tombstone_gauge = registry.Gauge("index_tombstones");
@@ -448,10 +456,7 @@ BatchSearchResult LanIndex::SearchBatch(const std::vector<Graph>& queries,
     Timer timer;
     out.results[i] = Search(queries[i], per_query);
     const SearchResult& r = out.results[i];
-    registry.Increment(queries_counter);
-    if (!r.status.ok()) registry.Increment(errors_counter);
-    registry.Observe(latency_hist, timer.ElapsedSeconds());
-    query_hists.Observe(r.stats);
+    query_hists.Observe(r, timer.ElapsedSeconds());
     if (options.profile) stage_hists.Observe(r.stats.stages);
   };
   if (num_threads <= 0 || threads == pool_->num_threads()) {
@@ -516,11 +521,6 @@ void LanIndex::SearchInto(const Graph& query, const SearchOptions& options,
   if (out.status.ok()) out.status = db_->CheckGraph(query);
   if (!out.status.ok()) return;
 
-  // Per-query working state: dense visited/cache arrays, candidate pool
-  // storage, and result buffers, reused across the thread's queries.
-  ScratchLease lease(nullptr);
-  SearchScratch* scratch = lease.get();
-
   // Stack-allocated stage clock; a null pointer (profiling off) makes
   // every StageSpan below a single never-taken branch, like TraceRecord.
   StageProfile profile_storage;
@@ -556,14 +556,51 @@ void LanIndex::SearchInto(const Graph& query, const SearchOptions& options,
     pinned.aux = static_cast<double>(snap->live_count);
     sink->Record(pinned);
   }
+  const auto finish = [&] {
+    if (profile != nullptr) out.stats.stages = profile->breakdown();
+    if (sink != nullptr) {
+      TraceEvent event;
+      event.type = TraceEventType::kQueryEnd;
+      event.id =
+          out.results.empty() ? kInvalidGraphId : out.results.front().first;
+      event.value = static_cast<double>(out.stats.ndc);
+      event.aux = static_cast<double>(out.stats.routing_steps);
+      sink->Record(event);
+    }
+  };
 
-  // Cache identity: the canonical content hash keys this query's results
-  // in the cross-query cache (0 = caching off, the oracle computes all).
-  QueryContext ctx;
-  ctx.epoch = snap->epoch;
-  if (result_cache_ != nullptr) ctx.query_hash = query.ContentHash();
-  DistanceOracle oracle(db_, &query, &query_ged_, &out.stats, sink, scratch,
-                        result_cache_.get(), ctx);
+  // The answer cache: one entry per (query content, every option the
+  // answer depends on), served only at the epoch it was computed at.
+  CacheKey128 cache_key;
+  bool hit = false;
+  if (result_cache_ != nullptr) {
+    StageSpan span(profile, Stage::kCacheLookup);
+    cache_key.hi = query.ContentHash() ^
+                   MixCacheHash(static_cast<uint64_t>(routing) << 8 |
+                                static_cast<uint64_t>(init));
+    cache_key.lo = static_cast<uint64_t>(static_cast<uint32_t>(k)) << 32 |
+                   static_cast<uint32_t>(beam);
+    hit = result_cache_->Find(cache_key, snap->epoch, &out.results);
+  }
+  if (hit) {
+    out.stats.cache_hits = 1;
+    if (sink != nullptr) {
+      TraceEvent event;
+      event.type = TraceEventType::kCacheHit;
+      event.value = static_cast<double>(out.results.size());
+      event.detail = "answer";
+      sink->Record(event);
+    }
+    finish();
+    return;
+  }
+
+  // Per-query working state: dense visited/cache arrays, candidate pool
+  // storage, and result buffers, reused across the thread's queries.
+  ScratchLease lease(nullptr);
+  SearchScratch* scratch = lease.get();
+
+  DistanceOracle oracle(db_, &query, &query_ged_, &out.stats, sink, scratch);
   oracle.set_profile(profile);
 
   // Deterministic per-query randomness.
@@ -575,9 +612,8 @@ void LanIndex::SearchInto(const Graph& query, const SearchOptions& options,
   }
   Rng rng(qhash);
 
-  // Query CG for the learned components, built by the first model miss
-  // inside its kModelInference span; a query whose model outputs all hit
-  // the result cache never builds it.
+  // Query CG for the learned components, built by the first model that
+  // needs it inside its kModelInference span.
   LazyQueryCg query_cg = QueryCg(query);
 
   // ---- Initial node. ----
@@ -639,16 +675,11 @@ void LanIndex::SearchInto(const Graph& query, const SearchOptions& options,
   }
 
   out.results.assign(routed.results.begin(), routed.results.end());
-  if (profile != nullptr) out.stats.stages = profile->breakdown();
-  if (sink != nullptr) {
-    TraceEvent event;
-    event.type = TraceEventType::kQueryEnd;
-    event.id =
-        out.results.empty() ? kInvalidGraphId : out.results.front().first;
-    event.value = static_cast<double>(out.stats.ndc);
-    event.aux = static_cast<double>(out.stats.routing_steps);
-    sink->Record(event);
+  if (result_cache_ != nullptr) {
+    StageSpan span(profile, Stage::kCacheLookup);
+    result_cache_->Put(cache_key, snap->epoch, out.results);
   }
+  finish();
 }
 
 }  // namespace lan

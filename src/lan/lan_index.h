@@ -82,11 +82,11 @@ struct LanConfig {
   /// (Definition 3) instead of raw graphs (Definition 1).
   bool use_compressed_gnn = true;
 
-  // ---- Cross-query result cache (docs/caching.md) ----
-  /// Memoizes GED values and M_rk/M_nh/M_c outputs across queries, keyed
-  /// by the query's canonical content hash; hits skip the whole GED/model
-  /// pipeline. Off by default; results are identical either way (only
-  /// stats.ndc / model_inferences vs stats.cache_hits accounting moves).
+  // ---- Answer cache (docs/caching.md) ----
+  /// Stores each answered query's result list, keyed by the query's
+  /// canonical content hash and its search options; a repeat at the same
+  /// epoch is served the stored list and runs nothing. Off by default;
+  /// answers are identical either way.
   ResultCacheOptions cache;
 
   uint64_t seed = 123;
@@ -148,14 +148,42 @@ struct SearchResult {
   Status status;
 };
 
+/// \brief The per-query metrics over one registry: counters `queries` and
+/// `query_errors`, histogram `query_latency_seconds`, and the work
+/// histograms `query_ndc`, `query_routing_steps`, `query_model_inferences`,
+/// `query_cross_encodings` and `query_cache_hits`.
+///
+/// SearchBatch, EvaluatePoint, `lan_tool search` and `lan_tool serve` all
+/// record through this one helper, so their metrics carry the same set.
+class QueryHistograms {
+ public:
+  /// Registers the set on `registry`; a null registry records nothing.
+  explicit QueryHistograms(MetricsRegistry* registry);
+
+  /// Counts the query (and its failure), observes its latency `seconds`
+  /// and one sample per work histogram, zeros included: a query that
+  /// computed nothing (a cache hit) is a real observation here.
+  void Observe(const SearchResult& result, double seconds) const;
+
+ private:
+  MetricsRegistry* registry_;
+  CounterId queries_{};
+  CounterId errors_{};
+  HistogramId latency_{};
+  HistogramId ndc_{};
+  HistogramId routing_steps_{};
+  HistogramId model_inferences_{};
+  HistogramId cross_encodings_{};
+  HistogramId cache_hits_{};
+};
+
 /// \brief Aggregate view of one SearchBatch call.
 struct BatchStats {
   /// Element-wise sum of every per-query SearchStats.
   SearchStats totals;
   /// Latency/NDC/steps/inference distributions over the batch (scraped
   /// from a per-call MetricsRegistry whose shards the workers filled
-  /// contention-free). Histograms: query_latency_seconds plus the
-  /// QueryHistograms set; counters: queries, query_errors.
+  /// contention-free): the QueryHistograms set.
   MetricsSnapshot metrics;
 };
 
@@ -314,8 +342,7 @@ class LanIndex {
   const EmbeddingMatrix& embeddings() const { return *Snapshot()->embeddings; }
   const LanConfig& config() const { return config_; }
   bool trained() const { return trained_; }
-  /// The cross-query result cache, or null when `config.cache.enabled` is
-  /// false. Stats()/AppendMetrics expose hit rates; tools surface them via
+  /// The answer cache, or null when `config.cache.enabled` is false. Stats()/AppendMetrics expose hit rates; tools surface them via
   /// --metrics-out.
   ResultCache* result_cache() const { return result_cache_.get(); }
 
@@ -359,8 +386,8 @@ class LanIndex {
   /// database's graph arenas) for the lifetime of the index.
   std::shared_ptr<const void> snapshot_backing_;
   GedComputer query_ged_;
-  /// Non-null iff config_.cache.enabled: the cross-query store every
-  /// query's DistanceOracle reads through.
+  /// Non-null iff config_.cache.enabled: the answer cache SearchInto
+  /// probes before searching.
   std::unique_ptr<ResultCache> result_cache_;
   std::unique_ptr<ThreadPool> pool_;
 

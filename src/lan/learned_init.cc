@@ -12,27 +12,14 @@ GraphId LanInitialSelector::Select(DistanceOracle* oracle, Rng* rng) {
   TraceSink* sink = oracle->trace();
   predicted_.clear();
 
-  // 1) Cluster-level pruning with M_c. The per-cluster counts depend only
-  // on the query and the frozen centroids/weights, so they memoize across
-  // queries (kClusterCounts; graph id unused). A hit skips the query
-  // embedding too — it feeds nothing else.
+  // 1) Cluster-level pruning with M_c.
   std::vector<float> counts;
-  bool counts_cached = false;
-  if (oracle->ReadScore(ResultKind::kClusterCounts, kInvalidGraphId,
-                        [&counts](const CachedScore& cached) {
-                          counts = cached.floats;
-                        }) &&
-      static_cast<int64_t>(counts.size()) == clusters_->centroids.rows()) {
-    counts_cached = true;
-  } else {
+  {
     StageSpan span(oracle->profile(), Stage::kModelInference);
     const std::vector<float> query_embedding =
         EmbedGraph(oracle->query(), *embedding_options_);
     counts = cluster_model_->PredictCounts(query_embedding,
                                            clusters_->centroids, sink);
-    CachedScore store;
-    store.floats = counts;
-    oracle->StoreScore(ResultKind::kClusterCounts, kInvalidGraphId, store);
   }
   std::vector<size_t> local_order;
   std::vector<size_t>& cluster_order =
@@ -57,27 +44,11 @@ GraphId LanInitialSelector::Select(DistanceOracle* oracle, Rng* rng) {
     }
   }
 
-  // 2) Member-level prediction with M_nh, memoized across queries
-  // (kNeighborhood; graph id unused). The kept set depends on the scanned
-  // member lists too; Insert invalidates it (class comment).
-  const std::span<const size_t> scanned(cluster_order.data(), scan);
-  int64_t nh_rows = 0;
-  if (!oracle->ReadScore(ResultKind::kNeighborhood, kInvalidGraphId,
-                         [this](const CachedScore& cached) {
-                           predicted_ = cached.ids;
-                         })) {
-    nh_rows = PredictKeptSet(oracle, scanned);
-    if (oracle->caches_scores()) {
-      CachedScore store;
-      store.ids = predicted_;
-      oracle->StoreScore(ResultKind::kNeighborhood, kInvalidGraphId, store);
-    }
-  }
+  // 2) Member-level prediction with M_nh.
+  const int64_t nh_rows = PredictKeptSet(
+      oracle, std::span<const size_t>(cluster_order.data(), scan));
   if (stats != nullptr) {
-    // A counts hit replaced the M_c forward pass, so only what actually
-    // ran is charged.
-    stats->model_inferences +=
-        nh_rows + (counts_cached ? 0 : static_cast<int64_t>(counts.size()));
+    stats->model_inferences += nh_rows + static_cast<int64_t>(counts.size());
     stats->cross_encodings += nh_rows;
   }
 

@@ -34,16 +34,6 @@ struct LanInitOptions {
 /// (counted NDC) and the best becomes the routing start. Falls back to a
 /// random node when the kept set is empty.
 ///
-/// Both model outputs memoize across queries when the oracle reads
-/// through a result cache: M_c's counts under kClusterCounts and the kept set under
-/// kNeighborhood, both keyed (query hash, kInvalidGraphId). The kept set
-/// depends only on the query, the weights and the scanned member lists.
-/// Insert is the only writer of member lists and bumps kInvalidGraphId's
-/// watermark, Remove leaves clusters alone and Train clears the cache, so
-/// a hit was computed against the pinned snapshot's member lists. A full
-/// hit runs no model and never reads the query CG, which is therefore
-/// built lazily.
-///
 /// Constructed once per query.
 class LanInitialSelector {
  public:

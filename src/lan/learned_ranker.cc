@@ -9,8 +9,8 @@ void LearnedNeighborRanker::RankNeighbors(const ProximityGraph& pg,
                                           RankedBatches* out) {
   const std::span<const GraphId> neighbors = pg.NeighborSpan(node);
   if (neighbors.empty()) return;
-  // Opened inside the routing span; nested model-inference / cache-lookup
-  // spans below subtract themselves, so rerank reports batch assembly.
+  // Opened inside the routing span; the nested model-inference spans
+  // below subtract themselves, so rerank reports batch assembly.
   StageSpan rerank_span(oracle_->profile(), Stage::kRerank);
 
   // Outside N_Q (or before the node's own distance is known) the router
@@ -23,21 +23,6 @@ void LearnedNeighborRanker::RankNeighbors(const ProximityGraph& pg,
     return;
   }
 
-  // Cross-query memoization: M_rk's output for (query, node) depends only
-  // on the query, the node's current neighbor list, and the trained
-  // weights — all captured by the cache key + epoch watermark — so a hit
-  // reproduces the computed batches exactly, skipping encode + forward.
-  // The blob is copied straight into the caller's buffer.
-  const auto copy_blob = [out](const CachedScore& cached) {
-    uint32_t end = static_cast<uint32_t>(out->ids.size());
-    out->ids.insert(out->ids.end(), cached.ids.begin(), cached.ids.end());
-    for (int32_t size : cached.sizes) {
-      end += static_cast<uint32_t>(size);
-      out->ends.push_back(end);
-    }
-  };
-  if (oracle_->ReadScore(ResultKind::kRankBatches, node, copy_blob)) return;
-
   SearchStats* stats = oracle_->stats();
   if (!query_cache_ready_) {
     StageSpan span(oracle_->profile(), Stage::kModelInference);
@@ -46,8 +31,6 @@ void LearnedNeighborRanker::RankNeighbors(const ProximityGraph& pg,
                        : model_->scorer().EncodeQuery(query);
     query_cache_ready_ = true;
   }
-  const size_t first_batch = out->num_batches();
-  const size_t first_id = out->ids.size();
   int64_t inferences = 0;
   int64_t encodings = 0;
   {
@@ -111,15 +94,6 @@ void LearnedNeighborRanker::RankNeighbors(const ProximityGraph& pg,
     event.aux = static_cast<double>(inferences);
     sink->Record(event);
   }
-  CachedScore store;
-  if (oracle_->caches_scores()) {
-    store.ids.assign(out->ids.begin() + static_cast<ptrdiff_t>(first_id),
-                     out->ids.end());
-    for (size_t j = first_batch; j < out->num_batches(); ++j) {
-      store.sizes.push_back(static_cast<int32_t>(out->Batch(j).size()));
-    }
-  }
-  oracle_->StoreScore(ResultKind::kRankBatches, node, store);
 }
 
 }  // namespace lan

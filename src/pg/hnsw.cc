@@ -50,15 +50,12 @@ void AppendNodes(HnswCore* core, const std::vector<int>& levels) {
 /// ones they would have computed themselves.
 class HnswInserter {
  public:
-  /// `pool` (optional) computes distances ahead, and `touched` (optional)
-  /// collects the ids whose base-layer list an insertion rewires. A pool of
-  /// one worker would only run that work inline, so it is not used.
+  /// `pool` (optional) computes distances ahead. A pool of one worker
+  /// would only run that work inline, so it is not used.
   HnswInserter(HnswCore* core, const HnswIndex::PairDistanceFn& distance,
-               const HnswOptions& options, ThreadPool* pool,
-               std::vector<GraphId>* touched = nullptr)
+               const HnswOptions& options, ThreadPool* pool)
       : core_(core), distance_fn_(distance), options_(options),
-        pool_(pool != nullptr && pool->num_threads() > 1 ? pool : nullptr),
-        touched_(touched) {}
+        pool_(pool != nullptr && pool->num_threads() > 1 ? pool : nullptr) {}
 
   /// Inserts node `id`, whose level and (empty) rows AppendNodes already
   /// put in the core. The first node inserted becomes the entry point.
@@ -288,20 +285,13 @@ class HnswInserter {
   /// Adds the edge {a, b} at `layer`: appends b to a's list and shrinks
   /// it, then the same for a in b's list.
   void Connect(GraphId a, GraphId b, int layer, int cap) {
-    // Base-layer rewiring is what invalidates cached routing state: the
-    // endpoints gain an edge, and anything Shrink drops loses one.
-    std::vector<GraphId>* touched = (layer == 0) ? touched_ : nullptr;
-    if (touched != nullptr) {
-      touched->push_back(a);
-      touched->push_back(b);
-    }
     for (const auto& [node, other] : {std::pair{a, b}, std::pair{b, a}}) {
       auto& list = core_->adjacency[static_cast<size_t>(layer)]
                                    [static_cast<size_t>(node)];
       if (std::find(list.begin(), list.end(), other) == list.end()) {
         list.push_back(other);
       }
-      Shrink(&list, node, cap, touched);
+      Shrink(&list, node, cap);
     }
   }
 
@@ -309,10 +299,8 @@ class HnswInserter {
   /// first, and one is kept only if it is closer to `node` than to every
   /// already-kept neighbor, so kept edges spread across clusters instead
   /// of all pointing into one; the nearest rejected candidates then fill
-  /// any remaining slots (keepPrunedConnections). Every neighbor removed
-  /// is appended to `dropped` when it is non-null.
-  void Shrink(std::vector<GraphId>* list, GraphId node, int cap,
-              std::vector<GraphId>* dropped) {
+  /// any remaining slots (keepPrunedConnections).
+  void Shrink(std::vector<GraphId>* list, GraphId node, int cap) {
     if (list->size() <= static_cast<size_t>(cap)) return;
     // Each distance to `node` is read once; ties break by id.
     std::vector<Item> closest_first;
@@ -340,13 +328,6 @@ class HnswInserter {
       if (kept.size() >= static_cast<size_t>(cap)) break;
       kept.push_back(candidate);
     }
-    if (dropped != nullptr) {
-      for (GraphId g : *list) {
-        if (std::find(kept.begin(), kept.end(), g) == kept.end()) {
-          dropped->push_back(g);
-        }
-      }
-    }
     *list = std::move(kept);
   }
 
@@ -354,7 +335,6 @@ class HnswInserter {
   const HnswIndex::PairDistanceFn& distance_fn_;
   const HnswOptions& options_;
   ThreadPool* pool_;
-  std::vector<GraphId>* touched_;
   /// Pair distances memoized across the whole build (or one online
   /// Insert): neighbor sets overlap heavily across insertions, so
   /// GED-heavy builds revisit the same pairs constantly.
@@ -396,7 +376,7 @@ HnswIndex HnswIndex::BuildWithDistance(GraphId num_nodes,
 
 Status HnswIndex::Insert(GraphId id, const PairDistanceFn& distance,
                          const HnswOptions& options, Rng* rng,
-                         std::vector<GraphId>* touched, ThreadPool* pool) {
+                         ThreadPool* pool) {
   if (id != core_.num_nodes) {
     return Status::InvalidArgument(
         "Insert: id must equal the current node count");
@@ -405,12 +385,7 @@ Status HnswIndex::Insert(GraphId id, const PairDistanceFn& distance,
   // mutation below then proceeds exactly as on a freshly built index.
   Thaw();
   AppendNodes(&core_, {DrawLevel(rng, options)});
-  HnswInserter(&core_, distance, options, pool, touched).Insert(id);
-  if (touched != nullptr) {
-    std::sort(touched->begin(), touched->end());
-    touched->erase(std::unique(touched->begin(), touched->end()),
-                   touched->end());
-  }
+  HnswInserter(&core_, distance, options, pool).Insert(id);
   RebuildViewFromCore();
   return Status::OK();
 }

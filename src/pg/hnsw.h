@@ -135,16 +135,10 @@ class HnswIndex {
   /// `distance` must cover all ids up to and including the new one.
   /// Runs the same per-node insertion step as batch construction (level
   /// assignment, ef-search, diversity heuristic and backfill), with the
-  /// level drawn from `rng`. When `touched` is non-null it receives the
-  /// ids (deduplicated, sorted) whose base-layer adjacency the insert
-  /// rewired — the new node, the neighbors it connected to, and anyone
-  /// the diversity shrink dropped — which is exactly the set whose
-  /// routing-relevant view changed (cache invalidation consumes this).
-  /// `pool` (optional) only computes the step's distances ahead, as in
+  /// level drawn from `rng`. `pool` (optional) only computes the step's distances ahead, as in
   /// Build; the result is the same with or without it.
   Status Insert(GraphId id, const PairDistanceFn& distance,
                 const HnswOptions& options, Rng* rng,
-                std::vector<GraphId>* touched = nullptr,
                 ThreadPool* pool = nullptr);
 
   /// Advances `rng` past the level draws of `count` Inserts, so a caller

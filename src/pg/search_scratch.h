@@ -137,8 +137,7 @@ struct PoolEntry {
 
 /// \brief Ranked neighbor batches B_0..B_n in flat form: `ids` holds the
 /// members batch after batch, and `ends[j]` is the end offset in `ids` of
-/// batch j (the layout of the kRankBatches CachedScore blob, with running
-/// ends in place of sizes). NeighborRanker::RankNeighbors appends one
+/// batch j. NeighborRanker::RankNeighbors appends one
 /// node's batches; np_route keeps every explored node's batches in one
 /// such buffer, so its capacity is the reuse.
 struct RankedBatches {

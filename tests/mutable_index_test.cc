@@ -122,47 +122,12 @@ TEST(HnswGoldenTopologyTest, BatchBuildIsLiterallyAnInsertLoop) {
   EXPECT_EQ(grown.EntryPoint(), batch.EntryPoint());
 }
 
-// Insert's `touched` list drives cache invalidation: every node whose
-// symmetrized base-layer row an insert changes (its new edges, and the
-// edges the diversity shrink drops) must be reported, or a cached
-// routing result over the old row would survive the write.
-TEST(HnswInsertTest, TouchedCoversEveryRewiredBaseRow) {
-  const std::vector<double> points = GoldenPoints();
-  auto distance = [&points](GraphId a, GraphId b) {
-    return std::abs(points[static_cast<size_t>(a)] -
-                    points[static_cast<size_t>(b)]);
-  };
-  const HnswOptions options = GoldenOptions();
-  HnswIndex index = HnswIndex::BuildWithDistance(80, distance, options);
-  const auto base_row = [&index](GraphId id) {
-    const std::span<const GraphId> row = index.BaseLayer().NeighborSpan(id);
-    return std::vector<GraphId>(row.begin(), row.end());
-  };
-  Rng rng(7);
-  for (GraphId id = 80; id < 120; ++id) {
-    std::vector<std::vector<GraphId>> before;
-    for (GraphId n = 0; n < id; ++n) before.push_back(base_row(n));
-    before.emplace_back();  // the new node has no row yet
-    std::vector<GraphId> touched;
-    ASSERT_TRUE(index.Insert(id, distance, options, &rng, &touched).ok());
-    EXPECT_TRUE(std::is_sorted(touched.begin(), touched.end())) << id;
-    EXPECT_EQ(std::adjacent_find(touched.begin(), touched.end()),
-              touched.end())
-        << id;
-    for (GraphId n = 0; n <= id; ++n) {
-      if (base_row(n) == before[static_cast<size_t>(n)]) continue;
-      EXPECT_TRUE(std::binary_search(touched.begin(), touched.end(), n))
-          << "insert " << id << " rewired row " << n << " unreported";
-    }
-  }
-}
-
 // The golden tests' 1-D distance is symmetric, so they cannot tell which
 // argument order a memoized pair was computed in. This distance can: d(a,
 // b) scales |p_a - p_b| by a factor hashed from the ordered pair, as the
 // build GED differs between (a, b) and (b, a). A pool only computes
-// distances ahead, so with or without one every layer's rows, the entry
-// point and each insert's `touched` must match exactly.
+// distances ahead, so with or without one every layer's rows and the
+// entry point must match exactly.
 TEST(HnswInsertTest, PoolKeepsTopologyUnderAsymmetricDistance) {
   const std::vector<double> points = GoldenPoints();
   auto distance = [&points](GraphId a, GraphId b) {
@@ -194,15 +159,9 @@ TEST(HnswInsertTest, PoolKeepsTopologyUnderAsymmetricDistance) {
   Rng serial_rng(7);
   Rng pooled_rng(7);
   for (GraphId id = 80; id < 120; ++id) {
-    std::vector<GraphId> serial_touched;
-    std::vector<GraphId> pooled_touched;
-    ASSERT_TRUE(serial.Insert(id, distance, options, &serial_rng,
-                              &serial_touched)
-                    .ok());
-    ASSERT_TRUE(pooled.Insert(id, distance, options, &pooled_rng,
-                              &pooled_touched, &pool)
-                    .ok());
-    EXPECT_EQ(pooled_touched, serial_touched) << id;
+    ASSERT_TRUE(serial.Insert(id, distance, options, &serial_rng).ok());
+    ASSERT_TRUE(
+        pooled.Insert(id, distance, options, &pooled_rng, &pool).ok());
     expect_same(serial, pooled, id);
   }
 }

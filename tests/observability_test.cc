@@ -311,12 +311,11 @@ TEST(CacheMetricsTest, HitRateGaugeReflectsLookups) {
   options.enabled = true;
   options.capacity_bytes = 1 << 20;
   ResultCache cache(options);
-  cache.PutGed(/*query_hash=*/1, /*id=*/0, ResultKind::kExactGed,
-               /*epoch=*/0, 3.0);
-  double value = 0.0;
-  EXPECT_TRUE(cache.FindGed(1, 0, ResultKind::kExactGed, 0, &value));  // hit
-  EXPECT_FALSE(cache.FindGed(2, 1, ResultKind::kExactGed, 0, &value));
-  EXPECT_FALSE(cache.FindGed(3, 2, ResultKind::kExactGed, 0, &value));
+  cache.Put(CacheKey128{1, 0}, /*epoch=*/0, {{0, 3.0}});
+  ResultCache::Answer answer;
+  EXPECT_TRUE(cache.Find(CacheKey128{1, 0}, 0, &answer));  // hit
+  EXPECT_FALSE(cache.Find(CacheKey128{2, 1}, 0, &answer));
+  EXPECT_FALSE(cache.Find(CacheKey128{3, 2}, 0, &answer));
 
   MetricsRegistry registry;
   cache.AppendMetrics(&registry);

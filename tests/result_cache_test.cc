@@ -1,12 +1,10 @@
-// Tests for the cross-query result cache: the ShardedLruCache store, the
-// canonical keying input (Graph::ContentHash), the ResultCache
-// epoch/watermark invalidation contract, DistanceOracle's reads through
-// the cache, and — the property the whole design
-// exists to preserve — that cache-on searches are bitwise identical to
-// cache-off searches across every routing/init combination, including
-// across Insert/Remove epoch advances and under concurrent mutation
-// (ResultCacheConcurrencyTest runs under the asan/tsan presets via
-// `ctest -L concurrency`).
+// Tests for the answer cache: the ShardedLruCache store, the canonical
+// keying input (Graph::ContentHash), the ResultCache epoch rule, and — the
+// property the whole design exists to preserve — that cache-on searches
+// are bitwise identical to cache-off searches across every routing/init
+// combination, across Insert/Remove epoch advances and under concurrent
+// mutation (ResultCacheConcurrencyTest runs under the asan/tsan presets
+// via `ctest -L concurrency`).
 
 #include <gtest/gtest.h>
 
@@ -23,10 +21,9 @@
 #include "common/random.h"
 #include "common/shard_cache.h"
 #include "graph/graph_generator.h"
+#include "lan/evaluation.h"
 #include "lan/lan_index.h"
-#include "lan/learned_init.h"
 #include "lan/workload.h"
-#include "pg/distance.h"
 #include "pg/result_cache.h"
 
 namespace lan {
@@ -38,14 +35,20 @@ namespace {
 
 CacheKey128 Key(uint64_t hi, uint64_t lo) { return CacheKey128{hi, lo}; }
 
+/// A lookup with no epoch condition.
+bool Find(ShardedLruCache<double>* cache, const CacheKey128& key,
+          double* out) {
+  return cache->FindIf(key, out, [](uint64_t) { return true; });
+}
+
 TEST(ShardedLruCacheTest, FindAfterPutRoundTrips) {
   ShardedLruCache<double> cache(1 << 16, 4);
   cache.Put(Key(1, 7), 3.5, sizeof(double), /*epoch=*/2);
   double value = 0.0;
-  ASSERT_TRUE(cache.Find(Key(1, 7), &value));
+  ASSERT_TRUE(Find(&cache, Key(1, 7), &value));
   EXPECT_DOUBLE_EQ(value, 3.5);
-  EXPECT_FALSE(cache.Find(Key(1, 8), &value));
-  EXPECT_FALSE(cache.Find(Key(2, 7), &value));
+  EXPECT_FALSE(Find(&cache, Key(1, 8), &value));
+  EXPECT_FALSE(Find(&cache, Key(2, 7), &value));
   const ShardCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.hits, 1);
   EXPECT_EQ(stats.misses, 2);
@@ -63,12 +66,12 @@ TEST(ShardedLruCacheTest, EvictsLeastRecentlyUsedUnderBytePressure) {
   cache.Put(Key(2, 0), 2.0, sizeof(double), 0);
   cache.Put(Key(3, 0), 3.0, sizeof(double), 0);
   double value = 0.0;
-  ASSERT_TRUE(cache.Find(Key(1, 0), &value));  // refresh 1: LRU is now 2
+  ASSERT_TRUE(Find(&cache, Key(1, 0), &value));  // refresh 1: LRU is now 2
   cache.Put(Key(4, 0), 4.0, sizeof(double), 0);
-  EXPECT_FALSE(cache.Find(Key(2, 0), &value));
-  EXPECT_TRUE(cache.Find(Key(1, 0), &value));
-  EXPECT_TRUE(cache.Find(Key(3, 0), &value));
-  EXPECT_TRUE(cache.Find(Key(4, 0), &value));
+  EXPECT_FALSE(Find(&cache, Key(2, 0), &value));
+  EXPECT_TRUE(Find(&cache, Key(1, 0), &value));
+  EXPECT_TRUE(Find(&cache, Key(3, 0), &value));
+  EXPECT_TRUE(Find(&cache, Key(4, 0), &value));
   EXPECT_EQ(cache.Stats().evictions, 1);
   EXPECT_EQ(cache.Stats().entries, 3);
 }
@@ -77,26 +80,9 @@ TEST(ShardedLruCacheTest, OversizedValueIsRejected) {
   ShardedLruCache<double> cache(128, 1);
   cache.Put(Key(1, 0), 1.0, /*value_bytes=*/4096, 0);
   double value = 0.0;
-  EXPECT_FALSE(cache.Find(Key(1, 0), &value));
+  EXPECT_FALSE(Find(&cache, Key(1, 0), &value));
   EXPECT_EQ(cache.Stats().rejected, 1);
   EXPECT_EQ(cache.Stats().inserts, 0);
-}
-
-TEST(ShardedLruCacheTest, EraseIfSweepsMatchingKeys) {
-  ShardedLruCache<double> cache(1 << 16, 4);
-  for (uint64_t q = 0; q < 4; ++q) {
-    cache.Put(Key(q, /*lo=*/q % 2), static_cast<double>(q), sizeof(double), q);
-  }
-  // Sweep everything with lo == 1 (two entries).
-  const int64_t removed = cache.EraseIf(
-      [](const CacheKey128& key, uint64_t) { return key.lo == 1; });
-  EXPECT_EQ(removed, 2);
-  double value = 0.0;
-  EXPECT_TRUE(cache.Find(Key(0, 0), &value));
-  EXPECT_FALSE(cache.Find(Key(1, 1), &value));
-  EXPECT_TRUE(cache.Find(Key(2, 0), &value));
-  EXPECT_FALSE(cache.Find(Key(3, 1), &value));
-  EXPECT_EQ(cache.Stats().invalidations, 2);
 }
 
 TEST(ShardedLruCacheTest, FindIfErasesEntriesFailingThePredicate) {
@@ -107,7 +93,7 @@ TEST(ShardedLruCacheTest, FindIfErasesEntriesFailingThePredicate) {
                             [](uint64_t epoch) { return epoch >= 4; }));
   EXPECT_EQ(cache.Stats().invalidations, 1);
   // The stale entry is physically gone, not just hidden.
-  EXPECT_FALSE(cache.Find(Key(5, 5), &value));
+  EXPECT_FALSE(Find(&cache, Key(5, 5), &value));
   EXPECT_EQ(cache.Stats().entries, 0);
 }
 
@@ -117,7 +103,7 @@ TEST(ShardedLruCacheTest, ClearDropsEntriesAndKeepsCounters) {
   cache.Put(Key(2, 2), 2.0, sizeof(double), 0);
   cache.Clear();
   double value = 0.0;
-  EXPECT_FALSE(cache.Find(Key(1, 1), &value));
+  EXPECT_FALSE(Find(&cache, Key(1, 1), &value));
   const ShardCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.entries, 0);
   EXPECT_EQ(stats.bytes, 0);
@@ -149,7 +135,7 @@ TEST(GraphContentHashTest, EqualGraphsShareHashAndPerturbationsChange) {
 }
 
 // ---------------------------------------------------------------------------
-// ResultCache: keying and the epoch/watermark contract
+// ResultCache: one answer per key, served at its epoch only
 // ---------------------------------------------------------------------------
 
 ResultCacheOptions SmallCacheOptions() {
@@ -159,113 +145,24 @@ ResultCacheOptions SmallCacheOptions() {
   return options;
 }
 
-TEST(ResultCacheTest, GedRoundTripAndKeySeparation) {
+TEST(ResultCacheTest, AnswerRoundTripAndClear) {
   ResultCache cache(SmallCacheOptions());
-  cache.PutGed(/*query_hash=*/10, /*id=*/3, ResultKind::kExactGed,
-               /*epoch=*/0, 7.5);
-  double value = 0.0;
-  ASSERT_TRUE(cache.FindGed(10, 3, ResultKind::kExactGed, 0, &value));
-  EXPECT_DOUBLE_EQ(value, 7.5);
-  // Different kind, query, or graph: distinct keys.
-  EXPECT_FALSE(cache.FindGed(10, 3, ResultKind::kRankBatches, 0, &value));
-  EXPECT_FALSE(cache.FindGed(11, 3, ResultKind::kExactGed, 0, &value));
-  EXPECT_FALSE(cache.FindGed(10, 4, ResultKind::kExactGed, 0, &value));
-}
+  const ResultCache::Answer answer = {{4, 1.5}, {9, 2.0}};
+  cache.Put(Key(10, 3), /*epoch=*/0, answer);
+  ResultCache::Answer out;
+  ASSERT_TRUE(cache.Find(Key(10, 3), 0, &out));
+  EXPECT_EQ(out, answer);
+  // Either half of the key tells answers apart.
+  EXPECT_FALSE(cache.Find(Key(11, 3), 0, &out));
+  EXPECT_FALSE(cache.Find(Key(10, 4), 0, &out));
+  EXPECT_EQ(cache.Stats().entries, 1);
 
-TEST(ResultCacheTest, WatermarkInvalidationContract) {
-  ResultCache cache(SmallCacheOptions());
-  cache.PutGed(10, 3, ResultKind::kExactGed, /*epoch=*/0, 7.5);
-  cache.PutGed(10, 4, ResultKind::kExactGed, /*epoch=*/0, 9.5);
-
-  // Graph 3's neighborhood changes at epoch 1.
-  cache.InvalidateGraph(3, /*epoch=*/1);
-
-  double value = 0.0;
-  // The pre-mutation entry is gone for everyone; the untouched graph
-  // still serves.
-  EXPECT_FALSE(cache.FindGed(10, 3, ResultKind::kExactGed, 1, &value));
-  ASSERT_TRUE(cache.FindGed(10, 4, ResultKind::kExactGed, 1, &value));
-  EXPECT_DOUBLE_EQ(value, 9.5);
-
-  // A racing Put stamped below the watermark is refused.
-  cache.PutGed(10, 3, ResultKind::kExactGed, /*epoch=*/0, 7.5);
-  EXPECT_FALSE(cache.FindGed(10, 3, ResultKind::kExactGed, 1, &value));
-
-  // A post-mutation recomputation is accepted and served to queries at
-  // the new epoch...
-  cache.PutGed(10, 3, ResultKind::kExactGed, /*epoch=*/1, 8.5);
-  ASSERT_TRUE(cache.FindGed(10, 3, ResultKind::kExactGed, 1, &value));
-  EXPECT_DOUBLE_EQ(value, 8.5);
-  // ...but never to a query still pinned before the mutation.
-  EXPECT_FALSE(cache.FindGed(10, 3, ResultKind::kExactGed, 0, &value));
-}
-
-TEST(ResultCacheTest, InvalidateGraphsSweepsOnlyTouchedIds) {
-  ResultCache cache(SmallCacheOptions());
-  for (GraphId id = 0; id < 6; ++id) {
-    cache.PutGed(77, id, ResultKind::kExactGed, 0, static_cast<double>(id));
-  }
-  cache.InvalidateGraphs({1, 4}, /*epoch=*/2);
-  double value = 0.0;
-  for (GraphId id = 0; id < 6; ++id) {
-    const bool expect_live = (id != 1 && id != 4);
-    EXPECT_EQ(cache.FindGed(77, id, ResultKind::kExactGed, 2, &value),
-              expect_live)
-        << "graph " << id;
-  }
-}
-
-/// Copies a cached score out through ResultCache::ReadScore.
-bool FindScore(ResultCache* cache, uint64_t query_hash, GraphId id,
-               ResultKind kind, uint64_t query_epoch, CachedScore* out) {
-  return cache->ReadScore(query_hash, id, kind, query_epoch,
-                          [out](const CachedScore& value) { *out = value; });
-}
-
-TEST(ResultCacheTest, ScoreRoundTripAndClear) {
-  ResultCache cache(SmallCacheOptions());
-  CachedScore score;
-  score.floats = {1.5f, 2.5f};
-  score.ids = {4, 5, 6};
-  score.sizes = {1, 2};
-  cache.PutScore(42, 9, ResultKind::kRankBatches, 0, score);
-  CachedScore out;
-  ASSERT_TRUE(FindScore(&cache, 42, 9, ResultKind::kRankBatches, 0, &out));
-  EXPECT_EQ(out.floats, score.floats);
-  EXPECT_EQ(out.ids, score.ids);
-  EXPECT_EQ(out.sizes, score.sizes);
-
-  cache.PutGed(42, 9, ResultKind::kExactGed, 0, 1.0);
   cache.Clear();
-  double value = 0.0;
-  EXPECT_FALSE(FindScore(&cache, 42, 9, ResultKind::kRankBatches, 0, &out));
-  EXPECT_FALSE(cache.FindGed(42, 9, ResultKind::kExactGed, 0, &value));
-  EXPECT_EQ(cache.Stats().entries, 0);
-}
-
-TEST(ResultCacheTest, QueryLevelScoreKindsDoNotShareEntries) {
-  // kClusterCounts and kNeighborhood share the (query hash,
-  // kInvalidGraphId) key; the kind keeps them apart.
-  ResultCache cache(SmallCacheOptions());
-  CachedScore counts;
-  counts.floats = {0.5f, 3.0f};
-  CachedScore kept;
-  kept.ids = {7, 2};
-  cache.PutScore(42, kInvalidGraphId, ResultKind::kClusterCounts, 0, counts);
-  CachedScore out;
-  EXPECT_FALSE(FindScore(&cache, 42, kInvalidGraphId,
-                         ResultKind::kNeighborhood, 0, &out));
-  cache.PutScore(42, kInvalidGraphId, ResultKind::kNeighborhood, 0, kept);
-  ASSERT_TRUE(FindScore(&cache, 42, kInvalidGraphId,
-                        ResultKind::kClusterCounts, 0, &out));
-  EXPECT_EQ(out.floats, counts.floats);
-  EXPECT_TRUE(out.ids.empty());
-  ASSERT_TRUE(FindScore(&cache, 42, kInvalidGraphId,
-                        ResultKind::kNeighborhood, 0, &out));
-  EXPECT_TRUE(out.floats.empty());
-  EXPECT_EQ(out.ids, kept.ids);
-  EXPECT_STREQ(ResultKindName(ResultKind::kNeighborhood), "neighborhood");
-  EXPECT_STREQ(ResultKindName(ResultKind::kClusterCounts), "cluster_counts");
+  EXPECT_FALSE(cache.Find(Key(10, 3), 0, &out));
+  const ShardCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.entries, 0);
+  EXPECT_EQ(stats.bytes, 0);
+  EXPECT_EQ(stats.invalidations, 1);
 }
 
 TEST(ResultCacheTest, ValidateRejectsBadKnobs) {
@@ -276,70 +173,6 @@ TEST(ResultCacheTest, ValidateRejectsBadKnobs) {
   // Disabled caches never validate their knobs (they are not constructed).
   options.enabled = false;
   EXPECT_TRUE(options.Validate().ok());
-}
-
-// ---------------------------------------------------------------------------
-// DistanceOracle over a ResultCache
-// ---------------------------------------------------------------------------
-
-TEST(DistanceOracleCacheTest, SecondOracleIsServedFromCache) {
-  GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(6), 13);
-  GedOptions gopts;
-  gopts.approximate_only = true;
-  gopts.beam_width = 0;
-  GedComputer ged(gopts);
-  ResultCache cache(SmallCacheOptions());
-
-  const Graph& query = db.Get(0);
-  QueryContext ctx;
-  ctx.query_hash = query.ContentHash();
-  ctx.epoch = 0;
-
-  SearchStats first_stats;
-  DistanceOracle first(&db, &query, &ged, &first_stats, nullptr, nullptr,
-                       &cache, ctx);
-  const double computed = first.Distance(3);
-  EXPECT_EQ(computed, ged.Distance(query, db.Get(3)));
-  EXPECT_EQ(first_stats.ndc, 1);
-  EXPECT_EQ(first_stats.cache_hits, 0);
-
-  // A later query with the same hash is served the stored value: charged
-  // as a cache hit, not as NDC.
-  SearchStats second_stats;
-  DistanceOracle second(&db, &query, &ged, &second_stats, nullptr, nullptr,
-                        &cache, ctx);
-  EXPECT_EQ(second.Distance(3), computed);  // bitwise
-  EXPECT_EQ(second_stats.ndc, 0);
-  EXPECT_EQ(second_stats.cache_hits, 1);
-  EXPECT_EQ(cache.Stats().hits, 1);
-}
-
-TEST(DistanceOracleCacheTest, ZeroQueryHashBypassesTheCache) {
-  GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(6), 14);
-  GedOptions gopts;
-  gopts.approximate_only = true;
-  GedComputer ged(gopts);
-  ResultCache cache(SmallCacheOptions());
-
-  QueryContext anonymous;  // query_hash == 0
-  const Graph& query = db.Get(1);
-  for (int pass = 0; pass < 2; ++pass) {
-    SearchStats stats;
-    DistanceOracle oracle(&db, &query, &ged, &stats, nullptr, nullptr, &cache,
-                          anonymous);
-    (void)oracle.Distance(2);
-    EXPECT_EQ(stats.ndc, 1);
-    EXPECT_EQ(stats.cache_hits, 0);
-
-    EXPECT_FALSE(oracle.caches_scores());
-    CachedScore score;
-    score.floats = {1.0f};
-    oracle.StoreScore(ResultKind::kClusterCounts, kInvalidGraphId, score);
-    EXPECT_FALSE(oracle.ReadScore(ResultKind::kClusterCounts,
-                                  kInvalidGraphId,
-                                  [](const CachedScore&) {}));
-  }
-  EXPECT_EQ(cache.Stats().inserts, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -443,14 +276,18 @@ void ExpectBitwiseIdenticalAcrossAllCombos(const LanIndex& cached,
             EXPECT_EQ(with.results[i].second, without.results[i].second)
                 << RoutingMethodName(routing) << "/" << InitMethodName(init);
           }
-          // Control flow is value-driven, so the counters the cache must
-          // not perturb stay equal; distance work only ever shifts from
-          // ndc to cache_hits (score hits shift model inferences too, so
-          // the sum is a lower bound rather than an equality).
-          EXPECT_EQ(with.stats.routing_steps, without.stats.routing_steps);
-          EXPECT_LE(with.stats.ndc, without.stats.ndc);
-          EXPECT_GE(with.stats.ndc + with.stats.cache_hits,
-                    without.stats.ndc);
+          // A miss runs the uncached search; a hit serves the stored
+          // answer and runs nothing.
+          if (pass == 1) {
+            EXPECT_EQ(with.stats.cache_hits, 1);
+          }
+          if (with.stats.cache_hits == 0) {
+            EXPECT_EQ(with.stats.routing_steps, without.stats.routing_steps);
+            EXPECT_EQ(with.stats.ndc, without.stats.ndc);
+          } else {
+            EXPECT_EQ(with.stats.routing_steps, 0);
+            EXPECT_EQ(with.stats.ndc, 0);
+          }
         }
       }
     }
@@ -485,7 +322,7 @@ TEST(CacheEquivalenceDefaultProtocolTest, BitwiseIdenticalAcrossAllCombos) {
 
 TEST_F(CacheEquivalenceTest, RepeatedQueryShiftsNdcToCacheHits) {
   // A query content-identical to a previous one (fresh Graph object, same
-  // canonical hash) reuses its GED results.
+  // canonical hash) is served its stored answer.
   const Graph& query = workload_->test[0];
   SearchOptions options;
   options.k = 4;
@@ -495,8 +332,8 @@ TEST_F(CacheEquivalenceTest, RepeatedQueryShiftsNdcToCacheHits) {
   ASSERT_TRUE(first.status.ok());
   ASSERT_TRUE(second.status.ok());
   EXPECT_EQ(first.results, second.results);
-  EXPECT_GT(second.stats.cache_hits, 0);
-  EXPECT_LT(second.stats.ndc, first.stats.ndc + first.stats.cache_hits);
+  EXPECT_EQ(second.stats.cache_hits, 1);
+  EXPECT_EQ(second.stats.ndc, 0);
 }
 
 TEST_F(CacheEquivalenceTest, TraceChargesHitsWithoutBreakingNdcInvariant) {
@@ -514,7 +351,7 @@ TEST_F(CacheEquivalenceTest, TraceChargesHitsWithoutBreakingNdcInvariant) {
   EXPECT_EQ(trace.CountOf(TraceEventType::kDistance), result.stats.ndc);
   EXPECT_EQ(trace.CountOf(TraceEventType::kCacheHit),
             result.stats.cache_hits);
-  EXPECT_GT(result.stats.cache_hits, 0);
+  EXPECT_EQ(result.stats.cache_hits, 1);
 }
 
 /// Counts `trace` events of `type` whose detail is `detail`.
@@ -528,9 +365,9 @@ int64_t CountDetail(const QueryTrace& trace, TraceEventType type,
 }
 
 TEST_F(CacheEquivalenceTest, HotLanQueryRunsNoModel) {
-  // With M_rk's batches, M_c's counts and M_nh's kept set all memoized, a
-  // repeated LAN_Route + LAN_IS query encodes nothing: no query CG, no
-  // cross row, no forward pass, and the same answers as without a cache.
+  // A repeated LAN_Route + LAN_IS query is served its stored answer and
+  // encodes nothing: no query CG, no cross row, no forward pass, and the
+  // same answers as without a cache.
   SearchOptions options;
   options.k = 4;
   options.beam = 8;
@@ -556,31 +393,58 @@ TEST_F(CacheEquivalenceTest, HotLanQueryRunsNoModel) {
       EXPECT_EQ(hot.results[i].first, cold.results[i].first);
       EXPECT_EQ(hot.results[i].second, cold.results[i].second);  // bitwise
     }
-    EXPECT_EQ(CountDetail(trace, TraceEventType::kCacheHit, "neighborhood"),
-              1);
-    EXPECT_EQ(CountDetail(trace, TraceEventType::kModelInference, "M_nh"), 0);
+    EXPECT_EQ(CountDetail(trace, TraceEventType::kCacheHit, "answer"), 1);
     EXPECT_EQ(trace.CountOf(TraceEventType::kModelInference), 0);
+    EXPECT_EQ(trace.CountOf(TraceEventType::kRouteStep), 0);
   }
 }
 
 TEST_F(CacheEquivalenceTest, SearchBatchExportsCacheMetrics) {
-  // Duplicate queries inside one batch: the second occurrence hits.
-  std::vector<Graph> queries;
-  for (int i = 0; i < 2; ++i) {
-    queries.push_back(workload_->test[2]);
-    queries.push_back(workload_->test[3]);
-  }
+  const std::vector<Graph> queries = {workload_->test[2], workload_->test[3]};
   SearchOptions options;
   options.k = 3;
+  // The first call stores both answers; the second is served all of them.
+  ASSERT_EQ(cached_->SearchBatch(queries, options, 2).results.size(), 2u);
   BatchSearchResult batch = cached_->SearchBatch(queries, options, 2);
   ASSERT_EQ(batch.results.size(), queries.size());
   const int64_t* hits = batch.stats.metrics.FindCounter("cache.hits");
   ASSERT_NE(hits, nullptr);
-  EXPECT_GT(*hits, 0);
+  EXPECT_EQ(*hits, 2);
   const double* capacity = batch.stats.metrics.FindGauge("cache.capacity_bytes");
   ASSERT_NE(capacity, nullptr);
   EXPECT_GT(*capacity, 0.0);
   EXPECT_EQ(batch.stats.totals.cache_hits, *hits);
+}
+
+TEST_F(CacheEquivalenceTest, EvalSweepCountsTheSameWorkAsUncached) {
+  // A sweep runs every query once per beam; no point may count another
+  // point's work as cache hits, so every point reports what the uncached
+  // index reports. Clearing first keeps the test independent of which
+  // searches the fixture's other tests already stored.
+  cached_->result_cache()->Clear();
+  const std::vector<Graph>& queries = workload_->test;
+  const std::vector<KnnList> truths = BuildTruths(
+      *db_, queries, 4, GedComputer(plain_->config().query_ged));
+  const std::vector<int> beams = {6, 12};
+  for (const auto& [routing, init] :
+       {std::pair{RoutingMethod::kLanRoute, InitMethod::kLanIs},
+        std::pair{RoutingMethod::kBaselineRoute, InitMethod::kHnswIs}}) {
+    const MethodCurve with =
+        SweepIndex(*cached_, routing, init, queries, truths, 4, beams, "with");
+    const MethodCurve without = SweepIndex(*plain_, routing, init, queries,
+                                           truths, 4, beams, "without");
+    ASSERT_EQ(with.points.size(), without.points.size());
+    for (size_t i = 0; i < with.points.size(); ++i) {
+      const SweepPoint& a = with.points[i];
+      const SweepPoint& b = without.points[i];
+      EXPECT_EQ(a.avg_ndc, b.avg_ndc) << RoutingMethodName(routing) << " b="
+                                      << a.beam;
+      EXPECT_EQ(a.avg_steps, b.avg_steps) << a.beam;
+      EXPECT_EQ(a.avg_inferences, b.avg_inferences) << a.beam;
+      EXPECT_EQ(a.recall, b.recall) << a.beam;
+      EXPECT_GT(b.avg_ndc, 0.0);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -686,15 +550,16 @@ TEST(ResultCacheMutationTest, InsertIntoScannedClusterRerunsNeighborhoodModel) {
   options.routing = RoutingMethod::kBaselineRoute;
   options.init = InitMethod::kLanIs;
   const Graph& query = workload.test[0];
-  ASSERT_TRUE(cached.Search(query, options).status.ok());  // warm
-  QueryTrace hot_trace;
+  QueryTrace cold_trace;
   SearchOptions traced = options;
-  traced.trace = &hot_trace;
-  const SearchResult hot = cached.Search(query, traced);
+  traced.trace = &cold_trace;
+  ASSERT_TRUE(cached.Search(query, traced).status.ok());  // stores
+  const SearchResult hot = cached.Search(query, options);
   ASSERT_TRUE(hot.status.ok());
+  EXPECT_EQ(hot.stats.cache_hits, 1);
   EXPECT_EQ(hot.stats.cross_encodings, 0);
   std::set<int64_t> scanned;
-  for (const TraceEvent& event : hot_trace.events()) {
+  for (const TraceEvent& event : cold_trace.events()) {
     if (event.type == TraceEventType::kClusterScore) scanned.insert(event.id);
   }
   ASSERT_FALSE(scanned.empty());
@@ -720,100 +585,69 @@ TEST(ResultCacheMutationTest, InsertIntoScannedClusterRerunsNeighborhoodModel) {
   ASSERT_TRUE(with.status.ok());
   ASSERT_TRUE(without.status.ok());
   EXPECT_EQ(with.results, without.results);
-  // Insert invalidated the stored kept set, so M_nh ran again.
+  // The stored answer belongs to the previous epoch, so the whole search
+  // ran again, M_nh over the grown cluster included.
+  EXPECT_EQ(with.stats.cache_hits, 0);
   EXPECT_GT(with.stats.cross_encodings, 0);
   EXPECT_EQ(with.stats.cross_encodings, without.stats.cross_encodings);
   EXPECT_EQ(CountDetail(trace, TraceEventType::kModelInference, "M_nh"), 1);
-  EXPECT_EQ(CountDetail(trace, TraceEventType::kCacheHit, "neighborhood"), 0);
+  EXPECT_EQ(trace.CountOf(TraceEventType::kCacheHit), 0);
 }
 
-/// One LanInitialSelector::Select of `index`'s models over `snap`'s
-/// clusters, pinned at `snap`'s epoch, with the same Rng seed every time,
-/// so two runs differ only through the memo.
-struct SelectOutcome {
-  GraphId start = kInvalidGraphId;
-  std::vector<GraphId> kept;
-  SearchStats stats;
-};
+TEST(ResultCacheMutationTest, PinnedEpochsNeverShareAnAnswer) {
+  // The rule itself: an answer stored at epoch E is never served to a
+  // query pinned at E + 1, nor one stored at E + 1 to a query pinned at E.
+  // Clear is not involved, so this is what holds while a write races a
+  // search that stores its answer late.
+  ResultCache cache(SmallCacheOptions());
+  const ResultCache::Answer old_answer = {{1, 2.0}};
+  const ResultCache::Answer new_answer = {{3, 1.0}};
+  ResultCache::Answer out;
+  cache.Put(Key(7, 5), /*epoch=*/4, old_answer);
+  EXPECT_FALSE(cache.Find(Key(7, 5), 5, &out));
+  cache.Put(Key(7, 5), /*epoch=*/5, new_answer);
+  EXPECT_FALSE(cache.Find(Key(7, 5), 4, &out));
+  cache.Put(Key(7, 5), /*epoch=*/5, new_answer);
+  ASSERT_TRUE(cache.Find(Key(7, 5), 5, &out));
+  EXPECT_EQ(out, new_answer);
 
-SelectOutcome RunLanIs(const LanIndex& index, const IndexSnapshot& snap,
-                       ResultCache* cache, const Graph& query) {
-  SelectOutcome out;
-  QueryContext ctx;
-  ctx.query_hash = query.ContentHash();
-  ctx.epoch = snap.epoch;
-  const GedComputer ged(index.config().query_ged);
-  DistanceOracle oracle(&index.db(), &query, &ged, &out.stats, nullptr,
-                        nullptr, cache, ctx);
-  LazyQueryCg query_cg = index.QueryCg(query);
-  LanInitOptions options = index.config().init;
-  options.threshold = index.neighborhood_model()->calibrated_threshold();
-  LanInitialSelector selector(index.neighborhood_model(),
-                              index.cluster_model(), snap.clusters.get(),
-                              snap.cgs.get(), &query_cg,
-                              &index.config().embedding,
-                              index.config().use_compressed_gnn, options);
-  Rng rng(7);
-  out.start = selector.Select(&oracle, &rng);
-  out.kept = selector.last_predicted_neighborhood();
-  return out;
-}
-
-TEST(ResultCacheMutationTest, PinnedEpochsNeverShareAKeptSet) {
-  GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(60), 71);
+  // Through the index: a query pinned after an Insert recomputes instead of
+  // being served the previous epoch's answer, and equals the uncached one.
+  GraphDatabase db_a = GenerateDatabase(DatasetSpec::SynLike(60), 71);
+  GraphDatabase db_b = GenerateDatabase(DatasetSpec::SynLike(60), 71);
   WorkloadOptions wopts;
   wopts.num_queries = 20;
-  const QueryWorkload workload = SampleWorkload(db, wopts, 72);
-  LanIndex index(MutationConfig(true));
-  ASSERT_TRUE(index.Build(&db).ok());
-  ASSERT_TRUE(index.Train(workload.train).ok());
+  const QueryWorkload workload = SampleWorkload(db_a, wopts, 72);
+  LanIndex cached(MutationConfig(true));
+  LanIndex plain(MutationConfig(false));
+  ASSERT_TRUE(cached.Build(&db_a).ok());
+  ASSERT_TRUE(plain.Build(&db_b).ok());
+  ASSERT_TRUE(cached.Train(workload.train).ok());
+  ASSERT_TRUE(plain.Train(workload.train).ok());
+  SearchOptions options;
+  options.k = 5;
   const Graph& query = workload.test[0];
-  ResultCache* caching = index.result_cache();
-  ResultCache* base = nullptr;  // the uncached reference
-
-  // A query pinned before the Insert keeps the old member lists for its
-  // whole life; its answers must never mix with the new epoch's.
-  const auto old_snap = index.Snapshot();
-  const SelectOutcome ref_old = RunLanIs(index, *old_snap, base, query);
-  ASSERT_FALSE(ref_old.kept.empty());
-
-  auto expect_as_uncached = [&](const IndexSnapshot& snap,
-                                const SelectOutcome& ref, bool expect_hit,
-                                const char* when) {
-    const SelectOutcome got = RunLanIs(index, snap, caching, query);
-    EXPECT_EQ(got.start, ref.start) << when;
-    EXPECT_EQ(got.kept, ref.kept) << when;
-    // A hit runs no M_nh row; a miss scores every scanned member again.
-    if (expect_hit) {
-      EXPECT_EQ(got.stats.cross_encodings, 0) << when;
-    } else {
-      EXPECT_EQ(got.stats.cross_encodings, ref.stats.cross_encodings) << when;
-    }
+  const auto expect_as_uncached = [&](bool expect_hit, const char* when) {
+    const SearchResult with = cached.Search(query, options);
+    const SearchResult without = plain.Search(query, options);
+    ASSERT_TRUE(with.status.ok()) << when;
+    EXPECT_EQ(with.epoch, without.epoch) << when;
+    EXPECT_EQ(with.results, without.results) << when;
+    EXPECT_EQ(with.stats.cache_hits, expect_hit ? 1 : 0) << when;
+    EXPECT_EQ(with.stats.ndc, expect_hit ? 0 : without.stats.ndc) << when;
   };
-  expect_as_uncached(*old_snap, ref_old, false, "old epoch stores");
-  expect_as_uncached(*old_snap, ref_old, true, "old epoch hits its entry");
-
-  // A copy of a kept member embeds and scores like it: it lands in a
-  // scanned cluster and joins the kept set.
-  const GraphId kept = ref_old.kept.front();
-  const auto inserted = index.Insert(db.Get(kept));
-  ASSERT_TRUE(inserted.ok());
-  const auto new_snap = index.Snapshot();
-  ASSERT_EQ(new_snap->clusters->assignment[static_cast<size_t>(
-                inserted.value())],
-            old_snap->clusters->assignment[static_cast<size_t>(kept)]);
-  const SelectOutcome ref_new = RunLanIs(index, *new_snap, base, query);
-  ASSERT_NE(ref_old.kept, ref_new.kept);
-
-  expect_as_uncached(*new_snap, ref_new, false, "new epoch after Insert");
-  expect_as_uncached(*new_snap, ref_new, true, "new epoch hits its entry");
-  expect_as_uncached(*old_snap, ref_old, false, "old epoch after new stored");
-  // The old epoch's store was refused. Its rejected lookup also dropped
-  // the new entry (FindIf erases what fails its predicate), so the new
-  // epoch recomputes once and then hits again.
-  expect_as_uncached(*new_snap, ref_new, false, "new epoch after old ran");
-  expect_as_uncached(*new_snap, ref_new, true, "new epoch hits again");
-  expect_as_uncached(*old_snap, ref_old, false, "old epoch stays a miss");
+  expect_as_uncached(false, "epoch 0 stores");
+  expect_as_uncached(true, "epoch 0 hits");
+  // A copy of the query's best answer joins its neighborhood.
+  const GraphId best = plain.Search(query, options).results.front().first;
+  ASSERT_TRUE(cached.Insert(db_a.Get(best)).ok());
+  ASSERT_TRUE(plain.Insert(db_b.Get(best)).ok());
+  expect_as_uncached(false, "epoch 1 recomputes");
+  expect_as_uncached(true, "epoch 1 hits");
+  ASSERT_TRUE(cached.Remove(best).ok());
+  ASSERT_TRUE(plain.Remove(best).ok());
+  expect_as_uncached(false, "epoch 2 recomputes");
+  expect_as_uncached(true, "epoch 2 hits");
 }
 
 // ---------------------------------------------------------------------------
@@ -831,8 +665,8 @@ TEST(ResultCacheConcurrencyTest, ConcurrentSearchesServeTrueDistances) {
   LanIndex plain(MutationConfig(false));
   ASSERT_TRUE(cached.Build(&db).ok());
   ASSERT_TRUE(plain.Build(&mirror_db).ok());
-  // Trained, so one searcher runs LAN_Route + LAN_IS: its memoized M_rk
-  // batches and kept sets are stored at whatever epoch it pinned.
+  // Trained, so one searcher runs LAN_Route + LAN_IS; every searcher's
+  // answers are stored at whatever epoch it pinned.
   WorkloadOptions wopts;
   wopts.num_queries = 20;
   const QueryWorkload workload = SampleWorkload(db, wopts, 74);
@@ -856,6 +690,12 @@ TEST(ResultCacheConcurrencyTest, ConcurrentSearchesServeTrueDistances) {
   std::atomic<bool> done{false};
   std::atomic<int> violations{0};
   std::atomic<int> searches{0};
+  // removed_at[id]: the epoch Remove(id) published (max until then). The
+  // writer records it after Remove returns, so a searcher can only see it
+  // late, never early: an answer at an epoch >= removed_at[id] holding id
+  // was served across a Remove.
+  std::vector<std::atomic<uint64_t>> removed_at(kInitial + kMutations);
+  for (auto& epoch : removed_at) epoch.store(UINT64_MAX);
 
   std::vector<std::thread> searchers;
   searchers.reserve(kSearchers);
@@ -881,6 +721,9 @@ TEST(ResultCacheConcurrencyTest, ConcurrentSearchesServeTrueDistances) {
         for (const auto& [id, distance] : result.results) {
           const double truth = ged.Distance(query, cached.db().Get(id));
           if (distance != truth) violations.fetch_add(1);
+          if (removed_at[static_cast<size_t>(id)].load() <= result.epoch) {
+            violations.fetch_add(1);
+          }
         }
         searches.fetch_add(1);
       }
@@ -910,6 +753,7 @@ TEST(ResultCacheConcurrencyTest, ConcurrentSearchesServeTrueDistances) {
         ++writer_failures;
         break;
       }
+      removed_at[static_cast<size_t>(id)].store(cached.epoch());
       live[pick] = live.back();
       live.pop_back();
     }

@@ -29,7 +29,6 @@
 #include "graph/graph_generator.h"
 #include "lan/lan_index.h"
 #include "lan/workload.h"
-#include "pg/result_cache.h"
 
 namespace {
 
@@ -282,11 +281,10 @@ TEST(SearchAllocTest, ZeroSteadyStateAllocationsWithExactAttempts) {
 }
 
 TEST(SearchAllocTest, ZeroSteadyStateAllocationsWithLanRouteCacheHits) {
-  // np_route with the learned ranker on a trained index, result cache on:
-  // the candidate pool, the batch arena and the M_rk blobs it copies out of
-  // the cache must all run out of reused storage. The first pass misses
-  // the cache and runs M_rk, which allocates (model inference and the blob
-  // stored for later queries); such cold misses are outside this test.
+  // LAN_Route + LAN_IS (lanbench's searches) on a trained index, answer
+  // cache on: a hot query is served its stored answer, copied into the
+  // reused result storage. The first pass misses the cache and runs the
+  // models, which allocate; such cold misses are outside this test.
   GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(60), 41);
   WorkloadOptions wopts;
   wopts.num_queries = 20;
@@ -317,32 +315,27 @@ TEST(SearchAllocTest, ZeroSteadyStateAllocationsWithLanRouteCacheHits) {
   options.k = 5;
   options.beam = 8;
   options.routing = RoutingMethod::kLanRoute;
-  options.init = InitMethod::kRandomIs;
+  options.init = InitMethod::kLanIs;
 
   // Warmup: a cold pass fills the cache; a traced hot pass shows that the
-  // measured queries read cached M_rk batches and run no model.
+  // measured queries are cache hits that compute nothing.
   SearchResult result;
   for (const Graph& q : workload.test) {
     index.SearchInto(q, options, &result);
     ASSERT_TRUE(result.status.ok());
   }
-  int64_t batch_hits = 0;
   for (const Graph& q : workload.test) {
     QueryTrace trace;
     options.trace = &trace;
     index.SearchInto(q, options, &result);
     ASSERT_TRUE(result.status.ok());
     ASSERT_FALSE(result.results.empty());
+    EXPECT_EQ(result.stats.ndc, 0);
     EXPECT_EQ(result.stats.model_inferences, 0);
-    for (const TraceEvent& e : trace.events()) {
-      if (e.type == TraceEventType::kCacheHit &&
-          e.detail == ResultKindName(ResultKind::kRankBatches)) {
-        ++batch_hits;
-      }
-    }
+    EXPECT_EQ(result.stats.cache_hits, 1);
+    EXPECT_EQ(trace.CountOf(TraceEventType::kCacheHit), 1);
   }
   options.trace = nullptr;
-  ASSERT_GT(batch_hits, 0);
 
   g_alloc_count.store(0, std::memory_order_relaxed);
   g_count_allocs.store(true, std::memory_order_relaxed);
@@ -352,7 +345,7 @@ TEST(SearchAllocTest, ZeroSteadyStateAllocationsWithLanRouteCacheHits) {
   g_count_allocs.store(false, std::memory_order_relaxed);
 
   EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0)
-      << "hot LAN_Route queries must not touch the heap";
+      << "hot LAN_Route + LAN_IS queries must not touch the heap";
   EXPECT_TRUE(result.status.ok());
   EXPECT_FALSE(result.results.empty());
 }

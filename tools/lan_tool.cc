@@ -151,8 +151,11 @@ int Usage() {
                "  search   --snapshot FILE [--k K] [--queries N]\n"
                "           [--trace-out FILE]    per-query trace, JSON lines\n"
                "           [--metrics-out FILE]  metrics snapshot, JSON\n"
-               "           [--ged-cache-mb N]    cross-query result cache "
-               "budget (0 = off)\n"
+               "           [--ged-cache-mb N]    answer cache budget in MiB "
+               "(0 = off): a query\n"
+               "                                 repeated with the same "
+               "options is served its\n"
+               "                                 stored answer\n"
                "           [--stats-port P]      embedded stats server "
                "(0 = ephemeral port)\n"
                "  eval     --snapshot FILE [--k K] [--queries N]\n"
@@ -209,8 +212,8 @@ LanConfig ToolConfig(const Flags& flags) {
     const int threads = static_cast<int>(flags.GetInt("build-threads", 0));
     config.num_threads = threads;
   }
-  // `--ged-cache-mb N` opts into the cross-query result cache with an
-  // N MiB budget (0 keeps it off). Only the commands that run queries
+  // `--ged-cache-mb N` opts into the answer cache (docs/caching.md) with
+  // an N MiB budget (0 keeps it off). Only the commands that run queries
   // (search, eval, serve) take it: nothing else reads the cache.
   if (flags.Takes("ged-cache-mb") && flags.Has("ged-cache-mb")) {
     const int64_t mb = flags.GetInt("ged-cache-mb", 0);
@@ -539,9 +542,6 @@ int SearchCmd(const Flags& flags) {
     if (metrics_out == nullptr) return 1;
   }
   MetricsRegistry registry;
-  const CounterId queries_counter = registry.Counter("queries");
-  const HistogramId latency_hist = registry.Histogram(
-      "query_latency_seconds", MetricsRegistry::LatencyBounds());
   const QueryHistograms query_hists(&registry);
   StageHistograms stage_hists;
   stage_hists.Register(&registry);
@@ -556,9 +556,7 @@ int SearchCmd(const Flags& flags) {
     }
     Timer timer;
     SearchResult result = index->Search(queries[i], options);
-    registry.Increment(queries_counter);
-    registry.Observe(latency_hist, timer.ElapsedSeconds());
-    query_hists.Observe(result.stats);
+    query_hists.Observe(result, timer.ElapsedSeconds());
     stage_hists.Observe(result.stats.stages);
     if (!result.status.ok()) {
       std::fprintf(stderr, "query %zu failed: %s\n", i,
@@ -584,7 +582,7 @@ int SearchCmd(const Flags& flags) {
     cache->AppendMetrics(&registry);
     const ShardCacheStats stats = cache->Stats();
     const int64_t lookups = stats.hits + stats.misses;
-    std::printf("ged cache: %lld/%lld hits (%.0f%%), %lld entries\n",
+    std::printf("answer cache: %lld/%lld hits (%.0f%%), %lld entries\n",
                 static_cast<long long>(stats.hits),
                 static_cast<long long>(lookups),
                 lookups > 0 ? 100.0 * static_cast<double>(stats.hits) /
@@ -781,10 +779,6 @@ int Serve(const Flags& flags) {
   const SearchOptions base_options = DefaultSearchOptions(index, k);
 
   MetricsRegistry registry;
-  const CounterId queries_counter = registry.Counter("queries");
-  const CounterId errors_counter = registry.Counter("query_errors");
-  const HistogramId latency_hist = registry.Histogram(
-      "query_latency_seconds", MetricsRegistry::LatencyBounds());
   const QueryHistograms query_hists(&registry);
   StageHistograms stage_hists;
   stage_hists.Register(&registry);
@@ -895,13 +889,10 @@ int Serve(const Flags& flags) {
     Timer timer;
     SearchResult result = index.Search(query, options);
     const double latency = timer.ElapsedSeconds();
-    registry.Increment(queries_counter);
-    registry.Observe(latency_hist, latency);
-    query_hists.Observe(result.stats);
+    query_hists.Observe(result, latency);
     stage_hists.Observe(result.stats.stages);
     if (!result.status.ok()) {
       ++errors;
-      registry.Increment(errors_counter);
       if (errors == 1) {
         std::fprintf(stderr, "query %lld failed: %s\n",
                      static_cast<long long>(qid),
