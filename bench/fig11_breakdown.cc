@@ -5,12 +5,14 @@
 //
 // The split is read from the per-query stage profile: GED is the kGed
 // stage, learning is kModelInference plus kRerank (M_rk's batch assembly),
-// and other is the rest of the batch's measured query latency.
+// and other is the rest of the measured query latency. Queries run one at
+// a time on the calling thread, so each latency is undisturbed.
 
 #include <algorithm>
 #include <cstdio>
 
 #include "bench_env.h"
+#include "common/timer.h"
 
 namespace lan {
 namespace bench {
@@ -27,12 +29,19 @@ int Main() {
     options.k = env->k;
     options.beam = 16;
     options.profile = true;
-    // Single worker: the breakdown wants undisturbed per-query wall time.
-    BatchSearchResult batch =
-        env->index->SearchBatch(env->test_queries, options, /*num_threads=*/1);
-    const StageBreakdown& stages = batch.stats.totals.stages;
+    MetricsRegistry registry;
+    const QueryHistograms histograms(&registry);
+    SearchStats totals;
+    for (const Graph& query : env->test_queries) {
+      Timer timer;
+      const SearchResult result = env->index->Search(query, options);
+      histograms.Observe(result, timer.ElapsedSeconds());
+      totals.Merge(result.stats);
+    }
+    const MetricsSnapshot metrics = registry.Snapshot();
+    const StageBreakdown& stages = totals.stages;
     const HistogramSnapshot* latency =
-        batch.stats.metrics.FindHistogram("query_latency_seconds");
+        metrics.FindHistogram("query_latency_seconds");
     const double ged = stages.SecondsOf(Stage::kGed);
     const double learning = stages.SecondsOf(Stage::kModelInference) +
                             stages.SecondsOf(Stage::kRerank);
@@ -45,8 +54,8 @@ int Main() {
     std::printf("%-8s %11.1f%% %11.1f%% %11.1f%% %12.4f\n", env->name(),
                 ged * pct, learning * pct, other * pct,
                 all / static_cast<double>(env->test_queries.size()));
-    std::fprintf(stderr, "[bench] %s batch metrics: %s\n", env->name(),
-                 batch.stats.metrics.ToJson().c_str());
+    std::fprintf(stderr, "[bench] %s query metrics: %s\n", env->name(),
+                 metrics.ToJson().c_str());
   }
   std::printf("(paper: cross-graph learning accounts for ~20-29%% of "
               "query time before acceleration)\n");

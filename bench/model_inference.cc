@@ -1,7 +1,8 @@
 // Microbenchmark for the batched query-time inference path: per-pair
-// (tape-based) vs batched (stacked-GEMM) forwards on a 32-neighbor
-// candidate set, for M_rk (CG and raw, with cached context rows), M_nh,
-// and M_c. Reports pairs/sec and an effective GFLOP/s estimate from the
+// (the taped training forward) vs batched (stacked-GEMM) forwards on a
+// 32-neighbor candidate set, for M_rk (CG and raw; the batched arm takes
+// the routing node's cached context row, the taped one encodes its graph),
+// M_nh, and M_c. Reports pairs/sec and an effective GFLOP/s estimate from the
 // dominant GEMM terms, one JSON line per configuration, and mirrors the
 // lines into BENCH_model_inference.json in the working directory.
 
@@ -20,6 +21,7 @@
 #include "lan/cluster_model.h"
 #include "lan/neighborhood_model.h"
 #include "lan/pair_scorer.h"
+#include "nn/autograd.h"
 
 namespace lan {
 namespace bench {
@@ -57,7 +59,8 @@ double TimePerCall(const std::function<void()>& fn) {
 /// cross-graph encoder plus the binary heads. `ng`/`nq` are the row
 /// counts fed to each layer (group counts for CG, node counts for raw).
 double PairFlops(const std::vector<int32_t>& ng, const std::vector<int32_t>& nq,
-                 int32_t num_labels, const PairScorerOptions& options) {
+                 int32_t num_labels, const PairScorer& scorer) {
+  const PairScorerOptions& options = scorer.options();
   double flops = 0.0;
   int32_t d_in = num_labels;
   for (size_t l = 0; l < options.gnn_dims.size(); ++l) {
@@ -69,8 +72,8 @@ double PairFlops(const std::vector<int32_t>& ng, const std::vector<int32_t>& nq,
     d_in = d_out;
   }
   double feature_dim = options.gnn_dims.back();
-  if (options.include_context_embedding) feature_dim *= 2.0;
-  flops += 2.0 * options.num_heads *
+  if (scorer.has_context()) feature_dim *= 2.0;
+  flops += 2.0 * scorer.num_heads() *
            (feature_dim * options.mlp_hidden + options.mlp_hidden);  // heads
   return flops;
 }
@@ -120,10 +123,10 @@ int Main() {
     PairScorerOptions options;
     options.gnn_dims = {128, 128};
     options.mlp_hidden = 128;
-    options.num_heads = 4;
-    options.include_context_embedding = true;
-    PairScorer scorer(db.num_labels(), options);
-    const Matrix context_row = scorer.ContextEmbedding(cgs[kNumNeighbors]);
+    PairScorer scorer(db.num_labels(), options, /*num_heads=*/4,
+                      /*context=*/true);
+    const CompressedGnnGraph& context_cg = cgs[kNumNeighbors];
+    const Matrix context_row = scorer.ContextEmbedding(context_cg);
     const std::span<const float> context_span(
         context_row.data(), static_cast<size_t>(context_row.cols()));
 
@@ -143,19 +146,22 @@ int Main() {
     const QueryEncodingCache cg_cache = scorer.EncodeQuery(query_cg);
     const double per_pair_cg = TimePerCall([&] {
       for (const CompressedGnnGraph* g : cand_cgs) {
-        scorer.PredictCompressedWithContextRow(*g, query_cg, context_row);
+        Tape tape(/*inference_mode=*/true);
+        scorer.ForwardCompressed(&tape, *g, query_cg, &context_cg);
       }
     });
     const double batched_cg = TimePerCall([&] {
       scorer.InferHeads(scorer.InferCross(cand_cgs, cg_cache), context_span);
     });
     Report(json, "M_rk", "cg", kNumNeighbors, per_pair_cg, batched_cg,
-           PairFlops(ng_cg, nq_cg, db.num_labels(), options));
+           PairFlops(ng_cg, nq_cg, db.num_labels(), scorer));
 
     const QueryEncodingCache raw_cache = scorer.EncodeQuery(query);
     const double per_pair_raw = TimePerCall([&] {
+      const Graph& context = db.Get(kNumNeighbors);
       for (const Graph* g : cand_graphs) {
-        scorer.PredictRawWithContextRow(*g, query, context_row);
+        Tape tape(/*inference_mode=*/true);
+        scorer.ForwardRaw(&tape, *g, query, &context);
       }
     });
     const double batched_raw = TimePerCall([&] {
@@ -163,7 +169,7 @@ int Main() {
                         context_span);
     });
     Report(json, "M_rk", "raw", kNumNeighbors, per_pair_raw, batched_raw,
-           PairFlops(ng_raw, nq_raw, db.num_labels(), options));
+           PairFlops(ng_raw, nq_raw, db.num_labels(), scorer));
   }
 
   // ---- M_nh: single head, no context (the LAN_IS candidate scan), at
@@ -171,18 +177,21 @@ int Main() {
   // context both paths are dominated by cross-encoder GEMMs of identical
   // shapes, so batching mostly saves tape bookkeeping, not FLOPs.
   {
-    NeighborhoodModelOptions options;
-    options.scorer.gnn_dims = {128, 128};
-    options.scorer.mlp_hidden = 128;
+    PairScorerOptions options;
+    options.gnn_dims = {128, 128};
+    options.mlp_hidden = 128;
     NeighborhoodModel model(db.num_labels(), options);
-    const QueryEncodingCache cache = model.scorer().EncodeQuery(query_cg);
+    const PairScorer& scorer = model.scorer();
+    const QueryEncodingCache cache = scorer.EncodeQuery(query_cg);
     const double per_pair = TimePerCall([&] {
       for (const CompressedGnnGraph* g : cand_cgs) {
-        model.PredictProb(*g, query_cg);
+        Tape tape(/*inference_mode=*/true);
+        scorer.ForwardCompressed(&tape, *g, query_cg, nullptr);
       }
     });
-    const double batched =
-        TimePerCall([&] { model.PredictProbsBatch(cand_cgs, cache); });
+    const double batched = TimePerCall([&] {
+      model.PredictProbs(scorer.InferCross(cand_cgs, cache));
+    });
     std::vector<int32_t> ng(kGnnLayers, 0), nq(kGnnLayers, 0);
     for (int l = 0; l < kGnnLayers; ++l) {
       for (const CompressedGnnGraph* cg : cand_cgs) ng[l] += cg->NumGroups(l);
@@ -190,7 +199,7 @@ int Main() {
       nq[l] = query_cg.NumGroups(l);
     }
     Report(json, "M_nh", "cg", kNumNeighbors, per_pair, batched,
-           PairFlops(ng, nq, db.num_labels(), options.scorer));
+           PairFlops(ng, nq, db.num_labels(), scorer));
   }
 
   // ---- M_c: 64 clusters scored per query.

@@ -96,29 +96,6 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   state->all_done.wait(lock, [&] { return state->done == n; });
 }
 
-void ThreadPool::ParallelFor(size_t n, size_t num_threads,
-                             const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  num_threads = std::min(num_threads, n);
-  if (num_threads <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::atomic<size_t> next{0};
-  std::vector<std::thread> threads;
-  threads.reserve(num_threads);
-  for (size_t t = 0; t < num_threads; ++t) {
-    threads.emplace_back([&] {
-      for (;;) {
-        size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        fn(i);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-}
-
 size_t DefaultThreadCount() {
   unsigned hc = std::thread::hardware_concurrency();
   return hc == 0 ? 1 : static_cast<size_t>(hc);

@@ -31,17 +31,11 @@ class ThreadPool {
   /// Runs fn(i) for i in [0, n) on the pool's workers and returns once all
   /// iterations finish, even if some worker has not yet started (busy with
   /// other callers' work); the calling thread drains iterations too, so no
-  /// capacity is wasted on a blocked parent. Reuses pool workers instead of
-  /// spawning threads per call (the static overload's cost). Safe to call
-  /// from inside a pool task: that is detected via a thread-local and the
-  /// loop runs inline, because a worker blocking on its own pool's queue
-  /// would deadlock.
+  /// capacity is wasted on a blocked parent. Safe to call from inside a
+  /// pool task: that is detected via a thread-local and the loop runs
+  /// inline, because a worker blocking on its own pool's queue would
+  /// deadlock.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
-  /// Convenience: runs fn(i) for i in [0, n) and waits. Spawns transient
-  /// threads per call — prefer the instance method when a pool exists.
-  static void ParallelFor(size_t n, size_t num_threads,
-                          const std::function<void(size_t)>& fn);
 
  private:
   /// Enqueues a task; returns immediately.

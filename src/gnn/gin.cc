@@ -58,22 +58,6 @@ VarId GinEncoder::ForwardGraphCompressed(Tape* tape,
   return tape->WeightedMeanRows(h, cg.TopLevelWeights());
 }
 
-Matrix GinEncoder::InferGraphEmbedding(const Graph& g) const {
-  LAN_CHECK_GT(g.NumNodes(), 0);
-  const GnnGraph gnn(g, num_layers());
-  const SparseMatrix agg = gnn.AggregationOperator();
-  Matrix h = InitialFeatures(g);
-  for (ParamState* w : weights_) {
-    h = MatMulValues(agg.Apply(h), w->value);
-    ReluInPlace(&h);
-  }
-  Matrix readout(1, h.cols());
-  const std::vector<float> ones(static_cast<size_t>(h.rows()), 1.0f);
-  WeightedMeanRowsInto(h.data(), h.rows(), h.cols(), ones.data(),
-                       readout.data());
-  return readout;
-}
-
 Matrix GinEncoder::InferGraphEmbeddingCompressed(
     const CompressedGnnGraph& cg) const {
   LAN_CHECK_EQ(cg.num_layers, num_layers());

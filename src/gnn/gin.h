@@ -38,9 +38,8 @@ class GinEncoder {
   /// equals ForwardGraph on the underlying graph.
   VarId ForwardGraphCompressed(Tape* tape, const CompressedGnnGraph& cg) const;
 
-  /// Inference-only graph embeddings (no tape); match the tape-based
-  /// forwards bit for bit.
-  Matrix InferGraphEmbedding(const Graph& g) const;
+  /// Inference-only graph embedding on the CG (no tape); matches
+  /// ForwardGraphCompressed bit for bit.
   Matrix InferGraphEmbeddingCompressed(const CompressedGnnGraph& cg) const;
 
   int num_layers() const { return static_cast<int>(weights_.size()); }

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "common/random.h"
+#include "lan/train_loop.h"
 
 namespace lan {
 
@@ -29,43 +30,26 @@ void ClusterModel::Train(
     const EmbeddingMatrix& centroids,
     const std::vector<std::vector<float>>& intersection_counts) {
   LAN_CHECK_EQ(query_embeddings.size(), intersection_counts.size());
-  if (query_embeddings.empty() || centroids.empty()) return;
-  Adam adam(&store_, options_.adam);
-  Rng rng(options_.seed);
-
   const size_t num_centroids = static_cast<size_t>(centroids.rows());
-  struct Item {
-    size_t query;
-    size_t cluster;
-  };
-  std::vector<Item> items;
-  for (size_t q = 0; q < query_embeddings.size(); ++q) {
-    LAN_CHECK_EQ(intersection_counts[q].size(), num_centroids);
-    for (size_t c = 0; c < num_centroids; ++c) items.push_back({q, c});
+  for (const std::vector<float>& counts : intersection_counts) {
+    LAN_CHECK_EQ(counts.size(), num_centroids);
   }
-
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    rng.Shuffle(&items);
-    int in_batch = 0;
-    for (const Item& item : items) {
-      Tape tape;
-      const VarId x = tape.Input(
-          BuildFeatures(query_embeddings[item.query],
-                        centroids.Row(static_cast<int64_t>(item.cluster))));
-      const VarId pred = mlp_.Forward(&tape, x);
-      Matrix target(1, 1);
-      target.at(0, 0) =
-          std::log1p(intersection_counts[item.query][item.cluster]);
-      const VarId loss = tape.MseLoss(pred, target);
-      tape.Backward(loss);
-      if (++in_batch >= options_.minibatch_size) {
-        adam.Step();
-        in_batch = 0;
-      }
-    }
-    if (in_batch > 0) adam.Step();
-    adam.OnEpochEnd();
-  }
+  // Example i is the (query i / |C|, cluster i % |C|) pair.
+  RunEpochLoop(
+      &store_, query_embeddings.size() * num_centroids,
+      {options_.epochs, options_.minibatch_size, options_.adam,
+       options_.seed},
+      [&](Tape* tape, size_t i) {
+        const size_t query = i / num_centroids;
+        const size_t cluster = i % num_centroids;
+        const VarId x = tape->Input(
+            BuildFeatures(query_embeddings[query],
+                          centroids.Row(static_cast<int64_t>(cluster))));
+        const VarId pred = mlp_.Forward(tape, x);
+        Matrix target(1, 1);
+        target.at(0, 0) = std::log1p(intersection_counts[query][cluster]);
+        return tape->MseLoss(pred, target);
+      });
 }
 
 std::vector<float> ClusterModel::PredictCounts(

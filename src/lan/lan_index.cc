@@ -309,12 +309,10 @@ Status LanIndex::Train(const std::vector<Graph>& train_queries) {
   });
 
   Rng rng(config_.seed + 1);
+  MakeModels(db_->num_labels());
 
   // ---- 4) M_rk. ----
   {
-    RankModelOptions opts = config_.rank;
-    opts.batch_percent = config_.batch_percent;
-    opts.scorer = config_.scorer;
     std::vector<RankExample> examples =
         BuildRankExamples(snap->hnsw->BaseLayer(), distances, gamma_star_,
                           config_.batch_percent, config_.max_rank_examples,
@@ -324,8 +322,6 @@ Status LanIndex::Train(const std::vector<Graph>& train_queries) {
     std::vector<RankExample> validation(
         examples.end() - static_cast<ptrdiff_t>(valid_count), examples.end());
     examples.resize(examples.size() - valid_count);
-    rank_model_ =
-        std::make_unique<NeighborRankModel>(db_->num_labels(), opts);
     Timer t;
     rank_model_->Train(db_cgs, query_cgs, examples, validation);
     rank_model_->PrecomputeContexts(db_cgs);
@@ -335,16 +331,13 @@ Status LanIndex::Train(const std::vector<Graph>& train_queries) {
 
   // ---- 5) M_nh. ----
   {
-    NeighborhoodModelOptions opts = config_.nh;
-    opts.scorer = config_.scorer;
-    std::vector<NeighborhoodExample> examples =
-        BuildNeighborhoodExamples(distances, gamma_star_, opts.negative_ratio,
-                                  config_.max_nh_examples, &rng);
+    std::vector<NeighborhoodExample> examples = BuildNeighborhoodExamples(
+        distances, gamma_star_, config_.nh.negative_ratio,
+        config_.max_nh_examples, &rng);
     const size_t valid_count = examples.size() / 5;
     std::vector<NeighborhoodExample> validation(
         examples.end() - static_cast<ptrdiff_t>(valid_count), examples.end());
     examples.resize(examples.size() - valid_count);
-    nh_model_ = std::make_unique<NeighborhoodModel>(db_->num_labels(), opts);
     Timer t;
     nh_model_->Train(db_cgs, query_cgs, examples, validation);
     LAN_LOG(Info) << "  M_nh trained on " << examples.size() << " pairs in "
@@ -369,10 +362,6 @@ Status LanIndex::Train(const std::vector<Graph>& train_queries) {
         }
       }
     }
-    const int32_t feature_dim =
-        static_cast<int32_t>(2 * config_.embedding.dim);
-    cluster_model_ =
-        std::make_unique<ClusterModel>(feature_dim, config_.cluster);
     cluster_model_->Train(query_embeddings, clusters.centroids, counts);
   }
 
@@ -383,6 +372,16 @@ Status LanIndex::Train(const std::vector<Graph>& train_queries) {
   trained_ = true;
   LAN_LOG(Info) << "LanIndex::Train done in " << timer.ElapsedSeconds() << "s";
   return Status::OK();
+}
+
+void LanIndex::MakeModels(int32_t num_labels) {
+  rank_model_ = std::make_unique<NeighborRankModel>(
+      num_labels, config_.scorer, config_.batch_percent, config_.rank);
+  nh_model_ = std::make_unique<NeighborhoodModel>(num_labels, config_.scorer,
+                                                  config_.nh);
+  // M_c's features are the query's embedding and a centroid.
+  cluster_model_ = std::make_unique<ClusterModel>(
+      static_cast<int32_t>(2 * config_.embedding.dim), config_.cluster);
 }
 
 QueryHistograms::QueryHistograms(MetricsRegistry* registry)
@@ -417,12 +416,9 @@ void QueryHistograms::Observe(const SearchResult& result,
 }
 
 BatchSearchResult LanIndex::SearchBatch(const std::vector<Graph>& queries,
-                                        const SearchOptions& options,
-                                        int num_threads) const {
+                                        const SearchOptions& options) const {
   BatchSearchResult out;
   out.results.resize(queries.size());
-  const size_t threads = num_threads > 0 ? static_cast<size_t>(num_threads)
-                                         : DefaultThreadCount();
 
   // Per-call registry: workers fill per-thread shards without contending,
   // merged once below.
@@ -459,15 +455,7 @@ BatchSearchResult LanIndex::SearchBatch(const std::vector<Graph>& queries,
     query_hists.Observe(r, timer.ElapsedSeconds());
     if (options.profile) stage_hists.Observe(r.stats.stages);
   };
-  if (num_threads <= 0 || threads == pool_->num_threads()) {
-    // Reuse the index's resident workers: no thread-creation latency per
-    // batch call.
-    pool_->ParallelFor(queries.size(), run_query);
-  } else {
-    // An explicit width different from the pool's keeps the documented
-    // "run with exactly N threads" semantics via transient threads.
-    ThreadPool::ParallelFor(queries.size(), threads, run_query);
-  }
+  pool_->ParallelFor(queries.size(), run_query);
 
   for (const SearchResult& r : out.results) {
     out.stats.totals.Merge(r.stats);
@@ -622,12 +610,10 @@ void LanIndex::SearchInto(const Graph& query, const SearchOptions& options,
     StageSpan init_span(profile, Stage::kInitSelection);
     switch (init) {
       case InitMethod::kLanIs: {
-        LanInitOptions init_options = config_.init;
-        init_options.threshold = nh_model_->calibrated_threshold();
         LanInitialSelector selector(nh_model_.get(), cluster_model_.get(),
                                     snap->clusters.get(), snap->cgs.get(),
                                     &query_cg, &config_.embedding,
-                                    config_.use_compressed_gnn, init_options);
+                                    config_.use_compressed_gnn, config_.init);
         selector.set_scratch(scratch);
         start = selector.Select(&oracle, &rng);
         break;

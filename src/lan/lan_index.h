@@ -261,7 +261,7 @@ class LanIndex {
   /// next epoch. Concurrent searches are never blocked; they keep serving
   /// the previous epoch until the publish. Requires a mutable Build.
   /// The learned models are not retrained (the new graph is still
-  /// rankable: M_rk computes its context embedding on the fly).
+  /// rankable: M_rk computes its context embedding from the new CG).
   Result<GraphId> Insert(Graph graph);
 
   /// Online remove: tombstones `id` from this epoch on. The graph keeps
@@ -311,10 +311,9 @@ class LanIndex {
   void SearchInto(const Graph& query, const SearchOptions& options,
                   SearchResult* out) const;
 
-  /// Throughput mode: answers independent queries in parallel across
-  /// `num_threads` workers (0 = the index's resident pool, so batch calls
-  /// pay no thread-creation latency; an explicit count spawns exactly
-  /// that many transient workers). Results are
+  /// Throughput mode: answers independent queries in parallel on the
+  /// index's resident pool (LanConfig::num_threads workers, so batch calls
+  /// pay no thread-creation latency). Results are
   /// index-aligned with `queries` and identical to sequential Search;
   /// BatchStats carries the summed SearchStats plus a metrics snapshot
   /// (latency/NDC distributions and index_live_size / index_tombstones /
@@ -322,8 +321,7 @@ class LanIndex {
   /// `options.trace` is ignored; set `options.trace_factory` for one
   /// private sink per query.
   BatchSearchResult SearchBatch(const std::vector<Graph>& queries,
-                                const SearchOptions& options,
-                                int num_threads = 0) const;
+                                const SearchOptions& options) const;
 
   // ---- Introspection (benches, tests; setup-phase views — references
   // are into the snapshot current at the call and stay valid until two
@@ -371,6 +369,9 @@ class LanIndex {
   /// stream (a function of the size at Build and of the inserts since)
   /// and the result cache; marks the index built.
   void FinishSetup(GraphId built_size, uint64_t inserted_since_build);
+  /// Replaces M_rk, M_nh and M_c with untrained models of the configured
+  /// architectures (Train fits them; OpenSnapshot loads their parameters).
+  void MakeModels(int32_t num_labels);
   /// Installs `snap` as the current snapshot (release publish).
   void Publish(std::shared_ptr<const IndexSnapshot> snap);
 

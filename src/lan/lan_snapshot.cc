@@ -608,33 +608,21 @@ Status LanIndex::OpenSnapshot(const std::string& path) {
     LAN_ASSIGN_OR_RETURN(std::string nh_blob, DecodeBlob(&r));
     LAN_ASSIGN_OR_RETURN(std::string cluster_blob, DecodeBlob(&r));
 
-    RankModelOptions rank_opts = config_.rank;
-    rank_opts.batch_percent = config_.batch_percent;
-    rank_opts.scorer = config_.scorer;
-    rank_model_ =
-        std::make_unique<NeighborRankModel>(meta.num_labels, rank_opts);
+    MakeModels(meta.num_labels);
     std::istringstream rank_in(rank_blob);
     LAN_RETURN_NOT_OK(
         ReadParamStoreInto(rank_model_->mutable_scorer()->params(), rank_in));
-
-    NeighborhoodModelOptions nh_opts = config_.nh;
-    nh_opts.scorer = config_.scorer;
-    nh_model_ =
-        std::make_unique<NeighborhoodModel>(meta.num_labels, nh_opts);
     std::istringstream nh_in(nh_blob);
     LAN_RETURN_NOT_OK(
         ReadParamStoreInto(nh_model_->mutable_scorer()->params(), nh_in));
     nh_model_->set_calibrated_threshold(nh_threshold);
-
-    cluster_model_ = std::make_unique<ClusterModel>(
-        static_cast<int32_t>(2 * config_.embedding.dim), config_.cluster);
     std::istringstream cluster_in(cluster_blob);
     LAN_RETURN_NOT_OK(ReadParamStoreInto(cluster_model_->params(),
                                          cluster_in));
 
     LAN_ASSIGN_OR_RETURN(EmbeddingMatrix contexts, DecodeMatrix(&r));
     // Train precomputes one context row per graph it saw; graphs inserted
-    // afterwards get theirs computed on the fly (rank_model.cc), so the
+    // afterwards get theirs computed from their CG (rank_model.cc), so the
     // matrix covers a prefix of the database, never more.
     if (contexts.rows() > n) {
       return Status::IoError("models section: context row count mismatch");

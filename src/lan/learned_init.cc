@@ -127,26 +127,26 @@ int64_t LanInitialSelector::PredictKeptSet(DistanceOracle* oracle,
   std::vector<float> probs;
   {
     StageSpan span(oracle->profile(), Stage::kModelInference);
+    const PairScorer& scorer = nh_model_->scorer();
+    Matrix cross;
     if (use_compressed_) {
-      const QueryEncodingCache query_cache =
-          nh_model_->scorer().EncodeQuery(query_cg_->Get());
       std::vector<const CompressedGnnGraph*> gs;
       gs.reserve(candidates.size());
       for (GraphId id : candidates) {
         gs.push_back(&(*db_cgs_)[static_cast<size_t>(id)]);
       }
-      probs = nh_model_->PredictProbsBatch(gs, query_cache);
+      cross = scorer.InferCross(gs, scorer.EncodeQuery(query_cg_->Get()));
     } else {
-      const QueryEncodingCache query_cache =
-          nh_model_->scorer().EncodeQuery(oracle->query());
       std::vector<const Graph*> gs;
       gs.reserve(candidates.size());
       for (GraphId id : candidates) gs.push_back(&oracle->db().Get(id));
-      probs = nh_model_->PredictProbsRawBatch(gs, query_cache);
+      cross = scorer.InferCross(gs, scorer.EncodeQuery(oracle->query()));
     }
+    probs = nh_model_->PredictProbs(cross);
   }
+  const float threshold = nh_model_->calibrated_threshold();
   for (size_t i = 0; i < candidates.size(); ++i) {
-    if (probs[i] >= options_.threshold) predicted_.push_back(candidates[i]);
+    if (probs[i] >= threshold) predicted_.push_back(candidates[i]);
   }
   return static_cast<int64_t>(candidates.size());
 }

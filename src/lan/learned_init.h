@@ -22,17 +22,16 @@ struct LanInitOptions {
   int samples = 4;
   /// How many top-predicted clusters M_nh scans.
   int max_clusters = 4;
-  /// M_nh positive threshold.
-  float threshold = 0.5f;
 };
 
 /// \brief LAN_IS (Sec. V): the learned initial-node selector.
 ///
 /// Pipeline per query: M_c scores every KMeans cluster; M_nh scores the
-/// members of the top clusters and keeps those above the threshold; s
-/// graphs sampled from the kept set get their true distances computed
-/// (counted NDC) and the best becomes the routing start. Falls back to a
-/// random node when the kept set is empty.
+/// members of the top clusters and keeps those at or above its calibrated
+/// threshold (NeighborhoodModel::calibrated_threshold); s graphs sampled
+/// from the kept set get their true distances computed (counted NDC) and
+/// the best becomes the routing start. Falls back to a random node when
+/// the kept set is empty.
 ///
 /// Constructed once per query.
 class LanInitialSelector {

@@ -71,15 +71,9 @@ void LearnedNeighborRanker::RankNeighbors(const ProximityGraph& pg,
       std::copy(row, row + cross_dim,
                 cross.data() + i * static_cast<size_t>(cross_dim));
     }
-    if (use_compressed_) {
-      model_->PredictBatchesFromCross(neighbors, cross, node,
-                                      (*db_cgs_)[static_cast<size_t>(node)],
-                                      &inferences, out);
-    } else {
-      model_->PredictBatchesFromCross(neighbors, cross, node,
-                                      oracle_->db().Get(node), &inferences,
-                                      out);
-    }
+    model_->PredictBatchesFromCross(neighbors, cross, node,
+                                    (*db_cgs_)[static_cast<size_t>(node)],
+                                    &inferences, out);
   }
   if (stats != nullptr) {
     stats->model_inferences += inferences;

@@ -2,38 +2,30 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <functional>
 
 #include "common/logging.h"
+#include "lan/train_loop.h"
 
 namespace lan {
 
-NeighborhoodModel::NeighborhoodModel(int32_t num_labels,
-                                     NeighborhoodModelOptions options)
-    : options_([&options] {
-        options.scorer.num_heads = 1;
-        options.scorer.include_context_embedding = false;
-        return options;
-      }()),
-      scorer_(num_labels, options_.scorer) {}
+namespace {
 
-double NeighborhoodModel::EvaluateLoss(
-    const std::vector<CompressedGnnGraph>& db_cgs,
-    const std::vector<CompressedGnnGraph>& query_cgs,
-    const std::vector<NeighborhoodExample>& examples) const {
-  if (examples.empty()) return 0.0;
-  double total = 0.0;
-  for (const NeighborhoodExample& ex : examples) {
-    Tape tape(/*inference_mode=*/true);
-    const VarId logits = scorer_.ForwardCompressed(
-        &tape, db_cgs[static_cast<size_t>(ex.graph)],
-        query_cgs[static_cast<size_t>(ex.query_index)], nullptr);
-    const float z = tape.value(logits).at(0, 0);
-    total += std::max(z, 0.0f) - z * ex.label +
-             std::log1p(std::exp(-std::abs(z)));
-  }
-  return total / static_cast<double>(examples.size());
+PairExample NeighborhoodPair(const NeighborhoodExample& ex,
+                             const std::vector<CompressedGnnGraph>& db_cgs,
+                             const std::vector<CompressedGnnGraph>& query_cgs) {
+  return {&db_cgs[static_cast<size_t>(ex.graph)],
+          &query_cgs[static_cast<size_t>(ex.query_index)], nullptr,
+          {&ex.label, 1}};
 }
+
+}  // namespace
+
+NeighborhoodModel::NeighborhoodModel(int32_t num_labels,
+                                     const PairScorerOptions& scorer,
+                                     NeighborhoodModelOptions options)
+    : options_(options),
+      scorer_(num_labels, scorer, /*num_heads=*/1, /*context=*/false) {}
 
 void NeighborhoodModel::Train(
     const std::vector<CompressedGnnGraph>& db_cgs,
@@ -41,42 +33,23 @@ void NeighborhoodModel::Train(
     const std::vector<NeighborhoodExample>& examples,
     const std::vector<NeighborhoodExample>& validation) {
   if (examples.empty()) return;
-  double best_validation = std::numeric_limits<double>::infinity();
-  std::vector<Matrix> best_params;
-  Adam adam(scorer_.params(), options_.adam);
-  Rng rng(options_.seed);
-  std::vector<size_t> order(examples.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    int in_batch = 0;
-    for (size_t idx : order) {
-      const NeighborhoodExample& ex = examples[idx];
-      Tape tape;
-      const VarId logits = scorer_.ForwardCompressed(
-          &tape, db_cgs[static_cast<size_t>(ex.graph)],
-          query_cgs[static_cast<size_t>(ex.query_index)], nullptr);
-      Matrix target(1, 1);
-      target.at(0, 0) = ex.label;
-      const VarId loss = tape.BceWithLogits(logits, target);
-      tape.Backward(loss);
-      if (++in_batch >= options_.minibatch_size) {
-        adam.Step();
-        in_batch = 0;
-      }
-    }
-    if (in_batch > 0) adam.Step();
-    adam.OnEpochEnd();
-    if (!validation.empty()) {
-      const double v = EvaluateLoss(db_cgs, query_cgs, validation);
-      if (v < best_validation) {
-        best_validation = v;
-        best_params = scorer_.params()->SnapshotValues();
-      }
-    }
+  std::function<double()> validation_loss;
+  if (!validation.empty()) {
+    validation_loss = [&] {
+      return MeanPairBce(scorer_, validation.size(), [&](size_t i) {
+        return NeighborhoodPair(validation[i], db_cgs, query_cgs);
+      });
+    };
   }
-  if (!best_params.empty()) scorer_.params()->RestoreValues(best_params);
+  RunEpochLoop(
+      scorer_.params(), examples.size(),
+      {options_.epochs, options_.minibatch_size, options_.adam,
+       options_.seed},
+      [&](Tape* tape, size_t i) {
+        return PairBceLoss(
+            scorer_, NeighborhoodPair(examples[i], db_cgs, query_cgs), tape);
+      },
+      validation_loss);
 
   // Calibrate the decision threshold on validation data: maximize F1, so
   // the initial-node selector's predicted neighborhood balances precision
@@ -85,8 +58,8 @@ void NeighborhoodModel::Train(
     std::vector<float> probs;
     probs.reserve(validation.size());
     for (const NeighborhoodExample& ex : validation) {
-      probs.push_back(PredictProb(db_cgs[static_cast<size_t>(ex.graph)],
-                                  query_cgs[static_cast<size_t>(ex.query_index)]));
+      probs.push_back(TapedProb(db_cgs[static_cast<size_t>(ex.graph)],
+                                query_cgs[static_cast<size_t>(ex.query_index)]));
     }
     float best_threshold = 0.5f;
     double best_f1 = -1.0;
@@ -112,30 +85,17 @@ void NeighborhoodModel::Train(
   }
 }
 
-float NeighborhoodModel::PredictProb(const CompressedGnnGraph& g_cg,
-                                     const CompressedGnnGraph& q_cg) const {
-  return scorer_.PredictCompressed(g_cg, q_cg, nullptr)[0];
+float NeighborhoodModel::TapedProb(const CompressedGnnGraph& g_cg,
+                                   const CompressedGnnGraph& q_cg) const {
+  Tape tape(/*inference_mode=*/true);
+  const float z =
+      tape.value(scorer_.ForwardCompressed(&tape, g_cg, q_cg, nullptr))
+          .at(0, 0);
+  return 1.0f / (1.0f + std::exp(-z));
 }
 
-float NeighborhoodModel::PredictProbRaw(const Graph& g, const Graph& q) const {
-  return scorer_.PredictRaw(g, q, nullptr)[0];
-}
-
-std::vector<float> NeighborhoodModel::PredictProbsBatch(
-    const std::vector<const CompressedGnnGraph*>& gs,
-    const QueryEncodingCache& query) const {
-  const std::vector<std::vector<float>> probs =
-      scorer_.PredictCompressedBatch(gs, query, nullptr);
-  std::vector<float> out;
-  out.reserve(probs.size());
-  for (const std::vector<float>& p : probs) out.push_back(p[0]);
-  return out;
-}
-
-std::vector<float> NeighborhoodModel::PredictProbsRawBatch(
-    const std::vector<const Graph*>& gs, const QueryEncodingCache& query) const {
-  const std::vector<std::vector<float>> probs =
-      scorer_.PredictRawBatch(gs, query, nullptr);
+std::vector<float> NeighborhoodModel::PredictProbs(const Matrix& cross) const {
+  const std::vector<std::vector<float>> probs = scorer_.InferHeads(cross, {});
   std::vector<float> out;
   out.reserve(probs.size());
   for (const std::vector<float>& p : probs) out.push_back(p[0]);
@@ -150,8 +110,8 @@ double NeighborhoodModel::EvaluatePrecision(
   int64_t true_positive = 0;
   for (const NeighborhoodExample& ex : examples) {
     const float p =
-        PredictProb(db_cgs[static_cast<size_t>(ex.graph)],
-                    query_cgs[static_cast<size_t>(ex.query_index)]);
+        TapedProb(db_cgs[static_cast<size_t>(ex.graph)],
+                  query_cgs[static_cast<size_t>(ex.query_index)]);
     if (p >= threshold) {
       ++predicted_positive;
       if (ex.label > 0.5f) ++true_positive;

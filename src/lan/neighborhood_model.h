@@ -17,9 +17,8 @@ struct NeighborhoodExample {
   float label = 0.0f;
 };
 
-/// \brief M_nh hyperparameters.
+/// \brief M_nh training hyperparameters.
 struct NeighborhoodModelOptions {
-  PairScorerOptions scorer;
   int epochs = 10;
   int minibatch_size = 16;
   AdamOptions adam;
@@ -33,35 +32,21 @@ struct NeighborhoodModelOptions {
 /// classifier over the cross-graph embedding h_{G,Q} predicting G ∈ N_Q.
 class NeighborhoodModel {
  public:
-  NeighborhoodModel(int32_t num_labels, NeighborhoodModelOptions options);
+  NeighborhoodModel(int32_t num_labels, const PairScorerOptions& scorer,
+                    NeighborhoodModelOptions options = {});
 
   /// Trains; when `validation` is non-empty the epoch with the lowest
-  /// validation loss wins (paper: best model on validation data).
+  /// validation loss wins (paper: best model on validation data), and the
+  /// decision threshold is calibrated on it.
   void Train(const std::vector<CompressedGnnGraph>& db_cgs,
              const std::vector<CompressedGnnGraph>& query_cgs,
              const std::vector<NeighborhoodExample>& examples,
              const std::vector<NeighborhoodExample>& validation = {});
 
-  /// Mean BCE loss over a labeled set.
-  double EvaluateLoss(const std::vector<CompressedGnnGraph>& db_cgs,
-                      const std::vector<CompressedGnnGraph>& query_cgs,
-                      const std::vector<NeighborhoodExample>& examples) const;
-
-  /// P(G in N_Q) on compressed GNN-graphs.
-  float PredictProb(const CompressedGnnGraph& g_cg,
-                    const CompressedGnnGraph& q_cg) const;
-  /// The no-CG ablation path.
-  float PredictProbRaw(const Graph& g, const Graph& q) const;
-
-  /// Batched inference: out[i] == PredictProb(*gs[i], q) for the query the
-  /// cache was built from. Used by the LAN_IS candidate scan, which scores
-  /// every member of the selected clusters against one query.
-  std::vector<float> PredictProbsBatch(
-      const std::vector<const CompressedGnnGraph*>& gs,
-      const QueryEncodingCache& query) const;
-  std::vector<float> PredictProbsRawBatch(
-      const std::vector<const Graph*>& gs,
-      const QueryEncodingCache& query) const;
+  /// The query-time entry: P(G in N_Q) per cross row h_{G,Q} (from
+  /// PairScorer::InferCross on CGs or raw graphs). The LAN_IS candidate
+  /// scan scores every member of the selected clusters this way.
+  std::vector<float> PredictProbs(const Matrix& cross) const;
 
   /// Threshold chosen on validation data during Train (maximizes F1);
   /// 0.5 when no validation set was provided.
@@ -79,6 +64,10 @@ class NeighborhoodModel {
   PairScorer* mutable_scorer() { return &scorer_; }
 
  private:
+  /// P(G in N_Q) from the taped forward (calibration and evaluation).
+  float TapedProb(const CompressedGnnGraph& g_cg,
+                  const CompressedGnnGraph& q_cg) const;
+
   NeighborhoodModelOptions options_;
   PairScorer scorer_;
   float calibrated_threshold_ = 0.5f;

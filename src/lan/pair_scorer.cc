@@ -3,23 +3,21 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "nn/kernels.h"
 
 namespace lan {
 
-PairScorer::PairScorer(int32_t num_labels, const PairScorerOptions& options)
-    : num_labels_(num_labels), options_(options) {
-  LAN_CHECK_GT(options_.num_heads, 0);
+PairScorer::PairScorer(int32_t num_labels, const PairScorerOptions& options,
+                       int num_heads, bool context)
+    : num_labels_(num_labels), options_(options), context_(context) {
+  LAN_CHECK_GT(num_heads, 0);
   Rng rng(options_.seed);
   cross_ = CrossGraphEncoder(num_labels_, options_.gnn_dims, &store_, &rng);
-  if (options_.include_context_embedding) {
+  if (context_) {
     context_gin_ = GinEncoder(num_labels_, options_.gnn_dims, &store_, &rng);
   }
   int32_t feature_dim = cross_.cross_dim();
-  if (options_.include_context_embedding) {
-    feature_dim += context_gin_.output_dim();
-  }
-  for (int h = 0; h < options_.num_heads; ++h) {
+  if (context_) feature_dim += context_gin_.output_dim();
+  for (int h = 0; h < num_heads; ++h) {
     heads_.emplace_back(
         std::vector<int32_t>{feature_dim, options_.mlp_hidden, 1}, &store_,
         &rng);
@@ -39,7 +37,7 @@ VarId PairScorer::ForwardCompressed(Tape* tape, const CompressedGnnGraph& g,
                                     const CompressedGnnGraph& q,
                                     const CompressedGnnGraph* context) const {
   VarId features = cross_.ForwardCompressed(tape, g, q);
-  if (options_.include_context_embedding) {
+  if (context_) {
     LAN_CHECK(context != nullptr);
     features = tape->ConcatCols(features,
                                 context_gin_.ForwardGraphCompressed(tape, *context));
@@ -50,7 +48,7 @@ VarId PairScorer::ForwardCompressed(Tape* tape, const CompressedGnnGraph& g,
 VarId PairScorer::ForwardRaw(Tape* tape, const Graph& g, const Graph& q,
                              const Graph* context) const {
   VarId features = cross_.Forward(tape, g, q);
-  if (options_.include_context_embedding) {
+  if (context_) {
     LAN_CHECK(context != nullptr);
     features =
         tape->ConcatCols(features, context_gin_.ForwardGraph(tape, *context));
@@ -58,42 +56,9 @@ VarId PairScorer::ForwardRaw(Tape* tape, const Graph& g, const Graph& q,
   return Heads(tape, features);
 }
 
-namespace {
-
-std::vector<float> SigmoidRow(const Matrix& logits) {
-  // Row 0 is contiguous: copy it out, then squash in place via the kernel
-  // table (scalar at every level — see docs/kernels.md).
-  std::vector<float> out(logits.data(),
-                         logits.data() + static_cast<size_t>(logits.cols()));
-  ActiveKernels().sigmoid(out.data(), static_cast<int64_t>(out.size()));
-  return out;
-}
-
-}  // namespace
-
-std::vector<float> PairScorer::PredictCompressed(
-    const CompressedGnnGraph& g, const CompressedGnnGraph& q,
-    const CompressedGnnGraph* context) const {
-  Tape tape(/*inference_mode=*/true);
-  const VarId logits = ForwardCompressed(&tape, g, q, context);
-  return SigmoidRow(tape.value(logits));
-}
-
-std::vector<float> PairScorer::PredictRaw(const Graph& g, const Graph& q,
-                                          const Graph* context) const {
-  Tape tape(/*inference_mode=*/true);
-  const VarId logits = ForwardRaw(&tape, g, q, context);
-  return SigmoidRow(tape.value(logits));
-}
-
 Matrix PairScorer::ContextEmbedding(const CompressedGnnGraph& cg) const {
-  LAN_CHECK(options_.include_context_embedding);
+  LAN_CHECK(context_);
   return context_gin_.InferGraphEmbeddingCompressed(cg);
-}
-
-Matrix PairScorer::ContextEmbedding(const Graph& g) const {
-  LAN_CHECK(options_.include_context_embedding);
-  return context_gin_.InferGraphEmbedding(g);
 }
 
 QueryEncodingCache PairScorer::EncodeQuery(const CompressedGnnGraph& q) const {
@@ -109,7 +74,7 @@ std::vector<std::vector<float>> PairScorer::InferHeads(
   const int32_t num_cands = cross.rows();
   Matrix features;
   if (!context_row.empty()) {
-    LAN_CHECK(options_.include_context_embedding);
+    LAN_CHECK(context_);
     const int32_t ctx_cols = static_cast<int32_t>(context_row.size());
     features = Matrix(num_cands, cross.cols() + ctx_cols);
     for (int32_t i = 0; i < num_cands; ++i) {
@@ -136,30 +101,6 @@ std::vector<std::vector<float>> PairScorer::InferHeads(
   return probs;
 }
 
-std::vector<std::vector<float>> PairScorer::PredictCompressedBatch(
-    const std::vector<const CompressedGnnGraph*>& gs,
-    const QueryEncodingCache& query, const CompressedGnnGraph* context) const {
-  const Matrix cross = cross_.InferCrossEmbeddings(gs, query);
-  if (!options_.include_context_embedding) {
-    return InferHeads(cross, {});
-  }
-  LAN_CHECK(context != nullptr);
-  const Matrix ctx = context_gin_.InferGraphEmbeddingCompressed(*context);
-  return InferHeads(cross, {ctx.data(), static_cast<size_t>(ctx.cols())});
-}
-
-std::vector<std::vector<float>> PairScorer::PredictRawBatch(
-    const std::vector<const Graph*>& gs, const QueryEncodingCache& query,
-    const Graph* context) const {
-  const Matrix cross = cross_.InferCrossEmbeddings(gs, query);
-  if (!options_.include_context_embedding) {
-    return InferHeads(cross, {});
-  }
-  LAN_CHECK(context != nullptr);
-  const Matrix ctx = context_gin_.InferGraphEmbedding(*context);
-  return InferHeads(cross, {ctx.data(), static_cast<size_t>(ctx.cols())});
-}
-
 Matrix PairScorer::InferCross(const std::vector<const CompressedGnnGraph*>& gs,
                               const QueryEncodingCache& query) const {
   return cross_.InferCrossEmbeddings(gs, query);
@@ -168,25 +109,6 @@ Matrix PairScorer::InferCross(const std::vector<const CompressedGnnGraph*>& gs,
 Matrix PairScorer::InferCross(const std::vector<const Graph*>& gs,
                               const QueryEncodingCache& query) const {
   return cross_.InferCrossEmbeddings(gs, query);
-}
-
-std::vector<float> PairScorer::PredictCompressedWithContextRow(
-    const CompressedGnnGraph& g, const CompressedGnnGraph& q,
-    const Matrix& context_row) const {
-  LAN_CHECK(options_.include_context_embedding);
-  Tape tape(/*inference_mode=*/true);
-  VarId features = cross_.ForwardCompressed(&tape, g, q);
-  features = tape.ConcatCols(features, tape.Input(context_row));
-  return SigmoidRow(tape.value(Heads(&tape, features)));
-}
-
-std::vector<float> PairScorer::PredictRawWithContextRow(
-    const Graph& g, const Graph& q, const Matrix& context_row) const {
-  LAN_CHECK(options_.include_context_embedding);
-  Tape tape(/*inference_mode=*/true);
-  VarId features = cross_.Forward(&tape, g, q);
-  features = tape.ConcatCols(features, tape.Input(context_row));
-  return SigmoidRow(tape.value(Heads(&tape, features)));
 }
 
 }  // namespace lan

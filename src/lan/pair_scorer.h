@@ -19,11 +19,6 @@ struct PairScorerOptions {
   /// smaller for CPU training).
   std::vector<int32_t> gnn_dims = {32, 32};
   int32_t mlp_hidden = 64;
-  /// Number of binary heads (M_rk uses 100/y - 1; M_nh uses 1).
-  int num_heads = 1;
-  /// If true, the current node G's GIN embedding is concatenated to the
-  /// cross embedding (the M_rk design of Sec. IV-C1).
-  bool include_context_embedding = false;
   uint64_t seed = 7;
 };
 
@@ -34,67 +29,47 @@ struct PairScorerOptions {
 /// is the cross-graph embedding (Definition 1 / Definition 3) and h_ctx an
 /// optional GIN embedding of a context graph (the routing node for M_rk).
 ///
-/// Inference can run on raw graphs or on compressed GNN-graphs; both
-/// produce identical logits (Theorem 2) — the CG path is the Fig. 10/12
-/// acceleration.
+/// Training runs the taped Forward* per pair. Query-time inference is
+/// batched and split in two: EncodeQuery + InferCross produce the cross
+/// rows h_{G,Q} of many candidates, and InferHeads turns them into head
+/// probabilities. Both halves run on raw graphs or on compressed
+/// GNN-graphs with equal results (Theorem 2); the CG path is the
+/// Fig. 10/12 acceleration and the raw one its ablation.
 class PairScorer {
  public:
-  PairScorer(int32_t num_labels, const PairScorerOptions& options);
+  /// `num_heads` binary heads (M_rk uses 100/y - 1, M_nh 1); with
+  /// `context`, a context graph's GIN embedding is concatenated to the
+  /// cross embedding (the M_rk design of Sec. IV-C1).
+  PairScorer(int32_t num_labels, const PairScorerOptions& options,
+             int num_heads, bool context);
 
   PairScorer(const PairScorer&) = delete;
   PairScorer& operator=(const PairScorer&) = delete;
 
-  /// Per-head logits, concatenated to a 1 x num_heads row.
+  /// Per-head logits, concatenated to a 1 x num_heads row: the training
+  /// forward, and the reference every batched path is tested against.
   VarId ForwardCompressed(Tape* tape, const CompressedGnnGraph& g,
                           const CompressedGnnGraph& q,
                           const CompressedGnnGraph* context) const;
   VarId ForwardRaw(Tape* tape, const Graph& g, const Graph& q,
                    const Graph* context) const;
 
-  /// Inference helper: sigmoid head probabilities on CGs.
-  std::vector<float> PredictCompressed(const CompressedGnnGraph& g,
-                                       const CompressedGnnGraph& q,
-                                       const CompressedGnnGraph* context) const;
-  /// Inference helper on raw graphs (the no-CG ablation).
-  std::vector<float> PredictRaw(const Graph& g, const Graph& q,
-                                const Graph* context) const;
-
-  /// The context encoder's (query-independent) embedding of one graph —
-  /// precomputable once after training, then passed to the
-  /// *WithContextRow per-pair helpers or to InferHeads.
+  /// The context encoder's (query-independent) 1 x d embedding of one
+  /// graph: the context row InferHeads takes, precomputable once after
+  /// training.
   Matrix ContextEmbedding(const CompressedGnnGraph& cg) const;
-  Matrix ContextEmbedding(const Graph& g) const;
 
-  /// Like PredictCompressed/PredictRaw but with the context embedding
-  /// already computed (avoids re-encoding the routing node per neighbor).
-  std::vector<float> PredictCompressedWithContextRow(
-      const CompressedGnnGraph& g, const CompressedGnnGraph& q,
-      const Matrix& context_row) const;
-  std::vector<float> PredictRawWithContextRow(const Graph& g, const Graph& q,
-                                              const Matrix& context_row) const;
-
-  /// Per-query encoder cache for the batched inference paths below: built
-  /// once per query, shared by every candidate batch scored against it.
+  /// Per-query encoder cache, built once per query and shared by every
+  /// candidate batch scored against it.
   QueryEncodingCache EncodeQuery(const CompressedGnnGraph& q) const;
   QueryEncodingCache EncodeQuery(const Graph& q) const;
 
-  /// Batched inference: out[i] == PredictCompressed(*gs[i], q, context),
-  /// computed with one GEMM per GNN layer / head layer over the whole
-  /// candidate set and no autograd bookkeeping. Equal to
-  /// InferHeads(InferCross(gs, query), context's embedding).
-  std::vector<std::vector<float>> PredictCompressedBatch(
-      const std::vector<const CompressedGnnGraph*>& gs,
-      const QueryEncodingCache& query,
-      const CompressedGnnGraph* context) const;
-  std::vector<std::vector<float>> PredictRawBatch(
-      const std::vector<const Graph*>& gs, const QueryEncodingCache& query,
-      const Graph* context) const;
-
   /// First half of batched inference: the cross-graph rows h_{G,Q}, one
-  /// per candidate (|gs| x cross_dim). Row i depends only on (*gs[i], Q),
-  /// never on which other candidates share the batch, so rows computed in
-  /// different calls may be reused and mixed (the per-query memo of
-  /// LearnedNeighborRanker relies on this).
+  /// per candidate (|gs| x cross_dim), with one GEMM per GNN layer over the
+  /// whole candidate set and no autograd bookkeeping. Row i depends only
+  /// on (*gs[i], Q), never on which other candidates share the batch, so
+  /// rows computed in different calls may be reused and mixed (the
+  /// per-query memo of LearnedNeighborRanker relies on this).
   Matrix InferCross(const std::vector<const CompressedGnnGraph*>& gs,
                     const QueryEncodingCache& query) const;
   Matrix InferCross(const std::vector<const Graph*>& gs,
@@ -111,6 +86,8 @@ class PairScorer {
   const ParamStore& params() const { return store_; }
   const PairScorerOptions& options() const { return options_; }
   int32_t num_labels() const { return num_labels_; }
+  int num_heads() const { return static_cast<int>(heads_.size()); }
+  bool has_context() const { return context_; }
   /// Width of one InferCross row.
   int32_t cross_dim() const { return cross_.cross_dim(); }
 
@@ -119,6 +96,7 @@ class PairScorer {
 
   int32_t num_labels_;
   PairScorerOptions options_;
+  bool context_;
   ParamStore store_;
   CrossGraphEncoder cross_;
   GinEncoder context_gin_;

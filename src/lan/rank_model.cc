@@ -1,99 +1,70 @@
 #include "lan/rank_model.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <functional>
 
 #include "common/logging.h"
+#include "lan/train_loop.h"
 #include "pg/neighbor_ranker.h"
 
 namespace lan {
 
+namespace {
+
+/// M_rk's head count for batch fraction y: 100/y - 1, at least one.
+int RankHeads(int batch_percent) {
+  LAN_CHECK_GT(batch_percent, 0);
+  LAN_CHECK_LE(batch_percent, 100);
+  return std::max(1, 100 / batch_percent - 1);
+}
+
+PairExample RankPair(const RankExample& ex,
+                     const std::vector<CompressedGnnGraph>& db_cgs,
+                     const std::vector<CompressedGnnGraph>& query_cgs) {
+  return {&db_cgs[static_cast<size_t>(ex.neighbor)],
+          &query_cgs[static_cast<size_t>(ex.query_index)],
+          &db_cgs[static_cast<size_t>(ex.node)], ex.labels};
+}
+
+}  // namespace
+
 NeighborRankModel::NeighborRankModel(int32_t num_labels,
+                                     const PairScorerOptions& scorer,
+                                     int batch_percent,
                                      RankModelOptions options)
-    : options_([&options] {
-        LAN_CHECK_GT(options.batch_percent, 0);
-        LAN_CHECK_LE(options.batch_percent, 100);
-        options.scorer.num_heads =
-            std::max(1, 100 / options.batch_percent - 1);
-        options.scorer.include_context_embedding = true;
-        return options;
-      }()),
-      scorer_(num_labels, options_.scorer) {}
+    : batch_percent_(batch_percent),
+      options_(options),
+      scorer_(num_labels, scorer, RankHeads(batch_percent),
+              /*context=*/true) {}
 
 void NeighborRankModel::Train(const std::vector<CompressedGnnGraph>& db_cgs,
                               const std::vector<CompressedGnnGraph>& query_cgs,
                               const std::vector<RankExample>& examples,
                               const std::vector<RankExample>& validation) {
-  if (examples.empty()) return;
-  Adam adam(scorer_.params(), options_.adam);
-  Rng rng(options_.seed);
-  std::vector<size_t> order(examples.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-
-  double best_validation = std::numeric_limits<double>::infinity();
-  std::vector<Matrix> best_params;
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    int in_batch = 0;
-    for (size_t idx : order) {
-      const RankExample& ex = examples[idx];
-      LAN_CHECK_EQ(static_cast<int>(ex.labels.size()), num_heads());
-      Tape tape;
-      const VarId logits = scorer_.ForwardCompressed(
-          &tape, db_cgs[static_cast<size_t>(ex.neighbor)],
-          query_cgs[static_cast<size_t>(ex.query_index)],
-          &db_cgs[static_cast<size_t>(ex.node)]);
-      Matrix targets(1, num_heads());
-      for (int h = 0; h < num_heads(); ++h) {
-        targets.at(0, h) = ex.labels[static_cast<size_t>(h)];
-      }
-      const VarId loss = tape.BceWithLogits(logits, targets);
-      tape.Backward(loss);
-      if (++in_batch >= options_.minibatch_size) {
-        adam.Step();
-        in_batch = 0;
-      }
-    }
-    if (in_batch > 0) adam.Step();
-    adam.OnEpochEnd();
-    if (!validation.empty()) {
-      const double v = EvaluateLoss(db_cgs, query_cgs, validation);
-      if (v < best_validation) {
-        best_validation = v;
-        best_params = scorer_.params()->SnapshotValues();
-      }
-    }
+  std::function<double()> validation_loss;
+  if (!validation.empty()) {
+    validation_loss = [&] {
+      return EvaluateLoss(db_cgs, query_cgs, validation);
+    };
   }
-  if (!best_params.empty()) scorer_.params()->RestoreValues(best_params);
+  RunEpochLoop(
+      scorer_.params(), examples.size(),
+      {options_.epochs, options_.minibatch_size, options_.adam,
+       options_.seed},
+      [&](Tape* tape, size_t i) {
+        return PairBceLoss(scorer_, RankPair(examples[i], db_cgs, query_cgs),
+                           tape);
+      },
+      validation_loss);
 }
 
 double NeighborRankModel::EvaluateLoss(
     const std::vector<CompressedGnnGraph>& db_cgs,
     const std::vector<CompressedGnnGraph>& query_cgs,
     const std::vector<RankExample>& examples) const {
-  if (examples.empty()) return 0.0;
-  double total = 0.0;
-  for (const RankExample& ex : examples) {
-    Tape tape(/*inference_mode=*/true);
-    const VarId logits = scorer_.ForwardCompressed(
-        &tape, db_cgs[static_cast<size_t>(ex.neighbor)],
-        query_cgs[static_cast<size_t>(ex.query_index)],
-        &db_cgs[static_cast<size_t>(ex.node)]);
-    Matrix targets(1, num_heads());
-    for (int h = 0; h < num_heads(); ++h) {
-      targets.at(0, h) = ex.labels[static_cast<size_t>(h)];
-    }
-    // Forward-only BCE (constant leaf logits would skip grad anyway).
-    const Matrix& z = tape.value(logits);
-    for (int h = 0; h < num_heads(); ++h) {
-      const float zi = z.at(0, h);
-      const float ti = targets.at(0, h);
-      total += std::max(zi, 0.0f) - zi * ti +
-               std::log1p(std::exp(-std::abs(zi)));
-    }
-  }
-  return total / (static_cast<double>(examples.size()) * num_heads());
+  return MeanPairBce(scorer_, examples.size(), [&](size_t i) {
+    return RankPair(examples[i], db_cgs, query_cgs);
+  });
 }
 
 void NeighborRankModel::GroupByBatch(
@@ -129,7 +100,7 @@ void NeighborRankModel::GroupByBatch(
   std::vector<GraphId> ranked;
   ranked.reserve(scored.size());
   for (const Scored& s : scored) ranked.push_back(s.id);
-  SplitIntoBatches(ranked, options_.batch_percent, out);
+  SplitIntoBatches(ranked, batch_percent_, out);
 }
 
 void NeighborRankModel::PrecomputeContexts(
@@ -151,15 +122,6 @@ void NeighborRankModel::PrecomputeContexts(
 void NeighborRankModel::PredictBatches(
     std::span<const GraphId> neighbors,
     const std::vector<CompressedGnnGraph>& db_cgs, GraphId node,
-    const CompressedGnnGraph& query_cg, int64_t* inference_count,
-    RankedBatches* out) const {
-  PredictBatches(neighbors, db_cgs, node, scorer_.EncodeQuery(query_cg),
-                 inference_count, out);
-}
-
-void NeighborRankModel::PredictBatches(
-    std::span<const GraphId> neighbors,
-    const std::vector<CompressedGnnGraph>& db_cgs, GraphId node,
     const QueryEncodingCache& query, int64_t* inference_count,
     RankedBatches* out) const {
   std::vector<const CompressedGnnGraph*> gs;
@@ -170,17 +132,6 @@ void NeighborRankModel::PredictBatches(
                           out);
 }
 
-template <typename G>
-std::vector<std::vector<float>> NeighborRankModel::HeadProbs(
-    const Matrix& cross, GraphId node, const G& node_graph) const {
-  if (static_cast<int64_t>(node) < contexts_.rows()) {
-    return scorer_.InferHeads(cross, contexts_.Row(node));
-  }
-  const Matrix ctx = scorer_.ContextEmbedding(node_graph);
-  return scorer_.InferHeads(cross,
-                            {ctx.data(), static_cast<size_t>(ctx.cols())});
-}
-
 void NeighborRankModel::PredictBatchesFromCross(
     std::span<const GraphId> neighbors, const Matrix& cross, GraphId node,
     const CompressedGnnGraph& node_cg, int64_t* inference_count,
@@ -189,26 +140,22 @@ void NeighborRankModel::PredictBatchesFromCross(
   if (inference_count != nullptr) {
     *inference_count += static_cast<int64_t>(neighbors.size());
   }
-  GroupByBatch(neighbors, HeadProbs(cross, node, node_cg), out);
-}
-
-void NeighborRankModel::PredictBatchesFromCross(
-    std::span<const GraphId> neighbors, const Matrix& cross, GraphId node,
-    const Graph& node_graph, int64_t* inference_count,
-    RankedBatches* out) const {
-  LAN_CHECK_EQ(static_cast<size_t>(cross.rows()), neighbors.size());
-  if (inference_count != nullptr) {
-    *inference_count += static_cast<int64_t>(neighbors.size());
+  std::vector<std::vector<float>> probs;
+  if (static_cast<int64_t>(node) < contexts_.rows()) {
+    probs = scorer_.InferHeads(cross, contexts_.Row(node));
+  } else {
+    const Matrix ctx = scorer_.ContextEmbedding(node_cg);
+    probs = scorer_.InferHeads(cross,
+                               {ctx.data(), static_cast<size_t>(ctx.cols())});
   }
-  GroupByBatch(neighbors, HeadProbs(cross, node, node_graph), out);
+  GroupByBatch(neighbors, probs, out);
 }
 
 std::vector<RankExample> BuildRankExamples(
     const ProximityGraph& pg,
     const std::vector<std::vector<double>>& query_distances,
     double gamma_star, int batch_percent, size_t max_examples, Rng* rng) {
-  LAN_CHECK_GT(batch_percent, 0);
-  const int num_heads = std::max(1, 100 / batch_percent - 1);
+  const int num_heads = RankHeads(batch_percent);
   std::vector<RankExample> examples;
 
   for (size_t qi = 0; qi < query_distances.size(); ++qi) {

@@ -24,11 +24,8 @@ struct RankExample {
   std::vector<float> labels;
 };
 
-/// \brief M_rk hyperparameters.
+/// \brief M_rk training hyperparameters.
 struct RankModelOptions {
-  /// Batch fraction y (percent); the model has 100/y - 1 binary heads.
-  int batch_percent = 20;
-  PairScorerOptions scorer;
   int epochs = 10;
   int minibatch_size = 16;
   AdamOptions adam;
@@ -40,9 +37,12 @@ struct RankModelOptions {
 /// with the GIN embedding of G, sharing one GNN backbone across heads.
 class NeighborRankModel {
  public:
-  NeighborRankModel(int32_t num_labels, RankModelOptions options);
+  /// `batch_percent` is the batch fraction y; the model has 100/y - 1
+  /// binary heads.
+  NeighborRankModel(int32_t num_labels, const PairScorerOptions& scorer,
+                    int batch_percent, RankModelOptions options = {});
 
-  int num_heads() const { return options_.scorer.num_heads; }
+  int num_heads() const { return scorer_.num_heads(); }
 
   /// Trains on the provided triples. `db_cgs` are precomputed CGs of every
   /// database graph; `query_cgs` of every training query (index-aligned
@@ -54,14 +54,14 @@ class NeighborRankModel {
              const std::vector<RankExample>& examples,
              const std::vector<RankExample>& validation = {});
 
-  /// Mean BCE loss over a labeled set (validation metric).
+  /// Mean BCE loss over a labeled set (the validation metric, MeanPairBce).
   double EvaluateLoss(const std::vector<CompressedGnnGraph>& db_cgs,
                       const std::vector<CompressedGnnGraph>& query_cgs,
                       const std::vector<RankExample>& examples) const;
 
   /// Precomputes and caches the context encoder's embedding of every
   /// database graph (query independent). Call once after Train(); the
-  /// Predict* paths then skip re-encoding the routing node per neighbor.
+  /// predictions then skip re-encoding the routing node per neighbor.
   void PrecomputeContexts(const std::vector<CompressedGnnGraph>& db_cgs);
 
   /// Installs a previously computed context matrix directly (row id =
@@ -74,40 +74,27 @@ class NeighborRankModel {
   /// AttachContexts); row id is graph id's context embedding.
   const EmbeddingMatrix& contexts() const { return contexts_; }
 
-  /// Predicted batches, best first, appended to `out` (empty predicted
-  /// ranks are skipped). Increments *inference_count once per neighbor
-  /// scored. All neighbors are encoded and scored in one batched inference
-  /// pass (no per-pair tapes): InferCross over `neighbors`, then
-  /// PredictBatchesFromCross.
-  void PredictBatches(std::span<const GraphId> neighbors,
-                      const std::vector<CompressedGnnGraph>& db_cgs,
-                      GraphId node, const CompressedGnnGraph& query_cg,
-                      int64_t* inference_count, RankedBatches* out) const;
-
-  /// Like above with the per-query encoder cache pre-built. This is the
-  /// unmemoized reference for LearnedNeighborRanker, which reuses each
-  /// neighbor's cross row across the routing nodes of one query.
-  void PredictBatches(std::span<const GraphId> neighbors,
-                      const std::vector<CompressedGnnGraph>& db_cgs,
-                      GraphId node, const QueryEncodingCache& query,
-                      int64_t* inference_count, RankedBatches* out) const;
-
-  /// The heads half of M_rk: groups routing node `node`'s neighbors into
-  /// predicted batches from their cross rows (row i = h_{neighbors[i], Q},
-  /// from PairScorer::InferCross on CGs or raw graphs). The context row is
+  /// The heads half of M_rk, and its one query-time entry: groups routing
+  /// node `node`'s neighbors into predicted batches, best first, from
+  /// their cross rows (row i = h_{neighbors[i], Q}, from
+  /// PairScorer::InferCross on CGs or raw graphs). The context row is
   /// `node`'s cached one; a node without one (inserted after training) is
-  /// encoded from `node_cg` / `node_graph`. Increments *inference_count
-  /// once per neighbor scored. Appends the batches to `out`.
+  /// encoded from its CG `node_cg`. Increments *inference_count once per
+  /// neighbor scored. Appends the batches to `out` (empty predicted ranks
+  /// are skipped).
   void PredictBatchesFromCross(std::span<const GraphId> neighbors,
                                const Matrix& cross, GraphId node,
                                const CompressedGnnGraph& node_cg,
                                int64_t* inference_count,
                                RankedBatches* out) const;
-  void PredictBatchesFromCross(std::span<const GraphId> neighbors,
-                               const Matrix& cross, GraphId node,
-                               const Graph& node_graph,
-                               int64_t* inference_count,
-                               RankedBatches* out) const;
+
+  /// The unmemoized reference for LearnedNeighborRanker (which reuses each
+  /// neighbor's cross row across the routing nodes of one query):
+  /// InferCross over `neighbors`' CGs, then PredictBatchesFromCross.
+  void PredictBatches(std::span<const GraphId> neighbors,
+                      const std::vector<CompressedGnnGraph>& db_cgs,
+                      GraphId node, const QueryEncodingCache& query,
+                      int64_t* inference_count, RankedBatches* out) const;
 
   const PairScorer& scorer() const { return scorer_; }
   PairScorer* mutable_scorer() { return &scorer_; }
@@ -116,12 +103,8 @@ class NeighborRankModel {
   void GroupByBatch(std::span<const GraphId> neighbors,
                     const std::vector<std::vector<float>>& probs,
                     RankedBatches* out) const;
-  /// InferHeads on `cross` with `node`'s context row: the cached row when
-  /// there is one, else `node_graph`'s embedding computed now.
-  template <typename G>
-  std::vector<std::vector<float>> HeadProbs(const Matrix& cross, GraphId node,
-                                            const G& node_graph) const;
 
+  int batch_percent_;
   RankModelOptions options_;
   PairScorer scorer_;
   /// Row id = graph id's 1 x d context embedding (empty until

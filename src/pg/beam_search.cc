@@ -10,7 +10,7 @@ namespace lan {
 void BeamSearchRouteFnInto(const ProximityGraph& pg,
                            const std::function<double(GraphId)>& distance,
                            GraphId init, int beam_size, int k,
-                           bool record_trace, TraceSink* sink,
+                           TraceSink* sink,
                            const std::function<int64_t()>& ndc_probe,
                            const std::vector<uint8_t>* live,
                            SearchScratch* scratch, RoutingResult* out) {
@@ -32,7 +32,6 @@ void BeamSearchRouteFnInto(const ProximityGraph& pg,
   };
 
   out->results.clear();
-  out->trace.clear();
   out->routing_steps = 0;
 
   int64_t ndc_at_last_step = ndc_probe ? ndc_probe() : 0;
@@ -50,7 +49,6 @@ void BeamSearchRouteFnInto(const ProximityGraph& pg,
       pool.Add(neighbors[i], dist(neighbors[i]));
     }
     s.route_states.MarkExplored(current, clock++);
-    if (record_trace) out->trace.push_back(current);
     if (sink != nullptr) {
       TraceEvent event;
       event.type = TraceEventType::kRouteStep;
@@ -73,13 +71,13 @@ void BeamSearchRouteFnInto(const ProximityGraph& pg,
 RoutingResult BeamSearchRouteFn(const ProximityGraph& pg,
                                 const std::function<double(GraphId)>& distance,
                                 GraphId init, int beam_size, int k,
-                                bool record_trace, TraceSink* sink,
+                                TraceSink* sink,
                                 const std::function<int64_t()>& ndc_probe,
                                 const std::vector<uint8_t>* live,
                                 SearchScratch* scratch) {
   RoutingResult out;
-  BeamSearchRouteFnInto(pg, distance, init, beam_size, k, record_trace, sink,
-                        ndc_probe, live, scratch, &out);
+  BeamSearchRouteFnInto(pg, distance, init, beam_size, k, sink, ndc_probe,
+                        live, scratch, &out);
   return out;
 }
 
@@ -95,7 +93,7 @@ void BeamSearchRouteInto(const ProximityGraph& pg, DistanceOracle* oracle,
   // within the small-buffer optimization — no heap allocation.
   BeamSearchRouteFnInto(
       pg, [oracle](GraphId id) { return oracle->Distance(id); }, init,
-      beam_size, k, /*record_trace=*/false, oracle->trace(),
+      beam_size, k, oracle->trace(),
       [oracle]() {
         SearchStats* stats = oracle->stats();
         return stats != nullptr ? stats->ndc : 0;

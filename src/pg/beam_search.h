@@ -30,8 +30,8 @@ RoutingResult BeamSearchRoute(const ProximityGraph& pg, DistanceOracle* oracle,
                               const std::vector<uint8_t>* live = nullptr,
                               SearchScratch* scratch = nullptr);
 
-/// Allocation-free variant: writes into `out`, reusing its vectors'
-/// capacity (results/trace are cleared first).
+/// Allocation-free variant: writes into `out`, reusing its results'
+/// capacity (cleared first).
 void BeamSearchRouteInto(const ProximityGraph& pg, DistanceOracle* oracle,
                          GraphId init, int beam_size, int k,
                          const std::vector<uint8_t>* live,
@@ -49,7 +49,6 @@ void BeamSearchRouteInto(const ProximityGraph& pg, DistanceOracle* oracle,
 RoutingResult BeamSearchRouteFn(const ProximityGraph& pg,
                                 const std::function<double(GraphId)>& distance,
                                 GraphId init, int beam_size, int k,
-                                bool record_trace = false,
                                 TraceSink* sink = nullptr,
                                 const std::function<int64_t()>& ndc_probe = {},
                                 const std::vector<uint8_t>* live = nullptr,
@@ -59,7 +58,7 @@ RoutingResult BeamSearchRouteFn(const ProximityGraph& pg,
 void BeamSearchRouteFnInto(const ProximityGraph& pg,
                            const std::function<double(GraphId)>& distance,
                            GraphId init, int beam_size, int k,
-                           bool record_trace, TraceSink* sink,
+                           TraceSink* sink,
                            const std::function<int64_t()>& ndc_probe,
                            const std::vector<uint8_t>* live,
                            SearchScratch* scratch, RoutingResult* out);

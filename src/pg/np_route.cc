@@ -30,9 +30,7 @@ class NpRouter {
     // the first route step's per-step NDC.
     ndc_at_last_step_ = CurrentNdc();
     out->results.clear();
-    out->trace.clear();
     out->routing_steps = 0;
-    trace_ = &out->trace;
     pool_.Add(init, oracle_->Distance(init));
 
     // ---- Stage 1 (Algorithm 2, lines 5-11): greedy descent. ----
@@ -76,7 +74,6 @@ class NpRouter {
 
   void MarkExplored(GraphId id) {
     states_->MarkExplored(id, clock_++);
-    if (options_.record_trace) trace_->push_back(id);
     if (sink_ != nullptr) {
       TraceEvent event;
       event.type = TraceEventType::kRouteStep;
@@ -221,7 +218,6 @@ class NpRouter {
   std::vector<BatchState>* batch_states_;
   int64_t clock_ = 0;
   int64_t routing_steps_ = 0;
-  std::vector<GraphId>* trace_ = nullptr;
   TraceSink* sink_;
   int64_t ndc_at_last_step_ = 0;
 };

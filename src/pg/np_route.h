@@ -14,9 +14,6 @@ struct NpRouteOptions {
   int k = 10;
   /// Threshold increment d_s of the second routing stage.
   double step_size = 1.0;
-  /// Record the exploration order in RoutingResult::trace (debugging aid:
-  /// see where the router went and where recall was lost).
-  bool record_trace = false;
   /// Optional tombstone bitmap (indexed by GraphId, 0 = removed). Dead
   /// nodes are routed through — the PG stays navigable — but filtered out
   /// of the answers. Must outlive the NpRoute call.
@@ -39,8 +36,8 @@ RoutingResult NpRoute(const ProximityGraph& pg, DistanceOracle* oracle,
                       const NpRouteOptions& options,
                       SearchScratch* scratch = nullptr);
 
-/// Out-param variant: writes into `out`, reusing its vectors' capacity
-/// (results/trace are cleared first).
+/// Out-param variant: writes into `out`, reusing its results' capacity
+/// (cleared first).
 void NpRouteInto(const ProximityGraph& pg, DistanceOracle* oracle,
                  NeighborRanker* ranker, GraphId init,
                  const NpRouteOptions& options, SearchScratch* scratch,

@@ -183,9 +183,6 @@ struct BatchState {
 struct RoutingResult {
   std::vector<std::pair<GraphId, double>> results;
   int64_t routing_steps = 0;
-  /// Explored nodes in order (populated only when tracing is requested;
-  /// see the *WithTrace entry points / NpRouteOptions::record_trace).
-  std::vector<GraphId> trace;
 };
 
 /// \brief Reusable per-thread buffers of one query's search: visited/state

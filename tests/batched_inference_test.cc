@@ -1,7 +1,8 @@
 // Golden-equivalence tests for the batched query-time inference path: the
-// stacked one-GEMM-per-layer forwards must reproduce the per-pair tape
-// reference on all three learned models (M_rk, M_nh, M_c), on both raw
-// and compressed graphs, and be bit-for-bit deterministic. Per pair and
+// stacked one-GEMM-per-layer forwards (PairScorer::InferCross + InferHeads
+// and the models built on them) must reproduce the taped per-pair forward
+// (TapedProbs) on all three learned models (M_rk, M_nh, M_c), on both raw
+// and compressed graphs, and be bit-for-bit deterministic. Taped and
 // batched agree exactly at the scalar level (within kTol at the others),
 // and at every level a candidate's cross row and head probabilities do not
 // depend on which batch computed them (docs/kernels.md, contract 4).
@@ -23,6 +24,7 @@
 #include "lan/pair_scorer.h"
 #include "lan/rank_model.h"
 #include "lan/workload.h"
+#include "taped_reference.h"
 
 namespace lan {
 namespace {
@@ -30,13 +32,31 @@ namespace {
 constexpr float kTol = 1e-4f;
 constexpr int kLayers = 2;
 
-PairScorerOptions TinyScorer(int heads = 1, bool context = false) {
+PairScorerOptions TinyScorer() {
   PairScorerOptions o;
   o.gnn_dims = {8, 8};
   o.mlp_hidden = 8;
-  o.num_heads = heads;
-  o.include_context_embedding = context;
   return o;
+}
+
+/// Batched head probabilities of `gs` against the query `cache` was built
+/// from; `context` (a CG) supplies the context row of a context scorer.
+template <typename G>
+std::vector<std::vector<float>> BatchedProbs(
+    const PairScorer& scorer, const std::vector<const G*>& gs,
+    const QueryEncodingCache& cache,
+    const CompressedGnnGraph* context = nullptr) {
+  const Matrix cross = scorer.InferCross(gs, cache);
+  if (context == nullptr) return scorer.InferHeads(cross, {});
+  const Matrix row = scorer.ContextEmbedding(*context);
+  return scorer.InferHeads(cross,
+                           {row.data(), static_cast<size_t>(row.cols())});
+}
+
+void ExpectNearRows(const std::vector<float>& got,
+                    const std::vector<float>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t h = 0; h < want.size(); ++h) EXPECT_NEAR(got[h], want[h], kTol);
 }
 
 /// Shared fixture data: a small database, its CGs, and one query.
@@ -66,6 +86,10 @@ class BatchedInferenceTest : public ::testing::Test {
     return out;
   }
 
+  const CompressedGnnGraph& Cg(GraphId id) const {
+    return cgs_[static_cast<size_t>(id)];
+  }
+
   GraphDatabase db_;
   std::vector<CompressedGnnGraph> cgs_;
   Graph query_;
@@ -73,105 +97,75 @@ class BatchedInferenceTest : public ::testing::Test {
   std::vector<GraphId> candidates_;
 };
 
-TEST_F(BatchedInferenceTest, CompressedBatchMatchesPerPairNoContext) {
-  PairScorer scorer(db_.num_labels(), TinyScorer(/*heads=*/3));
-  const QueryEncodingCache cache = scorer.EncodeQuery(query_cg_);
+TEST_F(BatchedInferenceTest, CompressedBatchMatchesTapedNoContext) {
+  PairScorer scorer(db_.num_labels(), TinyScorer(), /*num_heads=*/3,
+                    /*context=*/false);
   const std::vector<std::vector<float>> batched =
-      scorer.PredictCompressedBatch(CandidateCgs(), cache, nullptr);
+      BatchedProbs(scorer, CandidateCgs(), scorer.EncodeQuery(query_cg_));
   ASSERT_EQ(batched.size(), candidates_.size());
   for (size_t i = 0; i < candidates_.size(); ++i) {
-    const std::vector<float> reference = scorer.PredictCompressed(
-        cgs_[static_cast<size_t>(candidates_[i])], query_cg_, nullptr);
-    ASSERT_EQ(batched[i].size(), reference.size());
-    for (size_t h = 0; h < reference.size(); ++h) {
-      EXPECT_NEAR(batched[i][h], reference[h], kTol);
-    }
+    ExpectNearRows(batched[i],
+                   TapedProbs(scorer, Cg(candidates_[i]), query_cg_));
   }
 }
 
-TEST_F(BatchedInferenceTest, CompressedBatchMatchesPerPairWithContext) {
-  PairScorer scorer(db_.num_labels(), TinyScorer(/*heads=*/4, /*context=*/true));
-  const CompressedGnnGraph& context = cgs_[9];
-  const QueryEncodingCache cache = scorer.EncodeQuery(query_cg_);
+TEST_F(BatchedInferenceTest, CompressedBatchMatchesTapedWithContextRow) {
+  PairScorer scorer(db_.num_labels(), TinyScorer(), /*num_heads=*/4,
+                    /*context=*/true);
+  const std::vector<std::vector<float>> batched = BatchedProbs(
+      scorer, CandidateCgs(), scorer.EncodeQuery(query_cg_), &cgs_[9]);
+  for (size_t i = 0; i < candidates_.size(); ++i) {
+    ExpectNearRows(batched[i],
+                   TapedProbs(scorer, Cg(candidates_[i]), query_cg_, &cgs_[9]));
+  }
+}
+
+TEST_F(BatchedInferenceTest, RawBatchMatchesTaped) {
+  PairScorer scorer(db_.num_labels(), TinyScorer(), /*num_heads=*/3,
+                    /*context=*/false);
   const std::vector<std::vector<float>> batched =
-      scorer.PredictCompressedBatch(CandidateCgs(), cache, &context);
+      BatchedProbs(scorer, CandidateGraphs(), scorer.EncodeQuery(query_));
   for (size_t i = 0; i < candidates_.size(); ++i) {
-    const std::vector<float> reference = scorer.PredictCompressed(
-        cgs_[static_cast<size_t>(candidates_[i])], query_cg_, &context);
-    for (size_t h = 0; h < reference.size(); ++h) {
-      EXPECT_NEAR(batched[i][h], reference[h], kTol);
-    }
+    ExpectNearRows(batched[i],
+                   TapedProbs(scorer, db_.Get(candidates_[i]), query_));
   }
 }
 
-TEST_F(BatchedInferenceTest, CompressedBatchMatchesPerPairCachedContextRow) {
-  PairScorer scorer(db_.num_labels(), TinyScorer(/*heads=*/4, /*context=*/true));
-  const Matrix context_row = scorer.ContextEmbedding(cgs_[9]);
-  const QueryEncodingCache cache = scorer.EncodeQuery(query_cg_);
-  const std::vector<std::vector<float>> batched = scorer.InferHeads(
-      scorer.InferCross(CandidateCgs(), cache),
-      {context_row.data(), static_cast<size_t>(context_row.cols())});
+TEST_F(BatchedInferenceTest, RawBatchWithCgContextRowMatchesTapedRaw) {
+  // The no-CG ablation's M_rk: raw cross rows, the context row from the
+  // routing node's CG (Theorem 2 makes it the raw graph's embedding).
+  PairScorer scorer(db_.num_labels(), TinyScorer(), /*num_heads=*/4,
+                    /*context=*/true);
+  const std::vector<std::vector<float>> batched = BatchedProbs(
+      scorer, CandidateGraphs(), scorer.EncodeQuery(query_), &cgs_[9]);
   for (size_t i = 0; i < candidates_.size(); ++i) {
-    const std::vector<float> reference = scorer.PredictCompressedWithContextRow(
-        cgs_[static_cast<size_t>(candidates_[i])], query_cg_, context_row);
-    for (size_t h = 0; h < reference.size(); ++h) {
-      EXPECT_NEAR(batched[i][h], reference[h], kTol);
-    }
-  }
-}
-
-TEST_F(BatchedInferenceTest, RawBatchMatchesPerPair) {
-  PairScorer scorer(db_.num_labels(), TinyScorer(/*heads=*/3));
-  const QueryEncodingCache cache = scorer.EncodeQuery(query_);
-  const std::vector<std::vector<float>> batched =
-      scorer.PredictRawBatch(CandidateGraphs(), cache, nullptr);
-  for (size_t i = 0; i < candidates_.size(); ++i) {
-    const std::vector<float> reference =
-        scorer.PredictRaw(db_.Get(candidates_[i]), query_, nullptr);
-    for (size_t h = 0; h < reference.size(); ++h) {
-      EXPECT_NEAR(batched[i][h], reference[h], kTol);
-    }
-  }
-}
-
-TEST_F(BatchedInferenceTest, RawBatchMatchesPerPairWithContextRow) {
-  PairScorer scorer(db_.num_labels(), TinyScorer(/*heads=*/4, /*context=*/true));
-  const Matrix context_row = scorer.ContextEmbedding(db_.Get(9));
-  const QueryEncodingCache cache = scorer.EncodeQuery(query_);
-  const std::vector<std::vector<float>> batched = scorer.InferHeads(
-      scorer.InferCross(CandidateGraphs(), cache),
-      {context_row.data(), static_cast<size_t>(context_row.cols())});
-  for (size_t i = 0; i < candidates_.size(); ++i) {
-    const std::vector<float> reference = scorer.PredictRawWithContextRow(
-        db_.Get(candidates_[i]), query_, context_row);
-    for (size_t h = 0; h < reference.size(); ++h) {
-      EXPECT_NEAR(batched[i][h], reference[h], kTol);
-    }
+    ExpectNearRows(batched[i], TapedProbs(scorer, db_.Get(candidates_[i]),
+                                          query_, &db_.Get(9)));
   }
 }
 
 TEST_F(BatchedInferenceTest, RawAndCompressedBatchesAgree) {
   // Theorem 2 carried over to the batched path: CG and raw scoring of the
   // same pairs produce the same probabilities.
-  PairScorer scorer(db_.num_labels(), TinyScorer(/*heads=*/2));
-  const std::vector<std::vector<float>> cg_probs = scorer.PredictCompressedBatch(
-      CandidateCgs(), scorer.EncodeQuery(query_cg_), nullptr);
-  const std::vector<std::vector<float>> raw_probs = scorer.PredictRawBatch(
-      CandidateGraphs(), scorer.EncodeQuery(query_), nullptr);
+  PairScorer scorer(db_.num_labels(), TinyScorer(), /*num_heads=*/2,
+                    /*context=*/false);
+  const std::vector<std::vector<float>> cg_probs =
+      BatchedProbs(scorer, CandidateCgs(), scorer.EncodeQuery(query_cg_));
+  const std::vector<std::vector<float>> raw_probs =
+      BatchedProbs(scorer, CandidateGraphs(), scorer.EncodeQuery(query_));
   for (size_t i = 0; i < candidates_.size(); ++i) {
-    for (size_t h = 0; h < cg_probs[i].size(); ++h) {
-      EXPECT_NEAR(cg_probs[i][h], raw_probs[i][h], kTol);
-    }
+    ExpectNearRows(cg_probs[i], raw_probs[i]);
   }
 }
 
 TEST_F(BatchedInferenceTest, BatchedInferenceIsBitwiseDeterministic) {
-  PairScorer scorer(db_.num_labels(), TinyScorer(/*heads=*/4, /*context=*/true));
+  PairScorer scorer(db_.num_labels(), TinyScorer(), /*num_heads=*/4,
+                    /*context=*/true);
   const QueryEncodingCache cache = scorer.EncodeQuery(query_cg_);
   const std::vector<std::vector<float>> a =
-      scorer.PredictCompressedBatch(CandidateCgs(), cache, &cgs_[9]);
+      BatchedProbs(scorer, CandidateCgs(), cache, &cgs_[9]);
   const std::vector<std::vector<float>> b =
-      scorer.PredictCompressedBatch(CandidateCgs(), cache, &cgs_[9]);
+      BatchedProbs(scorer, CandidateCgs(), cache, &cgs_[9]);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     for (size_t h = 0; h < a[i].size(); ++h) {
@@ -180,24 +174,25 @@ TEST_F(BatchedInferenceTest, BatchedInferenceIsBitwiseDeterministic) {
   }
 }
 
-TEST_F(BatchedInferenceTest, ScalarPerPairEqualsBatchedExactly) {
-  // The scalar table is the reference: there, the per-pair tape and the
+TEST_F(BatchedInferenceTest, ScalarTapedEqualsBatchedExactly) {
+  // The scalar table is the reference: there, the taped forward and the
   // stacked batch perform the same operations in the same order.
   const SimdLevel saved = ActiveSimdLevel();
   SetActiveSimdLevel(SimdLevel::kScalar);
-  PairScorer scorer(db_.num_labels(), TinyScorer(/*heads=*/4, /*context=*/true));
+  PairScorer with_context(db_.num_labels(), TinyScorer(), /*num_heads=*/4,
+                          /*context=*/true);
+  PairScorer no_context(db_.num_labels(), TinyScorer(), /*num_heads=*/4,
+                        /*context=*/false);
   const std::vector<std::vector<float>> cg_batched =
-      scorer.PredictCompressedBatch(CandidateCgs(),
-                                    scorer.EncodeQuery(query_cg_), &cgs_[9]);
-  const std::vector<std::vector<float>> raw_batched = scorer.PredictRawBatch(
-      CandidateGraphs(), scorer.EncodeQuery(query_), &db_.Get(9));
+      BatchedProbs(with_context, CandidateCgs(),
+                   with_context.EncodeQuery(query_cg_), &cgs_[9]);
+  const std::vector<std::vector<float>> raw_batched = BatchedProbs(
+      no_context, CandidateGraphs(), no_context.EncodeQuery(query_));
   for (size_t i = 0; i < candidates_.size(); ++i) {
     const GraphId id = candidates_[i];
-    EXPECT_EQ(cg_batched[i], scorer.PredictCompressed(
-                                 cgs_[static_cast<size_t>(id)], query_cg_,
-                                 &cgs_[9]));
-    EXPECT_EQ(raw_batched[i],
-              scorer.PredictRaw(db_.Get(id), query_, &db_.Get(9)));
+    EXPECT_EQ(cg_batched[i],
+              TapedProbs(with_context, Cg(id), query_cg_, &cgs_[9]));
+    EXPECT_EQ(raw_batched[i], TapedProbs(no_context, db_.Get(id), query_));
   }
   SetActiveSimdLevel(saved);
 }
@@ -248,7 +243,8 @@ void ExpectSubBatchInvariance(const PairScorer& scorer,
 
 TEST_F(BatchedInferenceTest, RowsAreInvariantToBatchCompositionAtEveryLevel) {
   // M_rk's shape: several heads over h_{G',Q} || h_ctx(G).
-  PairScorer scorer(db_.num_labels(), TinyScorer(/*heads=*/4, /*context=*/true));
+  PairScorer scorer(db_.num_labels(), TinyScorer(), /*num_heads=*/4,
+                    /*context=*/true);
   const Matrix context = scorer.ContextEmbedding(cgs_[9]);
   const std::span<const float> context_row(
       context.data(), static_cast<size_t>(context.cols()));
@@ -272,41 +268,44 @@ TEST_F(BatchedInferenceTest, RowsAreInvariantToBatchCompositionAtEveryLevel) {
   SetActiveSimdLevel(saved);
 }
 
-TEST_F(BatchedInferenceTest, NeighborhoodModelBatchMatchesPerPair) {
-  NeighborhoodModelOptions options;
-  options.scorer = TinyScorer();
-  NeighborhoodModel model(db_.num_labels(), options);
-  const std::vector<float> batched = model.PredictProbsBatch(
-      CandidateCgs(), model.scorer().EncodeQuery(query_cg_));
-  const std::vector<float> batched_raw = model.PredictProbsRawBatch(
-      CandidateGraphs(), model.scorer().EncodeQuery(query_));
+TEST_F(BatchedInferenceTest, NeighborhoodModelMatchesTaped) {
+  NeighborhoodModel model(db_.num_labels(), TinyScorer());
+  const PairScorer& scorer = model.scorer();
+  const std::vector<float> batched = model.PredictProbs(
+      scorer.InferCross(CandidateCgs(), scorer.EncodeQuery(query_cg_)));
+  const std::vector<float> batched_raw = model.PredictProbs(
+      scorer.InferCross(CandidateGraphs(), scorer.EncodeQuery(query_)));
+  ASSERT_EQ(batched.size(), candidates_.size());
+  ASSERT_EQ(batched_raw.size(), candidates_.size());
   for (size_t i = 0; i < candidates_.size(); ++i) {
-    const float reference = model.PredictProb(
-        cgs_[static_cast<size_t>(candidates_[i])], query_cg_);
-    EXPECT_NEAR(batched[i], reference, kTol);
+    EXPECT_NEAR(batched[i],
+                TapedProbs(scorer, Cg(candidates_[i]), query_cg_)[0], kTol);
     EXPECT_NEAR(batched_raw[i],
-                model.PredictProbRaw(db_.Get(candidates_[i]), query_), kTol);
+                TapedProbs(scorer, db_.Get(candidates_[i]), query_)[0], kTol);
   }
 }
 
-TEST_F(BatchedInferenceTest, RankModelBatchesMatchCachedQueryOverload) {
-  RankModelOptions options;
-  options.batch_percent = 25;
-  options.scorer = TinyScorer();
-  NeighborRankModel model(db_.num_labels(), options);
-  model.PrecomputeContexts(cgs_);
+TEST_F(BatchedInferenceTest, RankModelEncodesUncachedContextFromCg) {
+  // A routing node without a cached context row (inserted after training)
+  // is encoded from its CG, which yields the cached row's bits.
+  NeighborRankModel cached(db_.num_labels(), TinyScorer(),
+                           /*batch_percent=*/25);
+  NeighborRankModel uncached(db_.num_labels(), TinyScorer(),
+                             /*batch_percent=*/25);
+  cached.PrecomputeContexts(cgs_);
   int64_t inferences_a = 0;
   int64_t inferences_b = 0;
-  RankedBatches direct;
-  RankedBatches cached;
-  model.PredictBatches(candidates_, cgs_, /*node=*/10, query_cg_,
-                       &inferences_a, &direct);
-  model.PredictBatches(candidates_, cgs_, /*node=*/10,
-                       model.scorer().EncodeQuery(query_cg_), &inferences_b,
-                       &cached);
+  RankedBatches from_cache;
+  RankedBatches from_cg;
+  cached.PredictBatches(candidates_, cgs_, /*node=*/10,
+                        cached.scorer().EncodeQuery(query_cg_), &inferences_a,
+                        &from_cache);
+  uncached.PredictBatches(candidates_, cgs_, /*node=*/10,
+                          uncached.scorer().EncodeQuery(query_cg_),
+                          &inferences_b, &from_cg);
   EXPECT_EQ(inferences_a, static_cast<int64_t>(candidates_.size()));
   EXPECT_EQ(inferences_a, inferences_b);
-  EXPECT_EQ(direct, cached);
+  EXPECT_EQ(from_cache, from_cg);
 }
 
 TEST(ClusterModelBatchTest, BatchedCountsMatchReference) {
@@ -334,7 +333,7 @@ TEST(ClusterModelBatchTest, BatchedCountsMatchReference) {
   EXPECT_TRUE(model.PredictCounts(query_embedding, {}).empty());
 }
 
-/// SearchBatch over 2 threads returns each query's sequential Search
+/// SearchBatch on a 2-worker pool returns each query's sequential Search
 /// results and work counters, with `protocol` as the query distance.
 void ExpectSearchBatchMatchesSequentialSearch(const GedOptions& protocol) {
   LanConfig config;
@@ -364,7 +363,7 @@ void ExpectSearchBatchMatchesSequentialSearch(const GedOptions& protocol) {
   SearchOptions sopts;
   sopts.k = 3;
   const std::vector<SearchResult> batch =
-      index.SearchBatch(workload.test, sopts, /*num_threads=*/2).results;
+      index.SearchBatch(workload.test, sopts).results;
   ASSERT_EQ(batch.size(), workload.test.size());
   for (size_t i = 0; i < workload.test.size(); ++i) {
     const SearchResult sequential = index.Search(workload.test[i], sopts);

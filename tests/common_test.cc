@@ -289,7 +289,8 @@ TEST(ThreadPoolTest, PoolParallelForReturnsWhileWorkersAreBusy) {
 
 TEST(ThreadPoolTest, ParallelForCoversRange) {
   std::vector<int> hits(1000, 0);
-  ThreadPool::ParallelFor(hits.size(), 4, [&](size_t i) { hits[i] = 1; });
+  ThreadPool pool(4);
+  pool.ParallelFor(hits.size(), [&](size_t i) { hits[i] = 1; });
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 

@@ -171,13 +171,22 @@ class ModelHeadDispatchTest : public KernelDispatchTest {
     return out;
   }
 
-  PairScorerOptions TinyScorer(int heads) const {
+  PairScorerOptions TinyScorer() const {
     PairScorerOptions o;
     o.gnn_dims = {8, 8};
     o.mlp_hidden = 8;
-    o.num_heads = heads;
-    o.include_context_embedding = false;  // score (G, Q) pairs, no context
     return o;
+  }
+
+  /// M_rk's query-time path: cross rows, then the heads with routing node
+  /// 10's context row.
+  std::vector<std::vector<float>> RankProbs(
+      const NeighborRankModel& model) const {
+    const PairScorer& scorer = model.scorer();
+    const Matrix context = scorer.ContextEmbedding(cgs_[10]);
+    return scorer.InferHeads(
+        scorer.InferCross(CandidateCgs(), scorer.EncodeQuery(query_cg_)),
+        {context.data(), static_cast<size_t>(context.cols())});
   }
 
   GraphDatabase db_;
@@ -187,24 +196,16 @@ class ModelHeadDispatchTest : public KernelDispatchTest {
 };
 
 TEST_F(ModelHeadDispatchTest, RankModelHeadsMatchScalar) {
-  RankModelOptions options;
-  options.scorer = TinyScorer(/*heads=*/4);
-  // M_rk always re-enables the context embedding (the routing node's own
-  // graph), so the batch call needs a context CG.
-  NeighborRankModel model(db_.num_labels(), options);
-  const CompressedGnnGraph* context = &cgs_[10];
+  // y = 20%: four heads over the cross row and the routing node's
+  // context row.
+  NeighborRankModel model(db_.num_labels(), TinyScorer(),
+                          /*batch_percent=*/20);
   SetActiveSimdLevel(SimdLevel::kScalar);
-  const QueryEncodingCache cache = model.scorer().EncodeQuery(query_cg_);
-  const std::vector<std::vector<float>> ref =
-      model.scorer().PredictCompressedBatch(CandidateCgs(), cache, context);
+  const std::vector<std::vector<float>> ref = RankProbs(model);
   for (SimdLevel level : HostLevels()) {
     SCOPED_TRACE(SimdLevelName(level));
     SetActiveSimdLevel(level);
-    const QueryEncodingCache level_cache =
-        model.scorer().EncodeQuery(query_cg_);
-    const std::vector<std::vector<float>> got =
-        model.scorer().PredictCompressedBatch(CandidateCgs(), level_cache,
-                                              context);
+    const std::vector<std::vector<float>> got = RankProbs(model);
     ASSERT_EQ(got.size(), ref.size());
     for (size_t i = 0; i < ref.size(); ++i) {
       ASSERT_EQ(got[i].size(), ref[i].size());
@@ -217,19 +218,18 @@ TEST_F(ModelHeadDispatchTest, RankModelHeadsMatchScalar) {
 }
 
 TEST_F(ModelHeadDispatchTest, NeighborhoodModelMatchesScalar) {
-  NeighborhoodModelOptions options;
-  options.scorer = TinyScorer(/*heads=*/1);
-  NeighborhoodModel model(db_.num_labels(), options);
+  NeighborhoodModel model(db_.num_labels(), TinyScorer());
+  const PairScorer& scorer = model.scorer();
+  const auto probs = [&] {
+    return model.PredictProbs(
+        scorer.InferCross(CandidateCgs(), scorer.EncodeQuery(query_cg_)));
+  };
   SetActiveSimdLevel(SimdLevel::kScalar);
-  const QueryEncodingCache cache = model.scorer().EncodeQuery(query_cg_);
-  const std::vector<float> ref = model.PredictProbsBatch(CandidateCgs(), cache);
+  const std::vector<float> ref = probs();
   for (SimdLevel level : HostLevels()) {
     SCOPED_TRACE(SimdLevelName(level));
     SetActiveSimdLevel(level);
-    const QueryEncodingCache level_cache =
-        model.scorer().EncodeQuery(query_cg_);
-    const std::vector<float> got =
-        model.PredictProbsBatch(CandidateCgs(), level_cache);
+    const std::vector<float> got = probs();
     ASSERT_EQ(got.size(), ref.size());
     for (size_t i = 0; i < ref.size(); ++i) {
       EXPECT_NEAR(got[i], ref[i], kTol) << "candidate " << i;

@@ -206,7 +206,7 @@ TEST_F(LanIndexTest, BatchSearchMatchesSequential) {
   std::vector<Graph> queries(workload_->test.begin(),
                              workload_->test.begin() + 3);
   std::vector<SearchResult> batch =
-      index_->SearchBatch(queries, Opts(4), 3).results;
+      index_->SearchBatch(queries, Opts(4)).results;
   ASSERT_EQ(batch.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     SearchResult sequential = index_->Search(queries[i], Opts(4));
@@ -253,7 +253,8 @@ class MemoCheckingRanker : public NeighborRanker {
     const std::span<const GraphId> neighbors = pg.NeighborSpan(node);
     RankedBatches reference;
     if (use_compressed_) {
-      model.PredictBatches(neighbors, index_.db_cgs(), node, query_cg_->Get(),
+      model.PredictBatches(neighbors, index_.db_cgs(), node,
+                           model.scorer().EncodeQuery(query_cg_->Get()),
                            nullptr, &reference);
     } else {
       std::vector<const Graph*> gs;
@@ -261,7 +262,8 @@ class MemoCheckingRanker : public NeighborRanker {
       model.PredictBatchesFromCross(
           neighbors,
           model.scorer().InferCross(gs, model.scorer().EncodeQuery(query)),
-          node, index_.db().Get(node), nullptr, &reference);
+          node, index_.db_cgs()[static_cast<size_t>(node)], nullptr,
+          &reference);
     }
     EXPECT_EQ(got, reference) << "routing node " << node;
     distinct_neighbors.insert(neighbors.begin(), neighbors.end());

@@ -15,6 +15,7 @@
 #include "pg/distance.h"
 #include "pg/proximity_graph.h"
 #include "lan/workload.h"
+#include "taped_reference.h"
 
 namespace lan {
 namespace {
@@ -33,12 +34,10 @@ ProximityGraph PathGraph(GraphId n) {
   return ProximityGraph::FromEdges(n, edges).value();
 }
 
-PairScorerOptions TinyScorer(int heads = 1, bool context = false) {
+PairScorerOptions TinyScorer() {
   PairScorerOptions o;
   o.gnn_dims = {8, 8};
   o.mlp_hidden = 8;
-  o.num_heads = heads;
-  o.include_context_embedding = context;
   return o;
 }
 
@@ -159,10 +158,11 @@ TEST(PairScorerTest, HeadsShapeAndCgRawAgreement) {
   DatasetSpec spec = DatasetSpec::SynLike(1);
   Graph g = GenerateGraph(spec, &rng);
   Graph q = GenerateGraph(spec, &rng);
-  PairScorer scorer(spec.num_labels, TinyScorer(3, false));
-  auto raw = scorer.PredictRaw(g, q, nullptr);
-  auto cg = scorer.PredictCompressed(BuildCompressedGnnGraph(g, 2),
-                                     BuildCompressedGnnGraph(q, 2), nullptr);
+  PairScorer scorer(spec.num_labels, TinyScorer(), /*num_heads=*/3,
+                    /*context=*/false);
+  auto raw = TapedProbs(scorer, g, q);
+  auto cg = TapedProbs(scorer, BuildCompressedGnnGraph(g, 2),
+                       BuildCompressedGnnGraph(q, 2));
   ASSERT_EQ(raw.size(), 3u);
   ASSERT_EQ(cg.size(), 3u);
   for (size_t h = 0; h < 3; ++h) EXPECT_NEAR(raw[h], cg[h], 1e-4f);
@@ -175,9 +175,10 @@ TEST(PairScorerTest, ContextChangesPrediction) {
   Graph q = GenerateGraph(spec, &rng);
   Graph c1 = GenerateGraph(spec, &rng);
   Graph c2 = GenerateGraph(spec, &rng);
-  PairScorer scorer(spec.num_labels, TinyScorer(1, true));
-  auto p1 = scorer.PredictRaw(g, q, &c1);
-  auto p2 = scorer.PredictRaw(g, q, &c2);
+  PairScorer scorer(spec.num_labels, TinyScorer(), /*num_heads=*/1,
+                    /*context=*/true);
+  auto p1 = TapedProbs(scorer, g, q, &c1);
+  auto p2 = TapedProbs(scorer, g, q, &c2);
   EXPECT_NE(p1[0], p2[0]);
 }
 
@@ -264,15 +265,15 @@ TEST(RankModelTest, TrainingReducesLoss) {
   }
 
   RankModelOptions options;
-  options.batch_percent = 20;
-  options.scorer = TinyScorer();
   options.epochs = 0;
-  NeighborRankModel untrained(db.num_labels(), options);
+  NeighborRankModel untrained(db.num_labels(), TinyScorer(),
+                              /*batch_percent=*/20, options);
   const double loss_before =
       untrained.EvaluateLoss(db_cgs, query_cgs, examples);
 
   options.epochs = 6;
-  NeighborRankModel trained(db.num_labels(), options);
+  NeighborRankModel trained(db.num_labels(), TinyScorer(),
+                            /*batch_percent=*/20, options);
   trained.Train(db_cgs, query_cgs, examples);
   const double loss_after = trained.EvaluateLoss(db_cgs, query_cgs, examples);
   EXPECT_LT(loss_after, loss_before);
@@ -280,10 +281,8 @@ TEST(RankModelTest, TrainingReducesLoss) {
 
 TEST(RankModelTest, PredictBatchesCoverAllNeighbors) {
   GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(12), 14);
-  RankModelOptions options;
-  options.batch_percent = 20;
-  options.scorer = TinyScorer();
-  NeighborRankModel model(db.num_labels(), options);
+  NeighborRankModel model(db.num_labels(), TinyScorer(),
+                          /*batch_percent=*/20);
   EXPECT_EQ(model.num_heads(), 4);
 
   std::vector<CompressedGnnGraph> db_cgs;
@@ -293,7 +292,8 @@ TEST(RankModelTest, PredictBatchesCoverAllNeighbors) {
   std::vector<GraphId> neighbors = {1, 3, 5, 7, 9};
   int64_t inferences = 0;
   RankedBatches batches;
-  model.PredictBatches(neighbors, db_cgs, /*node=*/0, db_cgs[2], &inferences,
+  model.PredictBatches(neighbors, db_cgs, /*node=*/0,
+                       model.scorer().EncodeQuery(db_cgs[2]), &inferences,
                        &batches);
   EXPECT_EQ(inferences, 5);
   std::set<GraphId> seen;
@@ -361,9 +361,8 @@ TEST(NeighborhoodModelTest, LearnsSeparableNeighborhoods) {
   }
 
   NeighborhoodModelOptions options;
-  options.scorer = TinyScorer();
   options.epochs = 25;
-  NeighborhoodModel model(db.num_labels(), options);
+  NeighborhoodModel model(db.num_labels(), TinyScorer(), options);
   model.Train(db_cgs, query_cgs, examples);
   const double precision =
       model.EvaluatePrecision(db_cgs, query_cgs, examples);

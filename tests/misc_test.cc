@@ -113,36 +113,36 @@ TEST(RoutingTraceTest, NpRouteRecordsExplorationOrder) {
   const ProximityGraph pg = ProximityGraph::FromEdges(db.size(), edges).value();
   Graph query = db.Get(20);
   SearchStats stats;
-  DistanceOracle oracle(&db, &query, &ged, &stats);
+  QueryTrace trace;
+  DistanceOracle oracle(&db, &query, &ged, &stats, &trace);
   OracleRanker ranker(&db, &ged, 20);
   NpRouteOptions options;
   options.beam_size = 6;
   options.k = 3;
-  options.record_trace = true;
   RoutingResult result = NpRoute(pg, &oracle, &ranker, 0, options);
-  EXPECT_EQ(static_cast<int64_t>(result.trace.size()), result.routing_steps);
-  ASSERT_FALSE(result.trace.empty());
-  EXPECT_EQ(result.trace.front(), 0);  // started at init
+  std::vector<GraphId> explored;
+  for (const TraceEvent& event : trace.events()) {
+    if (event.type == TraceEventType::kRouteStep) explored.push_back(event.id);
+  }
+  EXPECT_EQ(static_cast<int64_t>(explored.size()), result.routing_steps);
+  ASSERT_FALSE(explored.empty());
+  EXPECT_EQ(explored.front(), 0);  // started at init
   // No node explored twice.
-  std::set<GraphId> unique(result.trace.begin(), result.trace.end());
-  EXPECT_EQ(unique.size(), result.trace.size());
-
-  // Tracing off -> empty.
-  SearchStats stats2;
-  DistanceOracle oracle2(&db, &query, &ged, &stats2);
-  options.record_trace = false;
-  EXPECT_TRUE(NpRoute(pg, &oracle2, &ranker, 0, options).trace.empty());
+  std::set<GraphId> unique(explored.begin(), explored.end());
+  EXPECT_EQ(unique.size(), explored.size());
 }
 
 TEST(RoutingTraceTest, BeamSearchTrace) {
   std::vector<std::pair<GraphId, GraphId>> edges;
   for (GraphId i = 0; i + 1 < 5; ++i) edges.emplace_back(i, i + 1);
   const ProximityGraph pg = ProximityGraph::FromEdges(5, edges).value();
+  QueryTrace trace;
   auto result = BeamSearchRouteFn(
       pg, [](GraphId id) { return static_cast<double>(10 - id); },
-      /*init=*/0, /*beam=*/5, /*k=*/2, /*record_trace=*/true);
-  EXPECT_EQ(static_cast<int64_t>(result.trace.size()), result.routing_steps);
-  EXPECT_EQ(result.trace.front(), 0);
+      /*init=*/0, /*beam=*/5, /*k=*/2, &trace);
+  EXPECT_EQ(trace.CountOf(TraceEventType::kRouteStep), result.routing_steps);
+  ASSERT_FALSE(trace.empty());
+  EXPECT_EQ(trace.events().front().id, 0);
 }
 
 // ---------- Database I/O fuzz ----------

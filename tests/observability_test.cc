@@ -101,7 +101,8 @@ TEST(MetricsRegistryTest, MergesObservationsAcrossThreads) {
   const HistogramId hist =
       registry.Histogram("value", MetricsRegistry::CountBounds());
   constexpr size_t kItems = 400;
-  ThreadPool::ParallelFor(kItems, /*num_threads=*/8, [&](size_t i) {
+  ThreadPool pool(4);
+  pool.ParallelFor(kItems, [&](size_t i) {
     registry.Increment(counter);
     registry.Observe(hist, static_cast<double>(i % 97) + 1.0);
   });
@@ -575,7 +576,7 @@ TEST_F(ObservabilitySearchTest, SearchBatchMatchesSequentialAndAggregates) {
                              workload_->test.begin() + 6);
   SearchOptions options;
   options.k = 4;
-  BatchSearchResult batch = index_->SearchBatch(queries, options, 3);
+  BatchSearchResult batch = index_->SearchBatch(queries, options);
   ASSERT_EQ(batch.results.size(), queries.size());
 
   SearchStats expected;
@@ -657,7 +658,7 @@ TEST(ObservabilityErrorTest, BatchSurfacesPerQueryErrors) {
   std::vector<Graph> queries = {db.Get(0), db.Get(1)};
   SearchOptions options;
   options.k = 2;
-  BatchSearchResult batch = index.SearchBatch(queries, options, 2);
+  BatchSearchResult batch = index.SearchBatch(queries, options);
   ASSERT_EQ(batch.results.size(), 2u);
   for (const SearchResult& r : batch.results) {
     EXPECT_FALSE(r.status.ok());

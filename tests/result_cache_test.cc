@@ -404,8 +404,8 @@ TEST_F(CacheEquivalenceTest, SearchBatchExportsCacheMetrics) {
   SearchOptions options;
   options.k = 3;
   // The first call stores both answers; the second is served all of them.
-  ASSERT_EQ(cached_->SearchBatch(queries, options, 2).results.size(), 2u);
-  BatchSearchResult batch = cached_->SearchBatch(queries, options, 2);
+  ASSERT_EQ(cached_->SearchBatch(queries, options).results.size(), 2u);
+  BatchSearchResult batch = cached_->SearchBatch(queries, options);
   ASSERT_EQ(batch.results.size(), queries.size());
   const int64_t* hits = batch.stats.metrics.FindCounter("cache.hits");
   ASSERT_NE(hits, nullptr);

@@ -302,7 +302,7 @@ TEST_F(StageProfileSearchTest, SearchBatchExportsStageHistograms) {
   SearchOptions options;
   options.k = 4;
   options.profile = true;
-  BatchSearchResult batch = index_->SearchBatch(queries, options, 2);
+  BatchSearchResult batch = index_->SearchBatch(queries, options);
   ASSERT_EQ(batch.results.size(), queries.size());
   const HistogramSnapshot* ged =
       batch.stats.metrics.FindHistogram("stage.ged_seconds");
@@ -319,7 +319,7 @@ TEST_F(StageProfileSearchTest, SearchBatchExportsStageHistograms) {
   // Without profile, no stage samples are recorded.
   SearchOptions off = options;
   off.profile = false;
-  BatchSearchResult plain = index_->SearchBatch(queries, off, 2);
+  BatchSearchResult plain = index_->SearchBatch(queries, off);
   EXPECT_TRUE(plain.stats.totals.stages.Empty());
 }
 
