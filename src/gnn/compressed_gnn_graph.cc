@@ -19,7 +19,7 @@ int64_t CompressedGnnGraph::NumNodes() const {
 int64_t CompressedGnnGraph::NumEdges() const {
   int64_t total = 0;
   for (const auto& op : aggregation) {
-    total += static_cast<int64_t>(op.Entries().size());
+    total += static_cast<int64_t>(op.entries.size());
   }
   return total;
 }
@@ -49,7 +49,8 @@ CompressedGnnGraph BuildCompressedGnnGraph(const Graph& g, int num_layers) {
   CompressedGnnGraph cg;
   cg.num_layers = num_layers;
   cg.node_group = wl;
-  std::vector<std::vector<int32_t>> group_size(wl.size());
+  std::vector<std::vector<int32_t>>& group_size = cg.group_size;
+  group_size.resize(wl.size());
   for (size_t l = 0; l < wl.size(); ++l) {
     int32_t num_groups = 0;
     for (int32_t id : wl[l]) num_groups = std::max(num_groups, id + 1);
@@ -61,10 +62,10 @@ CompressedGnnGraph BuildCompressedGnnGraph(const Graph& g, int num_layers) {
   };
 
   // Level-0 representative labels.
-  std::vector<Label> level0_labels(group_size[0].size(), 0);
+  cg.level0_group_labels.assign(group_size[0].size(), 0);
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    level0_labels[static_cast<size_t>(wl[0][static_cast<size_t>(v)])] =
-        g.label(v);
+    const size_t group = static_cast<size_t>(wl[0][static_cast<size_t>(v)]);
+    cg.level0_group_labels[group] = g.label(v);
   }
 
   // Parent mapping: the level-(l-1) group containing each level-l group
@@ -86,7 +87,7 @@ CompressedGnnGraph BuildCompressedGnnGraph(const Graph& g, int num_layers) {
   }
 
   // Precompute the lift operators used by cross-graph attention.
-  std::vector<SparseMatrix> lift(static_cast<size_t>(num_layers));
+  cg.lift.resize(static_cast<size_t>(num_layers));
   for (int l = 1; l <= num_layers; ++l) {
     const auto& par = cg.parent[static_cast<size_t>(l) - 1];
     SparseMatrix op;
@@ -96,13 +97,13 @@ CompressedGnnGraph BuildCompressedGnnGraph(const Graph& g, int num_layers) {
     for (int32_t j = 0; j < op.rows; ++j) {
       op.entries.push_back({j, par[static_cast<size_t>(j)], 1.0f});
     }
-    lift[static_cast<size_t>(l) - 1] = std::move(op);
+    cg.lift[static_cast<size_t>(l) - 1] = std::move(op);
   }
 
   // Lines 6-10: weighted edges. For each level-l group pick one
   // representative u; the weight toward a level-(l-1) group i is
   // |N(u) ∩ g_{l-1,i}|, plus 1 if u itself lies in g_{l-1,i} (self edge).
-  std::vector<SparseMatrix> aggregation(static_cast<size_t>(num_layers));
+  cg.aggregation.resize(static_cast<size_t>(num_layers));
   for (int l = 1; l <= num_layers; ++l) {
     const auto& prev = wl[static_cast<size_t>(l) - 1];
     const auto& cur = wl[static_cast<size_t>(l)];
@@ -130,17 +131,9 @@ CompressedGnnGraph BuildCompressedGnnGraph(const Graph& g, int num_layers) {
         op.entries.push_back({j, src, w});
       }
     }
-    aggregation[static_cast<size_t>(l) - 1] = std::move(op);
+    cg.aggregation[static_cast<size_t>(l) - 1] = std::move(op);
   }
 
-  // Adopt the locals into the dual-mode fields (all owned here).
-  std::vector<ConstVecView<int32_t>> gs_levels;
-  gs_levels.reserve(group_size.size());
-  for (auto& level : group_size) gs_levels.emplace_back(std::move(level));
-  cg.group_size = ConstVecView<ConstVecView<int32_t>>(std::move(gs_levels));
-  cg.level0_group_labels = ConstVecView<Label>(std::move(level0_labels));
-  cg.aggregation = ConstVecView<SparseMatrix>(std::move(aggregation));
-  cg.lift = ConstVecView<SparseMatrix>(std::move(lift));
   return cg;
 }
 

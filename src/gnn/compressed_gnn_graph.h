@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/vec_view.h"
 #include "graph/graph.h"
 #include "nn/matrix.h"
 
@@ -15,40 +14,38 @@ namespace lan {
 /// (hence identical embeddings, GIN equivalence) collapse into one group;
 /// edges carry multiplicity weights.
 ///
-/// Dual storage: BuildCompressedGnnGraph returns a fully owned CG; a
-/// snapshot loader instead wires the ConstVecView fields (and the
-/// SparseMatrix triplet spans) to mapped arenas, with the inference-facing
-/// read API unchanged. `node_group`/`parent` are builder/diagnostic state
-/// — not required by inference — and stay empty in view mode.
+/// `node_group`/`parent` are builder/diagnostic state, not required by
+/// inference; the snapshot does not store them, so they stay empty in a
+/// CG decoded from one.
 struct CompressedGnnGraph {
   /// L (number of graph-convolution layers). Levels are 0..L.
   int num_layers = 0;
 
   /// node_group[l][v] = group index of graph node v at level l.
-  /// Owned-mode only (empty when loaded from a snapshot).
+  /// Empty when loaded from a snapshot.
   std::vector<std::vector<int32_t>> node_group;
 
   /// group_size[l][i] = |g_{l,i}| (number of graph nodes in the group).
-  ConstVecView<ConstVecView<int32_t>> group_size;
+  std::vector<std::vector<int32_t>> group_size;
 
   /// Raw node label of (any representative of) each level-0 group; level-0
   /// group embeddings are the one-hot encodings of these labels.
-  ConstVecView<Label> level0_group_labels;
+  std::vector<Label> level0_group_labels;
 
   /// aggregation[l-1] (for l = 1..L) is the weighted operator from level
   /// l-1 groups to level l groups: rows = |groups at l|, cols = |groups at
   /// l-1|, weight w(g_{l-1,i}, g_{l,j}) per Algorithm 5 (shared neighbor
   /// count, +1 if the representative also lies in the source group).
-  ConstVecView<SparseMatrix> aggregation;
+  std::vector<SparseMatrix> aggregation;
 
   /// parent[l-1][j] (for l = 1..L) = the level-(l-1) group containing the
   /// members of level-l group j. Well defined because WL refinement only
-  /// splits groups. Owned-mode only (empty when loaded from a snapshot).
+  /// splits groups. Empty when loaded from a snapshot.
   std::vector<std::vector<int32_t>> parent;
 
   /// lift[l-1] (for l = 1..L): sparse 0/1 operator from level l-1 groups
   /// to level l groups (precomputed from `parent`).
-  ConstVecView<SparseMatrix> lift;
+  std::vector<SparseMatrix> lift;
 
   /// Sparse 0/1 lift operator from level l-1 groups to level l groups.
   const SparseMatrix& LiftOperator(int level) const;

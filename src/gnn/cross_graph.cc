@@ -130,7 +130,7 @@ namespace {
 void ApplySparseOffset(const SparseMatrix& s, const Matrix& x, int32_t src_off,
                        Matrix* out, int32_t dst_off) {
   const int32_t cols = x.cols();
-  for (const SparseMatrix::Entry& e : s.Entries()) {
+  for (const SparseMatrix::Entry& e : s.entries) {
     const float* xrow =
         x.data() + static_cast<size_t>(e.col + src_off) * cols;
     float* orow = out->data() + static_cast<size_t>(e.row + dst_off) * cols;

@@ -8,57 +8,83 @@
 
 namespace lan {
 
-Graph::Graph(const Graph& other) { *this = other; }
-
-Graph& Graph::operator=(const Graph& other) {
-  if (this == &other) return *this;
-  num_edges_ = other.num_edges_;
-  view_labels_ = nullptr;
-  view_row_offsets_ = nullptr;
-  view_neighbors_ = nullptr;
-  view_num_nodes_ = 0;
-  if (other.is_view()) {
-    // Materialize: the copy owns its storage and is freely mutable.
-    const size_t n = static_cast<size_t>(other.view_num_nodes_);
-    labels_.assign(other.view_labels_, other.view_labels_ + n);
-    adjacency_.assign(n, {});
-    for (size_t v = 0; v < n; ++v) {
-      const std::span<const NodeId> nb =
-          other.Neighbors(static_cast<NodeId>(v));
-      adjacency_[v].assign(nb.begin(), nb.end());
-    }
-  } else {
-    labels_ = other.labels_;
-    adjacency_ = other.adjacency_;
+Result<Graph> Graph::FromCsr(std::vector<Label> labels,
+                             std::vector<int32_t> row_offsets,
+                             std::vector<NodeId> neighbors) {
+  const size_t n = labels.size();
+  if (row_offsets.size() != n + 1 || row_offsets[0] != 0 ||
+      static_cast<size_t>(row_offsets[n]) != neighbors.size()) {
+    return Status::InvalidArgument("graph csr: bad row offsets");
   }
-  return *this;
-}
-
-Graph Graph::View(int32_t num_nodes, int64_t num_edges, const Label* labels,
-                  const int32_t* row_offsets, const NodeId* neighbors) {
+  for (size_t v = 0; v < n; ++v) {
+    const int32_t begin = row_offsets[v];
+    const int32_t end = row_offsets[v + 1];
+    if (end < begin || end > row_offsets[n]) {
+      return Status::InvalidArgument(
+          StrFormat("graph csr: bad offsets of row %zu", v));
+    }
+    for (int32_t i = begin; i < end; ++i) {
+      const NodeId u = neighbors[static_cast<size_t>(i)];
+      if (u < 0 || static_cast<size_t>(u) >= n) {
+        return Status::InvalidArgument(
+            StrFormat("graph csr: neighbor %d of node %zu out of range", u,
+                      v));
+      }
+      if (static_cast<size_t>(u) == v) {
+        return Status::InvalidArgument(
+            StrFormat("graph csr: self-loop at node %zu", v));
+      }
+      if (i > begin && neighbors[static_cast<size_t>(i) - 1] >= u) {
+        return Status::InvalidArgument(
+            StrFormat("graph csr: row %zu not strictly ascending", v));
+      }
+    }
+  }
   Graph g;
-  g.num_edges_ = num_edges;
-  g.view_labels_ = labels;
-  g.view_row_offsets_ = row_offsets;
-  g.view_neighbors_ = neighbors;
-  g.view_num_nodes_ = num_nodes;
+  g.labels_ = std::move(labels);
+  g.row_offsets_ = std::move(row_offsets);
+  g.neighbors_ = std::move(neighbors);
+  // Rows are sorted and in range, so symmetry is one binary search per
+  // slot.
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    for (NodeId u : g.Neighbors(v)) {
+      if (!g.HasEdge(u, v)) {
+        return Status::InvalidArgument(StrFormat(
+            "graph csr: edge (%d,%d) missing its reverse slot", v, u));
+      }
+    }
+  }
   return g;
 }
 
 NodeId Graph::AddNode(Label label) {
-  LAN_CHECK(!is_view());
+  if (row_offsets_.empty()) row_offsets_.push_back(0);
   labels_.push_back(label);
-  adjacency_.emplace_back();
+  row_offsets_.push_back(row_offsets_.back());
   return static_cast<NodeId>(labels_.size() - 1);
 }
 
-void Graph::set_label(NodeId v, Label label) {
-  LAN_CHECK(!is_view());
-  labels_[static_cast<size_t>(v)] = label;
+void Graph::InsertNeighbor(NodeId u, NodeId v) {
+  const auto begin = neighbors_.begin() + row_offsets_[static_cast<size_t>(u)];
+  const auto end =
+      neighbors_.begin() + row_offsets_[static_cast<size_t>(u) + 1];
+  neighbors_.insert(std::lower_bound(begin, end, v), v);
+  for (size_t i = static_cast<size_t>(u) + 1; i < row_offsets_.size(); ++i) {
+    ++row_offsets_[i];
+  }
+}
+
+void Graph::EraseNeighbor(NodeId u, NodeId v) {
+  const auto begin = neighbors_.begin() + row_offsets_[static_cast<size_t>(u)];
+  const auto end =
+      neighbors_.begin() + row_offsets_[static_cast<size_t>(u) + 1];
+  neighbors_.erase(std::lower_bound(begin, end, v));
+  for (size_t i = static_cast<size_t>(u) + 1; i < row_offsets_.size(); ++i) {
+    --row_offsets_[i];
+  }
 }
 
 Status Graph::AddEdge(NodeId u, NodeId v) {
-  LAN_CHECK(!is_view());
   if (!ValidNode(u) || !ValidNode(v)) {
     return Status::OutOfRange(StrFormat("edge (%d,%d) out of range", u, v));
   }
@@ -68,11 +94,8 @@ Status Graph::AddEdge(NodeId u, NodeId v) {
   if (HasEdge(u, v)) {
     return Status::AlreadyExists(StrFormat("edge (%d,%d) exists", u, v));
   }
-  auto& au = adjacency_[static_cast<size_t>(u)];
-  auto& av = adjacency_[static_cast<size_t>(v)];
-  au.insert(std::lower_bound(au.begin(), au.end(), v), v);
-  av.insert(std::lower_bound(av.begin(), av.end(), u), u);
-  ++num_edges_;
+  InsertNeighbor(u, v);
+  InsertNeighbor(v, u);
   return Status::OK();
 }
 
@@ -84,7 +107,7 @@ bool Graph::HasEdge(NodeId u, NodeId v) const {
 
 std::vector<std::pair<NodeId, NodeId>> Graph::Edges() const {
   std::vector<std::pair<NodeId, NodeId>> out;
-  out.reserve(static_cast<size_t>(num_edges_));
+  out.reserve(static_cast<size_t>(NumEdges()));
   for (NodeId u = 0; u < NumNodes(); ++u) {
     for (NodeId v : Neighbors(u)) {
       if (u < v) out.emplace_back(u, v);
@@ -126,62 +149,44 @@ bool Graph::IsConnected() const {
 }
 
 Status Graph::RemoveEdge(NodeId u, NodeId v) {
-  LAN_CHECK(!is_view());
   if (!HasEdge(u, v)) {
     return Status::NotFound(StrFormat("edge (%d,%d) absent", u, v));
   }
-  auto& au = adjacency_[static_cast<size_t>(u)];
-  auto& av = adjacency_[static_cast<size_t>(v)];
-  au.erase(std::lower_bound(au.begin(), au.end(), v));
-  av.erase(std::lower_bound(av.begin(), av.end(), u));
-  --num_edges_;
+  EraseNeighbor(u, v);
+  EraseNeighbor(v, u);
   return Status::OK();
 }
 
 Status Graph::RemoveNode(NodeId v) {
-  LAN_CHECK(!is_view());
   if (!ValidNode(v)) {
     return Status::OutOfRange(StrFormat("node %d out of range", v));
   }
   // Detach v from all neighbors.
-  std::vector<NodeId> neighbors = adjacency_[static_cast<size_t>(v)];
+  const std::span<const NodeId> row = Neighbors(v);
+  const std::vector<NodeId> neighbors(row.begin(), row.end());
   for (NodeId u : neighbors) LAN_CHECK_OK(RemoveEdge(v, u));
 
   const NodeId last = NumNodes() - 1;
+  // Detach the last node too; it moves into slot v below.
+  const std::span<const NodeId> last_row = Neighbors(last);
+  const std::vector<NodeId> last_neighbors(last_row.begin(), last_row.end());
+  for (NodeId u : last_neighbors) LAN_CHECK_OK(RemoveEdge(last, u));
+  labels_[static_cast<size_t>(v)] = labels_[static_cast<size_t>(last)];
+  labels_.pop_back();
+  row_offsets_.pop_back();
+  // Nothing is left in the last row, and v's row was emptied above (or v
+  // was the last node), so the edges re-attach to slot v.
   if (v != last) {
-    // Move the last node into slot v.
-    labels_[static_cast<size_t>(v)] = labels_[static_cast<size_t>(last)];
-    std::vector<NodeId> last_neighbors = adjacency_[static_cast<size_t>(last)];
-    for (NodeId u : last_neighbors) LAN_CHECK_OK(RemoveEdge(last, u));
-    labels_.pop_back();
-    adjacency_.pop_back();
-    for (NodeId u : last_neighbors) {
-      if (u == v) continue;  // cannot happen: v was already detached
-      LAN_CHECK_OK(AddEdge(v, u));
-    }
-  } else {
-    labels_.pop_back();
-    adjacency_.pop_back();
+    for (NodeId u : last_neighbors) LAN_CHECK_OK(AddEdge(v, u));
   }
   return Status::OK();
 }
 
 bool Graph::operator==(const Graph& other) const {
-  if (NumNodes() != other.NumNodes() || num_edges_ != other.num_edges_) {
-    return false;
-  }
-  const std::span<const Label> a = labels();
-  const std::span<const Label> b = other.labels();
-  if (!std::equal(a.begin(), a.end(), b.begin())) return false;
-  for (NodeId v = 0; v < NumNodes(); ++v) {
-    const std::span<const NodeId> na = Neighbors(v);
-    const std::span<const NodeId> nb = other.Neighbors(v);
-    if (na.size() != nb.size() ||
-        !std::equal(na.begin(), na.end(), nb.begin())) {
-      return false;
-    }
-  }
-  return true;
+  // Sorted rows make the CSR canonical; a graph that never had a node may
+  // lack the single 0 offset of one whose nodes were all removed.
+  return labels_ == other.labels_ && neighbors_ == other.neighbors_ &&
+         (NumNodes() == 0 || row_offsets_ == other.row_offsets_);
 }
 
 uint64_t Graph::ContentHash() const {
@@ -196,7 +201,7 @@ uint64_t Graph::ContentHash() const {
   for (Label label : labels()) {
     mix(static_cast<uint64_t>(static_cast<uint32_t>(label)));
   }
-  mix(static_cast<uint64_t>(num_edges_));
+  mix(static_cast<uint64_t>(NumEdges()));
   // Sorted adjacency gives the (u, v) u < v edge set in lexicographic
   // order without materializing Edges().
   for (NodeId u = 0; u < NumNodes(); ++u) {
@@ -212,7 +217,7 @@ uint64_t Graph::ContentHash() const {
 
 std::string Graph::ToString() const {
   return StrFormat("Graph(n=%d, m=%lld)", NumNodes(),
-                   static_cast<long long>(num_edges_));
+                   static_cast<long long>(NumEdges()));
 }
 
 }  // namespace lan

@@ -24,82 +24,63 @@ constexpr GraphId kInvalidGraphId = -1;
 /// Sec. III).
 ///
 /// Nodes are dense indices [0, NumNodes()). Parallel edges and self-loops
-/// are rejected. Adjacency lists are kept sorted so neighbor iteration is
-/// deterministic.
-///
-/// A Graph is either *owned* (the default: labels and adjacency live in
-/// this object's own vectors) or a *view* over externally-owned columnar
-/// arenas (see GraphStore): node labels, a CSR row-offset array, and a
-/// flat neighbor array. Views are read-only — every accessor works
-/// identically on both representations, mutators require ownership, and
-/// copying a view materializes an owned graph (so `Graph q = db.Get(id)`
-/// always yields a mutable copy). ContentHash and operator== are
-/// representation-independent.
+/// are rejected. Storage is one CSR: node labels, row offsets (`NumNodes()
+/// + 1` entries starting at 0) and the concatenated neighbor rows, each
+/// row kept sorted so neighbor iteration is deterministic and every
+/// undirected edge fills one slot in both endpoint rows. This is also the
+/// per-graph layout of the snapshot's graphs section. The mutators edit
+/// the CSR in place; they shift the arrays, which is cheap for the small
+/// graphs of a graph database.
 class Graph {
  public:
   Graph() = default;
 
-  /// Copying a view materializes it; copying an owned graph is a plain
-  /// deep copy. Either way the result owns its storage.
-  Graph(const Graph& other);
-  Graph& operator=(const Graph& other);
-  Graph(Graph&& other) noexcept = default;
-  Graph& operator=(Graph&& other) noexcept = default;
+  /// A graph over the given CSR arrays. Fails unless `row_offsets` has
+  /// `labels.size() + 1` entries starting at 0 and ending at
+  /// `neighbors.size()`, every row is strictly ascending, in range and
+  /// free of self-loops, and the adjacency is symmetric.
+  static Result<Graph> FromCsr(std::vector<Label> labels,
+                               std::vector<int32_t> row_offsets,
+                               std::vector<NodeId> neighbors);
 
-  /// A read-only graph over externally-owned arenas. `row_offsets` has
-  /// `num_nodes + 1` entries (local offsets into `neighbors`, starting at
-  /// 0); the arenas must outlive the view (a GraphStore pins them).
-  static Graph View(int32_t num_nodes, int64_t num_edges, const Label* labels,
-                    const int32_t* row_offsets, const NodeId* neighbors);
-
-  /// True if this graph borrows its storage from an external arena.
-  bool is_view() const { return view_labels_ != nullptr; }
-
-  /// Adds a node with the given label; returns its id. Owned graphs only.
+  /// Adds a node with the given label; returns its id.
   NodeId AddNode(Label label);
 
-  /// Adds an undirected edge {u, v}. Owned graphs only.
+  /// Adds an undirected edge {u, v}.
   /// Fails on out-of-range endpoints, self-loops, and duplicates.
   Status AddEdge(NodeId u, NodeId v);
 
   /// True if the undirected edge {u, v} exists.
   bool HasEdge(NodeId u, NodeId v) const;
 
-  int32_t NumNodes() const {
-    return is_view() ? view_num_nodes_ : static_cast<int32_t>(labels_.size());
+  int32_t NumNodes() const { return static_cast<int32_t>(labels_.size()); }
+  int64_t NumEdges() const {
+    return static_cast<int64_t>(neighbors_.size()) / 2;
   }
-  int64_t NumEdges() const { return num_edges_; }
 
-  Label label(NodeId v) const {
-    return is_view() ? view_labels_[static_cast<size_t>(v)]
-                     : labels_[static_cast<size_t>(v)];
+  Label label(NodeId v) const { return labels_[static_cast<size_t>(v)]; }
+  void set_label(NodeId v, Label label) {
+    labels_[static_cast<size_t>(v)] = label;
   }
-  void set_label(NodeId v, Label label);
 
   /// Sorted neighbor list of v.
   std::span<const NodeId> Neighbors(NodeId v) const {
-    if (is_view()) {
-      const int32_t begin = view_row_offsets_[static_cast<size_t>(v)];
-      const int32_t end = view_row_offsets_[static_cast<size_t>(v) + 1];
-      return {view_neighbors_ + begin, static_cast<size_t>(end - begin)};
-    }
-    return {adjacency_[static_cast<size_t>(v)]};
+    const int32_t begin = row_offsets_[static_cast<size_t>(v)];
+    const int32_t end = row_offsets_[static_cast<size_t>(v) + 1];
+    return {neighbors_.data() + begin, static_cast<size_t>(end - begin)};
   }
 
   int32_t Degree(NodeId v) const {
-    if (is_view()) {
-      return view_row_offsets_[static_cast<size_t>(v) + 1] -
-             view_row_offsets_[static_cast<size_t>(v)];
-    }
-    return static_cast<int32_t>(adjacency_[static_cast<size_t>(v)].size());
+    return row_offsets_[static_cast<size_t>(v) + 1] -
+           row_offsets_[static_cast<size_t>(v)];
   }
 
-  std::span<const Label> labels() const {
-    if (is_view()) {
-      return {view_labels_, static_cast<size_t>(view_num_nodes_)};
-    }
-    return {labels_};
-  }
+  std::span<const Label> labels() const { return labels_; }
+  /// The CSR row offsets: `NumNodes() + 1` entries, or none for a graph
+  /// that never had a node.
+  std::span<const int32_t> row_offsets() const { return row_offsets_; }
+  /// Every neighbor row, concatenated in node order.
+  std::span<const NodeId> neighbors() const { return neighbors_; }
 
   /// All edges as (u, v) with u < v, sorted lexicographically.
   std::vector<std::pair<NodeId, NodeId>> Edges() const;
@@ -113,11 +94,11 @@ class Graph {
   /// True if the graph is connected (vacuously true when empty).
   bool IsConnected() const;
 
-  /// Removes the undirected edge {u, v}; fails if absent. Owned only.
+  /// Removes the undirected edge {u, v}; fails if absent.
   Status RemoveEdge(NodeId u, NodeId v);
 
   /// Removes node v (and incident edges), renumbering the last node to v.
-  /// Fails if v is out of range. Owned only.
+  /// Fails if v is out of range.
   Status RemoveNode(NodeId v);
 
   /// Structural + label equality under the identity node mapping.
@@ -125,12 +106,11 @@ class Graph {
 
   /// Canonical 64-bit content hash: FNV-1a over the node labels (in node
   /// order) and the sorted edge set. Equal graphs (operator==) hash equal,
-  /// and the value is stable across processes, platforms, and storage
-  /// representations (an arena view hashes identically to its owned
-  /// materialization), so it can key cross-query caches and persisted
-  /// artifacts. Not isomorphism-invariant: the same structure under a
-  /// different node numbering hashes differently (repeated queries are
-  /// typically byte-identical, which is the case the hash exists for).
+  /// and the value is stable across processes and platforms, so it can
+  /// key cross-query caches and persisted artifacts. Not
+  /// isomorphism-invariant: the same structure under a different node
+  /// numbering hashes differently (repeated queries are typically
+  /// byte-identical, which is the case the hash exists for).
   uint64_t ContentHash() const;
 
   /// Compact one-line description for logs: "Graph(n=5, m=6)".
@@ -138,17 +118,14 @@ class Graph {
 
  private:
   bool ValidNode(NodeId v) const { return v >= 0 && v < NumNodes(); }
+  /// Puts `v` into u's row at its sorted position (absent before).
+  void InsertNeighbor(NodeId u, NodeId v);
+  /// Takes `v` out of u's row (present before).
+  void EraseNeighbor(NodeId u, NodeId v);
 
   std::vector<Label> labels_;
-  std::vector<std::vector<NodeId>> adjacency_;
-  int64_t num_edges_ = 0;
-
-  // View representation (see class comment). Mutually exclusive with the
-  // owned vectors above; `view_labels_ != nullptr` selects it.
-  const Label* view_labels_ = nullptr;
-  const int32_t* view_row_offsets_ = nullptr;
-  const NodeId* view_neighbors_ = nullptr;
-  int32_t view_num_nodes_ = 0;
+  std::vector<int32_t> row_offsets_;
+  std::vector<NodeId> neighbors_;
 };
 
 }  // namespace lan

@@ -16,7 +16,6 @@ GraphDatabase::GraphDatabase(const GraphDatabase& other) { *this = other; }
 
 GraphDatabase& GraphDatabase::operator=(const GraphDatabase& other) {
   if (this == &other) return *this;
-  store_ = other.store_;  // shared, immutable arenas
   graphs_ = other.graphs_;
   live_ = other.live_;
   num_removed_ = other.num_removed_;
@@ -36,14 +35,13 @@ GraphDatabase::GraphDatabase(GraphDatabase&& other) noexcept {
 
 GraphDatabase& GraphDatabase::operator=(GraphDatabase&& other) noexcept {
   if (this == &other) return *this;
-  store_ = std::move(other.store_);
   graphs_ = std::move(other.graphs_);
   live_ = std::move(other.live_);
   num_removed_ = other.num_removed_;
   num_labels_ = other.num_labels_;
   name_ = std::move(other.name_);
-  // Deque elements and store views keep their addresses across the move,
-  // so the moved-from object's slot arrays stay valid for this one.
+  // Deque elements keep their addresses across the move, so the
+  // moved-from object's slot arrays stay valid for this one.
   slot_arrays_ = std::move(other.slot_arrays_);
   slot_capacity_ = other.slot_capacity_;
   slots_.store(other.slots_.load(std::memory_order_relaxed),
@@ -58,16 +56,12 @@ GraphDatabase& GraphDatabase::operator=(GraphDatabase&& other) noexcept {
 }
 
 void GraphDatabase::RepublishSlots() {
-  const size_t base = static_cast<size_t>(store_size());
-  const size_t n = base + graphs_.size();
+  const size_t n = graphs_.size();
   if (n > slot_capacity_) {
     size_t cap = slot_capacity_ == 0 ? kInitialSlotCapacity : slot_capacity_;
     while (cap < n) cap *= 2;
     auto fresh = std::make_unique<const Graph*[]>(cap);
-    for (size_t i = 0; i < base; ++i) {
-      fresh[i] = &store_->view(static_cast<int64_t>(i));
-    }
-    for (size_t i = 0; i < graphs_.size(); ++i) fresh[base + i] = &graphs_[i];
+    for (size_t i = 0; i < n; ++i) fresh[i] = &graphs_[i];
     slot_capacity_ = cap;
     slots_.store(fresh.get(), std::memory_order_release);
     slot_arrays_.push_back(std::move(fresh));
@@ -75,40 +69,9 @@ void GraphDatabase::RepublishSlots() {
     // In-capacity append: fill the new tail slot, then publish the size.
     // slot_arrays_.back() is the live array; writing an index >= size_ is
     // invisible to readers until the release store below.
-    slot_arrays_.back()[n - 1] =
-        graphs_.empty() ? &store_->view(static_cast<int64_t>(n - 1))
-                        : &graphs_.back();
+    slot_arrays_.back()[n - 1] = &graphs_.back();
   }
   size_.store(static_cast<GraphId>(n), std::memory_order_release);
-}
-
-Status GraphDatabase::AttachStore(std::shared_ptr<const GraphStore> store,
-                                  std::vector<uint8_t> live) {
-  if (store == nullptr) return Status::InvalidArgument("null graph store");
-  if (!live.empty() &&
-      live.size() != static_cast<size_t>(store->size())) {
-    return Status::InvalidArgument(
-        StrFormat("live bitmap has %zu entries for %lld graphs", live.size(),
-                  static_cast<long long>(store->size())));
-  }
-  store_ = std::move(store);
-  graphs_.clear();
-  if (live.empty()) {
-    live_.assign(static_cast<size_t>(store_->size()), 1);
-    num_removed_ = 0;
-  } else {
-    live_ = std::move(live);
-    num_removed_ = 0;
-    for (uint8_t b : live_) {
-      if (b == 0) ++num_removed_;
-    }
-  }
-  slots_.store(nullptr, std::memory_order_relaxed);
-  size_.store(0, std::memory_order_relaxed);
-  slot_capacity_ = 0;
-  slot_arrays_.clear();
-  RepublishSlots();
-  return Status::OK();
 }
 
 Status GraphDatabase::CheckGraph(const Graph& graph) const {
@@ -179,16 +142,10 @@ Status GraphDatabase::Truncate(GraphId count) {
     return Status::OutOfRange(
         StrFormat("truncate to %d outside [0,%d]", count, size()));
   }
-  if (count < store_size()) {
-    return Status::FailedPrecondition(
-        StrFormat("cannot truncate to %d below the attached store's %d "
-                  "arena-backed graphs",
-                  count, store_size()));
-  }
   for (size_t i = static_cast<size_t>(count); i < live_.size(); ++i) {
     if (live_[i] == 0) --num_removed_;
   }
-  graphs_.resize(static_cast<size_t>(count - store_size()));
+  graphs_.resize(static_cast<size_t>(count));
   live_.resize(static_cast<size_t>(count));
   size_.store(count, std::memory_order_release);
   return Status::OK();

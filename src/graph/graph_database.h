@@ -10,7 +10,6 @@
 
 #include "common/status.h"
 #include "graph/graph.h"
-#include "graph/graph_store.h"
 
 namespace lan {
 
@@ -93,47 +92,25 @@ class GraphDatabase {
   int32_t DistinctLabelsUsed() const;
 
   /// Keeps only the first `count` graphs (used by the Fig. 9 scalability
-  /// sweep). Fails if count exceeds the current size, or (with an attached
-  /// store) if it cuts into the arena-backed prefix. Setup-phase only.
+  /// sweep). Fails if count exceeds the current size. Setup-phase only.
   Status Truncate(GraphId count);
 
-  /// Replaces this database's contents with the graphs of `store` (all
-  /// initially live). Ids [0, store->size()) resolve to the store's arena
-  /// views with zero per-graph heap allocation; Add() keeps working by
-  /// appending owned graphs to the deque tail. `live`, when non-empty,
-  /// seeds the tombstone bitmap (must have store->size() entries).
-  /// Setup-phase only.
-  Status AttachStore(std::shared_ptr<const GraphStore> store,
-                     std::vector<uint8_t> live = {});
-
-  /// The attached columnar store, if any (null for plain deque storage).
-  const std::shared_ptr<const GraphStore>& store() const { return store_; }
-  /// Number of graphs served from the attached store (0 without one).
-  GraphId store_size() const {
-    return store_ == nullptr ? 0 : static_cast<GraphId>(store_->size());
-  }
-
  private:
-  /// Publishes a pointer table covering every graph (store views first,
-  /// then the owned deque tail); grows the slot array geometrically,
-  /// retiring (but keeping alive) old arrays so in-flight readers of a
-  /// previous table stay valid.
+  /// Publishes a pointer table covering every graph; grows the slot array
+  /// geometrically, retiring (but keeping alive) old arrays so in-flight
+  /// readers of a previous table stay valid.
   void RepublishSlots();
 
-  /// Arena-backed prefix: ids [0, store_->size()) are views into shared
-  /// columnar arenas; the deque below holds only graphs appended after the
-  /// store was attached (the mutable tail).
-  std::shared_ptr<const GraphStore> store_;
   std::deque<Graph> graphs_;
   std::vector<uint8_t> live_;
   GraphId num_removed_ = 0;
   int32_t num_labels_ = 0;
   std::string name_;
 
-  /// Published view: slots_[i] points at graph i (a store view or a deque
-  /// element). Readers take one
-  /// acquire load; the writer fills the next slot, then publishes the new
-  /// size (and, on growth, a fresh array) with release ordering.
+  /// Published view: slots_[i] points at graph i (a deque element).
+  /// Readers take one acquire load; the writer fills the next slot, then
+  /// publishes the new size (and, on growth, a fresh array) with release
+  /// ordering.
   std::atomic<const Graph* const*> slots_{nullptr};
   std::atomic<GraphId> size_{0};
   size_t slot_capacity_ = 0;

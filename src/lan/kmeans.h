@@ -12,8 +12,7 @@ namespace lan {
 
 /// \brief KMeans clustering result over embedding vectors.
 struct KMeansResult {
-  /// Row c is centroid c (input dimensionality); either owned or a view
-  /// into a mapped snapshot section.
+  /// Row c is centroid c (input dimensionality).
   EmbeddingMatrix centroids;
   /// assignment[i] = cluster of input point i.
   std::vector<int32_t> assignment;

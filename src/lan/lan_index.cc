@@ -231,9 +231,6 @@ Result<GraphId> LanIndex::Insert(Graph graph) {
   next->cgs = std::move(cgs);
   next->embeddings = std::move(embeddings);
   next->clusters = std::move(clusters);
-  // The copied CG vector still views a mapped snapshot if this index was
-  // opened from one; carry the mapping forward with the new epoch.
-  next->backing = snap->backing;
   Publish(std::move(next));
   // Answers stored at older epochs can no longer be served (ResultCache);
   // this only frees their memory.

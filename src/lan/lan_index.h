@@ -215,11 +215,6 @@ struct IndexSnapshot {
   /// One row-major matrix; row id is graph id's embedding.
   std::shared_ptr<const EmbeddingMatrix> embeddings;
   std::shared_ptr<const KMeansResult> clusters;
-  /// Keep-alive handle for a mapped snapshot the components above view
-  /// into (OpenSnapshot attach mode); null for fully owned state. Every
-  /// successor snapshot copies it, so the mapping lives as long as any
-  /// epoch whose views point into it.
-  std::shared_ptr<const void> backing;
 };
 
 /// \brief The LAN index: proximity graph + M_rk + M_nh + M_c (Fig. 3).
@@ -276,16 +271,13 @@ class LanIndex {
   /// result is self-contained: OpenSnapshot needs no database.
   Status SaveSnapshot(const std::string& path) const;
 
-  /// Restores a SaveSnapshot file by mmapping it and attaching every
-  /// component as a zero-copy view: graph arenas, CSR layers, embedding /
-  /// centroid / context matrices, and CG arenas all point into the
-  /// mapping, so time-to-ready is O(validate + O(1) allocations per
-  /// section), not O(rebuild). The index owns its database (db() serves
-  /// views into the mapping) and is immediately searchable — trained, if
-  /// the snapshot carried models. Insert() works: the PG thaws on first
-  /// mutation and the database appends owned graphs after the arena
-  /// prefix. The mapping is released when the last epoch viewing it
-  /// retires.
+  /// Restores a SaveSnapshot file: validates the container (header, TOC,
+  /// checksums), then decodes every section into the same owned
+  /// structures Build produces, checking each against the invariants its
+  /// consumers rely on, so a malformed file yields a Status. Nothing
+  /// refers to the file once this returns. The index owns its database and
+  /// is immediately searchable — trained, if the snapshot carried models —
+  /// and Insert()/Remove() work as after Build.
   Status OpenSnapshot(const std::string& path);
 
   /// Trains gamma*, M_rk, M_nh, and M_c from the training queries.
@@ -382,10 +374,6 @@ class LanIndex {
   /// OpenSnapshot mode: the index owns its database (db_/mutable_db_
   /// point here) instead of borrowing the caller's.
   std::unique_ptr<GraphDatabase> owned_db_;
-  /// OpenSnapshot mode: keeps the mapping alive for views held OUTSIDE
-  /// the published snapshot (the rank model's context matrix, the owned
-  /// database's graph arenas) for the lifetime of the index.
-  std::shared_ptr<const void> snapshot_backing_;
   GedComputer query_ged_;
   /// Non-null iff config_.cache.enabled: the answer cache SearchInto
   /// probes before searching.

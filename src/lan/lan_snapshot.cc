@@ -13,7 +13,6 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "graph/graph_store.h"
 #include "lan/lan_index.h"
 #include "nn/serialization.h"
 #include "store/snapshot.h"
@@ -25,20 +24,6 @@ namespace lan {
 using SnapshotImage = Snapshot;
 
 namespace {
-
-/// Keeps everything the zero-copy views dangle from alive: the mapping
-/// itself plus the store-wide CG view objects (ConstVecView /
-/// SparseMatrix instances whose *addresses* inference holds through
-/// `&cg.aggregation[l]`). Shared as IndexSnapshot::backing, so a mapping
-/// outlives every epoch that still references it.
-struct SnapshotBacking {
-  Snapshot snapshot;
-  /// Inner group-size rows, N*(L+1); cg g's outer view points at its
-  /// (L+1)-slice starting at g*(L+1).
-  std::vector<ConstVecView<int32_t>> gs_views;
-  /// Aggregation then lift operators per graph, N*2L total.
-  std::vector<SparseMatrix> matrix_views;
-};
 
 /// kCgs per-operator descriptor. On-disk POD; never reorder fields.
 struct CgMatrixHeader {
@@ -95,39 +80,88 @@ Result<MetaSection> DecodeMeta(std::span<const uint8_t> payload) {
 
 // ---- kGraphs ----
 
-void EncodeGraphs(SectionBuilder* b, const ColumnarGraphSpans& s) {
-  b->Pod(s.num_graphs);
-  b->Array(s.node_start.data(), s.node_start.size());
-  b->Array(s.neigh_start.data(), s.neigh_start.size());
-  b->Array(s.labels.data(), s.labels.size());
-  b->Array(s.row_offsets.data(), s.row_offsets.size());
-  b->Array(s.neighbors.data(), s.neighbors.size());
+void EncodeGraphs(SectionBuilder* b, const GraphDatabase& db) {
+  const int64_t n = db.size();
+  std::vector<int64_t> node_start(static_cast<size_t>(n) + 1, 0);
+  std::vector<int64_t> neigh_start(static_cast<size_t>(n) + 1, 0);
+  for (GraphId g = 0; g < db.size(); ++g) {
+    const Graph& graph = db.Get(g);
+    const size_t i = static_cast<size_t>(g);
+    node_start[i + 1] = node_start[i] + graph.NumNodes();
+    neigh_start[i + 1] =
+        neigh_start[i] + static_cast<int64_t>(graph.neighbors().size());
+  }
+  b->Pod(n);
+  b->Array(node_start.data(), node_start.size());
+  b->Array(neigh_start.data(), neigh_start.size());
+  // Each column packs contiguously: the buffer stays 4-aligned between
+  // Array calls, so the graphs' arrays concatenate into one arena.
+  for (GraphId g = 0; g < db.size(); ++g) {
+    const std::span<const Label> labels = db.Get(g).labels();
+    b->Array(labels.data(), labels.size());
+  }
+  for (GraphId g = 0; g < db.size(); ++g) {
+    const std::span<const int32_t> offsets = db.Get(g).row_offsets();
+    b->Array(offsets.data(), offsets.size());
+  }
+  for (GraphId g = 0; g < db.size(); ++g) {
+    const std::span<const NodeId> neighbors = db.Get(g).neighbors();
+    b->Array(neighbors.data(), neighbors.size());
+  }
 }
 
-Result<ColumnarGraphSpans> DecodeGraphs(std::span<const uint8_t> payload) {
+/// Appends the section's `expect_graphs` graphs to `db`. Each one must
+/// be a valid Graph CSR (Graph::FromCsr) and pass db->CheckGraph.
+Status DecodeGraphs(std::span<const uint8_t> payload, int64_t expect_graphs,
+                    GraphDatabase* db) {
   SectionReader r(payload);
-  ColumnarGraphSpans s;
-  LAN_RETURN_NOT_OK(r.Pod(&s.num_graphs));
-  if (s.num_graphs < 0) {
-    return Status::IoError("graphs section: negative graph count");
+  int64_t n = 0;
+  LAN_RETURN_NOT_OK(r.Pod(&n));
+  if (n != expect_graphs) {
+    return Status::IoError("graphs section: graph count mismatch");
   }
-  const size_t n = static_cast<size_t>(s.num_graphs);
-  LAN_ASSIGN_OR_RETURN(s.node_start, r.Array<int64_t>(n + 1));
-  LAN_ASSIGN_OR_RETURN(s.neigh_start, r.Array<int64_t>(n + 1));
-  const int64_t total_nodes = s.node_start[n];
-  const int64_t total_neighbors = s.neigh_start[n];
-  if (total_nodes < 0 || total_neighbors < 0) {
-    return Status::IoError("graphs section: negative arena sizes");
+  const size_t ns = static_cast<size_t>(n);
+  LAN_ASSIGN_OR_RETURN(std::span<const int64_t> node_start,
+                       r.Array<int64_t>(ns + 1));
+  LAN_ASSIGN_OR_RETURN(std::span<const int64_t> neigh_start,
+                       r.Array<int64_t>(ns + 1));
+  if (node_start[0] != 0 || neigh_start[0] != 0) {
+    return Status::IoError("graphs section: offsets must start at 0");
   }
-  LAN_ASSIGN_OR_RETURN(s.labels,
-                       r.Array<Label>(static_cast<size_t>(total_nodes)));
+  for (size_t g = 0; g < ns; ++g) {
+    if (node_start[g + 1] < node_start[g] ||
+        neigh_start[g + 1] < neigh_start[g]) {
+      return Status::IoError("graphs section: non-monotone offsets");
+    }
+  }
+  LAN_ASSIGN_OR_RETURN(std::span<const Label> labels,
+                       r.Array<Label>(static_cast<size_t>(node_start[ns])));
   // One CSR offset row per graph is n_g + 1 entries, hence the + N.
+  LAN_ASSIGN_OR_RETURN(std::span<const int32_t> row_offsets,
+                       r.Array<int32_t>(labels.size() + ns));
   LAN_ASSIGN_OR_RETURN(
-      s.row_offsets,
-      r.Array<int32_t>(static_cast<size_t>(total_nodes + s.num_graphs)));
-  LAN_ASSIGN_OR_RETURN(
-      s.neighbors, r.Array<NodeId>(static_cast<size_t>(total_neighbors)));
-  return s;
+      std::span<const NodeId> neighbors,
+      r.Array<NodeId>(static_cast<size_t>(neigh_start[ns])));
+  for (size_t g = 0; g < ns; ++g) {
+    const auto node_begin = labels.begin() + node_start[g];
+    const auto node_end = labels.begin() + node_start[g + 1];
+    // Graph g's offset row starts g slots late: one extra per graph.
+    const auto row_begin = row_offsets.begin() + node_start[g] +
+                           static_cast<int64_t>(g);
+    const auto row_end = row_offsets.begin() + node_start[g + 1] +
+                         static_cast<int64_t>(g) + 1;
+    Result<Graph> graph = Graph::FromCsr(
+        {node_begin, node_end}, {row_begin, row_end},
+        {neighbors.begin() + neigh_start[g],
+         neighbors.begin() + neigh_start[g + 1]});
+    const Status status =
+        graph.ok() ? db->Add(std::move(*graph)).status() : graph.status();
+    if (!status.ok()) {
+      return Status::IoError(StrFormat("graphs section: graph %zu: %s", g,
+                                       status.message().c_str()));
+    }
+  }
+  return Status::OK();
 }
 
 // ---- embedding / centroid matrices (kEmbeddings + parts of others) ----
@@ -144,8 +178,8 @@ Result<EmbeddingMatrix> DecodeMatrix(SectionReader* r) {
   int32_t dim = 0;
   LAN_RETURN_NOT_OK(r->Pod(&rows));
   LAN_RETURN_NOT_OK(r->Pod(&dim));
-  if (rows < 0 || dim < 0) {
-    return Status::IoError("matrix: negative shape");
+  if (rows < 0 || dim < 0 || (rows > 0 && dim == 0)) {
+    return Status::IoError("matrix: bad shape");
   }
   const size_t count = static_cast<size_t>(rows) * static_cast<size_t>(dim);
   if (dim != 0 && count / static_cast<size_t>(dim) !=
@@ -153,7 +187,9 @@ Result<EmbeddingMatrix> DecodeMatrix(SectionReader* r) {
     return Status::IoError("matrix: shape overflow");
   }
   LAN_ASSIGN_OR_RETURN(std::span<const float> data, r->Array<float>(count));
-  return EmbeddingMatrix::FromView(rows, dim, data.data());
+  EmbeddingMatrix m(rows, dim);
+  std::copy(data.begin(), data.end(), m.MutableRow(0));
+  return m;
 }
 
 // ---- kClusters ----
@@ -235,7 +271,7 @@ Status EncodeCgs(SectionBuilder* b,
                   static_cast<size_t>(num_layers));
   int64_t entry_cursor = 0;
   const auto add_header = [&](const SparseMatrix& m) {
-    const int64_t count = static_cast<int64_t>(m.Entries().size());
+    const int64_t count = static_cast<int64_t>(m.entries.size());
     headers.push_back({m.rows, m.cols, entry_cursor, count});
     entry_cursor += count;
   };
@@ -250,22 +286,47 @@ Status EncodeCgs(SectionBuilder* b,
   b->Array(headers.data(), headers.size());
   for (const CompressedGnnGraph& cg : cgs) {
     for (size_t l = 0; l < static_cast<size_t>(num_layers); ++l) {
-      const auto entries = cg.aggregation[l].Entries();
+      const auto& entries = cg.aggregation[l].entries;
       b->Array(entries.data(), entries.size());
     }
     for (size_t l = 0; l < static_cast<size_t>(num_layers); ++l) {
-      const auto entries = cg.lift[l].Entries();
+      const auto& entries = cg.lift[l].entries;
       b->Array(entries.data(), entries.size());
     }
   }
   return Status::OK();
 }
 
-/// Wires `cgs` (resized to N) as views into the section payload, with
-/// the store-wide view objects appended to `backing`. Allocation count
-/// is O(1) vectors, never O(N) allocations.
-Status DecodeCgs(std::span<const uint8_t> payload, SnapshotBacking* backing,
-                 std::vector<CompressedGnnGraph>* cgs, int64_t expect_graphs) {
+/// One CG operator from level `level - 1` to `level`: its header must
+/// give that shape (the level's group count by the previous level's) and
+/// every entry must lie inside it.
+Result<SparseMatrix> DecodeOperator(
+    const CgMatrixHeader& header,
+    std::span<const SparseMatrix::Entry> entries,
+    const CompressedGnnGraph& cg, int level) {
+  SparseMatrix m;
+  m.rows = cg.NumGroups(level);
+  m.cols = cg.NumGroups(level - 1);
+  if (header.rows != m.rows || header.cols != m.cols) {
+    return Status::IoError("cgs section: operator shape mismatch");
+  }
+  m.entries.assign(entries.begin() + header.entry_offset,
+                   entries.begin() + header.entry_offset + header.entry_count);
+  for (const SparseMatrix::Entry& e : m.entries) {
+    if (e.row < 0 || e.row >= m.rows || e.col < 0 || e.col >= m.cols) {
+      return Status::IoError("cgs section: operator entry out of range");
+    }
+  }
+  return m;
+}
+
+/// Decodes one CG per graph and checks each against what inference
+/// reads: every level has groups and every group a positive size, the
+/// level-0 labels cover the level-0 groups and lie in [0, num_labels), and
+/// each operator has its levels' shape with entries inside it.
+Result<std::vector<CompressedGnnGraph>> DecodeCgs(
+    std::span<const uint8_t> payload, int64_t expect_graphs,
+    int32_t num_labels) {
   SectionReader r(payload);
   int32_t num_layers = 0;
   int64_t n = 0;
@@ -300,11 +361,15 @@ Status DecodeCgs(std::span<const uint8_t> payload, SnapshotBacking* backing,
   LAN_ASSIGN_OR_RETURN(std::span<const CgMatrixHeader> headers,
                        r.Array<CgMatrixHeader>(num_matrices));
   // Headers must tile the entry arena exactly; that both validates them
-  // and yields the arena length.
+  // and yields the arena length, which cannot exceed what the payload
+  // has left (so the running total cannot overflow).
+  const int64_t room =
+      static_cast<int64_t>(r.remaining() / sizeof(SparseMatrix::Entry));
   int64_t total_entries = 0;
   for (const CgMatrixHeader& h : headers) {
     if (h.rows < 0 || h.cols < 0 || h.entry_count < 0 ||
-        h.entry_offset != total_entries) {
+        h.entry_offset != total_entries ||
+        h.entry_count > room - total_entries) {
       return Status::IoError("cgs section: bad operator header");
     }
     total_entries += h.entry_count;
@@ -313,44 +378,55 @@ Status DecodeCgs(std::span<const uint8_t> payload, SnapshotBacking* backing,
       std::span<const SparseMatrix::Entry> entries,
       r.Array<SparseMatrix::Entry>(static_cast<size_t>(total_entries)));
 
-  backing->gs_views.resize(rows);
-  backing->matrix_views.resize(num_matrices);
-  for (size_t i = 0; i < rows; ++i) {
-    const int64_t begin = gs_ptr[i], end = gs_ptr[i + 1];
-    if (begin < 0 || begin > end || end > gs_ptr[rows]) {
-      return Status::IoError("cgs section: bad group-size offsets");
-    }
-    backing->gs_views[i] = ConstVecView<int32_t>(
-        gs_values.data() + begin, static_cast<size_t>(end - begin));
-  }
-  for (size_t i = 0; i < num_matrices; ++i) {
-    SparseMatrix& m = backing->matrix_views[i];
-    m.rows = headers[i].rows;
-    m.cols = headers[i].cols;
-    m.view = entries.subspan(static_cast<size_t>(headers[i].entry_offset),
-                             static_cast<size_t>(headers[i].entry_count));
-  }
-  cgs->resize(static_cast<size_t>(n));
-  for (size_t g = 0; g < static_cast<size_t>(n); ++g) {
-    CompressedGnnGraph& cg = (*cgs)[g];
+  std::vector<CompressedGnnGraph> cgs(static_cast<size_t>(n));
+  for (size_t g = 0; g < cgs.size(); ++g) {
+    CompressedGnnGraph& cg = cgs[g];
     cg.num_layers = num_layers;
-    cg.group_size = ConstVecView<ConstVecView<int32_t>>(
-        backing->gs_views.data() + g * levels, levels);
+    cg.group_size.resize(levels);
+    for (size_t l = 0; l < levels; ++l) {
+      const int64_t begin = gs_ptr[g * levels + l];
+      const int64_t end = gs_ptr[g * levels + l + 1];
+      if (begin < 0 || begin > end || end > gs_ptr[rows]) {
+        return Status::IoError("cgs section: bad group-size offsets");
+      }
+      if (begin == end) return Status::IoError("cgs section: empty level");
+      cg.group_size[l].assign(gs_values.begin() + begin,
+                              gs_values.begin() + end);
+      for (const int32_t size : cg.group_size[l]) {
+        if (size <= 0) {
+          return Status::IoError("cgs section: non-positive group size");
+        }
+      }
+    }
     const int64_t lbl_begin = lbl_ptr[g], lbl_end = lbl_ptr[g + 1];
     if (lbl_begin < 0 || lbl_begin > lbl_end ||
         lbl_end > lbl_ptr[static_cast<size_t>(n)]) {
       return Status::IoError("cgs section: bad label offsets");
     }
-    cg.level0_group_labels = ConstVecView<Label>(
-        labels.data() + lbl_begin, static_cast<size_t>(lbl_end - lbl_begin));
+    cg.level0_group_labels.assign(labels.begin() + lbl_begin,
+                                  labels.begin() + lbl_end);
+    if (cg.level0_group_labels.size() != cg.group_size[0].size()) {
+      return Status::IoError("cgs section: level-0 label count mismatch");
+    }
+    for (const Label label : cg.level0_group_labels) {
+      if (label < 0 || label >= num_labels) {
+        return Status::IoError("cgs section: level-0 label out of range");
+      }
+    }
     const size_t m0 = g * 2 * static_cast<size_t>(num_layers);
-    cg.aggregation = ConstVecView<SparseMatrix>(
-        backing->matrix_views.data() + m0, static_cast<size_t>(num_layers));
-    cg.lift = ConstVecView<SparseMatrix>(
-        backing->matrix_views.data() + m0 + static_cast<size_t>(num_layers),
-        static_cast<size_t>(num_layers));
+    for (int l = 1; l <= num_layers; ++l) {
+      const size_t i = m0 + static_cast<size_t>(l) - 1;
+      LAN_ASSIGN_OR_RETURN(SparseMatrix aggregation,
+                           DecodeOperator(headers[i], entries, cg, l));
+      cg.aggregation.push_back(std::move(aggregation));
+      LAN_ASSIGN_OR_RETURN(
+          SparseMatrix lift,
+          DecodeOperator(headers[i + static_cast<size_t>(num_layers)],
+                         entries, cg, l));
+      cg.lift.push_back(std::move(lift));
+    }
   }
-  return Status::OK();
+  return cgs;
 }
 
 // ---- kHnsw ----
@@ -393,9 +469,18 @@ void EncodeHnsw(SectionBuilder* b, const HnswIndex& hnsw) {
   }
 }
 
+/// One CSR block of the kHnsw section, with offsets that start at 0,
+/// never decrease and end at the neighbor count.
 struct CsrSpans {
   std::span<const int64_t> offsets;
   std::span<const GraphId> neighbors;
+
+  std::span<const GraphId> Row(GraphId id) const {
+    const int64_t begin = offsets[static_cast<size_t>(id)];
+    return neighbors.subspan(
+        static_cast<size_t>(begin),
+        static_cast<size_t>(offsets[static_cast<size_t>(id) + 1] - begin));
+  }
 };
 
 Result<CsrSpans> DecodeCsr(SectionReader* r, GraphId num_nodes) {
@@ -406,35 +491,59 @@ Result<CsrSpans> DecodeCsr(SectionReader* r, GraphId num_nodes) {
   if (count < 0) return Status::IoError("hnsw section: negative CSR size");
   LAN_ASSIGN_OR_RETURN(csr.neighbors,
                        r->Array<GraphId>(static_cast<size_t>(count)));
+  if (csr.offsets[0] != 0) {
+    return Status::IoError("hnsw section: bad csr offsets");
+  }
+  for (GraphId id = 0; id < num_nodes; ++id) {
+    if (csr.offsets[static_cast<size_t>(id) + 1] <
+        csr.offsets[static_cast<size_t>(id)]) {
+      return Status::IoError("hnsw section: bad csr row");
+    }
+  }
   return csr;
 }
 
-/// The returned view points into `payload`; FromSnapshotView performs the
-/// structural validation (monotone offsets, ids in range, no self loops).
-Result<HnswSnapshotView> DecodeHnsw(std::span<const uint8_t> payload) {
+/// Restores the index from its stored core (HnswIndex::FromCore checks
+/// its structure). The stored base layer is derived data, so it must
+/// equal the one the core derives.
+Result<HnswIndex> DecodeHnsw(std::span<const uint8_t> payload,
+                             int64_t expect_graphs) {
   SectionReader r(payload);
-  HnswSnapshotView view;
-  LAN_RETURN_NOT_OK(r.Pod(&view.num_nodes));
-  LAN_RETURN_NOT_OK(r.Pod(&view.entry));
+  HnswCore core;
+  LAN_RETURN_NOT_OK(r.Pod(&core.num_nodes));
+  LAN_RETURN_NOT_OK(r.Pod(&core.entry));
   int32_t core_layers = 0;
   LAN_RETURN_NOT_OK(r.Pod(&core_layers));
-  if (view.num_nodes < 0 || core_layers < 1 || core_layers > 64) {
+  if (core.num_nodes < 0 || core_layers < 1 || core_layers > 64) {
     return Status::IoError("hnsw section: bad header");
+  }
+  if (static_cast<int64_t>(core.num_nodes) != expect_graphs) {
+    return Status::IoError("hnsw section: node count mismatch");
   }
   LAN_ASSIGN_OR_RETURN(
       std::span<const int32_t> node_level,
-      r.Array<int32_t>(static_cast<size_t>(view.num_nodes)));
-  view.node_level = node_level.data();
-  LAN_ASSIGN_OR_RETURN(CsrSpans base, DecodeCsr(&r, view.num_nodes));
-  view.base_offsets = base.offsets.data();
-  view.base_neighbors = base.neighbors.data();
-  view.core_layers.reserve(static_cast<size_t>(core_layers));
-  for (int32_t l = 0; l < core_layers; ++l) {
-    LAN_ASSIGN_OR_RETURN(CsrSpans core, DecodeCsr(&r, view.num_nodes));
-    view.core_layers.emplace_back(core.offsets.data(),
-                                  core.neighbors.data());
+      r.Array<int32_t>(static_cast<size_t>(core.num_nodes)));
+  core.node_level.assign(node_level.begin(), node_level.end());
+  LAN_ASSIGN_OR_RETURN(CsrSpans base, DecodeCsr(&r, core.num_nodes));
+  core.adjacency.resize(static_cast<size_t>(core_layers));
+  for (auto& layer : core.adjacency) {
+    LAN_ASSIGN_OR_RETURN(CsrSpans csr, DecodeCsr(&r, core.num_nodes));
+    layer.resize(static_cast<size_t>(core.num_nodes));
+    for (GraphId id = 0; id < core.num_nodes; ++id) {
+      const std::span<const GraphId> row = csr.Row(id);
+      layer[static_cast<size_t>(id)].assign(row.begin(), row.end());
+    }
   }
-  return view;
+  LAN_ASSIGN_OR_RETURN(HnswIndex hnsw, HnswIndex::FromCore(std::move(core)));
+  for (GraphId id = 0; id < hnsw.NumNodes(); ++id) {
+    if (!std::ranges::equal(hnsw.BaseLayer().NeighborSpan(id),
+                            base.Row(id))) {
+      return Status::IoError(
+          "hnsw section: base layer differs from the one core layer 0 "
+          "derives");
+    }
+  }
+  return hnsw;
 }
 
 // ---- kModels ----
@@ -478,18 +587,7 @@ Status LanIndex::SaveSnapshot(const std::string& path) const {
   EncodeMeta(writer.AddSection(SectionKind::kMeta), db_->name(),
              db_->num_labels(), *snap);
 
-  // Reuse the database's columnar arenas when they cover every graph;
-  // pack fresh ones otherwise (plain deque storage, or an owned tail
-  // appended after the store was attached).
-  GraphStore packed;
-  ColumnarGraphSpans spans;
-  if (db_->store() != nullptr && db_->store_size() == db_->size()) {
-    spans = db_->store()->spans();
-  } else {
-    packed = GraphStore::Pack(*db_);
-    spans = packed.spans();
-  }
-  EncodeGraphs(writer.AddSection(SectionKind::kGraphs), spans);
+  EncodeGraphs(writer.AddSection(SectionKind::kGraphs), *db_);
   EncodeMatrix(writer.AddSection(SectionKind::kEmbeddings),
                *snap->embeddings);
   EncodeClusters(writer.AddSection(SectionKind::kClusters), *snap->clusters);
@@ -522,50 +620,41 @@ Status LanIndex::OpenSnapshot(const std::string& path) {
     return Status::FailedPrecondition(
         "OpenSnapshot on an already-built index");
   }
-  LAN_ASSIGN_OR_RETURN(SnapshotImage file, SnapshotImage::Open(path));
+  // The mapping lives only as long as `image`: everything below decodes
+  // into owned structures.
+  LAN_ASSIGN_OR_RETURN(SnapshotImage image, SnapshotImage::Open(path));
   for (const SectionKind kind :
        {SectionKind::kMeta, SectionKind::kGraphs, SectionKind::kEmbeddings,
         SectionKind::kClusters, SectionKind::kCgs, SectionKind::kHnsw}) {
-    if (!file.Has(kind)) {
+    if (!image.Has(kind)) {
       return Status::IoError(StrFormat("snapshot %s is missing the %s section",
                                        path.c_str(),
                                        SectionKindName(kind)));
     }
   }
-  auto backing = std::make_shared<SnapshotBacking>();
-  backing->snapshot = std::move(file);
-  const SnapshotImage& image = backing->snapshot;
-
   LAN_ASSIGN_OR_RETURN(MetaSection meta,
                        DecodeMeta(image.Section(SectionKind::kMeta)));
   const int64_t n = meta.num_graphs;
   if (n <= 0) return Status::IoError("snapshot holds an empty database");
 
-  // Database: attach the mapped arenas; the store validates offsets and
-  // neighbor ids, the database seeds its tombstones from the bitmap.
-  LAN_ASSIGN_OR_RETURN(ColumnarGraphSpans spans,
-                       DecodeGraphs(image.Section(SectionKind::kGraphs)));
-  if (spans.num_graphs != n) {
-    return Status::IoError("graphs section: graph count mismatch");
-  }
-  LAN_ASSIGN_OR_RETURN(GraphStore store, GraphStore::Attach(spans, backing));
-  auto store_ptr = std::make_shared<const GraphStore>(std::move(store));
-  std::vector<uint8_t> live(meta.live.begin(), meta.live.end());
+  // Database: every graph enters through the checks Add applies, then the
+  // bitmap's tombstones.
   owned_db_ = std::make_unique<GraphDatabase>(meta.num_labels);
   owned_db_->set_name(meta.name);
-  LAN_RETURN_NOT_OK(owned_db_->AttachStore(store_ptr, live));
+  LAN_RETURN_NOT_OK(
+      DecodeGraphs(image.Section(SectionKind::kGraphs), n, owned_db_.get()));
+  std::vector<uint8_t> live(meta.live.begin(), meta.live.end());
+  for (GraphId id = 0; id < static_cast<GraphId>(n); ++id) {
+    if (live[static_cast<size_t>(id)] == 0) {
+      LAN_RETURN_NOT_OK(owned_db_->Remove(id));
+    }
+  }
   db_ = owned_db_.get();
   mutable_db_ = owned_db_.get();
   config_.embedding.num_labels = meta.num_labels;
 
-  // PG: frozen index routing directly over the mapped CSR layers.
-  LAN_ASSIGN_OR_RETURN(HnswSnapshotView view,
-                       DecodeHnsw(image.Section(SectionKind::kHnsw)));
-  if (static_cast<int64_t>(view.num_nodes) != n) {
-    return Status::IoError("hnsw section: node count mismatch");
-  }
-  LAN_ASSIGN_OR_RETURN(HnswIndex hnsw, HnswIndex::FromSnapshotView(view));
-
+  LAN_ASSIGN_OR_RETURN(HnswIndex hnsw,
+                       DecodeHnsw(image.Section(SectionKind::kHnsw), n));
   SectionReader embedding_reader(image.Section(SectionKind::kEmbeddings));
   LAN_ASSIGN_OR_RETURN(EmbeddingMatrix embeddings,
                        DecodeMatrix(&embedding_reader));
@@ -575,12 +664,10 @@ Status LanIndex::OpenSnapshot(const std::string& path) {
   LAN_ASSIGN_OR_RETURN(
       KMeansResult clusters,
       DecodeClusters(image.Section(SectionKind::kClusters), n));
-  auto cgs = std::make_shared<std::vector<CompressedGnnGraph>>();
-  LAN_RETURN_NOT_OK(DecodeCgs(image.Section(SectionKind::kCgs),
-                              backing.get(), cgs.get(), n));
-  if (n > 0 &&
-      (*cgs)[0].num_layers !=
-          static_cast<int>(config_.scorer.gnn_dims.size())) {
+  LAN_ASSIGN_OR_RETURN(
+      std::vector<CompressedGnnGraph> cgs,
+      DecodeCgs(image.Section(SectionKind::kCgs), n, meta.num_labels));
+  if (cgs[0].num_layers != static_cast<int>(config_.scorer.gnn_dims.size())) {
     return Status::InvalidArgument(
         "snapshot CG depth does not match config.scorer.gnn_dims");
   }
@@ -597,8 +684,7 @@ Status LanIndex::OpenSnapshot(const std::string& path) {
   }
 
   // Trained state, if the snapshot carries it: architectures come from
-  // the config, parameters from the section, and the rank context matrix
-  // attaches as a view.
+  // the config, parameters and the rank context matrix from the section.
   if (image.Has(SectionKind::kModels)) {
     SectionReader r(image.Section(SectionKind::kModels));
     LAN_RETURN_NOT_OK(r.Pod(&gamma_star_));
@@ -641,13 +727,12 @@ Status LanIndex::OpenSnapshot(const std::string& path) {
   next->hnsw = std::make_shared<const HnswIndex>(std::move(hnsw));
   next->live =
       std::make_shared<const std::vector<uint8_t>>(std::move(live));
-  next->cgs = std::move(cgs);
+  next->cgs = std::make_shared<const std::vector<CompressedGnnGraph>>(
+      std::move(cgs));
   next->embeddings =
       std::make_shared<const EmbeddingMatrix>(std::move(embeddings));
   next->clusters =
       std::make_shared<const KMeansResult>(std::move(clusters));
-  next->backing = backing;
-  snapshot_backing_ = backing;
   // Same tail as FinishBuild. Every epoch since Build is one Insert or
   // one Remove, and each Remove left exactly one tombstone, so the
   // inserts since Build are epoch - tombstones: the level stream resumes

@@ -66,7 +66,7 @@ class NeighborRankModel {
 
   /// Installs a previously computed context matrix directly (row id =
   /// graph id's context embedding) — the snapshot loader's alternative to
-  /// re-running PrecomputeContexts; may be a view over mapped memory.
+  /// re-running PrecomputeContexts.
   void AttachContexts(EmbeddingMatrix contexts) {
     contexts_ = std::move(contexts);
   }

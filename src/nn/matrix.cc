@@ -134,7 +134,7 @@ Matrix SparseMatrix::Apply(const Matrix& x) const {
   LAN_CHECK_EQ(cols, x.rows());
   Matrix out(rows, x.cols());
   const KernelTable& kt = ActiveKernels();
-  for (const Entry& e : Entries()) {
+  for (const Entry& e : entries) {
     const float* xrow = x.data() + static_cast<size_t>(e.col) * x.cols();
     float* orow = out.data() + static_cast<size_t>(e.row) * out.cols();
     kt.axpy(orow, e.weight, xrow, x.cols());
@@ -146,7 +146,7 @@ Matrix SparseMatrix::ApplyTransposed(const Matrix& x) const {
   LAN_CHECK_EQ(rows, x.rows());
   Matrix out(cols, x.cols());
   const KernelTable& kt = ActiveKernels();
-  for (const Entry& e : Entries()) {
+  for (const Entry& e : entries) {
     const float* xrow = x.data() + static_cast<size_t>(e.row) * x.cols();
     float* orow = out.data() + static_cast<size_t>(e.col) * out.cols();
     kt.axpy(orow, e.weight, xrow, x.cols());

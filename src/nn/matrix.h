@@ -2,7 +2,6 @@
 #define LAN_NN_MATRIX_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -106,14 +105,6 @@ struct SparseMatrix {
     float weight;
   };
   std::vector<Entry> entries;
-  /// When non-empty, the triplets live in external storage (a mapped
-  /// snapshot section) instead of `entries`; read through Entries().
-  std::span<const Entry> view;
-
-  /// The triplet sequence, whichever storage holds it.
-  std::span<const Entry> Entries() const {
-    return view.data() != nullptr ? view : std::span<const Entry>(entries);
-  }
 
   /// out = S * x  (dense result).
   Matrix Apply(const Matrix& x) const;

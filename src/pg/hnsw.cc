@@ -381,9 +381,6 @@ Status HnswIndex::Insert(GraphId id, const PairDistanceFn& distance,
     return Status::InvalidArgument(
         "Insert: id must equal the current node count");
   }
-  // A snapshot-attached index first materializes an owned core; the
-  // mutation below then proceeds exactly as on a freshly built index.
-  Thaw();
   AppendNodes(&core_, {DrawLevel(rng, options)});
   HnswInserter(&core_, distance, options, pool).Insert(id);
   RebuildViewFromCore();
@@ -416,99 +413,40 @@ void HnswIndex::RebuildViewFromCore() {
   }
 }
 
-std::span<const GraphId> HnswIndex::CoreRow(int layer, GraphId id) const {
-  if (layer > 0) {
-    return layers_[static_cast<size_t>(layer) - 1].NeighborSpan(id);
+Result<HnswIndex> HnswIndex::FromCore(HnswCore core) {
+  const GraphId n = core.num_nodes;
+  if (n <= 0) return Status::IoError("hnsw core: bad node count");
+  if (core.entry < 0 || core.entry >= n) {
+    return Status::IoError("hnsw core: bad entry point");
   }
-  if (frozen()) return frozen_core0_.NeighborSpan(id);
-  const auto& row = core_.adjacency[0][static_cast<size_t>(id)];
-  return {row.data(), row.size()};
-}
-
-void HnswIndex::Thaw() {
-  if (!frozen()) return;
-  core_.adjacency.assign(static_cast<size_t>(NumLayers()), {});
-  for (int l = 0; l < NumLayers(); ++l) {
-    auto& layer = core_.adjacency[static_cast<size_t>(l)];
-    layer.resize(static_cast<size_t>(core_.num_nodes));
-    for (GraphId id = 0; id < core_.num_nodes; ++id) {
-      const std::span<const GraphId> row = CoreRow(l, id);
-      layer[static_cast<size_t>(id)].assign(row.begin(), row.end());
-    }
-  }
-  frozen_core0_ = ProximityGraph();
-  // The routing view (base_layer_/layers_) still points at the attached
-  // CSRs; the caller's next RebuildViewFromCore replaces it with an owned
-  // one. Until then the snapshot backing must stay alive — Insert, the
-  // only caller, rebuilds before returning.
-}
-
-Result<HnswIndex> HnswIndex::FromSnapshotView(const HnswSnapshotView& view) {
-  if (view.num_nodes <= 0) {
-    return Status::IoError("hnsw snapshot: bad node count");
-  }
-  if (view.entry < 0 || view.entry >= view.num_nodes) {
-    return Status::IoError("hnsw snapshot: bad entry point");
-  }
-  const size_t num_layers = view.core_layers.size();
+  const size_t num_layers = core.adjacency.size();
   if (num_layers == 0 || num_layers > 64) {
-    return Status::IoError("hnsw snapshot: bad layer count");
+    return Status::IoError("hnsw core: bad layer count");
   }
-  if (view.node_level == nullptr || view.base_offsets == nullptr ||
-      view.base_neighbors == nullptr) {
-    return Status::IoError("hnsw snapshot: missing arrays");
+  if (core.node_level.size() != static_cast<size_t>(n)) {
+    return Status::IoError("hnsw core: node level count mismatch");
   }
-  for (GraphId id = 0; id < view.num_nodes; ++id) {
-    const int32_t level = view.node_level[static_cast<size_t>(id)];
-    if (level < 0 || level >= static_cast<int32_t>(num_layers)) {
-      return Status::IoError("hnsw snapshot: bad node level");
+  for (const int level : core.node_level) {
+    if (level < 0 || static_cast<size_t>(level) >= num_layers) {
+      return Status::IoError("hnsw core: bad node level");
     }
   }
-  // Structural validation of every CSR: monotone offsets starting at 0,
-  // neighbor ids in range, no self loops. O(edges) scan, no allocation;
-  // guarantees every later NeighborSpan stays in bounds even if the file
-  // was corrupted in a way its checksum missed.
-  auto validate_csr = [&view](const int64_t* offsets,
-                              const GraphId* neighbors) -> Status {
-    if (offsets == nullptr || offsets[0] != 0) {
-      return Status::IoError("hnsw snapshot: bad csr offsets");
+  for (const auto& layer : core.adjacency) {
+    if (layer.size() != static_cast<size_t>(n)) {
+      return Status::IoError("hnsw core: row count mismatch");
     }
-    for (GraphId id = 0; id < view.num_nodes; ++id) {
-      const int64_t begin = offsets[static_cast<size_t>(id)];
-      const int64_t end = offsets[static_cast<size_t>(id) + 1];
-      if (end < begin) return Status::IoError("hnsw snapshot: bad csr row");
-      for (int64_t i = begin; i < end; ++i) {
-        const GraphId n = neighbors[static_cast<size_t>(i)];
-        if (n < 0 || n >= view.num_nodes) {
-          return Status::IoError("hnsw snapshot: neighbor out of range");
+    for (GraphId id = 0; id < n; ++id) {
+      for (const GraphId other : layer[static_cast<size_t>(id)]) {
+        if (other < 0 || other >= n) {
+          return Status::IoError("hnsw core: neighbor out of range");
         }
-        if (n == id) return Status::IoError("hnsw snapshot: self loop");
+        if (other == id) return Status::IoError("hnsw core: self loop");
       }
     }
-    return Status::OK();
-  };
-  LAN_RETURN_NOT_OK(validate_csr(view.base_offsets, view.base_neighbors));
-  for (const auto& [offsets, neighbors] : view.core_layers) {
-    LAN_RETURN_NOT_OK(validate_csr(offsets, neighbors));
   }
-
   HnswIndex index;
-  index.core_.num_nodes = view.num_nodes;
-  index.core_.entry = view.entry;
-  index.entry_point_ = view.entry;
-  index.core_.node_level.assign(view.node_level,
-                                view.node_level + view.num_nodes);
-  index.base_layer_ = ProximityGraph::View(view.num_nodes, view.base_offsets,
-                                           view.base_neighbors);
-  // Upper-layer view rows equal core rows (RebuildViewFromCore copies them
-  // verbatim above the base), so the core CSR backs both.
-  for (size_t l = 1; l < num_layers; ++l) {
-    index.layers_.push_back(ProximityGraph::View(
-        view.num_nodes, view.core_layers[l].first,
-        view.core_layers[l].second));
-  }
-  index.frozen_core0_ = ProximityGraph::View(
-      view.num_nodes, view.core_layers[0].first, view.core_layers[0].second);
+  index.core_ = std::move(core);
+  index.RebuildViewFromCore();
   return index;
 }
 

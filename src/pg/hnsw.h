@@ -30,8 +30,8 @@ struct HnswOptions {
 /// adjacency the per-node insertion step mutates. The public view
 /// (symmetrized base layer, sparse upper layers) is derived from it.
 ///
-/// Implementation detail of HnswIndex, exposed only so the insertion
-/// machinery in hnsw.cc can operate on it; not part of the public API.
+/// Exposed so the insertion machinery in hnsw.cc can operate on it and
+/// the snapshot decoder can restore it (HnswIndex::FromCore).
 struct HnswCore {
   /// adjacency[l][node] = directed neighbor list at layer l (layer 0 is
   /// the base layer before symmetrization).
@@ -39,23 +39,6 @@ struct HnswCore {
   std::vector<int> node_level;
   GraphId entry = kInvalidGraphId;
   GraphId num_nodes = 0;
-};
-
-/// \brief Zero-copy view of a saved HNSW index: pointers into a mapped
-/// snapshot section (store/snapshot.h). The base CSR is the symmetrized
-/// search view with sorted rows; core_layers hold the directed
-/// construction-form adjacency per layer 0..L (for upper layers the two
-/// coincide — RebuildViewFromCore copies core rows verbatim above the
-/// base). All arrays stay owned by the mapping, which must outlive any
-/// index attached to it (and every copy of that index).
-struct HnswSnapshotView {
-  GraphId num_nodes = 0;
-  GraphId entry = kInvalidGraphId;
-  const int32_t* node_level = nullptr;    // [num_nodes]
-  const int64_t* base_offsets = nullptr;  // [num_nodes + 1]
-  const GraphId* base_neighbors = nullptr;
-  /// (offsets, neighbors) CSR per core layer, layer 0 first.
-  std::vector<std::pair<const int64_t*, const GraphId*>> core_layers;
 };
 
 /// \brief Hierarchical navigable small world index over a graph database
@@ -109,23 +92,20 @@ class HnswIndex {
   GraphId SelectInitialNodeFn(
       const std::function<double(GraphId)>& distance) const;
 
-  /// Builds a frozen index over a mapped snapshot section without copying
-  /// the adjacency: the base layer and every upper layer route directly
-  /// over the view's CSR arrays, and the directed core layer 0 is kept as
-  /// one more borrowed CSR. Allocation count is O(num_layers), not
-  /// O(num_nodes). Validates structure (monotone offsets, ids in range,
-  /// no self loops) and returns a Status on malformed input. A frozen
-  /// index serves Search normally; the first Insert thaws it
-  /// (materializes an owned core) and proceeds as usual.
-  static Result<HnswIndex> FromSnapshotView(const HnswSnapshotView& view);
-
-  /// True while the adjacency is backed by an attached snapshot view.
-  bool frozen() const { return frozen_core0_.NumNodes() > 0; }
+  /// An index over a saved construction-form state (the snapshot codec's
+  /// decoder), with the routing view derived as after every mutation.
+  /// Returns a Status unless the core is well formed: at least one node
+  /// and at most 64 layers, the entry point and every node level in range,
+  /// one row per node in every layer, neighbor ids in range and no self
+  /// loops.
+  static Result<HnswIndex> FromCore(HnswCore core);
 
   /// Construction-form (directed) row of `id` at `layer` in [0,
-  /// NumLayers()), for the snapshot codec; works in both frozen and owned
-  /// modes.
-  std::span<const GraphId> CoreRow(int layer, GraphId id) const;
+  /// NumLayers()), for the snapshot codec.
+  std::span<const GraphId> CoreRow(int layer, GraphId id) const {
+    return core_.adjacency[static_cast<size_t>(layer)]
+                          [static_cast<size_t>(id)];
+  }
   int NodeLevel(GraphId id) const {
     return core_.node_level[static_cast<size_t>(id)];
   }
@@ -157,22 +137,13 @@ class HnswIndex {
   /// Re-derives the public view (symmetrized base layer, CSR upper
   /// layers, entry point) from `core_`; called after every mutation.
   void RebuildViewFromCore();
-  /// Frozen -> owned: materializes the nested core adjacency from the
-  /// attached CSRs (CoreRow) and drops the borrowed core layer 0. The
-  /// routing view still references the attached arrays until the next
-  /// RebuildViewFromCore, so the backing must stay alive through it.
-  void Thaw();
 
   HnswCore core_;
   ProximityGraph base_layer_;
   /// Upper layer l (1-based in HNSW terms) at layers_[l - 1]: the core
-  /// rows verbatim, empty for nodes below the layer. These rows are also
-  /// the construction form of layers >= 1, so CoreRow reads them.
+  /// rows verbatim, empty for nodes below the layer.
   std::vector<ProximityGraph> layers_;
   GraphId entry_point_ = kInvalidGraphId;
-  /// Frozen mode: the directed core layer 0, borrowed from the snapshot
-  /// mapping. Empty == owned mode (core_.adjacency is authoritative).
-  ProximityGraph frozen_core0_;
 };
 
 }  // namespace lan

@@ -10,7 +10,6 @@
 #include "common/logging.h"
 #include "common/prefetch.h"
 #include "common/status.h"
-#include "common/vec_view.h"
 #include "graph/graph.h"
 
 namespace lan {
@@ -21,16 +20,12 @@ namespace lan {
 ///
 /// One immutable CSR: the row of node i is neighbors[offsets[i] ..
 /// offsets[i+1]), one contiguous array the search hot loops iterate
-/// through NeighborSpan(), plus Prefetch hints for upcoming rows. The
-/// arrays are either owned or borrowed from a mapped snapshot section
-/// (ConstVecView); a borrowed graph, and every copy of it, depends on the
-/// backing staying alive (LanIndex threads the mapping through
-/// IndexSnapshot::backing).
+/// through NeighborSpan(), plus Prefetch hints for upcoming rows.
 ///
 /// FromEdges is the public way to assemble one: it validates, symmetrizes
 /// and sorts, so rows are ascending and every undirected edge appears in
 /// both rows. HnswIndex also stores its directed per-layer rows (upper
-/// layers, the frozen core) in this type; those rows keep construction
+/// layers) in this type; those rows keep construction
 /// order, so only NeighborSpan/PrefetchNeighbors apply to them.
 class ProximityGraph {
  public:
@@ -82,18 +77,8 @@ class ProximityGraph {
  private:
   friend class HnswIndex;
 
-  ProximityGraph(ConstVecView<int64_t> offsets,
-                 ConstVecView<GraphId> neighbors)
+  ProximityGraph(std::vector<int64_t> offsets, std::vector<GraphId> neighbors)
       : offsets_(std::move(offsets)), neighbors_(std::move(neighbors)) {}
-
-  /// Borrowed CSR over `num_nodes` rows (no copy, no validation).
-  static ProximityGraph View(GraphId num_nodes, const int64_t* offsets,
-                             const GraphId* neighbors) {
-    return ProximityGraph(
-        ConstVecView<int64_t>(offsets, static_cast<size_t>(num_nodes) + 1),
-        ConstVecView<GraphId>(neighbors,
-                              static_cast<size_t>(offsets[num_nodes])));
-  }
 
   /// Owned CSR with `rows` taken verbatim (row order kept).
   static ProximityGraph FromRows(
@@ -138,8 +123,8 @@ class ProximityGraph {
     return ProximityGraph(std::move(offsets), std::move(neighbors));
   }
 
-  ConstVecView<int64_t> offsets_;  // [NumNodes() + 1], or empty
-  ConstVecView<GraphId> neighbors_;
+  std::vector<int64_t> offsets_;  // [NumNodes() + 1], or empty
+  std::vector<GraphId> neighbors_;
 };
 
 }  // namespace lan

@@ -15,7 +15,7 @@
 
 namespace lan {
 
-/// Single-file zero-copy index snapshot container.
+/// Single-file index snapshot container.
 ///
 /// Layout (all little-endian, offsets from file start):
 ///   [0, 64)    header: magic "LANSNAP1", u32 version, u32 section_count,
@@ -26,11 +26,10 @@ namespace lan {
 ///   ...        section payloads, each 64-byte aligned and XXH64-summed.
 ///
 /// Open() maps the file and validates structure + every checksum before
-/// returning; Section() then hands out spans pointing straight into the
-/// mapping, so loaders can attach CSR/matrix views without copying. The
-/// mapping lives as long as the Snapshot (copies share it) — an index
-/// built over those views must keep a Snapshot copy (or its owner())
-/// alive; LanIndex threads it through IndexSnapshot::backing.
+/// returning; Section() then hands out spans pointing into the mapping,
+/// which lives as long as the Snapshot (copies share it). Loaders decode
+/// those spans into owned structures (LanIndex::OpenSnapshot keeps
+/// nothing of the file once it returns).
 ///
 /// See docs/snapshot_format.md for the per-section payload layouts.
 
@@ -38,7 +37,7 @@ namespace lan {
 /// renumber, only append.
 enum class SectionKind : uint32_t {
   kMeta = 1,        ///< index-level scalars + live bitmap
-  kGraphs = 2,      ///< columnar GraphStore arenas
+  kGraphs = 2,      ///< every graph's CSR, in columnar arenas
   kEmbeddings = 3,  ///< database embedding matrix
   kClusters = 4,    ///< M_c centroids + assignment
   kCgs = 5,         ///< compressed GNN graphs (arena form)
@@ -65,8 +64,8 @@ struct SectionInfo {
 
 /// \brief Append-only byte buffer with POD/array helpers used to build
 /// one section payload. Array() pads to the element alignment first, so
-/// a reader mapping the payload (whose base is 64-byte aligned in the
-/// file) can reinterpret the bytes in place.
+/// a reader of the payload (whose base is 64-byte aligned in the file)
+/// can reinterpret the bytes in place.
 class SectionBuilder {
  public:
   void Bytes(const void* data, size_t n) {
@@ -94,7 +93,7 @@ class SectionBuilder {
 };
 
 /// \brief Sequential decoder over one section payload. Array() returns a
-/// span aliasing the payload (zero copy) after consuming alignment
+/// span aliasing the payload after consuming alignment
 /// padding symmetric with SectionBuilder::Array. Every accessor
 /// bounds-checks and returns a Status on truncation, so a corrupted
 /// section degrades to an error, never an out-of-bounds read.
@@ -172,10 +171,6 @@ class Snapshot {
   const std::vector<SectionInfo>& sections() const { return sections_; }
   size_t size() const { return size_; }
   uint32_t version() const { return version_; }
-
-  /// Keep-alive handle for the mapping; attach-mode loaders store this
-  /// (IndexSnapshot::backing) so views outlive the Snapshot object.
-  std::shared_ptr<const void> owner() const { return owner_; }
 
   /// One line per section: kind, offset, size, checksum (lan_tool
   /// inspect).

@@ -345,28 +345,6 @@ TEST(EmbeddingTest, CloserGraphsCloserInEmbedding) {
 
 // ---------- Embedding matrix ----------
 
-TEST(EmbeddingMatrixTest, ViewCopiesAsOwned) {
-  Rng rng(31);
-  EmbeddingMatrix m(6, 8);
-  for (int64_t i = 0; i < m.rows(); ++i) {
-    float* row = m.MutableRow(i);
-    for (int32_t j = 0; j < m.dim(); ++j) row[j] = rng.NextFloat(-3.0f, 3.0f);
-  }
-  // A view over m's arena stands in for a mapped snapshot section.
-  const EmbeddingMatrix view = EmbeddingMatrix::FromView(6, 8, m.data());
-  ASSERT_TRUE(view.is_view());
-  const EmbeddingMatrix owned = view;  // copy materializes the rows
-  EXPECT_FALSE(owned.is_view());
-  EXPECT_NE(owned.data(), m.data());
-  ASSERT_EQ(owned.rows(), 6);
-  ASSERT_EQ(owned.dim(), 8);
-  for (int64_t i = 0; i < 6; ++i) {
-    for (int32_t j = 0; j < 8; ++j) {
-      EXPECT_EQ(owned.Row(i)[j], m.Row(i)[j]) << "row " << i << " col " << j;
-    }
-  }
-}
-
 TEST(EmbeddingMatrixTest, ReserveAdoptsDimAndChecksMismatch) {
   EmbeddingMatrix m;
   m.Reserve(100, 24);  // pre-dim reserve now sizes rows * dim, not rows * 0

@@ -1,4 +1,4 @@
-// End-to-end tests of the single-file zero-copy snapshot format:
+// End-to-end tests of the single-file snapshot format:
 // LanIndex::SaveSnapshot/OpenSnapshot round trips, corruption handling
 // (the loader must return a Status for any malformed input, never crash),
 // the committed golden fixture, and retired section kinds.
@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <span>
 #include <string>
@@ -181,8 +182,7 @@ TEST(SnapshotTest, InsertAfterOpenKeepsServing) {
   LanIndex opened(TinyConfig());
   ASSERT_TRUE(opened.OpenSnapshot(path).ok());
   const GraphId before = opened.db().size();
-  // Insert thaws the frozen (mmap-backed) structures into owned form; the
-  // index must keep serving and the new graph must be findable.
+  // The index must keep serving and the new graph must be findable.
   Graph extra = opened.db().Get(0);
   auto inserted = opened.Insert(extra);
   ASSERT_TRUE(inserted.ok());
@@ -209,6 +209,32 @@ TEST(SnapshotTest, InsertAfterOpenKeepsServing) {
   bool has_inserted = false;
   for (const auto& [rid, d] : dup.results) has_inserted |= (rid == before);
   EXPECT_TRUE(has_inserted);
+}
+
+TEST(SnapshotTest, ReopenSaveAndInsertAreByteIdentical) {
+  // Open + Save reproduces the file, and an Insert on the opened index
+  // (a decoded HNSW core, CGs and matrices) writes the same bytes as the
+  // same Insert on the index that was built.
+  const std::string path_a = TempPath("byte_a.lansnap");
+  const std::string path_b = TempPath("byte_b.lansnap");
+  const std::string built_insert = TempPath("byte_built_insert.lansnap");
+  const std::string opened_insert = TempPath("byte_opened_insert.lansnap");
+  GraphDatabase db;
+  LanIndex built(TinyConfig());
+  QueryWorkload workload = BuildAndSave(path_a, 45, &db, &built);
+
+  LanIndex opened(TinyConfig());
+  ASSERT_TRUE(opened.OpenSnapshot(path_a).ok());
+  ASSERT_TRUE(opened.SaveSnapshot(path_b).ok());
+  EXPECT_TRUE(ReadFileBytes(path_a) == ReadFileBytes(path_b));
+
+  ASSERT_TRUE(built.Insert(workload.test[0]).ok());
+  ASSERT_TRUE(opened.Insert(workload.test[0]).ok());
+  ASSERT_TRUE(built.SaveSnapshot(built_insert).ok());
+  ASSERT_TRUE(opened.SaveSnapshot(opened_insert).ok());
+  const std::string after = ReadFileBytes(built_insert);
+  EXPECT_NE(after, ReadFileBytes(path_a));
+  EXPECT_TRUE(after == ReadFileBytes(opened_insert));
 }
 
 TEST(SnapshotTest, SaveBeforeBuildFails) {
@@ -320,6 +346,308 @@ TEST_F(SnapshotCorruptionTest, RejectsTrailingGarbageSize) {
   ExpectRejected(bad, "appended garbage");
 }
 
+// ---------- Crafted sections ----------
+//
+// Files whose checksums are valid but whose graphs or CGs break what the
+// code reading them relies on. Each rewrites one section of the good
+// snapshot through SnapshotWriter and copies the others.
+
+/// One graph's CSR columns as the graphs section stores them: labels,
+/// graph-local row offsets (n + 1 entries) and the neighbor rows.
+struct CsrColumns {
+  std::vector<Label> labels;
+  std::vector<int32_t> row_offsets;
+  std::vector<NodeId> neighbors;
+
+  /// Replaces node v's neighbor row (same length) with `row`.
+  void SetRow(NodeId v, const std::vector<NodeId>& row) {
+    std::copy(row.begin(), row.end(),
+              neighbors.begin() + row_offsets[static_cast<size_t>(v)]);
+  }
+  std::vector<NodeId> Row(NodeId v) const {
+    return {neighbors.begin() + row_offsets[static_cast<size_t>(v)],
+            neighbors.begin() + row_offsets[static_cast<size_t>(v) + 1]};
+  }
+};
+
+std::vector<CsrColumns> ColumnsOf(const GraphDatabase& db) {
+  std::vector<CsrColumns> out(static_cast<size_t>(db.size()));
+  for (GraphId id = 0; id < db.size(); ++id) {
+    const Graph& g = db.Get(id);
+    CsrColumns& c = out[static_cast<size_t>(id)];
+    c.row_offsets.push_back(0);
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      c.labels.push_back(g.label(v));
+      const std::span<const NodeId> row = g.Neighbors(v);
+      c.neighbors.insert(c.neighbors.end(), row.begin(), row.end());
+      c.row_offsets.push_back(static_cast<int32_t>(c.neighbors.size()));
+    }
+  }
+  return out;
+}
+
+/// The kGraphs payload (docs/snapshot_format.md): graph count, node and
+/// neighbor start offsets, then the label, row-offset and neighbor arenas.
+std::string EncodeGraphsSection(const std::vector<CsrColumns>& graphs) {
+  std::vector<int64_t> node_start = {0};
+  std::vector<int64_t> neigh_start = {0};
+  std::vector<Label> labels;
+  std::vector<int32_t> row_offsets;
+  std::vector<NodeId> neighbors;
+  for (const CsrColumns& g : graphs) {
+    node_start.push_back(node_start.back() +
+                         static_cast<int64_t>(g.labels.size()));
+    neigh_start.push_back(neigh_start.back() +
+                          static_cast<int64_t>(g.neighbors.size()));
+    labels.insert(labels.end(), g.labels.begin(), g.labels.end());
+    row_offsets.insert(row_offsets.end(), g.row_offsets.begin(),
+                       g.row_offsets.end());
+    neighbors.insert(neighbors.end(), g.neighbors.begin(),
+                     g.neighbors.end());
+  }
+  SectionBuilder b;
+  b.Pod(static_cast<int64_t>(graphs.size()));
+  b.Array(node_start.data(), node_start.size());
+  b.Array(neigh_start.data(), neigh_start.size());
+  b.Array(labels.data(), labels.size());
+  b.Array(row_offsets.data(), row_offsets.size());
+  b.Array(neighbors.data(), neighbors.size());
+  return b.data();
+}
+
+class SnapshotCraftedSectionTest : public testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    path_ = new std::string(TempPath("crafted_base.lansnap"));
+    GraphDatabase db;
+    LanIndex index(TinyConfig());
+    BuildAndSave(*path_, 40, &db, &index);
+  }
+
+  void SetUp() override {
+    auto image = Snapshot::Open(*path_);
+    ASSERT_TRUE(image.ok());
+    image_ = std::move(*image);
+    LanIndex index(TinyConfig());
+    ASSERT_TRUE(index.OpenSnapshot(*path_).ok());
+    graphs_ = ColumnsOf(index.db());
+    num_labels_ = index.db().num_labels();
+  }
+
+  /// Opens the good snapshot with `kind`'s payload replaced by `payload`.
+  Status OpenWith(SectionKind kind, const std::string& payload) {
+    const std::string path = TempPath("crafted.lansnap");
+    SnapshotWriter writer;
+    for (const SectionInfo& info : image_.sections()) {
+      SectionBuilder* b = writer.AddSection(info.kind);
+      if (info.kind == kind) {
+        b->Bytes(payload.data(), payload.size());
+      } else {
+        const auto bytes = image_.Section(info.kind);
+        b->Bytes(bytes.data(), bytes.size());
+      }
+    }
+    EXPECT_TRUE(writer.WriteToFile(path).ok());
+    LanIndex index(TinyConfig());
+    return index.OpenSnapshot(path);
+  }
+
+  void ExpectGraphsRejected(const std::vector<CsrColumns>& graphs,
+                            const std::string& what) {
+    const Status status =
+        OpenWith(SectionKind::kGraphs, EncodeGraphsSection(graphs));
+    EXPECT_EQ(status.code(), StatusCode::kIoError)
+        << what << ": " << status.ToString();
+  }
+
+  std::string Payload(SectionKind kind) const {
+    const auto bytes = image_.Section(kind);
+    return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+  }
+
+  static std::string* path_;
+  Snapshot image_;
+  std::vector<CsrColumns> graphs_;
+  int32_t num_labels_ = 0;
+};
+
+std::string* SnapshotCraftedSectionTest::path_ = nullptr;
+
+TEST_F(SnapshotCraftedSectionTest, RejectsGraphsBreakingGraphInvariants) {
+  // The test's encoder reproduces the stored section.
+  ASSERT_TRUE(EncodeGraphsSection(graphs_) == Payload(SectionKind::kGraphs));
+  CsrColumns& g0 = graphs_[0];
+  // A node v with at least two neighbors, its first neighbor u, and a
+  // node x outside v's row other than v.
+  NodeId v = 0;
+  while (g0.Row(v).size() < 2) ++v;
+  const NodeId u = g0.Row(v)[0];
+  NodeId x = 0;
+  while (x == v || std::ranges::count(g0.Row(v), x) > 0) ++x;
+  ASSERT_LT(x, static_cast<NodeId>(g0.labels.size()));
+
+  {
+    std::vector<CsrColumns> bad = graphs_;
+    std::vector<NodeId> row = bad[0].Row(v);
+    std::ranges::reverse(row);
+    bad[0].SetRow(v, row);
+    ExpectGraphsRejected(bad, "unsorted row");
+  }
+  {
+    // v lists x instead of u: x does not list v, u still lists v.
+    std::vector<CsrColumns> bad = graphs_;
+    std::vector<NodeId> row = bad[0].Row(v);
+    std::ranges::replace(row, u, x);
+    std::ranges::sort(row);
+    bad[0].SetRow(v, row);
+    ExpectGraphsRejected(bad, "one-directional row");
+  }
+  {
+    // The edge {u, v} becomes a self-loop in each row.
+    std::vector<CsrColumns> bad = graphs_;
+    for (const auto& [node, other] : {std::pair{v, u}, std::pair{u, v}}) {
+      std::vector<NodeId> row = bad[0].Row(node);
+      std::ranges::replace(row, other, node);
+      std::ranges::sort(row);
+      bad[0].SetRow(node, row);
+    }
+    ExpectGraphsRejected(bad, "self-loop");
+  }
+  {
+    std::vector<CsrColumns> bad = graphs_;
+    bad[0] = CsrColumns{{}, {0}, {}};
+    ExpectGraphsRejected(bad, "graph without nodes");
+  }
+  {
+    std::vector<CsrColumns> bad = graphs_;
+    bad[0].labels[0] = num_labels_;
+    ExpectGraphsRejected(bad, "label outside the alphabet");
+  }
+}
+
+/// kCgs per-operator descriptor and triplet, as docs/snapshot_format.md
+/// lays them out.
+struct CgMatrixHeader {
+  int32_t rows;
+  int32_t cols;
+  int64_t entry_offset;
+  int64_t entry_count;
+};
+struct CgEntry {
+  int32_t row;
+  int32_t col;
+  float weight;
+};
+
+/// Byte offsets of the kCgs arrays within the payload.
+struct CgLayout {
+  size_t group_sizes = 0;
+  size_t label_offsets = 0;
+  size_t labels = 0;
+  size_t headers = 0;
+  size_t entries = 0;
+};
+
+CgLayout LayoutOf(const std::string& payload) {
+  const std::span<const uint8_t> bytes(
+      reinterpret_cast<const uint8_t*>(payload.data()), payload.size());
+  SectionReader r(bytes);
+  int32_t num_layers = 0;
+  int64_t n = 0;
+  EXPECT_TRUE(r.Pod(&num_layers).ok());
+  EXPECT_TRUE(r.Pod(&n).ok());
+  const size_t levels = static_cast<size_t>(num_layers) + 1;
+  const auto offset = [&bytes](const void* p) {
+    return static_cast<size_t>(static_cast<const uint8_t*>(p) - bytes.data());
+  };
+  CgLayout layout;
+  const auto gs_ptr = *r.Array<int64_t>(static_cast<size_t>(n) * levels + 1);
+  const auto gs_values = *r.Array<int32_t>(static_cast<size_t>(gs_ptr.back()));
+  layout.group_sizes = offset(gs_values.data());
+  const auto lbl_ptr = *r.Array<int64_t>(static_cast<size_t>(n) + 1);
+  layout.label_offsets = offset(lbl_ptr.data());
+  const auto labels = *r.Array<int32_t>(static_cast<size_t>(lbl_ptr.back()));
+  layout.labels = offset(labels.data());
+  const auto headers = *r.Array<CgMatrixHeader>(
+      static_cast<size_t>(n) * 2 * static_cast<size_t>(num_layers));
+  layout.headers = offset(headers.data());
+  const auto entries =
+      *r.Array<CgEntry>(static_cast<size_t>(headers.back().entry_offset +
+                                            headers.back().entry_count));
+  layout.entries = offset(entries.data());
+  return layout;
+}
+
+template <typename T>
+T ReadAt(const std::string& payload, size_t offset) {
+  T value;
+  std::memcpy(&value, payload.data() + offset, sizeof(T));
+  return value;
+}
+
+template <typename T>
+void WriteAt(std::string* payload, size_t offset, const T& value) {
+  std::memcpy(payload->data() + offset, &value, sizeof(T));
+}
+
+TEST_F(SnapshotCraftedSectionTest, RejectsCgsBreakingTheirShapes) {
+  const std::string good = Payload(SectionKind::kCgs);
+  const CgLayout layout = LayoutOf(good);
+  const auto header0 = ReadAt<CgMatrixHeader>(good, layout.headers);
+  ASSERT_GT(header0.entry_count, 0);
+  const auto expect_rejected = [this](const std::string& payload,
+                                      const std::string& what) {
+    const Status status = OpenWith(SectionKind::kCgs, payload);
+    EXPECT_EQ(status.code(), StatusCode::kIoError)
+        << what << ": " << status.ToString();
+  };
+  {
+    std::string bad = good;
+    CgMatrixHeader header = header0;
+    ++header.rows;
+    WriteAt(&bad, layout.headers, header);
+    expect_rejected(bad, "operator rows off its level's group count");
+  }
+  {
+    std::string bad = good;
+    CgMatrixHeader header = header0;
+    ++header.cols;
+    WriteAt(&bad, layout.headers, header);
+    expect_rejected(bad, "operator cols off its level's group count");
+  }
+  {
+    std::string bad = good;
+    CgEntry entry = ReadAt<CgEntry>(good, layout.entries);
+    entry.row = header0.rows + 7;
+    WriteAt(&bad, layout.entries, entry);
+    expect_rejected(bad, "entry row outside the operator");
+  }
+  {
+    std::string bad = good;
+    CgEntry entry = ReadAt<CgEntry>(good, layout.entries);
+    entry.col = -1;
+    WriteAt(&bad, layout.entries, entry);
+    expect_rejected(bad, "entry col outside the operator");
+  }
+  {
+    // Graph 0 takes one of graph 1's level-0 labels.
+    std::string bad = good;
+    const size_t at = layout.label_offsets + sizeof(int64_t);
+    WriteAt(&bad, at, ReadAt<int64_t>(good, at) + 1);
+    expect_rejected(bad, "level-0 label count off the group count");
+  }
+  {
+    std::string bad = good;
+    WriteAt<Label>(&bad, layout.labels, num_labels_ + 3);
+    expect_rejected(bad, "level-0 label outside the alphabet");
+  }
+  {
+    std::string bad = good;
+    WriteAt<int32_t>(&bad, layout.group_sizes, 0);
+    expect_rejected(bad, "empty group");
+  }
+}
+
 // ---------- Golden fixture ----------
 
 #ifndef LAN_TESTDATA_DIR
@@ -395,7 +723,6 @@ TEST(SnapshotGoldenTest, BaseLayerIsSymmetrizedCoreLayer0) {
   Status status = index.OpenSnapshot(GoldenPath());
   ASSERT_TRUE(status.ok()) << status.ToString();
   const HnswIndex& hnsw = index.hnsw();
-  ASSERT_TRUE(hnsw.frozen());
   std::vector<std::pair<GraphId, GraphId>> edges;
   for (GraphId id = 0; id < hnsw.NumNodes(); ++id) {
     for (GraphId n : hnsw.CoreRow(0, id)) edges.emplace_back(id, n);
