@@ -6,7 +6,9 @@
 // The split is read from the per-query stage profile: GED is the kGed
 // stage, learning is kModelInference plus kRerank (M_rk's batch assembly),
 // and other is the rest of the measured query latency. Queries run one at
-// a time on the calling thread, so each latency is undisturbed.
+// a time, so each latency is undisturbed; inside a query the GED tiers and
+// the cross-encoding chunks fan out on the index's pool, whose width is
+// printed with each row (the paper's split is per thread: width 1).
 
 #include <algorithm>
 #include <cstdio>
@@ -20,8 +22,8 @@ namespace {
 
 int Main() {
   std::printf("=== Fig. 11: breakdown of k-ANN search time (no CG) ===\n");
-  std::printf("%-8s %12s %12s %12s %12s\n", "dataset", "GED %", "learning %",
-              "other %", "sec/query");
+  std::printf("%-8s %12s %12s %12s %12s %8s\n", "dataset", "GED %",
+              "learning %", "other %", "sec/query", "threads");
   for (DatasetKind kind : BenchDatasets()) {
     std::unique_ptr<BenchEnv> env = MakeBenchEnv(
         kind, /*with_l2route=*/false, /*use_compressed_gnn=*/false);
@@ -51,9 +53,10 @@ int Main() {
                                 ged + learning);
     const double other = all - ged - learning;
     const double pct = all > 0.0 ? 100.0 / all : 0.0;
-    std::printf("%-8s %11.1f%% %11.1f%% %11.1f%% %12.4f\n", env->name(),
+    std::printf("%-8s %11.1f%% %11.1f%% %11.1f%% %12.4f %8zu\n", env->name(),
                 ged * pct, learning * pct, other * pct,
-                all / static_cast<double>(env->test_queries.size()));
+                all / static_cast<double>(env->test_queries.size()),
+                env->index->num_threads());
     std::fprintf(stderr, "[bench] %s query metrics: %s\n", env->name(),
                  metrics.ToJson().c_str());
   }

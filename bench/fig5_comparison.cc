@@ -3,7 +3,9 @@
 // routers, ef for L2route); the paper reports LAN 3.6x-18.6x faster at
 // recall 0.95 — at bench scale check that LAN dominates HNSW which
 // dominates L2route in the high-recall region, and that LAN's NDC is a
-// fraction of HNSW's.
+// fraction of HNSW's. Every row prints the threads behind its QPS: LAN
+// and HNSW fan each query's GED tiers and model chunks out on the index's
+// pool, L2route runs on the calling thread alone.
 
 #include <cstdio>
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/thread_pool.h"
 #include "ged/ged_beam.h"
 #include "ged/ged_lower_bounds.h"
 #include "ged/ged_bipartite.h"
@@ -23,30 +24,42 @@ const char* GedMethodName(GedMethod method) {
   return "?";
 }
 
-GedValue GedComputer::Compute(const Graph& g1, const Graph& g2) const {
-  // Approximate upper bounds (also used to prune the exact search). The
-  // results live in the thread's scratch, so the approximate tiers
-  // allocate nothing in the steady state.
+GedValue GedComputer::Compute(const Graph& g1, const Graph& g2,
+                              ThreadPool* pool) const {
+  // Approximate upper bounds (also used to prune the exact search). Each
+  // tier writes only its own result in the calling thread's scratch and
+  // works in the scratch of the thread it runs on, so the tiers may run
+  // concurrently; steady state, none of them allocates. Hungarian, the
+  // longest, goes first so that it starts at once.
   GedScratch& s = ThreadGedScratch();
-  BipartiteGedVjInto(g1, g2, options_.costs, &s.vj_result);
-  BipartiteGedHungarianInto(g1, g2, options_.costs, &s.hung_result);
-  const ApproxGedResult& vj = s.vj_result;
-  const ApproxGedResult& hung = s.hung_result;
+  const size_t tiers = options_.beam_width > 0 ? 3 : 2;
+  ParallelFor(pool, tiers, [&](size_t tier) {
+    switch (tier) {
+      case 0:
+        BipartiteGedHungarianInto(g1, g2, options_.costs, &s.hung_result);
+        break;
+      case 1:
+        BipartiteGedVjInto(g1, g2, options_.costs, &s.vj_result);
+        break;
+      default:
+        BeamGedInto(g1, g2, options_.beam_width, options_.costs,
+                    &s.beam_result);
+        break;
+    }
+  });
 
+  // The smallest upper bound; an earlier tier wins ties.
   GedValue best;
-  best.distance = vj.distance;
+  best.distance = s.vj_result.distance;
   best.method = GedMethod::kVj;
   best.exact = false;
-  if (hung.distance < best.distance) {
-    best.distance = hung.distance;
+  if (s.hung_result.distance < best.distance) {
+    best.distance = s.hung_result.distance;
     best.method = GedMethod::kHungarian;
   }
-  if (options_.beam_width > 0) {
-    BeamGedInto(g1, g2, options_.beam_width, options_.costs, &s.beam_result);
-    if (s.beam_result.distance < best.distance) {
-      best.distance = s.beam_result.distance;
-      best.method = GedMethod::kBeam;
-    }
+  if (tiers == 3 && s.beam_result.distance < best.distance) {
+    best.distance = s.beam_result.distance;
+    best.method = GedMethod::kBeam;
   }
 
   bool try_exact = !options_.approximate_only;

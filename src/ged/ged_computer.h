@@ -9,6 +9,8 @@
 
 namespace lan {
 
+class ThreadPool;
+
 /// \brief Which algorithm produced a distance.
 enum class GedMethod : int {
   kExact = 0,
@@ -63,13 +65,18 @@ struct GedValue {
 /// expansion cap: try exact A* when GedOptions lets it; otherwise, or when
 /// the cap is hit, take the best (smallest) of the VJ, Hungarian, and Beam
 /// upper bounds. The approximations are first run anyway because their
-/// best value seeds the exact search's upper-bound pruning.
+/// best value seeds the exact search's upper-bound pruning. The three
+/// tiers are independent pure functions of the two graphs, so they may run
+/// on different threads; their combination, the lower-bound gate and the
+/// A* attempt always run on the calling thread.
 class GedComputer {
  public:
   explicit GedComputer(GedOptions options = {}) : options_(options) {}
 
-  /// Full protocol; never fails.
-  GedValue Compute(const Graph& g1, const Graph& g2) const;
+  /// Full protocol; never fails. With a `pool`, the upper-bound tiers run
+  /// concurrently on it; the result is the same bits either way.
+  GedValue Compute(const Graph& g1, const Graph& g2,
+                   ThreadPool* pool = nullptr) const;
 
   /// Convenience: just the distance.
   double Distance(const Graph& g1, const Graph& g2) const {

@@ -85,7 +85,9 @@ struct GedScratch {
   /// between states).
   std::vector<uint8_t> beam_mark;
   NodeMapping beam_map;
-  /// GedComputer::Compute's per-call results.
+  /// GedComputer::Compute's per-call results. A tier that Compute fans out
+  /// to a pool worker writes its own one of these in the calling thread's
+  /// scratch while Compute waits for it.
   ApproxGedResult vj_result, hung_result, beam_result;
   // --- ExactGed (A*) ---
   /// The attempt's search states and its open list (a binary heap). Both

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "gnn/gnn_graph.h"
 
 namespace lan {
@@ -149,22 +150,25 @@ void ReplicateSegment(Matrix* m, int64_t seg, int32_t copies) {
 // matrices stay cache-resident (a 32-candidate batch at 128-dim layers
 // streams ~700 KB per layer, well past L2). Every candidate's rows depend
 // only on its own segment and the query, so chunking leaves each output
-// row bitwise unchanged.
+// row bitwise unchanged, and the chunks may run on `pool` concurrently:
+// each writes only its own rows of the output.
 constexpr size_t kInferChunkSize = 4;
 
 template <typename G>
 Matrix InferInChunks(const CrossGraphEncoder& encoder,
                      const std::vector<const G*>& gs,
-                     const QueryEncodingCache& query) {
+                     const QueryEncodingCache& query, ThreadPool* pool) {
   Matrix out(static_cast<int32_t>(gs.size()), encoder.cross_dim());
-  for (size_t begin = 0; begin < gs.size(); begin += kInferChunkSize) {
+  const size_t chunks = (gs.size() + kInferChunkSize - 1) / kInferChunkSize;
+  ParallelFor(pool, chunks, [&](size_t c) {
+    const size_t begin = c * kInferChunkSize;
     const size_t end = std::min(gs.size(), begin + kInferChunkSize);
     const std::vector<const G*> chunk(gs.begin() + static_cast<int64_t>(begin),
                                       gs.begin() + static_cast<int64_t>(end));
     const Matrix part = encoder.InferCrossEmbeddings(chunk, query);
     std::copy(part.data(), part.data() + part.size(),
               out.data() + begin * static_cast<size_t>(encoder.cross_dim()));
-  }
+  });
   return out;
 }
 
@@ -441,9 +445,11 @@ Matrix CrossGraphEncoder::InferStacked(const CandidateBatch& cand,
 
 Matrix CrossGraphEncoder::InferCrossEmbeddings(
     const std::vector<const CompressedGnnGraph*>& gs,
-    const QueryEncodingCache& query) const {
+    const QueryEncodingCache& query, ThreadPool* pool) const {
   LAN_CHECK(query.compressed);
-  if (gs.size() > kInferChunkSize) return InferInChunks(*this, gs, query);
+  if (gs.size() > kInferChunkSize) {
+    return InferInChunks(*this, gs, query, pool);
+  }
   const int L = num_layers();
   CandidateBatch cand;
   cand.offsets.assign(static_cast<size_t>(L) + 1,
@@ -482,10 +488,12 @@ Matrix CrossGraphEncoder::InferCrossEmbeddings(
 }
 
 Matrix CrossGraphEncoder::InferCrossEmbeddings(
-    const std::vector<const Graph*>& gs,
-    const QueryEncodingCache& query) const {
+    const std::vector<const Graph*>& gs, const QueryEncodingCache& query,
+    ThreadPool* pool) const {
   LAN_CHECK(!query.compressed);
-  if (gs.size() > kInferChunkSize) return InferInChunks(*this, gs, query);
+  if (gs.size() > kInferChunkSize) {
+    return InferInChunks(*this, gs, query, pool);
+  }
   const int L = num_layers();
   CandidateBatch cand;
   cand.offsets.assign(static_cast<size_t>(L) + 1,

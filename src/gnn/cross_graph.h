@@ -11,6 +11,8 @@
 
 namespace lan {
 
+class ThreadPool;
+
 /// \brief Theorem 3 cost model of one cross-graph forward pass:
 /// node terms (the W multiplications), edge terms (aggregation), and
 /// attention pair terms (the dominating product of per-level sizes).
@@ -99,12 +101,16 @@ class CrossGraphEncoder {
   /// projection, and readout of each layer run over the stacked candidate
   /// set (one GEMM per layer instead of one per pair); only the
   /// block-diagonal attention softmax stays per-pair. Result is
-  /// (|gs| x cross_dim()).
+  /// (|gs| x cross_dim()). Batches of more than four candidates run in
+  /// chunks of four, concurrently on `pool` when one is given; the rows are
+  /// the same bits either way.
   Matrix InferCrossEmbeddings(const std::vector<const CompressedGnnGraph*>& gs,
-                              const QueryEncodingCache& query) const;
+                              const QueryEncodingCache& query,
+                              ThreadPool* pool = nullptr) const;
   /// Raw (Definition 1) batched inference; row i matches Forward().
   Matrix InferCrossEmbeddings(const std::vector<const Graph*>& gs,
-                              const QueryEncodingCache& query) const;
+                              const QueryEncodingCache& query,
+                              ThreadPool* pool = nullptr) const;
 
   int num_layers() const { return static_cast<int>(weights_.size()); }
   int32_t input_dim() const { return input_dim_; }

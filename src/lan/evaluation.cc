@@ -60,6 +60,7 @@ MethodCurve SweepIndex(const LanIndex& index, RoutingMethod routing,
                        MetricsRegistry* registry) {
   MethodCurve curve;
   curve.method = std::move(label);
+  curve.threads = index.num_threads();
   for (int beam : beams) {
     SearchOptions options;
     options.k = k;
@@ -102,16 +103,16 @@ MethodCurve SweepL2Route(const L2RouteIndex& l2, const GraphDatabase& db,
 }
 
 void PrintCurveHeader(int k) {
-  std::printf("%-28s %6s %10s %10s %10s %10s %10s\n", "method", "beam",
-              "recall@k", "QPS", "NDC", "steps", "inference");
+  std::printf("%-28s %6s %10s %10s %8s %10s %10s %10s\n", "method", "beam",
+              "recall@k", "QPS", "threads", "NDC", "steps", "inference");
   (void)k;
 }
 
 void PrintCurve(const MethodCurve& curve, int k) {
   for (const SweepPoint& p : curve.points) {
-    std::printf("%-28s %6d %10.4f %10.3f %10.1f %10.1f %10.1f\n",
-                curve.method.c_str(), p.beam, p.recall, p.qps, p.avg_ndc,
-                p.avg_steps, p.avg_inferences);
+    std::printf("%-28s %6d %10.4f %10.3f %8zu %10.1f %10.1f %10.1f\n",
+                curve.method.c_str(), p.beam, p.recall, p.qps, curve.threads,
+                p.avg_ndc, p.avg_steps, p.avg_inferences);
   }
   (void)k;
 }

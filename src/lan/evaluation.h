@@ -27,6 +27,9 @@ struct SweepPoint {
 /// \brief A labeled curve.
 struct MethodCurve {
   std::string method;
+  /// Threads each query of the curve ran on: the index's pool width for
+  /// SweepIndex (QPS is per client thread, not per core), 1 for L2route.
+  size_t threads = 1;
   std::vector<SweepPoint> points;
 };
 
@@ -59,7 +62,8 @@ MethodCurve SweepL2Route(const L2RouteIndex& l2, const GraphDatabase& db,
                          const std::vector<KnnList>& truths, int k,
                          const std::vector<int>& efs);
 
-/// Prints a curve as aligned rows: method, beam, recall, QPS, NDC, steps.
+/// Prints a curve as aligned rows: method, beam, recall, QPS, the threads
+/// behind that QPS, NDC, steps, inferences.
 void PrintCurve(const MethodCurve& curve, int k);
 void PrintCurveHeader(int k);
 

@@ -14,11 +14,7 @@ std::vector<double> ComputeAllDistances(const GraphDatabase& db,
   auto work = [&](size_t i) {
     distances[i] = ged.Distance(query, db.Get(static_cast<GraphId>(i)));
   };
-  if (pool == nullptr) {
-    for (size_t i = 0; i < distances.size(); ++i) work(i);
-  } else {
-    pool->ParallelFor(distances.size(), work);
-  }
+  ParallelFor(pool, distances.size(), work);
   return distances;
 }
 

@@ -587,6 +587,9 @@ void LanIndex::SearchInto(const Graph& query, const SearchOptions& options,
 
   DistanceOracle oracle(db_, &query, &query_ged_, &out.stats, sink, scratch);
   oracle.set_profile(profile);
+  // The GED tiers and cross-encoding chunks fan out on the resident pool;
+  // under SearchBatch this runs on a pool worker and they run inline.
+  oracle.set_pool(pool_.get());
 
   // Deterministic per-query randomness.
   uint64_t qhash = config_.seed;

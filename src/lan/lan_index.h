@@ -90,12 +90,16 @@ struct LanConfig {
   ResultCacheOptions cache;
 
   uint64_t seed = 123;
-  /// Worker threads for offline phases and online inserts (0 = hardware
-  /// concurrency). Sizes the index's resident pool, which computes each PG
-  /// insertion step's distances ahead (in Build and in every Insert),
-  /// derives CGs and generates training data. PG insertion itself always
-  /// runs in id order on the inserting thread, so the topology does not
-  /// depend on this count.
+  /// Worker threads for offline phases, online inserts and each query's
+  /// inner loops (0 = hardware concurrency). Sizes the index's resident
+  /// pool, which computes each PG insertion step's distances ahead (in
+  /// Build and in every Insert), derives CGs, generates training data,
+  /// and inside a Search runs the GED upper-bound tiers of each distance
+  /// and the chunks of each cross-encoding pass. PG insertion itself
+  /// always runs in id order on the inserting thread, and a query combines
+  /// its fanned-out work in a fixed order, so neither topology nor answers
+  /// depend on this count. 1 runs each query on its calling thread alone,
+  /// the paper's per-thread QPS setting.
   int num_threads = 0;
 
   /// Checks every knob is in range; called by LanIndex::Build.
@@ -298,14 +302,17 @@ class LanIndex {
 
   /// Allocation-free variant: writes into `out`, reusing its vectors'
   /// capacity (all fields are reset first). Per-query working state comes
-  /// from the calling thread's SearchScratch, so a warmed-up thread serving
-  /// baseline-routed queries performs zero heap allocations per query.
+  /// from the calling thread's SearchScratch, so on a 1-worker index a
+  /// warmed-up thread serving baseline-routed queries performs zero heap
+  /// allocations per query; a wider pool adds ThreadPool::ParallelFor's
+  /// fixed allocations per fanned-out distance or inference pass.
   void SearchInto(const Graph& query, const SearchOptions& options,
                   SearchResult* out) const;
 
   /// Throughput mode: answers independent queries in parallel on the
   /// index's resident pool (LanConfig::num_threads workers, so batch calls
-  /// pay no thread-creation latency). Results are
+  /// pay no thread-creation latency); each query's own inner loops then
+  /// run inline on its worker. Results are
   /// index-aligned with `queries` and identical to sequential Search;
   /// BatchStats carries the summed SearchStats plus a metrics snapshot
   /// (latency/NDC distributions and index_live_size / index_tombstones /
@@ -331,6 +338,9 @@ class LanIndex {
   const KMeansResult& clusters() const { return *Snapshot()->clusters; }
   const EmbeddingMatrix& embeddings() const { return *Snapshot()->embeddings; }
   const LanConfig& config() const { return config_; }
+  /// Workers in the resident pool (config().num_threads resolved): the
+  /// width each Search's inner loops fan out over.
+  size_t num_threads() const { return pool_->num_threads(); }
   bool trained() const { return trained_; }
   /// The answer cache, or null when `config.cache.enabled` is false. Stats()/AppendMetrics expose hit rates; tools surface them via
   /// --metrics-out.

@@ -713,6 +713,12 @@ Status LanIndex::OpenSnapshot(const std::string& path) {
     if (contexts.rows() > n) {
       return Status::IoError("models section: context row count mismatch");
     }
+    // InferHeads appends a context row to every cross row of the rank
+    // heads, whose input width fixes the row's.
+    if (contexts.rows() > 0 &&
+        contexts.dim() != rank_model_->scorer().context_dim()) {
+      return Status::IoError("models section: context dim mismatch");
+    }
     rank_model_->AttachContexts(std::move(contexts));
     trained_ = true;
   }

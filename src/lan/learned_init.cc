@@ -135,12 +135,14 @@ int64_t LanInitialSelector::PredictKeptSet(DistanceOracle* oracle,
       for (GraphId id : candidates) {
         gs.push_back(&(*db_cgs_)[static_cast<size_t>(id)]);
       }
-      cross = scorer.InferCross(gs, scorer.EncodeQuery(query_cg_->Get()));
+      cross = scorer.InferCross(gs, scorer.EncodeQuery(query_cg_->Get()),
+                                oracle->pool());
     } else {
       std::vector<const Graph*> gs;
       gs.reserve(candidates.size());
       for (GraphId id : candidates) gs.push_back(&oracle->db().Get(id));
-      cross = scorer.InferCross(gs, scorer.EncodeQuery(oracle->query()));
+      cross = scorer.InferCross(gs, scorer.EncodeQuery(oracle->query()),
+                                oracle->pool());
     }
     probs = nh_model_->PredictProbs(cross);
   }

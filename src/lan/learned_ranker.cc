@@ -51,12 +51,12 @@ void LearnedNeighborRanker::RankNeighbors(const ProximityGraph& pg,
         for (GraphId n : misses) {
           gs.push_back(&(*db_cgs_)[static_cast<size_t>(n)]);
         }
-        encoded = scorer.InferCross(gs, query_cache_);
+        encoded = scorer.InferCross(gs, query_cache_, oracle_->pool());
       } else {
         std::vector<const Graph*> gs;
         gs.reserve(misses.size());
         for (GraphId n : misses) gs.push_back(&oracle_->db().Get(n));
-        encoded = scorer.InferCross(gs, query_cache_);
+        encoded = scorer.InferCross(gs, query_cache_, oracle_->pool());
       }
       memo_rows_.insert(memo_rows_.end(), encoded.data(),
                         encoded.data() + encoded.size());

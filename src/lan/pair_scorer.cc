@@ -102,13 +102,15 @@ std::vector<std::vector<float>> PairScorer::InferHeads(
 }
 
 Matrix PairScorer::InferCross(const std::vector<const CompressedGnnGraph*>& gs,
-                              const QueryEncodingCache& query) const {
-  return cross_.InferCrossEmbeddings(gs, query);
+                              const QueryEncodingCache& query,
+                              ThreadPool* pool) const {
+  return cross_.InferCrossEmbeddings(gs, query, pool);
 }
 
 Matrix PairScorer::InferCross(const std::vector<const Graph*>& gs,
-                              const QueryEncodingCache& query) const {
-  return cross_.InferCrossEmbeddings(gs, query);
+                              const QueryEncodingCache& query,
+                              ThreadPool* pool) const {
+  return cross_.InferCrossEmbeddings(gs, query, pool);
 }
 
 }  // namespace lan

@@ -69,11 +69,14 @@ class PairScorer {
   /// whole candidate set and no autograd bookkeeping. Row i depends only
   /// on (*gs[i], Q), never on which other candidates share the batch, so
   /// rows computed in different calls may be reused and mixed (the
-  /// per-query memo of LearnedNeighborRanker relies on this).
+  /// per-query memo of LearnedNeighborRanker relies on this). With a
+  /// `pool`, the candidate chunks run concurrently on it.
   Matrix InferCross(const std::vector<const CompressedGnnGraph*>& gs,
-                    const QueryEncodingCache& query) const;
+                    const QueryEncodingCache& query,
+                    ThreadPool* pool = nullptr) const;
   Matrix InferCross(const std::vector<const Graph*>& gs,
-                    const QueryEncodingCache& query) const;
+                    const QueryEncodingCache& query,
+                    ThreadPool* pool = nullptr) const;
 
   /// Second half: appends the context row (empty span = none) to every
   /// cross row, runs all heads batched, and returns per-candidate sigmoid
@@ -90,6 +93,10 @@ class PairScorer {
   bool has_context() const { return context_; }
   /// Width of one InferCross row.
   int32_t cross_dim() const { return cross_.cross_dim(); }
+  /// Width of the context row InferHeads takes (0 without a context).
+  int32_t context_dim() const {
+    return context_ ? context_gin_.output_dim() : 0;
+  }
 
  private:
   VarId Heads(Tape* tape, VarId features) const;

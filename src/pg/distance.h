@@ -10,6 +10,8 @@
 
 namespace lan {
 
+class ThreadPool;
+
 /// \brief Per-query distance evaluator: caches d(Q, G_id) for the query's
 /// lifetime, counts every computed distance as one NDC (the paper's
 /// metric), and charges the GED time to the query's Stage::kGed span.
@@ -65,6 +67,12 @@ class DistanceOracle {
   StageProfile* profile() const { return profile_; }
   void set_profile(StageProfile* profile) { profile_ = profile; }
 
+  /// The pool this query's inner loops fan out on: the GED tiers of each
+  /// distance and the chunks of each cross-encoding pass (null: all on the
+  /// calling thread). Fan-out never changes a value.
+  ThreadPool* pool() const { return pool_; }
+  void set_pool(ThreadPool* pool) { pool_ = pool; }
+
  private:
   StampedDoubleMap* CacheFor(SearchScratch* scratch) {
     return scratch != nullptr ? &scratch->distance_cache : &owned_cache_;
@@ -76,7 +84,7 @@ class DistanceOracle {
     double value = 0.0;
     {
       StageSpan span(profile_, Stage::kGed);
-      value = ged_->Distance(*query_, db_->Get(id));
+      value = ged_->Compute(*query_, db_->Get(id), pool_).distance;
     }
     if (stats_ != nullptr) ++stats_->ndc;
     if (trace_ != nullptr) {
@@ -95,6 +103,7 @@ class DistanceOracle {
   SearchStats* stats_;
   TraceSink* trace_;
   StageProfile* profile_ = nullptr;
+  ThreadPool* pool_ = nullptr;
   StampedDoubleMap owned_cache_;  // used when no scratch is donated
   StampedDoubleMap* cache_;
 };

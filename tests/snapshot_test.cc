@@ -648,6 +648,35 @@ TEST_F(SnapshotCraftedSectionTest, RejectsCgsBreakingTheirShapes) {
   }
 }
 
+TEST_F(SnapshotCraftedSectionTest, RejectsContextMatrixOfTheWrongDim) {
+  // The models section ends with the rank context matrix: i64 rows, i32
+  // dim, padding to float alignment, then rows x dim floats. The base
+  // index has 40 graphs and 8-dim GIN layers.
+  constexpr int64_t kRows = 40;
+  constexpr int32_t kDim = 8;
+  const std::string good = Payload(SectionKind::kModels);
+  const size_t data =
+      good.size() - static_cast<size_t>(kRows * kDim) * sizeof(float);
+  size_t header = std::string::npos;
+  for (size_t pad = 0; pad < alignof(float); ++pad) {
+    const size_t at = data - pad - sizeof(int64_t) - sizeof(int32_t);
+    if (ReadAt<int64_t>(good, at) == kRows &&
+        ReadAt<int32_t>(good, at + sizeof(int64_t)) == kDim) {
+      header = at;
+    }
+  }
+  ASSERT_NE(header, std::string::npos);
+  ASSERT_TRUE(OpenWith(SectionKind::kModels, good).ok());
+
+  // The same floats as 20 rows of 16: the row count stays within the
+  // graph count, and every row is twice as wide as the rank heads take.
+  std::string bad = good;
+  WriteAt<int64_t>(&bad, header, kRows / 2);
+  WriteAt<int32_t>(&bad, header + sizeof(int64_t), kDim * 2);
+  const Status status = OpenWith(SectionKind::kModels, bad);
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+}
+
 // ---------- Golden fixture ----------
 
 #ifndef LAN_TESTDATA_DIR
