@@ -1,7 +1,8 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
-#include <memory>
+#include <chrono>
 
 #include "common/logging.h"
 
@@ -10,9 +11,42 @@ namespace lan {
 namespace {
 /// Which pool (if any) owns the current thread. Lets ParallelFor detect
 /// a call made from inside one of its own tasks and degrade to inline
-/// execution instead of deadlocking on its own queue.
+/// execution instead of deadlocking on its own pool.
 thread_local const ThreadPool* current_worker_pool = nullptr;
+
+using Clock = std::chrono::steady_clock;
+
+/// How long a ParallelFor caller whose items are all claimed polls for
+/// its helpers before it sleeps. A few GED tiers or one cross-encoding
+/// chunk (tens of microseconds) usually finish inside it.
+constexpr std::chrono::microseconds kSpinBudget{50};
 }  // namespace
+
+/// One ParallelFor call, on its caller's stack. Helpers join it through
+/// the pool's open list while it has open slots; the caller returns only
+/// after every helper that joined has left, so no worker touches it later.
+struct ThreadPool::Loop {
+  Loop(const std::function<void(size_t)>& body, size_t count)
+      : fn(body), n(count) {}
+
+  const std::function<void(size_t)>& fn;
+  const size_t n;
+  std::atomic<size_t> next{0};  // the next unclaimed item
+  // Written under the pool's mu_ (`helpers` is also read without it):
+  size_t open_slots = 0;            // helpers still wanted
+  std::atomic<size_t> helpers{0};  // helpers that joined and have not left
+  Loop* next_open = nullptr;
+  std::condition_variable helpers_left;
+
+  /// Claims and runs items until none is left unclaimed.
+  void Drain() {
+    for (;;) {
+      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      fn(i);
+    }
+  }
+};
 
 ThreadPool::ThreadPool(size_t num_threads) {
   LAN_CHECK_GT(num_threads, 0u);
@@ -27,32 +61,34 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mu_);
     shutting_down_ = true;
   }
-  task_available_.notify_all();
+  work_available_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    LAN_CHECK(!shutting_down_);
-    tasks_.push(std::move(task));
-  }
-  task_available_.notify_one();
+void ThreadPool::Unlink(Loop* loop) {
+  Loop* prev = nullptr;
+  for (Loop* l = open_head_; l != loop; l = l->next_open) prev = l;
+  (prev == nullptr ? open_head_ : prev->next_open) = loop->next_open;
+  if (open_tail_ == loop) open_tail_ = prev;
+  loop->next_open = nullptr;
 }
 
 void ThreadPool::WorkerLoop() {
   current_worker_pool = this;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      task_available_.wait(
-          lock, [this] { return shutting_down_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // shutting down
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    task();
+    work_available_.wait(
+        lock, [this] { return shutting_down_ || open_head_ != nullptr; });
+    if (open_head_ == nullptr) return;  // shutting down
+    Loop* loop = open_head_;
+    if (--loop->open_slots == 0) Unlink(loop);
+    ++loop->helpers;
+    lock.unlock();
+    loop->Drain();
+    lock.lock();
+    // Notified under mu_: the caller cannot see helpers == 0, return and
+    // destroy the loop before this thread lets go of the mutex.
+    if (--loop->helpers == 0) loop->helpers_left.notify_one();
   }
 }
 
@@ -60,40 +96,42 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
   // Inline when parallelism cannot help (1-thread pool, single iteration)
   // or must not be attempted (we are already on one of this pool's
-  // workers, where blocking on our own queue would deadlock).
+  // workers, where blocking on our own pool would deadlock).
   if (current_worker_pool == this || workers_.size() <= 1 || n == 1) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // The loop state is shared with the submitted tasks, not held on this
-  // stack: the call returns once all n items are done, which can be before
-  // a worker has even started its task. Such a late task finds next >= n
-  // and returns without touching `fn` or anything of the caller's.
-  struct LoopState {
-    std::atomic<size_t> next{0};
-    size_t done = 0;  // finished items, guarded by mu
-    std::mutex mu;
-    std::condition_variable all_done;
-  };
-  const auto state = std::make_shared<LoopState>();
-  const auto drain = [state, n, body = &fn] {
-    size_t finished = 0;
-    for (;;) {
-      const size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) break;
-      (*body)(i);
-      ++finished;
-    }
-    if (finished == 0) return;
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->done += finished;
-    if (state->done == n) state->all_done.notify_one();
-  };
-  const size_t shards = std::min(workers_.size() + 1, n);
-  for (size_t t = 1; t < shards; ++t) Submit(drain);
-  drain();  // the calling thread is one of the shards
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->all_done.wait(lock, [&] { return state->done == n; });
+  Loop loop(fn, n);
+  // The calling thread is one of the shards.
+  const size_t slots = std::min(workers_.size(), n - 1);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    LAN_CHECK(!shutting_down_);
+    loop.open_slots = slots;
+    (open_tail_ == nullptr ? open_head_ : open_tail_->next_open) = &loop;
+    open_tail_ = &loop;
+  }
+  for (size_t i = 0; i < slots; ++i) work_available_.notify_one();
+  loop.Drain();
+  // Every item is claimed: withdraw the slots no worker has taken, then
+  // wait for the helpers still running theirs. Their items are already
+  // under way, so the wait starts with a short yielding spin, which keeps
+  // a wake-up off the caller's path without holding a CPU a runnable
+  // helper needs; past kSpinBudget it sleeps.
+  std::unique_lock<std::mutex> lock(mu_);
+  if (loop.open_slots > 0) {
+    loop.open_slots = 0;
+    Unlink(&loop);
+  }
+  if (loop.helpers.load(std::memory_order_relaxed) == 0) return;
+  lock.unlock();
+  const Clock::time_point until = Clock::now() + kSpinBudget;
+  while (loop.helpers.load(std::memory_order_relaxed) > 0 &&
+         Clock::now() < until) {
+    std::this_thread::yield();
+  }
+  lock.lock();  // the last helper may still hold mu_ to notify
+  loop.helpers_left.wait(lock, [&] { return loop.helpers == 0; });
 }
 
 size_t DefaultThreadCount() {

@@ -254,10 +254,10 @@ TEST(ThreadPoolTest, PoolParallelForCoversRangeAndNests) {
   }
 }
 
-// A call returns once its items are done, not once every task it submitted
-// has run: here both workers of a 2-worker pool are held by another thread's
-// loop, so the caller drains both of its items itself, and its queued task
-// runs (and finds nothing left) only after it returned.
+// A call returns once its items are done, not once every helper slot it
+// opened has been taken: here both workers of a 2-worker pool are held by
+// another thread's loop, so the caller drains both of its items itself and
+// withdraws its untaken slot.
 TEST(ThreadPoolTest, PoolParallelForReturnsWhileWorkersAreBusy) {
   ThreadPool pool(2);
   std::latch all_blocked(3);  // the busy caller and both workers

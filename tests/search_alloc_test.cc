@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "ged/ged_beam.h"
 #include "ged/ged_bipartite.h"
@@ -278,6 +279,29 @@ TEST(SearchAllocTest, ZeroSteadyStateAllocationsWithExactAttempts) {
   EXPECT_FALSE(result.results.empty());
   // The attempts ran on this thread and kept their arena.
   EXPECT_GT(ThreadGedScratch().astar_states.capacity(), 0u);
+}
+
+TEST(SearchAllocTest, PoolParallelForAllocatesNothing) {
+  // A query fans its GED tiers and cross-encoding chunks out through
+  // ThreadPool::ParallelFor; the pool itself must not touch the heap,
+  // whether workers help, join late or are withdrawn. Counted on every
+  // thread, workers included.
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(7);
+  const auto body = [&](size_t i) { hits[i].fetch_add(1); };
+  ParallelFor(&pool, hits.size(), body);  // workers started and parked
+
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_count_allocs.store(true, std::memory_order_relaxed);
+  for (int call = 0; call < 200; ++call) {
+    ParallelFor(&pool, call % 2 == 0 ? 3 : hits.size(), body);
+  }
+  g_count_allocs.store(false, std::memory_order_relaxed);
+
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0)
+      << "ParallelFor must not touch the heap";
+  EXPECT_EQ(hits[0].load(), 201);
+  EXPECT_EQ(hits[3].load(), 101);
 }
 
 TEST(SearchAllocTest, ZeroSteadyStateAllocationsWithLanRouteCacheHits) {
