@@ -4,7 +4,11 @@
 // the routing node's cached context row, the taped one encodes its graph),
 // M_nh, and M_c. Reports pairs/sec and an effective GFLOP/s estimate from the
 // dominant GEMM terms, one JSON line per configuration, and mirrors the
-// lines into BENCH_model_inference.json in the working directory.
+// lines into BENCH_model_inference.json in the working directory. Two more
+// lines time M_rk at the dims the index serves with (GNN {16,16}, hidden
+// 64, 4 heads) on AIDS-like and SYN-like CGs, on one thread: microseconds
+// per cross row (InferCross, chunks as shipped) and per head row
+// (InferHeads with a context row).
 
 #include <cstdint>
 #include <cstdio>
@@ -96,6 +100,47 @@ void Report(FILE* json, const char* model, const char* variant, int pairs,
   if (json != nullptr) std::fprintf(json, "%s\n", line);
 }
 
+/// M_rk at the serving dims on `kNumNeighbors` CGs of `spec`: one thread,
+/// InferCross in its shipped chunks, then InferHeads with a context row.
+void ReportServingDims(FILE* json, const char* variant,
+                       const DatasetSpec& spec) {
+  GraphDatabase db = GenerateDatabase(spec, 53);
+  std::vector<CompressedGnnGraph> cgs;
+  for (GraphId id = 0; id < db.size(); ++id) {
+    cgs.push_back(BuildCompressedGnnGraph(db.Get(id), kGnnLayers));
+  }
+  std::vector<const CompressedGnnGraph*> cand_cgs;
+  for (GraphId id = 0; id < kNumNeighbors; ++id) {
+    cand_cgs.push_back(&cgs[static_cast<size_t>(id)]);
+  }
+  PairScorerOptions options;
+  options.gnn_dims = {16, 16};
+  options.mlp_hidden = 64;
+  PairScorer scorer(db.num_labels(), options, /*num_heads=*/4,
+                    /*context=*/true);
+  const Matrix context_row = scorer.ContextEmbedding(cgs[kNumNeighbors]);
+  const std::span<const float> context_span(
+      context_row.data(), static_cast<size_t>(context_row.cols()));
+  const QueryEncodingCache cache =
+      scorer.EncodeQuery(cgs[static_cast<size_t>(db.size()) - 1]);
+  Matrix cross;
+  std::vector<float> probs;
+  const double cross_sec =
+      TimePerCall([&] { scorer.InferCross(cand_cgs, cache, &cross); });
+  const double head_sec =
+      TimePerCall([&] { scorer.InferHeads(cross, context_span, &probs); });
+  char line[512];
+  std::snprintf(line, sizeof(line),
+                "{\"bench\":\"model_inference\",\"model\":\"M_rk\","
+                "\"variant\":\"%s\",\"pairs\":%d,\"labels\":%d,"
+                "\"cross_row_us\":%.2f,\"head_row_us\":%.3f}",
+                variant, kNumNeighbors, db.num_labels(),
+                1e6 * cross_sec / kNumNeighbors,
+                1e6 * head_sec / kNumNeighbors);
+  std::printf("%s\n", line);
+  if (json != nullptr) std::fprintf(json, "%s\n", line);
+}
+
 int Main() {
   GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(kNumNeighbors + 2),
                                       51);
@@ -150,8 +195,11 @@ int Main() {
         scorer.ForwardCompressed(&tape, *g, query_cg, &context_cg);
       }
     });
+    Matrix cross;
+    std::vector<float> probs;
     const double batched_cg = TimePerCall([&] {
-      scorer.InferHeads(scorer.InferCross(cand_cgs, cg_cache), context_span);
+      scorer.InferCross(cand_cgs, cg_cache, &cross);
+      scorer.InferHeads(cross, context_span, &probs);
     });
     Report(json, "M_rk", "cg", kNumNeighbors, per_pair_cg, batched_cg,
            PairFlops(ng_cg, nq_cg, db.num_labels(), scorer));
@@ -165,8 +213,8 @@ int Main() {
       }
     });
     const double batched_raw = TimePerCall([&] {
-      scorer.InferHeads(scorer.InferCross(cand_graphs, raw_cache),
-                        context_span);
+      scorer.InferCross(cand_graphs, raw_cache, &cross);
+      scorer.InferHeads(cross, context_span, &probs);
     });
     Report(json, "M_rk", "raw", kNumNeighbors, per_pair_raw, batched_raw,
            PairFlops(ng_raw, nq_raw, db.num_labels(), scorer));
@@ -189,8 +237,11 @@ int Main() {
         scorer.ForwardCompressed(&tape, *g, query_cg, nullptr);
       }
     });
+    Matrix cross;
+    std::vector<float> probs;
     const double batched = TimePerCall([&] {
-      model.PredictProbs(scorer.InferCross(cand_cgs, cache));
+      scorer.InferCross(cand_cgs, cache, &cross);
+      model.PredictProbs(cross, &probs);
     });
     std::vector<int32_t> ng(kGnnLayers, 0), nq(kGnnLayers, 0);
     for (int l = 0; l < kGnnLayers; ++l) {
@@ -224,6 +275,11 @@ int Main() {
         2.0 * (2.0 * kDim * options.mlp_hidden + options.mlp_hidden);
     Report(json, "M_c", "mlp", kClusters, per_pair, batched, flops);
   }
+
+  ReportServingDims(json, "serving_aids",
+                    DatasetSpec::AidsLike(kNumNeighbors + 2));
+  ReportServingDims(json, "serving_syn",
+                    DatasetSpec::SynLike(kNumNeighbors + 2));
 
   if (json != nullptr) std::fclose(json);
   return 0;

@@ -22,6 +22,12 @@ class CostMatrix {
     data_.assign(static_cast<size_t>(n) * n, fill);
   }
 
+  /// Re-dimensions to n x n without filling: the caller writes every cell.
+  void Resize(int32_t n) {
+    n_ = n;
+    data_.resize(static_cast<size_t>(n) * n);
+  }
+
   double& at(int32_t r, int32_t c) {
     return data_[static_cast<size_t>(r) * n_ + c];
   }
@@ -30,6 +36,9 @@ class CostMatrix {
   }
   /// Row r's n() costs, contiguous.
   const double* row(int32_t r) const {
+    return data_.data() + static_cast<size_t>(r) * n_;
+  }
+  double* mutable_row(int32_t r) {
     return data_.data() + static_cast<size_t>(r) * n_;
   }
   int32_t n() const { return n_; }

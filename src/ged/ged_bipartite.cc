@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -14,30 +14,15 @@ namespace {
 
 constexpr double kForbidden = 1e9;
 
-/// Sorted far-endpoint label list of every node (one pass per graph, so
-/// the O(n1*n2) substitution cells below don't re-sort per cell). Flat CSR
-/// layout into reusable buffers: node v's labels live at
-/// [offsets[v], offsets[v + 1]).
-void SortedNeighborLabels(const Graph& g, std::vector<Label>* labels,
-                          std::vector<int32_t>* offsets) {
-  labels->clear();
-  offsets->clear();
-  offsets->reserve(static_cast<size_t>(g.NumNodes()) + 1);
-  offsets->push_back(0);
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    const size_t begin = labels->size();
-    for (NodeId t : g.Neighbors(v)) labels->push_back(g.label(t));
-    std::sort(labels->begin() + static_cast<ptrdiff_t>(begin), labels->end());
-    offsets->push_back(static_cast<int32_t>(labels->size()));
-  }
-}
-
 /// Local edge-structure substitution cost for mapping u (of g1) onto v
 /// (of g2): the optimal cost of matching their incident edges, where an
-/// incident edge is described by the label of its far endpoint. Edges whose
-/// far labels cannot be paired each need one edit, shared between two
-/// endpoints, so we charge half per endpoint.
-double LocalEdgeCost(const Label* lu, size_t nu, const Label* lv, size_t nv) {
+/// incident edge is described by the label of its far endpoint (the
+/// arguments are u's and v's sorted neighbour-label multisets). Edges
+/// whose far labels cannot be paired each need one edit, shared between
+/// two endpoints, so we charge half per endpoint.
+double LocalEdgeCost(std::span<const Label> lu, std::span<const Label> lv) {
+  const size_t nu = lu.size();
+  const size_t nv = lv.size();
   size_t common = 0;
   size_t i = 0, j = 0;
   while (i < nu && j < nv) {
@@ -55,55 +40,79 @@ double LocalEdgeCost(const Label* lu, size_t nu, const Label* lv, size_t nv) {
   return 0.5 * static_cast<double>(unmatched);
 }
 
-/// Builds the classical (n1+n2) square Riesen–Bunke matrix:
+/// Re-dimensions the classical (n1+n2) square Riesen–Bunke matrix
 ///   [ substitution | deletion  ]
 ///   [ insertion    | zero      ]
-/// into the scratch's reusable storage.
-void BuildMatrix(const Graph& g1, const Graph& g2, bool with_local_edges,
-                 const GedCosts& costs, GedScratch* s) {
+/// in the scratch and fills everything but the substitution block, each
+/// cell once.
+void ResetWithDeletionInsertion(const Graph& g1, const Graph& g2,
+                                const GedCosts& costs, CostMatrix* cost) {
   const int32_t n1 = g1.NumNodes();
   const int32_t n2 = g2.NumNodes();
-  if (with_local_edges) {
-    SortedNeighborLabels(g1, &s->labels1, &s->offsets1);
-    SortedNeighborLabels(g2, &s->labels2, &s->offsets2);
-  }
-  CostMatrix& cost = s->cost_matrix;
-  cost.Reset(n1 + n2, 0.0);
+  cost->Resize(n1 + n2);
   for (int32_t i = 0; i < n1; ++i) {
-    for (int32_t j = 0; j < n2; ++j) {
-      const double edge_op = 0.5 * (costs.edge_delete + costs.edge_insert);
-      double c =
-          (g1.label(i) != g2.label(j)) ? costs.node_relabel : 0.0;
-      if (with_local_edges) {
-        const int32_t u0 = s->offsets1[static_cast<size_t>(i)];
-        const int32_t u1 = s->offsets1[static_cast<size_t>(i) + 1];
-        const int32_t v0 = s->offsets2[static_cast<size_t>(j)];
-        const int32_t v1 = s->offsets2[static_cast<size_t>(j) + 1];
-        c += edge_op * LocalEdgeCost(s->labels1.data() + u0,
-                                     static_cast<size_t>(u1 - u0),
-                                     s->labels2.data() + v0,
-                                     static_cast<size_t>(v1 - v0));
-      } else {
-        // VJ variant: coarse degree-difference penalty.
-        c += edge_op * 0.5 * std::abs(g1.Degree(i) - g2.Degree(j));
-      }
-      cost.at(i, j) = c;
-    }
     // Deletion of node i: the node plus half of each incident edge.
-    for (int32_t j = 0; j < n1; ++j) {
-      cost.at(i, n2 + j) =
-          (i == j) ? costs.node_delete + 0.5 * g1.Degree(i) * costs.edge_delete
-                   : kForbidden;
-    }
+    double* row = cost->mutable_row(i) + n2;
+    std::fill(row, row + n1, kForbidden);
+    row[i] = costs.node_delete + 0.5 * g1.Degree(i) * costs.edge_delete;
   }
   for (int32_t i = 0; i < n2; ++i) {
-    // Insertion of node i of g2.
-    for (int32_t j = 0; j < n2; ++j) {
-      cost.at(n1 + i, j) =
-          (i == j) ? costs.node_insert + 0.5 * g2.Degree(i) * costs.edge_insert
-                   : kForbidden;
+    // Insertion of node i of g2, then the free epsilon -> epsilon corner.
+    double* row = cost->mutable_row(n1 + i);
+    std::fill(row, row + n2, kForbidden);
+    row[i] = costs.node_insert + 0.5 * g2.Degree(i) * costs.edge_insert;
+    std::fill(row + n2, row + n2 + n1, 0.0);
+  }
+}
+
+/// The Hungarian tier's matrix: substitution cells charge the relabel
+/// cost plus the local edge cost of the two nodes' neighbour multisets,
+/// looked up in a per-pair table with one entry per pair of classes.
+void BuildHungarianMatrix(const Graph& g1, const PreparedGraph& p1,
+                          const Graph& g2, const PreparedGraph& p2,
+                          const GedCosts& costs, GedScratch* s) {
+  const int32_t n1 = g1.NumNodes();
+  const int32_t n2 = g2.NumNodes();
+  const int32_t c2 = p2.NumClasses();
+  const double edge_op = 0.5 * (costs.edge_delete + costs.edge_insert);
+  std::vector<double>& table = s->class_costs;
+  table.resize(static_cast<size_t>(p1.NumClasses()) * c2);
+  for (int32_t a = 0; a < p1.NumClasses(); ++a) {
+    for (int32_t b = 0; b < c2; ++b) {
+      table[static_cast<size_t>(a) * c2 + b] =
+          edge_op * LocalEdgeCost(p1.ClassLabels(a), p2.ClassLabels(b));
     }
-    // epsilon -> epsilon corner: free.
+  }
+  CostMatrix& cost = s->cost_matrix;
+  ResetWithDeletionInsertion(g1, g2, costs, &cost);
+  for (int32_t i = 0; i < n1; ++i) {
+    const Label li = g1.label(i);
+    const double* row =
+        table.data() +
+        static_cast<size_t>(p1.node_class[static_cast<size_t>(i)]) * c2;
+    for (int32_t j = 0; j < n2; ++j) {
+      double c = (li != g2.label(j)) ? costs.node_relabel : 0.0;
+      c += row[p2.node_class[static_cast<size_t>(j)]];
+      cost.at(i, j) = c;
+    }
+  }
+}
+
+/// The VJ tier's matrix: a coarse degree-difference penalty instead of
+/// local edge costs.
+void BuildVjMatrix(const Graph& g1, const Graph& g2, const GedCosts& costs,
+                   GedScratch* s) {
+  const int32_t n1 = g1.NumNodes();
+  const int32_t n2 = g2.NumNodes();
+  const double edge_op = 0.5 * (costs.edge_delete + costs.edge_insert);
+  CostMatrix& cost = s->cost_matrix;
+  ResetWithDeletionInsertion(g1, g2, costs, &cost);
+  for (int32_t i = 0; i < n1; ++i) {
+    for (int32_t j = 0; j < n2; ++j) {
+      double c = (g1.label(i) != g2.label(j)) ? costs.node_relabel : 0.0;
+      c += edge_op * 0.5 * std::abs(g1.Degree(i) - g2.Degree(j));
+      cost.at(i, j) = c;
+    }
   }
 }
 
@@ -125,12 +134,22 @@ void FromAssignment(const Graph& g1, const Graph& g2,
 
 }  // namespace
 
-void BipartiteGedHungarianInto(const Graph& g1, const Graph& g2,
+void BipartiteGedHungarianInto(const Graph& g1, const PreparedGraph& p1,
+                               const Graph& g2, const PreparedGraph& p2,
                                const GedCosts& costs, ApproxGedResult* out) {
   GedScratch& s = ThreadGedScratch();
-  BuildMatrix(g1, g2, /*with_local_edges=*/true, costs, &s);
+  BuildHungarianMatrix(g1, p1, g2, p2, costs, &s);
   SolveAssignmentInto(s.cost_matrix, &s.assignment);
   FromAssignment(g1, g2, s.assignment, costs, out);
+}
+
+void BipartiteGedHungarianInto(const Graph& g1, const Graph& g2,
+                               const GedCosts& costs, ApproxGedResult* out) {
+  // The tier reads only the classes.
+  GedScratch& s = ThreadGedScratch();
+  PrepareClasses(g1, &s.prepared1);
+  PrepareClasses(g2, &s.prepared2);
+  BipartiteGedHungarianInto(g1, s.prepared1, g2, s.prepared2, costs, out);
 }
 
 ApproxGedResult BipartiteGedHungarian(const Graph& g1, const Graph& g2,
@@ -143,9 +162,10 @@ ApproxGedResult BipartiteGedHungarian(const Graph& g1, const Graph& g2,
 void BipartiteGedVjInto(const Graph& g1, const Graph& g2,
                         const GedCosts& costs, ApproxGedResult* out) {
   // The VJ flavor trades matrix quality for speed: cheap substitution
-  // costs and the greedy solver.
+  // costs and the greedy solver. It reads only labels and degrees, so it
+  // needs no prepared form.
   GedScratch& s = ThreadGedScratch();
-  BuildMatrix(g1, g2, /*with_local_edges=*/false, costs, &s);
+  BuildVjMatrix(g1, g2, costs, &s);
   SolveAssignmentGreedyInto(s.cost_matrix, &s.assignment);
   FromAssignment(g1, g2, s.assignment, costs, out);
 }

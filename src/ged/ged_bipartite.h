@@ -3,6 +3,7 @@
 
 #include "ged/node_mapping.h"
 #include "graph/graph.h"
+#include "graph/prepared_graph.h"
 
 namespace lan {
 
@@ -25,7 +26,16 @@ ApproxGedResult BipartiteGedHungarian(
 
 /// Allocation-free variant: writes into `out` (reusing its mapping's
 /// capacity) and draws all working storage from the thread's GedScratch.
+/// Prepares both graphs on the fly (see the prepared overload).
 void BipartiteGedHungarianInto(const Graph& g1, const Graph& g2,
+                               const GedCosts& costs, ApproxGedResult* out);
+
+/// The same tier on graphs prepared ahead of time (`p1` = PrepareGraph of
+/// `g1`, `p2` of `g2`): the substitution block comes from a table of local
+/// edge costs over pairs of neighbour-multiset classes. Same bits as the
+/// Graph-only overload.
+void BipartiteGedHungarianInto(const Graph& g1, const PreparedGraph& p1,
+                               const Graph& g2, const PreparedGraph& p2,
                                const GedCosts& costs, ApproxGedResult* out);
 
 /// \brief Faster bipartite GED ("VJ" in the paper's protocol, after

@@ -26,6 +26,15 @@ const char* GedMethodName(GedMethod method) {
 
 GedValue GedComputer::Compute(const Graph& g1, const Graph& g2,
                               ThreadPool* pool) const {
+  GedScratch& s = ThreadGedScratch();
+  PrepareGraph(g1, &s.prepared1);
+  PrepareGraph(g2, &s.prepared2);
+  return Compute(g1, s.prepared1, g2, s.prepared2, pool);
+}
+
+GedValue GedComputer::Compute(const Graph& g1, const PreparedGraph& p1,
+                              const Graph& g2, const PreparedGraph& p2,
+                              ThreadPool* pool) const {
   // Approximate upper bounds (also used to prune the exact search). Each
   // tier writes only its own result in the calling thread's scratch and
   // works in the scratch of the thread it runs on, so the tiers may run
@@ -36,7 +45,8 @@ GedValue GedComputer::Compute(const Graph& g1, const Graph& g2,
   ParallelFor(pool, tiers, [&](size_t tier) {
     switch (tier) {
       case 0:
-        BipartiteGedHungarianInto(g1, g2, options_.costs, &s.hung_result);
+        BipartiteGedHungarianInto(g1, p1, g2, p2, options_.costs,
+                                  &s.hung_result);
         break;
       case 1:
         BipartiteGedVjInto(g1, g2, options_.costs, &s.vj_result);
@@ -70,7 +80,7 @@ GedValue GedComputer::Compute(const Graph& g1, const Graph& g2,
         {options_.costs.node_insert, options_.costs.node_delete,
          options_.costs.node_relabel, options_.costs.edge_insert,
          options_.costs.edge_delete});
-    if (best.distance - BestLowerBound(g1, g2) * min_cost >
+    if (best.distance - BestLowerBound(p1, p2) * min_cost >
         options_.skip_exact_gap) {
       try_exact = false;
     }

@@ -6,6 +6,7 @@
 #include "ged/ged_costs.h"
 #include "ged/ged_exact.h"
 #include "graph/graph.h"
+#include "graph/prepared_graph.h"
 
 namespace lan {
 
@@ -74,9 +75,16 @@ class GedComputer {
   explicit GedComputer(GedOptions options = {}) : options_(options) {}
 
   /// Full protocol; never fails. With a `pool`, the upper-bound tiers run
-  /// concurrently on it; the result is the same bits either way.
+  /// concurrently on it; the result is the same bits either way. Prepares
+  /// both graphs on the fly.
   GedValue Compute(const Graph& g1, const Graph& g2,
                    ThreadPool* pool = nullptr) const;
+
+  /// The same protocol on graphs prepared ahead of time (`p1` =
+  /// PrepareGraph of `g1`, `p2` of `g2`): the Hungarian tier and the lower
+  /// bounds read them instead of re-deriving per-graph facts.
+  GedValue Compute(const Graph& g1, const PreparedGraph& p1, const Graph& g2,
+                   const PreparedGraph& p2, ThreadPool* pool = nullptr) const;
 
   /// Convenience: just the distance.
   double Distance(const Graph& g1, const Graph& g2) const {

@@ -3,22 +3,18 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <vector>
 
 #include "ged/ged_scratch.h"
 
 namespace lan {
+namespace {
 
-double LabelMultisetLowerBound(const Graph& g1, const Graph& g2) {
-  // Size of the label multisets' intersection, by merging the sorted label
-  // lists (scratch buffers, so the bound allocates nothing when warm).
-  GedScratch& s = ThreadGedScratch();
-  std::vector<int32_t>& l1 = s.lb_values1;
-  std::vector<int32_t>& l2 = s.lb_values2;
-  l1.assign(g1.labels().begin(), g1.labels().end());
-  l2.assign(g2.labels().begin(), g2.labels().end());
-  std::sort(l1.begin(), l1.end());
-  std::sort(l2.begin(), l2.end());
+double LabelMultisetLowerBound(const PreparedGraph& p1,
+                               const PreparedGraph& p2) {
+  // Size of the label multisets' intersection, by merging the sorted
+  // label lists.
+  const std::vector<Label>& l1 = p1.sorted_labels;
+  const std::vector<Label>& l2 = p2.sorted_labels;
   int64_t common = 0;
   for (size_t i = 0, j = 0; i < l1.size() && j < l2.size();) {
     if (l1[i] < l2[j]) {
@@ -32,9 +28,46 @@ double LabelMultisetLowerBound(const Graph& g1, const Graph& g2) {
     }
   }
   const int64_t node_lb =
-      std::max<int64_t>(g1.NumNodes(), g2.NumNodes()) - common;
-  const int64_t edge_lb = std::llabs(g1.NumEdges() - g2.NumEdges());
+      std::max<int64_t>(p1.num_nodes, p2.num_nodes) - common;
+  const int64_t edge_lb = std::llabs(p1.num_edges - p2.num_edges);
   return static_cast<double>(node_lb + edge_lb);
+}
+
+double SizeLowerBound(const PreparedGraph& p1, const PreparedGraph& p2) {
+  return static_cast<double>(std::abs(p1.num_nodes - p2.num_nodes) +
+                             std::llabs(p1.num_edges - p2.num_edges));
+}
+
+double DegreeLowerBound(const PreparedGraph& p1, const PreparedGraph& p2) {
+  // The descending degree sequences, the shorter one padded with zeros.
+  const std::vector<int32_t>& d1 = p1.sorted_degrees;
+  const std::vector<int32_t>& d2 = p2.sorted_degrees;
+  const size_t common = std::min(d1.size(), d2.size());
+  int64_t diff = 0;
+  for (size_t i = 0; i < common; ++i) diff += std::abs(d1[i] - d2[i]);
+  for (size_t i = common; i < d1.size(); ++i) diff += d1[i];
+  for (size_t i = common; i < d2.size(); ++i) diff += d2[i];
+  // Each edge operation changes exactly two endpoint degrees.
+  const int64_t edge_lb = (diff + 1) / 2;
+  const int64_t node_lb = std::abs(p1.num_nodes - p2.num_nodes);
+  return static_cast<double>(node_lb + edge_lb);
+}
+
+}  // namespace
+
+double BestLowerBound(const PreparedGraph& p1, const PreparedGraph& p2) {
+  return std::max({LabelMultisetLowerBound(p1, p2), SizeLowerBound(p1, p2),
+                   DegreeLowerBound(p1, p2)});
+}
+
+// The Graph-taking bounds derive the sorted facts on the fly, in the
+// thread's scratch (so they allocate nothing when warm).
+
+double LabelMultisetLowerBound(const Graph& g1, const Graph& g2) {
+  GedScratch& s = ThreadGedScratch();
+  PrepareSortedFacts(g1, &s.prepared1);
+  PrepareSortedFacts(g2, &s.prepared2);
+  return LabelMultisetLowerBound(s.prepared1, s.prepared2);
 }
 
 double SizeLowerBound(const Graph& g1, const Graph& g2) {
@@ -44,28 +77,17 @@ double SizeLowerBound(const Graph& g1, const Graph& g2) {
 }
 
 double DegreeLowerBound(const Graph& g1, const Graph& g2) {
-  const size_t n = static_cast<size_t>(
-      std::max(g1.NumNodes(), g2.NumNodes()));
   GedScratch& s = ThreadGedScratch();
-  std::vector<int32_t>& d1 = s.lb_values1;
-  std::vector<int32_t>& d2 = s.lb_values2;
-  d1.assign(n, 0);
-  d2.assign(n, 0);
-  for (NodeId v = 0; v < g1.NumNodes(); ++v) d1[static_cast<size_t>(v)] = g1.Degree(v);
-  for (NodeId v = 0; v < g2.NumNodes(); ++v) d2[static_cast<size_t>(v)] = g2.Degree(v);
-  std::sort(d1.rbegin(), d1.rend());
-  std::sort(d2.rbegin(), d2.rend());
-  int64_t diff = 0;
-  for (size_t i = 0; i < n; ++i) diff += std::abs(d1[i] - d2[i]);
-  // Each edge operation changes exactly two endpoint degrees.
-  const int64_t edge_lb = (diff + 1) / 2;
-  const int64_t node_lb = std::abs(g1.NumNodes() - g2.NumNodes());
-  return static_cast<double>(node_lb + edge_lb);
+  PrepareSortedFacts(g1, &s.prepared1);
+  PrepareSortedFacts(g2, &s.prepared2);
+  return DegreeLowerBound(s.prepared1, s.prepared2);
 }
 
 double BestLowerBound(const Graph& g1, const Graph& g2) {
-  return std::max({LabelMultisetLowerBound(g1, g2), SizeLowerBound(g1, g2),
-                   DegreeLowerBound(g1, g2)});
+  GedScratch& s = ThreadGedScratch();
+  PrepareSortedFacts(g1, &s.prepared1);
+  PrepareSortedFacts(g2, &s.prepared2);
+  return BestLowerBound(s.prepared1, s.prepared2);
 }
 
 }  // namespace lan

@@ -2,6 +2,7 @@
 #define LAN_GED_GED_LOWER_BOUNDS_H_
 
 #include "graph/graph.h"
+#include "graph/prepared_graph.h"
 
 namespace lan {
 
@@ -23,6 +24,11 @@ double DegreeLowerBound(const Graph& g1, const Graph& g2);
 
 /// Best (largest) of the cheap lower bounds.
 double BestLowerBound(const Graph& g1, const Graph& g2);
+
+/// The same best bound on prepared forms (it reads the sizes and the
+/// sorted labels and degrees). Equal to the Graph overload, which prepares
+/// the sorted facts on the fly.
+double BestLowerBound(const PreparedGraph& p1, const PreparedGraph& p2);
 
 }  // namespace lan
 

@@ -7,6 +7,7 @@
 #include "ged/assignment.h"
 #include "ged/ged_bipartite.h"
 #include "graph/graph.h"
+#include "graph/prepared_graph.h"
 
 namespace lan {
 
@@ -68,10 +69,13 @@ struct GedScratch {
   // --- BipartiteGed* ---
   CostMatrix cost_matrix;
   Assignment assignment;
-  /// Flattened sorted far-endpoint label lists (CSR layout: node v's
-  /// labels live at [offsets[v], offsets[v + 1])).
-  std::vector<Label> labels1, labels2;
-  std::vector<int32_t> offsets1, offsets2;
+  /// The Hungarian tier's local edge cost of each pair of neighbour-
+  /// multiset classes (row-major, g1 classes x g2 classes).
+  std::vector<double> class_costs;
+  /// The prepared forms that the Graph-taking entry points (Hungarian,
+  /// GedComputer::Compute, the lower bounds) derive on the fly. None of
+  /// them calls another through these.
+  PreparedGraph prepared1, prepared2;
   // --- BeamGed ---
   /// Surviving partial maps, one row per state: images of g1 nodes
   /// [0, depth) (stride n1), preimages of g2 nodes (stride n2, kEpsilon =
@@ -114,8 +118,6 @@ struct GedScratch {
   std::vector<uint8_t> astar_mark;
   // --- MapCost ---
   std::vector<NodeId> preimage;
-  // --- Lower bounds (label multisets, degree sequences) ---
-  std::vector<int32_t> lb_values1, lb_values2;
 };
 
 /// The calling thread's GED scratch (created on first use).

@@ -1,5 +1,6 @@
 #include "gnn/compressed_gnn_graph.h"
 
+#include <cmath>
 #include <map>
 #include <utility>
 
@@ -36,6 +37,20 @@ std::vector<float> CompressedGnnGraph::TopLevelWeights() const {
   weights.reserve(top.size());
   for (int32_t s : top) weights.push_back(static_cast<float>(s));
   return weights;
+}
+
+void CompressedGnnGraph::DeriveInferenceConstants() {
+  log_group_size.resize(static_cast<size_t>(num_layers));
+  for (size_t l = 0; l < log_group_size.size(); ++l) {
+    std::vector<float>& log_w = log_group_size[l];
+    log_w.clear();
+    for (int32_t size : group_size[l]) {
+      const float w = static_cast<float>(size);
+      LAN_CHECK_GT(w, 0.0f);
+      log_w.push_back(std::log(w));
+    }
+  }
+  readout_weights = TopLevelWeights();
 }
 
 CompressedGnnGraph BuildCompressedGnnGraph(const Graph& g, int num_layers) {
@@ -134,6 +149,7 @@ CompressedGnnGraph BuildCompressedGnnGraph(const Graph& g, int num_layers) {
     cg.aggregation[static_cast<size_t>(l) - 1] = std::move(op);
   }
 
+  cg.DeriveInferenceConstants();
   return cg;
 }
 

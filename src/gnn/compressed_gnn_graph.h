@@ -62,36 +62,22 @@ struct CompressedGnnGraph {
   /// Group sizes at the top level as floats (the readout weights of
   /// Definition 3).
   std::vector<float> TopLevelWeights() const;
+
+  /// Constants of batched inference, derived from `group_size` once per
+  /// CG by DeriveInferenceConstants (never persisted):
+  /// log_group_size[l][i] = log|g_{l,i}| for l = 0..L-1 (the softmax
+  /// log-weights of the attended groups) and readout_weights =
+  /// TopLevelWeights().
+  std::vector<std::vector<float>> log_group_size;
+  std::vector<float> readout_weights;
+
+  /// Fills the inference constants above. BuildCompressedGnnGraph and the
+  /// snapshot decoder call it; a CG built any other way must too.
+  void DeriveInferenceConstants();
 };
 
 /// Algorithm 5. `num_layers` >= 0; the graph must be non-empty.
 CompressedGnnGraph BuildCompressedGnnGraph(const Graph& g, int num_layers);
-
-/// \brief A query's CG, built by the first Get().
-///
-/// The learned components read the query CG only when a model actually
-/// runs, so a query that runs none (baseline routing from HNSW_IS, or
-/// LAN_Route that never enters N_Q) never builds it. One instance per
-/// query; not thread-safe.
-class LazyQueryCg {
- public:
-  LazyQueryCg(const Graph* query, int num_layers)
-      : query_(query), num_layers_(num_layers) {}
-
-  const CompressedGnnGraph& Get() {
-    if (!built_) {
-      cg_ = BuildCompressedGnnGraph(*query_, num_layers_);
-      built_ = true;
-    }
-    return cg_;
-  }
-
- private:
-  const Graph* query_;
-  int num_layers_;
-  bool built_ = false;
-  CompressedGnnGraph cg_;
-};
 
 }  // namespace lan
 

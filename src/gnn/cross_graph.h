@@ -2,6 +2,7 @@
 #define LAN_GNN_CROSS_GRAPH_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/random.h"
@@ -35,13 +36,17 @@ CrossGraphComplexity ComputeCrossComplexity(const CompressedGnnGraph& g,
 /// scores candidates against the same query: one-hot rows, aggregation /
 /// lift operators, attention log-multiplicities, and readout weights.
 /// Built once per query by CrossGraphEncoder::EncodeQuery (the per-pair
-/// paths recompute all of this for every scored pair).
+/// paths recompute all of this for every scored pair). It depends only on
+/// the query, the layer count and the input dim, so every model with the
+/// same two can share it.
 struct QueryEncodingCache {
   bool compressed = false;
   int num_layers = 0;
   /// rows_per_level[l] = query rows (groups or nodes) at level l = 0..L.
   std::vector<int32_t> rows_per_level;
-  /// Level-0 one-hot features (rows_per_level[0] x input_dim).
+  /// Level-0 labels of the query rows, and their one-hot features
+  /// (rows_per_level[0] x input_dim).
+  std::vector<int32_t> level0_labels;
   Matrix one_hot;
   /// Aggregation operator used at layer l (raw graphs repeat the same
   /// GnnGraph operator at every layer).
@@ -53,6 +58,43 @@ struct QueryEncodingCache {
   std::vector<std::vector<float>> log_multiplicity;
   /// Readout weights at level L (CG: group sizes; raw: all ones).
   std::vector<float> readout_weights;
+};
+
+class CrossGraphEncoder;
+
+/// \brief A query's CG and encoder cache, each built by its first use.
+///
+/// The learned components read the query CG only when a model actually
+/// runs, so a query that runs none (baseline routing from HNSW_IS, or
+/// LAN_Route that never enters N_Q) never builds it. The encoder cache
+/// depends only on the query, the layer count and the input dim, so M_nh
+/// and M_rk share one per query. One instance per query; not thread-safe.
+class LazyQueryCg {
+ public:
+  LazyQueryCg(const Graph* query, int num_layers)
+      : query_(query), num_layers_(num_layers) {}
+
+  const CompressedGnnGraph& Get() {
+    if (!built_) {
+      cg_ = BuildCompressedGnnGraph(*query_, num_layers_);
+      built_ = true;
+    }
+    return cg_;
+  }
+
+  /// The encoder cache of the CG (`compressed`) or of the raw query,
+  /// built by `encoder` on the first call. Every later call must ask for
+  /// the same kind from an encoder of the same layer count and input dim.
+  const QueryEncodingCache& Encoding(const CrossGraphEncoder& encoder,
+                                     bool compressed);
+
+ private:
+  const Graph* query_;
+  int num_layers_;
+  bool built_ = false;
+  CompressedGnnGraph cg_;
+  bool encoded_ = false;
+  QueryEncodingCache encoding_;
 };
 
 /// \brief Cross-graph (GMN-style) encoder: Definition 1 on raw graphs and
@@ -100,17 +142,19 @@ class CrossGraphEncoder {
   /// ForwardCompressed(tape, *gs[i], q), but the attention score, linear
   /// projection, and readout of each layer run over the stacked candidate
   /// set (one GEMM per layer instead of one per pair); only the
-  /// block-diagonal attention softmax stays per-pair. Result is
-  /// (|gs| x cross_dim()). Batches of more than four candidates run in
-  /// chunks of four, concurrently on `pool` when one is given; the rows are
-  /// the same bits either way.
-  Matrix InferCrossEmbeddings(const std::vector<const CompressedGnnGraph*>& gs,
-                              const QueryEncodingCache& query,
-                              ThreadPool* pool = nullptr) const;
+  /// block-diagonal attention softmax stays per-pair, with one softmax and
+  /// message row per distinct self score. Writes |gs| x cross_dim() into
+  /// `out`, reusing its storage. Batches of more than four candidates run
+  /// in ceil(|gs| / 4) chunks of balanced size, concurrently on `pool` when
+  /// one is given; the rows are the same bits either way. Working storage
+  /// is per thread, so a warm thread allocates nothing.
+  void InferCrossEmbeddings(const std::vector<const CompressedGnnGraph*>& gs,
+                            const QueryEncodingCache& query, Matrix* out,
+                            ThreadPool* pool = nullptr) const;
   /// Raw (Definition 1) batched inference; row i matches Forward().
-  Matrix InferCrossEmbeddings(const std::vector<const Graph*>& gs,
-                              const QueryEncodingCache& query,
-                              ThreadPool* pool = nullptr) const;
+  void InferCrossEmbeddings(const std::vector<const Graph*>& gs,
+                            const QueryEncodingCache& query, Matrix* out,
+                            ThreadPool* pool = nullptr) const;
 
   int num_layers() const { return static_cast<int>(weights_.size()); }
   int32_t input_dim() const { return input_dim_; }
@@ -121,10 +165,16 @@ class CrossGraphEncoder {
   int32_t cross_dim() const { return 2 * output_dim(); }
 
  private:
-  /// Internal stacked layout of a candidate batch (defined in the .cc).
-  struct CandidateBatch;
-  Matrix InferStacked(const CandidateBatch& cand,
-                      const QueryEncodingCache& query) const;
+  /// All chunks of one batched inference call into `out`.
+  template <typename G>
+  void InferInChunks(const std::vector<const G*>& gs,
+                     const QueryEncodingCache& query, Matrix* out,
+                     ThreadPool* pool) const;
+  /// One chunk: the stacked forward of candidates `gs`, whose rows go to
+  /// `out` (|gs| x cross_dim(), zero-initialized by the caller).
+  template <typename G>
+  void InferStacked(std::span<const G* const> gs,
+                    const QueryEncodingCache& query, float* out) const;
 
   /// One side of one layer: aggregation + attention + linear + ReLU.
   VarId LayerOneSide(Tape* tape, VarId h_self, VarId h_other,

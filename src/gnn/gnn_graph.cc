@@ -15,6 +15,32 @@ SparseMatrix GnnGraph::AggregationOperator() const {
   return s;
 }
 
+void GnnGraph::ApplyAggregation(const float* x, int32_t cols,
+                                int32_t src_off, float* out,
+                                int32_t dst_off) const {
+  const Graph& g = *graph_;
+  for (NodeId u = 0; u < g.NumNodes(); ++u) {
+    float* orow = out + static_cast<size_t>(u + dst_off) * cols;
+    const float* self = x + static_cast<size_t>(u + src_off) * cols;
+    for (int32_t j = 0; j < cols; ++j) orow[j] += 1.0f * self[j];
+    for (NodeId v : g.Neighbors(u)) {
+      const float* xrow = x + static_cast<size_t>(v + src_off) * cols;
+      for (int32_t j = 0; j < cols; ++j) orow[j] += 1.0f * xrow[j];
+    }
+  }
+}
+
+void GnnGraph::ApplyAggregationOneHot(const int32_t* labels,
+                                      int32_t cols, int32_t src_off,
+                                      float* out, int32_t dst_off) const {
+  const Graph& g = *graph_;
+  for (NodeId u = 0; u < g.NumNodes(); ++u) {
+    float* orow = out + static_cast<size_t>(u + dst_off) * cols;
+    orow[labels[u + src_off]] += 1.0f;
+    for (NodeId v : g.Neighbors(u)) orow[labels[v + src_off]] += 1.0f;
+  }
+}
+
 SparseMatrix SampledAggregationOperator(const Graph& g, int sample_size,
                                         Rng* rng) {
   SparseMatrix s;

@@ -41,6 +41,20 @@ class GnnGraph {
   /// N(u)} h_v (the GIN aggregation of Eq. 1, identical at every level).
   SparseMatrix AggregationOperator() const;
 
+  /// out += S x over row-offset blocks of row-major buffers (`cols` wide):
+  /// out row u + dst_off gains x rows u + src_off and v + src_off for each
+  /// neighbor v, one entry at a time in AggregationOperator's order, so
+  /// the sums match applying the materialized operator bit for bit.
+  void ApplyAggregation(const float* x, int32_t cols, int32_t src_off,
+                        float* out, int32_t dst_off) const;
+  /// ApplyAggregation on one-hot rows given by their labels (row r is 1 at
+  /// column labels[r]): every other column is an exact zero whose product
+  /// adds nothing to a destination entry that is never -0, so only the
+  /// label column moves.
+  void ApplyAggregationOneHot(const int32_t* labels, int32_t cols,
+                              int32_t src_off, float* out,
+                              int32_t dst_off) const;
+
  private:
   const Graph* graph_;
   int num_layers_;

@@ -60,7 +60,7 @@ void GraphDatabase::RepublishSlots() {
   if (n > slot_capacity_) {
     size_t cap = slot_capacity_ == 0 ? kInitialSlotCapacity : slot_capacity_;
     while (cap < n) cap *= 2;
-    auto fresh = std::make_unique<const Graph*[]>(cap);
+    auto fresh = std::make_unique<const Entry*[]>(cap);
     for (size_t i = 0; i < n; ++i) fresh[i] = &graphs_[i];
     slot_capacity_ = cap;
     slots_.store(fresh.get(), std::memory_order_release);
@@ -91,7 +91,10 @@ Status GraphDatabase::CheckGraph(const Graph& graph) const {
 
 Result<GraphId> GraphDatabase::Add(Graph graph) {
   LAN_RETURN_NOT_OK(CheckGraph(graph));
-  graphs_.push_back(std::move(graph));
+  Entry entry;
+  PrepareGraph(graph, &entry.prepared);
+  entry.graph = std::move(graph);
+  graphs_.push_back(std::move(entry));
   live_.push_back(1);
   RepublishSlots();
   return size() - 1;

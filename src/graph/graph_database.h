@@ -10,6 +10,7 @@
 
 #include "common/status.h"
 #include "graph/graph.h"
+#include "graph/prepared_graph.h"
 
 namespace lan {
 
@@ -27,7 +28,9 @@ namespace lan {
 /// number of reader threads call Get()/size() — readers are lock-free.
 /// Graphs live in a deque (stable addresses) and Get() goes through an
 /// immutable published pointer table that the writer republishes
-/// (copy-on-grow) with release ordering. Everything else (Truncate,
+/// (copy-on-grow) with release ordering. Each graph is stored with its
+/// PreparedGraph, derived by Add() and as immutable as the graph.
+/// Everything else (Truncate,
 /// the statistics helpers, copies/moves) is setup-phase only and must not
 /// run concurrently with anything.
 class GraphDatabase {
@@ -75,7 +78,14 @@ class GraphDatabase {
   /// any id the caller learned about through a properly published
   /// snapshot (or, trivially, in single-threaded use).
   const Graph& Get(GraphId id) const {
-    return *slots_.load(std::memory_order_acquire)[static_cast<size_t>(id)];
+    return slots_.load(std::memory_order_acquire)[static_cast<size_t>(id)]
+        ->graph;
+  }
+
+  /// The prepared form of graph `id` (same access rules as Get()).
+  const PreparedGraph& Prepared(GraphId id) const {
+    return slots_.load(std::memory_order_acquire)[static_cast<size_t>(id)]
+        ->prepared;
   }
 
   int32_t num_labels() const { return num_labels_; }
@@ -101,21 +111,26 @@ class GraphDatabase {
   /// readers of a previous table stay valid.
   void RepublishSlots();
 
-  std::deque<Graph> graphs_;
+  struct Entry {
+    Graph graph;
+    PreparedGraph prepared;
+  };
+
+  std::deque<Entry> graphs_;
   std::vector<uint8_t> live_;
   GraphId num_removed_ = 0;
   int32_t num_labels_ = 0;
   std::string name_;
 
-  /// Published view: slots_[i] points at graph i (a deque element).
+  /// Published view: slots_[i] points at entry i (a deque element).
   /// Readers take one acquire load; the writer fills the next slot, then
   /// publishes the new size (and, on growth, a fresh array) with release
   /// ordering.
-  std::atomic<const Graph* const*> slots_{nullptr};
+  std::atomic<const Entry* const*> slots_{nullptr};
   std::atomic<GraphId> size_{0};
   size_t slot_capacity_ = 0;
   /// Every slot array ever published (at most O(log size) of them).
-  std::vector<std::unique_ptr<const Graph*[]>> slot_arrays_;
+  std::vector<std::unique_ptr<const Entry*[]>> slot_arrays_;
 };
 
 }  // namespace lan

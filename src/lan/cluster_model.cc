@@ -76,7 +76,8 @@ std::vector<float> ClusterModel::PredictCounts(
     for (float x : query_embedding) features.at(row, j++) = x;
     for (float x : centroid) features.at(row, j++) = x;
   }
-  const Matrix preds = mlp_.InferForward(features);
+  Matrix preds, hidden;
+  mlp_.InferForward(features.data(), features.rows(), &preds, &hidden);
   std::vector<float> out;
   out.reserve(num_centroids);
   for (int32_t c = 0; c < preds.rows(); ++c) {

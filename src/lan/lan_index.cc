@@ -214,7 +214,9 @@ Result<GraphId> LanIndex::Insert(Graph graph) {
   // the pair is evaluated as d(a, b) in the order HnswIndex asks for it.
   auto hnsw = std::make_shared<HnswIndex>(*snap->hnsw);
   const auto pair_distance = [this](GraphId a, GraphId b) {
-    return kBuildGed.Distance(db_->Get(a), db_->Get(b));
+    return kBuildGed
+        .Compute(db_->Get(a), db_->Prepared(a), db_->Get(b), db_->Prepared(b))
+        .distance;
   };
   LAN_RETURN_NOT_OK(hnsw->Insert(id, pair_distance, config_.hnsw,
                                  &insert_rng_, pool_.get()));

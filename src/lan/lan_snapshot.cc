@@ -425,6 +425,7 @@ Result<std::vector<CompressedGnnGraph>> DecodeCgs(
                          entries, cg, l));
       cg.lift.push_back(std::move(lift));
     }
+    cg.DeriveInferenceConstants();
   }
   return cgs;
 }

@@ -124,31 +124,27 @@ int64_t LanInitialSelector::PredictKeptSet(DistanceOracle* oracle,
     event.aux = static_cast<double>(candidates.size());
     sink->Record(event);
   }
-  std::vector<float> probs;
   {
     StageSpan span(oracle->profile(), Stage::kModelInference);
     const PairScorer& scorer = nh_model_->scorer();
-    Matrix cross;
+    const QueryEncodingCache& query_encoding =
+        scorer.EncodeQuery(query_cg_, use_compressed_);
     if (use_compressed_) {
-      std::vector<const CompressedGnnGraph*> gs;
-      gs.reserve(candidates.size());
+      cg_batch_.clear();
       for (GraphId id : candidates) {
-        gs.push_back(&(*db_cgs_)[static_cast<size_t>(id)]);
+        cg_batch_.push_back(&(*db_cgs_)[static_cast<size_t>(id)]);
       }
-      cross = scorer.InferCross(gs, scorer.EncodeQuery(query_cg_->Get()),
-                                oracle->pool());
+      scorer.InferCross(cg_batch_, query_encoding, &cross_, oracle->pool());
     } else {
-      std::vector<const Graph*> gs;
-      gs.reserve(candidates.size());
-      for (GraphId id : candidates) gs.push_back(&oracle->db().Get(id));
-      cross = scorer.InferCross(gs, scorer.EncodeQuery(oracle->query()),
-                                oracle->pool());
+      raw_batch_.clear();
+      for (GraphId id : candidates) raw_batch_.push_back(&oracle->db().Get(id));
+      scorer.InferCross(raw_batch_, query_encoding, &cross_, oracle->pool());
     }
-    probs = nh_model_->PredictProbs(cross);
+    nh_model_->PredictProbs(cross_, &probs_);
   }
   const float threshold = nh_model_->calibrated_threshold();
   for (size_t i = 0; i < candidates.size(); ++i) {
-    if (probs[i] >= threshold) predicted_.push_back(candidates[i]);
+    if (probs_[i] >= threshold) predicted_.push_back(candidates[i]);
   }
   return static_cast<int64_t>(candidates.size());
 }

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/random.h"
-#include "gnn/compressed_gnn_graph.h"
+#include "gnn/cross_graph.h"
 #include "gnn/embedding.h"
 #include "lan/cluster_model.h"
 #include "lan/kmeans.h"
@@ -75,6 +75,11 @@ class LanInitialSelector {
   LanInitOptions options_;
   SearchScratch* scratch_ = nullptr;
   std::vector<GraphId> predicted_;
+  /// M_nh's candidate batch, cross rows and probabilities.
+  std::vector<const CompressedGnnGraph*> cg_batch_;
+  std::vector<const Graph*> raw_batch_;
+  Matrix cross_;
+  std::vector<float> probs_;
 };
 
 }  // namespace lan

@@ -24,54 +24,48 @@ void LearnedNeighborRanker::RankNeighbors(const ProximityGraph& pg,
   }
 
   SearchStats* stats = oracle_->stats();
-  if (!query_cache_ready_) {
-    StageSpan span(oracle_->profile(), Stage::kModelInference);
-    query_cache_ = use_compressed_
-                       ? model_->scorer().EncodeQuery(query_cg_->Get())
-                       : model_->scorer().EncodeQuery(query);
-    query_cache_ready_ = true;
-  }
   int64_t inferences = 0;
   int64_t encodings = 0;
   {
     StageSpan span(oracle_->profile(), Stage::kModelInference);
     const PairScorer& scorer = model_->scorer();
+    const QueryEncodingCache& query_encoding =
+        scorer.EncodeQuery(query_cg_, use_compressed_);
     const int32_t cross_dim = scorer.cross_dim();
     // Encode the neighbors this query has not met yet, in one batch.
-    std::vector<GraphId> misses;
+    misses_.clear();
     for (GraphId n : neighbors) {
       const int32_t slot = static_cast<int32_t>(memo_slot_.size());
-      if (memo_slot_.emplace(n, slot).second) misses.push_back(n);
+      if (memo_slot_.emplace(n, slot).second) misses_.push_back(n);
     }
-    if (!misses.empty()) {
-      Matrix encoded;
+    if (!misses_.empty()) {
       if (use_compressed_) {
-        std::vector<const CompressedGnnGraph*> gs;
-        gs.reserve(misses.size());
-        for (GraphId n : misses) {
-          gs.push_back(&(*db_cgs_)[static_cast<size_t>(n)]);
+        cg_batch_.clear();
+        for (GraphId n : misses_) {
+          cg_batch_.push_back(&(*db_cgs_)[static_cast<size_t>(n)]);
         }
-        encoded = scorer.InferCross(gs, query_cache_, oracle_->pool());
+        scorer.InferCross(cg_batch_, query_encoding, &encoded_,
+                          oracle_->pool());
       } else {
-        std::vector<const Graph*> gs;
-        gs.reserve(misses.size());
-        for (GraphId n : misses) gs.push_back(&oracle_->db().Get(n));
-        encoded = scorer.InferCross(gs, query_cache_, oracle_->pool());
+        raw_batch_.clear();
+        for (GraphId n : misses_) raw_batch_.push_back(&oracle_->db().Get(n));
+        scorer.InferCross(raw_batch_, query_encoding, &encoded_,
+                          oracle_->pool());
       }
-      memo_rows_.insert(memo_rows_.end(), encoded.data(),
-                        encoded.data() + encoded.size());
-      encodings = static_cast<int64_t>(misses.size());
+      memo_rows_.insert(memo_rows_.end(), encoded_.data(),
+                        encoded_.data() + encoded_.size());
+      encodings = static_cast<int64_t>(misses_.size());
     }
     // This node's neighbor rows, in neighbor order.
-    Matrix cross(static_cast<int32_t>(neighbors.size()), cross_dim);
+    cross_.Reset(static_cast<int32_t>(neighbors.size()), cross_dim);
     for (size_t i = 0; i < neighbors.size(); ++i) {
       const float* row =
           memo_rows_.data() +
           static_cast<size_t>(memo_slot_.at(neighbors[i])) * cross_dim;
       std::copy(row, row + cross_dim,
-                cross.data() + i * static_cast<size_t>(cross_dim));
+                cross_.data() + i * static_cast<size_t>(cross_dim));
     }
-    model_->PredictBatchesFromCross(neighbors, cross, node,
+    model_->PredictBatchesFromCross(neighbors, cross_, node,
                                     (*db_cgs_)[static_cast<size_t>(node)],
                                     &inferences, out);
   }

@@ -48,10 +48,13 @@ class LearnedNeighborRanker : public NeighborRanker {
   DistanceOracle* oracle_;
   double gamma_star_;
   bool use_compressed_;
-  /// Query-side encoder state, built on the first model consultation and
-  /// reused for every routing node of this query.
-  QueryEncodingCache query_cache_;
-  bool query_cache_ready_ = false;
+  /// Reused per routing node: the memo misses, their candidate batch,
+  /// their encoded rows and the node's neighbor rows.
+  std::vector<GraphId> misses_;
+  std::vector<const CompressedGnnGraph*> cg_batch_;
+  std::vector<const Graph*> raw_batch_;
+  Matrix encoded_;
+  Matrix cross_;
   /// The per-query memo: memo_slot_[G'] is the row of h_{G',Q} in
   /// memo_rows_ (row-major, cross_dim floats per row).
   std::unordered_map<GraphId, int32_t> memo_slot_;

@@ -94,12 +94,10 @@ float NeighborhoodModel::TapedProb(const CompressedGnnGraph& g_cg,
   return 1.0f / (1.0f + std::exp(-z));
 }
 
-std::vector<float> NeighborhoodModel::PredictProbs(const Matrix& cross) const {
-  const std::vector<std::vector<float>> probs = scorer_.InferHeads(cross, {});
-  std::vector<float> out;
-  out.reserve(probs.size());
-  for (const std::vector<float>& p : probs) out.push_back(p[0]);
-  return out;
+void NeighborhoodModel::PredictProbs(const Matrix& cross,
+                                     std::vector<float>* probs) const {
+  // One head, so the |rows| x 1 head output is the probability list.
+  scorer_.InferHeads(cross, {}, probs);
 }
 
 double NeighborhoodModel::EvaluatePrecision(

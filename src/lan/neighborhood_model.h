@@ -45,8 +45,9 @@ class NeighborhoodModel {
 
   /// The query-time entry: P(G in N_Q) per cross row h_{G,Q} (from
   /// PairScorer::InferCross on CGs or raw graphs). The LAN_IS candidate
-  /// scan scores every member of the selected clusters this way.
-  std::vector<float> PredictProbs(const Matrix& cross) const;
+  /// scan scores every member of the selected clusters this way. Writes
+  /// into `probs`, reusing its storage; a warm thread allocates nothing.
+  void PredictProbs(const Matrix& cross, std::vector<float>* probs) const;
 
   /// Threshold chosen on validation data during Train (maximizes F1);
   /// 0.5 when no validation set was provided.

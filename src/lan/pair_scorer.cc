@@ -1,5 +1,6 @@
 #include "lan/pair_scorer.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -69,48 +70,64 @@ QueryEncodingCache PairScorer::EncodeQuery(const Graph& q) const {
   return cross_.EncodeQuery(q);
 }
 
-std::vector<std::vector<float>> PairScorer::InferHeads(
-    const Matrix& cross, std::span<const float> context_row) const {
+namespace {
+
+/// Per-thread working storage of InferHeads: the feature rows (when a
+/// context row is appended), and one head's output and hidden layers.
+struct HeadScratch {
+  std::vector<float> features;
+  Matrix out, hidden;
+};
+
+HeadScratch& ThreadHeadScratch() {
+  static thread_local HeadScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
+void PairScorer::InferHeads(const Matrix& cross,
+                            std::span<const float> context_row,
+                            std::vector<float>* probs) const {
   const int32_t num_cands = cross.rows();
-  Matrix features;
+  const size_t num_heads = heads_.size();
+  HeadScratch& s = ThreadHeadScratch();
+  const float* features = cross.data();
   if (!context_row.empty()) {
     LAN_CHECK(context_);
     const int32_t ctx_cols = static_cast<int32_t>(context_row.size());
-    features = Matrix(num_cands, cross.cols() + ctx_cols);
+    const int32_t feature_dim = cross.cols() + ctx_cols;
+    s.features.resize(static_cast<size_t>(num_cands) * feature_dim);
     for (int32_t i = 0; i < num_cands; ++i) {
-      for (int32_t j = 0; j < cross.cols(); ++j) {
-        features.at(i, j) = cross.at(i, j);
-      }
-      for (int32_t j = 0; j < ctx_cols; ++j) {
-        features.at(i, cross.cols() + j) = context_row[static_cast<size_t>(j)];
-      }
+      float* row = s.features.data() + static_cast<size_t>(i) * feature_dim;
+      const float* src = cross.data() + static_cast<size_t>(i) * cross.cols();
+      std::copy(src, src + cross.cols(), row);
+      std::copy(context_row.begin(), context_row.end(), row + cross.cols());
     }
-  } else {
-    features = cross;
+    features = s.features.data();
   }
-  std::vector<std::vector<float>> probs(
-      static_cast<size_t>(num_cands),
-      std::vector<float>(heads_.size()));
-  for (size_t h = 0; h < heads_.size(); ++h) {
-    const Matrix logits = heads_[h].InferForward(features);
+  LAN_CHECK_EQ(cross.cols() + static_cast<int32_t>(context_row.size()),
+               heads_[0].layers()[0].in_dim());
+  probs->resize(static_cast<size_t>(num_cands) * num_heads);
+  for (size_t h = 0; h < num_heads; ++h) {
+    heads_[h].InferForward(features, num_cands, &s.out, &s.hidden);
     for (int32_t i = 0; i < num_cands; ++i) {
-      probs[static_cast<size_t>(i)][h] =
-          1.0f / (1.0f + std::exp(-logits.at(i, 0)));
+      (*probs)[static_cast<size_t>(i) * num_heads + h] =
+          1.0f / (1.0f + std::exp(-s.out.at(i, 0)));
     }
   }
-  return probs;
 }
 
-Matrix PairScorer::InferCross(const std::vector<const CompressedGnnGraph*>& gs,
-                              const QueryEncodingCache& query,
-                              ThreadPool* pool) const {
-  return cross_.InferCrossEmbeddings(gs, query, pool);
+void PairScorer::InferCross(const std::vector<const CompressedGnnGraph*>& gs,
+                            const QueryEncodingCache& query, Matrix* out,
+                            ThreadPool* pool) const {
+  cross_.InferCrossEmbeddings(gs, query, out, pool);
 }
 
-Matrix PairScorer::InferCross(const std::vector<const Graph*>& gs,
-                              const QueryEncodingCache& query,
-                              ThreadPool* pool) const {
-  return cross_.InferCrossEmbeddings(gs, query, pool);
+void PairScorer::InferCross(const std::vector<const Graph*>& gs,
+                            const QueryEncodingCache& query, Matrix* out,
+                            ThreadPool* pool) const {
+  cross_.InferCrossEmbeddings(gs, query, out, pool);
 }
 
 }  // namespace lan

@@ -63,6 +63,12 @@ class PairScorer {
   /// candidate batch scored against it.
   QueryEncodingCache EncodeQuery(const CompressedGnnGraph& q) const;
   QueryEncodingCache EncodeQuery(const Graph& q) const;
+  /// The search's shared encoder cache of its query (of the CG when
+  /// `compressed`), built on the first call by any model.
+  const QueryEncodingCache& EncodeQuery(LazyQueryCg* query,
+                                        bool compressed) const {
+    return query->Encoding(cross_, compressed);
+  }
 
   /// First half of batched inference: the cross-graph rows h_{G,Q}, one
   /// per candidate (|gs| x cross_dim), with one GEMM per GNN layer over the
@@ -70,20 +76,23 @@ class PairScorer {
   /// on (*gs[i], Q), never on which other candidates share the batch, so
   /// rows computed in different calls may be reused and mixed (the
   /// per-query memo of LearnedNeighborRanker relies on this). With a
-  /// `pool`, the candidate chunks run concurrently on it.
-  Matrix InferCross(const std::vector<const CompressedGnnGraph*>& gs,
-                    const QueryEncodingCache& query,
-                    ThreadPool* pool = nullptr) const;
-  Matrix InferCross(const std::vector<const Graph*>& gs,
-                    const QueryEncodingCache& query,
-                    ThreadPool* pool = nullptr) const;
+  /// `pool`, the candidate chunks run concurrently on it. Writes into
+  /// `out`, reusing its storage; a warm thread allocates nothing.
+  void InferCross(const std::vector<const CompressedGnnGraph*>& gs,
+                  const QueryEncodingCache& query, Matrix* out,
+                  ThreadPool* pool = nullptr) const;
+  void InferCross(const std::vector<const Graph*>& gs,
+                  const QueryEncodingCache& query, Matrix* out,
+                  ThreadPool* pool = nullptr) const;
 
   /// Second half: appends the context row (empty span = none) to every
-  /// cross row, runs all heads batched, and returns per-candidate sigmoid
-  /// probabilities. Row i's probabilities depend only on cross row i and
-  /// the context row.
-  std::vector<std::vector<float>> InferHeads(
-      const Matrix& cross, std::span<const float> context_row) const;
+  /// cross row, runs each head as one product per layer over all rows,
+  /// and writes per-candidate sigmoid probabilities to `probs`
+  /// (|rows| x num_heads, row-major), reusing its storage. Row i's
+  /// probabilities depend only on cross row i and the context row. Working
+  /// storage is per thread, so a warm thread allocates nothing.
+  void InferHeads(const Matrix& cross, std::span<const float> context_row,
+                  std::vector<float>* probs) const;
 
   ParamStore* params() { return &store_; }
   const ParamStore& params() const { return store_; }

@@ -67,39 +67,66 @@ double NeighborRankModel::EvaluateLoss(
   });
 }
 
-void NeighborRankModel::GroupByBatch(
-    std::span<const GraphId> neighbors,
-    const std::vector<std::vector<float>>& probs, RankedBatches* out) const {
-  const int num_batches = num_heads() + 1;
-  struct Scored {
-    GraphId id;
-    int batch;
-    float score;
-  };
+namespace {
+
+struct Scored {
+  GraphId id;
+  int batch;
+  float score;
+};
+
+/// Per-thread working storage of GroupByBatch and the heads.
+struct RankScratch {
+  std::vector<float> probs;
   std::vector<Scored> scored;
-  scored.reserve(neighbors.size());
+  std::vector<GraphId> ranked;
+};
+
+RankScratch& ThreadRankScratch() {
+  static thread_local RankScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
+void NeighborRankModel::GroupByBatch(std::span<const GraphId> neighbors,
+                                     const std::vector<float>& probs,
+                                     RankedBatches* out) const {
+  const int num_batches = num_heads() + 1;
+  const size_t heads = static_cast<size_t>(num_heads());
+  RankScratch& s = ThreadRankScratch();
+  std::vector<Scored>& scored = s.scored;
+  scored.clear();
   for (size_t i = 0; i < neighbors.size(); ++i) {
     int batch = num_batches - 1;
     float score = 0.0f;
     for (int h = 0; h < num_heads(); ++h) {
-      score += probs[i][static_cast<size_t>(h)];
-      if (probs[i][static_cast<size_t>(h)] >= 0.5f && h < batch) batch = h;
+      const float p = probs[i * heads + static_cast<size_t>(h)];
+      score += p;
+      if (p >= 0.5f && h < batch) batch = h;
     }
     scored.push_back({neighbors[i], batch, score});
   }
-  std::stable_sort(scored.begin(), scored.end(),
-                   [](const Scored& a, const Scored& b) {
-                     if (a.batch != b.batch) return a.batch < b.batch;
-                     if (a.score != b.score) return a.score > b.score;
-                     return a.id < b.id;
-                   });
+  // A stable insertion sort (a neighbor list is short): the order of
+  // std::stable_sort without its temporary buffer.
+  const auto before = [](const Scored& a, const Scored& b) {
+    if (a.batch != b.batch) return a.batch < b.batch;
+    if (a.score != b.score) return a.score > b.score;
+    return a.id < b.id;
+  };
+  for (size_t i = 1; i < scored.size(); ++i) {
+    const Scored item = scored[i];
+    size_t j = i;
+    for (; j > 0 && before(item, scored[j - 1]); --j) scored[j] = scored[j - 1];
+    scored[j] = item;
+  }
   // Split the predicted ranking into y% batches positionally (the same
   // batch geometry the oracle uses), so pruning strength matches the
   // design and only ranking accuracy affects recall. Grouping by raw head
   // votes instead would under-prune whenever the heads are optimistic.
-  std::vector<GraphId> ranked;
-  ranked.reserve(scored.size());
-  for (const Scored& s : scored) ranked.push_back(s.id);
+  std::vector<GraphId>& ranked = s.ranked;
+  ranked.clear();
+  for (const Scored& item : scored) ranked.push_back(item.id);
   SplitIntoBatches(ranked, batch_percent_, out);
 }
 
@@ -127,7 +154,9 @@ void NeighborRankModel::PredictBatches(
   std::vector<const CompressedGnnGraph*> gs;
   gs.reserve(neighbors.size());
   for (GraphId n : neighbors) gs.push_back(&db_cgs[static_cast<size_t>(n)]);
-  PredictBatchesFromCross(neighbors, scorer_.InferCross(gs, query), node,
+  Matrix cross;
+  scorer_.InferCross(gs, query, &cross);
+  PredictBatchesFromCross(neighbors, cross, node,
                           db_cgs[static_cast<size_t>(node)], inference_count,
                           out);
 }
@@ -140,13 +169,13 @@ void NeighborRankModel::PredictBatchesFromCross(
   if (inference_count != nullptr) {
     *inference_count += static_cast<int64_t>(neighbors.size());
   }
-  std::vector<std::vector<float>> probs;
+  std::vector<float>& probs = ThreadRankScratch().probs;
   if (static_cast<int64_t>(node) < contexts_.rows()) {
-    probs = scorer_.InferHeads(cross, contexts_.Row(node));
+    scorer_.InferHeads(cross, contexts_.Row(node), &probs);
   } else {
     const Matrix ctx = scorer_.ContextEmbedding(node_cg);
-    probs = scorer_.InferHeads(cross,
-                               {ctx.data(), static_cast<size_t>(ctx.cols())});
+    scorer_.InferHeads(cross, {ctx.data(), static_cast<size_t>(ctx.cols())},
+                       &probs);
   }
   GroupByBatch(neighbors, probs, out);
 }

@@ -100,8 +100,9 @@ class NeighborRankModel {
   PairScorer* mutable_scorer() { return &scorer_; }
 
  private:
+  /// `probs` holds num_heads() probabilities per neighbor, row-major.
   void GroupByBatch(std::span<const GraphId> neighbors,
-                    const std::vector<std::vector<float>>& probs,
+                    const std::vector<float>& probs,
                     RankedBatches* out) const;
 
   int batch_percent_;

@@ -3,9 +3,10 @@
 // when cpuid reports avx2+fma. On non-x86 builds this TU is a stub.
 //
 // Bitwise notes (docs/kernels.md): each GEMM output element is one FMA
-// chain in ascending k; which chain shape an element gets depends only on
-// (n, column index), never on m or the row index, so per-pair and batched
-// inference agree bit for bit at this level. Elementwise kernels (scale,
+// chain in ascending k from its initial C (for n == 1, eight rows' chains
+// share one register's lanes, which changes no bit); which chain shape an
+// element gets depends only on (n, column index), never on m or the row
+// index, so per-pair and batched inference agree bit for bit at this level. Elementwise kernels (scale,
 // relu, softmax max/divide passes) are exact and match scalar bitwise;
 // FMA-based kernels (matmul, dot, axpy, l2sq) differ from scalar only in
 // rounding.
@@ -56,8 +57,112 @@ LAN_AVX2 inline __m256i TailMask(int32_t rem) {
   return _mm256_load_si256(reinterpret_cast<const __m256i*>(buf));
 }
 
+// Column t of the 8 x 8 block of A at `a` (row stride `lda`), one row per
+// lane: out[t][r] = a[r * lda + t]. Rows r and r + 4 share a load pair, so
+// the transpose costs 16 in-lane shuffles.
+LAN_AVX2 inline void LoadTransposed8x8(const float* a, int32_t lda,
+                                       __m256 out[8]) {
+  __m256 t[8];
+  for (int32_t h = 0; h < 2; ++h) {      // columns 0..3, then 4..7
+    for (int32_t r = 0; r < 4; ++r) {  // rows r and r + 4
+      const float* lo = a + static_cast<size_t>(r) * lda + 4 * h;
+      const float* hi = a + static_cast<size_t>(r + 4) * lda + 4 * h;
+      t[4 * h + r] = _mm256_insertf128_ps(
+          _mm256_castps128_ps256(_mm_loadu_ps(lo)), _mm_loadu_ps(hi), 1);
+    }
+  }
+  for (int32_t h = 0; h < 2; ++h) {
+    const __m256* q = t + 4 * h;
+    const __m256 u0 = _mm256_unpacklo_ps(q[0], q[1]);
+    const __m256 u1 = _mm256_unpackhi_ps(q[0], q[1]);
+    const __m256 u2 = _mm256_unpacklo_ps(q[2], q[3]);
+    const __m256 u3 = _mm256_unpackhi_ps(q[2], q[3]);
+    out[4 * h + 0] = _mm256_shuffle_ps(u0, u2, 0x44);
+    out[4 * h + 1] = _mm256_shuffle_ps(u0, u2, 0xee);
+    out[4 * h + 2] = _mm256_shuffle_ps(u1, u3, 0x44);
+    out[4 * h + 3] = _mm256_shuffle_ps(u1, u3, 0xee);
+  }
+}
+
+// The n == 1 product (attention scores, head outputs) with rows in lanes:
+// each lane runs its row's FMA chain over ascending p from its initial C,
+// exactly the chain the per-row masked tail below would run, so every
+// output keeps its bits. Two 8-row blocks run side by side to overlap the
+// FMA latency; a partial block reads its missing rows and columns as zeros
+// from a stack copy and never uses them.
+LAN_AVX2 void MatVecRowsInLanesAvx2(const float* a, int32_t m, int32_t k,
+                                    const float* b, float* c) {
+  int32_t i = 0;
+  for (; i + 16 <= m; i += 16) {
+    __m256 acc0 = _mm256_loadu_ps(c + i);
+    __m256 acc1 = _mm256_loadu_ps(c + i + 8);
+    const float* a0 = a + static_cast<size_t>(i) * k;
+    const float* a1 = a0 + static_cast<size_t>(8) * k;
+    int32_t p = 0;
+    for (; p + 8 <= k; p += 8) {
+      __m256 col0[8];
+      __m256 col1[8];
+      LoadTransposed8x8(a0 + p, k, col0);
+      LoadTransposed8x8(a1 + p, k, col1);
+      for (int32_t t = 0; t < 8; ++t) {
+        const __m256 bv = _mm256_set1_ps(b[p + t]);
+        acc0 = _mm256_fmadd_ps(col0[t], bv, acc0);
+        acc1 = _mm256_fmadd_ps(col1[t], bv, acc1);
+      }
+    }
+    if (p < k) {
+      alignas(32) float buf[16][8] = {};
+      for (int32_t r = 0; r < 16; ++r) {
+        for (int32_t t = p; t < k; ++t) {
+          buf[r][t - p] = a0[static_cast<size_t>(r) * k + t];
+        }
+      }
+      __m256 col0[8];
+      __m256 col1[8];
+      LoadTransposed8x8(buf[0], 8, col0);
+      LoadTransposed8x8(buf[8], 8, col1);
+      for (int32_t t = 0; t < k - p; ++t) {
+        const __m256 bv = _mm256_set1_ps(b[p + t]);
+        acc0 = _mm256_fmadd_ps(col0[t], bv, acc0);
+        acc1 = _mm256_fmadd_ps(col1[t], bv, acc1);
+      }
+    }
+    _mm256_storeu_ps(c + i, acc0);
+    _mm256_storeu_ps(c + i + 8, acc1);
+  }
+  for (; i < m; i += 8) {
+    const int32_t rows = m - i < 8 ? m - i : 8;
+    const __m256i mask = TailMask(rows);
+    const float* ai = a + static_cast<size_t>(i) * k;
+    __m256 acc = _mm256_maskload_ps(c + i, mask);
+    for (int32_t p = 0; p < k; p += 8) {
+      const int32_t w = k - p < 8 ? k - p : 8;
+      __m256 col[8];
+      if (rows == 8 && w == 8) {
+        LoadTransposed8x8(ai + p, k, col);
+      } else {
+        alignas(32) float buf[8][8] = {};
+        for (int32_t r = 0; r < rows; ++r) {
+          for (int32_t t = 0; t < w; ++t) {
+            buf[r][t] = ai[static_cast<size_t>(r) * k + p + t];
+          }
+        }
+        LoadTransposed8x8(buf[0], 8, col);
+      }
+      for (int32_t t = 0; t < w; ++t) {
+        acc = _mm256_fmadd_ps(col[t], _mm256_set1_ps(b[p + t]), acc);
+      }
+    }
+    _mm256_maskstore_ps(c + i, mask, acc);
+  }
+}
+
 LAN_AVX2 void MatMulAccumulateAvx2(const float* a, int32_t m, int32_t k,
                                    const float* b, int32_t n, float* c) {
+  if (n == 1) {
+    MatVecRowsInLanesAvx2(a, m, k, b, c);
+    return;
+  }
   int32_t j0 = 0;
   // 16-column blocks, 4 rows at a time: 8 independent FMA chains keep the
   // two FMA ports busy across the 4-cycle latency.
@@ -135,8 +240,9 @@ LAN_AVX2 void MatMulAccumulateAvx2(const float* a, int32_t m, int32_t k,
     }
     j0 += 8;
   }
-  // Masked tail: 1..7 columns (also the whole GEMV case n < 8). Still one
-  // FMA chain per element, so the chain shape stays a function of (k, n).
+  // Masked tail: 1..7 columns (also the whole product when 1 < n < 8).
+  // Still one FMA chain per element, so the chain shape stays a function of
+  // (k, n).
   if (j0 < n) {
     const __m256i mask = TailMask(n - j0);
     for (int32_t i = 0; i < m; ++i) {

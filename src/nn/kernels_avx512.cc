@@ -1,8 +1,9 @@
 // AVX-512 kernel table (avx512f zmm lanes + native masking). Selected at
 // runtime only when cpuid reports avx512f+avx512bw on top of avx2+fma; the
 // TU compiles to a stub on non-x86 builds. Same bitwise contract as the
-// AVX2 table: one FMA chain per GEMM output element, chain shape a function
-// of (k, n) only; elementwise passes exact.
+// AVX2 table: one FMA chain per GEMM output element from its initial C
+// (for n == 1, sixteen rows' chains share one register's lanes), chain
+// shape a function of (k, n) only; elementwise passes exact.
 
 #include "nn/kernels.h"
 
@@ -63,8 +64,76 @@ LAN_AVX512 inline double ReduceAddPd(__m512d v) {
   return _mm_cvtsd_f64(s2) + _mm_cvtsd_f64(_mm_unpackhi_pd(s2, s2));
 }
 
+// Column t of the 16 x 8 block of A at `a` (row stride `lda`), one row per
+// lane: out[t][r] = a[r * lda + t]. Rows r, r + 4, r + 8 and r + 12 share
+// one register, so the transpose is 16 in-lane shuffles.
+LAN_AVX512 inline void LoadTransposed16x8(const float* a, int32_t lda,
+                                          __m512 out[8]) {
+  __m512 t[8];
+  for (int32_t h = 0; h < 2; ++h) {      // columns 0..3, then 4..7
+    for (int32_t r = 0; r < 4; ++r) {  // rows r, r + 4, r + 8, r + 12
+      const float* src = a + static_cast<size_t>(r) * lda + 4 * h;
+      const size_t step = static_cast<size_t>(4) * lda;
+      __m512 v = _mm512_castps128_ps512(_mm_loadu_ps(src));
+      v = _mm512_maskz_insertf32x4(0xffff, v, _mm_loadu_ps(src + step), 1);
+      v = _mm512_maskz_insertf32x4(0xffff, v, _mm_loadu_ps(src + 2 * step), 2);
+      v = _mm512_maskz_insertf32x4(0xffff, v, _mm_loadu_ps(src + 3 * step), 3);
+      t[4 * h + r] = v;
+    }
+  }
+  for (int32_t h = 0; h < 2; ++h) {
+    const __m512* q = t + 4 * h;
+    const __m512 u0 = _mm512_maskz_unpacklo_ps(0xffff, q[0], q[1]);
+    const __m512 u1 = _mm512_maskz_unpackhi_ps(0xffff, q[0], q[1]);
+    const __m512 u2 = _mm512_maskz_unpacklo_ps(0xffff, q[2], q[3]);
+    const __m512 u3 = _mm512_maskz_unpackhi_ps(0xffff, q[2], q[3]);
+    out[4 * h + 0] = _mm512_maskz_shuffle_ps(0xffff, u0, u2, 0x44);
+    out[4 * h + 1] = _mm512_maskz_shuffle_ps(0xffff, u0, u2, 0xee);
+    out[4 * h + 2] = _mm512_maskz_shuffle_ps(0xffff, u1, u3, 0x44);
+    out[4 * h + 3] = _mm512_maskz_shuffle_ps(0xffff, u1, u3, 0xee);
+  }
+}
+
+// The n == 1 product (attention scores, head outputs) with rows in lanes:
+// each lane runs its row's FMA chain over ascending p from its initial C,
+// exactly the chain the per-row masked tail below would run, so every
+// output keeps its bits. A partial block reads its missing rows and
+// columns as zeros from a stack copy and never uses them.
+LAN_AVX512 void MatVecRowsInLanesAvx512(const float* a, int32_t m, int32_t k,
+                                        const float* b, float* c) {
+  for (int32_t i = 0; i < m; i += 16) {
+    const int32_t rows = m - i < 16 ? m - i : 16;
+    const __mmask16 mask = static_cast<__mmask16>((1u << rows) - 1u);
+    const float* ai = a + static_cast<size_t>(i) * k;
+    __m512 acc = _mm512_maskz_loadu_ps(mask, c + i);
+    for (int32_t p = 0; p < k; p += 8) {
+      const int32_t w = k - p < 8 ? k - p : 8;
+      __m512 col[8];
+      if (rows == 16 && w == 8) {
+        LoadTransposed16x8(ai + p, k, col);
+      } else {
+        alignas(64) float buf[16][8] = {};
+        for (int32_t r = 0; r < rows; ++r) {
+          for (int32_t t = 0; t < w; ++t) {
+            buf[r][t] = ai[static_cast<size_t>(r) * k + p + t];
+          }
+        }
+        LoadTransposed16x8(buf[0], 8, col);
+      }
+      for (int32_t t = 0; t < w; ++t) {
+        acc = _mm512_fmadd_ps(col[t], _mm512_set1_ps(b[p + t]), acc);
+      }
+    }
+    _mm512_mask_storeu_ps(c + i, mask, acc);
+  }
+}
+
 LAN_AVX512 void MatMulAccumulateAvx512(const float* a, int32_t m, int32_t k,
                                        const float* b, int32_t n, float* c) {
+  if (n == 1) {
+    MatVecRowsInLanesAvx512(a, m, k, b, c);
+    return;
+  }
   int32_t j0 = 0;
   // 32-column blocks, 4 rows at a time: 8 independent FMA chains.
   for (; j0 + 32 <= n; j0 += 32) {
@@ -141,7 +210,7 @@ LAN_AVX512 void MatMulAccumulateAvx512(const float* a, int32_t m, int32_t k,
     }
     j0 += 16;
   }
-  // Masked tail: 1..15 columns (and the whole GEMV case n < 16).
+  // Masked tail: 1..15 columns (and the whole product when 1 < n < 16).
   if (j0 < n) {
     const __mmask16 mask =
         static_cast<__mmask16>((1u << (n - j0)) - 1u);

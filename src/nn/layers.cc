@@ -19,14 +19,16 @@ VarId Linear::Forward(Tape* tape, VarId x) const {
   return tape->AddRowBroadcast(tape->MatMul(x, w), b);
 }
 
-Matrix Linear::InferForward(const Matrix& x) const {
+void Linear::InferForward(const float* x, int32_t rows, Matrix* y) const {
   LAN_CHECK(weight_ != nullptr);
-  Matrix y = MatMulValues(x, weight_->value);
-  const Matrix& b = bias_->value;
-  for (int32_t i = 0; i < y.rows(); ++i) {
-    for (int32_t j = 0; j < y.cols(); ++j) y.at(i, j) += b.at(0, j);
+  y->Reset(rows, out_dim_);
+  MatMulAccumulate(x, rows, in_dim_, weight_->value.data(), out_dim_,
+                   y->data());
+  const float* b = bias_->value.data();
+  for (int32_t i = 0; i < rows; ++i) {
+    float* row = y->data() + static_cast<size_t>(i) * out_dim_;
+    for (int32_t j = 0; j < out_dim_; ++j) row[j] += b[j];
   }
-  return y;
 }
 
 Mlp::Mlp(const std::vector<int32_t>& dims, ParamStore* store, Rng* rng) {
@@ -46,14 +48,19 @@ VarId Mlp::Forward(Tape* tape, VarId x) const {
   return h;
 }
 
-Matrix Mlp::InferForward(const Matrix& x) const {
+void Mlp::InferForward(const float* x, int32_t rows, Matrix* out,
+                       Matrix* tmp) const {
   LAN_CHECK(!layers_.empty());
-  Matrix h = layers_[0].InferForward(x);
-  for (size_t i = 1; i < layers_.size(); ++i) {
-    ReluInPlace(&h);
-    h = layers_[i].InferForward(h);
+  // Layer i writes to `out` when an even number of layers follow it, so
+  // the last one always lands there.
+  const size_t last = layers_.size() - 1;
+  const float* h = x;
+  for (size_t i = 0; i <= last; ++i) {
+    Matrix* y = ((last - i) % 2 == 0) ? out : tmp;
+    layers_[i].InferForward(h, rows, y);
+    if (i < last) ReluInPlace(y);
+    h = y->data();
   }
-  return h;
 }
 
 }  // namespace lan

@@ -18,9 +18,10 @@ class Linear {
   /// Forward on a tape; `x` is (n x in_dim), result (n x out_dim).
   VarId Forward(Tape* tape, VarId x) const;
 
-  /// Inference-only forward (no tape, no autograd bookkeeping); the result
-  /// matches Forward bit for bit.
-  Matrix InferForward(const Matrix& x) const;
+  /// Inference-only forward (no tape, no autograd bookkeeping) of `rows`
+  /// row-major inputs of width in_dim: writes rows x out_dim to `y`,
+  /// reusing its storage. Matches Forward bit for bit.
+  void InferForward(const float* x, int32_t rows, Matrix* y) const;
 
   int32_t in_dim() const { return in_dim_; }
   int32_t out_dim() const { return out_dim_; }
@@ -44,8 +45,12 @@ class Mlp {
 
   VarId Forward(Tape* tape, VarId x) const;
 
-  /// Inference-only forward (no tape); matches Forward bit for bit.
-  Matrix InferForward(const Matrix& x) const;
+  /// Inference-only forward (no tape) of `rows` row-major inputs: the
+  /// output layer lands in `out`, the hidden layers in `out` and `tmp`
+  /// alternately. Both keep their storage, so a warm caller allocates
+  /// nothing. Matches Forward bit for bit.
+  void InferForward(const float* x, int32_t rows, Matrix* out,
+                    Matrix* tmp) const;
 
   const std::vector<Linear>& layers() const { return layers_; }
 

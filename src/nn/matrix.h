@@ -44,6 +44,13 @@ class Matrix {
   const float* data() const { return data_.data(); }
 
   void Fill(float value) { data_.assign(data_.size(), value); }
+  /// Re-dimensions to rows x cols of zeros, reusing the storage (no
+  /// allocation once it has held that many elements).
+  void Reset(int32_t rows, int32_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.assign(static_cast<size_t>(rows) * static_cast<size_t>(cols), 0.0f);
+  }
   void SetZero() { Fill(0.0f); }
 
   /// this += other (same shape).

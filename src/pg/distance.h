@@ -23,14 +23,19 @@ class DistanceOracle {
  public:
   /// `trace` (optional) receives one kDistance event per computed
   /// distance. `scratch` (optional) donates the epoch-stamped dense
-  /// distance cache, making the oracle allocation-free; without it the
-  /// oracle owns one, sized to the database on construction.
+  /// distance cache and the query's prepared form, making the oracle
+  /// allocation-free; without it the oracle owns both. The query is
+  /// prepared once here and every distance reads the database graphs'
+  /// prepared forms.
   DistanceOracle(const GraphDatabase* db, const Graph* query,
                  const GedComputer* ged, SearchStats* stats,
                  TraceSink* trace = nullptr, SearchScratch* scratch = nullptr)
       : db_(db), query_(query), ged_(ged), stats_(stats), trace_(trace),
-        cache_(CacheFor(scratch)) {
+        cache_(scratch != nullptr ? &scratch->distance_cache : &owned_cache_),
+        query_prepared_(scratch != nullptr ? &scratch->query_prepared
+                                           : &owned_prepared_) {
     cache_->Reset(db_->size());
+    PrepareGraph(*query_, query_prepared_);
   }
 
   DistanceOracle(const DistanceOracle&) = delete;
@@ -74,17 +79,15 @@ class DistanceOracle {
   void set_pool(ThreadPool* pool) { pool_ = pool; }
 
  private:
-  StampedDoubleMap* CacheFor(SearchScratch* scratch) {
-    return scratch != nullptr ? &scratch->distance_cache : &owned_cache_;
-  }
-
   /// First-evaluation path: computes d(Q, db[id]), charged as one NDC
   /// and to the query's ged stage.
   double ComputeDistance(GraphId id) {
     double value = 0.0;
     {
       StageSpan span(profile_, Stage::kGed);
-      value = ged_->Compute(*query_, db_->Get(id), pool_).distance;
+      value = ged_->Compute(*query_, *query_prepared_, db_->Get(id),
+                            db_->Prepared(id), pool_)
+                  .distance;
     }
     if (stats_ != nullptr) ++stats_->ndc;
     if (trace_ != nullptr) {
@@ -106,6 +109,8 @@ class DistanceOracle {
   ThreadPool* pool_ = nullptr;
   StampedDoubleMap owned_cache_;  // used when no scratch is donated
   StampedDoubleMap* cache_;
+  PreparedGraph owned_prepared_;  // used when no scratch is donated
+  PreparedGraph* query_prepared_;
 };
 
 }  // namespace lan

@@ -352,7 +352,9 @@ HnswIndex HnswIndex::Build(const GraphDatabase& db, const GedComputer& ged,
   return BuildWithDistance(
       db.size(),
       [&db, &ged](GraphId a, GraphId b) {
-        return ged.Distance(db.Get(a), db.Get(b));
+        return ged
+            .Compute(db.Get(a), db.Prepared(a), db.Get(b), db.Prepared(b))
+            .distance;
       },
       options, pool);
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/prepared_graph.h"
 
 namespace lan {
 
@@ -196,6 +197,8 @@ struct SearchScratch {
   RouteStateArray route_states;
   /// DistanceOracle's per-query d(Q, .) cache.
   StampedDoubleMap distance_cache;
+  /// DistanceOracle's prepared form of the query.
+  PreparedGraph query_prepared;
   /// BeamSearchRouteFn's distance-callback memo (distinct from the oracle
   /// cache: the Fn variant routes over arbitrary callbacks).
   StampedDoubleMap route_memo;

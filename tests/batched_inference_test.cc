@@ -39,6 +39,30 @@ PairScorerOptions TinyScorer() {
   return o;
 }
 
+/// The cross rows of `gs` against the query `cache` was built from.
+template <typename G>
+Matrix CrossRows(const PairScorer& scorer, const std::vector<const G*>& gs,
+                 const QueryEncodingCache& cache) {
+  Matrix cross;
+  scorer.InferCross(gs, cache, &cross);
+  return cross;
+}
+
+/// InferHeads' probabilities, one vector of num_heads per cross row.
+std::vector<std::vector<float>> HeadRows(const PairScorer& scorer,
+                                         const Matrix& cross,
+                                         std::span<const float> context_row) {
+  std::vector<float> flat;
+  scorer.InferHeads(cross, context_row, &flat);
+  const size_t num_heads = static_cast<size_t>(scorer.num_heads());
+  std::vector<std::vector<float>> rows(static_cast<size_t>(cross.rows()));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows[i].assign(flat.begin() + static_cast<ptrdiff_t>(i * num_heads),
+                   flat.begin() + static_cast<ptrdiff_t>((i + 1) * num_heads));
+  }
+  return rows;
+}
+
 /// Batched head probabilities of `gs` against the query `cache` was built
 /// from; `context` (a CG) supplies the context row of a context scorer.
 template <typename G>
@@ -46,11 +70,11 @@ std::vector<std::vector<float>> BatchedProbs(
     const PairScorer& scorer, const std::vector<const G*>& gs,
     const QueryEncodingCache& cache,
     const CompressedGnnGraph* context = nullptr) {
-  const Matrix cross = scorer.InferCross(gs, cache);
-  if (context == nullptr) return scorer.InferHeads(cross, {});
+  const Matrix cross = CrossRows(scorer, gs, cache);
+  if (context == nullptr) return HeadRows(scorer, cross, {});
   const Matrix row = scorer.ContextEmbedding(*context);
-  return scorer.InferHeads(cross,
-                           {row.data(), static_cast<size_t>(row.cols())});
+  return HeadRows(scorer, cross,
+                  {row.data(), static_cast<size_t>(row.cols())});
 }
 
 void ExpectNearRows(const std::vector<float>& got,
@@ -205,9 +229,9 @@ void ExpectSubBatchInvariance(const PairScorer& scorer,
                               const std::vector<const G*>& gs,
                               const QueryEncodingCache& query,
                               std::span<const float> context_row) {
-  const Matrix full_cross = scorer.InferCross(gs, query);
+  const Matrix full_cross = CrossRows(scorer, gs, query);
   const std::vector<std::vector<float>> full_probs =
-      scorer.InferHeads(full_cross, context_row);
+      HeadRows(scorer, full_cross, context_row);
   const int32_t dim = scorer.cross_dim();
   const size_t n = gs.size();
   int64_t checked = 0;
@@ -219,9 +243,9 @@ void ExpectSubBatchInvariance(const PairScorer& scorer,
         if (reversed) std::reverse(order.begin(), order.end());
         std::vector<const G*> sub;
         for (size_t j : order) sub.push_back(gs[j]);
-        const Matrix cross = scorer.InferCross(sub, query);
+        const Matrix cross = CrossRows(scorer, sub, query);
         const std::vector<std::vector<float>> probs =
-            scorer.InferHeads(cross, context_row);
+            HeadRows(scorer, cross, context_row);
         for (size_t r = 0; r < order.size(); ++r) {
           const size_t j = order[r];
           for (int32_t c = 0; c < dim; ++c) {
@@ -271,10 +295,13 @@ TEST_F(BatchedInferenceTest, RowsAreInvariantToBatchCompositionAtEveryLevel) {
 TEST_F(BatchedInferenceTest, NeighborhoodModelMatchesTaped) {
   NeighborhoodModel model(db_.num_labels(), TinyScorer());
   const PairScorer& scorer = model.scorer();
-  const std::vector<float> batched = model.PredictProbs(
-      scorer.InferCross(CandidateCgs(), scorer.EncodeQuery(query_cg_)));
-  const std::vector<float> batched_raw = model.PredictProbs(
-      scorer.InferCross(CandidateGraphs(), scorer.EncodeQuery(query_)));
+  std::vector<float> batched, batched_raw;
+  model.PredictProbs(
+      CrossRows(scorer, CandidateCgs(), scorer.EncodeQuery(query_cg_)),
+      &batched);
+  model.PredictProbs(
+      CrossRows(scorer, CandidateGraphs(), scorer.EncodeQuery(query_)),
+      &batched_raw);
   ASSERT_EQ(batched.size(), candidates_.size());
   ASSERT_EQ(batched_raw.size(), candidates_.size());
   for (size_t i = 0; i < candidates_.size(); ++i) {

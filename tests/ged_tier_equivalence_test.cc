@@ -7,9 +7,12 @@
 // preimage scan, the greedy solver as a full sort of (cost, row, col)
 // tuples, JV sweeping every column twice per step, and A* with a
 // priority_queue of states that own their image vectors and a heuristic
-// rebuilt from hash-map label histograms per child. Those formulations live
-// only here, as the references. The JV column scan is dispatched by SIMD
-// level, so its cases run at every level the host supports.
+// rebuilt from hash-map label histograms per child. The bipartite tiers
+// and the lower bounds now read prepared graphs; their references build
+// each pair's matrix and bounds from the two Graphs directly, sorting every
+// node's neighbour labels per pair. Those formulations live only here, as
+// the references. The JV column scan is dispatched by SIMD level, so its
+// cases run at every level the host supports.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +20,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <queue>
@@ -38,6 +42,7 @@
 #include "ged/ged_scratch.h"
 #include "ged/node_mapping.h"
 #include "graph/graph_generator.h"
+#include "graph/prepared_graph.h"
 
 namespace lan {
 namespace {
@@ -513,6 +518,120 @@ Result<ExactGedResult> ReferenceExactGed(const Graph& g1, const Graph& g2,
   return search.Run();
 }
 
+// ---------- Reference: bipartite matrices built per pair from two Graphs ----------
+
+/// The Hungarian tier's matrix as it was built before prepared graphs:
+/// every node's neighbour labels sorted per call, and one local edge cost
+/// merge per substitution cell.
+void ReferenceSortedNeighborLabels(const Graph& g, std::vector<Label>* labels,
+                                   std::vector<int32_t>* offsets) {
+  labels->clear();
+  offsets->assign(1, 0);
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    const size_t begin = labels->size();
+    for (NodeId t : g.Neighbors(v)) labels->push_back(g.label(t));
+    std::sort(labels->begin() + static_cast<ptrdiff_t>(begin), labels->end());
+    offsets->push_back(static_cast<int32_t>(labels->size()));
+  }
+}
+
+double ReferenceLocalEdgeCost(const Label* lu, size_t nu, const Label* lv,
+                              size_t nv) {
+  size_t common = 0;
+  size_t i = 0, j = 0;
+  while (i < nu && j < nv) {
+    if (lu[i] == lv[j]) {
+      ++common;
+      ++i;
+      ++j;
+    } else if (lu[i] < lv[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return 0.5 * static_cast<double>(std::max(nu, nv) - common);
+}
+
+CostMatrix ReferenceBipartiteMatrix(const Graph& g1, const Graph& g2,
+                                    bool with_local_edges,
+                                    const GedCosts& costs) {
+  const int32_t n1 = g1.NumNodes();
+  const int32_t n2 = g2.NumNodes();
+  std::vector<Label> labels1, labels2;
+  std::vector<int32_t> offsets1, offsets2;
+  ReferenceSortedNeighborLabels(g1, &labels1, &offsets1);
+  ReferenceSortedNeighborLabels(g2, &labels2, &offsets2);
+  CostMatrix cost(n1 + n2, 0.0);
+  for (int32_t i = 0; i < n1; ++i) {
+    for (int32_t j = 0; j < n2; ++j) {
+      const double edge_op = 0.5 * (costs.edge_delete + costs.edge_insert);
+      double c = (g1.label(i) != g2.label(j)) ? costs.node_relabel : 0.0;
+      if (with_local_edges) {
+        c += edge_op * ReferenceLocalEdgeCost(
+                           labels1.data() + offsets1[static_cast<size_t>(i)],
+                           static_cast<size_t>(g1.Degree(i)),
+                           labels2.data() + offsets2[static_cast<size_t>(j)],
+                           static_cast<size_t>(g2.Degree(j)));
+      } else {
+        c += edge_op * 0.5 * std::abs(g1.Degree(i) - g2.Degree(j));
+      }
+      cost.at(i, j) = c;
+    }
+    for (int32_t j = 0; j < n1; ++j) {
+      cost.at(i, n2 + j) =
+          (i == j) ? costs.node_delete + 0.5 * g1.Degree(i) * costs.edge_delete
+                   : 1e9;
+    }
+  }
+  for (int32_t i = 0; i < n2; ++i) {
+    for (int32_t j = 0; j < n2; ++j) {
+      cost.at(n1 + i, j) =
+          (i == j) ? costs.node_insert + 0.5 * g2.Degree(i) * costs.edge_insert
+                   : 1e9;
+    }
+  }
+  return cost;
+}
+
+/// The lower bounds as they were computed from two Graphs: sorted label
+/// copies merged, and zero-padded degree sequences sorted descending.
+double ReferenceBestLowerBound(const Graph& g1, const Graph& g2) {
+  std::vector<Label> l1(g1.labels().begin(), g1.labels().end());
+  std::vector<Label> l2(g2.labels().begin(), g2.labels().end());
+  std::sort(l1.begin(), l1.end());
+  std::sort(l2.begin(), l2.end());
+  int64_t common = 0;
+  for (size_t i = 0, j = 0; i < l1.size() && j < l2.size();) {
+    if (l1[i] < l2[j]) {
+      ++i;
+    } else if (l2[j] < l1[i]) {
+      ++j;
+    } else {
+      ++common;
+      ++i;
+      ++j;
+    }
+  }
+  const int64_t edge_diff = std::llabs(g1.NumEdges() - g2.NumEdges());
+  const double label_lb = static_cast<double>(
+      std::max<int64_t>(g1.NumNodes(), g2.NumNodes()) - common + edge_diff);
+  const double size_lb = static_cast<double>(
+      std::abs(g1.NumNodes() - g2.NumNodes()) + edge_diff);
+  const size_t n =
+      static_cast<size_t>(std::max(g1.NumNodes(), g2.NumNodes()));
+  std::vector<int32_t> d1(n, 0), d2(n, 0);
+  for (NodeId v = 0; v < g1.NumNodes(); ++v) d1[static_cast<size_t>(v)] = g1.Degree(v);
+  for (NodeId v = 0; v < g2.NumNodes(); ++v) d2[static_cast<size_t>(v)] = g2.Degree(v);
+  std::sort(d1.rbegin(), d1.rend());
+  std::sort(d2.rbegin(), d2.rend());
+  int64_t diff = 0;
+  for (size_t i = 0; i < n; ++i) diff += std::abs(d1[i] - d2[i]);
+  const double degree_lb = static_cast<double>(
+      std::abs(g1.NumNodes() - g2.NumNodes()) + (diff + 1) / 2);
+  return std::max({label_lb, size_lb, degree_lb});
+}
+
 // ---------- Fixtures ----------
 
 uint64_t Bits(double x) {
@@ -796,6 +915,118 @@ TEST(GedTierEquivalenceTest, ComputeIsBitwiseIdenticalAtEveryLevel) {
   }
 }
 
+
+/// Pairs() plus many independent and perturbed AIDS-like and SYN-like
+/// pairs, the regimes the index serves.
+std::vector<NamedPair> ManyPairs() {
+  std::vector<NamedPair> pairs = Pairs();
+  Rng rng(20225);
+  const std::pair<std::string, DatasetSpec> families[] = {
+      {"aids", DatasetSpec::AidsLike(1)}, {"syn", DatasetSpec::SynLike(1)}};
+  for (const auto& [family, spec] : families) {
+    for (int i = 0; i < 60; ++i) {
+      Graph a = GenerateGraph(spec, &rng);
+      Graph b = GenerateGraph(spec, &rng);
+      Graph near = PerturbGraph(a, 1 + i % 3, spec.num_labels, &rng);
+      const std::string tag = family + "_many" + std::to_string(i);
+      pairs.push_back({tag + "/independent", a, b});
+      pairs.push_back({tag + "/perturbed", near, a});
+    }
+  }
+  return pairs;
+}
+
+TEST(GedTierEquivalenceTest, PreparedTiersMatchPerPairMatrices) {
+  // The Hungarian tier on prepared graphs (a table of local edge costs per
+  // pair of neighbour-multiset classes) against the matrix built per pair
+  // from two Graphs: equal matrix bits, assignment, mapping and distance.
+  // VJ (whose matrix is built from the two Graphs) and the prepared lower
+  // bounds likewise.
+  const std::vector<NamedPair> pairs = ManyPairs();
+  int compared = 0;
+  AtEveryLevel([&](SimdLevel) {
+    for (const NamedCosts& model : CostModels()) {
+      for (const NamedPair& pair : pairs) {
+        PreparedGraph p1, p2;
+        PrepareGraph(pair.g1, &p1);
+        PrepareGraph(pair.g2, &p2);
+        for (bool hungarian : {true, false}) {
+          const CostMatrix want_matrix = ReferenceBipartiteMatrix(
+              pair.g1, pair.g2, hungarian, model.costs);
+          const Assignment want_assignment =
+              hungarian ? SolveAssignment(want_matrix)
+                        : SolveAssignmentGreedy(want_matrix);
+          NodeMapping want_mapping;
+          want_mapping.image.assign(static_cast<size_t>(pair.g1.NumNodes()),
+                                    kEpsilon);
+          for (NodeId u = 0; u < pair.g1.NumNodes(); ++u) {
+            const int32_t col =
+                want_assignment.row_to_col[static_cast<size_t>(u)];
+            if (col >= 0 && col < pair.g2.NumNodes()) {
+              want_mapping.image[static_cast<size_t>(u)] = col;
+            }
+          }
+          const double want_distance =
+              MapCost(pair.g1, pair.g2, want_mapping, model.costs);
+
+          ApproxGedResult got;
+          if (hungarian) {
+            BipartiteGedHungarianInto(pair.g1, p1, pair.g2, p2, model.costs,
+                                      &got);
+          } else {
+            BipartiteGedVjInto(pair.g1, pair.g2, model.costs, &got);
+          }
+          const CostMatrix& got_matrix = ThreadGedScratch().cost_matrix;
+          ASSERT_EQ(got_matrix.n(), want_matrix.n()) << pair.name;
+          for (int32_t r = 0; r < want_matrix.n(); ++r) {
+            for (int32_t c = 0; c < want_matrix.n(); ++c) {
+              ASSERT_EQ(Bits(got_matrix.at(r, c)), Bits(want_matrix.at(r, c)))
+                  << model.name << " " << pair.name << " cell " << r << ","
+                  << c << (hungarian ? " hungarian" : " vj");
+            }
+          }
+          ASSERT_EQ(got.mapping.image, want_mapping.image)
+              << model.name << " " << pair.name;
+          ASSERT_EQ(Bits(got.distance), Bits(want_distance))
+              << model.name << " " << pair.name;
+          // The Graph-only entry points agree.
+          const ApproxGedResult plain =
+              hungarian ? BipartiteGedHungarian(pair.g1, pair.g2, model.costs)
+                        : BipartiteGedVj(pair.g1, pair.g2, model.costs);
+          ASSERT_EQ(plain.mapping.image, want_mapping.image) << pair.name;
+          ASSERT_EQ(Bits(plain.distance), Bits(want_distance)) << pair.name;
+          ++compared;
+        }
+        const double want_lb = ReferenceBestLowerBound(pair.g1, pair.g2);
+        ASSERT_EQ(Bits(BestLowerBound(p1, p2)), Bits(want_lb)) << pair.name;
+        ASSERT_EQ(Bits(BestLowerBound(pair.g1, pair.g2)), Bits(want_lb))
+            << pair.name;
+      }
+    }
+  });
+  EXPECT_GT(compared, 1000);
+}
+
+TEST(GedTierEquivalenceTest, PreparedComputeMatchesGraphCompute) {
+  const std::vector<NamedPair> pairs = ManyPairs();
+  for (const NamedCosts& model : CostModels()) {
+    GedOptions options;
+    options.exact_max_expansions = 1'000;
+    options.costs = model.costs;
+    const GedComputer ged(options);
+    for (const NamedPair& pair : pairs) {
+      PreparedGraph p1, p2;
+      PrepareGraph(pair.g1, &p1);
+      PrepareGraph(pair.g2, &p2);
+      const GedValue plain = ged.Compute(pair.g1, pair.g2);
+      const GedValue prepared = ged.Compute(pair.g1, p1, pair.g2, p2);
+      ASSERT_EQ(Bits(prepared.distance), Bits(plain.distance))
+          << model.name << " " << pair.name;
+      ASSERT_EQ(prepared.method, plain.method) << pair.name;
+      ASSERT_EQ(prepared.exact, plain.exact) << pair.name;
+    }
+  }
+}
 
 TEST(GedTierEquivalenceTest, ExactMatchesReferenceBitForBit) {
   // Both searches are pure functions of the pair, the bound and the cap. The bound is the best shipped tier's value, as

@@ -2,13 +2,15 @@
 // agree with the scalar reference — bitwise for the elementwise kernels
 // (whose SIMD variants are IEEE-exact by construction) and within a
 // tolerance for the FMA/reduction kernels — both on raw kernel calls and
-// through all three model heads (M_rk, M_nh, M_c).
+// through all three model heads (M_rk, M_nh, M_c). Within each level,
+// every matmul output element must be that level's fixed chain, bitwise.
 // Also covers the LAN_FORCE_SCALAR / --force-scalar pinning contract.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "common/cpu_features.h"
@@ -134,6 +136,85 @@ TEST_F(KernelDispatchTest, RawKernelsMatchScalar) {
   }
 }
 
+/// The scalar table's chain for C[i][j]: in the 8-column tiles, one
+/// ascending unfused multiply-add per nonzero A entry from the initial C;
+/// in the rightmost n % 8 columns, four interleaved partial sums plus a
+/// remainder, added to C at the end.
+float ScalarChain(const std::vector<float>& a, const std::vector<float>& b,
+                  float c0, int32_t i, int32_t j, int32_t k, int32_t n) {
+  const float* arow = a.data() + static_cast<size_t>(i) * k;
+  if (j < n - n % 8) {
+    float acc = c0;
+    for (int32_t p = 0; p < k; ++p) {
+      if (arow[p] == 0.0f) continue;
+      acc += arow[p] * b[static_cast<size_t>(p) * n + j];
+    }
+    return acc;
+  }
+  float lanes[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+  int32_t p = 0;
+  for (; p + 4 <= k; p += 4) {
+    for (int32_t q = 0; q < 4; ++q) {
+      lanes[q] += arow[p + q] * b[static_cast<size_t>(p + q) * n + j];
+    }
+  }
+  float rest = 0.0f;
+  for (; p < k; ++p) rest += arow[p] * b[static_cast<size_t>(p) * n + j];
+  return c0 + (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + rest);
+}
+
+/// The SIMD tables' chain for C[i][j]: one fused multiply-add per term, in
+/// ascending p, from the initial C.
+float FmaChain(const std::vector<float>& a, const std::vector<float>& b,
+               float c0, int32_t i, int32_t j, int32_t k, int32_t n) {
+  float acc = c0;
+  for (int32_t p = 0; p < k; ++p) {
+    acc = std::fma(a[static_cast<size_t>(i) * k + p],
+                   b[static_cast<size_t>(p) * n + j], acc);
+  }
+  return acc;
+}
+
+TEST_F(KernelDispatchTest, MatMulAccumulateIsOneChainPerElement) {
+  // Contract 4 of docs/kernels.md, checked on the raw kernel: every output
+  // element is a fixed chain of its own row of A and column of B from its
+  // initial C, whatever m is (including the n == 1 rows-in-lanes path).
+  Rng rng(211);
+  for (SimdLevel level : HostLevels()) {
+    SCOPED_TRACE(SimdLevelName(level));
+    const KernelTable& kt = KernelsFor(level);
+    const bool fused = level != SimdLevel::kScalar;
+    for (int32_t k : {1, 16, 48, 51, 64}) {
+      for (int32_t n : {1, 2, 7, 15, 16, 17, 33}) {
+        for (int32_t m = 1; m <= 40; ++m) {
+          std::vector<float> a = RandomVec(static_cast<size_t>(m) * k, &rng);
+          // One-hot and sparse rows make zeros common.
+          for (size_t t = 0; t < a.size(); t += 3) a[t] = 0.0f;
+          const std::vector<float> b =
+              RandomVec(static_cast<size_t>(k) * n, &rng);
+          const std::vector<float> c0 =
+              RandomVec(static_cast<size_t>(m) * n, &rng);
+          std::vector<float> c = c0;
+          kt.matmul_accumulate(a.data(), m, k, b.data(), n, c.data());
+          int mismatches = 0;
+          for (int32_t i = 0; i < m; ++i) {
+            for (int32_t j = 0; j < n; ++j) {
+              const size_t cell = static_cast<size_t>(i) * n + j;
+              const float want =
+                  fused ? FmaChain(a, b, c0[cell], i, j, k, n)
+                        : ScalarChain(a, b, c0[cell], i, j, k, n);
+              if (std::memcmp(&want, &c[cell], sizeof(float)) != 0) {
+                ++mismatches;
+              }
+            }
+          }
+          EXPECT_EQ(mismatches, 0) << "m=" << m << " k=" << k << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
 TEST_F(KernelDispatchTest, ScalarTableIsDeterministic) {
   // Pinning scalar twice must yield bit-identical outputs (the
   // LAN_FORCE_SCALAR reproducibility contract at the kernel layer).
@@ -184,9 +265,20 @@ class ModelHeadDispatchTest : public KernelDispatchTest {
       const NeighborRankModel& model) const {
     const PairScorer& scorer = model.scorer();
     const Matrix context = scorer.ContextEmbedding(cgs_[10]);
-    return scorer.InferHeads(
-        scorer.InferCross(CandidateCgs(), scorer.EncodeQuery(query_cg_)),
-        {context.data(), static_cast<size_t>(context.cols())});
+    Matrix cross;
+    scorer.InferCross(CandidateCgs(), scorer.EncodeQuery(query_cg_), &cross);
+    std::vector<float> flat;
+    scorer.InferHeads(cross,
+                      {context.data(), static_cast<size_t>(context.cols())},
+                      &flat);
+    const size_t num_heads = static_cast<size_t>(scorer.num_heads());
+    std::vector<std::vector<float>> rows(static_cast<size_t>(cross.rows()));
+    for (size_t i = 0; i < rows.size(); ++i) {
+      rows[i].assign(flat.begin() + static_cast<ptrdiff_t>(i * num_heads),
+                     flat.begin() +
+                         static_cast<ptrdiff_t>((i + 1) * num_heads));
+    }
+    return rows;
   }
 
   GraphDatabase db_;
@@ -221,8 +313,11 @@ TEST_F(ModelHeadDispatchTest, NeighborhoodModelMatchesScalar) {
   NeighborhoodModel model(db_.num_labels(), TinyScorer());
   const PairScorer& scorer = model.scorer();
   const auto probs = [&] {
-    return model.PredictProbs(
-        scorer.InferCross(CandidateCgs(), scorer.EncodeQuery(query_cg_)));
+    Matrix cross;
+    scorer.InferCross(CandidateCgs(), scorer.EncodeQuery(query_cg_), &cross);
+    std::vector<float> out;
+    model.PredictProbs(cross, &out);
+    return out;
   };
   SetActiveSimdLevel(SimdLevel::kScalar);
   const std::vector<float> ref = probs();

@@ -259,11 +259,12 @@ class MemoCheckingRanker : public NeighborRanker {
     } else {
       std::vector<const Graph*> gs;
       for (GraphId n : neighbors) gs.push_back(&index_.db().Get(n));
+      Matrix cross;
+      model.scorer().InferCross(gs, model.scorer().EncodeQuery(query),
+                                &cross);
       model.PredictBatchesFromCross(
-          neighbors,
-          model.scorer().InferCross(gs, model.scorer().EncodeQuery(query)),
-          node, index_.db_cgs()[static_cast<size_t>(node)], nullptr,
-          &reference);
+          neighbors, cross, node, index_.db_cgs()[static_cast<size_t>(node)],
+          nullptr, &reference);
     }
     EXPECT_EQ(got, reference) << "routing node " << node;
     distinct_neighbors.insert(neighbors.begin(), neighbors.end());

@@ -217,10 +217,13 @@ TEST(QueryFanoutTest, CrossEncodingChunksOnAPoolMatchTheCallingThread) {
       cg_batch.push_back(&cgs[i]);
       raw_batch.push_back(&db.Get(static_cast<GraphId>(i)));
     }
-    expect_same(scorer.InferCross(cg_batch, cg_query, &pool),
-                scorer.InferCross(cg_batch, cg_query), n);
-    expect_same(scorer.InferCross(raw_batch, raw_query, &pool),
-                scorer.InferCross(raw_batch, raw_query), n);
+    Matrix pooled, serial;
+    scorer.InferCross(cg_batch, cg_query, &pooled, &pool);
+    scorer.InferCross(cg_batch, cg_query, &serial);
+    expect_same(pooled, serial, n);
+    scorer.InferCross(raw_batch, raw_query, &pooled, &pool);
+    scorer.InferCross(raw_batch, raw_query, &serial);
+    expect_same(pooled, serial, n);
   }
 }
 

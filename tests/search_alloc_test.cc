@@ -307,8 +307,10 @@ TEST(SearchAllocTest, PoolParallelForAllocatesNothing) {
 TEST(SearchAllocTest, ZeroSteadyStateAllocationsWithLanRouteCacheHits) {
   // LAN_Route + LAN_IS (lanbench's searches) on a trained index, answer
   // cache on: a hot query is served its stored answer, copied into the
-  // reused result storage. The first pass misses the cache and runs the
-  // models, which allocate; such cold misses are outside this test.
+  // reused result storage. The first pass misses the cache; such cold
+  // misses still allocate per-query state (the query's CG and encoder
+  // cache, the ranker's memo) and are outside this test. The model passes
+  // themselves are covered by ZeroSteadyStateAllocationsInModelPasses.
   GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(60), 41);
   WorkloadOptions wopts;
   wopts.num_queries = 20;
@@ -372,6 +374,97 @@ TEST(SearchAllocTest, ZeroSteadyStateAllocationsWithLanRouteCacheHits) {
       << "hot LAN_Route + LAN_IS queries must not touch the heap";
   EXPECT_TRUE(result.status.ok());
   EXPECT_FALSE(result.results.empty());
+}
+
+TEST(SearchAllocTest, ZeroSteadyStateAllocationsInModelPasses) {
+  // The query-time model passes at one worker: M_rk's cross rows and
+  // batches (InferCross + PredictBatchesFromCross) and M_nh's cross rows
+  // and probabilities (InferCross + PredictProbs), on CGs and raw graphs.
+  // Their working storage is per thread and their outputs reuse the
+  // caller's buffers, so a second, warm pass must not touch the heap.
+  GraphDatabase db = GenerateDatabase(DatasetSpec::AidsLike(60), 43);
+  WorkloadOptions wopts;
+  wopts.num_queries = 20;
+  const QueryWorkload workload = SampleWorkload(db, wopts, 44);
+
+  LanConfig config;
+  config.hnsw.M = 4;
+  config.hnsw.ef_construction = 12;
+  config.query_ged.approximate_only = true;
+  config.query_ged.beam_width = 0;
+  config.scorer.gnn_dims = {16, 16};
+  config.scorer.mlp_hidden = 16;
+  config.rank.epochs = 2;
+  config.nh.epochs = 2;
+  config.cluster.epochs = 5;
+  config.max_rank_examples = 200;
+  config.max_nh_examples = 200;
+  config.neighborhood_knn = 10;
+  config.embedding.dim = 16;
+  config.num_threads = 1;
+  LanIndex index(config);
+  ASSERT_TRUE(index.Build(&db).ok());
+  ASSERT_TRUE(index.Train(workload.train).ok());
+  const NeighborRankModel& rank = *index.rank_model();
+  const NeighborhoodModel& nh = *index.neighborhood_model();
+  const std::vector<CompressedGnnGraph>& cgs = index.db_cgs();
+
+  // Ten candidates (three chunks) and a routing node with a cached context.
+  const GraphId node = 0;
+  std::vector<GraphId> neighbors;
+  std::vector<const CompressedGnnGraph*> cg_batch;
+  std::vector<const Graph*> raw_batch;
+  for (GraphId id = 1; id <= 10; ++id) {
+    neighbors.push_back(id);
+    cg_batch.push_back(&cgs[static_cast<size_t>(id)]);
+    raw_batch.push_back(&db.Get(id));
+  }
+  const Graph& query = workload.test[0];
+  LazyQueryCg cg_query(&query, static_cast<int>(config.scorer.gnn_dims.size()));
+  LazyQueryCg raw_query(&query,
+                        static_cast<int>(config.scorer.gnn_dims.size()));
+  const QueryEncodingCache& cg_encoding =
+      rank.scorer().EncodeQuery(&cg_query, /*compressed=*/true);
+  const QueryEncodingCache& raw_encoding =
+      rank.scorer().EncodeQuery(&raw_query, /*compressed=*/false);
+
+  Matrix cross;
+  RankedBatches batches;
+  std::vector<float> probs;
+  int64_t inferences = 0;
+  size_t batch_count = 0;
+  const auto pass = [&] {
+    for (bool compressed : {true, false}) {
+      if (compressed) {
+        rank.scorer().InferCross(cg_batch, cg_encoding, &cross);
+      } else {
+        rank.scorer().InferCross(raw_batch, raw_encoding, &cross);
+      }
+      batches.Clear();
+      rank.PredictBatchesFromCross(neighbors, cross, node,
+                                   cgs[static_cast<size_t>(node)],
+                                   &inferences, &batches);
+      batch_count += batches.num_batches();
+      if (compressed) {
+        nh.scorer().InferCross(cg_batch, cg_encoding, &cross);
+      } else {
+        nh.scorer().InferCross(raw_batch, raw_encoding, &cross);
+      }
+      nh.PredictProbs(cross, &probs);
+    }
+  };
+  pass();  // grows every per-thread buffer and the outputs
+
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_count_allocs.store(true, std::memory_order_relaxed);
+  pass();
+  g_count_allocs.store(false, std::memory_order_relaxed);
+
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0)
+      << "warm model passes must not touch the heap";
+  EXPECT_EQ(inferences, 4 * static_cast<int64_t>(neighbors.size()));
+  EXPECT_GT(batch_count, 0u);
+  EXPECT_EQ(probs.size(), neighbors.size());
 }
 
 TEST(SearchAllocTest, RepeatedSearchIntoReusesResultStorage) {
