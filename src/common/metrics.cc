@@ -1,7 +1,6 @@
 #include "common/metrics.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <sstream>
 
@@ -10,19 +9,14 @@
 namespace lan {
 namespace {
 
-/// Next free registry serial (never reused, so a stale thread-local shard
-/// reference can never alias a new registry at a recycled address).
-std::atomic<uint64_t> g_next_registry_serial{1};
-
-struct ShardRef {
-  uint64_t serial = 0;
-  MetricsRegistry::Shard* shard = nullptr;
-};
-
-/// Per-thread map from registry to that thread's shard. Entries for dead
-/// registries stay until the same address hosts a new registry (serial
-/// mismatch) — a bounded, value-only leak.
-thread_local std::unordered_map<const void*, ShardRef> t_shard_refs;
+/// Slot of the series called `name`, or -1.
+template <typename Series>
+int32_t FindSlot(const Series& series, const std::string& name) {
+  for (size_t i = 0; i < series.size(); ++i) {
+    if (series[i].first == name) return static_cast<int32_t>(i);
+  }
+  return -1;
+}
 
 void AppendJsonString(std::ostringstream* out, const std::string& s) {
   *out << '"';
@@ -44,35 +38,13 @@ void AppendJsonDouble(std::ostringstream* out, double v) {
 
 }  // namespace
 
-/// One thread's private slice of every metric. The owner thread writes
-/// under `mu` (uncontended except while a Snapshot scrape walks shards).
-struct MetricsRegistry::Shard {
-  struct HistogramCells {
-    std::vector<int64_t> bucket_counts;
-    int64_t count = 0;
-    double sum = 0.0;
-    double min = std::numeric_limits<double>::infinity();
-    double max = -std::numeric_limits<double>::infinity();
-  };
-
-  std::mutex mu;
-  std::vector<int64_t> counters;
-  std::vector<HistogramCells> histograms;
-};
-
-MetricsRegistry::MetricsRegistry()
-    : serial_(g_next_registry_serial.fetch_add(1)) {}
-
-MetricsRegistry::~MetricsRegistry() = default;
-
 CounterId MetricsRegistry::Counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_by_name_.find(name);
-  if (it != counters_by_name_.end()) return it->second;
-  CounterId id;
-  id.slot = static_cast<int32_t>(counter_names_.size());
-  counter_names_.push_back(name);
-  counters_by_name_.emplace(name, id);
+  CounterId id{FindSlot(series_.counters, name)};
+  if (!id.valid()) {
+    id.slot = static_cast<int32_t>(series_.counters.size());
+    series_.counters.emplace_back(name, 0);
+  }
   return id;
 }
 
@@ -83,9 +55,10 @@ HistogramId MetricsRegistry::Histogram(const std::string& name,
     LAN_CHECK_LT(bounds[i - 1], bounds[i]);
   }
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_by_name_.find(name);
-  if (it != histograms_by_name_.end()) {
-    if (*it->second.bounds != bounds) {
+  HistogramId id{FindSlot(series_.histograms, name)};
+  if (id.valid()) {
+    if (series_.histograms[static_cast<size_t>(id.slot)].second.bounds !=
+        bounds) {
       ++bounds_conflicts_;
       if (!bounds_conflict_warned_) {
         bounds_conflict_warned_ = true;
@@ -95,119 +68,56 @@ HistogramId MetricsRegistry::Histogram(const std::string& name,
                "registration wins (tracked as metrics.bounds_conflicts)";
       }
     }
-    return it->second;
+    return id;
   }
-  HistogramInfo info;
-  info.name = name;
-  info.bounds =
-      std::make_shared<const std::vector<double>>(std::move(bounds));
-  HistogramId id;
-  id.slot = static_cast<int32_t>(histogram_infos_.size());
-  id.bounds = info.bounds.get();
-  histogram_infos_.push_back(std::move(info));
-  histograms_by_name_.emplace(name, id);
+  HistogramSnapshot h;
+  h.bucket_counts.assign(bounds.size() + 1, 0);
+  h.bounds = std::move(bounds);
+  id.slot = static_cast<int32_t>(series_.histograms.size());
+  series_.histograms.emplace_back(name, std::move(h));
   return id;
 }
 
 GaugeId MetricsRegistry::Gauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_by_name_.find(name);
-  if (it != gauges_by_name_.end()) return it->second;
-  GaugeId id;
-  id.slot = static_cast<int32_t>(gauge_names_.size());
-  gauge_names_.push_back(name);
-  gauge_values_.push_back(0.0);
-  gauges_by_name_.emplace(name, id);
+  GaugeId id{FindSlot(series_.gauges, name)};
+  if (!id.valid()) {
+    id.slot = static_cast<int32_t>(series_.gauges.size());
+    series_.gauges.emplace_back(name, 0.0);
+  }
   return id;
+}
+
+void MetricsRegistry::Increment(CounterId id, int64_t delta) {
+  if (!id.valid()) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  series_.counters[static_cast<size_t>(id.slot)].second += delta;
+}
+
+void MetricsRegistry::Observe(HistogramId id, double value) {
+  if (!id.valid()) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  HistogramSnapshot& h =
+      series_.histograms[static_cast<size_t>(id.slot)].second;
+  const size_t bucket = static_cast<size_t>(
+      std::lower_bound(h.bounds.begin(), h.bounds.end(), value) -
+      h.bounds.begin());
+  ++h.bucket_counts[bucket];
+  ++h.count;
+  h.sum += value;
+  h.min = std::min(h.min, value);
+  h.max = std::max(h.max, value);
 }
 
 void MetricsRegistry::SetGauge(GaugeId id, double value) {
   if (!id.valid()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  gauge_values_[static_cast<size_t>(id.slot)] = value;
-}
-
-MetricsRegistry::Shard* MetricsRegistry::LocalShard() const {
-  auto it = t_shard_refs.find(this);
-  if (it != t_shard_refs.end() && it->second.serial == serial_) {
-    return it->second.shard;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  shards_.push_back(std::make_unique<Shard>());
-  Shard* shard = shards_.back().get();
-  t_shard_refs[this] = ShardRef{serial_, shard};
-  return shard;
-}
-
-void MetricsRegistry::Increment(CounterId id, int64_t delta) {
-  if (!id.valid()) return;
-  Shard* shard = LocalShard();
-  std::lock_guard<std::mutex> lock(shard->mu);
-  if (shard->counters.size() <= static_cast<size_t>(id.slot)) {
-    shard->counters.resize(static_cast<size_t>(id.slot) + 1, 0);
-  }
-  shard->counters[static_cast<size_t>(id.slot)] += delta;
-}
-
-void MetricsRegistry::Observe(HistogramId id, double value) {
-  if (!id.valid()) return;
-  Shard* shard = LocalShard();
-  std::lock_guard<std::mutex> lock(shard->mu);
-  if (shard->histograms.size() <= static_cast<size_t>(id.slot)) {
-    shard->histograms.resize(static_cast<size_t>(id.slot) + 1);
-  }
-  Shard::HistogramCells& cells =
-      shard->histograms[static_cast<size_t>(id.slot)];
-  if (cells.bucket_counts.empty()) {
-    cells.bucket_counts.assign(id.bounds->size() + 1, 0);
-  }
-  const size_t bucket =
-      static_cast<size_t>(std::lower_bound(id.bounds->begin(),
-                                           id.bounds->end(), value) -
-                          id.bounds->begin());
-  ++cells.bucket_counts[bucket];
-  ++cells.count;
-  cells.sum += value;
-  cells.min = std::min(cells.min, value);
-  cells.max = std::max(cells.max, value);
+  series_.gauges[static_cast<size_t>(id.slot)].second = value;
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
-  MetricsSnapshot snapshot;
   std::lock_guard<std::mutex> lock(mu_);
-  snapshot.counters.reserve(counter_names_.size());
-  for (const std::string& name : counter_names_) {
-    snapshot.counters.emplace_back(name, 0);
-  }
-  snapshot.histograms.reserve(histogram_infos_.size());
-  for (const HistogramInfo& info : histogram_infos_) {
-    HistogramSnapshot h;
-    h.bounds = *info.bounds;
-    h.bucket_counts.assign(info.bounds->size() + 1, 0);
-    snapshot.histograms.emplace_back(info.name, std::move(h));
-  }
-  snapshot.gauges.reserve(gauge_names_.size());
-  for (size_t i = 0; i < gauge_names_.size(); ++i) {
-    snapshot.gauges.emplace_back(gauge_names_[i], gauge_values_[i]);
-  }
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
-    for (size_t i = 0; i < shard->counters.size(); ++i) {
-      snapshot.counters[i].second += shard->counters[i];
-    }
-    for (size_t i = 0; i < shard->histograms.size(); ++i) {
-      const Shard::HistogramCells& cells = shard->histograms[i];
-      if (cells.count == 0) continue;
-      HistogramSnapshot& h = snapshot.histograms[i].second;
-      for (size_t b = 0; b < cells.bucket_counts.size(); ++b) {
-        h.bucket_counts[b] += cells.bucket_counts[b];
-      }
-      h.count += cells.count;
-      h.sum += cells.sum;
-      h.min = std::min(h.min, cells.min);
-      h.max = std::max(h.max, cells.max);
-    }
-  }
+  MetricsSnapshot snapshot = series_;
   // Emitted only when a conflict happened, so unaffected registries keep
   // their exact pre-existing snapshot layout.
   if (bounds_conflicts_ > 0) {
@@ -276,48 +186,37 @@ const double* MetricsSnapshot::FindGauge(const std::string& name) const {
 
 void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
   for (const auto& [name, value] : other.counters) {
-    bool found = false;
-    for (auto& [n, v] : counters) {
-      if (n == name) {
-        v += value;
-        found = true;
-        break;
-      }
+    const int32_t slot = FindSlot(counters, name);
+    if (slot < 0) {
+      counters.emplace_back(name, value);
+    } else {
+      counters[static_cast<size_t>(slot)].second += value;
     }
-    if (!found) counters.emplace_back(name, value);
   }
   for (const auto& [name, h] : other.histograms) {
-    HistogramSnapshot* mine = nullptr;
-    for (auto& [n, existing] : histograms) {
-      if (n == name) {
-        mine = &existing;
-        break;
-      }
-    }
-    if (mine == nullptr) {
+    const int32_t slot = FindSlot(histograms, name);
+    if (slot < 0) {
       histograms.emplace_back(name, h);
       continue;
     }
-    LAN_CHECK(mine->bounds == h.bounds)
+    HistogramSnapshot& mine = histograms[static_cast<size_t>(slot)].second;
+    LAN_CHECK(mine.bounds == h.bounds)
         << "cannot merge histograms with different bucket bounds: " << name;
     for (size_t b = 0; b < h.bucket_counts.size(); ++b) {
-      mine->bucket_counts[b] += h.bucket_counts[b];
+      mine.bucket_counts[b] += h.bucket_counts[b];
     }
-    mine->count += h.count;
-    mine->sum += h.sum;
-    mine->min = std::min(mine->min, h.min);
-    mine->max = std::max(mine->max, h.max);
+    mine.count += h.count;
+    mine.sum += h.sum;
+    mine.min = std::min(mine.min, h.min);
+    mine.max = std::max(mine.max, h.max);
   }
   for (const auto& [name, value] : other.gauges) {
-    bool found = false;
-    for (auto& [n, v] : gauges) {
-      if (n == name) {
-        v = value;
-        found = true;
-        break;
-      }
+    const int32_t slot = FindSlot(gauges, name);
+    if (slot < 0) {
+      gauges.emplace_back(name, value);
+    } else {
+      gauges[static_cast<size_t>(slot)].second = value;
     }
-    if (!found) gauges.emplace_back(name, value);
   }
 }
 

@@ -3,10 +3,8 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -19,11 +17,9 @@ struct CounterId {
   bool valid() const { return slot >= 0; }
 };
 
-/// \brief Handle to a registered histogram. Carries a pointer to the bucket
-/// bounds so the hot-path Observe never takes the registry lock.
+/// \brief Handle to a registered histogram.
 struct HistogramId {
   int32_t slot = -1;
-  const std::vector<double>* bounds = nullptr;
   bool valid() const { return slot >= 0; }
 };
 
@@ -71,15 +67,15 @@ struct MetricsSnapshot {
   void Merge(const MetricsSnapshot& other);
 };
 
-/// \brief Query-serving metrics: named counters and fixed-bucket
-/// histograms, sharded per thread.
+/// \brief Query-serving metrics: named counters, fixed-bucket histograms
+/// and gauges behind one mutex.
 ///
-/// Every writing thread lazily gets its own shard, so concurrent
-/// SearchBatch workers record without contending on shared cache lines;
-/// shards are only walked (under their per-shard mutex, uncontended in
-/// steady state) when Snapshot() scrapes the registry. Registration
-/// returns stable ids; Increment/Observe with an id is lock-free with
-/// respect to other threads' writes.
+/// Queries are recorded by one thread per registry: `lan_tool serve`'s
+/// loop, or SearchBatch's calling thread once its workers joined. The
+/// stats server's thread adds scrapes (Snapshot) and cache counters, so
+/// one lock over flat arrays is uncontended in steady state. Registration
+/// returns stable ids; Increment/Observe/SetGauge with an id index the
+/// arrays directly.
 ///
 /// Thread-safe. One registry typically lives per server/process; benches
 /// and SearchBatch create short-lived private registries.
@@ -93,8 +89,7 @@ struct MetricsSnapshot {
 /// histograms, and gauges.
 class MetricsRegistry {
  public:
-  MetricsRegistry();
-  ~MetricsRegistry();
+  MetricsRegistry() = default;
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
@@ -113,11 +108,10 @@ class MetricsRegistry {
 
   void Increment(CounterId id, int64_t delta = 1);
   void Observe(HistogramId id, double value);
-  /// Overwrites the gauge (not sharded: gauges are set rarely — once per
-  /// batch / mutation — so they take the registry lock).
+  /// Overwrites the gauge.
   void SetGauge(GaugeId id, double value);
 
-  /// Merges every thread shard into one consistent snapshot.
+  /// Copies every series into one consistent snapshot.
   MetricsSnapshot Snapshot() const;
 
   /// Exponential seconds buckets (10us .. 10s) for latency histograms.
@@ -125,32 +119,15 @@ class MetricsRegistry {
   /// 1-2-5 series (1 .. 100k) for count-valued histograms (NDC, steps).
   static std::vector<double> CountBounds();
 
-  struct Shard;
-
  private:
-  Shard* LocalShard() const;
-
-  struct HistogramInfo {
-    std::string name;
-    std::shared_ptr<const std::vector<double>> bounds;
-  };
-
   mutable std::mutex mu_;
-  std::vector<std::string> counter_names_;
-  std::vector<HistogramInfo> histogram_infos_;
-  std::vector<std::string> gauge_names_;
-  std::vector<double> gauge_values_;
-  std::unordered_map<std::string, CounterId> counters_by_name_;
-  std::unordered_map<std::string, HistogramId> histograms_by_name_;
-  std::unordered_map<std::string, GaugeId> gauges_by_name_;
-  mutable std::vector<std::unique_ptr<Shard>> shards_;
+  /// Every series in registration order; a handle's slot indexes its
+  /// array.
+  MetricsSnapshot series_;
   /// Histogram re-registrations whose bounds disagreed with the first
   /// registration (exported as `metrics.bounds_conflicts` when non-zero).
   int64_t bounds_conflicts_ = 0;
   bool bounds_conflict_warned_ = false;
-  /// Distinguishes this registry from a dead one reallocated at the same
-  /// address (thread-local shard references are keyed by pointer+serial).
-  uint64_t serial_;
 };
 
 }  // namespace lan

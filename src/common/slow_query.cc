@@ -14,33 +14,25 @@ bool Slower(const SlowQueryRecord& a, const SlowQueryRecord& b) {
 
 }  // namespace
 
-SlowQueryRing::SlowQueryRing(size_t capacity, size_t num_shards)
-    : capacity_(capacity), shards_(num_shards == 0 ? 1 : num_shards) {}
-
 void SlowQueryRing::Offer(SlowQueryRecord record) {
   if (capacity_ == 0) return;
-  Shard& shard =
-      shards_[static_cast<uint64_t>(record.query_id) % shards_.size()];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.records.size() < capacity_) {
-    shard.records.push_back(std::move(record));
-    std::push_heap(shard.records.begin(), shard.records.end(), Slower);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (records_.size() < capacity_) {
+    records_.push_back(std::move(record));
+    std::push_heap(records_.begin(), records_.end(), Slower);
     return;
   }
-  if (record.latency_seconds <= shard.records.front().latency_seconds) return;
-  std::pop_heap(shard.records.begin(), shard.records.end(), Slower);
-  shard.records.back() = std::move(record);
-  std::push_heap(shard.records.begin(), shard.records.end(), Slower);
+  if (record.latency_seconds <= records_.front().latency_seconds) return;
+  std::pop_heap(records_.begin(), records_.end(), Slower);
+  records_.back() = std::move(record);
+  std::push_heap(records_.begin(), records_.end(), Slower);
 }
 
 std::vector<SlowQueryRecord> SlowQueryRing::Drain() {
   std::vector<SlowQueryRecord> all;
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (SlowQueryRecord& record : shard.records) {
-      all.push_back(std::move(record));
-    }
-    shard.records.clear();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    all.swap(records_);
   }
   std::sort(all.begin(), all.end(),
             [](const SlowQueryRecord& a, const SlowQueryRecord& b) {
@@ -49,7 +41,6 @@ std::vector<SlowQueryRecord> SlowQueryRing::Drain() {
               }
               return a.query_id < b.query_id;  // deterministic tie-break
             });
-  if (all.size() > capacity_) all.resize(capacity_);
   return all;
 }
 

@@ -22,41 +22,35 @@ struct SlowQueryRecord {
   QueryTrace trace;
 };
 
-/// \brief Mutex-sharded retention of the top-K slowest queries since the
-/// last drain.
+/// \brief Retention of the top-K slowest queries since the last drain.
 ///
-/// Offer() hashes the query id to a shard and keeps the record only if it
-/// beats that shard's current floor (a min-heap per shard, each holding up
-/// to `capacity` records), so the serving loop never contends on one lock
-/// and a fast query costs one try-beat-the-floor comparison. Drain()
-/// merges all shards, returns the global top-`capacity` sorted
-/// slowest-first, and resets the ring — the /slowz endpoint is therefore a
-/// consuming read, like a counter delta: each scrape reports the slowest
-/// queries since the previous scrape.
+/// Offer() keeps the record only if it beats the current floor (one
+/// min-heap of up to `capacity` records), so a fast query costs one
+/// try-beat-the-floor comparison. Drain() returns the retained records
+/// sorted slowest-first (ties by query id) and resets the ring — the
+/// /slowz endpoint is therefore a consuming read, like a counter delta:
+/// each scrape reports the slowest queries since the previous scrape.
 ///
-/// Thread-safe.
+/// Thread-safe: one mutex, taken by the serving loop's Offer and a
+/// scrape's Drain.
 class SlowQueryRing {
  public:
-  explicit SlowQueryRing(size_t capacity, size_t num_shards = 4);
+  explicit SlowQueryRing(size_t capacity) : capacity_(capacity) {}
 
-  /// Keeps `record` if it ranks among the shard's slowest; drops it (and
-  /// frees its trace) otherwise.
+  /// Keeps `record` if it ranks among the slowest; drops it (and frees its
+  /// trace) otherwise.
   void Offer(SlowQueryRecord record);
 
-  /// Global top-`capacity()` slowest-first; empties the ring.
+  /// The top-`capacity()` slowest-first; empties the ring.
   std::vector<SlowQueryRecord> Drain();
 
   size_t capacity() const { return capacity_; }
 
  private:
-  struct Shard {
-    std::mutex mu;
-    /// Min-heap by latency (heap top = fastest retained record).
-    std::vector<SlowQueryRecord> records;
-  };
-
   size_t capacity_;
-  std::vector<Shard> shards_;
+  std::mutex mu_;
+  /// Min-heap by latency (heap top = fastest retained record).
+  std::vector<SlowQueryRecord> records_;
 };
 
 /// Writes records as JSON lines: for each record one

@@ -1,6 +1,6 @@
 #include "common/stats.h"
 
-#include <limits>
+#include <algorithm>
 
 #include "common/logging.h"
 

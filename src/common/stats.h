@@ -1,61 +1,12 @@
 #ifndef LAN_COMMON_STATS_H_
 #define LAN_COMMON_STATS_H_
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "common/profile.h"
 
 namespace lan {
-
-/// \brief Online summary statistics (count / mean / min / max / stddev).
-class SummaryStats {
- public:
-  void Add(double x) {
-    ++count_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-
-  void Merge(const SummaryStats& other) {
-    if (other.count_ == 0) return;
-    if (count_ == 0) {
-      *this = other;
-      return;
-    }
-    const double delta = other.mean_ - mean_;
-    const int64_t n = count_ + other.count_;
-    m2_ += other.m2_ + delta * delta *
-                           (static_cast<double>(count_) * other.count_ / n);
-    mean_ += delta * other.count_ / static_cast<double>(n);
-    count_ = n;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-
-  int64_t count() const { return count_; }
-  double mean() const { return count_ > 0 ? mean_ : 0.0; }
-  double min() const { return count_ > 0 ? min_ : 0.0; }
-  double max() const { return count_ > 0 ? max_ : 0.0; }
-  double variance() const {
-    return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-  }
-  double stddev() const { return std::sqrt(variance()); }
-  double sum() const { return mean_ * static_cast<double>(count_); }
-
- private:
-  int64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// \brief Exact percentile of a sample (copies + sorts; fine at our scales).
 double Percentile(std::vector<double> values, double pct);

@@ -3,6 +3,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/logging.h"
+
 namespace lan {
 
 const char* TraceEventTypeName(TraceEventType type) {
@@ -39,13 +41,6 @@ const char* TraceEventTypeName(TraceEventType type) {
 
 TraceSink::~TraceSink() = default;
 
-void NullTraceSink::Record(const TraceEvent& event) { (void)event; }
-
-TraceSink* NullTrace() {
-  static NullTraceSink sink;
-  return &sink;
-}
-
 int64_t QueryTrace::CountOf(TraceEventType type) const {
   int64_t count = 0;
   for (const TraceEvent& e : events_) {
@@ -78,23 +73,8 @@ void QueryTrace::WriteJsonLines(std::ostream& out, int64_t query_id) const {
   }
 }
 
-SamplingTraceSink::SamplingTraceSink(int64_t every)
-    : every_(every < 1 ? 1 : every) {}
-
-QueryTrace* SamplingTraceSink::Begin(int64_t query_id) {
-  if (!Sampled(query_id)) return nullptr;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (pool_.empty()) return new QueryTrace();
-  QueryTrace* trace = pool_.back().release();
-  pool_.pop_back();
-  return trace;
-}
-
-void SamplingTraceSink::End(QueryTrace* trace) {
-  if (trace == nullptr) return;
-  trace->Clear();
-  std::lock_guard<std::mutex> lock(mu_);
-  pool_.emplace_back(trace);
+SamplingTraceSink::SamplingTraceSink(int64_t every) : every_(every) {
+  LAN_CHECK_GE(every, 1) << "trace sampling rate";
 }
 
 }  // namespace lan

@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -80,22 +78,12 @@ struct TraceEvent {
 ///
 /// Hooks hold a `TraceSink*` that is null when tracing is disabled; the
 /// null check is a never-taken, perfectly predicted branch, so the
-/// disabled path costs nothing measurable. `NullTrace()` provides the
-/// null-object instance for call sites that want an always-valid sink.
+/// disabled path costs nothing measurable.
 class TraceSink {
  public:
   virtual ~TraceSink();
   virtual void Record(const TraceEvent& event) = 0;
 };
-
-/// \brief Discards everything (the null object).
-class NullTraceSink final : public TraceSink {
- public:
-  void Record(const TraceEvent& event) override;
-};
-
-/// Shared NullTraceSink instance.
-TraceSink* NullTrace();
 
 /// Records `event` if `sink` is non-null. The single call every hook makes.
 inline void TraceRecord(TraceSink* sink, const TraceEvent& event) {
@@ -129,39 +117,27 @@ class QueryTrace final : public TraceSink {
   std::vector<TraceEvent> events_;
 };
 
-/// \brief Deterministic 1-in-N query sampler with a reusable QueryTrace
-/// buffer pool — the always-on tracing front end for serving loops.
+/// \brief Deterministic 1-in-N query sampler — the always-on tracing
+/// front end for serving loops.
 ///
-/// `Begin(query_id)` hands out a pooled QueryTrace (a drop-in
-/// SearchOptions::trace sink recording the existing event vocabulary
-/// unchanged) when the id is sampled — `query_id % every == 0` — and null
-/// otherwise, so the decision is reproducible across runs and processes.
-/// `End(trace)` returns the buffer to the pool; Clear() keeps the vector's
-/// capacity, so steady-state sampling allocates nothing once warm. A
-/// caller that wants to *retain* the events (the slow-query ring) moves
-/// them out (`std::move(*trace)`) before calling End.
-///
-/// Thread-safe; each leased trace is owned by exactly one query.
+/// A query id is sampled when `query_id % every == 0`, so the decision is
+/// reproducible across runs and processes; the caller records a sampled
+/// query into a QueryTrace it owns (`lan_tool serve` records straight into
+/// the query's slow-ring record).
 class SamplingTraceSink {
  public:
-  /// `every <= 1` samples every query; e.g. 16 keeps ids 0, 16, 32, ...
+  /// `every` >= 1: 1 samples every query; e.g. 16 keeps ids 0, 16, 32, ...
   explicit SamplingTraceSink(int64_t every);
 
+  /// Anonymous (negative) ids are never sampled.
   bool Sampled(int64_t query_id) const {
     return query_id >= 0 && query_id % every_ == 0;
   }
-
-  /// Pooled trace for a sampled id, null otherwise.
-  QueryTrace* Begin(int64_t query_id);
-  /// Recycles a trace from Begin (null is a no-op).
-  void End(QueryTrace* trace);
 
   int64_t every() const { return every_; }
 
  private:
   int64_t every_;
-  std::mutex mu_;
-  std::vector<std::unique_ptr<QueryTrace>> pool_;
 };
 
 }  // namespace lan

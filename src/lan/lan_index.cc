@@ -419,8 +419,8 @@ BatchSearchResult LanIndex::SearchBatch(const std::vector<Graph>& queries,
   BatchSearchResult out;
   out.results.resize(queries.size());
 
-  // Per-call registry: workers fill per-thread shards without contending,
-  // merged once below.
+  // Per-call registry, written only by this thread: the workers keep
+  // their latencies by query index, observed below once they joined.
   MetricsRegistry registry;
   const QueryHistograms query_hists(&registry);
   const GaugeId live_gauge = registry.Gauge("index_live_size");
@@ -443,6 +443,7 @@ BatchSearchResult LanIndex::SearchBatch(const std::vector<Graph>& queries,
   SearchOptions base_options = options;
   base_options.trace = nullptr;  // a shared sink would interleave workers
   base_options.trace_factory = nullptr;
+  std::vector<double> latencies(queries.size());
   const auto run_query = [&](size_t i) {
     SearchOptions per_query = base_options;
     if (options.trace_factory) {
@@ -450,13 +451,14 @@ BatchSearchResult LanIndex::SearchBatch(const std::vector<Graph>& queries,
     }
     Timer timer;
     out.results[i] = Search(queries[i], per_query);
-    const SearchResult& r = out.results[i];
-    query_hists.Observe(r, timer.ElapsedSeconds());
-    if (options.profile) stage_hists.Observe(r.stats.stages);
+    latencies[i] = timer.ElapsedSeconds();
   };
   pool_->ParallelFor(queries.size(), run_query);
 
-  for (const SearchResult& r : out.results) {
+  for (size_t i = 0; i < out.results.size(); ++i) {
+    const SearchResult& r = out.results[i];
+    query_hists.Observe(r, latencies[i]);
+    if (options.profile) stage_hists.Observe(r.stats.stages);
     out.stats.totals.Merge(r.stats);
   }
   if (result_cache_ != nullptr) {

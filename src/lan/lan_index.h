@@ -186,8 +186,7 @@ struct BatchStats {
   /// Element-wise sum of every per-query SearchStats.
   SearchStats totals;
   /// Latency/NDC/steps/inference distributions over the batch (scraped
-  /// from a per-call MetricsRegistry whose shards the workers filled
-  /// contention-free): the QueryHistograms set.
+  /// from a per-call MetricsRegistry): the QueryHistograms set.
   MetricsSnapshot metrics;
 };
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/prefetch.h"
 
 namespace lan {
 namespace {
@@ -395,14 +396,11 @@ void HnswIndex::SkipInsertLevels(Rng* rng, const HnswOptions& options,
 }
 
 void HnswIndex::RebuildViewFromCore() {
-  entry_point_ = core_.entry;
-  layers_.clear();
   if (core_.num_nodes == 0) {
     base_layer_ = ProximityGraph();
     return;
   }
-  // The base layer is core layer 0 symmetrized; upper layers are the core
-  // rows verbatim.
+  // The base layer is core layer 0 symmetrized.
   const auto& base_rows = core_.adjacency[0];
   base_layer_ = ProximityGraph::Symmetrize(
       core_.num_nodes, [&base_rows](const auto& emit) {
@@ -410,9 +408,6 @@ void HnswIndex::RebuildViewFromCore() {
           for (GraphId n : base_rows[id]) emit(static_cast<GraphId>(id), n);
         }
       });
-  for (size_t l = 1; l < core_.adjacency.size(); ++l) {
-    layers_.push_back(ProximityGraph::FromRows(core_.adjacency[l]));
-  }
 }
 
 Result<HnswIndex> HnswIndex::FromCore(HnswCore core) {
@@ -459,13 +454,16 @@ GraphId HnswIndex::SelectInitialNode(DistanceOracle* oracle) const {
 
 GraphId HnswIndex::SelectInitialNodeFn(
     const std::function<double(GraphId)>& distance) const {
-  GraphId curr = entry_point_;
+  GraphId curr = core_.entry;
   double curr_d = distance(curr);
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
+  // Upper layers top down, over the core's directed rows (a node's row is
+  // empty in the layers above its level).
+  for (size_t l = core_.adjacency.size(); l-- > 1;) {
+    const std::vector<std::vector<GraphId>>& rows = core_.adjacency[l];
     for (;;) {
       GraphId best = curr;
       double best_d = curr_d;
-      for (GraphId n : it->NeighborSpan(curr)) {
+      for (GraphId n : rows[static_cast<size_t>(curr)]) {
         const double d = distance(n);
         if (d < best_d) {
           best = n;
@@ -477,7 +475,8 @@ GraphId HnswIndex::SelectInitialNodeFn(
       curr_d = best_d;
       // Hint the next hop's row while the distance evaluations above are
       // still warm in flight.
-      it->PrefetchNeighbors(curr);
+      const std::vector<GraphId>& next = rows[static_cast<size_t>(curr)];
+      PrefetchReadRange(next.data(), next.size() * sizeof(GraphId));
     }
   }
   return curr;

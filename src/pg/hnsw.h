@@ -1,6 +1,7 @@
 #ifndef LAN_PG_HNSW_H_
 #define LAN_PG_HNSW_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -27,8 +28,9 @@ struct HnswOptions {
 };
 
 /// \brief Construction-form state of an HNSW index: the directed layered
-/// adjacency the per-node insertion step mutates. The public view
-/// (symmetrized base layer, sparse upper layers) is derived from it.
+/// adjacency the per-node insertion step mutates. The upper-layer descent
+/// reads its rows directly; the base layer LAN routes on is derived from
+/// it (symmetrized).
 ///
 /// Exposed so the insertion machinery in hnsw.cc can operate on it and
 /// the snapshot decoder can restore it (HnswIndex::FromCore).
@@ -80,8 +82,10 @@ class HnswIndex {
   const ProximityGraph& BaseLayer() const { return base_layer_; }
 
   GraphId NumNodes() const { return core_.num_nodes; }
-  int NumLayers() const { return static_cast<int>(layers_.size()) + 1; }
-  GraphId EntryPoint() const { return entry_point_; }
+  int NumLayers() const {
+    return std::max(1, static_cast<int>(core_.adjacency.size()));
+  }
+  GraphId EntryPoint() const { return core_.entry; }
 
   /// HNSW_IS: greedy descent through the upper layers; returns the
   /// base-layer start node. Distance computations go through `oracle` and
@@ -134,16 +138,12 @@ class HnswIndex {
                        const std::vector<uint8_t>* live = nullptr) const;
 
  private:
-  /// Re-derives the public view (symmetrized base layer, CSR upper
-  /// layers, entry point) from `core_`; called after every mutation.
+  /// Re-derives the symmetrized base layer from `core_`; called after
+  /// every mutation.
   void RebuildViewFromCore();
 
   HnswCore core_;
   ProximityGraph base_layer_;
-  /// Upper layer l (1-based in HNSW terms) at layers_[l - 1]: the core
-  /// rows verbatim, empty for nodes below the layer.
-  std::vector<ProximityGraph> layers_;
-  GraphId entry_point_ = kInvalidGraphId;
 };
 
 }  // namespace lan

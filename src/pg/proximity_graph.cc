@@ -25,20 +25,6 @@ Result<ProximityGraph> ProximityGraph::FromEdges(
   });
 }
 
-ProximityGraph ProximityGraph::FromRows(
-    const std::vector<std::vector<GraphId>>& rows) {
-  std::vector<int64_t> offsets(rows.size() + 1, 0);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    offsets[i + 1] = offsets[i] + static_cast<int64_t>(rows[i].size());
-  }
-  std::vector<GraphId> neighbors;
-  neighbors.reserve(static_cast<size_t>(offsets.back()));
-  for (const auto& row : rows) {
-    neighbors.insert(neighbors.end(), row.begin(), row.end());
-  }
-  return ProximityGraph(std::move(offsets), std::move(neighbors));
-}
-
 bool ProximityGraph::IsConnected() const {
   const GraphId num_nodes = NumNodes();
   if (num_nodes == 0) return true;

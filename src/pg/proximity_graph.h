@@ -24,9 +24,7 @@ namespace lan {
 ///
 /// FromEdges is the public way to assemble one: it validates, symmetrizes
 /// and sorts, so rows are ascending and every undirected edge appears in
-/// both rows. HnswIndex also stores its directed per-layer rows (upper
-/// layers) in this type; those rows keep construction
-/// order, so only NeighborSpan/PrefetchNeighbors apply to them.
+/// both rows.
 class ProximityGraph {
  public:
   /// The empty graph (zero nodes).
@@ -79,10 +77,6 @@ class ProximityGraph {
 
   ProximityGraph(std::vector<int64_t> offsets, std::vector<GraphId> neighbors)
       : offsets_(std::move(offsets)), neighbors_(std::move(neighbors)) {}
-
-  /// Owned CSR with `rows` taken verbatim (row order kept).
-  static ProximityGraph FromRows(
-      const std::vector<std::vector<GraphId>>& rows);
 
   /// Owned undirected CSR: `for_each_edge(emit)` calls emit(a, b) for
   /// every edge, in one or both directions and possibly repeated; ids must

@@ -1,16 +1,55 @@
 #ifndef LAN_PG_RESULT_CACHE_H_
 #define LAN_PG_RESULT_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/shard_cache.h"
 #include "common/status.h"
 #include "graph/graph.h"
 
 namespace lan {
+
+/// Aggregate counters for one cache (summed across its lock shards).
+struct ShardCacheStats {
+  int64_t hits = 0;
+  int64_t misses = 0;
+  int64_t inserts = 0;
+  int64_t evictions = 0;      // capacity-driven removals
+  int64_t invalidations = 0;  // epoch-mismatch/Clear removals
+  int64_t rejected = 0;       // Puts refused by size
+  int64_t entries = 0;        // resident entries (point-in-time)
+  int64_t bytes = 0;          // resident charged bytes (point-in-time)
+
+  void Merge(const ShardCacheStats& other) {
+    hits += other.hits;
+    misses += other.misses;
+    inserts += other.inserts;
+    evictions += other.evictions;
+    invalidations += other.invalidations;
+    rejected += other.rejected;
+    entries += other.entries;
+    bytes += other.bytes;
+  }
+};
+
+/// 128-bit cache key (the index packs the query hash and the search
+/// options into the two halves).
+struct CacheKey128 {
+  uint64_t hi = 0;
+  uint64_t lo = 0;
+
+  bool operator==(const CacheKey128& other) const {
+    return hi == other.hi && lo == other.lo;
+  }
+};
+
+/// Strong 64-bit finalizer (splitmix64) used for key mixing and shard
+/// selection.
+uint64_t MixCacheHash(uint64_t x);
 
 /// Returns `stats` with the counter-like fields (hits..rejected) reduced
 /// by `baseline`; the point-in-time fields (entries, bytes) pass through.
@@ -44,6 +83,13 @@ struct ResultCacheOptions {
 /// answer across epochs; Clear (called on Insert, Remove and Train) only
 /// frees memory.
 ///
+/// Storage is a byte-bounded LRU split into kNumShards lock shards, each
+/// an independent mutex + hash map + LRU list picked by the key hash.
+/// Every entry is charged its answer bytes plus kEntryOverheadBytes
+/// against `capacity_bytes / kNumShards`; the owning shard evicts its
+/// least recently used entries to make room, and refuses an entry larger
+/// than the whole shard.
+///
 /// All methods are thread-safe.
 class ResultCache {
  public:
@@ -52,8 +98,12 @@ class ResultCache {
   /// Lock shards: enough that SearchBatch's threads rarely contend, few
   /// enough that each shard's byte budget stays large.
   static constexpr int kNumShards = 16;
+  /// Approximate bookkeeping cost per resident entry (key, LRU node,
+  /// hash bucket) charged on top of the answer bytes.
+  static constexpr size_t kEntryOverheadBytes = 64;
 
   explicit ResultCache(const ResultCacheOptions& options);
+  ~ResultCache();
 
   /// Copies the answer stored under `key` at exactly `epoch` into `*out`
   /// (reusing its capacity) and returns true. An entry stamped with any
@@ -67,7 +117,9 @@ class ResultCache {
 
   ShardCacheStats Stats() const;
 
-  size_t capacity_bytes() const { return answers_.capacity_bytes(); }
+  size_t capacity_bytes() const {
+    return shard_capacity_bytes_ * kNumShards;
+  }
 
   /// Registers/updates the `cache.*` metrics on `registry`: counters
   /// cache.hits/misses/inserts/evictions/invalidations/rejected and gauges
@@ -79,7 +131,12 @@ class ResultCache {
                      const ShardCacheStats* baseline = nullptr) const;
 
  private:
-  ShardedLruCache<Answer> answers_;
+  struct Shard;
+
+  Shard& ShardFor(const CacheKey128& key) const;
+
+  std::unique_ptr<Shard[]> shards_;
+  size_t shard_capacity_bytes_;
 };
 
 }  // namespace lan

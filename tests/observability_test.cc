@@ -1,5 +1,5 @@
 // Tests for the observability layer behind SearchOptions: MetricsRegistry
-// (sharded counters/histograms, percentile export), QueryTrace (structured
+// (counters/histograms/gauges, percentile export), QueryTrace (structured
 // per-query events and their invariants against SearchStats), the
 // SearchOptions entry points' determinism across routing/init combos, and
 // the Ready()/SearchResult::status error contract.
@@ -602,6 +602,46 @@ TEST_F(ObservabilitySearchTest, SearchBatchMatchesSequentialAndAggregates) {
       batch.stats.metrics.FindHistogram("query_latency_seconds");
   ASSERT_NE(latency_hist, nullptr);
   EXPECT_EQ(latency_hist->count, static_cast<int64_t>(queries.size()));
+}
+
+TEST_F(ObservabilitySearchTest, SearchBatchMetricsMatchPerQueryObserves) {
+  std::vector<Graph> queries(workload_->test.begin(),
+                             workload_->test.begin() + 6);
+  SearchOptions options;
+  options.k = 4;
+  options.profile = true;
+  const BatchSearchResult batch = index_->SearchBatch(queries, options);
+
+  // The same query and stage observations, one Observe per query on a
+  // fresh registry. Latencies are wall time, so that series is checked by
+  // count only.
+  MetricsRegistry fresh;
+  const QueryHistograms query_hists(&fresh);
+  const StageHistograms stage_hists(&fresh);
+  for (const SearchResult& r : batch.results) {
+    query_hists.Observe(r, 0.0);
+    stage_hists.Observe(r.stats.stages);
+  }
+  const MetricsSnapshot expected = fresh.Snapshot();
+  const MetricsSnapshot& got = batch.stats.metrics;
+
+  ASSERT_EQ(got.counters.size(), expected.counters.size());
+  for (size_t i = 0; i < expected.counters.size(); ++i) {
+    EXPECT_EQ(got.counters[i], expected.counters[i]);
+  }
+  ASSERT_EQ(got.histograms.size(), expected.histograms.size());
+  for (size_t i = 0; i < expected.histograms.size(); ++i) {
+    const auto& [name, want] = expected.histograms[i];
+    const HistogramSnapshot& have = got.histograms[i].second;
+    EXPECT_EQ(got.histograms[i].first, name);
+    EXPECT_EQ(have.count, want.count) << name;
+    if (name == "query_latency_seconds") continue;
+    EXPECT_EQ(have.bounds, want.bounds) << name;
+    EXPECT_EQ(have.bucket_counts, want.bucket_counts) << name;
+    EXPECT_EQ(have.min, want.min) << name;
+    EXPECT_EQ(have.max, want.max) << name;
+  }
+  EXPECT_NE(got.FindGauge("index_live_size"), nullptr);
 }
 
 TEST_F(ObservabilitySearchTest, ReadyRejectsBadOptions) {

@@ -1,4 +1,4 @@
-// Tests for the answer cache: the ShardedLruCache store, the canonical
+// Tests for the answer cache: its sharded LRU storage, the canonical
 // keying input (Graph::ContentHash), the ResultCache epoch rule, and — the
 // property the whole design exists to preserve — that cache-on searches
 // are bitwise identical to cache-off searches across every routing/init
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/shard_cache.h"
 #include "graph/graph_generator.h"
 #include "lan/evaluation.h"
 #include "lan/lan_index.h"
@@ -30,80 +29,102 @@ namespace lan {
 namespace {
 
 // ---------------------------------------------------------------------------
-// ShardedLruCache
+// ResultCache storage: lock shards, byte-bounded LRU, counters
 // ---------------------------------------------------------------------------
 
 CacheKey128 Key(uint64_t hi, uint64_t lo) { return CacheKey128{hi, lo}; }
 
-/// A lookup with no epoch condition.
-bool Find(ShardedLruCache<double>* cache, const CacheKey128& key,
-          double* out) {
-  return cache->FindIf(key, out, [](uint64_t) { return true; });
+/// Bytes a one-answer entry is charged.
+constexpr size_t kOneAnswerBytes = sizeof(ResultCache::Answer::value_type) +
+                                   ResultCache::kEntryOverheadBytes;
+
+/// A cache whose every lock shard holds `per_shard` bytes.
+ResultCache CacheWithShardBytes(size_t per_shard) {
+  ResultCacheOptions options;
+  options.enabled = true;
+  options.capacity_bytes = per_shard * ResultCache::kNumShards;
+  return ResultCache(options);
 }
 
-TEST(ShardedLruCacheTest, FindAfterPutRoundTrips) {
-  ShardedLruCache<double> cache(1 << 16, 4);
-  cache.Put(Key(1, 7), 3.5, sizeof(double), /*epoch=*/2);
-  double value = 0.0;
-  ASSERT_TRUE(Find(&cache, Key(1, 7), &value));
-  EXPECT_DOUBLE_EQ(value, 3.5);
-  EXPECT_FALSE(Find(&cache, Key(1, 8), &value));
-  EXPECT_FALSE(Find(&cache, Key(2, 7), &value));
+/// The lock shard of `key`: the documented key hash, modulo kNumShards.
+uint64_t ShardOf(const CacheKey128& key) {
+  return MixCacheHash(key.hi ^ (key.lo * 0x9e3779b97f4a7c15ull)) %
+         ResultCache::kNumShards;
+}
+
+/// The first `count` keys (h, 0), h = 1, 2, ..., that share key (1, 0)'s
+/// shard.
+std::vector<CacheKey128> SameShardKeys(size_t count) {
+  std::vector<CacheKey128> keys;
+  for (uint64_t h = 1; keys.size() < count; ++h) {
+    if (ShardOf(Key(h, 0)) == ShardOf(Key(1, 0))) keys.push_back(Key(h, 0));
+  }
+  return keys;
+}
+
+TEST(ResultCacheLruTest, FindAfterPutRoundTrips) {
+  ResultCache cache = CacheWithShardBytes(1 << 16);
+  cache.Put(Key(1, 7), /*epoch=*/2, {{5, 3.5}});
+  ResultCache::Answer value;
+  ASSERT_TRUE(cache.Find(Key(1, 7), 2, &value));
+  EXPECT_EQ(value, (ResultCache::Answer{{5, 3.5}}));
+  EXPECT_FALSE(cache.Find(Key(1, 8), 2, &value));
+  EXPECT_FALSE(cache.Find(Key(2, 7), 2, &value));
   const ShardCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.hits, 1);
   EXPECT_EQ(stats.misses, 2);
   EXPECT_EQ(stats.inserts, 1);
   EXPECT_EQ(stats.entries, 1);
-  EXPECT_GT(stats.bytes, 0);
+  EXPECT_EQ(stats.bytes, static_cast<int64_t>(kOneAnswerBytes));
 }
 
-TEST(ShardedLruCacheTest, EvictsLeastRecentlyUsedUnderBytePressure) {
-  // One shard, room for exactly three (8 + 64)-byte entries.
-  const size_t entry = sizeof(double) +
-                       ShardedLruCache<double>::kEntryOverheadBytes;
-  ShardedLruCache<double> cache(3 * entry, 1);
-  cache.Put(Key(1, 0), 1.0, sizeof(double), 0);
-  cache.Put(Key(2, 0), 2.0, sizeof(double), 0);
-  cache.Put(Key(3, 0), 3.0, sizeof(double), 0);
-  double value = 0.0;
-  ASSERT_TRUE(Find(&cache, Key(1, 0), &value));  // refresh 1: LRU is now 2
-  cache.Put(Key(4, 0), 4.0, sizeof(double), 0);
-  EXPECT_FALSE(Find(&cache, Key(2, 0), &value));
-  EXPECT_TRUE(Find(&cache, Key(1, 0), &value));
-  EXPECT_TRUE(Find(&cache, Key(3, 0), &value));
-  EXPECT_TRUE(Find(&cache, Key(4, 0), &value));
+TEST(ResultCacheLruTest, EvictsLeastRecentlyUsedUnderBytePressure) {
+  // Room for exactly three one-answer entries per shard; all four keys
+  // land in the same shard.
+  ResultCache cache = CacheWithShardBytes(3 * kOneAnswerBytes);
+  const std::vector<CacheKey128> keys = SameShardKeys(4);
+  cache.Put(keys[0], 0, {{1, 1.0}});
+  cache.Put(keys[1], 0, {{2, 2.0}});
+  cache.Put(keys[2], 0, {{3, 3.0}});
+  ResultCache::Answer value;
+  ASSERT_TRUE(cache.Find(keys[0], 0, &value));  // refresh 0: LRU is now 1
+  cache.Put(keys[3], 0, {{4, 4.0}});
+  EXPECT_FALSE(cache.Find(keys[1], 0, &value));
+  EXPECT_TRUE(cache.Find(keys[0], 0, &value));
+  EXPECT_TRUE(cache.Find(keys[2], 0, &value));
+  EXPECT_TRUE(cache.Find(keys[3], 0, &value));
   EXPECT_EQ(cache.Stats().evictions, 1);
   EXPECT_EQ(cache.Stats().entries, 3);
 }
 
-TEST(ShardedLruCacheTest, OversizedValueIsRejected) {
-  ShardedLruCache<double> cache(128, 1);
-  cache.Put(Key(1, 0), 1.0, /*value_bytes=*/4096, 0);
-  double value = 0.0;
-  EXPECT_FALSE(Find(&cache, Key(1, 0), &value));
+TEST(ResultCacheLruTest, OversizedValueIsRejected) {
+  ResultCache cache = CacheWithShardBytes(128);
+  // 16 answers (256 bytes) plus the overhead exceed the 128-byte shard.
+  cache.Put(Key(1, 0), 0, ResultCache::Answer(16, {1, 1.0}));
+  ResultCache::Answer value;
+  EXPECT_FALSE(cache.Find(Key(1, 0), 0, &value));
   EXPECT_EQ(cache.Stats().rejected, 1);
   EXPECT_EQ(cache.Stats().inserts, 0);
 }
 
-TEST(ShardedLruCacheTest, FindIfErasesEntriesFailingThePredicate) {
-  ShardedLruCache<double> cache(1 << 16, 1);
-  cache.Put(Key(5, 5), 1.5, sizeof(double), /*epoch=*/3);
-  double value = 0.0;
-  EXPECT_FALSE(cache.FindIf(Key(5, 5), &value,
-                            [](uint64_t epoch) { return epoch >= 4; }));
+TEST(ResultCacheLruTest, FindErasesEntriesFromAnotherEpoch) {
+  ResultCache cache = CacheWithShardBytes(1 << 16);
+  cache.Put(Key(5, 5), /*epoch=*/3, {{1, 1.5}});
+  ResultCache::Answer value;
+  EXPECT_FALSE(cache.Find(Key(5, 5), /*epoch=*/4, &value));
   EXPECT_EQ(cache.Stats().invalidations, 1);
   // The stale entry is physically gone, not just hidden.
-  EXPECT_FALSE(Find(&cache, Key(5, 5), &value));
+  EXPECT_FALSE(cache.Find(Key(5, 5), 3, &value));
   EXPECT_EQ(cache.Stats().entries, 0);
 }
 
-TEST(ShardedLruCacheTest, ClearDropsEntriesAndKeepsCounters) {
-  ShardedLruCache<double> cache(1 << 16, 2);
-  cache.Put(Key(1, 1), 1.0, sizeof(double), 0);
-  cache.Put(Key(2, 2), 2.0, sizeof(double), 0);
+TEST(ResultCacheLruTest, ClearDropsEntriesAndKeepsCounters) {
+  ResultCache cache = CacheWithShardBytes(1 << 16);
+  cache.Put(Key(1, 1), 0, {{1, 1.0}});
+  cache.Put(Key(2, 2), 0, {{2, 2.0}});
   cache.Clear();
-  double value = 0.0;
-  EXPECT_FALSE(Find(&cache, Key(1, 1), &value));
+  ResultCache::Answer value;
+  EXPECT_FALSE(cache.Find(Key(1, 1), 0, &value));
   const ShardCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.entries, 0);
   EXPECT_EQ(stats.bytes, 0);

@@ -1,7 +1,9 @@
 // Tests for the serving observability plumbing: the embedded HTTP stats
 // server (request handling over a real socket, Prometheus rendering), the
-// slow-query ring (top-K retention, drain-on-read), and the sampled trace
-// sink (deterministic 1-in-N selection, buffer pooling).
+// slow-query ring (top-K retention, drain-on-read), the sampled trace
+// sink (deterministic 1-in-N selection), and the serving loop's shape: one
+// thread recording while another scrapes (ServingConcurrencyTest runs
+// under the asan/tsan presets via `ctest -L concurrency`).
 
 #include <gtest/gtest.h>
 
@@ -10,15 +12,20 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/profile.h"
 #include "common/slow_query.h"
 #include "common/trace.h"
+#include "lan/lan_index.h"
+#include "pg/result_cache.h"
 #include "server/stats_server.h"
 
 namespace lan {
@@ -190,7 +197,7 @@ SlowQueryRecord MakeRecord(int64_t query_id, double latency) {
 }
 
 TEST(SlowQueryRingTest, RetainsTheSlowestKAndDrainsSortedDescending) {
-  SlowQueryRing ring(/*capacity=*/4, /*num_shards=*/2);
+  SlowQueryRing ring(/*capacity=*/4);
   for (int64_t i = 0; i < 20; ++i) {
     // Latency grows with the id: ids 16..19 are the slowest.
     ring.Offer(MakeRecord(i, 0.001 * static_cast<double>(i + 1)));
@@ -215,7 +222,7 @@ TEST(SlowQueryRingTest, RetainsTheSlowestKAndDrainsSortedDescending) {
 }
 
 TEST(SlowQueryRingTest, FastQueriesNeverEvictSlowOnes) {
-  SlowQueryRing ring(/*capacity=*/2, /*num_shards=*/1);
+  SlowQueryRing ring(/*capacity=*/2);
   ring.Offer(MakeRecord(1, 1.0));
   ring.Offer(MakeRecord(2, 2.0));
   for (int64_t i = 10; i < 40; ++i) {
@@ -251,50 +258,103 @@ TEST(SlowQueryRingTest, JsonLinesCarryHeaderStagesAndTrace) {
 // ---------------------------------------------------------------------------
 
 TEST(SamplingTraceSinkTest, SamplesDeterministicallyOneInN) {
-  SamplingTraceSink sink(4);
+  const SamplingTraceSink sink(4);
   std::vector<int64_t> sampled;
   for (int64_t qid = 0; qid < 12; ++qid) {
-    QueryTrace* trace = sink.Begin(qid);
-    EXPECT_EQ(trace != nullptr, sink.Sampled(qid)) << qid;
-    if (trace != nullptr) {
-      sampled.push_back(qid);
-      sink.End(trace);
-    }
+    if (sink.Sampled(qid)) sampled.push_back(qid);
   }
   EXPECT_EQ(sampled, (std::vector<int64_t>{0, 4, 8}));
 }
 
 TEST(SamplingTraceSinkTest, EveryOneTracesEveryQuery) {
-  SamplingTraceSink sink(1);
-  for (int64_t qid = 0; qid < 5; ++qid) {
-    QueryTrace* trace = sink.Begin(qid);
-    ASSERT_NE(trace, nullptr);
-    sink.End(trace);
-  }
+  const SamplingTraceSink sink(1);
+  for (int64_t qid = 0; qid < 5; ++qid) EXPECT_TRUE(sink.Sampled(qid)) << qid;
 }
 
-TEST(SamplingTraceSinkTest, PoolsAndClearsTraceBuffers) {
-  SamplingTraceSink sink(1);
-  QueryTrace* first = sink.Begin(0);
-  ASSERT_NE(first, nullptr);
-  TraceEvent event;
-  event.type = TraceEventType::kDistance;
-  first->Record(event);
-  sink.End(first);
-
-  // The pooled buffer comes back cleared, not carrying stale events.
-  QueryTrace* second = sink.Begin(1);
-  ASSERT_EQ(second, first);
-  EXPECT_TRUE(second->events().empty());
-  sink.End(second);
-}
-
-TEST(SamplingTraceSinkTest, ClampsNonPositiveRateToEveryQuery) {
-  SamplingTraceSink sink(0);
+TEST(SamplingTraceSinkTest, NeverSamplesAnonymousQueries) {
+  const SamplingTraceSink sink(1);
   EXPECT_EQ(sink.every(), 1);
   EXPECT_TRUE(sink.Sampled(3));
   // Negative query ids (anonymous) are never sampled.
   EXPECT_FALSE(sink.Sampled(-1));
+}
+
+// ---------------------------------------------------------------------------
+// The serving loop's shape: one recorder, one scraper
+// ---------------------------------------------------------------------------
+
+TEST(ServingConcurrencyTest, RecorderAndScraperShareRegistryAndRing) {
+  // As in `lan_tool serve`: the loop thread observes each query and offers
+  // it to the slow ring; the stats server's thread snapshots the registry,
+  // folds cache counters into it and drains the ring.
+  constexpr int64_t kQueries = 20000;
+  constexpr int64_t kSlowest = kQueries / 2;
+  constexpr size_t kRing = 8;
+  MetricsRegistry registry;
+  const QueryHistograms query_hists(&registry);
+  const StageHistograms stage_hists(&registry);
+  SlowQueryRing ring(kRing);
+  std::atomic<bool> done{false};
+
+  std::vector<int64_t> drained_ids;
+  int64_t last_queries = 0;
+  std::thread scraper([&] {
+    ShardCacheStats cache;
+    for (bool last = false; !last;) {
+      last = done.load();
+      const MetricsSnapshot snapshot = registry.Snapshot();
+      const int64_t queries = *snapshot.FindCounter("queries");
+      EXPECT_GE(queries, last_queries);
+      last_queries = queries;
+      ++cache.hits;
+      AppendCacheMetrics(cache, 1 << 20, &registry);
+      const std::vector<SlowQueryRecord> records = ring.Drain();
+      EXPECT_LE(records.size(), kRing);
+      for (size_t i = 0; i < records.size(); ++i) {
+        if (i > 0) {
+          EXPECT_GE(records[i - 1].latency_seconds,
+                    records[i].latency_seconds);
+        }
+        drained_ids.push_back(records[i].query_id);
+      }
+    }
+  });
+
+  const SamplingTraceSink sampler(4);
+  for (int64_t qid = 0; qid < kQueries; ++qid) {
+    SlowQueryRecord record;
+    record.query_id = qid;
+    record.latency_seconds =
+        qid == kSlowest ? 1.0 : 1e-6 * static_cast<double>(qid % 997 + 1);
+    record.stats.ndc = qid % 50;
+    record.stats.stages.seconds[static_cast<size_t>(Stage::kGed)] =
+        record.latency_seconds;
+    record.stats.stages.counts[static_cast<size_t>(Stage::kGed)] = 1;
+    if (sampler.Sampled(qid)) {
+      TraceEvent event;
+      event.type = TraceEventType::kQueryBegin;
+      record.trace.Record(event);
+    }
+    SearchResult result;
+    result.stats = record.stats;
+    query_hists.Observe(result, record.latency_seconds);
+    stage_hists.Observe(result.stats.stages);
+    ring.Offer(std::move(record));
+  }
+  done.store(true);
+  scraper.join();
+
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(*snapshot.FindCounter("queries"), kQueries);
+  EXPECT_EQ(last_queries, kQueries);  // the last scrape saw every query
+  EXPECT_EQ(snapshot.FindHistogram("query_latency_seconds")->count, kQueries);
+  EXPECT_EQ(snapshot.FindHistogram("stage.ged_seconds")->count, kQueries);
+  EXPECT_DOUBLE_EQ(snapshot.FindHistogram("query_latency_seconds")->max, 1.0);
+  EXPECT_GT(*snapshot.FindCounter("cache.hits"), 0);
+  // No record is drained twice, and the slowest query is drained once.
+  const std::set<int64_t> unique(drained_ids.begin(), drained_ids.end());
+  EXPECT_EQ(unique.size(), drained_ids.size());
+  EXPECT_EQ(unique.count(kSlowest), 1u);
 }
 
 }  // namespace

@@ -14,7 +14,7 @@
 // Every index lives in one self-contained `.lansnap` file (database,
 // embeddings, clusters, CGs, HNSW, tombstones, epoch and, if trained, the
 // models). `build` constructs (and by default trains) an index and writes
-// it; every other index command mmaps a snapshot into a ready index, so
+// it; every other index command decodes a snapshot into a ready index, so
 // the expensive offline phases run once. `insert`/`remove` exercise the
 // online maintenance path: they mutate the index (new epoch per mutation)
 // and write the result to `--out` for the next command. `inspect` prints
@@ -759,6 +759,9 @@ int Serve(const Flags& flags) {
   const std::string path = flags.Get("snapshot", "");
   const int num_queries = flags.GetPositive("queries", 8);
   const int k = flags.GetPositive("k", 10);
+  const SamplingTraceSink sampler(flags.GetPositive("trace-sample", 1));
+  SlowQueryRing slow_ring(
+      static_cast<size_t>(flags.GetPositive("slow-queries", 16)));
   auto opened = OpenIndex(flags);
   if (opened == nullptr) return 1;
   LanIndex& index = *opened;
@@ -789,9 +792,6 @@ int Serve(const Flags& flags) {
   registry.SetGauge(registry.Gauge("index_epoch"),
                     static_cast<double>(index.epoch()));
 
-  SamplingTraceSink sampler(flags.GetInt("trace-sample", 1));
-  SlowQueryRing slow_ring(static_cast<size_t>(
-      std::max<int64_t>(1, flags.GetInt("slow-queries", 16))));
   std::atomic<int64_t> served{0};
   Timer uptime;
 
@@ -884,8 +884,9 @@ int Serve(const Flags& flags) {
         qid % slow_inject_every == slow_inject_every - 1) {
       options.beam = static_cast<int>(flags.GetInt("slow-beam", 64));
     }
-    QueryTrace* trace = sampler.Begin(qid);
-    options.trace = trace;
+    // A sampled query records its trace straight into its ring record.
+    SlowQueryRecord record;
+    if (sampler.Sampled(qid)) options.trace = &record.trace;
     Timer timer;
     SearchResult result = index.Search(query, options);
     const double latency = timer.ElapsedSeconds();
@@ -903,14 +904,11 @@ int Serve(const Flags& flags) {
         return 1;
       }
     }
-    SlowQueryRecord record;
     record.query_id = qid;
     record.latency_seconds = latency;
     record.epoch = result.epoch;
     record.stats = result.stats;
-    if (trace != nullptr) record.trace = std::move(*trace);
     slow_ring.Offer(std::move(record));
-    sampler.End(trace);
     served.fetch_add(1, std::memory_order_relaxed);
     if (throttle_ms > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(throttle_ms));

@@ -210,6 +210,12 @@ expect_flag_error(--k eval --snapshot ${SNAP3} --k 0)
 expect_flag_error(--queries eval --snapshot ${SNAP3} --queries 0)
 expect_flag_error(--k eval --snapshot ${SNAP3} --k 3000000000)
 expect_flag_error(--k search --snapshot ${SNAP3} --k -1)
+# serve's trace sampling rate and slow-ring size are counts too: zero or a
+# negative exits 2 naming the flag, before the index is opened.
+expect_flag_error(--trace-sample serve --snapshot ${SNAP3} --max-queries 1
+                  --trace-sample 0)
+expect_flag_error(--slow-queries serve --snapshot ${SNAP3} --max-queries 1
+                  --slow-queries -1)
 
 # eval --trace-out: one private trace per parallel query, concatenated as
 # JSON lines (each carries its query_id).
