@@ -1,5 +1,6 @@
 // Microbenchmark of every GED algorithm in the repository over generated
-// dataset pairs — the substrate cost table behind all QPS numbers. Also
+// dataset pairs — the substrate cost table behind all QPS numbers — and of
+// the batch entry point a search evaluates its distances through. Also
 // reports (to stderr at startup) the mean distance each approximation
 // produces relative to the exact value on small pairs, so speed can be
 // weighed against tightness.
@@ -8,9 +9,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "ged/ged_beam.h"
 #include "ged/ged_bipartite.h"
@@ -19,6 +22,7 @@
 #include "ged/ged_lower_bounds.h"
 #include "graph/graph_database.h"
 #include "graph/graph_generator.h"
+#include "graph/prepared_graph.h"
 
 namespace lan {
 namespace {
@@ -143,6 +147,77 @@ void BM_GedExactGated(benchmark::State& state) {
       expansions > 0 ? us / static_cast<double>(expansions) : 0.0;
 }
 BENCHMARK(BM_GedExactGated);
+
+/// Query-database pairs as a search meets them: 2-edit perturbed copies of
+/// database graphs (prepared once, like the query in DistanceOracle)
+/// against a prepared 200-graph database.
+struct QueryPairs {
+  GraphDatabase db;
+  std::vector<Graph> queries;
+  std::vector<PreparedGraph> prepared;
+};
+
+const QueryPairs& BatchPairs(bool syn) {
+  static auto* both = [] {
+    auto* out = new std::vector<QueryPairs>(2);
+    for (int kind = 0; kind < 2; ++kind) {
+      QueryPairs& p = (*out)[static_cast<size_t>(kind)];
+      p.db = GenerateDatabase(kind == 0 ? DatasetSpec::AidsLike(200)
+                                        : DatasetSpec::SynLike(200),
+                              1005);
+      Rng rng(1006);
+      for (GraphId id = 0; id < p.db.size(); id += 25) {
+        p.queries.push_back(
+            PerturbGraph(p.db.Get(id), 2, p.db.num_labels(), &rng));
+      }
+      p.prepared.resize(p.queries.size());
+      for (size_t q = 0; q < p.queries.size(); ++q) {
+        PrepareGraph(p.queries[q], &p.prepared[q]);
+      }
+    }
+    return out;
+  }();
+  return (*both)[syn ? 1 : 0];
+}
+
+/// GedComputer::ComputeBatch under the default protocol: m database graphs
+/// against one query per call, inline (workers = 0) or with every pair's
+/// tiers fanned out on a pool. `us_per_pair` is wall time per distance, so
+/// m = 1 on the pool is the per-distance fan-out a search paid when each
+/// distance was its own batch.
+void BM_GedBatch(benchmark::State& state) {
+  const QueryPairs& p = BatchPairs(state.range(0) != 0);
+  const size_t m = static_cast<size_t>(state.range(1));
+  const int workers = static_cast<int>(state.range(2));
+  std::unique_ptr<ThreadPool> pool;
+  if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
+  const GedComputer ged;
+  std::vector<GedTarget> targets(m);
+  std::vector<GedValue> values(m);
+  size_t q = 0;
+  GraphId next = 0;
+  int64_t pairs = 0;
+  Timer timer;
+  for (auto _ : state) {
+    const size_t query = q++ % p.queries.size();
+    for (GedTarget& t : targets) {
+      t = {&p.db.Get(next), &p.db.Prepared(next)};
+      next = (next + 1) % p.db.size();
+    }
+    ged.ComputeBatch(p.queries[query], p.prepared[query], targets, pool.get(),
+                     values);
+    benchmark::DoNotOptimize(values.data());
+    benchmark::ClobberMemory();
+    pairs += static_cast<int64_t>(m);
+  }
+  state.counters["us_per_pair"] =
+      pairs > 0 ? timer.ElapsedSeconds() * 1e6 / static_cast<double>(pairs)
+                : 0.0;
+}
+BENCHMARK(BM_GedBatch)
+    ->ArgNames({"syn", "m", "workers"})
+    ->ArgsProduct({{0, 1}, {1, 2, 4, 8}, {0, 4}})
+    ->UseRealTime();
 
 /// Tightness report: approximation mean overshoot vs exact on small pairs.
 void PrintTightness() {

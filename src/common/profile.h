@@ -96,7 +96,9 @@ class StageProfile {
   StageProfile(const StageProfile&) = delete;
   StageProfile& operator=(const StageProfile&) = delete;
 
-  void Enter(Stage stage) {
+  /// Opens a span of `stage` that counts as `count` visits (a GED span
+  /// covers one batch and counts one visit per distance in it).
+  void Enter(Stage stage, int64_t count = 1) {
     if (depth_ >= kMaxDepth) {
       ++overflow_;
       return;
@@ -105,7 +107,7 @@ class StageProfile {
     if (depth_ > 0) ChargeTop(now);
     stack_[depth_++] = stage;
     mark_ns_ = now;
-    ++breakdown_.counts[static_cast<size_t>(stage)];
+    breakdown_.counts[static_cast<size_t>(stage)] += count;
   }
 
   void Exit() {
@@ -155,8 +157,9 @@ class StageProfile {
 /// branch when `profile == nullptr`.
 class StageSpan {
  public:
-  StageSpan(StageProfile* profile, Stage stage) : profile_(profile) {
-    if (profile != nullptr) profile->Enter(stage);
+  StageSpan(StageProfile* profile, Stage stage, int64_t count = 1)
+      : profile_(profile) {
+    if (profile != nullptr) profile->Enter(stage, count);
   }
   ~StageSpan() {
     if (profile_ != nullptr) profile_->Exit();

@@ -12,10 +12,11 @@ namespace lan {
 
 /// \brief Fixed-size worker pool used for offline work (PG construction
 /// distances, ground-truth computation, model training data generation),
-/// for the distances of online inserts, and inside one query: the three
-/// GED upper-bound tiers of each distance call and the candidate chunks of
-/// each cross-encoding pass. Work runs only through ParallelFor, which
-/// returns when its range is done.
+/// for the distances of online inserts, and inside one query: the GED
+/// upper-bound tiers of each batch of distances (one item per pair and
+/// tier, see GedComputer::ComputeBatch) and the candidate chunks of each
+/// cross-encoding pass. Work runs only through ParallelFor, which returns
+/// when its range is done.
 ///
 /// The paper's QPS is a per-thread measure; an index whose pool has one
 /// worker runs every query on its calling thread alone and reproduces it.

@@ -2,6 +2,7 @@
 #define LAN_GED_GED_COMPUTER_H_
 
 #include <cstdint>
+#include <span>
 
 #include "ged/ged_costs.h"
 #include "ged/ged_exact.h"
@@ -60,29 +61,47 @@ struct GedValue {
   bool exact = false;
 };
 
+/// \brief The second graph of one pair in a batch: the graph and its
+/// prepared form (PrepareGraph of `graph`).
+struct GedTarget {
+  const Graph* graph;
+  const PreparedGraph* prepared;
+};
+
 /// \brief The repository's single entry point for graph distances.
 ///
 /// Implements the paper's ground-truth protocol (Sec. VII) under an
 /// expansion cap: try exact A* when GedOptions lets it; otherwise, or when
 /// the cap is hit, take the best (smallest) of the VJ, Hungarian, and Beam
 /// upper bounds. The approximations are first run anyway because their
-/// best value seeds the exact search's upper-bound pruning. The three
-/// tiers are independent pure functions of the two graphs, so they may run
-/// on different threads; their combination, the lower-bound gate and the
-/// A* attempt always run on the calling thread.
+/// best value seeds the exact search's upper-bound pruning.
+///
+/// The unit of work is a batch: one first graph against a span of second
+/// graphs. The upper-bound tiers are independent pure functions of their
+/// two graphs, so every (pair, tier) item of a batch runs in one flat
+/// ParallelFor on the pool, longest tier first: every pair's Hungarian,
+/// then every pair's Beam, then every pair's VJ. Each pair's combination,
+/// its lower-bound gate and its A* attempt run on the calling thread, in
+/// span order. A single-pair Compute is the one-pair batch.
 class GedComputer {
  public:
   explicit GedComputer(GedOptions options = {}) : options_(options) {}
 
-  /// Full protocol; never fails. With a `pool`, the upper-bound tiers run
-  /// concurrently on it; the result is the same bits either way. Prepares
-  /// both graphs on the fly.
+  /// Full protocol for d(g1, targets[i]) into out[i] (`out` as long as
+  /// `targets`); never fails. `p1` = PrepareGraph of `g1`; the Hungarian
+  /// tier and the lower bounds read the prepared forms. With a `pool` the
+  /// tiers of all pairs fan out on it in one ParallelFor; the values are the
+  /// same bits either way, and the same as one Compute per pair.
+  void ComputeBatch(const Graph& g1, const PreparedGraph& p1,
+                    std::span<const GedTarget> targets, ThreadPool* pool,
+                    std::span<GedValue> out) const;
+
+  /// The one-pair batch. Prepares both graphs on the fly.
   GedValue Compute(const Graph& g1, const Graph& g2,
                    ThreadPool* pool = nullptr) const;
 
-  /// The same protocol on graphs prepared ahead of time (`p1` =
-  /// PrepareGraph of `g1`, `p2` of `g2`): the Hungarian tier and the lower
-  /// bounds read them instead of re-deriving per-graph facts.
+  /// The one-pair batch on graphs prepared ahead of time (`p1` =
+  /// PrepareGraph of `g1`, `p2` of `g2`).
   GedValue Compute(const Graph& g1, const PreparedGraph& p1, const Graph& g2,
                    const PreparedGraph& p2, ThreadPool* pool = nullptr) const;
 

@@ -89,10 +89,13 @@ struct GedScratch {
   /// between states).
   std::vector<uint8_t> beam_mark;
   NodeMapping beam_map;
-  /// GedComputer::Compute's per-call results. A tier that Compute fans out
-  /// to a pool worker writes its own one of these in the calling thread's
-  /// scratch while Compute waits for it.
-  ApproxGedResult vj_result, hung_result, beam_result;
+  // --- GedComputer::ComputeBatch ---
+  /// The calling thread's batch: the upper bound of every (tier, pair) item
+  /// (tier-major), each written by whichever thread ran the item.
+  std::vector<double> tier_distances;
+  /// The result of the item this thread is running, in the thread's own
+  /// scratch (only its distance is read).
+  ApproxGedResult tier_result;
   // --- ExactGed (A*) ---
   /// The attempt's search states and its open list (a binary heap). Both
   /// are released after an attempt that grew them past a fixed bound.

@@ -639,7 +639,7 @@ void LanIndex::SearchInto(const Graph& query, const SearchOptions& options,
     case RoutingMethod::kLanRoute: {
       LearnedNeighborRanker ranker(rank_model_.get(), snap->cgs.get(),
                                    &query_cg, &oracle, gamma_star_,
-                                   config_.use_compressed_gnn);
+                                   config_.use_compressed_gnn, scratch);
       NpRouteOptions opts;
       opts.beam_size = beam;
       opts.k = k;

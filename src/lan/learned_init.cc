@@ -73,11 +73,17 @@ GraphId LanInitialSelector::Select(DistanceOracle* oracle, Rng* rng) {
       std::min(predicted_.size(), static_cast<size_t>(options_.samples));
   std::vector<size_t> picks =
       rng->SampleWithoutReplacement(predicted_.size(), s);
+  // The samples' distances, as one batch.
+  std::vector<GraphId> local_samples;
+  std::vector<GraphId>& samples =
+      scratch_ != nullptr ? scratch_->init_candidates : local_samples;
+  samples.clear();
+  for (size_t pick : picks) samples.push_back(predicted_[pick]);
+  oracle->Evaluate(samples);
   GraphId best = kInvalidGraphId;
   double best_d = 0.0;
-  for (size_t pick : picks) {
-    const GraphId id = predicted_[pick];
-    const double d = oracle->Distance(id);
+  for (GraphId id : samples) {
+    const double d = *oracle->FindCached(id);
     if (sink != nullptr) {
       TraceEvent event;
       event.type = TraceEventType::kInitCandidate;

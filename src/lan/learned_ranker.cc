@@ -35,8 +35,9 @@ void LearnedNeighborRanker::RankNeighbors(const ProximityGraph& pg,
     // Encode the neighbors this query has not met yet, in one batch.
     misses_.clear();
     for (GraphId n : neighbors) {
-      const int32_t slot = static_cast<int32_t>(memo_slot_.size());
-      if (memo_slot_.emplace(n, slot).second) misses_.push_back(n);
+      if (memo_slot_->Find(n) != nullptr) continue;
+      memo_slot_->Insert(n, memo_size_++);
+      misses_.push_back(n);
     }
     if (!misses_.empty()) {
       if (use_compressed_) {
@@ -52,16 +53,16 @@ void LearnedNeighborRanker::RankNeighbors(const ProximityGraph& pg,
         scorer.InferCross(raw_batch_, query_encoding, &encoded_,
                           oracle_->pool());
       }
-      memo_rows_.insert(memo_rows_.end(), encoded_.data(),
-                        encoded_.data() + encoded_.size());
+      memo_rows_->insert(memo_rows_->end(), encoded_.data(),
+                         encoded_.data() + encoded_.size());
       encodings = static_cast<int64_t>(misses_.size());
     }
     // This node's neighbor rows, in neighbor order.
     cross_.Reset(static_cast<int32_t>(neighbors.size()), cross_dim);
     for (size_t i = 0; i < neighbors.size(); ++i) {
       const float* row =
-          memo_rows_.data() +
-          static_cast<size_t>(memo_slot_.at(neighbors[i])) * cross_dim;
+          memo_rows_->data() +
+          static_cast<size_t>(*memo_slot_->Find(neighbors[i])) * cross_dim;
       std::copy(row, row + cross_dim,
                 cross_.data() + i * static_cast<size_t>(cross_dim));
     }

@@ -447,23 +447,26 @@ Result<HnswIndex> HnswIndex::FromCore(HnswCore core) {
   return index;
 }
 
-GraphId HnswIndex::SelectInitialNode(DistanceOracle* oracle) const {
-  return SelectInitialNodeFn(
-      [oracle](GraphId id) { return oracle->Distance(id); });
-}
+namespace {
 
-GraphId HnswIndex::SelectInitialNodeFn(
-    const std::function<double(GraphId)>& distance) const {
-  GraphId curr = core_.entry;
+/// HNSW_IS's greedy descent through `core`'s upper layers.
+/// `evaluate_row(ids)` makes a row's distances ready, and `distance(id)`
+/// reads one (evaluating it if needed).
+template <typename EvaluateRow, typename Distance>
+GraphId GreedyDescent(const HnswCore& core, const EvaluateRow& evaluate_row,
+                      const Distance& distance) {
+  GraphId curr = core.entry;
   double curr_d = distance(curr);
   // Upper layers top down, over the core's directed rows (a node's row is
   // empty in the layers above its level).
-  for (size_t l = core_.adjacency.size(); l-- > 1;) {
-    const std::vector<std::vector<GraphId>>& rows = core_.adjacency[l];
+  for (size_t l = core.adjacency.size(); l-- > 1;) {
+    const std::vector<std::vector<GraphId>>& rows = core.adjacency[l];
     for (;;) {
       GraphId best = curr;
       double best_d = curr_d;
-      for (GraphId n : rows[static_cast<size_t>(curr)]) {
+      const std::vector<GraphId>& row = rows[static_cast<size_t>(curr)];
+      evaluate_row(std::span<const GraphId>(row));
+      for (GraphId n : row) {
         const double d = distance(n);
         if (d < best_d) {
           best = n;
@@ -480,6 +483,20 @@ GraphId HnswIndex::SelectInitialNodeFn(
     }
   }
   return curr;
+}
+
+}  // namespace
+
+GraphId HnswIndex::SelectInitialNode(DistanceOracle* oracle) const {
+  // Each greedy row's distances are evaluated as one batch.
+  return GreedyDescent(
+      core_, [oracle](std::span<const GraphId> row) { oracle->Evaluate(row); },
+      [oracle](GraphId id) { return oracle->Distance(id); });
+}
+
+GraphId HnswIndex::SelectInitialNodeFn(
+    const std::function<double(GraphId)>& distance) const {
+  return GreedyDescent(core_, [](std::span<const GraphId>) {}, distance);
 }
 
 RoutingResult HnswIndex::Search(DistanceOracle* oracle, int ef, int k,

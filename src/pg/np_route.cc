@@ -46,9 +46,7 @@ class NpRouter {
     const GraphId first_local_opt = pool_.Best();
     double gamma = pool_.DistanceOf(first_local_opt) + options_.step_size;
     for (;;) {
-      for (GraphId g : ExploredNodesSorted()) {
-        AllQualifiedNeighbors(g, gamma);
-      }
+      AllQualifiedNeighbors(gamma);
       pool_.Resize(options_.beam_size);
       if (pool_.AllExplored()) break;
       for (;;) {
@@ -126,13 +124,14 @@ class NpRouter {
     return batches_->Batch(st.first_batch + j);
   }
 
-  /// Opens batch j of `node`: computes distances and adds every member to
-  /// W. Returns the largest member distance.
+  /// Opens batch j of `node`: computes its members' distances as one batch
+  /// and adds every member to W. Returns the largest member distance.
   double OpenBatch(GraphId node, BatchState* st, uint32_t j) {
     double farthest = -1.0;
     const std::span<const GraphId> members = Batch(*st, j);
+    oracle_->Evaluate(members);
     for (GraphId member : members) {
-      const double d = oracle_->Distance(member);
+      const double d = *oracle_->FindCached(member);
       pool_.Add(member, d);
       farthest = std::max(farthest, d);
     }
@@ -180,31 +179,61 @@ class NpRouter {
     }
   }
 
-  /// Algorithm 3.
-  void AllQualifiedNeighbors(GraphId node, double gamma) {
-    BatchState& st = (*batch_states_)[BatchSlot(node)];
-    // Lines 3-10: re-add unexplored members of already-opened batches.
+  /// Algorithm 3 for every explored node under `gamma`, in waves. A node's
+  /// next batch depends only on its own BatchState and on cached distances,
+  /// and W answers from the set alone, so the nodes run side by side: each
+  /// wave opens the next batch of every node still going, its members'
+  /// distances evaluated as one batch, and the same batches open as when
+  /// the nodes run one after another in id order.
+  void AllQualifiedNeighbors(double gamma) {
+    std::vector<GraphId>& active = scratch_->sweep_nodes;
+    active.clear();
+    for (GraphId node : ExploredNodesSorted()) {
+      if (ReaddOpened(node, gamma)) active.push_back(node);
+    }
+    // Lines 11-18: open further batches, one per node per wave.
+    std::vector<GraphId>& wave = scratch_->wave_ids;
+    while (!active.empty()) {
+      wave.clear();
+      for (GraphId node : active) {
+        const BatchState& st = (*batch_states_)[BatchSlot(node)];
+        const std::span<const GraphId> members = Batch(st, st.opened);
+        wave.insert(wave.end(), members.begin(), members.end());
+      }
+      oracle_->Evaluate(wave);
+      size_t kept = 0;
+      for (GraphId node : active) {
+        BatchState& st = (*batch_states_)[BatchSlot(node)];
+        const double farthest = OpenBatch(node, &st, st.opened);
+        if (farthest >= gamma) {
+          RecordGammaPrune(node, st, gamma);
+        } else if (st.opened < st.num_batches) {
+          active[kept++] = node;
+        }
+      }
+      active.resize(kept);
+    }
+  }
+
+  /// Algorithm 3, lines 3-10, for `node`: re-adds the unexplored members of
+  /// its opened batches. Returns true if the node goes on to open further
+  /// batches (none of them was at or past gamma and one is left).
+  bool ReaddOpened(GraphId node, double gamma) {
+    const BatchState& st = (*batch_states_)[BatchSlot(node)];
     for (uint32_t j = 0; j < st.opened; ++j) {
       bool added_far = false;
       for (GraphId member : Batch(st, j)) {
         if (Explored(member)) continue;
-        const double d = oracle_->Distance(member);  // cached
+        const double d = *oracle_->FindCached(member);
         pool_.Add(member, d);
         if (d >= gamma) added_far = true;
       }
       if (added_far) {
         RecordGammaPrune(node, st, gamma);
-        return;
+        return false;
       }
     }
-    // Lines 11-18: open further batches.
-    for (uint32_t j = st.opened; j < st.num_batches; ++j) {
-      const double farthest = OpenBatch(node, &st, j);
-      if (farthest >= gamma) {
-        RecordGammaPrune(node, st, gamma);
-        return;
-      }
-    }
+    return st.opened < st.num_batches;
   }
 
   const ProximityGraph& pg_;

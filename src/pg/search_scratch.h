@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "ged/ged_computer.h"
 #include "graph/graph.h"
 #include "graph/prepared_graph.h"
 
@@ -41,7 +42,8 @@ class StampedDenseMap {
     return i < stamps_.size() && stamps_[i] == epoch_ ? &values_[i] : nullptr;
   }
 
-  /// Precondition: id < n of the last Reset and not already present.
+  /// Sets the value of `id` (present or not). Precondition: id < n of the
+  /// last Reset.
   void Insert(GraphId id, T value) {
     const size_t i = static_cast<size_t>(id);
     stamps_[i] = epoch_;
@@ -129,6 +131,17 @@ class RouteStateArray {
   uint32_t pool_epoch_ = 0;
 };
 
+/// \brief DistanceOracle's per-query state: the epoch-stamped d(Q, .)
+/// cache, the query's prepared form, and the ids, GED targets and values of
+/// the batch being evaluated.
+struct OracleScratch {
+  StampedDoubleMap cache;
+  PreparedGraph query_prepared;
+  std::vector<GraphId> batch_ids;
+  std::vector<GedTarget> batch_targets;
+  std::vector<GedValue> batch_values;
+};
+
 /// Candidate-pool entry (W of Algorithms 1-2). Lives here rather than in
 /// candidate_pool.h so the scratch can own reusable entry storage.
 struct PoolEntry {
@@ -195,10 +208,8 @@ struct RoutingResult {
 struct SearchScratch {
   /// Routing state shared by the candidate pool and the routers.
   RouteStateArray route_states;
-  /// DistanceOracle's per-query d(Q, .) cache.
-  StampedDoubleMap distance_cache;
-  /// DistanceOracle's prepared form of the query.
-  PreparedGraph query_prepared;
+  /// DistanceOracle's per-query state.
+  OracleScratch oracle;
   /// BeamSearchRouteFn's distance-callback memo (distinct from the oracle
   /// cache: the Fn variant routes over arbitrary callbacks).
   StampedDoubleMap route_memo;
@@ -214,7 +225,15 @@ struct SearchScratch {
   RankedBatches batches;
   std::vector<BatchState> batch_states;
   StampedDenseMap<uint32_t> batch_slots;
-  /// learned_init gather buffers.
+  /// np_route's Algorithm 3 sweep: the explored nodes still opening
+  /// batches, and the members of one wave's batches.
+  std::vector<GraphId> sweep_nodes;
+  std::vector<GraphId> wave_ids;
+  /// LearnedNeighborRanker's per-query memo: the row of h_{G',Q} for each
+  /// encoded neighbour G', and the rows (cross_dim floats each).
+  StampedDenseMap<int32_t> rank_memo_slots;
+  std::vector<float> rank_memo_rows;
+  /// learned_init gather buffers (M_nh's candidates, then the s samples).
   std::vector<GraphId> init_candidates;
   std::vector<size_t> order_buffer;
   /// LanIndex::SearchInto's routing-result buffer.

@@ -1,8 +1,9 @@
 // Thread-count identity of the query path. A Search fans the GED
-// upper-bound tiers of each distance and the candidate chunks of each
-// cross-encoding pass out on the index's resident pool; on any pool width
-// it must return the answers, work counters and trace of a 1-worker index
-// bit for bit. Registered under the ctest `concurrency` label, so the tsan
+// upper-bound tiers of each batch of distances and the candidate chunks of
+// each cross-encoding pass out on the index's resident pool; on any pool
+// width it must return the answers, work counters and trace of a 1-worker
+// index bit for bit. A GED batch must equal one Compute per pair, and the
+// distance oracle's span form must count and record each new id once. Registered under the ctest `concurrency` label, so the tsan
 // preset (`ctest -L concurrency`) runs the fan-out, including queries that
 // share the pool with a concurrent Insert.
 
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/profile.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "ged/ged_computer.h"
@@ -27,6 +29,7 @@
 #include "lan/lan_index.h"
 #include "lan/pair_scorer.h"
 #include "lan/workload.h"
+#include "pg/distance.h"
 
 namespace lan {
 namespace {
@@ -180,6 +183,91 @@ TEST(QueryFanoutTest, GedTiersOnAPoolMatchTheCallingThread) {
       }
     }
   }
+}
+
+TEST(QueryFanoutTest, GedBatchMatchesPerPairCompute) {
+  GedOptions two_tiers;
+  two_tiers.beam_width = 0;
+  GedOptions approximate;
+  approximate.approximate_only = true;
+  ThreadPool one(1);
+  ThreadPool wide(kWide);
+  for (const DatasetSpec& spec :
+       {DatasetSpec::AidsLike(24), DatasetSpec::SynLike(24)}) {
+    const GraphDatabase db = GenerateDatabase(spec, 303);
+    for (const GedOptions& options : {GedOptions{}, two_tiers, approximate}) {
+      const GedComputer ged(options);
+      for (GraphId q = 0; q < 3; ++q) {
+        const Graph& g1 = db.Get(q);
+        // 1..13 pairs: the batch is the span [q, q + m), whose first pair
+        // (g1 against itself) passes the gap gate and is proven by A*.
+        for (size_t m = 1; m <= 13; ++m) {
+          std::vector<GedTarget> targets;
+          std::vector<GedValue> want;
+          for (size_t i = 0; i < m; ++i) {
+            const GraphId id = q + static_cast<GraphId>(i);
+            targets.push_back({&db.Get(id), &db.Prepared(id)});
+            want.push_back(ged.Compute(g1, db.Get(id)));
+          }
+          for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one,
+                                   &wide}) {
+            std::vector<GedValue> got(m);
+            ged.ComputeBatch(g1, db.Prepared(q), targets, pool, got);
+            EXPECT_EQ(got[0].exact, !options.approximate_only);
+            for (size_t i = 0; i < m; ++i) {
+              const std::string what = "query " + std::to_string(q) +
+                                       ", pair " + std::to_string(i) +
+                                       " of " + std::to_string(m);
+              EXPECT_EQ(Bits(got[i].distance), Bits(want[i].distance))
+                  << what;
+              EXPECT_EQ(got[i].method, want[i].method) << what;
+              EXPECT_EQ(got[i].exact, want[i].exact) << what;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(QueryFanoutTest, OracleEvaluateCountsEachNewIdOnce) {
+  const GraphDatabase db = GenerateDatabase(DatasetSpec::AidsLike(24), 304);
+  const GedComputer ged;
+  const Graph query = db.Get(5);
+  ThreadPool pool(kWide);
+  SearchStats stats;
+  QueryTrace trace;
+  StageProfile profile;
+  DistanceOracle oracle(&db, &query, &ged, &stats, &trace);
+  oracle.set_pool(&pool);
+  oracle.set_profile(&profile);
+
+  EXPECT_DOUBLE_EQ(oracle.Distance(3), ged.Compute(query, db.Get(3)).distance);
+  // 3 is cached; 7 and 9 repeat within the span.
+  const std::vector<GraphId> span = {7, 3, 9, 7, 11, 9, 2};
+  oracle.Evaluate(span);
+  EXPECT_EQ(stats.ndc, 5);
+  EXPECT_EQ(profile.breakdown().CountOf(Stage::kGed), stats.ndc);
+  // One kDistance event per new id, in order of first occurrence.
+  const std::vector<GraphId> order = {3, 7, 9, 11, 2};
+  ASSERT_EQ(trace.events().size(), order.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    const TraceEvent& e = trace.events()[i];
+    EXPECT_EQ(e.type, TraceEventType::kDistance);
+    EXPECT_EQ(e.id, order[i]);
+    const double* cached = oracle.FindCached(order[i]);
+    ASSERT_NE(cached, nullptr) << order[i];
+    EXPECT_EQ(Bits(e.value), Bits(*cached)) << order[i];
+    EXPECT_EQ(Bits(*cached),
+              Bits(ged.Compute(query, db.Get(order[i])).distance))
+        << order[i];
+  }
+  // A span of cached ids computes and records nothing.
+  oracle.Evaluate(span);
+  EXPECT_EQ(stats.ndc, 5);
+  EXPECT_EQ(trace.events().size(), order.size());
+  EXPECT_EQ(profile.breakdown().CountOf(Stage::kGed), 5);
+  EXPECT_EQ(oracle.FindCached(4), nullptr);
 }
 
 TEST(QueryFanoutTest, CrossEncodingChunksOnAPoolMatchTheCallingThread) {
