@@ -39,20 +39,6 @@ std::vector<float> CompressedGnnGraph::TopLevelWeights() const {
   return weights;
 }
 
-void CompressedGnnGraph::DeriveInferenceConstants() {
-  log_group_size.resize(static_cast<size_t>(num_layers));
-  for (size_t l = 0; l < log_group_size.size(); ++l) {
-    std::vector<float>& log_w = log_group_size[l];
-    log_w.clear();
-    for (int32_t size : group_size[l]) {
-      const float w = static_cast<float>(size);
-      LAN_CHECK_GT(w, 0.0f);
-      log_w.push_back(std::log(w));
-    }
-  }
-  readout_weights = TopLevelWeights();
-}
-
 CompressedGnnGraph BuildCompressedGnnGraph(const Graph& g, int num_layers) {
   LAN_CHECK_GT(g.NumNodes(), 0);
   LAN_CHECK_GE(num_layers, 0);
@@ -149,7 +135,16 @@ CompressedGnnGraph BuildCompressedGnnGraph(const Graph& g, int num_layers) {
     cg.aggregation[static_cast<size_t>(l) - 1] = std::move(op);
   }
 
-  cg.DeriveInferenceConstants();
+  // Inference constants: the softmax log-weights of the attended groups
+  // (WL ids are dense, so every group size is positive) and the readout
+  // weights of Definition 3.
+  cg.log_group_size.resize(static_cast<size_t>(num_layers));
+  for (size_t l = 0; l < cg.log_group_size.size(); ++l) {
+    for (int32_t size : group_size[l]) {
+      cg.log_group_size[l].push_back(std::log(static_cast<float>(size)));
+    }
+  }
+  cg.readout_weights = cg.TopLevelWeights();
   return cg;
 }
 

@@ -14,15 +14,15 @@ namespace lan {
 /// (hence identical embeddings, GIN equivalence) collapse into one group;
 /// edges carry multiplicity weights.
 ///
+/// A pure function of the graph and L: never persisted, always built by
+/// BuildCompressedGnnGraph (at Build, Insert and OpenSnapshot alike).
 /// `node_group`/`parent` are builder/diagnostic state, not required by
-/// inference; the snapshot does not store them, so they stay empty in a
-/// CG decoded from one.
+/// inference.
 struct CompressedGnnGraph {
   /// L (number of graph-convolution layers). Levels are 0..L.
   int num_layers = 0;
 
   /// node_group[l][v] = group index of graph node v at level l.
-  /// Empty when loaded from a snapshot.
   std::vector<std::vector<int32_t>> node_group;
 
   /// group_size[l][i] = |g_{l,i}| (number of graph nodes in the group).
@@ -40,7 +40,7 @@ struct CompressedGnnGraph {
 
   /// parent[l-1][j] (for l = 1..L) = the level-(l-1) group containing the
   /// members of level-l group j. Well defined because WL refinement only
-  /// splits groups. Empty when loaded from a snapshot.
+  /// splits groups.
   std::vector<std::vector<int32_t>> parent;
 
   /// lift[l-1] (for l = 1..L): sparse 0/1 operator from level l-1 groups
@@ -63,17 +63,12 @@ struct CompressedGnnGraph {
   /// Definition 3).
   std::vector<float> TopLevelWeights() const;
 
-  /// Constants of batched inference, derived from `group_size` once per
-  /// CG by DeriveInferenceConstants (never persisted):
-  /// log_group_size[l][i] = log|g_{l,i}| for l = 0..L-1 (the softmax
-  /// log-weights of the attended groups) and readout_weights =
-  /// TopLevelWeights().
+  /// Constants of batched inference, derived from `group_size` by
+  /// BuildCompressedGnnGraph: log_group_size[l][i] = log|g_{l,i}|
+  /// for l = 0..L-1 (the softmax log-weights of the attended groups) and
+  /// readout_weights = TopLevelWeights().
   std::vector<std::vector<float>> log_group_size;
   std::vector<float> readout_weights;
-
-  /// Fills the inference constants above. BuildCompressedGnnGraph and the
-  /// snapshot decoder call it; a CG built any other way must too.
-  void DeriveInferenceConstants();
 };
 
 /// Algorithm 5. `num_layers` >= 0; the graph must be non-empty.

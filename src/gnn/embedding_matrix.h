@@ -78,9 +78,6 @@ class EmbeddingMatrix {
     ++rows_;
   }
 
-  /// Bytes held by the f32 arena (diagnostics: lan_tool diagnose).
-  size_t f32_bytes() const { return size() * sizeof(float); }
-
  private:
   std::vector<float> data_;
   int64_t rows_ = 0;

@@ -120,9 +120,8 @@ Status LanIndex::Build(GraphDatabase* db) {
   return Status::OK();
 }
 
-void LanIndex::FinishBuild(HnswIndex hnsw) {
-  // Precompute the compressed GNN-graph of every database graph (offline,
-  // Sec. VI-C: a one-off cost amortized over all queries).
+std::shared_ptr<const std::vector<CompressedGnnGraph>> LanIndex::DeriveCgs()
+    const {
   const int layers = static_cast<int>(config_.scorer.gnn_dims.size());
   auto cgs = std::make_shared<std::vector<CompressedGnnGraph>>(
       static_cast<size_t>(db_->size()));
@@ -130,13 +129,14 @@ void LanIndex::FinishBuild(HnswIndex hnsw) {
     (*cgs)[i] = BuildCompressedGnnGraph(
         db_->Get(static_cast<GraphId>(i)), layers);
   });
+  return cgs;
+}
 
-  // Whole-graph embeddings + KMeans clusters for the optimized M_nh.
-  EmbeddingOptions embedding = config_.embedding;
-  embedding.num_labels = db_->num_labels();
-  config_.embedding = embedding;
-  auto embeddings =
-      std::make_shared<EmbeddingMatrix>(EmbedDatabase(*db_, embedding));
+void LanIndex::FinishBuild(HnswIndex hnsw) {
+  // KMeans clusters of the whole-graph embeddings for the optimized M_nh.
+  // Only KMeans reads the embedding matrix: inserts and queries embed
+  // their own graph.
+  config_.embedding.num_labels = db_->num_labels();
   const int num_clusters =
       config_.num_clusters > 0
           ? config_.num_clusters
@@ -144,7 +144,8 @@ void LanIndex::FinishBuild(HnswIndex hnsw) {
                             static_cast<double>(db_->size()))));
   Rng rng(config_.seed);
   auto clusters = std::make_shared<KMeansResult>(
-      KMeans(*embeddings, num_clusters, config_.kmeans_iterations, &rng));
+      KMeans(EmbedDatabase(*db_, config_.embedding), num_clusters,
+             config_.kmeans_iterations, &rng));
 
   auto snap = std::make_shared<IndexSnapshot>();
   snap->num_graphs = db_->size();
@@ -152,8 +153,7 @@ void LanIndex::FinishBuild(HnswIndex hnsw) {
   snap->hnsw = std::make_shared<const HnswIndex>(std::move(hnsw));
   snap->live = std::make_shared<const std::vector<uint8_t>>(
       static_cast<size_t>(db_->size()), uint8_t{1});
-  snap->cgs = std::move(cgs);
-  snap->embeddings = std::move(embeddings);
+  snap->cgs = DeriveCgs();
   snap->clusters = std::move(clusters);
   Publish(std::move(snap));
   FinishSetup(db_->size(), /*inserted_since_build=*/0);
@@ -201,11 +201,9 @@ Result<GraphId> LanIndex::Insert(Graph graph) {
   const int layers = static_cast<int>(config_.scorer.gnn_dims.size());
   auto cgs = std::make_shared<std::vector<CompressedGnnGraph>>(*snap->cgs);
   cgs->push_back(BuildCompressedGnnGraph(added, layers));
-  auto embeddings = std::make_shared<EmbeddingMatrix>(*snap->embeddings);
-  embeddings->AppendRow(EmbedGraph(added, config_.embedding));
   auto clusters = std::make_shared<KMeansResult>(*snap->clusters);
   const int32_t c = NearestCentroid(clusters->centroids,
-                                    embeddings->Row(embeddings->rows() - 1));
+                                    EmbedGraph(added, config_.embedding));
   clusters->assignment.push_back(c);
   clusters->members[static_cast<size_t>(c)].push_back(id);
 
@@ -231,7 +229,6 @@ Result<GraphId> LanIndex::Insert(Graph graph) {
   next->hnsw = std::move(hnsw);
   next->live = std::move(live);
   next->cgs = std::move(cgs);
-  next->embeddings = std::move(embeddings);
   next->clusters = std::move(clusters);
   Publish(std::move(next));
   // Answers stored at older epochs can no longer be served (ResultCache);

@@ -214,9 +214,8 @@ struct IndexSnapshot {
   std::shared_ptr<const HnswIndex> hnsw;
   /// live[id] == 0 marks a tombstone: routed through, never returned.
   std::shared_ptr<const std::vector<uint8_t>> live;
+  /// cgs[id] is graph id's CG, derived from the graph (never persisted).
   std::shared_ptr<const std::vector<CompressedGnnGraph>> cgs;
-  /// One row-major matrix; row id is graph id's embedding.
-  std::shared_ptr<const EmbeddingMatrix> embeddings;
   std::shared_ptr<const KMeansResult> clusters;
 };
 
@@ -229,13 +228,13 @@ struct IndexSnapshot {
 ///
 /// Online updates: when Built over a *mutable* database, Insert()/Remove()
 /// maintain the index without a rebuild or retrain — each mutation derives
-/// the new graph's CG/embedding/cluster assignment, extends the PG with
-/// the same per-node step batch construction uses, and publishes a new
-/// epoch. One writer at a time (Insert/Remove serialize on an internal
-/// mutex); Search/SearchBatch never block on the writer — every query pins
-/// the snapshot current at its start (see IndexSnapshot). The learned
-/// models are NOT retrained on mutation; see docs/index_lifecycle.md for
-/// the staleness semantics.
+/// the new graph's CG and (from its embedding) cluster assignment, extends
+/// the PG with the same per-node step batch construction uses, and
+/// publishes a new epoch. One writer at a time (Insert/Remove serialize on
+/// an internal mutex); Search/SearchBatch never block on the writer —
+/// every query pins the snapshot current at its start (see IndexSnapshot).
+/// The learned models are NOT retrained on mutation; see
+/// docs/index_lifecycle.md for the staleness semantics.
 class LanIndex {
  public:
   explicit LanIndex(LanConfig config);
@@ -244,7 +243,8 @@ class LanIndex {
   LanIndex(const LanIndex&) = delete;
   LanIndex& operator=(const LanIndex&) = delete;
 
-  /// Builds the PG, the per-graph CGs, embeddings, and clusters.
+  /// Builds the PG, the per-graph CGs, and the clusters of the graphs'
+  /// embeddings.
   /// `db` must outlive the index. An index built over a const database is
   /// immutable: Insert/Remove fail.
   Status Build(const GraphDatabase* db);
@@ -267,17 +267,19 @@ class LanIndex {
   /// searches already pinned to an older epoch. Requires a mutable Build.
   Status Remove(GraphId id);
 
-  /// Persists the COMPLETE index — database, PG, CGs, embeddings,
-  /// clusters, tombstones, epoch, and (if trained) the model parameters —
-  /// as one sectioned snapshot file (store/snapshot.h,
-  /// docs/snapshot_format.md), the index's only persistence format. The
-  /// result is self-contained: OpenSnapshot needs no database.
+  /// Persists the index's state — database, PG, clusters, tombstones,
+  /// epoch, and (if trained) the model parameters — as one sectioned
+  /// snapshot file (store/snapshot.h, docs/snapshot_format.md), the
+  /// index's only persistence format. The CGs are derived from the graphs
+  /// and not stored. The result is self-contained: OpenSnapshot needs no
+  /// database.
   Status SaveSnapshot(const std::string& path) const;
 
   /// Restores a SaveSnapshot file: validates the container (header, TOC,
   /// checksums), then decodes every section into the same owned
   /// structures Build produces, checking each against the invariants its
-  /// consumers rely on, so a malformed file yields a Status. Nothing
+  /// consumers rely on, so a malformed file yields a Status, and derives
+  /// every graph's CG at the config's GNN depth as Build does. Nothing
   /// refers to the file once this returns. The index owns its database and
   /// is immediately searchable — trained, if the snapshot carried models —
   /// and Insert()/Remove() work as after Build.
@@ -335,7 +337,6 @@ class LanIndex {
     return *Snapshot()->cgs;
   }
   const KMeansResult& clusters() const { return *Snapshot()->clusters; }
-  const EmbeddingMatrix& embeddings() const { return *Snapshot()->embeddings; }
   const LanConfig& config() const { return config_; }
   /// Workers in the resident pool (config().num_threads resolved): the
   /// width each Search's inner loops fan out over.
@@ -363,9 +364,13 @@ class LanIndex {
   LazyQueryCg QueryCg(const Graph& query) const;
 
  private:
-  /// Tail of Build: derives CGs, embeddings, and clusters over the
-  /// database, then publishes the first snapshot (epoch 0, all live).
+  /// Tail of Build: derives CGs and clusters over the database, then
+  /// publishes the first snapshot (epoch 0, all live).
   void FinishBuild(HnswIndex hnsw);
+  /// Every database graph's CG at the config's GNN depth, built on the
+  /// resident pool (Sec. VI-C: a one-off offline cost). Build and
+  /// OpenSnapshot both derive them this way.
+  std::shared_ptr<const std::vector<CompressedGnnGraph>> DeriveCgs() const;
   /// Shared tail of FinishBuild and OpenSnapshot: the online-insert level
   /// stream (a function of the size at Build and of the inserts since)
   /// and the result cache; marks the index built.

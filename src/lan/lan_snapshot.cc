@@ -25,15 +25,6 @@ using SnapshotImage = Snapshot;
 
 namespace {
 
-/// kCgs per-operator descriptor. On-disk POD; never reorder fields.
-struct CgMatrixHeader {
-  int32_t rows;
-  int32_t cols;
-  int64_t entry_offset;
-  int64_t entry_count;
-};
-static_assert(sizeof(CgMatrixHeader) == 24);
-
 // ---- kMeta ----
 
 void EncodeMeta(SectionBuilder* b, const std::string& name,
@@ -164,7 +155,7 @@ Status DecodeGraphs(std::span<const uint8_t> payload, int64_t expect_graphs,
   return Status::OK();
 }
 
-// ---- embedding / centroid matrices (kEmbeddings + parts of others) ----
+// ---- matrices (the centroids in kClusters, the contexts in kModels) ----
 
 void EncodeMatrix(SectionBuilder* b, const EmbeddingMatrix& m) {
   const int64_t rows = m.rows();
@@ -222,212 +213,6 @@ Result<KMeansResult> DecodeClusters(std::span<const uint8_t> payload,
   clusters.assignment.assign(assignment.begin(), assignment.end());
   clusters.RebuildMembers(k);
   return clusters;
-}
-
-// ---- kCgs ----
-
-Status EncodeCgs(SectionBuilder* b,
-                 const std::vector<CompressedGnnGraph>& cgs) {
-  const int64_t n = static_cast<int64_t>(cgs.size());
-  const int32_t num_layers = n > 0 ? cgs[0].num_layers : 0;
-  b->Pod(num_layers);
-  b->Pod(n);
-  const size_t levels = static_cast<size_t>(num_layers) + 1;
-
-  std::vector<int64_t> gs_ptr, lbl_ptr;
-  gs_ptr.reserve(static_cast<size_t>(n) * levels + 1);
-  lbl_ptr.reserve(static_cast<size_t>(n) + 1);
-  gs_ptr.push_back(0);
-  lbl_ptr.push_back(0);
-  for (const CompressedGnnGraph& cg : cgs) {
-    if (cg.num_layers != num_layers || cg.group_size.size() != levels ||
-        cg.aggregation.size() != static_cast<size_t>(num_layers) ||
-        cg.lift.size() != static_cast<size_t>(num_layers)) {
-      return Status::InvalidArgument(
-          "EncodeCgs: inconsistent CG layer counts");
-    }
-    for (size_t l = 0; l < levels; ++l) {
-      gs_ptr.push_back(gs_ptr.back() +
-                       static_cast<int64_t>(cg.group_size[l].size()));
-    }
-    lbl_ptr.push_back(lbl_ptr.back() +
-                      static_cast<int64_t>(cg.level0_group_labels.size()));
-  }
-  b->Array(gs_ptr.data(), gs_ptr.size());
-  // Rows pack contiguously: the buffer stays 4-aligned between Array
-  // calls, so the reader pulls the whole arena back as one span.
-  for (const CompressedGnnGraph& cg : cgs) {
-    for (size_t l = 0; l < levels; ++l) {
-      b->Array(cg.group_size[l].data(), cg.group_size[l].size());
-    }
-  }
-  b->Array(lbl_ptr.data(), lbl_ptr.size());
-  for (const CompressedGnnGraph& cg : cgs) {
-    b->Array(cg.level0_group_labels.data(), cg.level0_group_labels.size());
-  }
-
-  std::vector<CgMatrixHeader> headers;
-  headers.reserve(static_cast<size_t>(n) * 2 *
-                  static_cast<size_t>(num_layers));
-  int64_t entry_cursor = 0;
-  const auto add_header = [&](const SparseMatrix& m) {
-    const int64_t count = static_cast<int64_t>(m.entries.size());
-    headers.push_back({m.rows, m.cols, entry_cursor, count});
-    entry_cursor += count;
-  };
-  for (const CompressedGnnGraph& cg : cgs) {
-    for (size_t l = 0; l < static_cast<size_t>(num_layers); ++l) {
-      add_header(cg.aggregation[l]);
-    }
-    for (size_t l = 0; l < static_cast<size_t>(num_layers); ++l) {
-      add_header(cg.lift[l]);
-    }
-  }
-  b->Array(headers.data(), headers.size());
-  for (const CompressedGnnGraph& cg : cgs) {
-    for (size_t l = 0; l < static_cast<size_t>(num_layers); ++l) {
-      const auto& entries = cg.aggregation[l].entries;
-      b->Array(entries.data(), entries.size());
-    }
-    for (size_t l = 0; l < static_cast<size_t>(num_layers); ++l) {
-      const auto& entries = cg.lift[l].entries;
-      b->Array(entries.data(), entries.size());
-    }
-  }
-  return Status::OK();
-}
-
-/// One CG operator from level `level - 1` to `level`: its header must
-/// give that shape (the level's group count by the previous level's) and
-/// every entry must lie inside it.
-Result<SparseMatrix> DecodeOperator(
-    const CgMatrixHeader& header,
-    std::span<const SparseMatrix::Entry> entries,
-    const CompressedGnnGraph& cg, int level) {
-  SparseMatrix m;
-  m.rows = cg.NumGroups(level);
-  m.cols = cg.NumGroups(level - 1);
-  if (header.rows != m.rows || header.cols != m.cols) {
-    return Status::IoError("cgs section: operator shape mismatch");
-  }
-  m.entries.assign(entries.begin() + header.entry_offset,
-                   entries.begin() + header.entry_offset + header.entry_count);
-  for (const SparseMatrix::Entry& e : m.entries) {
-    if (e.row < 0 || e.row >= m.rows || e.col < 0 || e.col >= m.cols) {
-      return Status::IoError("cgs section: operator entry out of range");
-    }
-  }
-  return m;
-}
-
-/// Decodes one CG per graph and checks each against what inference
-/// reads: every level has groups and every group a positive size, the
-/// level-0 labels cover the level-0 groups and lie in [0, num_labels), and
-/// each operator has its levels' shape with entries inside it.
-Result<std::vector<CompressedGnnGraph>> DecodeCgs(
-    std::span<const uint8_t> payload, int64_t expect_graphs,
-    int32_t num_labels) {
-  SectionReader r(payload);
-  int32_t num_layers = 0;
-  int64_t n = 0;
-  LAN_RETURN_NOT_OK(r.Pod(&num_layers));
-  LAN_RETURN_NOT_OK(r.Pod(&n));
-  if (n != expect_graphs) {
-    return Status::IoError("cgs section: graph count mismatch");
-  }
-  if (num_layers < 0 || num_layers > 1024) {
-    return Status::IoError("cgs section: bad layer count");
-  }
-  const size_t levels = static_cast<size_t>(num_layers) + 1;
-  const size_t rows = static_cast<size_t>(n) * levels;
-  LAN_ASSIGN_OR_RETURN(std::span<const int64_t> gs_ptr,
-                       r.Array<int64_t>(rows + 1));
-  if (gs_ptr[0] != 0 || gs_ptr[rows] < 0) {
-    return Status::IoError("cgs section: bad group-size offsets");
-  }
-  LAN_ASSIGN_OR_RETURN(
-      std::span<const int32_t> gs_values,
-      r.Array<int32_t>(static_cast<size_t>(gs_ptr[rows])));
-  LAN_ASSIGN_OR_RETURN(std::span<const int64_t> lbl_ptr,
-                       r.Array<int64_t>(static_cast<size_t>(n) + 1));
-  if (lbl_ptr[0] != 0 || lbl_ptr[static_cast<size_t>(n)] < 0) {
-    return Status::IoError("cgs section: bad label offsets");
-  }
-  LAN_ASSIGN_OR_RETURN(
-      std::span<const Label> labels,
-      r.Array<Label>(static_cast<size_t>(lbl_ptr[static_cast<size_t>(n)])));
-  const size_t num_matrices =
-      static_cast<size_t>(n) * 2 * static_cast<size_t>(num_layers);
-  LAN_ASSIGN_OR_RETURN(std::span<const CgMatrixHeader> headers,
-                       r.Array<CgMatrixHeader>(num_matrices));
-  // Headers must tile the entry arena exactly; that both validates them
-  // and yields the arena length, which cannot exceed what the payload
-  // has left (so the running total cannot overflow).
-  const int64_t room =
-      static_cast<int64_t>(r.remaining() / sizeof(SparseMatrix::Entry));
-  int64_t total_entries = 0;
-  for (const CgMatrixHeader& h : headers) {
-    if (h.rows < 0 || h.cols < 0 || h.entry_count < 0 ||
-        h.entry_offset != total_entries ||
-        h.entry_count > room - total_entries) {
-      return Status::IoError("cgs section: bad operator header");
-    }
-    total_entries += h.entry_count;
-  }
-  LAN_ASSIGN_OR_RETURN(
-      std::span<const SparseMatrix::Entry> entries,
-      r.Array<SparseMatrix::Entry>(static_cast<size_t>(total_entries)));
-
-  std::vector<CompressedGnnGraph> cgs(static_cast<size_t>(n));
-  for (size_t g = 0; g < cgs.size(); ++g) {
-    CompressedGnnGraph& cg = cgs[g];
-    cg.num_layers = num_layers;
-    cg.group_size.resize(levels);
-    for (size_t l = 0; l < levels; ++l) {
-      const int64_t begin = gs_ptr[g * levels + l];
-      const int64_t end = gs_ptr[g * levels + l + 1];
-      if (begin < 0 || begin > end || end > gs_ptr[rows]) {
-        return Status::IoError("cgs section: bad group-size offsets");
-      }
-      if (begin == end) return Status::IoError("cgs section: empty level");
-      cg.group_size[l].assign(gs_values.begin() + begin,
-                              gs_values.begin() + end);
-      for (const int32_t size : cg.group_size[l]) {
-        if (size <= 0) {
-          return Status::IoError("cgs section: non-positive group size");
-        }
-      }
-    }
-    const int64_t lbl_begin = lbl_ptr[g], lbl_end = lbl_ptr[g + 1];
-    if (lbl_begin < 0 || lbl_begin > lbl_end ||
-        lbl_end > lbl_ptr[static_cast<size_t>(n)]) {
-      return Status::IoError("cgs section: bad label offsets");
-    }
-    cg.level0_group_labels.assign(labels.begin() + lbl_begin,
-                                  labels.begin() + lbl_end);
-    if (cg.level0_group_labels.size() != cg.group_size[0].size()) {
-      return Status::IoError("cgs section: level-0 label count mismatch");
-    }
-    for (const Label label : cg.level0_group_labels) {
-      if (label < 0 || label >= num_labels) {
-        return Status::IoError("cgs section: level-0 label out of range");
-      }
-    }
-    const size_t m0 = g * 2 * static_cast<size_t>(num_layers);
-    for (int l = 1; l <= num_layers; ++l) {
-      const size_t i = m0 + static_cast<size_t>(l) - 1;
-      LAN_ASSIGN_OR_RETURN(SparseMatrix aggregation,
-                           DecodeOperator(headers[i], entries, cg, l));
-      cg.aggregation.push_back(std::move(aggregation));
-      LAN_ASSIGN_OR_RETURN(
-          SparseMatrix lift,
-          DecodeOperator(headers[i + static_cast<size_t>(num_layers)],
-                         entries, cg, l));
-      cg.lift.push_back(std::move(lift));
-    }
-    cg.DeriveInferenceConstants();
-  }
-  return cgs;
 }
 
 // ---- kHnsw ----
@@ -589,11 +374,7 @@ Status LanIndex::SaveSnapshot(const std::string& path) const {
              db_->num_labels(), *snap);
 
   EncodeGraphs(writer.AddSection(SectionKind::kGraphs), *db_);
-  EncodeMatrix(writer.AddSection(SectionKind::kEmbeddings),
-               *snap->embeddings);
   EncodeClusters(writer.AddSection(SectionKind::kClusters), *snap->clusters);
-  LAN_RETURN_NOT_OK(EncodeCgs(writer.AddSection(SectionKind::kCgs),
-                              *snap->cgs));
   EncodeHnsw(writer.AddSection(SectionKind::kHnsw), *snap->hnsw);
 
   if (trained_) {
@@ -622,11 +403,12 @@ Status LanIndex::OpenSnapshot(const std::string& path) {
         "OpenSnapshot on an already-built index");
   }
   // The mapping lives only as long as `image`: everything below decodes
-  // into owned structures.
+  // into owned structures. Sections of retired kinds (older files carry
+  // the CGs and the embedding matrix) are skipped.
   LAN_ASSIGN_OR_RETURN(SnapshotImage image, SnapshotImage::Open(path));
   for (const SectionKind kind :
-       {SectionKind::kMeta, SectionKind::kGraphs, SectionKind::kEmbeddings,
-        SectionKind::kClusters, SectionKind::kCgs, SectionKind::kHnsw}) {
+       {SectionKind::kMeta, SectionKind::kGraphs, SectionKind::kClusters,
+        SectionKind::kHnsw}) {
     if (!image.Has(kind)) {
       return Status::IoError(StrFormat("snapshot %s is missing the %s section",
                                        path.c_str(),
@@ -656,36 +438,22 @@ Status LanIndex::OpenSnapshot(const std::string& path) {
 
   LAN_ASSIGN_OR_RETURN(HnswIndex hnsw,
                        DecodeHnsw(image.Section(SectionKind::kHnsw), n));
-  SectionReader embedding_reader(image.Section(SectionKind::kEmbeddings));
-  LAN_ASSIGN_OR_RETURN(EmbeddingMatrix embeddings,
-                       DecodeMatrix(&embedding_reader));
-  if (embeddings.rows() != n) {
-    return Status::IoError("embeddings section: row count mismatch");
-  }
   LAN_ASSIGN_OR_RETURN(
       KMeansResult clusters,
       DecodeClusters(image.Section(SectionKind::kClusters), n));
-  LAN_ASSIGN_OR_RETURN(
-      std::vector<CompressedGnnGraph> cgs,
-      DecodeCgs(image.Section(SectionKind::kCgs), n, meta.num_labels));
-  if (cgs[0].num_layers != static_cast<int>(config_.scorer.gnn_dims.size())) {
-    return Status::InvalidArgument(
-        "snapshot CG depth does not match config.scorer.gnn_dims");
-  }
-  // Inserts embed with the config's dim and M_c is sized from it, so a
-  // mismatch must be rejected here rather than abort on the first write.
-  if (embeddings.dim() != config_.embedding.dim) {
+  // Inserts and LAN_IS queries embed their graph at the config's dim and
+  // M_c is sized from it, so a mismatch must be rejected here rather than
+  // abort on the first write or search.
+  if (clusters.centroids.dim() != config_.embedding.dim) {
     return Status::InvalidArgument(StrFormat(
-        "snapshot embedding dim %d does not match config.embedding.dim %d",
-        embeddings.dim(), config_.embedding.dim));
-  }
-  if (clusters.centroids.dim() != embeddings.dim()) {
-    return Status::InvalidArgument(
-        "snapshot centroid dim does not match its embedding dim");
+        "snapshot centroid dim %d does not match config.embedding.dim %d",
+        clusters.centroids.dim(), config_.embedding.dim));
   }
 
   // Trained state, if the snapshot carries it: architectures come from
   // the config, parameters and the rank context matrix from the section.
+  // Parameters of another architecture (say, other gnn_dims) fail the
+  // shape checks of ReadParamStoreInto.
   if (image.Has(SectionKind::kModels)) {
     SectionReader r(image.Section(SectionKind::kModels));
     LAN_RETURN_NOT_OK(r.Pod(&gamma_star_));
@@ -734,10 +502,7 @@ Status LanIndex::OpenSnapshot(const std::string& path) {
   next->hnsw = std::make_shared<const HnswIndex>(std::move(hnsw));
   next->live =
       std::make_shared<const std::vector<uint8_t>>(std::move(live));
-  next->cgs = std::make_shared<const std::vector<CompressedGnnGraph>>(
-      std::move(cgs));
-  next->embeddings =
-      std::make_shared<const EmbeddingMatrix>(std::move(embeddings));
+  next->cgs = DeriveCgs();
   next->clusters =
       std::make_shared<const KMeansResult>(std::move(clusters));
   // Same tail as FinishBuild. Every epoch since Build is one Insert or

@@ -63,12 +63,12 @@ const char* SectionKindName(SectionKind kind) {
       return "meta";
     case SectionKind::kGraphs:
       return "graphs";
-    case SectionKind::kEmbeddings:
-      return "embeddings";
+    case SectionKind::kRetiredEmbeddings:
+      return "retired-embeddings";
     case SectionKind::kClusters:
       return "clusters";
-    case SectionKind::kCgs:
-      return "cgs";
+    case SectionKind::kRetiredCgs:
+      return "retired-cgs";
     case SectionKind::kHnsw:
       return "hnsw";
     case SectionKind::kModels:

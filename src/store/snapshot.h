@@ -36,13 +36,17 @@ namespace lan {
 /// Section identifiers. Values are part of the on-disk format; never
 /// renumber, only append.
 enum class SectionKind : uint32_t {
-  kMeta = 1,        ///< index-level scalars + live bitmap
-  kGraphs = 2,      ///< every graph's CSR, in columnar arenas
-  kEmbeddings = 3,  ///< database embedding matrix
-  kClusters = 4,    ///< M_c centroids + assignment
-  kCgs = 5,         ///< compressed GNN graphs (arena form)
-  kHnsw = 6,        ///< HNSW core + base-view CSR layers
-  kModels = 7,      ///< trained parameter blobs + rank context matrix
+  kMeta = 1,    ///< index-level scalars + live bitmap
+  kGraphs = 2,  ///< every graph's CSR, in columnar arenas
+  /// Retired: held the database embedding matrix, which only KMeans at
+  /// Build reads. Never written, skipped on read, never reuse the value.
+  kRetiredEmbeddings = 3,
+  kClusters = 4,  ///< M_c centroids + assignment
+  /// Retired: held the compressed GNN graphs, which OpenSnapshot derives
+  /// from the graphs. Never written, skipped on read, never reuse the value.
+  kRetiredCgs = 5,
+  kHnsw = 6,    ///< HNSW core + base-view CSR layers
+  kModels = 7,  ///< trained parameter blobs + rank context matrix
   /// Retired: held the manifest of a sharded directory layout. Never
   /// written, skipped on read, never reuse the value.
   kRetiredShardManifest = 8,

@@ -348,8 +348,8 @@ TEST_F(SnapshotCorruptionTest, RejectsTrailingGarbageSize) {
 
 // ---------- Crafted sections ----------
 //
-// Files whose checksums are valid but whose graphs or CGs break what the
-// code reading them relies on. Each rewrites one section of the good
+// Files whose checksums are valid but whose graphs or model contexts break
+// what the code reading them relies on. Each rewrites one section of the good
 // snapshot through SnapshotWriter and copies the others.
 
 /// One graph's CSR columns as the graphs section stores them: labels,
@@ -525,59 +525,6 @@ TEST_F(SnapshotCraftedSectionTest, RejectsGraphsBreakingGraphInvariants) {
   }
 }
 
-/// kCgs per-operator descriptor and triplet, as docs/snapshot_format.md
-/// lays them out.
-struct CgMatrixHeader {
-  int32_t rows;
-  int32_t cols;
-  int64_t entry_offset;
-  int64_t entry_count;
-};
-struct CgEntry {
-  int32_t row;
-  int32_t col;
-  float weight;
-};
-
-/// Byte offsets of the kCgs arrays within the payload.
-struct CgLayout {
-  size_t group_sizes = 0;
-  size_t label_offsets = 0;
-  size_t labels = 0;
-  size_t headers = 0;
-  size_t entries = 0;
-};
-
-CgLayout LayoutOf(const std::string& payload) {
-  const std::span<const uint8_t> bytes(
-      reinterpret_cast<const uint8_t*>(payload.data()), payload.size());
-  SectionReader r(bytes);
-  int32_t num_layers = 0;
-  int64_t n = 0;
-  EXPECT_TRUE(r.Pod(&num_layers).ok());
-  EXPECT_TRUE(r.Pod(&n).ok());
-  const size_t levels = static_cast<size_t>(num_layers) + 1;
-  const auto offset = [&bytes](const void* p) {
-    return static_cast<size_t>(static_cast<const uint8_t*>(p) - bytes.data());
-  };
-  CgLayout layout;
-  const auto gs_ptr = *r.Array<int64_t>(static_cast<size_t>(n) * levels + 1);
-  const auto gs_values = *r.Array<int32_t>(static_cast<size_t>(gs_ptr.back()));
-  layout.group_sizes = offset(gs_values.data());
-  const auto lbl_ptr = *r.Array<int64_t>(static_cast<size_t>(n) + 1);
-  layout.label_offsets = offset(lbl_ptr.data());
-  const auto labels = *r.Array<int32_t>(static_cast<size_t>(lbl_ptr.back()));
-  layout.labels = offset(labels.data());
-  const auto headers = *r.Array<CgMatrixHeader>(
-      static_cast<size_t>(n) * 2 * static_cast<size_t>(num_layers));
-  layout.headers = offset(headers.data());
-  const auto entries =
-      *r.Array<CgEntry>(static_cast<size_t>(headers.back().entry_offset +
-                                            headers.back().entry_count));
-  layout.entries = offset(entries.data());
-  return layout;
-}
-
 template <typename T>
 T ReadAt(const std::string& payload, size_t offset) {
   T value;
@@ -588,64 +535,6 @@ T ReadAt(const std::string& payload, size_t offset) {
 template <typename T>
 void WriteAt(std::string* payload, size_t offset, const T& value) {
   std::memcpy(payload->data() + offset, &value, sizeof(T));
-}
-
-TEST_F(SnapshotCraftedSectionTest, RejectsCgsBreakingTheirShapes) {
-  const std::string good = Payload(SectionKind::kCgs);
-  const CgLayout layout = LayoutOf(good);
-  const auto header0 = ReadAt<CgMatrixHeader>(good, layout.headers);
-  ASSERT_GT(header0.entry_count, 0);
-  const auto expect_rejected = [this](const std::string& payload,
-                                      const std::string& what) {
-    const Status status = OpenWith(SectionKind::kCgs, payload);
-    EXPECT_EQ(status.code(), StatusCode::kIoError)
-        << what << ": " << status.ToString();
-  };
-  {
-    std::string bad = good;
-    CgMatrixHeader header = header0;
-    ++header.rows;
-    WriteAt(&bad, layout.headers, header);
-    expect_rejected(bad, "operator rows off its level's group count");
-  }
-  {
-    std::string bad = good;
-    CgMatrixHeader header = header0;
-    ++header.cols;
-    WriteAt(&bad, layout.headers, header);
-    expect_rejected(bad, "operator cols off its level's group count");
-  }
-  {
-    std::string bad = good;
-    CgEntry entry = ReadAt<CgEntry>(good, layout.entries);
-    entry.row = header0.rows + 7;
-    WriteAt(&bad, layout.entries, entry);
-    expect_rejected(bad, "entry row outside the operator");
-  }
-  {
-    std::string bad = good;
-    CgEntry entry = ReadAt<CgEntry>(good, layout.entries);
-    entry.col = -1;
-    WriteAt(&bad, layout.entries, entry);
-    expect_rejected(bad, "entry col outside the operator");
-  }
-  {
-    // Graph 0 takes one of graph 1's level-0 labels.
-    std::string bad = good;
-    const size_t at = layout.label_offsets + sizeof(int64_t);
-    WriteAt(&bad, at, ReadAt<int64_t>(good, at) + 1);
-    expect_rejected(bad, "level-0 label count off the group count");
-  }
-  {
-    std::string bad = good;
-    WriteAt<Label>(&bad, layout.labels, num_labels_ + 3);
-    expect_rejected(bad, "level-0 label outside the alphabet");
-  }
-  {
-    std::string bad = good;
-    WriteAt<int32_t>(&bad, layout.group_sizes, 0);
-    expect_rejected(bad, "empty group");
-  }
 }
 
 TEST_F(SnapshotCraftedSectionTest, RejectsContextMatrixOfTheWrongDim) {
@@ -736,8 +625,9 @@ TEST(SnapshotGoldenTest, OpensCommittedFixture) {
   auto snapshot = Snapshot::Open(GoldenPath());
   ASSERT_TRUE(snapshot.ok());
   for (SectionKind kind :
-       {SectionKind::kMeta, SectionKind::kGraphs, SectionKind::kEmbeddings,
-        SectionKind::kClusters, SectionKind::kCgs, SectionKind::kHnsw,
+       {SectionKind::kMeta, SectionKind::kGraphs,
+        SectionKind::kRetiredEmbeddings, SectionKind::kClusters,
+        SectionKind::kRetiredCgs, SectionKind::kHnsw,
         SectionKind::kModels}) {
     EXPECT_TRUE(snapshot->Has(kind)) << SectionKindName(kind);
   }
@@ -819,79 +709,148 @@ TEST(SnapshotTest, OpenRejectsMissingSections) {
 // ---------- Config mismatch ----------
 
 TEST(SnapshotTest, OpenRejectsEmbeddingDimMismatch) {
-  // Inserts embed at config.embedding.dim and M_c is sized from it, so a
-  // snapshot of another dim must fail to open instead of aborting later.
+  // Inserts and LAN_IS queries embed at config.embedding.dim and M_c is
+  // sized from it, so a snapshot whose centroids have another dim must
+  // fail to open instead of aborting later.
   const std::string path16 = TempPath("dim16.lansnap");
-  const std::string path32 = TempPath("dim32.lansnap");
-  const std::string mixed_path = TempPath("dim_mixed.lansnap");
   GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(40), 231);
   LanIndex index16(TinyConfig());
   ASSERT_TRUE(index16.Build(&db).ok());
   ASSERT_TRUE(index16.SaveSnapshot(path16).ok());
-  LanConfig config32 = TinyConfig();
-  config32.embedding.dim = 32;
-  LanIndex index32(config32);
-  ASSERT_TRUE(index32.Build(&db).ok());
-  ASSERT_TRUE(index32.SaveSnapshot(path32).ok());
 
-  LanConfig config64 = TinyConfig();
-  config64.embedding.dim = 64;
-  LanIndex opened64(config64);
-  const Status status = opened64.OpenSnapshot(path16);
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
-  EXPECT_NE(status.message().find("embedding dim"), std::string::npos)
-      << status.ToString();
-
-  // Dim-16 embeddings next to dim-32 centroids: the same cluster count and
-  // assignment length, so only the dim check can catch it.
-  auto a = Snapshot::Open(path16);
-  auto b = Snapshot::Open(path32);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  SnapshotWriter writer;
-  for (const SectionInfo& info : a->sections()) {
-    const auto payload = info.kind == SectionKind::kClusters
-                             ? b->Section(info.kind)
-                             : a->Section(info.kind);
-    writer.AddSection(info.kind)->Bytes(payload.data(), payload.size());
+  for (const int32_t dim : {8, 64}) {
+    LanConfig config = TinyConfig();
+    config.embedding.dim = dim;
+    LanIndex opened(config);
+    const Status status = opened.OpenSnapshot(path16);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << dim << ": " << status.ToString();
+    EXPECT_NE(status.message().find("centroid dim"), std::string::npos)
+        << status.ToString();
   }
-  ASSERT_TRUE(writer.WriteToFile(mixed_path).ok());
-  LanIndex mixed(TinyConfig());
-  const Status mixed_status = mixed.OpenSnapshot(mixed_path);
-  EXPECT_EQ(mixed_status.code(), StatusCode::kInvalidArgument)
-      << mixed_status.ToString();
-  EXPECT_NE(mixed_status.message().find("centroid dim"), std::string::npos)
-      << mixed_status.ToString();
+}
+
+TEST(SnapshotTest, OpenRejectsTrainedSnapshotOfOtherGnnDims) {
+  // The CGs are derived at the opening config's depth, so a trained file
+  // of another architecture is caught by its model parameter shapes.
+  const std::string path = TempPath("gnn_dims.lansnap");
+  GraphDatabase db;
+  LanIndex original(TinyConfig());
+  BuildAndSave(path, 30, &db, &original);
+  for (const std::vector<int32_t>& dims :
+       {std::vector<int32_t>{8}, std::vector<int32_t>{8, 8, 8},
+        std::vector<int32_t>{16, 16}, std::vector<int32_t>{8, 16}}) {
+    LanConfig config = TinyConfig();
+    config.scorer.gnn_dims = dims;
+    LanIndex opened(config);
+    const Status status = opened.OpenSnapshot(path);
+    EXPECT_FALSE(status.ok()) << dims.size() << " layers, first dim "
+                              << dims[0];
+  }
+}
+
+// ---------- Derived state ----------
+
+void ExpectSameOperators(const std::vector<SparseMatrix>& got,
+                         const std::vector<SparseMatrix>& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t l = 0; l < got.size(); ++l) {
+    EXPECT_EQ(got[l].rows, want[l].rows) << what << " level " << l + 1;
+    EXPECT_EQ(got[l].cols, want[l].cols) << what << " level " << l + 1;
+    ASSERT_EQ(got[l].entries.size(), want[l].entries.size()) << what;
+    for (size_t e = 0; e < got[l].entries.size(); ++e) {
+      EXPECT_EQ(got[l].entries[e].row, want[l].entries[e].row) << what;
+      EXPECT_EQ(got[l].entries[e].col, want[l].entries[e].col) << what;
+      EXPECT_EQ(got[l].entries[e].weight, want[l].entries[e].weight) << what;
+    }
+  }
+}
+
+TEST(SnapshotTest, CgsDerivedOnOpenMatchAFreshBuild) {
+  // A snapshot stores no CGs: OpenSnapshot derives them from the graphs,
+  // so an opened index that then inserts holds the CGs a fresh Build over
+  // the same graphs does, builder state included.
+  const std::string path = TempPath("derived_cgs.lansnap");
+  GraphDatabase db = GenerateDatabase(DatasetSpec::SynLike(30), 241);
+  WorkloadOptions wopts;
+  wopts.num_queries = 4;
+  const QueryWorkload workload = SampleWorkload(db, wopts, 242);
+  GraphDatabase fresh_db = GenerateDatabase(DatasetSpec::SynLike(30), 241);
+  LanIndex built(TinyConfig());
+  ASSERT_TRUE(built.Build(&db).ok());
+  ASSERT_TRUE(built.Insert(workload.train[0]).ok());
+  ASSERT_TRUE(built.SaveSnapshot(path).ok());
+  auto image = Snapshot::Open(path);
+  ASSERT_TRUE(image.ok());
+  EXPECT_FALSE(image->Has(SectionKind::kRetiredEmbeddings));
+  EXPECT_FALSE(image->Has(SectionKind::kRetiredCgs));
+
+  LanIndex opened(TinyConfig());
+  ASSERT_TRUE(opened.OpenSnapshot(path).ok());
+  ASSERT_TRUE(opened.Insert(workload.train[1]).ok());
+
+  ASSERT_TRUE(fresh_db.Add(workload.train[0]).ok());
+  ASSERT_TRUE(fresh_db.Add(workload.train[1]).ok());
+  LanIndex fresh(TinyConfig());
+  ASSERT_TRUE(fresh.Build(&fresh_db).ok());
+
+  const std::vector<CompressedGnnGraph>& got = opened.db_cgs();
+  const std::vector<CompressedGnnGraph>& want = fresh.db_cgs();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t g = 0; g < got.size(); ++g) {
+    const std::string what = "graph " + std::to_string(g);
+    EXPECT_EQ(got[g].num_layers, want[g].num_layers) << what;
+    EXPECT_EQ(got[g].group_size, want[g].group_size) << what;
+    EXPECT_EQ(got[g].level0_group_labels, want[g].level0_group_labels)
+        << what;
+    ExpectSameOperators(got[g].aggregation, want[g].aggregation,
+                        what + " aggregation");
+    ExpectSameOperators(got[g].lift, want[g].lift, what + " lift");
+    EXPECT_EQ(got[g].log_group_size, want[g].log_group_size) << what;
+    EXPECT_EQ(got[g].readout_weights, want[g].readout_weights) << what;
+    EXPECT_EQ(got[g].node_group, want[g].node_group) << what;
+    EXPECT_EQ(got[g].parent, want[g].parent) << what;
+  }
 }
 
 // ---------- Retired sections ----------
 
 TEST(SnapshotTest, RetiredSectionIsSkippedOnOpen) {
-  // Files saved with the retired int8 embedding plane carry a kind-9
-  // section, and the manifest of the retired sharded directory layout was
-  // a kind-8 section. The reader skips both by their TOC entries: such a
-  // file opens and answers exactly like the same file without them.
+  // The committed fixture was written when snapshots still stored the
+  // database embedding matrix (kind 3) and the CGs (kind 5); files saved
+  // with the int8 embedding plane carried a kind-9 section, and the
+  // manifest of the sharded directory layout was a kind-8 section. The
+  // reader skips all four by their TOC entries: such a file opens and
+  // answers exactly like the same file without them.
   const std::string path = TempPath("without_retired.lansnap");
   const std::string retired_path = TempPath("with_retired.lansnap");
-  GraphDatabase db;
-  LanIndex original(TinyConfig());
-  QueryWorkload workload = BuildAndSave(path, 40, &db, &original);
+  auto fixture = Snapshot::Open(GoldenPath());
+  ASSERT_TRUE(fixture.ok());
+  ASSERT_TRUE(fixture->Has(SectionKind::kRetiredEmbeddings));
+  ASSERT_TRUE(fixture->Has(SectionKind::kRetiredCgs));
+  const LanConfig config = GoldenConfig();
 
-  auto full = Snapshot::Open(path);
-  ASSERT_TRUE(full.ok());
+  SnapshotWriter plain_writer;
   SnapshotWriter writer;
-  for (const SectionInfo& info : full->sections()) {
-    const auto payload = full->Section(info.kind);
+  for (const SectionInfo& info : fixture->sections()) {
+    const auto payload = fixture->Section(info.kind);
     writer.AddSection(info.kind)->Bytes(payload.data(), payload.size());
-    if (info.kind == SectionKind::kEmbeddings) {
+    if (info.kind != SectionKind::kRetiredEmbeddings &&
+        info.kind != SectionKind::kRetiredCgs) {
+      plain_writer.AddSection(info.kind)->Bytes(payload.data(),
+                                                payload.size());
+    }
+    if (info.kind == SectionKind::kRetiredEmbeddings) {
       // Where the old writer put it: rows, dim, codes, per-row scales.
       SectionBuilder* retired =
           writer.AddSection(SectionKind::kRetiredInt8Embeddings);
-      const EmbeddingMatrix& m = original.embeddings();
-      retired->Pod(m.rows());
-      retired->Pod(m.dim());
-      const std::vector<int8_t> codes(m.size(), 1);
-      const std::vector<float> scales(static_cast<size_t>(m.rows()), 0.5f);
+      const size_t rows = static_cast<size_t>(kGoldenGraphs);
+      const size_t dim = static_cast<size_t>(config.embedding.dim);
+      retired->Pod<int64_t>(kGoldenGraphs);
+      retired->Pod<int32_t>(config.embedding.dim);
+      const std::vector<int8_t> codes(rows * dim, 1);
+      const std::vector<float> scales(rows, 0.5f);
       retired->Array(codes.data(), codes.size());
       retired->Array(scales.data(), scales.size());
     }
@@ -901,40 +860,57 @@ TEST(SnapshotTest, RetiredSectionIsSkippedOnOpen) {
   SectionBuilder* manifest =
       writer.AddSection(SectionKind::kRetiredShardManifest);
   const std::string shard_file = "shard-000.lansnap";
-  std::vector<GraphId> global_ids(static_cast<size_t>(db.size()));
-  for (GraphId id = 0; id < db.size(); ++id) {
+  std::vector<GraphId> global_ids(static_cast<size_t>(kGoldenGraphs));
+  for (GraphId id = 0; id < kGoldenGraphs; ++id) {
     global_ids[static_cast<size_t>(id)] = id;
   }
   manifest->Pod<int32_t>(1);
-  manifest->Pod<int64_t>(db.size());
+  manifest->Pod<int64_t>(kGoldenGraphs);
   manifest->Pod<int64_t>(static_cast<int64_t>(shard_file.size()));
   manifest->Bytes(shard_file.data(), shard_file.size());
   manifest->Pod<int64_t>(static_cast<int64_t>(global_ids.size()));
   manifest->Array(global_ids.data(), global_ids.size());
+  ASSERT_TRUE(plain_writer.WriteToFile(path).ok());
   ASSERT_TRUE(writer.WriteToFile(retired_path).ok());
   auto image = Snapshot::Open(retired_path);
   ASSERT_TRUE(image.ok());
-  ASSERT_TRUE(image->Has(SectionKind::kRetiredInt8Embeddings));
-  ASSERT_TRUE(image->Has(SectionKind::kRetiredShardManifest));
+  for (const SectionKind kind :
+       {SectionKind::kRetiredEmbeddings, SectionKind::kRetiredCgs,
+        SectionKind::kRetiredShardManifest,
+        SectionKind::kRetiredInt8Embeddings}) {
+    EXPECT_TRUE(image->Has(kind)) << SectionKindName(kind);
+  }
   EXPECT_STREQ(SectionKindName(SectionKind::kRetiredShardManifest),
                "retired-shard-manifest");
+  EXPECT_STREQ(SectionKindName(SectionKind::kRetiredCgs), "retired-cgs");
 
-  LanIndex plain(TinyConfig());
+  LanIndex plain(config);
   ASSERT_TRUE(plain.OpenSnapshot(path).ok());
-  LanIndex with_retired(TinyConfig());
+  LanIndex with_retired(config);
   ASSERT_TRUE(with_retired.OpenSnapshot(retired_path).ok());
   EXPECT_TRUE(with_retired.trained());
-  for (const InitMethod init : {InitMethod::kLanIs, InitMethod::kHnswIs}) {
-    for (size_t i = 0; i < 3; ++i) {
-      SearchOptions sopts;
-      sopts.k = 5;
-      sopts.init = init;
-      SearchResult x = plain.Search(workload.test[i], sopts);
-      SearchResult y = with_retired.Search(workload.test[i], sopts);
-      ASSERT_TRUE(x.status.ok());
-      ASSERT_TRUE(y.status.ok());
-      EXPECT_EQ(x.results, y.results)
-          << InitMethodName(init) << " query " << i;
+  WorkloadOptions wopts;
+  wopts.num_queries = 10;
+  const QueryWorkload workload = SampleWorkload(plain.db(), wopts, 251);
+  for (const RoutingMethod routing :
+       {RoutingMethod::kLanRoute, RoutingMethod::kBaselineRoute,
+        RoutingMethod::kOracleRoute}) {
+    for (const InitMethod init :
+         {InitMethod::kLanIs, InitMethod::kHnswIs, InitMethod::kRandomIs}) {
+      for (const Graph& query : workload.train) {
+        SearchOptions sopts;
+        sopts.k = 5;
+        sopts.routing = routing;
+        sopts.init = init;
+        SearchResult x = plain.Search(query, sopts);
+        SearchResult y = with_retired.Search(query, sopts);
+        ASSERT_TRUE(x.status.ok());
+        ASSERT_TRUE(y.status.ok());
+        EXPECT_EQ(x.results, y.results)
+            << RoutingMethodName(routing) << "/" << InitMethodName(init);
+        EXPECT_EQ(x.stats.ndc, y.stats.ndc)
+            << RoutingMethodName(routing) << "/" << InitMethodName(init);
+      }
     }
   }
 }

@@ -12,12 +12,13 @@
 //   lan_tool serve    --snapshot idx.lansnap --stats-port 8080
 //
 // Every index lives in one self-contained `.lansnap` file (database,
-// embeddings, clusters, CGs, HNSW, tombstones, epoch and, if trained, the
-// models). `build` constructs (and by default trains) an index and writes
-// it; every other index command decodes a snapshot into a ready index, so
-// the expensive offline phases run once. `insert`/`remove` exercise the
-// online maintenance path: they mutate the index (new epoch per mutation)
-// and write the result to `--out` for the next command. `inspect` prints
+// clusters, HNSW, tombstones, epoch and, if trained, the models; the CGs
+// are derived on open). `build` constructs (and by default trains) an
+// index and writes it; every other index command decodes a snapshot into
+// a ready index, so the expensive offline phases run once.
+// `insert`/`remove` exercise the online maintenance path: they mutate the
+// index (new epoch per mutation) and write the result to `--out` for the
+// next command. `inspect` prints
 // the section table. `serve` runs a self-generated query loop with the
 // embedded stats server attached (/metrics, /statusz, /slowz, /healthz)
 // until SIGTERM/SIGINT; `--stats-port` also attaches the server to
@@ -617,12 +618,10 @@ int Diagnose(const Flags& flags) {
               index.pg().IsConnected() ? "yes" : "NO");
   std::printf("HNSW: %d layers, entry point #%d\n", index.hnsw().NumLayers(),
               index.hnsw().EntryPoint());
-  const EmbeddingMatrix& embeddings = index.embeddings();
-  std::printf("embeddings: %lld x %d, f32 %zu bytes\n",
-              static_cast<long long>(embeddings.rows()), embeddings.dim(),
-              embeddings.f32_bytes());
-  std::printf("clusters: %zu (largest %zu, smallest %zu members)\n",
+  std::printf("clusters: %zu, embedding dim %d (largest %zu, smallest %zu "
+              "members)\n",
               static_cast<size_t>(index.clusters().centroids.rows()),
+              index.config().embedding.dim,
               [&] {
                 size_t largest = 0;
                 for (const auto& m : index.clusters().members) {

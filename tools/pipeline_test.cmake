@@ -107,7 +107,13 @@ set(METRICS ${WORK_DIR}/pipeline.metrics.json)
 run_step(${LAN_TOOL} search --snapshot ${SNAP} --k 3 --queries 2
          --trace-out ${TRACE} --metrics-out ${METRICS})
 run_step(${LAN_TOOL} diagnose --snapshot ${SNAP})
-run_step(${LAN_TOOL} inspect --snapshot ${SNAP})
+# A snapshot holds state only: the CGs and the embedding matrix are
+# derived on open, so a fresh build writes neither section.
+run_step_output(inspect_out ${LAN_TOOL} inspect --snapshot ${SNAP})
+if(NOT inspect_out MATCHES "\n  hnsw " OR
+   inspect_out MATCHES "\n  (retired-)?(cgs|embeddings) ")
+  message(FATAL_ERROR "inspect lists a derived section:\n${inspect_out}")
+endif()
 
 # --force-scalar applies to every command, snapshot ones included. The
 # untrained snapshot built here also backs the `serve` section below.
